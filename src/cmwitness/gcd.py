@@ -24,6 +24,7 @@ from .poly import (
     F2Poly,
     NotDivisibleError,
     Poly,
+    _exp_sub,
     grlex_key,
     lift_f2,
 )
@@ -304,7 +305,10 @@ def gcd_q(a: Poly, b: Poly) -> Poly:
 
 
 def gcd_many_q(polys) -> Poly:
-    """Iterated gcd_q over a nonempty sequence, skipping leading zeros."""
+    """Iterated gcd_q over a nonempty sequence, skipping leading zeros.
+
+    Stops at the first unit: the gcd is then 1 whatever follows.
+    """
     acc = None
     for p in polys:
         if acc is None:
@@ -313,6 +317,9 @@ def gcd_many_q(polys) -> Poly:
             continue
         else:
             acc = gcd_q(acc, p)
+        if acc.is_constant() and not acc.is_zero():
+            # A nonzero constant is a unit of Q[variables].
+            return acc.ring.one()
     if acc is None:
         raise BothZeroError("gcd of an empty sequence")
     if acc.is_zero():
@@ -371,20 +378,11 @@ def poly_sqrt_z(p: Poly) -> Optional[Poly]:
         if rem.is_zero():
             break
         er, cr = rem.lead()
-        et = _sub_exp(er, e2)
+        et = _exp_sub(er, e2)
         if et is None or cr % c2 != 0 or grlex_key(er) >= grlex_key(e):
             return None
         root = root + Poly(p.ring, {et: cr // c2})
     return root if root * root == p else None
-
-
-def _sub_exp(e1: Exponent, e2: Exponent) -> Optional[Exponent]:
-    out = []
-    for a, b in zip(e1, e2):
-        if a < b:
-            return None
-        out.append(a - b)
-    return tuple(out)
 
 
 def is_ring_square(p: Poly) -> Optional[Poly]:
@@ -409,20 +407,3 @@ def is_ring_square(p: Poly) -> Optional[Poly]:
     if root is None:
         return None
     return root.scale(croot)
-
-
-def partial_derivative_joint_gcd(p: Poly) -> Poly:
-    """gcd_q of p together with all of its partial derivatives."""
-    from .poly import partial_derivative
-
-    seq = [p]
-    for i in range(p.ring.nvars):
-        seq.append(partial_derivative(p, i))
-    return gcd_many_q(seq)
-
-
-def gcd_f2_lifted(a: Poly, b: Poly) -> F2Poly:
-    """Convenience: gcd in GF(2) of the reductions of integer polys."""
-    from .poly import reduce_mod2
-
-    return gcd_f2(reduce_mod2(a), reduce_mod2(b))

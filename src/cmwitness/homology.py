@@ -51,7 +51,7 @@ from .linalg import (
     fraction_kernel,
     poly_det,
 )
-from .poly import BaseRing, Poly, divide_exact, is_even, reduce_mod2
+from .poly import BaseRing, Poly, divide_exact, is_divisible, is_even, reduce_mod2
 from .predicates import S2Witness, regular_sequence_certificate
 
 __all__ = [
@@ -149,13 +149,8 @@ def _in_ideal_by_divisibility(elem: Poly, gens: Sequence[Poly]) -> bool:
     if elem.is_zero():
         return True
     for g in gens:
-        if g.is_zero():
-            continue
-        try:
-            divide_exact(elem, g)
+        if not g.is_zero() and is_divisible(elem, g):
             return True
-        except Exception:
-            continue
     return False
 
 

@@ -1,17 +1,19 @@
-"""Exact linear algebra: polynomial fractions, Bareiss rank, GF(2) systems.
+"""Exact linear algebra: polynomial fractions, fraction-free elimination, GF(2).
 
-Three independent tools used throughout the package:
+* PolyFraction: an element of the fraction field Q(x1, ..., xn), always
+  kept reduced (numerator and denominator coprime, denominator with
+  positive leading coefficient).  A fraction lies in the local ring S
+  exactly when its reduced denominator is a unit of S, i.e. has odd
+  constant coefficient.
 
-* PolyFraction / RationalMatrix: elements of the fraction field
-  Q(x1, ..., xn), always kept reduced (numerator and denominator
-  coprime, denominator with positive leading coefficient).  A fraction
-  lies in the local ring S exactly when its reduced denominator is a
-  unit of S, i.e. has odd constant coefficient.
-
-* generic_rank: fraction-free Gaussian elimination (Bareiss) over the
-  polynomial ring after clearing denominators row by row.  Entries stay
-  polynomial because every intermediate entry is a minor of the cleared
-  matrix, and each division by the previous pivot is exact.
+* One fraction-free Gauss-Jordan elimination (Bareiss) over Z[x] or
+  GF(2)[x] behind bareiss_rank, solve_fraction_system and
+  fraction_kernel.  Fraction rows are cleared of denominators once;
+  entries stay polynomial because every intermediate entry is a minor
+  of the cleared matrix, so each division by the previous pivot is
+  exact.  The result is d times the reduced row echelon form, d the
+  last pivot, and each output entry becomes one reduced fraction over
+  d; no fraction arithmetic happens during elimination.
 
 * GF(2) linear systems with rows packed into Python integers, used by
   the bounded colon search.
@@ -19,7 +21,6 @@ Three independent tools used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .gcd import gcd_z
@@ -29,7 +30,6 @@ from .poly import (
     Poly,
     divide_exact,
     f2_divide_exact,
-    is_unit_local,
 )
 
 
@@ -81,7 +81,7 @@ class PolyFraction:
 
     def is_in_S(self) -> bool:
         """Membership in the local ring: reduced denominator is a unit."""
-        return is_unit_local(self.den)
+        return self.den.is_unit()
 
     def is_polynomial(self) -> bool:
         return self.den == self.den.ring.one()
@@ -159,30 +159,6 @@ class PolyFraction:
         return f"({self.num})/({self.den})"
 
 
-@dataclass
-class RationalMatrix:
-    """A matrix over the fraction field, stored row-major."""
-
-    entries: List[List[PolyFraction]]
-
-    def __post_init__(self):
-        widths = {len(r) for r in self.entries}
-        if len(widths) > 1:
-            raise DimensionMismatchError("ragged rows")
-
-    @classmethod
-    def from_polys(cls, rows: Sequence[Sequence[Poly]]) -> "RationalMatrix":
-        return cls([[PolyFraction(p) for p in row] for row in rows])
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-
 MatrixElement = Union[Poly, F2Poly]
 
 
@@ -192,54 +168,71 @@ def _elem_divide(a: MatrixElement, b: MatrixElement) -> MatrixElement:
     return divide_exact(a, b)
 
 
+def _fraction_free_rref(
+    work: List[List[MatrixElement]],
+) -> Tuple[List[int], Optional[MatrixElement]]:
+    """Fraction-free Gauss-Jordan elimination of ``work`` in place.
+
+    Pivots are chosen deterministically (first nonzero entry scanning
+    down each column) and columns with no pivot are skipped.  Every
+    non-pivot row is updated as (piv*row - row[col]*pivot_row) / prev,
+    where prev is the previous pivot; each entry stays a minor of the
+    input (Sylvester's identity), so the division is exact.  Returns
+    the pivot columns, pivot k sitting in row k, and the last pivot d
+    (None when there is no pivot).  On return the first len(pivots)
+    rows equal d times the reduced row echelon form and the rest are
+    zero.
+    """
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    pivots: List[int] = []
+    prev: Optional[MatrixElement] = None
+    for col in range(ncols):
+        top = len(pivots)
+        if top == nrows:
+            break
+        sel = next((r for r in range(top, nrows) if not work[r][col].is_zero()), None)
+        if sel is None:
+            continue
+        work[top], work[sel] = work[sel], work[top]
+        pivot_row = work[top]
+        piv = pivot_row[col]
+        for i, row in enumerate(work):
+            if i == top:
+                continue
+            factor = row[col]
+            for j in range(ncols):
+                num = piv * row[j]
+                if not (factor.is_zero() or pivot_row[j].is_zero()):
+                    num = num - factor * pivot_row[j]
+                row[j] = num if prev is None else _elem_divide(num, prev)
+        pivots.append(col)
+        prev = piv
+    return pivots, prev
+
+
+def _cleared_rows(rows: Sequence[Sequence[PolyFraction]]) -> List[List[Poly]]:
+    """Each row times the product of its distinct denominators."""
+    out = []
+    for row in rows:
+        den = None
+        for d in {fr.den for fr in row if not fr.is_polynomial()}:
+            den = d if den is None else den * d
+        if den is None:
+            out.append([fr.num for fr in row])
+        else:
+            out.append([divide_exact(fr.num * den, fr.den) for fr in row])
+    return out
+
+
 def bareiss_rank(rows: Sequence[Sequence[MatrixElement]]) -> int:
     """Rank over the fraction field via fraction-free elimination.
 
     Works for entries in Z[vars] or GF(2)[vars]; both support exact
-    multiplication, subtraction and exact division.  Pivots are chosen
-    deterministically (first nonzero entry scanning down each column);
-    columns with no pivot are skipped, which keeps every intermediate
-    entry a minor of the input so the Bareiss division stays exact.
+    multiplication, subtraction and exact division.
     """
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    nrows = len(work)
-    prev: Optional[MatrixElement] = None
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row >= nrows:
-            break
-        sel = None
-        for r in range(pivot_row, nrows):
-            if not work[r][col].is_zero():
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[pivot_row], work[sel] = work[sel], work[pivot_row]
-        piv = work[pivot_row][col]
-        for i in range(pivot_row + 1, nrows):
-            for j in range(col + 1, ncols):
-                num = piv * work[i][j] - work[i][col] * work[pivot_row][j]
-                work[i][j] = _elem_divide(num, prev) if prev is not None else num
-        prev = piv
-        pivot_row += 1
-    return pivot_row
-
-
-def generic_rank(m: RationalMatrix) -> int:
-    """Rank of a rational matrix as a matrix over the fraction field."""
-    if not m.entries:
-        return 0
-    cleared: List[List[Poly]] = []
-    for row in m.entries:
-        den = row[0].ring.one() if row else None
-        for fr in row:
-            den = den * fr.den
-        cleared.append([divide_exact(fr.num * den, fr.den) for fr in row])
-    return bareiss_rank(cleared)
+    pivots, _ = _fraction_free_rref([list(r) for r in rows])
+    return len(pivots)
 
 
 def solve_fraction_system(
@@ -251,7 +244,8 @@ def solve_fraction_system(
 
     Returns the coefficient list, or None when the system is
     inconsistent.  With require_unique, raises SpanNotFreeError if the
-    columns are linearly dependent (solution not unique).
+    columns are linearly dependent (solution not unique).  Free
+    unknowns are set to zero.
     """
     ncols = len(columns)
     if ncols == 0:
@@ -261,36 +255,19 @@ def solve_fraction_system(
     for col in columns:
         if len(col) != nrows:
             raise DimensionMismatchError("column length differs from target")
-    zero = PolyFraction(ring.zero())
-    # Augmented rows: [A | target], eliminate to reduced echelon form.
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    pivots: List[Tuple[int, int]] = []
-    pivot_row = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(pivot_row, nrows):
-            if not aug[r][col].is_zero():
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
-        piv = aug[pivot_row][col]
-        aug[pivot_row] = [e / piv for e in aug[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and not aug[r][col].is_zero():
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[pivot_row])]
-        pivots.append((pivot_row, col))
-        pivot_row += 1
-    for r in range(pivot_row, nrows):
-        if not aug[r][ncols].is_zero():
-            return None
+    # Augmented rows [A | target]: a pivot in the target column means
+    # the system is inconsistent.
+    aug = _cleared_rows(
+        [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
+    )
+    pivots, d = _fraction_free_rref(aug)
+    if ncols in pivots:
+        return None
     if require_unique and len(pivots) < ncols:
         raise SpanNotFreeError("generating set is linearly dependent")
-    out = [zero] * ncols
-    for r, c in pivots:
-        out[c] = aug[r][ncols]
+    out = [PolyFraction(ring.zero())] * ncols
+    for r, c in enumerate(pivots):
+        out[c] = PolyFraction(aug[r][ncols], d)
     return out
 
 
@@ -315,43 +292,28 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
 
 
 def fraction_kernel(rows: Sequence[Sequence[PolyFraction]]) -> List[List[PolyFraction]]:
-    """Basis of the right kernel of a matrix over the fraction field."""
+    """Basis of the right kernel of a matrix over the fraction field.
+
+    One vector per free column, in increasing column order: the free
+    unknown is set to 1 and the pivot unknowns are read off the
+    reduced row echelon form.
+    """
     if not rows:
         return []
     ncols = len(rows[0])
     ring = rows[0][0].ring
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    pivots: List[Tuple[int, int]] = []
-    pivot_row = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(pivot_row, nrows):
-            if not work[r][col].is_zero():
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[pivot_row], work[sel] = work[sel], work[pivot_row]
-        piv = work[pivot_row][col]
-        work[pivot_row] = [e / piv for e in work[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and not work[r][col].is_zero():
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
-        pivots.append((pivot_row, col))
-        pivot_row += 1
-    pivot_cols = {c for _, c in pivots}
+    work = _cleared_rows(rows)
+    pivots, d = _fraction_free_rref(work)
     zero = PolyFraction(ring.zero())
     one = PolyFraction(ring.one())
     out = []
     for free in range(ncols):
-        if free in pivot_cols:
+        if free in pivots:
             continue
         vec = [zero] * ncols
         vec[free] = one
-        for r, c in pivots:
-            vec[c] = -work[r][free]
+        for r, c in enumerate(pivots):
+            vec[c] = PolyFraction(-work[r][free], d)
         out.append(vec)
     return out
 
@@ -388,26 +350,6 @@ def f2_rank(rows: List[int]) -> int:
     return len(f2_row_reduce(rows))
 
 
-def f2_in_span(basis: List[int], vec: int) -> bool:
-    """Membership test against a reduced basis from f2_row_reduce."""
-    cur = vec
-    while cur:
-        low = cur & -cur
-        hit = None
-        for b in basis:
-            if (b & -b) == low:
-                hit = b
-                break
-        if hit is None:
-            return False
-        cur ^= hit
-    return True
-
-
-def f2_spans_equal(rows_a: List[int], rows_b: List[int]) -> bool:
-    return f2_row_reduce(rows_a) == f2_row_reduce(rows_b)
-
-
 def f2_nullspace(eq_rows: List[int], nunknowns: int) -> List[int]:
     """Basis of the solution space of a homogeneous GF(2) system.
 
@@ -430,22 +372,3 @@ def f2_nullspace(eq_rows: List[int], nunknowns: int) -> List[int]:
         out.append(vec)
     return out
 
-
-def f2_solve(eq_rows: List[int], rhs: List[int], nunknowns: int) -> Optional[int]:
-    """Particular solution of an inhomogeneous GF(2) system, or None.
-
-    The right-hand side is carried as an extra augmented bit above all
-    unknowns; a reduced row consisting of the augmented bit alone means
-    the system is inconsistent.  Free unknowns are set to zero.
-    """
-    aug = [r | (rhs[i] << nunknowns) for i, r in enumerate(eq_rows)]
-    basis = f2_row_reduce(aug)
-    rhs_bit = 1 << nunknowns
-    sol = 0
-    for b in basis:
-        low = (b & -b).bit_length() - 1
-        if low >= nunknowns:
-            return None
-        if b & rhs_bit:
-            sol |= 1 << low
-    return sol

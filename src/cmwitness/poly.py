@@ -353,11 +353,6 @@ def substitute_ints(p: Poly, assignment: Dict[str, int], target: BaseRing) -> Po
     return Poly(target, terms)
 
 
-def is_unit_local(p: Poly) -> bool:
-    """Membership in S^* for S = Z[x]_(2,x): odd constant coefficient."""
-    return p.is_unit()
-
-
 # ---------------------------------------------------------------------------
 # GF(2) residues
 

@@ -8,13 +8,11 @@ import sympy
 from cmwitness.gcd import (
     BothZeroError,
     gcd_f2,
-    gcd_f2_lifted,
     gcd_many_q,
     gcd_q,
     gcd_z,
     integer_sqrt_exact,
     is_ring_square,
-    partial_derivative_joint_gcd,
     poly_sqrt_z,
 )
 from cmwitness.poly import BaseRing, Poly, lift_f2, parse_poly, reduce_mod2
@@ -72,6 +70,9 @@ def test_gcd_many_q():
     assert gcd_many_q([X * X * Y, X * Y * Y, X * Y]) == X * Y
     assert gcd_many_q([X, Y, V]) == RING.one()
     assert gcd_many_q([RING.zero(), X * Y]) == X * Y
+    # Once the running gcd is a unit, later zeros and non-units leave it 1.
+    assert gcd_many_q([X, RING.const(-3), RING.zero(), X * Y, RING.zero()]) == RING.one()
+    assert gcd_many_q([RING.const(6)]) == RING.one()
 
 
 def test_gcd_q_vs_sympy_random():
@@ -174,15 +175,3 @@ def test_is_ring_square():
     assert is_ring_square(X) is None
     # Unit multiples: 9*(X+Y)^2 is a square of 3*(X+Y).
     assert is_ring_square((X + Y) ** 2 * RING.const(9)) == (X + Y).scale(3)
-
-
-def test_partial_derivative_joint_gcd():
-    # Joint gcd over Q of all partials: for X^2*Y + X^2 the partials
-    # are (2XY + 2X, X^2) with gcd X.
-    assert partial_derivative_joint_gcd(X * X * Y + X * X) == X
-    assert partial_derivative_joint_gcd(X * Y + RING.one()).is_unit()
-
-
-def test_gcd_f2_lifted():
-    assert gcd_f2_lifted(X * X + RING.const(2), X * Y + RING.const(4)) == reduce_mod2(X)
-    assert gcd_f2_lifted(X + RING.const(2), Y).is_unit()

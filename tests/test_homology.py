@@ -188,6 +188,13 @@ def test_grade_certificate_validate():
     assert not bad2.validate()
 
 
+def test_grade_certificate_ring_mismatch_raises():
+    # A witness from another ring is a caller error, not "outside the ideal".
+    cert = GradeCertificate(ideal_gens=[RING2.var("X")], witness=[RING3.var("X")])
+    with pytest.raises(ValueError):
+        cert.validate()
+
+
 def test_pd_depth_report():
     wf, wg = family2_witnesses()
     cx = resolution_of_I(wf, wg)
