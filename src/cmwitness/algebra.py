@@ -19,11 +19,13 @@ two-stage lift for k = 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BoundTooLargeError,
     HypothesisViolationError,
+    InternalVerificationError,
     NotClosedError,
     WitnessMismatchError,
 )
@@ -35,9 +37,13 @@ from .linalg import (
 )
 from .poly import BaseRing, F2Poly, Poly, half, is_even, reduce_mod2
 from .predicates import (
+    QShape,
+    S2w4Witness,
     S2Witness,
     decompose_S2,
     degree_four_check,
+    ideal_Q_classify,
+    in_S2wedge4,
     is_squarefree,
     satisfies_A1,
 )
@@ -53,6 +59,12 @@ class AlgebraDesc:
     are present exactly when the mod-2 reduction of f resp. g is a
     square (which includes every case the classifier handles beyond the
     out-of-scope tag).
+
+    Derived facts are computed with their checks on first use and cached
+    outside the fields, so equality and hashing are unchanged: w4f, w4g
+    (the S^{2,4} witnesses of f, g, or None), q_shape (the shape of
+    Q = (2, h1, h2)) and local_factors ((k1, k2) with (w - h1)^2 = 2*k1
+    and (u - h2)^2 = 2*k2 verified).
     """
 
     ring: BaseRing
@@ -114,6 +126,29 @@ class AlgebraDesc:
     def _need_witnesses(self):
         if self.wf is None or self.wg is None:
             raise WitnessMismatchError("f or g has no S^2 decomposition")
+
+    @cached_property
+    def w4f(self) -> Optional[S2w4Witness]:
+        return in_S2wedge4(self.f)
+
+    @cached_property
+    def w4g(self) -> Optional[S2w4Witness]:
+        return in_S2wedge4(self.g)
+
+    @cached_property
+    def q_shape(self) -> QShape:
+        return ideal_Q_classify(self.h1(), self.h2())
+
+    @cached_property
+    def local_factors(self) -> Tuple["KElement", "KElement"]:
+        h1, h2 = self.h1(), self.h2()
+        k1 = self.scalar(h1 * h1 + self.a()) - self.root_f().scale_poly(h1)
+        k2 = self.scalar(h2 * h2 + self.b()) - self.root_g().scale_poly(h2)
+        for root, h, k in ((self.root_f(), h1, k1), (self.root_g(), h2, k2)):
+            diff = root - self.scalar(h)
+            if not (k_mul(diff, diff) == k.scale_poly(self.ring.const(2))):
+                raise InternalVerificationError("(root - h)^2 = 2k failed")
+        return k1, k2
 
 
 def make_algebra(ring: BaseRing, f: Poly, g: Poly) -> AlgebraDesc:
@@ -317,59 +352,53 @@ class MultiplicationTable:
         )
 
 
-def _gen_columns(gens: Sequence[KElement]) -> List[List[PolyFraction]]:
-    cols = []
-    for gch in gens:
-        den = gch.algebra.ring.const(2 ** gch.denom_exp)
-        cols.append([PolyFraction(c, den) for c in gch.coords])
-    return cols
+def _fractions(x: KElement) -> List[PolyFraction]:
+    """The coordinates of x over (1, w, u, wu) as fractions."""
+    den = x.algebra.ring.const(2 ** x.denom_exp)
+    return [PolyFraction(c, den) for c in x.coords]
 
 
 def span_closure_check(gens: Sequence[KElement]) -> MultiplicationTable:
     """Certify that the S-span of gens is closed under multiplication.
 
-    Each product gens[i]*gens[j] is expressed in the basis (1, w, u, wu)
-    over the fraction field and solved against the generator columns;
-    the proposed generating sets are triangular in this basis, so the
-    elimination never needs more than back-substitution.  A solution
-    coefficient lies in S exactly when its reduced denominator is a
-    unit (odd constant term).  Raises NotClosedError with the offending
-    pair if some product is not an S-combination, SpanNotFreeError if
-    the generators are linearly dependent over the fraction field.
+    Every product gens[i]*gens[j] is expressed in the basis (1, w, u,
+    wu) over the fraction field, and all of them are solved against the
+    generator columns in one elimination.  A solution coefficient lies
+    in S exactly when its reduced denominator is a unit (odd constant
+    term).  Raises NotClosedError with the first offending pair if some
+    product is not an S-combination, SpanNotFreeError if the generators
+    are linearly dependent over the fraction field.
     """
     gens = list(gens)
     if not gens or not (gens[0] == gens[0].algebra.one()):
         raise ValueError("gens[0] must be the unit element 1")
     if len(gens) > 4:
         raise SpanNotFreeError("more than 4 generators cannot be free in K")
-    cols = _gen_columns(gens)
-    entries: Dict[Tuple[int, int], List[PolyFraction]] = {}
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            prod = k_mul(gens[i], gens[j])
-            den = prod.algebra.ring.const(2 ** prod.denom_exp)
-            target = [PolyFraction(c, den) for c in prod.coords]
-            sol = solve_fraction_system(cols, target, require_unique=True)
-            if sol is None:
-                raise NotClosedError(
-                    f"product of generators {i} and {j} is outside the span"
-                )
-            if not all(fr.is_in_S() for fr in sol):
-                raise NotClosedError(
-                    f"product of generators {i} and {j} needs coefficients outside S"
-                )
-            entries[(i, j)] = sol
-    return MultiplicationTable(gens=gens, entries=entries)
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i, len(gens))]
+    sols = solve_fraction_system(
+        [_fractions(x) for x in gens],
+        [_fractions(k_mul(gens[i], gens[j])) for i, j in pairs],
+        require_unique=True,
+    )
+    for (i, j), sol in zip(pairs, sols):
+        if sol is None:
+            raise NotClosedError(
+                f"product of generators {i} and {j} is outside the span"
+            )
+        if not all(fr.is_in_S() for fr in sol):
+            raise NotClosedError(
+                f"product of generators {i} and {j} needs coefficients outside S"
+            )
+    return MultiplicationTable(gens=gens, entries=dict(zip(pairs, sols)))
 
 
 def express_in_span(
-    x: KElement, gens: Sequence[KElement]
-) -> Optional[List[PolyFraction]]:
-    """Coefficients of x over the gens in the fraction field, or None."""
-    cols = _gen_columns(gens)
-    den = x.algebra.ring.const(2 ** x.denom_exp)
-    target = [PolyFraction(c, den) for c in x.coords]
-    return solve_fraction_system(cols, target)
+    xs: Sequence[KElement], gens: Sequence[KElement]
+) -> List[Optional[List[PolyFraction]]]:
+    """Coefficients of each x over the gens (one elimination), or None."""
+    return solve_fraction_system(
+        [_fractions(x) for x in gens], [_fractions(x) for x in xs]
+    )
 
 
 @dataclass

@@ -51,13 +51,12 @@ from .errors import (
 )
 from .homology import (
     FreeComplex,
-    be_exactness_check,
-    check_composition_zero,
+    VerifiedComplex,
     kernel_saturation_check,
     pd_depth_report,
     resolution_of_I,
     resolution_of_S_mod_Q,
-    standard_grade_certificates,
+    verify_complex,
 )
 from .linalg import bareiss_rank, poly_det
 from .poly import (
@@ -73,12 +72,7 @@ from .poly import (
     parse_poly,
     reduce_mod2,
 )
-from .predicates import (
-    QShape,
-    ideal_Q_classify,
-    in_S2wedge4,
-    product_in_S2wedge4,
-)
+from .predicates import QShape, ideal_Q_classify, product_in_S2wedge4
 
 __all__ = [
     "CASE_TAGS",
@@ -137,8 +131,8 @@ CaseTag = str
 
 
 def q_shape(alg: AlgebraDesc) -> QShape:
-    """Shape of the residue ideal Q = (2, h1, h2)."""
-    return ideal_Q_classify(alg.h1(), alg.h2())
+    """Shape of the residue ideal Q = (2, h1, h2), cached on the algebra."""
+    return alg.q_shape
 
 
 def classify(alg: AlgebraDesc) -> CaseTag:
@@ -152,11 +146,9 @@ def classify(alg: AlgebraDesc) -> CaseTag:
     """
     if alg.wf is None or alg.wg is None:
         return OUTSIDE_SCOPE
-    w4f = in_S2wedge4(alg.f)
-    w4g = in_S2wedge4(alg.g)
-    if w4f is not None and w4g is not None:
+    if alg.w4f is not None and alg.w4g is not None:
         return CASE_A_BOTH
-    if w4f is not None or w4g is not None:
+    if alg.w4f is not None or alg.w4g is not None:
         return CASE_A_ONE
     if is_even(alg.f) and is_even(alg.g):
         # both in 2S is already excluded by the admissibility checks
@@ -165,8 +157,12 @@ def classify(alg: AlgebraDesc) -> CaseTag:
         )
     if not product_in_S2wedge4(alg.wf, alg.wg):
         return CASE_B
-    shape = q_shape(alg)
-    _crosscheck_shape_against_fg(alg, shape)
+    _crosscheck_shape_against_fg(alg, alg.q_shape)
+    return _case_c_tag(alg.q_shape)
+
+
+def _case_c_tag(shape: QShape) -> CaseTag:
+    """The CaseC subcase selected by the shape of Q."""
     if shape.tag in ("TwoGenerated", "UnitIdeal"):
         return CASE_C_CM
     if shape.tag == "Grade3CI_NotTwoGen":
@@ -203,11 +199,9 @@ def hyper_closure_gen(alg: AlgebraDesc, side: str) -> KElement:
     """
     if side not in ("f", "g"):
         raise ValueError("side must be 'f' or 'g'")
-    poly = alg.f if side == "f" else alg.g
-    w4 = in_S2wedge4(poly)
+    w4 = alg.w4f if side == "f" else alg.w4g
     if w4 is None:
         raise WrongCaseError("side %s is not a square mod 4" % side)
-    ring = alg.ring
     root = alg.root_f() if side == "f" else alg.root_g()
     gen = (root + alg.scalar(w4.h)).half()
     if not min_poly_check(gen, [alg.scalar(w4.h), alg.scalar(w4.a_prime)]):
@@ -221,7 +215,7 @@ def product_closure_gen(alg: AlgebraDesc) -> KElement:
         alg.root_f() - alg.scalar(alg.h1()), alg.root_g() - alg.scalar(alg.h2())
     )
     tau = prod.half()
-    k1, k2 = local_factors(alg)
+    k1, k2 = alg.local_factors
     if not min_poly_check(tau, [alg.zero(), k_mul(k1, k2)]):
         raise InternalVerificationError("tau^2 = k1*k2 failed")
     return tau
@@ -248,20 +242,8 @@ def mixed_syzygy_gen(alg: AlgebraDesc, c: Poly, e: Poly) -> KElement:
 
 
 def local_factors(alg: AlgebraDesc) -> Tuple[KElement, KElement]:
-    """k1 = h1^2 + a - w*h1 and k2 = h2^2 + b - u*h2.
-
-    These satisfy (w - h1)^2 = 2*k1 and (u - h2)^2 = 2*k2.
-    """
-    h1, a = alg.h1(), alg.a()
-    h2, b = alg.h2(), alg.b()
-    k1 = alg.scalar(h1 * h1 + a) - alg.root_f().scale_poly(h1)
-    k2 = alg.scalar(h2 * h2 + b) - alg.root_g().scale_poly(h2)
-    for root, k in ((alg.root_f(), k1), (alg.root_g(), k2)):
-        h = alg.h1() if k is k1 else alg.h2()
-        diff = root - alg.scalar(h)
-        if not (k_mul(diff, diff) == k.scale_poly(alg.ring.const(2))):
-            raise InternalVerificationError("(root - h)^2 = 2k failed")
-    return k1, k2
+    """k1 = h1^2 + a - w*h1 and k2 = h2^2 + b - u*h2, cached on the algebra."""
+    return alg.local_factors
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +380,6 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
         t1 = hyper_closure_gen(alg, "f")
         t2 = hyper_closure_gen(alg, "g")
         gens = [one, t1, t2, k_mul(t1, t2)]
-        w4f = in_S2wedge4(alg.f)
-        w4g = in_S2wedge4(alg.g)
         pres = RingPresentation(
             case=case,
             sfree=True,
@@ -407,25 +387,23 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
             cm_verdict=True,
             mult_table=span_closure_check(gens),
             quadratics=[
-                (1, alg.scalar(w4f.h), alg.scalar(w4f.a_prime)),
-                (2, alg.scalar(w4g.h), alg.scalar(w4g.a_prime)),
+                (1, alg.scalar(alg.w4f.h), alg.scalar(alg.w4f.a_prime)),
+                (2, alg.scalar(alg.w4g.h), alg.scalar(alg.w4g.a_prime)),
             ],
         )
     elif case == CASE_A_ONE:
-        w4f = in_S2wedge4(alg.f)
-        w4g = in_S2wedge4(alg.g)
-        if (w4f is None) == (w4g is None):
+        if (alg.w4f is None) == (alg.w4g is None):
             raise WrongCaseError("CaseA_one needs exactly one square mod 4")
-        if w4f is not None:
+        if alg.w4f is not None:
             t = hyper_closure_gen(alg, "f")
             other = alg.root_g()
             quad_other = (1, alg.zero(), alg.scalar(alg.g))
-            quad_t = (2, alg.scalar(w4f.h), alg.scalar(w4f.a_prime))
+            quad_t = (2, alg.scalar(alg.w4f.h), alg.scalar(alg.w4f.a_prime))
         else:
             t = hyper_closure_gen(alg, "g")
             other = alg.root_f()
             quad_other = (1, alg.zero(), alg.scalar(alg.f))
-            quad_t = (2, alg.scalar(w4g.h), alg.scalar(w4g.a_prime))
+            quad_t = (2, alg.scalar(alg.w4g.h), alg.scalar(alg.w4g.a_prime))
         gens = [one, other, t, k_mul(other, t)]
         pres = RingPresentation(
             case=case,
@@ -437,7 +415,7 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
         )
     elif case == CASE_B:
         tau = product_closure_gen(alg)
-        k1, k2 = local_factors(alg)
+        k1, k2 = alg.local_factors
         gens = [one, alg.root_f(), alg.root_g(), tau]
         pres = RingPresentation(
             case=case,
@@ -451,38 +429,25 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
                 (3, alg.zero(), k_mul(k1, k2)),
             ],
         )
-    elif case == CASE_C_CM:
-        pres = _build_R_case_c(alg, case, cm=True)
     else:
-        pres = _build_R_case_c(alg, case, cm=False)
+        pres = _build_R_case_c(alg, case)
     _verify_quadratics(pres)
     return pres
 
 
-def _build_R_case_c(alg: AlgebraDesc, case: CaseTag, cm: bool) -> RingPresentation:
-    shape = q_shape(alg)
-    expected_cm = shape.tag in ("TwoGenerated", "UnitIdeal")
-    if expected_cm != cm:
+def _build_R_case_c(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
+    shape = alg.q_shape
+    if case != _case_c_tag(shape):
         raise WrongCaseError(
             "case tag %s does not match the shape %s of Q" % (case, shape.tag)
         )
-    if not cm:
-        expected_case = (
-            CASE_C_NONCM_GRADE3
-            if shape.tag == "Grade3CI_NotTwoGen"
-            else CASE_C_NONCM_GRADE2
-        )
-        if case != expected_case:
-            raise WrongCaseError(
-                "case tag %s does not match the shape %s of Q" % (case, shape.tag)
-            )
     c_lift = lift_f2(shape.c)
     e_lift = lift_f2(shape.e)
     tau = product_closure_gen(alg)
     rho = mixed_syzygy_gen(alg, c_lift, e_lift)
-    k1, k2 = local_factors(alg)
+    k1, k2 = alg.local_factors
     one = alg.one()
-    if cm:
+    if case == CASE_C_CM:
         if shape.c.is_unit():
             gens = [one, alg.root_f(), tau, rho]
             quad = (1, alg.zero(), alg.scalar(alg.f))
@@ -683,7 +648,8 @@ class CmModuleCertificate:
     has an S-free resolution of length 1 (so depth I = d - 1 and A/I
     behaves like S/Q); and the length-3 resolution of S/Q is exact by
     the rank-and-grade criterion.  ``checks`` records each verified
-    step; ``module_oracle`` decides membership in M by x * (IP) in A.
+    step; ``module_oracle`` decides membership in M by x * (IP) in A;
+    ``resolution_I`` and ``resolution_S_mod_Q`` are the verified resolutions.
     """
 
     case: CaseTag
@@ -694,6 +660,8 @@ class CmModuleCertificate:
     checks: Dict[str, bool]
     module_oracle: MembershipOracle
     description: str
+    resolution_I: VerifiedComplex
+    resolution_S_mod_Q: VerifiedComplex
 
     def all_pass(self) -> bool:
         return all(self.checks.values())
@@ -714,15 +682,15 @@ class CmModuleCertificate:
 def build_small_cm_certificate(alg: AlgebraDesc, case: CaseTag) -> CmModuleCertificate:
     """Assemble and verify the birational small CM module certificate.
 
-    Only meaningful in the two non-CM cases; WrongCase otherwise.  All
-    component checks are recomputed here from scratch so the returned
-    ``checks`` dict is self-contained evidence.
+    Only meaningful in the two non-CM cases; WrongCase otherwise.  Each
+    component check runs once here, on the facts cached on the algebra,
+    and the verified resolutions of I and S/Q are kept for the report.
     """
     if case not in (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2):
         raise WrongCaseError(
             "the small CM module certificate applies to the non-CM cases only"
         )
-    shape = q_shape(alg)
+    shape = alg.q_shape
     p = ideal_P(alg)
     i_ideal = ideal_I(alg)
     h_ideal = ideal_H(alg)
@@ -730,22 +698,17 @@ def build_small_cm_certificate(alg: AlgebraDesc, case: CaseTag) -> CmModuleCerti
     checks: Dict[str, bool] = {}
 
     # (i) P is S-free of rank 4 on {2, w - h1, u - h2, wu - h1h2}
-    h1, h2 = alg.h1(), alg.h2()
-    basis = [
-        alg.scalar(2),
-        alg.root_f() - alg.scalar(h1),
-        alg.root_g() - alg.scalar(h2),
-        alg.root_fg() - alg.scalar(h1 * h2),
-    ]
+    basis = p.gens + i_ideal.gens[1:2]
     in_p = all(residue_mod_P(b).is_zero() for b in basis)
     det = poly_det([[b.coords[i] for b in basis] for i in range(4)])
     det_ok = det == alg.ring.const(2) or det == alg.ring.const(-2)
-    spans = True
-    for mult in (alg.root_f(), alg.root_g()):
-        for b in basis:
-            sol = express_in_span(k_mul(mult, b), basis)
-            if sol is None or not all(fr.is_in_S() for fr in sol):
-                spans = False
+    sols = express_in_span(
+        [k_mul(mult, b) for mult in (alg.root_f(), alg.root_g()) for b in basis],
+        basis,
+    )
+    spans = all(
+        sol is not None and all(fr.is_in_S() for fr in sol) for sol in sols
+    )
     checks["P_free"] = in_p and det_ok and spans
 
     # (ii) eta conducts P into A, so M contains the unit 1 birationally
@@ -753,34 +716,25 @@ def build_small_cm_certificate(alg: AlgebraDesc, case: CaseTag) -> CmModuleCerti
     checks["eta_conducts"] = colon_membership(eta, p, a_oracle(alg))
 
     # (iii) H = I via the exact expansion of (w + h1)(u + h2)
-    prod = k_mul(alg.root_f() + alg.scalar(h1), alg.root_g() + alg.scalar(h2))
+    h1, h2 = alg.h1(), alg.h2()
     expansion = (
-        (alg.root_fg() - alg.scalar(h1 * h2))
-        + (alg.root_f().scale_poly(h2) - alg.root_g().scale_poly(h1))
+        i_ideal.gens[1] + i_ideal.gens[2]
         + alg.root_g().scale_poly(h1.scale(2))
         + alg.scalar((h1 * h2).scale(2))
     )
-    checks["H_equals_I"] = prod == expansion
+    checks["H_equals_I"] = h_ideal.gens[1] == expansion
 
     # (iv) the length-1 resolution of I is exact (pd I <= 1)
-    cx_i = resolution_of_I(alg.wf, alg.wg)
-    certs_i = standard_grade_certificates(cx_i)
-    i_ok = (
-        check_composition_zero(cx_i)
-        and be_exactness_check(cx_i, certs_i)
-        and kernel_saturation_check(cx_i)
-    )
+    res_i = verify_complex(resolution_of_I(alg.wf, alg.wg))
+    i_ok = res_i.verified and kernel_saturation_check(res_i.complex)
     checks["I_resolution_ok"] = i_ok
-    pd_i, depth_i = pd_depth_report(cx_i, i_ok)
+    pd_i, depth_i = pd_depth_report(res_i.complex, i_ok)
 
     # (v) the length-3 resolution of S/Q is exact by rank-and-grade
-    cx_q = resolution_of_S_mod_Q(
-        lift_f2(shape.z), lift_f2(shape.c), lift_f2(shape.e)
+    res_q = verify_complex(
+        resolution_of_S_mod_Q(lift_f2(shape.z), lift_f2(shape.c), lift_f2(shape.e))
     )
-    certs_q = standard_grade_certificates(cx_q)
-    q_ok = check_composition_zero(cx_q) and be_exactness_check(cx_q, certs_q)
-    checks["BE_ok"] = q_ok
-    pd_q, depth_q = pd_depth_report(cx_q, q_ok)
+    checks["BE_ok"] = res_q.verified
 
     # (vi) the depth chain: every hypothesis above feeds the conclusion
     # depth M = d, i.e. M is a (maximal) CM module
@@ -790,10 +744,10 @@ def build_small_cm_certificate(alg: AlgebraDesc, case: CaseTag) -> CmModuleCerti
         and checks["eta_conducts"]
         and checks["H_equals_I"]
         and i_ok
-        and q_ok
+        and checks["BE_ok"]
         and pd_i == 1
         and depth_i == d - 1
-        and pd_q == 3
+        and res_q.pd_bound == 3
     )
 
     oracle = colon_oracle(ip)
@@ -814,6 +768,8 @@ def build_small_cm_certificate(alg: AlgebraDesc, case: CaseTag) -> CmModuleCerti
             "M = (IP)^* = {x in K : x*I*P in A}; membership decided by "
             "multiplying against the listed generators of IP"
         ),
+        resolution_I=res_i,
+        resolution_S_mod_Q=res_q,
     )
 
 

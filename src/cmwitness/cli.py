@@ -24,13 +24,11 @@ from .classifier import (
     classify,
     example_2_10_identity,
     example_2_10_regression,
-    q_shape,
 )
 from .algebra import make_algebra
 from .errors import (
     BoundTooLargeError,
     CaseConflictError,
-    CmWitnessError,
     HypothesisViolationError,
     LiftInvalidError,
     MalformedSequenceError,
@@ -186,7 +184,7 @@ MAX_SWEEP_PAIRS = 4096
 
 
 def _parse_family(spec: Dict[str, object]) -> Tuple[
-    BaseRing, List[str], List[List[int]], str, str
+    BaseRing, List[str], List[Sequence[int]], str, str
 ]:
     if not isinstance(spec, dict):
         raise ValueError("family spec must be a JSON object")
@@ -201,7 +199,7 @@ def _parse_family(spec: Dict[str, object]) -> Tuple[
     ):
         raise ValueError("variables must be a non-empty list of strings")
     names: List[str] = []
-    value_lists: List[List[int]] = []
+    value_lists: List[Sequence[int]] = []
     params = spec["parameters"]
     if not isinstance(params, list):
         raise ValueError("parameters must be a list")
@@ -211,13 +209,16 @@ def _parse_family(spec: Dict[str, object]) -> Tuple[
         name = entry["name"]
         if name in variables or name in names:
             raise ValueError("parameter name %r collides" % name)
-        if "values" in entry:
-            values = [int(v) for v in entry["values"]]
-        elif "range" in entry:
-            lo, hi = entry["range"]
-            values = list(range(int(lo), int(hi) + 1))
-        else:
+        kind = "values" if "values" in entry else "range"
+        if kind not in entry:
             raise ValueError("parameter %r needs 'values' or 'range'" % name)
+        values = entry[kind]
+        # type(), not isinstance: JSON true/false decode to bool, an int subclass.
+        if not isinstance(values, list) or any(type(v) is not int for v in values):
+            raise ValueError("%s of %r must be a list of integers" % (kind, name))
+        if kind == "range":
+            lo, hi = values
+            values = range(lo, hi + 1)  # lazy: the pair-count guard runs first
         names.append(name)
         value_lists.append(values)
     ring = BaseRing(tuple(variables))
@@ -265,7 +266,7 @@ def cmd_sweep(family_path: str, out_path: str) -> int:
                 continue
             cm = cm_verdict_for_tag(case)
             cm_text = "" if cm is None else ("true" if cm else "false")
-            shape_text = "" if case == OUTSIDE_SCOPE else q_shape(alg).tag
+            shape_text = "" if case == OUTSIDE_SCOPE else alg.q_shape.tag
             rows.append(row + [case, cm_text, shape_text])
     except INTERNAL_ERRORS as exc:
         return _internal(exc)

@@ -57,6 +57,7 @@ from .predicates import S2Witness, regular_sequence_certificate
 __all__ = [
     "FreeComplex",
     "GradeCertificate",
+    "VerifiedComplex",
     "resolution_of_I",
     "resolution_of_S_mod_Q",
     "check_composition_zero",
@@ -64,6 +65,7 @@ __all__ = [
     "minor_ideal_generators",
     "pd_depth_report",
     "kernel_saturation_check",
+    "verify_complex",
 ]
 
 
@@ -409,6 +411,25 @@ def pd_depth_report(cx: FreeComplex, verified: bool) -> Tuple[int, int]:
     d = len(ring.variables) + 1
     pd_bound = len(cx.matrices) - (1 if cx.augmented else 0)
     return pd_bound, d - pd_bound
+
+
+@dataclass
+class VerifiedComplex:
+    """A complex with its grade certificates, exactness verdict and pd/depth."""
+
+    complex: FreeComplex
+    certificates: List[GradeCertificate]
+    verified: bool
+    pd_bound: int
+    depth: int
+
+
+def verify_complex(cx: FreeComplex) -> VerifiedComplex:
+    """Build the grade certificates of ``cx`` and verify it exactly once."""
+    certs = standard_grade_certificates(cx)
+    verified = check_composition_zero(cx) and be_exactness_check(cx, certs)
+    pd_bound, depth = pd_depth_report(cx, verified)
+    return VerifiedComplex(cx, certs, verified, pd_bound, depth)
 
 
 def kernel_saturation_check(cx: FreeComplex) -> bool:

@@ -14,6 +14,8 @@
   exact.  The result is d times the reduced row echelon form, d the
   last pivot, and each output entry becomes one reduced fraction over
   d; no fraction arithmetic happens during elimination.
+  solve_fraction_system eliminates the coefficient matrix once for a
+  whole list of right-hand sides.
 
 * GF(2) linear systems with rows packed into Python integers, used by
   the bounded colon search.
@@ -64,10 +66,6 @@ class PolyFraction:
                 den = den.scale(-1)
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_int(cls, ring: BaseRing, n: int) -> "PolyFraction":
-        return cls(ring.const(n))
 
     @property
     def ring(self) -> BaseRing:
@@ -170,6 +168,7 @@ def _elem_divide(a: MatrixElement, b: MatrixElement) -> MatrixElement:
 
 def _fraction_free_rref(
     work: List[List[MatrixElement]],
+    _pivot_cols: Optional[int] = None,
 ) -> Tuple[List[int], Optional[MatrixElement]]:
     """Fraction-free Gauss-Jordan elimination of ``work`` in place.
 
@@ -181,13 +180,15 @@ def _fraction_free_rref(
     the pivot columns, pivot k sitting in row k, and the last pivot d
     (None when there is no pivot).  On return the first len(pivots)
     rows equal d times the reduced row echelon form and the rest are
-    zero.
+    zero.  With ``_pivot_cols`` only the leading columns of [A | B]
+    may pivot; B is carried through every row operation, so its rows
+    below the rank are nonzero multiples of the residuals of A x = B.
     """
     nrows = len(work)
     ncols = len(work[0]) if work else 0
     pivots: List[int] = []
     prev: Optional[MatrixElement] = None
-    for col in range(ncols):
+    for col in range(ncols if _pivot_cols is None else _pivot_cols):
         top = len(pivots)
         if top == nrows:
             break
@@ -237,37 +238,38 @@ def bareiss_rank(rows: Sequence[Sequence[MatrixElement]]) -> int:
 
 def solve_fraction_system(
     columns: Sequence[Sequence[PolyFraction]],
-    target: Sequence[PolyFraction],
+    targets: Sequence[Sequence[PolyFraction]],
     require_unique: bool = False,
-) -> Optional[List[PolyFraction]]:
-    """Solve sum_j x_j * columns[j] = target over the fraction field.
+) -> List[Optional[List[PolyFraction]]]:
+    """Solve sum_j x_j * columns[j] = t over the fraction field for each t.
 
-    Returns the coefficient list, or None when the system is
-    inconsistent.  With require_unique, raises SpanNotFreeError if the
-    columns are linearly dependent (solution not unique).  Free
-    unknowns are set to zero.
+    One elimination of [columns | targets] serves every target.
+    Returns, per target, its coefficient list, or None when that system
+    is inconsistent (a nonzero entry below the rank).  With
+    require_unique, raises SpanNotFreeError if the columns are linearly
+    dependent (solutions not unique).  Free unknowns are set to zero.
     """
     ncols = len(columns)
     if ncols == 0:
-        return [] if all(t.is_zero() for t in target) else None
-    ring = columns[0][0].ring
-    nrows = len(target)
-    for col in columns:
-        if len(col) != nrows:
-            raise DimensionMismatchError("column length differs from target")
-    # Augmented rows [A | target]: a pivot in the target column means
-    # the system is inconsistent.
-    aug = _cleared_rows(
-        [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    )
-    pivots, d = _fraction_free_rref(aug)
-    if ncols in pivots:
-        return None
+        return [[] if all(x.is_zero() for x in t) else None for t in targets]
+    nrows = len(columns[0])
+    vectors = [*columns, *targets]
+    if any(len(vec) != nrows for vec in vectors):
+        raise DimensionMismatchError("column length differs from target")
+    aug = _cleared_rows([[vec[i] for vec in vectors] for i in range(nrows)])
+    pivots, d = _fraction_free_rref(aug, ncols)
     if require_unique and len(pivots) < ncols:
         raise SpanNotFreeError("generating set is linearly dependent")
-    out = [PolyFraction(ring.zero())] * ncols
-    for r, c in enumerate(pivots):
-        out[c] = PolyFraction(aug[r][ncols], d)
+    zero = PolyFraction(columns[0][0].ring.zero())
+    out: List[Optional[List[PolyFraction]]] = []
+    for k in range(ncols, len(vectors)):
+        if any(not row[k].is_zero() for row in aug[len(pivots):]):
+            out.append(None)
+        else:
+            sol = [zero] * ncols
+            for r, c in enumerate(pivots):
+                sol[c] = PolyFraction(aug[r][k], d)
+            out.append(sol)
     return out
 
 

@@ -379,9 +379,6 @@ class F2Poly:
         """Unit of the localized residue ring: constant term present."""
         return self.ring.zero_exponent() in self.monomials
 
-    def constant_term(self) -> int:
-        return 1 if self.ring.zero_exponent() in self.monomials else 0
-
     def total_degree(self) -> int:
         if not self.monomials:
             return -1
@@ -515,6 +512,9 @@ def f2_is_divisible(a: F2Poly, b: F2Poly) -> bool:
 
 _TOKEN_KINDS = ("INT", "NAME", "OP", "END")
 
+# Four Python frames per level keeps parsing far below the recursion limit.
+_MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -560,6 +560,7 @@ class _Parser:
     def __init__(self, text: str, ring: BaseRing):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.ring = ring
 
     def peek(self):
@@ -631,8 +632,12 @@ class _Parser:
                 raise UnknownVariableError(f"unknown variable {val!r}", pos)
             return self.ring.var(val)
         if kind == "OP" and val == "(":
+            if self.depth == _MAX_NESTING:
+                raise PolyParseError("parentheses nested too deeply", pos)
+            self.depth += 1
             p = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         raise PolyParseError(f"unexpected token {val!r}", pos)
 

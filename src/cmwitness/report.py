@@ -21,19 +21,9 @@ from .classifier import (
     classify,
     conductor,
     presentation_complex,
-    q_shape,
 )
-from .homology import (
-    FreeComplex,
-    be_exactness_check,
-    check_composition_zero,
-    pd_depth_report,
-    resolution_of_I,
-    resolution_of_S_mod_Q,
-    standard_grade_certificates,
-)
-from .poly import BaseRing, Poly, lift_f2, parse_poly
-from .predicates import in_S2wedge4
+from .homology import VerifiedComplex, verify_complex
+from .poly import BaseRing, Poly, parse_poly
 
 __all__ = ["DEFAULT_OPTIONS", "assemble_report", "render_json", "parse_job"]
 
@@ -57,6 +47,9 @@ def parse_job(job: Dict[str, object]) -> Tuple[BaseRing, Poly, Poly, Dict[str, i
     """Validate and parse a job dict {variables, f, g, options?}."""
     if not isinstance(job, dict):
         raise ValueError("job must be a JSON object")
+    for key in job:
+        if key not in ("variables", "f", "g", "options"):
+            raise ValueError("unknown job field %r" % key)
     for key in ("variables", "f", "g"):
         if key not in job:
             raise ValueError("job is missing the %r field" % key)
@@ -77,8 +70,8 @@ def parse_job(job: Dict[str, object]) -> Tuple[BaseRing, Poly, Poly, Dict[str, i
     for key, value in extra.items():
         if key not in DEFAULT_OPTIONS:
             raise ValueError("unknown option %r" % key)
-        if not isinstance(value, int):
-            raise ValueError("option %r must be an integer" % key)
+        if type(value) is not int or value < 0:
+            raise ValueError("option %r must be a non-negative integer" % key)
         options[key] = value
     return ring, f, g, options
 
@@ -98,25 +91,20 @@ def _witnesses_block(alg: AlgebraDesc) -> Dict[str, Optional[str]]:
     if alg.wg is not None:
         out["h2"] = str(alg.wg.h)
         out["b"] = str(alg.wg.a)
-    w4f = in_S2wedge4(alg.f)
-    if w4f is not None:
-        out["a_prime"] = str(w4f.a_prime)
-    w4g = in_S2wedge4(alg.g)
-    if w4g is not None:
-        out["b_prime"] = str(w4g.a_prime)
+    if alg.w4f is not None:
+        out["a_prime"] = str(alg.w4f.a_prime)
+    if alg.w4g is not None:
+        out["b_prime"] = str(alg.w4g.a_prime)
     return out
 
 
-def _verified_complex_block(cx: FreeComplex, name: str) -> Dict[str, object]:
-    certs = standard_grade_certificates(cx)
-    verified = check_composition_zero(cx) and be_exactness_check(cx, certs)
-    pd_bound, depth = pd_depth_report(cx, verified)
+def _verified_complex_block(res: VerifiedComplex, name: str) -> Dict[str, object]:
     block = {"name": name}
-    block.update(cx.serialize())
-    block["verified"] = verified
-    block["pd_bound"] = pd_bound
-    block["depth"] = depth
-    block["grade_witnesses"] = [[str(w) for w in c.witness] for c in certs]
+    block.update(res.complex.serialize())
+    block["verified"] = res.verified
+    block["pd_bound"] = res.pd_bound
+    block["depth"] = res.depth
+    block["grade_witnesses"] = [[str(w) for w in c.witness] for c in res.certificates]
     return block
 
 
@@ -152,7 +140,7 @@ def assemble_report(
         report["certificate"] = None
         report["resolutions"] = []
     else:
-        shape = q_shape(alg)
+        shape = alg.q_shape
         report["q_shape"] = {
             "tag": shape.tag,
             "z": str(shape.z),
@@ -165,21 +153,15 @@ def assemble_report(
         if case in (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2):
             cert = build_small_cm_certificate(alg, case)
             report["certificate"] = cert.serialize()
-            resolutions = [
+            report["resolutions"] = [
+                _verified_complex_block(cert.resolution_I, "resolution_of_I"),
                 _verified_complex_block(
-                    resolution_of_I(alg.wf, alg.wg), "resolution_of_I"
+                    cert.resolution_S_mod_Q, "resolution_of_S_mod_Q"
                 ),
                 _verified_complex_block(
-                    resolution_of_S_mod_Q(
-                        lift_f2(shape.z), lift_f2(shape.c), lift_f2(shape.e)
-                    ),
-                    "resolution_of_S_mod_Q",
-                ),
-                _verified_complex_block(
-                    presentation_complex(pres), "R_presentation"
+                    verify_complex(presentation_complex(pres)), "R_presentation"
                 ),
             ]
-            report["resolutions"] = resolutions
         else:
             report["certificate"] = None
             report["resolutions"] = []

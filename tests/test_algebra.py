@@ -46,6 +46,13 @@ def test_make_algebra_witnesses():
     alg = case_b_algebra()
     assert alg.h1() == X and alg.a() == RING.one()
     assert alg.h2() == Y and alg.b() == RING.one()
+    # The derived facts are cached on the instance without becoming
+    # fields: equality and hashing still see only (ring, f, g, wf, wg).
+    assert alg.w4f is None and alg.w4g is None
+    assert alg.q_shape.tag == "Grade3CI_NotTwoGen"
+    assert alg.local_factors is alg.local_factors
+    fresh = case_b_algebra()
+    assert alg == fresh and hash(alg) == hash(fresh)
 
 
 def test_make_algebra_rejects():
@@ -151,12 +158,12 @@ def test_express_in_span():
     eta = k_mul(w + alg.scalar(X), u + alg.scalar(Y)).half()
     # eta - tau = h2*w + h1*u lies in the A-span of (w, u).
     diff = eta - tau
-    sol = express_in_span(diff, [alg.one(), w, u])
+    [sol] = express_in_span([diff], [alg.one(), w, u])
     assert sol is not None
     assert sol[0].is_zero()
     assert sol[1].as_poly() == Y and sol[2].as_poly() == X
     # w/2 is not in the span of (1, u).
-    assert express_in_span(w.half(), [alg.one(), u]) is None
+    assert express_in_span([w.half()], [alg.one(), u]) == [None]
 
 
 def test_ideal_product():

@@ -4,6 +4,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from cmwitness import cli
 from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES, main
 
@@ -245,3 +247,61 @@ def test_sweep_mixed_case_family(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[1].split(",")[1] == "CaseC_NonCM_grade2"
     assert lines[2].split(",")[1] == "CaseA_oneHypersurfaceNonNormal"
+
+
+def _family(parameter):
+    return {
+        "variables": ["X", "Y"],
+        "parameters": [dict(name="s", **parameter)],
+        "f": "X^2+2*s",
+        "g": "Y^2+2",
+    }
+
+
+def _job(**fields):
+    return dict({"variables": ["X", "Y"], "f": "X^2+2", "g": "Y^2+2"}, **fields)
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("sweep", _family({"values": [1.5]})),
+        ("sweep", _family({"values": [True]})),
+        ("sweep", _family({"values": ["1"]})),
+        ("sweep", _family({"values": 3})),
+        ("sweep", _family({"range": [1, 2.5]})),
+        ("sweep", _family({"range": [False, 2]})),
+        ("sweep", _family({"range": 3})),
+        # The pair-count guard must fire before the range is expanded.
+        ("sweep", _family({"range": [0, 2**62]})),
+        ("classify", _job(options={"spot_check_seed": True})),
+        ("classify", _job(options={"colon_search_degree": -1})),
+        ("classify", _job(bogus=1)),
+        ("classify", _job(f="(" * 3000 + "X" + ")" * 3000)),
+    ],
+    ids=[
+        "values_float",
+        "values_bool",
+        "values_string",
+        "values_not_a_list",
+        "range_float",
+        "range_bool",
+        "range_not_a_list",
+        "range_huge",
+        "option_bool",
+        "option_negative",
+        "unknown_job_field",
+        "nested_parentheses",
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
+    path = write_job(tmp_path, "in.json", payload)
+    if command == "sweep":
+        argv = ["sweep", "--family", path, "--out", str(tmp_path / "o.csv")]
+    else:
+        argv = ["classify", "--job", path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert json.loads(line)["error"]

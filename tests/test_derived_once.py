@@ -1,0 +1,90 @@
+"""Each derived fact of a report is computed once.
+
+The counters wrap package functions in every cmwitness module that
+binds them, so calls through imported names are seen too.  One
+report per golden job; the counts are per report.
+"""
+
+import json
+import sys
+
+import pytest
+
+from cmwitness import algebra, homology, linalg, predicates
+from cmwitness.classifier import (
+    CASE_C_NONCM_GRADE2,
+    CASE_C_NONCM_GRADE3,
+    OUTSIDE_SCOPE,
+)
+from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES
+from cmwitness.report import assemble_report, parse_job
+
+NON_CM = (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2)
+
+
+class Calls:
+    """Argument tuples of every call to one wrapped function."""
+
+    def __init__(self, monkeypatch, module, name, on_call=None):
+        self.args = []
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            self.args.append(args)
+            if on_call is None:
+                return original(*args, **kwargs)
+            return on_call(original, *args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] != "cmwitness":
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+    def __len__(self):
+        return len(self.args)
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_each_fact_once_per_report(monkeypatch, name):
+    job = json.loads((GOLDEN_DIR / (name + ".job.json")).read_text(encoding="utf-8"))
+    ring, f, g, options = parse_job(job)
+
+    lift_checks = Calls(monkeypatch, predicates, "_assert_lift_independence")
+    shapes = Calls(monkeypatch, predicates, "ideal_Q_classify")
+    rrefs = Calls(monkeypatch, linalg, "_fraction_free_rref")
+    per_solve = []
+
+    def rrefs_inside(original, *args, **kwargs):
+        before = len(rrefs)
+        result = original(*args, **kwargs)
+        per_solve.append(len(rrefs) - before)
+        return result
+
+    closures = Calls(monkeypatch, algebra, "span_closure_check", rrefs_inside)
+    spans = Calls(monkeypatch, algebra, "express_in_span", rrefs_inside)
+    be_checks = Calls(monkeypatch, homology, "be_exactness_check")
+    grade_certs = Calls(monkeypatch, homology, "standard_grade_certificates")
+    resolutions_of_I = Calls(monkeypatch, homology, "resolution_of_I")
+
+    case = assemble_report(ring, f, g, options)["case"]
+
+    assert len(lift_checks) <= 2
+    from_h = [args for args in shapes.args if args != (f, g)]
+    assert len(from_h) == (0 if case == OUTSIDE_SCOPE else 1)
+    # The (f, g) cross-check runs on the Case C path only, as before.
+    crosschecks = len(shapes) - len(from_h)
+    assert crosschecks == (1 if case.startswith("CaseC_") else 0)
+
+    free = case not in NON_CM and case != OUTSIDE_SCOPE
+    assert len(closures) == (1 if free else 0)
+    assert len(spans) == (1 if case in NON_CM else 0)
+    assert per_solve == [1] * len(per_solve)
+
+    complexes = [id(args[0]) for args in be_checks.args]
+    assert len(complexes) == len(set(complexes)) == (3 if case in NON_CM else 0)
+    verified = [id(args[0]) for args in grade_certs.args]
+    assert sorted(verified) == sorted(complexes)
+    assert len(resolutions_of_I) == (1 if case in NON_CM else 0)
+

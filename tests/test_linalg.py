@@ -130,24 +130,24 @@ def test_fraction_free_rref_vs_sympy():
 def test_solve_fraction_system_unique():
     cols = [[F(RING.one()), F(RING.zero())], [F(X), F(RING.one())]]
     target = [F(Y + X.scale(3)), F(RING.const(3))]
-    sol = solve_fraction_system(cols, target, require_unique=True)
+    [sol] = solve_fraction_system(cols, [target], require_unique=True)
     assert sol is not None
     assert sol[0] == F(Y) and sol[1] == F(RING.const(3))
 
 
 def test_solve_fraction_system_inconsistent():
     cols = [[F(X)], [F(X.scale(2))]]
-    assert solve_fraction_system(cols, [F(X)]) is not None
+    assert solve_fraction_system(cols, [[F(X)]]) != [None]
     cols2 = [[F(RING.zero())]]
-    assert solve_fraction_system(cols2, [F(Y)]) is None
+    assert solve_fraction_system(cols2, [[F(Y)]]) == [None]
 
 
 def test_solve_fraction_system_dependent():
     cols = [[F(X), F(Y)], [F(X.scale(2)), F(Y.scale(2))]]
     with pytest.raises(SpanNotFreeError):
-        solve_fraction_system(cols, [F(X), F(Y)], require_unique=True)
+        solve_fraction_system(cols, [[F(X), F(Y)]], require_unique=True)
     # Without the uniqueness demand a solution is still produced.
-    sol = solve_fraction_system(cols, [F(X), F(Y)])
+    [sol] = solve_fraction_system(cols, [[F(X), F(Y)]])
     assert sol is not None
 
 
@@ -165,7 +165,7 @@ def test_solve_random_roundtrip():
             sum((coeffs[j] * cols[j][i] for j in range(ncols)), F(RING.zero()))
             for i in range(nrows)
         ]
-        sol = solve_fraction_system(cols, target)
+        [sol] = solve_fraction_system(cols, [target])
         assert sol is not None
         for i in range(nrows):
             acc = F(RING.zero())
@@ -173,6 +173,61 @@ def test_solve_random_roundtrip():
                 acc = acc + sol[j] * cols[j][i]
             assert acc == target[i]
         solved += 1
+
+
+def test_solve_many_targets_vs_single_and_sympy():
+    # One elimination for many right-hand sides must give what one
+    # solve per target gives, and sympy's exact RREF of [A | t] over
+    # Q(X, Y).  Each system carries an inconsistent target between two
+    # consistent ones; with fewer generators than rows it leaves a
+    # nonzero entry below the rank, where a pivot in the target columns
+    # would shift the rows every later target is read from.
+    rng = random.Random(410)
+    inconsistent = short = 0
+    for _ in range(60):
+        nrows = rng.randrange(2, 5)
+        ncols = rng.randrange(1, nrows + 1)
+        short += ncols < nrows
+
+        def rand_frac():
+            return F(rand_poly(rng, max_deg=1), RING.const(2 ** rng.randrange(3)))
+
+        cols = [[rand_frac() for _ in range(nrows)] for _ in range(ncols)]
+
+        def combination():
+            coeffs = [F(rand_poly(rng, max_deg=1)) for _ in range(ncols)]
+            return [
+                sum((c * col[i] for c, col in zip(coeffs, cols)), F(RING.zero()))
+                for i in range(nrows)
+            ]
+
+        targets = [combination(), [rand_frac() for _ in range(nrows)], combination()]
+        many = solve_fraction_system(cols, targets)
+        assert many == [solve_fraction_system(cols, [t])[0] for t in targets]
+        assert many[0] is not None and many[2] is not None
+        inconsistent += many[1] is None
+        for t, sol in zip(targets, many):
+            aug = sympy.Matrix(
+                [
+                    [to_sympy(e.num) / to_sympy(e.den) for e in row]
+                    for row in zip(*cols, t)
+                ]
+            )
+            dm = DomainMatrix.from_Matrix(aug).to_field()
+            expected, pivots = dm.rref()
+            if ncols in pivots:
+                assert sol is None
+                continue
+            field = dm.domain
+            want = [field.zero] * ncols
+            for r, c in enumerate(pivots):
+                want[c] = expected[r, ncols].element
+            got = [
+                field.from_sympy(to_sympy(x.num)) / field.from_sympy(to_sympy(x.den))
+                for x in sol
+            ]
+            assert got == want
+    assert short >= 30 and inconsistent >= 30
 
 
 def test_poly_det():

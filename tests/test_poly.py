@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cmwitness.poly import (
+    _MAX_NESTING,
     BaseRing,
     NotDivisibleError,
     Poly,
@@ -153,6 +154,11 @@ def test_parse_errors():
         parse_poly("X+Z", RING)
     with pytest.raises(PolyParseError):
         parse_poly("X^-1", RING)
+    # Nesting is bounded so deep input is a parse error, not a crash.
+    n = _MAX_NESTING
+    assert parse_poly("(" * n + "X" + ")" * n, RING) == X
+    with pytest.raises(PolyParseError):
+        parse_poly("(" * (n + 1) + "X" + ")" * (n + 1), RING)
 
 
 def test_format_roundtrip_random():
