@@ -352,22 +352,31 @@ class MultiplicationTable:
         )
 
 
-def _fractions(x: KElement) -> List[PolyFraction]:
-    """The coordinates of x over (1, w, u, wu) as fractions."""
-    den = x.algebra.ring.const(2 ** x.denom_exp)
-    return [PolyFraction(c, den) for c in x.coords]
+def _common_coords(*groups: Sequence[KElement]) -> List[List[List[Poly]]]:
+    """Each group's coordinate vectors, all scaled to one denominator 2^k.
+
+    Every element x becomes 2^k * x over (1, w, u, wu) with k the
+    largest denominator exponent among all groups, so a linear system
+    between the groups keeps its solutions.
+    """
+    k = max((x.denom_exp for group in groups for x in group), default=0)
+    return [
+        [[c.scale(2 ** (k - x.denom_exp)) for c in x.coords] for x in group]
+        for group in groups
+    ]
 
 
 def span_closure_check(gens: Sequence[KElement]) -> MultiplicationTable:
     """Certify that the S-span of gens is closed under multiplication.
 
     Every product gens[i]*gens[j] is expressed in the basis (1, w, u,
-    wu) over the fraction field, and all of them are solved against the
-    generator columns in one elimination.  A solution coefficient lies
-    in S exactly when its reduced denominator is a unit (odd constant
-    term).  Raises NotClosedError with the first offending pair if some
-    product is not an S-combination, SpanNotFreeError if the generators
-    are linearly dependent over the fraction field.
+    wu), scaled with the generators to one power of 2, and all of them
+    are solved against the generator columns in one elimination.  A
+    solution coefficient lies in S exactly when its reduced denominator
+    is a unit (odd constant term).  Raises NotClosedError with the
+    first offending pair if some product is not an S-combination,
+    SpanNotFreeError if the generators are linearly dependent over the
+    fraction field.
     """
     gens = list(gens)
     if not gens or not (gens[0] == gens[0].algebra.one()):
@@ -375,11 +384,10 @@ def span_closure_check(gens: Sequence[KElement]) -> MultiplicationTable:
     if len(gens) > 4:
         raise SpanNotFreeError("more than 4 generators cannot be free in K")
     pairs = [(i, j) for i in range(len(gens)) for j in range(i, len(gens))]
-    sols = solve_fraction_system(
-        [_fractions(x) for x in gens],
-        [_fractions(k_mul(gens[i], gens[j])) for i, j in pairs],
-        require_unique=True,
+    columns, targets = _common_coords(
+        gens, [k_mul(gens[i], gens[j]) for i, j in pairs]
     )
+    sols = solve_fraction_system(columns, targets, require_unique=True)
     for (i, j), sol in zip(pairs, sols):
         if sol is None:
             raise NotClosedError(
@@ -396,9 +404,7 @@ def express_in_span(
     xs: Sequence[KElement], gens: Sequence[KElement]
 ) -> List[Optional[List[PolyFraction]]]:
     """Coefficients of each x over the gens (one elimination), or None."""
-    return solve_fraction_system(
-        [_fractions(x) for x in gens], [_fractions(x) for x in xs]
-    )
+    return solve_fraction_system(*_common_coords(gens, xs))
 
 
 @dataclass

@@ -26,7 +26,7 @@ producing an unverified report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
     AlgebraDesc,
@@ -195,7 +195,7 @@ def hyper_closure_gen(alg: AlgebraDesc, side: str) -> KElement:
     """(root + h)/2 for a side whose polynomial is a square mod 4.
 
     Integral with minimal quadratic T^2 - h*T - a' where the side's
-    polynomial is h^2 + 4a'.
+    polynomial is h^2 + 4a'; build_R records and verifies it.
     """
     if side not in ("f", "g"):
         raise ValueError("side must be 'f' or 'g'")
@@ -203,22 +203,15 @@ def hyper_closure_gen(alg: AlgebraDesc, side: str) -> KElement:
     if w4 is None:
         raise WrongCaseError("side %s is not a square mod 4" % side)
     root = alg.root_f() if side == "f" else alg.root_g()
-    gen = (root + alg.scalar(w4.h)).half()
-    if not min_poly_check(gen, [alg.scalar(w4.h), alg.scalar(w4.a_prime)]):
-        raise InternalVerificationError("quadratic for (root + h)/2 failed")
-    return gen
+    return (root + alg.scalar(w4.h)).half()
 
 
 def product_closure_gen(alg: AlgebraDesc) -> KElement:
-    """tau = (w - h1)(u - h2)/2, integral with tau^2 = k1*k2."""
+    """tau = (w - h1)(u - h2)/2, integral with tau^2 = k1*k2 (checked by build_R)."""
     prod = k_mul(
         alg.root_f() - alg.scalar(alg.h1()), alg.root_g() - alg.scalar(alg.h2())
     )
-    tau = prod.half()
-    k1, k2 = alg.local_factors
-    if not min_poly_check(tau, [alg.zero(), k_mul(k1, k2)]):
-        raise InternalVerificationError("tau^2 = k1*k2 failed")
-    return tau
+    return prod.half()
 
 
 def prime_dual_gen(alg: AlgebraDesc) -> KElement:
@@ -318,9 +311,10 @@ class RingPresentation:
 
     When ``sfree`` is true, ``generators`` is a free S-basis of R and
     ``mult_table`` holds the verified multiplication table.  Otherwise
-    ``generators`` is a module generating set and ``presentation``
-    records the single relation, the rank-2 free part and the Syz^2
-    block, matching R = S^2 (+) Syz^2(S/Q).
+    ``generators`` is a module generating set with the single
+    ``relation``, ``resolution_S_mod_Q`` is verified, and ``presentation``
+    records the relation, the rank-2 free part and the Syz^2 block,
+    matching R = S^2 (+) Syz^2(S/Q).
     """
 
     case: CaseTag
@@ -331,6 +325,8 @@ class RingPresentation:
     quadratics: List[Tuple[int, KElement, KElement]] = field(default_factory=list)
     presentation: Optional[Dict[str, object]] = None
     r_oracle: Optional[MembershipOracle] = None
+    relation: Optional[List[Poly]] = None
+    resolution_S_mod_Q: Optional[VerifiedComplex] = None
 
     def serialize(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -353,12 +349,28 @@ class RingPresentation:
         return out
 
 
-def _verify_quadratics(pres: RingPresentation) -> None:
-    for idx, c1, c0 in pres.quadratics:
-        if not min_poly_check(pres.generators[idx], [c1, c0]):
-            raise InternalVerificationError(
-                "recorded quadratic for generator %d fails" % idx
-            )
+def _free_presentation(
+    case: CaseTag, gens: List[KElement], quadratics: list
+) -> RingPresentation:
+    """R free on gens, with its verified multiplication table."""
+    return RingPresentation(
+        case=case,
+        sfree=True,
+        generators=gens,
+        cm_verdict=True,
+        mult_table=span_closure_check(gens),
+        quadratics=quadratics,
+    )
+
+
+def _root_quadratics(alg: AlgebraDesc) -> List[Tuple[int, KElement, KElement]]:
+    """w^2 = f, u^2 = g and tau^2 = k1*k2 for generators (1, w, u, tau, ...)."""
+    k1, k2 = alg.local_factors
+    return [
+        (1, alg.zero(), alg.scalar(alg.f)),
+        (2, alg.zero(), alg.scalar(alg.g)),
+        (3, alg.zero(), k_mul(k1, k2)),
+    ]
 
 
 def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
@@ -370,6 +382,7 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
     cofactor makes redundant.  CaseC otherwise: five module generators
     {1, w, u, tau, rho} with the single relation
     (e*h1 + c*h2) - e*w - c*u + 2*rho = 0, so R = S^2 (+) Syz^2(S/Q).
+    Every recorded quadratic is verified here, once.
     """
     if case == OUTSIDE_SCOPE:
         raise WrongCaseError("no closure presentation outside the covered scope")
@@ -379,59 +392,40 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
     if case == CASE_A_BOTH:
         t1 = hyper_closure_gen(alg, "f")
         t2 = hyper_closure_gen(alg, "g")
-        gens = [one, t1, t2, k_mul(t1, t2)]
-        pres = RingPresentation(
-            case=case,
-            sfree=True,
-            generators=gens,
-            cm_verdict=True,
-            mult_table=span_closure_check(gens),
-            quadratics=[
-                (1, alg.scalar(alg.w4f.h), alg.scalar(alg.w4f.a_prime)),
-                (2, alg.scalar(alg.w4g.h), alg.scalar(alg.w4g.a_prime)),
+        pres = _free_presentation(
+            case,
+            [one, t1, t2, k_mul(t1, t2)],
+            [
+                (i, alg.scalar(w4.h), alg.scalar(w4.a_prime))
+                for i, w4 in ((1, alg.w4f), (2, alg.w4g))
             ],
         )
     elif case == CASE_A_ONE:
         if (alg.w4f is None) == (alg.w4g is None):
             raise WrongCaseError("CaseA_one needs exactly one square mod 4")
         if alg.w4f is not None:
-            t = hyper_closure_gen(alg, "f")
-            other = alg.root_g()
-            quad_other = (1, alg.zero(), alg.scalar(alg.g))
-            quad_t = (2, alg.scalar(alg.w4f.h), alg.scalar(alg.w4f.a_prime))
+            side, w4, other, other_sq = "f", alg.w4f, alg.root_g(), alg.g
         else:
-            t = hyper_closure_gen(alg, "g")
-            other = alg.root_f()
-            quad_other = (1, alg.zero(), alg.scalar(alg.f))
-            quad_t = (2, alg.scalar(alg.w4g.h), alg.scalar(alg.w4g.a_prime))
-        gens = [one, other, t, k_mul(other, t)]
-        pres = RingPresentation(
-            case=case,
-            sfree=True,
-            generators=gens,
-            cm_verdict=True,
-            mult_table=span_closure_check(gens),
-            quadratics=[quad_other, quad_t],
-        )
-    elif case == CASE_B:
-        tau = product_closure_gen(alg)
-        k1, k2 = alg.local_factors
-        gens = [one, alg.root_f(), alg.root_g(), tau]
-        pres = RingPresentation(
-            case=case,
-            sfree=True,
-            generators=gens,
-            cm_verdict=True,
-            mult_table=span_closure_check(gens),
-            quadratics=[
-                (1, alg.zero(), alg.scalar(alg.f)),
-                (2, alg.zero(), alg.scalar(alg.g)),
-                (3, alg.zero(), k_mul(k1, k2)),
+            side, w4, other, other_sq = "g", alg.w4g, alg.root_f(), alg.f
+        t = hyper_closure_gen(alg, side)
+        pres = _free_presentation(
+            case,
+            [one, other, t, k_mul(other, t)],
+            [
+                (1, alg.zero(), alg.scalar(other_sq)),
+                (2, alg.scalar(w4.h), alg.scalar(w4.a_prime)),
             ],
         )
+    elif case == CASE_B:
+        gens = [one, alg.root_f(), alg.root_g(), product_closure_gen(alg)]
+        pres = _free_presentation(case, gens, _root_quadratics(alg))
     else:
         pres = _build_R_case_c(alg, case)
-    _verify_quadratics(pres)
+    for idx, c1, c0 in pres.quadratics:
+        if not min_poly_check(pres.generators[idx], [c1, c0]):
+            raise InternalVerificationError(
+                "recorded quadratic for generator %d fails" % idx
+            )
     return pres
 
 
@@ -445,24 +439,19 @@ def _build_R_case_c(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
     e_lift = lift_f2(shape.e)
     tau = product_closure_gen(alg)
     rho = mixed_syzygy_gen(alg, c_lift, e_lift)
-    k1, k2 = alg.local_factors
     one = alg.one()
     if case == CASE_C_CM:
+        k1, k2 = alg.local_factors
         if shape.c.is_unit():
-            gens = [one, alg.root_f(), tau, rho]
-            quad = (1, alg.zero(), alg.scalar(alg.f))
+            root, square = alg.root_f(), alg.f
         elif shape.e.is_unit():
-            gens = [one, alg.root_g(), tau, rho]
-            quad = (1, alg.zero(), alg.scalar(alg.g))
+            root, square = alg.root_g(), alg.g
         else:
             raise WrongCaseError("two-generated shape without a unit cofactor")
-        return RingPresentation(
-            case=case,
-            sfree=True,
-            generators=gens,
-            cm_verdict=True,
-            mult_table=span_closure_check(gens),
-            quadratics=[quad, (2, alg.zero(), k_mul(k1, k2))],
+        return _free_presentation(
+            case,
+            [one, root, tau, rho],
+            [(1, alg.zero(), alg.scalar(square)), (2, alg.zero(), k_mul(k1, k2))],
         )
     gens = [one, alg.root_f(), alg.root_g(), tau, rho]
     relation = [
@@ -489,29 +478,28 @@ def _build_R_case_c(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
                 raise InternalVerificationError(
                     "product of generators %d and %d leaves R" % (i, j)
                 )
-    cx = resolution_of_S_mod_Q(lift_f2(shape.z), c_lift, e_lift)
+    res_q = verify_complex(resolution_of_S_mod_Q(lift_f2(shape.z), c_lift, e_lift))
+    extras = res_q.complex.extras
     presentation = {
         "structure": "S^2 (+) Syz^2(S/Q)",
         "s_free_part_rank": 2,
         "module_generators": [g.serialize() for g in gens],
         "relation": [str(p) for p in relation],
         "syz2_generators": [
-            [str(p) for p in col] for col in cx.extras["syz2_generators"]
+            [str(p) for p in col] for col in extras["syz2_generators"]
         ],
-        "syz2_relation": [str(p) for p in cx.extras["syz2_relation"]],
+        "syz2_relation": [str(p) for p in extras["syz2_relation"]],
     }
     return RingPresentation(
         case=case,
         sfree=False,
         generators=gens,
         cm_verdict=False,
-        quadratics=[
-            (1, alg.zero(), alg.scalar(alg.f)),
-            (2, alg.zero(), alg.scalar(alg.g)),
-            (3, alg.zero(), k_mul(k1, k2)),
-        ],
+        quadratics=_root_quadratics(alg),
         presentation=presentation,
         r_oracle=oracle,
+        relation=relation,
+        resolution_S_mod_Q=res_q,
     )
 
 
@@ -523,13 +511,11 @@ def presentation_complex(pres: RingPresentation) -> "FreeComplex":
     free resolution of R; with all entries in the maximal ideal it is
     minimal, giving pd_S(R) = 1 exactly.
     """
-    if pres.sfree or pres.presentation is None:
+    if pres.relation is None:
         raise WrongCaseError("presentation complex exists only for non-free R")
-    ring = pres.generators[0].algebra.ring
-    relation = [parse_poly(t, ring) for t in pres.presentation["relation"]]
     return FreeComplex(
-        matrices=[[[p] for p in relation]],
-        labels=["S^%d (cokernel = R)" % len(relation), "S"],
+        matrices=[[[p] for p in pres.relation]],
+        labels=["S^%d (cokernel = R)" % len(pres.relation), "S"],
         augmented=False,
     )
 
@@ -679,18 +665,20 @@ class CmModuleCertificate:
         }
 
 
-def build_small_cm_certificate(alg: AlgebraDesc, case: CaseTag) -> CmModuleCertificate:
+def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
     """Assemble and verify the birational small CM module certificate.
 
-    Only meaningful in the two non-CM cases; WrongCase otherwise.  Each
-    component check runs once here, on the facts cached on the algebra,
-    and the verified resolutions of I and S/Q are kept for the report.
+    Only meaningful for the R of the two non-CM cases; WrongCase
+    otherwise.  Each component check runs once here, on the facts cached
+    on the algebra; the resolution of S/Q is the one build_R verified,
+    and both it and the verified resolution of I are kept for the report.
     """
+    case = pres.case
     if case not in (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2):
         raise WrongCaseError(
             "the small CM module certificate applies to the non-CM cases only"
         )
-    shape = alg.q_shape
+    alg = pres.generators[0].algebra
     p = ideal_P(alg)
     i_ideal = ideal_I(alg)
     h_ideal = ideal_H(alg)
@@ -731,9 +719,7 @@ def build_small_cm_certificate(alg: AlgebraDesc, case: CaseTag) -> CmModuleCerti
     pd_i, depth_i = pd_depth_report(res_i.complex, i_ok)
 
     # (v) the length-3 resolution of S/Q is exact by rank-and-grade
-    res_q = verify_complex(
-        resolution_of_S_mod_Q(lift_f2(shape.z), lift_f2(shape.c), lift_f2(shape.e))
-    )
+    res_q = pres.resolution_S_mod_Q
     checks["BE_ok"] = res_q.verified
 
     # (vi) the depth chain: every hypothesis above feeds the conclusion

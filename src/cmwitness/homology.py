@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraDesc, KElement
+from .algebra import AlgebraDesc
 from .errors import (
     InternalVerificationError,
     LiftInvalidError,
@@ -51,7 +51,14 @@ from .linalg import (
     fraction_kernel,
     poly_det,
 )
-from .poly import BaseRing, Poly, divide_exact, is_divisible, is_even, reduce_mod2
+from .poly import (
+    NotDivisibleError,
+    Poly,
+    divide_exact,
+    is_divisible,
+    is_even,
+    reduce_mod2,
+)
 from .predicates import S2Witness, regular_sequence_certificate
 
 __all__ = [
@@ -176,7 +183,7 @@ def _is_regular_sequence(witness: Sequence[Poly]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the two concrete complexes
+# the two concrete complexes (verify_complex checks that they compose to zero)
 
 
 def resolution_of_I(wf: S2Witness, wg: S2Witness) -> FreeComplex:
@@ -235,15 +242,12 @@ def resolution_of_I(wf: S2Witness, wg: S2Witness) -> FreeComplex:
         [zero, zero, zero],
     ]
     psi_t = [[-h2], [h1], [ring.const(2)]]
-    cx = FreeComplex(
+    return FreeComplex(
         matrices=[phi, psi_t],
         labels=["A = S^4 (image = I)", "S^3", "S"],
         augmented=True,
         extras={"e": e, "h1": h1, "h2": h2},
     )
-    if not check_composition_zero(cx):
-        raise InternalVerificationError("phi . psi^T is not zero")
-    return cx
 
 
 def resolution_of_S_mod_Q(z: Poly, c: Poly, e: Poly) -> FreeComplex:
@@ -266,7 +270,7 @@ def resolution_of_S_mod_Q(z: Poly, c: Poly, e: Poly) -> FreeComplex:
         [zero, -two, -c],
     ]
     tail = [[-e], [c], [-two]]
-    cx = FreeComplex(
+    return FreeComplex(
         matrices=[psi, phi, tail],
         labels=["S (cokernel = S/Q)", "S^3", "S^3", "S"],
         augmented=False,
@@ -275,9 +279,6 @@ def resolution_of_S_mod_Q(z: Poly, c: Poly, e: Poly) -> FreeComplex:
             "syz2_relation": [-e, c, -two],
         },
     )
-    if not check_composition_zero(cx):
-        raise InternalVerificationError("resolution of S/Q does not compose to zero")
-    return cx
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +446,7 @@ def kernel_saturation_check(cx: FreeComplex) -> bool:
     if len(cx.matrices) < 2:
         raise DimensionMismatchError("need at least two differentials")
     d1, d2 = cx.matrices[0], cx.matrices[1]
-    basis = fraction_kernel([[PolyFraction(p) for p in row] for row in d1])
+    basis = fraction_kernel(d1)
     if len(d2[0]) != 1:
         raise DimensionMismatchError("saturation spot check expects a rank-1 tail")
     column = [row[0] for row in d2]
@@ -462,12 +463,10 @@ def _clear_to_polys(vec: Sequence[PolyFraction]) -> List[Poly]:
     denom = ring.one()
     for entry in vec:
         denom = divide_exact(denom * entry.den, gcd_many_q([denom, entry.den]))
-    polys = []
-    for entry in vec:
-        scaled = entry * PolyFraction(denom)
-        if not scaled.is_polynomial():
-            raise InternalVerificationError("denominator clearing failed")
-        polys.append(scaled.as_poly())
+    try:
+        polys = [divide_exact(entry.num * denom, entry.den) for entry in vec]
+    except NotDivisibleError:
+        raise InternalVerificationError("denominator clearing failed") from None
     content = gcd_many_q(polys)
     return [divide_exact(p, content) for p in polys]
 

@@ -4,18 +4,20 @@
   kept reduced (numerator and denominator coprime, denominator with
   positive leading coefficient).  A fraction lies in the local ring S
   exactly when its reduced denominator is a unit of S, i.e. has odd
-  constant coefficient.
+  constant coefficient.  It is an output type only: it carries no
+  arithmetic.
 
 * One fraction-free Gauss-Jordan elimination (Bareiss) over Z[x] or
   GF(2)[x] behind bareiss_rank, solve_fraction_system and
-  fraction_kernel.  Fraction rows are cleared of denominators once;
-  entries stay polynomial because every intermediate entry is a minor
-  of the cleared matrix, so each division by the previous pivot is
-  exact.  The result is d times the reduced row echelon form, d the
-  last pivot, and each output entry becomes one reduced fraction over
-  d; no fraction arithmetic happens during elimination.
-  solve_fraction_system eliminates the coefficient matrix once for a
-  whole list of right-hand sides.
+  fraction_kernel: polynomial matrices in, reduced fractions out.
+  Callers with fractional data clear the denominators before the call
+  (the K-elements of algebra.py share one power of 2).  Entries stay
+  polynomial because every intermediate entry is a minor of the input,
+  so each division by the previous pivot is exact.  The result is d
+  times the reduced row echelon form, d the last pivot, and each output
+  entry becomes one reduced fraction over d.  solve_fraction_system
+  eliminates the coefficient matrix once for a whole list of
+  right-hand sides.
 
 * GF(2) linear systems with rows packed into Python integers, used by
   the bounded colon search.
@@ -44,7 +46,10 @@ class DimensionMismatchError(Exception):
 
 
 class PolyFraction:
-    """A reduced fraction of integer polynomials."""
+    """A reduced fraction of integer polynomials, without arithmetic.
+
+    The solvers' output type: polynomial matrices in, reduced fractions out.
+    """
 
     __slots__ = ("num", "den")
 
@@ -74,9 +79,6 @@ class PolyFraction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __bool__(self) -> bool:
-        return not self.num.is_zero()
-
     def is_in_S(self) -> bool:
         """Membership in the local ring: reduced denominator is a unit."""
         return self.den.is_unit()
@@ -84,64 +86,8 @@ class PolyFraction:
     def is_polynomial(self) -> bool:
         return self.den == self.den.ring.one()
 
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise ValueError(f"fraction {self} is not a polynomial")
-        return self.num
-
-    def _coerce(self, other):
-        if isinstance(other, PolyFraction):
-            return other
-        if isinstance(other, Poly):
-            return PolyFraction(other)
-        if isinstance(other, int):
-            return PolyFraction(self.ring.const(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PolyFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyFraction(self.num.scale(-1), self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PolyFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero fraction")
-        return PolyFraction(self.num * other.den, self.den * other.num)
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, PolyFraction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -212,20 +158,6 @@ def _fraction_free_rref(
     return pivots, prev
 
 
-def _cleared_rows(rows: Sequence[Sequence[PolyFraction]]) -> List[List[Poly]]:
-    """Each row times the product of its distinct denominators."""
-    out = []
-    for row in rows:
-        den = None
-        for d in {fr.den for fr in row if not fr.is_polynomial()}:
-            den = d if den is None else den * d
-        if den is None:
-            out.append([fr.num for fr in row])
-        else:
-            out.append([divide_exact(fr.num * den, fr.den) for fr in row])
-    return out
-
-
 def bareiss_rank(rows: Sequence[Sequence[MatrixElement]]) -> int:
     """Rank over the fraction field via fraction-free elimination.
 
@@ -237,13 +169,15 @@ def bareiss_rank(rows: Sequence[Sequence[MatrixElement]]) -> int:
 
 
 def solve_fraction_system(
-    columns: Sequence[Sequence[PolyFraction]],
-    targets: Sequence[Sequence[PolyFraction]],
+    columns: Sequence[Sequence[Poly]],
+    targets: Sequence[Sequence[Poly]],
     require_unique: bool = False,
 ) -> List[Optional[List[PolyFraction]]]:
     """Solve sum_j x_j * columns[j] = t over the fraction field for each t.
 
-    One elimination of [columns | targets] serves every target.
+    Polynomial matrices in, reduced fractions out: the columns and
+    targets are vectors over Z[x], the solutions reduced fractions of
+    Q(x).  One elimination of [columns | targets] serves every target.
     Returns, per target, its coefficient list, or None when that system
     is inconsistent (a nonzero entry below the rank).  With
     require_unique, raises SpanNotFreeError if the columns are linearly
@@ -256,7 +190,7 @@ def solve_fraction_system(
     vectors = [*columns, *targets]
     if any(len(vec) != nrows for vec in vectors):
         raise DimensionMismatchError("column length differs from target")
-    aug = _cleared_rows([[vec[i] for vec in vectors] for i in range(nrows)])
+    aug = [[vec[i] for vec in vectors] for i in range(nrows)]
     pivots, d = _fraction_free_rref(aug, ncols)
     if require_unique and len(pivots) < ncols:
         raise SpanNotFreeError("generating set is linearly dependent")
@@ -293,18 +227,18 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     return acc
 
 
-def fraction_kernel(rows: Sequence[Sequence[PolyFraction]]) -> List[List[PolyFraction]]:
+def fraction_kernel(rows: Sequence[Sequence[Poly]]) -> List[List[PolyFraction]]:
     """Basis of the right kernel of a matrix over the fraction field.
 
-    One vector per free column, in increasing column order: the free
-    unknown is set to 1 and the pivot unknowns are read off the
-    reduced row echelon form.
+    Polynomial matrix in, reduced fractions out.  One vector per free
+    column, in increasing column order: the free unknown is set to 1
+    and the pivot unknowns are read off the reduced row echelon form.
     """
     if not rows:
         return []
     ncols = len(rows[0])
     ring = rows[0][0].ring
-    work = _cleared_rows(rows)
+    work = [list(r) for r in rows]
     pivots, d = _fraction_free_rref(work)
     zero = PolyFraction(ring.zero())
     one = PolyFraction(ring.one())

@@ -21,6 +21,7 @@ of exponent tuples (the monomials with coefficient 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 Exponent = Tuple[int, ...]
@@ -515,6 +516,16 @@ _TOKEN_KINDS = ("INT", "NAME", "OP", "END")
 # Four Python frames per level keeps parsing far below the recursion limit.
 _MAX_NESTING = 100
 
+# Each power and product is bounded before it is expanded: its term count
+# and, for a power base^n, its degree n*deg(base) (n for a constant) and
+# the bit length of its coefficients (at most n times that of the sum of
+# the absolute coefficients of base); nested powers would otherwise grow
+# without limit.  Every input this package is built for uses exponents
+# <= 4, small coefficients and a few dozen terms.
+_MAX_EXPONENT = 64
+_MAX_TERMS = 10_000
+_MAX_COEFF_BITS = 1024
+
 
 def _tokenize(text: str):
     tokens = []
@@ -604,10 +615,13 @@ class _Parser:
     def parse_term(self) -> Poly:
         acc = self.parse_factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "OP" and val == "*":
                 self.advance()
-                acc = acc * self.parse_factor()
+                factor = self.parse_factor()
+                if acc.num_terms() * factor.num_terms() > _MAX_TERMS:
+                    raise PolyParseError("product too large to expand", pos)
+                acc = acc * factor
             else:
                 return acc
 
@@ -620,7 +634,17 @@ class _Parser:
             if k != "INT":
                 raise PolyParseError("expected integer exponent", p)
             self.advance()
-            return base ** int(v)
+            n = int(v)
+            norm = sum(abs(c) for c in base._terms.values())
+            if (
+                n * max(base.total_degree(), 1) > _MAX_EXPONENT
+                # base^n has at most one term per degree-n monomial in
+                # the terms of base.
+                or comb(max(base.num_terms(), 1) + n - 1, n) > _MAX_TERMS
+                or n * norm.bit_length() > _MAX_COEFF_BITS
+            ):
+                raise PolyParseError("power too large to expand", p)
+            return base ** n
         return base
 
     def parse_base(self) -> Poly:

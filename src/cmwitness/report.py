@@ -9,7 +9,7 @@ golden-file byte comparison, and nothing downstream consumes them.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .algebra import AlgebraDesc, make_algebra
 from .classifier import (
@@ -151,7 +151,7 @@ def assemble_report(
         report["ring_presentation"] = pres.serialize()
         report["conductor"] = conductor(alg, case, pres).serialize()
         if case in (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2):
-            cert = build_small_cm_certificate(alg, case)
+            cert = build_small_cm_certificate(pres)
             report["certificate"] = cert.serialize()
             report["resolutions"] = [
                 _verified_complex_block(cert.resolution_I, "resolution_of_I"),

@@ -231,8 +231,8 @@ def test_acceptance_3_grade2_family(capsys):
     shape = q_shape(alg)
     wf, wg = alg.wf, alg.wg
     crit = wf.a * (wg.h * wg.h) + wg.a * (wf.h * wf.h)
-    cert = build_small_cm_certificate(alg, CASE_C_NONCM_GRADE2)
     pres = build_R(alg, CASE_C_NONCM_GRADE2)
+    cert = build_small_cm_certificate(pres)
     cx = presentation_complex(pres)
     verified = check_composition_zero(cx) and be_exactness_check(
         cx, standard_grade_certificates(cx)
@@ -290,7 +290,7 @@ def test_acceptance_4_grade3_family(capsys):
     shape = q_shape(alg)
     pres = build_R(alg, case)
     cond = conductor(alg, case, pres)
-    cert = build_small_cm_certificate(alg, case)
+    cert = build_small_cm_certificate(pres)
     q_cx = resolution_of_S_mod_Q(lift_f2(shape.z), lift_f2(shape.c), lift_f2(shape.e))
     q_certs = standard_grade_certificates(q_cx)
     oracle = a_oracle(alg)

@@ -2,6 +2,8 @@
 span closure, ideals, and the bounded colon-dual search."""
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from cmwitness.algebra import (
     IdealGens,
@@ -23,7 +25,7 @@ from cmwitness.errors import (
     HypothesisViolationError,
     NotClosedError,
 )
-from cmwitness.linalg import SpanNotFreeError
+from cmwitness.linalg import PolyFraction, SpanNotFreeError
 from cmwitness.poly import BaseRing, parse_poly
 
 RING = BaseRing(("X", "Y"))
@@ -161,9 +163,74 @@ def test_express_in_span():
     [sol] = express_in_span([diff], [alg.one(), w, u])
     assert sol is not None
     assert sol[0].is_zero()
-    assert sol[1].as_poly() == Y and sol[2].as_poly() == X
+    assert sol[1] == PolyFraction(Y) and sol[2] == PolyFraction(X)
     # w/2 is not in the span of (1, u).
     assert express_in_span([w.half()], [alg.one(), u]) == [None]
+
+
+def poly_to_sympy(p):
+    sx, sy = sympy.symbols("X Y")
+    return sum((k * sx**i * sy**j for (i, j), k in p.sorted_terms()), sympy.Integer(0))
+
+
+def to_sympy(x):
+    """The coordinates of a K-element over (1, w, u, wu) as sympy fractions."""
+    return [poly_to_sympy(c) / 2**x.denom_exp for c in x.coords]
+
+
+def sympy_solution(gens, x):
+    """sympy's solution of sum_j c_j * gens[j] = x over Q(X, Y), or None.
+
+    Free unknowns are zero, as in solve_fraction_system.
+    """
+    aug = sympy.Matrix([list(row) for row in zip(*map(to_sympy, gens), to_sympy(x))])
+    dm = DomainMatrix.from_Matrix(aug).to_field()
+    rref, pivots = dm.rref()
+    if len(gens) in pivots:
+        return None
+    want = [sympy.Integer(0)] * len(gens)
+    for r, c in enumerate(pivots):
+        want[c] = dm.domain.to_sympy(rref[r, len(gens)].element)
+    return want
+
+
+def assert_matches_sympy(sol, want):
+    if want is None:
+        assert sol is None
+        return
+    assert sol is not None and len(sol) == len(want)
+    for fr, expected in zip(sol, want):
+        got = poly_to_sympy(fr.num) / poly_to_sympy(fr.den)
+        assert sympy.cancel(got - expected) == 0
+
+
+def test_span_and_express_mixed_denominators_vs_sympy():
+    # Both hypersurfaces non-normal: t1 = (w + X)/2, t2 = (u + Y)/2 and
+    # t1*t2 = (w + X)(u + Y)/4 have denominator exponents 0, 1, 1, 2,
+    # and the products and targets mix 0, 1 and 2.  The solver only
+    # keeps the solutions when every vector is scaled by one common
+    # power of 2; scaling each by its own would rescale the unknowns.
+    alg = make_algebra(RING, P("X^2+4"), P("Y^2+4"))
+    w, u = alg.root_f(), alg.root_g()
+    t1 = (w + alg.scalar(X)).half()
+    t2 = (u + alg.scalar(Y)).half()
+    gens = [alg.one(), t1, t2, k_mul(t1, t2)]
+    assert [g.denom_exp for g in gens] == [0, 1, 1, 2]
+    table = span_closure_check(gens)
+    exponents = set()
+    for (i, j), sol in table.entries.items():
+        product = k_mul(gens[i], gens[j])
+        exponents.add(product.denom_exp)
+        assert_matches_sympy(sol, sympy_solution(gens, product))
+    assert exponents == {0, 1, 2}
+
+    span = [alg.one(), t1, k_mul(t1, t2)]
+    xs = [w, k_mul(t1, t1), k_mul(t1, t2).scale_poly(X), u, t2, t1 + t2.half()]
+    assert [x.denom_exp for x in xs] == [0, 1, 2, 0, 1, 2]
+    sols = express_in_span(xs, span)
+    assert [sol is None for sol in sols] == [False, False, False, True, True, True]
+    for x, sol in zip(xs, sols):
+        assert_matches_sympy(sol, sympy_solution(span, x))
 
 
 def test_ideal_product():

@@ -227,7 +227,7 @@ def test_conductor_case_a_unavailable():
 
 def test_certificate_grade3():
     alg = alg_of(RING2, "-X^2+4", "-Y^2+4")
-    cert = build_small_cm_certificate(alg, CASE_C_NONCM_GRADE3)
+    cert = build_small_cm_certificate(build_R(alg, CASE_C_NONCM_GRADE3))
     assert cert.all_pass()
     for name in (
         "P_free",
@@ -242,17 +242,19 @@ def test_certificate_grade3():
 
 def test_certificate_grade2():
     alg = alg_of(RING3, "V^2*X^2-2*X^2+4", "V^2*Y^2-2*Y^2+4")
-    cert = build_small_cm_certificate(alg, CASE_C_NONCM_GRADE2)
+    cert = build_small_cm_certificate(build_R(alg, CASE_C_NONCM_GRADE2))
     assert cert.all_pass()
 
 
 def test_certificate_synthetic_exemplars():
     cert3 = build_small_cm_certificate(
-        alg_of(RING3, "3*V^2+4", "3*X^2+4"), CASE_C_NONCM_GRADE3
+        build_R(alg_of(RING3, "3*V^2+4", "3*X^2+4"), CASE_C_NONCM_GRADE3)
     )
     assert cert3.all_pass()
     cert2 = build_small_cm_certificate(
-        alg_of(RING3, "V^2*X^2+2*X^2+4", "V^2*Y^2+2*Y^2+4"), CASE_C_NONCM_GRADE2
+        build_R(
+            alg_of(RING3, "V^2*X^2+2*X^2+4", "V^2*Y^2+2*Y^2+4"), CASE_C_NONCM_GRADE2
+        )
     )
     assert cert2.all_pass()
 
@@ -260,14 +262,14 @@ def test_certificate_synthetic_exemplars():
 def test_certificate_wrong_case():
     alg = alg_of(RING2, "X^2+2", "Y^2+2")
     with pytest.raises(WrongCaseError):
-        build_small_cm_certificate(alg, CASE_B)
+        build_small_cm_certificate(build_R(alg, CASE_B))
 
 
 def test_certificate_module_oracle_eta():
     # The certified module M = (IP)^* contains eta and A but eta is
     # genuinely outside A: the birational module is strictly larger.
     alg = alg_of(RING2, "-X^2+4", "-Y^2+4")
-    cert = build_small_cm_certificate(alg, CASE_C_NONCM_GRADE3)
+    cert = build_small_cm_certificate(build_R(alg, CASE_C_NONCM_GRADE3))
     w, u = alg.root_f(), alg.root_g()
     h1, h2 = alg.scalar(alg.h1()), alg.scalar(alg.h2())
     eta = k_mul(w + h1, u + h2).half()

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -258,6 +259,10 @@ def _family(parameter):
     }
 
 
+# 121 terms: a product of two multiplies 121 * 121 > 10000 pairs of terms.
+_WIDE = "(%s)" % "+".join("X^%d*Y^%d" % (i, j) for i in range(11) for j in range(11))
+
+
 def _job(**fields):
     return dict({"variables": ["X", "Y"], "f": "X^2+2", "g": "Y^2+2"}, **fields)
 
@@ -278,6 +283,9 @@ def _job(**fields):
         ("classify", _job(options={"colon_search_degree": -1})),
         ("classify", _job(bogus=1)),
         ("classify", _job(f="(" * 3000 + "X" + ")" * 3000)),
+        # Powers and products are bounded before they are expanded.
+        ("classify", _job(f="X^100000000+1")),
+        ("classify", _job(f="%s*%s" % (_WIDE, _WIDE))),
     ],
     ids=[
         "values_float",
@@ -292,6 +300,8 @@ def _job(**fields):
         "option_negative",
         "unknown_job_field",
         "nested_parentheses",
+        "huge_exponent",
+        "wide_product",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
@@ -300,7 +310,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
         argv = ["sweep", "--family", path, "--out", str(tmp_path / "o.csv")]
     else:
         argv = ["classify", "--job", path]
+    start = time.perf_counter()
     assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "Traceback" not in err
     [line] = err.splitlines()

@@ -54,21 +54,49 @@ def test_each_fact_once_per_report(monkeypatch, name):
     lift_checks = Calls(monkeypatch, predicates, "_assert_lift_independence")
     shapes = Calls(monkeypatch, predicates, "ideal_Q_classify")
     rrefs = Calls(monkeypatch, linalg, "_fraction_free_rref")
+    fractions = []
+    init = linalg.PolyFraction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        fractions.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.PolyFraction, "__init__", counting_init)
     per_solve = []
+    fractions_per_solve = []
 
-    def rrefs_inside(original, *args, **kwargs):
-        before = len(rrefs)
-        result = original(*args, **kwargs)
-        per_solve.append(len(rrefs) - before)
-        return result
+    def solves_inside(gens_and_targets):
+        def on_call(original, *args, **kwargs):
+            before = len(rrefs), len(fractions)
+            result = original(*args, **kwargs)
+            per_solve.append(len(rrefs) - before[0])
+            ngens, ntargets = gens_and_targets(*args)
+            fractions_per_solve.append((len(fractions) - before[1], ngens, ntargets))
+            return result
 
-    closures = Calls(monkeypatch, algebra, "span_closure_check", rrefs_inside)
-    spans = Calls(monkeypatch, algebra, "express_in_span", rrefs_inside)
+        return on_call
+
+    closures = Calls(
+        monkeypatch,
+        algebra,
+        "span_closure_check",
+        solves_inside(lambda gens: (len(gens), len(gens) * (len(gens) + 1) // 2)),
+    )
+    spans = Calls(
+        monkeypatch,
+        algebra,
+        "express_in_span",
+        solves_inside(lambda xs, gens: (len(gens), len(xs))),
+    )
     be_checks = Calls(monkeypatch, homology, "be_exactness_check")
     grade_certs = Calls(monkeypatch, homology, "standard_grade_certificates")
     resolutions_of_I = Calls(monkeypatch, homology, "resolution_of_I")
+    resolutions_of_S_mod_Q = Calls(monkeypatch, homology, "resolution_of_S_mod_Q")
+    compositions = Calls(monkeypatch, homology, "check_composition_zero")
+    quadratic_checks = Calls(monkeypatch, algebra, "min_poly_check")
 
-    case = assemble_report(ring, f, g, options)["case"]
+    report = assemble_report(ring, f, g, options)
+    case = report["case"]
 
     assert len(lift_checks) <= 2
     from_h = [args for args in shapes.args if args != (f, g)]
@@ -81,10 +109,26 @@ def test_each_fact_once_per_report(monkeypatch, name):
     assert len(closures) == (1 if free else 0)
     assert len(spans) == (1 if case in NON_CM else 0)
     assert per_solve == [1] * len(per_solve)
+    # The solver's inputs are polynomials: the only fractions built are
+    # one shared zero and one per solution entry (1 + 4*10 for a
+    # closure on four generators).
+    for built, ngens, ntargets in fractions_per_solve:
+        assert built <= 1 + ngens * ntargets
+    if free:
+        assert fractions_per_solve[0][1:] == (4, 10)
 
     complexes = [id(args[0]) for args in be_checks.args]
     assert len(complexes) == len(set(complexes)) == (3 if case in NON_CM else 0)
     verified = [id(args[0]) for args in grade_certs.args]
     assert sorted(verified) == sorted(complexes)
     assert len(resolutions_of_I) == (1 if case in NON_CM else 0)
+    # One S/Q resolution per non-CM report, and one composition check
+    # for each of its three complexes (inside verify_complex).
+    assert len(resolutions_of_S_mod_Q) == (1 if case in NON_CM else 0)
+    assert len(compositions) == (3 if case in NON_CM else 0)
+    assert [id(args[0]) for args in compositions.args] == complexes
+
+    # Each recorded quadratic is checked once.
+    pres = report["ring_presentation"]
+    assert len(quadratic_checks) == (0 if pres is None else len(pres["quadratics"]))
 
