@@ -346,11 +346,6 @@ class MultiplicationTable:
     def entry(self, i: int, j: int) -> List[PolyFraction]:
         return self.entries[(min(i, j), max(i, j))]
 
-    def all_in_S(self) -> bool:
-        return all(
-            fr.is_in_S() for row in self.entries.values() for fr in row
-        )
-
 
 def _common_coords(*groups: Sequence[KElement]) -> List[List[List[Poly]]]:
     """Each group's coordinate vectors, all scaled to one denominator 2^k.
@@ -457,12 +452,6 @@ class MembershipOracle:
             return all(a_membership(k_mul(x, g)) for g in self.ideal.gens)
         raise ValueError(f"unknown oracle kind {self.kind!r}")
 
-    def describe(self) -> str:
-        if self.kind == "A":
-            return "A"
-        gens = ", ".join(str(g) for g in self.ideal.gens)
-        return f"(A : ({gens}))"
-
 
 def a_oracle(algebra: AlgebraDesc) -> MembershipOracle:
     return MembershipOracle(kind="A", algebra=algebra)
@@ -547,17 +536,16 @@ def bounded_colon_search(
     nunk = 4 * nmono
     if nunk > _MAX_UNKNOWNS:
         raise BoundTooLargeError(f"{nunk} unknowns exceed the resource guard")
-    mono_index = {m: i for i, m in enumerate(monos)}
 
     mats = [_mul_matrix_mod2(g) for g in eff_gens]
 
-    def stage_rows(extra_cols: int = 0):
+    def stage_rows(rows: Dict[Tuple[int, int, Tuple[int, ...]], int], offset: int):
         """Equation rows of p * g = 0 mod 2 over the p-coefficients.
 
-        Returns (row index map, list of bitmasks); unknown (c, m) sits
-        at bit c*nmono + mono_index[m] + extra_cols.
+        XORs them into ``rows`` (keyed by generator, coordinate and
+        monomial) and returns its bitmasks in key order; unknown (c, m)
+        sits at bit offset + c*nmono + (index of m in monos).
         """
-        rows: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
         for gi, mat in enumerate(mats):
             for c in range(4):
                 for d in range(4):
@@ -565,7 +553,7 @@ def bounded_colon_search(
                     if entry.is_zero():
                         continue
                     for mi, m in enumerate(monos):
-                        bit = extra_cols + c * nmono + mi
+                        bit = offset + c * nmono + mi
                         for mm in entry.sorted_monomials():
                             key = (gi, d, tuple(x + y for x, y in zip(m, mm)))
                             rows[key] = rows.get(key, 0) ^ (1 << bit)
@@ -581,7 +569,7 @@ def bounded_colon_search(
             coords.append(Poly(alg.ring, terms))
         return tuple(coords)
 
-    eq1 = stage_rows()
+    eq1 = stage_rows({}, 0)
     basis1 = f2_nullspace(eq1, nunk)
     if denom_bound == 1:
         out = [alg.one()]
@@ -605,19 +593,8 @@ def bounded_colon_search(
                 for mm in r.sorted_monomials():
                     key = (gi, d, mm)
                     rows2[key] = rows2.get(key, 0) ^ (1 << bi)
-    # q-part reuses the stage-1 matrix structure, shifted past the eps bits.
-    for gi, mat in enumerate(mats):
-        for c in range(4):
-            for d in range(4):
-                entry = mat[c][d]
-                if entry.is_zero():
-                    continue
-                for mi, m in enumerate(monos):
-                    bit = neps + c * nmono + mi
-                    for mm in entry.sorted_monomials():
-                        key = (gi, d, tuple(x + y for x, y in zip(m, mm)))
-                        rows2[key] = rows2.get(key, 0) ^ (1 << bit)
-    eq2 = [rows2[k] for k in sorted(rows2)]
+    # The q-part has the stage-1 structure, shifted past the eps bits.
+    eq2 = stage_rows(rows2, neps)
     basis2 = f2_nullspace(eq2, neps + nunk)
     out = [alg.one()]
     for mask in basis2:

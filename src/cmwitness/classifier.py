@@ -97,7 +97,6 @@ __all__ = [
     "product_closure_gen",
     "prime_dual_gen",
     "mixed_syzygy_gen",
-    "local_factors",
     "ideal_P",
     "ideal_I",
     "ideal_J",
@@ -234,11 +233,6 @@ def mixed_syzygy_gen(alg: AlgebraDesc, c: Poly, e: Poly) -> KElement:
     return (left + right).half()
 
 
-def local_factors(alg: AlgebraDesc) -> Tuple[KElement, KElement]:
-    """k1 = h1^2 + a - w*h1 and k2 = h2^2 + b - u*h2, cached on the algebra."""
-    return alg.local_factors
-
-
 # ---------------------------------------------------------------------------
 # distinguished ideals of A
 
@@ -324,7 +318,6 @@ class RingPresentation:
     mult_table: Optional[MultiplicationTable] = None
     quadratics: List[Tuple[int, KElement, KElement]] = field(default_factory=list)
     presentation: Optional[Dict[str, object]] = None
-    r_oracle: Optional[MembershipOracle] = None
     relation: Optional[List[Poly]] = None
     resolution_S_mod_Q: Optional[VerifiedComplex] = None
 
@@ -479,16 +472,16 @@ def _build_R_case_c(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
                     "product of generators %d and %d leaves R" % (i, j)
                 )
     res_q = verify_complex(resolution_of_S_mod_Q(lift_f2(shape.z), c_lift, e_lift))
-    extras = res_q.complex.extras
+    _, d2, d3 = res_q.complex.matrices
     presentation = {
         "structure": "S^2 (+) Syz^2(S/Q)",
         "s_free_part_rank": 2,
         "module_generators": [g.serialize() for g in gens],
         "relation": [str(p) for p in relation],
         "syz2_generators": [
-            [str(p) for p in col] for col in extras["syz2_generators"]
+            [str(row[j]) for row in d2] for j in range(len(d2[0]))
         ],
-        "syz2_relation": [str(p) for p in extras["syz2_relation"]],
+        "syz2_relation": [str(row[0]) for row in d3],
     }
     return RingPresentation(
         case=case,
@@ -497,7 +490,6 @@ def _build_R_case_c(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
         cm_verdict=False,
         quadratics=_root_quadratics(alg),
         presentation=presentation,
-        r_oracle=oracle,
         relation=relation,
         resolution_S_mod_Q=res_q,
     )

@@ -3,10 +3,14 @@
 Exit-code contract:
   0  success
   1  regression mismatch (regress only)
-  2  input or hypothesis rejection (bad job file, parse error,
-     squarefree/coprimality failure, oversized sweep, missing golden)
-  3  internal verification failure: a structural identity the pipeline
-     asserts did not hold, which signals a bug rather than bad input.
+  2  input or hypothesis rejection: a RejectedInputError (bad job or
+     family file, parse error, squarefree/coprimality failure, oversized
+     sweep) or an OSError (unreadable file, missing golden)
+  3  anything else: an InternalError (a structural identity the pipeline
+     asserts did not hold) or any other unexpected exception, which
+     signals a bug rather than bad input.
+Exits 2 and 3 print one JSON line on stderr naming the error, never a
+traceback.
 """
 
 from __future__ import annotations
@@ -28,23 +32,15 @@ from .classifier import (
 from .algebra import make_algebra
 from .errors import (
     BoundTooLargeError,
-    CaseConflictError,
     HypothesisViolationError,
-    LiftInvalidError,
-    MalformedSequenceError,
-    MissingCertificateError,
-    NotClosedError,
-    InternalVerificationError,
+    InternalError,
+    MalformedInputError,
+    RejectedInputError,
     UnsupportedError,
-    UnverifiedComplexError,
-    WitnessMismatchError,
-    WrongCaseError,
     ZeroInputError,
 )
-from .gcd import BothZeroError
-from .linalg import DimensionMismatchError, SpanNotFreeError
-from .poly import BaseRing, PolyParseError, parse_poly, substitute_ints
-from .report import DEFAULT_OPTIONS, assemble_report, cm_verdict_for_tag, parse_job, render_json
+from .poly import BaseRing, parse_poly, substitute_ints
+from .report import assemble_report, cm_verdict_for_tag, parse_job, parse_ring, render_json
 
 __all__ = ["main", "cmd_classify", "cmd_regress", "cmd_sweep", "GOLDEN_NAMES"]
 
@@ -59,65 +55,42 @@ GOLDEN_NAMES = (
     "case_c_cm_synthetic",
 )
 
-# Exceptions meaning "the input violates a hypothesis or is malformed".
-REJECTION_ERRORS = (
-    PolyParseError,
-    HypothesisViolationError,
-    ZeroInputError,
-    UnsupportedError,
-    BoundTooLargeError,
-    ValueError,
-    OSError,
-)
-
-# Exceptions meaning "an asserted identity failed": a bug, never bad input.
-INTERNAL_ERRORS = (
-    InternalVerificationError,
-    NotClosedError,
-    WitnessMismatchError,
-    LiftInvalidError,
-    MissingCertificateError,
-    UnverifiedComplexError,
-    CaseConflictError,
-    WrongCaseError,
-    MalformedSequenceError,
-    SpanNotFreeError,
-    DimensionMismatchError,
-    BothZeroError,
-)
+# The exit code is a property of the exception's class (see errors.py).
+REJECTION_ERRORS = (RejectedInputError, OSError)
+INTERNAL_ERRORS = (InternalError,)
 
 
-def _reject(exc: Exception) -> int:
+def _fail(exc: Exception) -> int:
+    """Report ``exc`` as one JSON line on stderr: 2 for a rejection, else 3."""
     reason = {"error": type(exc).__name__, "detail": str(exc)}
     if isinstance(exc, HypothesisViolationError):
         reason["predicate"] = exc.predicate
     print(json.dumps(reason), file=sys.stderr)
-    return 2
+    return 2 if isinstance(exc, REJECTION_ERRORS) else 3
 
 
-def _internal(exc: Exception) -> int:
-    reason = {"error": type(exc).__name__, "detail": str(exc)}
-    print(json.dumps(reason), file=sys.stderr)
-    return 3
+def _load_json(path) -> object:
+    """The parsed JSON file; text that does not parse is malformed input."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        # Undecodable bytes, bad syntax, oversized integers, deep nesting.
+        except (ValueError, RecursionError) as exc:
+            raise MalformedInputError("%s is not valid JSON: %s" % (path, exc)) from None
 
 
 def cmd_classify(job_path: str, out_path: Optional[str] = None) -> int:
     """Run the full pipeline on a job file; write or print the report."""
     try:
-        with open(job_path, "r", encoding="utf-8") as fh:
-            job = json.load(fh)
-        ring, f, g, options = parse_job(job)
-        report = assemble_report(ring, f, g, options)
-        text = render_json(report)
-    except INTERNAL_ERRORS as exc:
-        return _internal(exc)
-    except REJECTION_ERRORS as exc:
-        return _reject(exc)
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        ring, f, g, options = parse_job(_load_json(job_path))
+        text = render_json(assemble_report(ring, f, g, options))
+        if out_path is None:
+            sys.stdout.write(text)
+        else:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except Exception as exc:
+        return _fail(exc)
     return 0
 
 
@@ -128,9 +101,7 @@ def _regress_one(name: str) -> Tuple[bool, str]:
     for path in (job_file, golden_file):
         if not path.is_file():
             raise FileNotFoundError("missing golden file: %s" % path)
-    with open(job_file, "r", encoding="utf-8") as fh:
-        job = json.load(fh)
-    ring, f, g, options = parse_job(job)
+    ring, f, g, options = parse_job(_load_json(job_file))
     fresh = render_json(assemble_report(ring, f, g, options))
     frozen = golden_file.read_text(encoding="utf-8")
     if fresh == frozen:
@@ -165,10 +136,8 @@ def cmd_regress() -> int:
                 "example_2_10_perturbed_rejected: ok",
             )
         )
-    except INTERNAL_ERRORS as exc:
-        return _internal(exc)
-    except REJECTION_ERRORS as exc:
-        return _reject(exc)
+    except Exception as exc:
+        return _fail(exc)
     failures = 0
     for ok, message in results:
         if ok:
@@ -187,41 +156,38 @@ def _parse_family(spec: Dict[str, object]) -> Tuple[
     BaseRing, List[str], List[Sequence[int]], str, str
 ]:
     if not isinstance(spec, dict):
-        raise ValueError("family spec must be a JSON object")
+        raise MalformedInputError("family spec must be a JSON object")
     for key in ("variables", "parameters", "f", "g"):
         if key not in spec:
-            raise ValueError("family spec is missing the %r field" % key)
-    variables = spec["variables"]
-    if (
-        not isinstance(variables, list)
-        or not variables
-        or not all(isinstance(v, str) for v in variables)
-    ):
-        raise ValueError("variables must be a non-empty list of strings")
+            raise MalformedInputError("family spec is missing the %r field" % key)
+    ring = parse_ring(spec["variables"])
     names: List[str] = []
     value_lists: List[Sequence[int]] = []
     params = spec["parameters"]
     if not isinstance(params, list):
-        raise ValueError("parameters must be a list")
+        raise MalformedInputError("parameters must be a list")
     for entry in params:
         if not isinstance(entry, dict) or "name" not in entry:
-            raise ValueError("each parameter needs a 'name'")
+            raise MalformedInputError("each parameter needs a 'name'")
         name = entry["name"]
-        if name in variables or name in names:
-            raise ValueError("parameter name %r collides" % name)
+        if not isinstance(name, str):
+            raise MalformedInputError("parameter name %r is not a string" % (name,))
+        if name in ring.variables or name in names:
+            raise MalformedInputError("parameter name %r collides" % name)
         kind = "values" if "values" in entry else "range"
         if kind not in entry:
-            raise ValueError("parameter %r needs 'values' or 'range'" % name)
+            raise MalformedInputError("parameter %r needs 'values' or 'range'" % name)
         values = entry[kind]
         # type(), not isinstance: JSON true/false decode to bool, an int subclass.
         if not isinstance(values, list) or any(type(v) is not int for v in values):
-            raise ValueError("%s of %r must be a list of integers" % (kind, name))
+            raise MalformedInputError("%s of %r must be a list of integers" % (kind, name))
         if kind == "range":
+            if len(values) != 2:
+                raise MalformedInputError("range of %r must be [low, high]" % name)
             lo, hi = values
             values = range(lo, hi + 1)  # lazy: the pair-count guard runs first
         names.append(name)
         value_lists.append(values)
-    ring = BaseRing(tuple(variables))
     return ring, names, value_lists, str(spec["f"]), str(spec["g"])
 
 
@@ -233,9 +199,7 @@ def cmd_sweep(family_path: str, out_path: str) -> int:
     degenerate parameter choice does not hide the rest of the family.
     """
     try:
-        with open(family_path, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        ring, names, value_lists, f_text, g_text = _parse_family(spec)
+        ring, names, value_lists, f_text, g_text = _parse_family(_load_json(family_path))
         total = 1
         for values in value_lists:
             total *= len(values)
@@ -251,31 +215,27 @@ def cmd_sweep(family_path: str, out_path: str) -> int:
             assignment = dict(zip(names, combo))
             f = substitute_ints(f_template, assignment, ring)
             g = substitute_ints(g_template, assignment, ring)
-            row = [str(v) for v in combo]
+            cm_text = shape_text = ""
             try:
                 alg = make_algebra(ring, f, g)
                 case = classify(alg)
             except HypothesisViolationError as exc:
-                rows.append(row + ["rejected_" + exc.predicate, "", ""])
-                continue
+                case = "rejected_" + exc.predicate
             except ZeroInputError:
-                rows.append(row + ["rejected_zero_input", "", ""])
-                continue
+                case = "rejected_zero_input"
             except UnsupportedError:
-                rows.append(row + ["rejected_unsupported", "", ""])
-                continue
-            cm = cm_verdict_for_tag(case)
-            cm_text = "" if cm is None else ("true" if cm else "false")
-            shape_text = "" if case == OUTSIDE_SCOPE else alg.q_shape.tag
-            rows.append(row + [case, cm_text, shape_text])
-    except INTERNAL_ERRORS as exc:
-        return _internal(exc)
-    except REJECTION_ERRORS as exc:
-        return _reject(exc)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names + ["case", "cm", "q_shape"])
-        writer.writerows(rows)
+                case = "rejected_unsupported"
+            else:
+                cm = cm_verdict_for_tag(case)
+                cm_text = "" if cm is None else ("true" if cm else "false")
+                shape_text = "" if case == OUTSIDE_SCOPE else alg.q_shape.tag
+            rows.append([str(v) for v in combo] + [case, cm_text, shape_text])
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(names + ["case", "cm", "q_shape"])
+            writer.writerows(rows)
+    except Exception as exc:
+        return _fail(exc)
     return 0
 
 

@@ -1,9 +1,16 @@
-"""Package-wide error types.
+"""Package-wide error types; their class decides the CLI's exit code.
 
-The CLI maps these onto exit codes: anything that signals bad or
-out-of-contract input exits 2, while InternalVerificationError (an
-identity the construction is supposed to guarantee failed to check)
-exits 3.
+Every package exception subclasses exactly one of two bases:
+
+* ``RejectedInputError`` (exit 2): the input is malformed, breaks the
+  standing hypotheses on (f, g) (squarefree f and g, no shared
+  height-one prime, the degree-four condition) or asks for more than a
+  resource guard allows.  It is also a ``ValueError``.
+* ``InternalError`` (exit 3): an identity or invariant the construction
+  guarantees failed to hold, which signals a bug rather than bad input.
+
+The CLI maps anything else it catches to exit 3 as well, so no input
+ends in a traceback.
 """
 
 from __future__ import annotations
@@ -13,19 +20,31 @@ class CmWitnessError(Exception):
     """Base class for all package errors."""
 
 
-class ZeroInputError(CmWitnessError):
-    """An operation that requires a nonzero polynomial received zero."""
+class RejectedInputError(CmWitnessError, ValueError):
+    """The input is out of contract; the CLI exits 2."""
 
 
-class UnsupportedError(CmWitnessError):
-    """Input falls in a branch the algorithms do not decide."""
+class InternalError(CmWitnessError):
+    """A guaranteed identity or invariant failed; the CLI exits 3."""
 
 
-class MalformedSequenceError(CmWitnessError):
-    """A certificate sequence does not have the required shape."""
+class MalformedInputError(RejectedInputError):
+    """A job or family file is not valid JSON or breaks the schema."""
 
 
-class HypothesisViolationError(CmWitnessError):
+class PolyParseError(RejectedInputError):
+    """Syntax error while parsing a polynomial string."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
+class UnknownVariableError(PolyParseError):
+    """A name in the input is not a variable of the ring."""
+
+
+class HypothesisViolationError(RejectedInputError):
     """The standing hypotheses on (f, g) fail; names the predicate."""
 
     def __init__(self, predicate: str, message: str):
@@ -33,37 +52,65 @@ class HypothesisViolationError(CmWitnessError):
         self.predicate = predicate
 
 
-class WrongCaseError(CmWitnessError):
+class ZeroInputError(RejectedInputError):
+    """An operation that requires a nonzero polynomial received zero."""
+
+
+class UnsupportedError(RejectedInputError):
+    """Input falls in a branch the algorithms do not decide."""
+
+
+class BoundTooLargeError(RejectedInputError):
+    """A requested size exceeds the configured resource guard."""
+
+
+class MalformedSequenceError(InternalError):
+    """A certificate sequence does not have the required shape."""
+
+
+class WrongCaseError(InternalError):
     """A construction was requested for a case tag it does not apply to."""
 
 
-class NotClosedError(CmWitnessError):
+class NotClosedError(InternalError):
     """A claimed generating set is not closed under multiplication."""
 
 
-class BoundTooLargeError(CmWitnessError):
-    """A colon-search degree bound exceeds the configured resource guard."""
-
-
-class WitnessMismatchError(CmWitnessError):
+class WitnessMismatchError(InternalError):
     """A witness fails to re-expand to the element it certifies."""
 
 
-class LiftInvalidError(CmWitnessError):
+class LiftInvalidError(InternalError):
     """An integer lift violates the constraints of the construction."""
 
 
-class MissingCertificateError(CmWitnessError):
+class MissingCertificateError(InternalError):
     """A non-CM report was requested without its supporting certificate."""
 
 
-class UnverifiedComplexError(CmWitnessError):
+class UnverifiedComplexError(InternalError):
     """A complex was used before its compositions were checked."""
 
 
-class CaseConflictError(CmWitnessError):
+class CaseConflictError(InternalError):
     """Mutually exclusive case conditions were detected simultaneously."""
 
 
-class InternalVerificationError(CmWitnessError):
+class InternalVerificationError(InternalError):
     """An identity guaranteed by the theory failed to verify exactly."""
+
+
+class NotDivisibleError(InternalError):
+    """Exact division was requested but the quotient does not exist."""
+
+
+class BothZeroError(InternalError):
+    """gcd(0, 0) was requested."""
+
+
+class SpanNotFreeError(InternalError):
+    """A claimed free generating set is linearly dependent."""
+
+
+class DimensionMismatchError(InternalError):
+    """Matrix shapes do not line up."""

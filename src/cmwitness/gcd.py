@@ -18,20 +18,16 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Union
 
+from .errors import BothZeroError, NotDivisibleError
 from .poly import (
     BaseRing,
     Exponent,
     F2Poly,
-    NotDivisibleError,
     Poly,
     _exp_sub,
     grlex_key,
     lift_f2,
 )
-
-
-class BothZeroError(Exception):
-    """gcd(0, 0) was requested."""
 
 
 Rec = Union[int, Dict[int, "Rec"]]

@@ -30,7 +30,7 @@ witness constructed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -90,7 +90,6 @@ class FreeComplex:
     matrices: List[List[List[Poly]]]
     labels: List[str]
     augmented: bool = False
-    extras: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.matrices) + 1:
@@ -246,7 +245,6 @@ def resolution_of_I(wf: S2Witness, wg: S2Witness) -> FreeComplex:
         matrices=[phi, psi_t],
         labels=["A = S^4 (image = I)", "S^3", "S"],
         augmented=True,
-        extras={"e": e, "h1": h1, "h2": h2},
     )
 
 
@@ -274,10 +272,6 @@ def resolution_of_S_mod_Q(z: Poly, c: Poly, e: Poly) -> FreeComplex:
         matrices=[psi, phi, tail],
         labels=["S (cokernel = S/Q)", "S^3", "S^3", "S"],
         augmented=False,
-        extras={
-            "syz2_generators": [[row[j] for row in phi] for j in range(3)],
-            "syz2_relation": [-e, c, -two],
-        },
     )
 
 
@@ -384,14 +378,14 @@ def standard_grade_certificates(cx: FreeComplex) -> List[GradeCertificate]:
                     "no minor survives mod 2; cannot certify grade >= 2"
                 )
             witness = [ring.const(4), odd_part[0]]
+        elif i == 3 and len(cx.matrices[2]) == 3 and len(cx.matrices[2][0]) == 1:
+            # the tail column [-e, c, -2] of the resolution of S/Q
+            (neg_e,), (c,), _ = cx.matrices[2]
+            witness = [ring.const(2), c, -neg_e]
         else:
-            rel = cx.extras.get("syz2_relation")
-            if rel is None:
-                raise MissingCertificateError(
-                    "no length-3 witness available for this complex"
-                )
-            # tail column is [-e, c, -2]
-            witness = [ring.const(2), rel[1], -rel[0]]
+            raise MissingCertificateError(
+                "no length-%d witness available for this complex" % i
+            )
         out.append(GradeCertificate(ideal_gens=minors, witness=witness))
     return out
 

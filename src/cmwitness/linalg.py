@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple, Union
 
+from .errors import DimensionMismatchError, SpanNotFreeError
 from .gcd import gcd_z
 from .poly import (
     BaseRing,
@@ -35,14 +36,6 @@ from .poly import (
     divide_exact,
     f2_divide_exact,
 )
-
-
-class SpanNotFreeError(Exception):
-    """A claimed free generating set is linearly dependent."""
-
-
-class DimensionMismatchError(Exception):
-    """Matrix shapes do not line up."""
 
 
 class PolyFraction:
@@ -280,10 +273,6 @@ def f2_row_reduce(rows: List[int]) -> List[int]:
                     piv[p] ^= cur
             piv[low] = cur
     return [piv[p] for p in sorted(piv)]
-
-
-def f2_rank(rows: List[int]) -> int:
-    return len(f2_row_reduce(rows))
 
 
 def f2_nullspace(eq_rows: List[int], nunknowns: int) -> List[int]:

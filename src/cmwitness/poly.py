@@ -24,27 +24,14 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
+from .errors import (
+    MalformedInputError,
+    NotDivisibleError,
+    PolyParseError,
+    UnknownVariableError,
+)
+
 Exponent = Tuple[int, ...]
-
-
-class PolyError(Exception):
-    """Base class for errors raised by the polynomial layer."""
-
-
-class PolyParseError(PolyError):
-    """Syntax error while parsing a polynomial string."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
-class UnknownVariableError(PolyParseError):
-    """A name in the input is not a variable of the ring."""
-
-
-class NotDivisibleError(PolyError):
-    """Exact division was requested but the quotient does not exist."""
 
 
 @dataclass(frozen=True)
@@ -58,11 +45,11 @@ class BaseRing:
     variables: Tuple[str, ...]
 
     def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("duplicate variable names")
         for v in self.variables:
-            if not v.isidentifier():
-                raise ValueError(f"invalid variable name: {v!r}")
+            if not (isinstance(v, str) and v.isidentifier()):
+                raise MalformedInputError(f"invalid variable name: {v!r}")
+        if len(set(self.variables)) != len(self.variables):
+            raise MalformedInputError("duplicate variable names")
 
     @property
     def nvars(self) -> int:
@@ -373,9 +360,6 @@ class F2Poly:
     def __bool__(self) -> bool:
         return bool(self.monomials)
 
-    def is_one(self) -> bool:
-        return self.monomials == {self.ring.zero_exponent()}
-
     def is_unit(self) -> bool:
         """Unit of the localized residue ring: constant term present."""
         return self.ring.zero_exponent() in self.monomials
@@ -511,8 +495,6 @@ def f2_is_divisible(a: F2Poly, b: F2Poly) -> bool:
 # Parsing
 
 
-_TOKEN_KINDS = ("INT", "NAME", "OP", "END")
-
 # Four Python frames per level keeps parsing far below the recursion limit.
 _MAX_NESTING = 100
 
@@ -540,7 +522,11 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("INT", text[i:j], i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # a digit int() cannot read, or too many digits
+                raise PolyParseError(f"invalid integer {text[i:j]!r}", i) from None
+            tokens.append(("INT", value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -630,11 +616,10 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "OP" and val == "^":
             self.advance()
-            k, v, p = self.peek()
+            k, n, p = self.peek()
             if k != "INT":
                 raise PolyParseError("expected integer exponent", p)
             self.advance()
-            n = int(v)
             norm = sum(abs(c) for c in base._terms.values())
             if (
                 n * max(base.total_degree(), 1) > _MAX_EXPONENT
@@ -650,7 +635,7 @@ class _Parser:
     def parse_base(self) -> Poly:
         kind, val, pos = self.advance()
         if kind == "INT":
-            return self.ring.const(int(val))
+            return self.ring.const(val)
         if kind == "NAME":
             if val not in self.ring.variables:
                 raise UnknownVariableError(f"unknown variable {val!r}", pos)

@@ -22,6 +22,7 @@ from .classifier import (
     conductor,
     presentation_complex,
 )
+from .errors import MalformedInputError
 from .homology import VerifiedComplex, verify_complex
 from .poly import BaseRing, Poly, parse_poly
 
@@ -43,35 +44,35 @@ def cm_verdict_for_tag(case: str) -> Optional[bool]:
     return any(case.startswith(p) for p in CM_TAG_PREFIXES)
 
 
+def parse_ring(variables: object) -> BaseRing:
+    """The ring of a job or family: a non-empty list of variable names."""
+    if not isinstance(variables, list) or not variables:
+        raise MalformedInputError("variables must be a non-empty list of strings")
+    return BaseRing(tuple(variables))
+
+
 def parse_job(job: Dict[str, object]) -> Tuple[BaseRing, Poly, Poly, Dict[str, int]]:
     """Validate and parse a job dict {variables, f, g, options?}."""
     if not isinstance(job, dict):
-        raise ValueError("job must be a JSON object")
+        raise MalformedInputError("job must be a JSON object")
     for key in job:
         if key not in ("variables", "f", "g", "options"):
-            raise ValueError("unknown job field %r" % key)
+            raise MalformedInputError("unknown job field %r" % key)
     for key in ("variables", "f", "g"):
         if key not in job:
-            raise ValueError("job is missing the %r field" % key)
-    variables = job["variables"]
-    if (
-        not isinstance(variables, list)
-        or not variables
-        or not all(isinstance(v, str) for v in variables)
-    ):
-        raise ValueError("variables must be a non-empty list of strings")
-    ring = BaseRing(tuple(variables))
+            raise MalformedInputError("job is missing the %r field" % key)
+    ring = parse_ring(job["variables"])
     f = parse_poly(str(job["f"]), ring)
     g = parse_poly(str(job["g"]), ring)
     options = dict(DEFAULT_OPTIONS)
     extra = job.get("options", {})
     if not isinstance(extra, dict):
-        raise ValueError("options must be a JSON object")
+        raise MalformedInputError("options must be a JSON object")
     for key, value in extra.items():
         if key not in DEFAULT_OPTIONS:
-            raise ValueError("unknown option %r" % key)
+            raise MalformedInputError("unknown option %r" % key)
         if type(value) is not int or value < 0:
-            raise ValueError("option %r must be a non-negative integer" % key)
+            raise MalformedInputError("option %r must be a non-negative integer" % key)
         options[key] = value
     return ring, f, g, options
 
@@ -113,9 +114,9 @@ def assemble_report(
 ) -> Dict[str, object]:
     """Run the full pipeline and assemble the ordered report dict.
 
-    Raises HypothesisViolation (and kin) for rejected inputs and
-    InternalVerification-type errors when a structural identity fails;
-    the CLI maps those to exit codes 2 and 3 respectively.
+    Raises a RejectedInputError for rejected inputs and an InternalError
+    when a structural identity fails; the CLI maps those to exit codes
+    2 and 3 respectively.
     """
     if options is None:
         options = dict(DEFAULT_OPTIONS)

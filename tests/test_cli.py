@@ -1,19 +1,27 @@
 """CLI surface: exit codes, byte determinism, golden regression, sweep CSV."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 import shutil
 import time
 from pathlib import Path
 
 import pytest
 
-from cmwitness import cli
+import cmwitness
+from cmwitness import cli, report
 from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES, main
+from cmwitness.errors import CmWitnessError, InternalError, RejectedInputError
+from cmwitness.poly import NotDivisibleError
 
 
 def write_job(tmp_path, name, payload):
+    """Write ``payload`` as JSON, or verbatim when it is already text."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -279,6 +287,8 @@ def _job(**fields):
         ("sweep", _family({"range": 3})),
         # The pair-count guard must fire before the range is expanded.
         ("sweep", _family({"range": [0, 2**62]})),
+        ("sweep", dict(_family({"values": [1]}), parameters=[{"name": 5, "values": [1]}])),
+        ("sweep", _family({"range": [1]})),
         ("classify", _job(options={"spot_check_seed": True})),
         ("classify", _job(options={"colon_search_degree": -1})),
         ("classify", _job(bogus=1)),
@@ -286,6 +296,10 @@ def _job(**fields):
         # Powers and products are bounded before they are expanded.
         ("classify", _job(f="X^100000000+1")),
         ("classify", _job(f="%s*%s" % (_WIDE, _WIDE))),
+        # Digits int() cannot read: a superscript, and past its length limit.
+        ("classify", _job(f="X^2+2\u00b2")),
+        ("classify", _job(f="X^2+" + "1" * 5000)),
+        ("classify", "[" * 200000),
     ],
     ids=[
         "values_float",
@@ -296,12 +310,17 @@ def _job(**fields):
         "range_bool",
         "range_not_a_list",
         "range_huge",
+        "param_name_not_string",
+        "range_one_entry",
         "option_bool",
         "option_negative",
         "unknown_job_field",
         "nested_parentheses",
         "huge_exponent",
         "wide_product",
+        "superscript_digit",
+        "long_literal",
+        "deep_json",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
@@ -317,3 +336,56 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
     assert "Traceback" not in err
     [line] = err.splitlines()
     assert json.loads(line)["error"]
+
+
+def test_every_package_error_has_one_exit_code():
+    # The exit code is decided by the class: each package exception is
+    # exactly one of a rejection (exit 2) or an internal error (exit 3).
+    classes = set()
+    for info in pkgutil.iter_modules(cmwitness.__path__):
+        module = importlib.import_module("cmwitness." + info.name)
+        for obj in vars(module).values():
+            if (
+                inspect.isclass(obj)
+                and issubclass(obj, BaseException)
+                and obj.__module__.startswith("cmwitness")
+            ):
+                classes.add(obj)
+    classes -= {CmWitnessError, RejectedInputError, InternalError}
+    assert len(classes) >= 19
+    for cls in classes:
+        assert issubclass(cls, RejectedInputError) != issubclass(cls, InternalError), cls
+    # The rejections a sweep records as rows must never count as internal.
+    for cls in (
+        cmwitness.HypothesisViolationError,
+        cmwitness.ZeroInputError,
+        cmwitness.UnsupportedError,
+    ):
+        assert issubclass(cls, cli.REJECTION_ERRORS)
+        assert not issubclass(cls, cli.INTERNAL_ERRORS)
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [ValueError("operands belong to different rings"), KeyError("x"), NotDivisibleError("inexact")],
+    ids=["ValueError", "KeyError", "NotDivisibleError"],
+)
+@pytest.mark.parametrize("command", ["classify", "regress", "sweep"])
+def test_unexpected_failure_exits_3(tmp_path, monkeypatch, capsys, command, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(report, "build_R", fail)
+    monkeypatch.setattr(cli, "classify", fail)
+    if command == "classify":
+        argv = ["classify", "--job", write_job(tmp_path, "job.json", _job())]
+    elif command == "sweep":
+        fam = write_job(tmp_path, "fam.json", _family({"values": [1]}))
+        argv = ["sweep", "--family", fam, "--out", str(tmp_path / "o.csv")]
+    else:
+        argv = ["regress"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == type(exc).__name__

@@ -91,9 +91,15 @@ def test_resolution_of_S_mod_Q_family1():
 def test_resolution_of_S_mod_Q_extras():
     V, X, Y = RING3.gens()
     cx = resolution_of_S_mod_Q(V, X, Y)
-    assert "syz2_generators" in cx.extras and "syz2_relation" in cx.extras
-    rel = cx.extras["syz2_relation"]
-    assert rel == [-Y, X, RING3.const(-2)]
+    # The Syz^2 generators the non-CM presentation reports are the
+    # columns of d_2, and their relation is the column of d_3.
+    d2, d3 = cx.matrices[1], cx.matrices[2]
+    assert [[row[j] for row in d2] for j in range(3)] == [
+        [V * X, RING3.const(-2), RING3.zero()],
+        [V * Y, RING3.zero(), RING3.const(-2)],
+        [RING3.zero(), Y, -X],
+    ]
+    assert [row[0] for row in d3] == [-Y, X, RING3.const(-2)]
 
 
 def test_resolution_of_S_mod_Q_family2():
