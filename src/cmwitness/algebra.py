@@ -9,10 +9,10 @@ or some coordinate odd).
 The module provides exact multiplication, membership in A (denominator
 clearance in reduced form), verification of quadratic relations,
 span-closure certification for claimed module generating sets of
-overrings, ideal products, colon tests x * ideal inside a target, and a
-brute-force bounded search for colon duals used as an independent
-oracle: all elements x = p / 2^k with deg p <= D and x * ideal inside
-the target, found by GF(2) linear algebra (one system for k = 1, a
+overrings, ideal products, the colon test in_colon (x in (A : J), i.e.
+x * J inside A), and a brute-force bounded search for colon duals used
+as an independent oracle: all elements x = p / 2^k with deg p <= D and
+x * J inside A, found by GF(2) linear algebra (one system for k = 1, a
 two-stage lift for k = 2).
 """
 
@@ -343,9 +343,6 @@ class MultiplicationTable:
     gens: List[KElement]
     entries: Dict[Tuple[int, int], List[PolyFraction]]
 
-    def entry(self, i: int, j: int) -> List[PolyFraction]:
-        return self.entries[(min(i, j), max(i, j))]
-
 
 def _common_coords(*groups: Sequence[KElement]) -> List[List[List[Poly]]]:
     """Each group's coordinate vectors, all scaled to one denominator 2^k.
@@ -432,40 +429,9 @@ def ideal_product(a: IdealGens, b: IdealGens) -> IdealGens:
     return IdealGens(algebra=a.algebra, gens=seen, name=name)
 
 
-@dataclass
-class MembershipOracle:
-    """Decides membership of K-elements in a target S-algebra.
-
-    kind "A": membership in A itself (denominator clearance).
-    kind "colon": membership in (A : ideal) = {x : x*ideal in A}; with
-    ideal = I this realizes R = I* in the non-CM case.
-    """
-
-    kind: str
-    algebra: AlgebraDesc
-    ideal: Optional[IdealGens] = None
-
-    def contains(self, x: KElement) -> bool:
-        if self.kind == "A":
-            return a_membership(x)
-        if self.kind == "colon":
-            return all(a_membership(k_mul(x, g)) for g in self.ideal.gens)
-        raise ValueError(f"unknown oracle kind {self.kind!r}")
-
-
-def a_oracle(algebra: AlgebraDesc) -> MembershipOracle:
-    return MembershipOracle(kind="A", algebra=algebra)
-
-
-def colon_oracle(ideal: IdealGens) -> MembershipOracle:
-    return MembershipOracle(kind="colon", algebra=ideal.algebra, ideal=ideal)
-
-
-def colon_membership(
-    x: KElement, ideal: IdealGens, target: MembershipOracle
-) -> bool:
-    """x * ideal contained in the target algebra."""
-    return all(target.contains(k_mul(x, g)) for g in ideal.gens)
+def in_colon(x: KElement, ideal: IdealGens) -> bool:
+    """x in (A : ideal): x times every generator of the ideal lies in A."""
+    return all(a_membership(k_mul(x, g)) for g in ideal.gens)
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +468,9 @@ def _mul_matrix_mod2(g: KElement) -> List[List[F2Poly]]:
 
 
 def bounded_colon_search(
-    ideal: IdealGens,
-    target: MembershipOracle,
-    denom_bound: int,
-    degree_bound: int,
+    ideal: IdealGens, denom_bound: int, degree_bound: int
 ) -> List[KElement]:
-    """Brute-force dual: all x = p/2^k, deg p <= D, with x*ideal in target.
+    """Brute-force dual: all x = p/2^k, deg p <= D, with x*ideal in A.
 
     Returns [1] followed by a basis of the space of genuinely fractional
     solutions; the S-span of the returned list within the degree bound
@@ -522,22 +485,13 @@ def bounded_colon_search(
     if degree_bound > 8:
         raise BoundTooLargeError("degree bound above 8 is not supported")
     alg = ideal.algebra
-    if target.kind == "A":
-        eff_gens = list(ideal.gens)
-    else:
-        eff_gens = []
-        for x in ideal.gens:
-            for y in target.ideal.gens:
-                p = k_mul(x, y)
-                if p not in eff_gens:
-                    eff_gens.append(p)
     monos = _monomials_up_to(alg.ring, degree_bound)
     nmono = len(monos)
     nunk = 4 * nmono
     if nunk > _MAX_UNKNOWNS:
         raise BoundTooLargeError(f"{nunk} unknowns exceed the resource guard")
 
-    mats = [_mul_matrix_mod2(g) for g in eff_gens]
+    mats = [_mul_matrix_mod2(g) for g in ideal.gens]
 
     def stage_rows(rows: Dict[Tuple[int, int, Tuple[int, ...]], int], offset: int):
         """Equation rows of p * g = 0 mod 2 over the p-coefficients.
@@ -584,7 +538,7 @@ def bounded_colon_search(
     lifts = [KElement(alg, mask_to_coords(mask, 0), 0) for mask in basis1]
     neps = len(lifts)
     rows2: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
-    for gi, g in enumerate(eff_gens):
+    for gi, g in enumerate(ideal.gens):
         for bi, b in enumerate(lifts):
             prod = k_mul(b, g)
             assert prod.denom_exp == 0

@@ -40,7 +40,14 @@ from .errors import (
     ZeroInputError,
 )
 from .poly import BaseRing, parse_poly, substitute_ints
-from .report import assemble_report, cm_verdict_for_tag, parse_job, parse_ring, render_json
+from .report import (
+    assemble_report,
+    cm_verdict_for_tag,
+    parse_job,
+    parse_ring,
+    poly_text,
+    render_json,
+)
 
 __all__ = ["main", "cmd_classify", "cmd_regress", "cmd_sweep", "GOLDEN_NAMES"]
 
@@ -188,7 +195,7 @@ def _parse_family(spec: Dict[str, object]) -> Tuple[
             values = range(lo, hi + 1)  # lazy: the pair-count guard runs first
         names.append(name)
         value_lists.append(values)
-    return ring, names, value_lists, str(spec["f"]), str(spec["g"])
+    return ring, names, value_lists, poly_text(spec, "f"), poly_text(spec, "g")
 
 
 def cmd_sweep(family_path: str, out_path: str) -> int:

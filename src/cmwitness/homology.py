@@ -31,6 +31,7 @@ witness constructed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -85,6 +86,10 @@ class FreeComplex:
     F_0 .. F_n for reports.  When ``augmented`` is true, d_1 is an
     augmentation whose *image* (not cokernel) is the module being
     resolved, so the resolution of that module has length n - 1.
+
+    The generic rank of each differential and its rank-size minors are
+    computed on first use and cached outside the fields, so both
+    exactness checks read the same values.
     """
 
     matrices: List[List[List[Poly]]]
@@ -110,6 +115,19 @@ class FreeComplex:
         for mat in self.matrices:
             out.append(len(mat[0]))
         return out
+
+    @cached_property
+    def differential_ranks(self) -> List[int]:
+        """Generic ranks of d_1 .. d_n over the fraction field."""
+        return [bareiss_rank(m) for m in self.matrices]
+
+    @cached_property
+    def rank_minors(self) -> List[List[Poly]]:
+        """The rank(d_i)-size minors of each d_i, i = 1 .. n."""
+        return [
+            minor_ideal_generators(m, r)
+            for m, r in zip(self.matrices, self.differential_ranks)
+        ]
 
     def serialize(self) -> Dict[str, object]:
         return {
@@ -326,7 +344,7 @@ def be_exactness_check(
         raise MissingCertificateError(
             "need %d grade certificates, got %d" % (n, len(grades))
         )
-    ranks = [bareiss_rank(m) for m in cx.matrices]
+    ranks = cx.differential_ranks
     dims = cx.ranks()
     for i in range(1, n + 1):
         expected = ranks[i - 1] + (ranks[i] if i < n else 0)
@@ -341,9 +359,8 @@ def be_exactness_check(
                 "certificate at position %d only reaches grade %d"
                 % (i, cert.certified_grade_lower_bound)
             )
-        minors = minor_ideal_generators(cx.matrices[i - 1], ranks[i - 1])
         supplied = {p for p in cert.ideal_gens}
-        if supplied != {p for p in minors}:
+        if supplied != {p for p in cx.rank_minors[i - 1]}:
             raise MissingCertificateError(
                 "certificate at position %d lists the wrong minor ideal" % i
             )
@@ -364,10 +381,8 @@ def standard_grade_certificates(cx: FreeComplex) -> List[GradeCertificate]:
       i=3: (2, c, e) via the explicit length-3 check.
     """
     ring = cx.matrices[0][0][0].ring
-    ranks = [bareiss_rank(m) for m in cx.matrices]
     out: List[GradeCertificate] = []
-    for i in range(1, len(cx.matrices) + 1):
-        minors = minor_ideal_generators(cx.matrices[i - 1], ranks[i - 1])
+    for i, minors in enumerate(cx.rank_minors, start=1):
         nonzero = [m for m in minors if not m.is_zero()]
         if i == 1:
             witness = [nonzero[0]]
@@ -386,7 +401,7 @@ def standard_grade_certificates(cx: FreeComplex) -> List[GradeCertificate]:
             raise MissingCertificateError(
                 "no length-%d witness available for this complex" % i
             )
-        out.append(GradeCertificate(ideal_gens=minors, witness=witness))
+        out.append(GradeCertificate(ideal_gens=list(minors), witness=witness))
     return out
 
 

@@ -78,9 +78,6 @@ class BaseRing:
     def gens(self) -> Tuple["Poly", ...]:
         return tuple(self.var(v) for v in self.variables)
 
-    def parse(self, text: str) -> "Poly":
-        return parse_poly(text, self)
-
 
 def grlex_key(e: Exponent) -> Tuple[int, Exponent]:
     """Sort key realizing the graded lexicographic order."""
@@ -115,9 +112,6 @@ class Poly:
         """Terms in descending graded lex order (deterministic)."""
         for e in sorted(self._terms, key=grlex_key, reverse=True):
             yield e, self._terms[e]
-
-    def coefficient(self, e: Exponent) -> int:
-        return self._terms.get(tuple(e), 0)
 
     def constant_coeff(self) -> int:
         return self._terms.get(self.ring.zero_exponent(), 0)

@@ -51,6 +51,14 @@ def parse_ring(variables: object) -> BaseRing:
     return BaseRing(tuple(variables))
 
 
+def poly_text(spec: Dict[str, object], key: str) -> str:
+    """The polynomial text of field ``key`` of a job or family: a string."""
+    text = spec[key]
+    if not isinstance(text, str):
+        raise MalformedInputError("%s must be a string" % key)
+    return text
+
+
 def parse_job(job: Dict[str, object]) -> Tuple[BaseRing, Poly, Poly, Dict[str, int]]:
     """Validate and parse a job dict {variables, f, g, options?}."""
     if not isinstance(job, dict):
@@ -62,8 +70,8 @@ def parse_job(job: Dict[str, object]) -> Tuple[BaseRing, Poly, Poly, Dict[str, i
         if key not in job:
             raise MalformedInputError("job is missing the %r field" % key)
     ring = parse_ring(job["variables"])
-    f = parse_poly(str(job["f"]), ring)
-    g = parse_poly(str(job["g"]), ring)
+    f = parse_poly(poly_text(job, "f"), ring)
+    g = parse_poly(poly_text(job, "g"), ring)
     options = dict(DEFAULT_OPTIONS)
     extra = job.get("options", {})
     if not isinstance(extra, dict):
@@ -150,7 +158,7 @@ def assemble_report(
         }
         pres = build_R(alg, case)
         report["ring_presentation"] = pres.serialize()
-        report["conductor"] = conductor(alg, case, pres).serialize()
+        report["conductor"] = conductor(pres).serialize()
         if case in (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2):
             cert = build_small_cm_certificate(pres)
             report["certificate"] = cert.serialize()

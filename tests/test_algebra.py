@@ -9,12 +9,10 @@ from cmwitness.algebra import (
     IdealGens,
     KElement,
     a_membership,
-    a_oracle,
     bounded_colon_search,
-    colon_membership,
-    colon_oracle,
     express_in_span,
     ideal_product,
+    in_colon,
     k_mul,
     make_algebra,
     min_poly_check,
@@ -125,7 +123,7 @@ def test_span_closure_case_b():
     assert all(fr.is_in_S() for row in table.entries.values() for fr in row)
     # Spot-check one entry: w * u = wu = -h1*h2 - h1*u - h2*w + 2*tau
     # ... expressed over (1, w, u, tau); verify by recombination.
-    sol = table.entry(1, 2)
+    sol = table.entries[(1, 2)]
     acc = alg.zero()
     for coeff, gen in zip(sol, gens):
         assert coeff.is_in_S()
@@ -249,7 +247,7 @@ def test_ideal_product():
         assert a_membership(gen)
 
 
-def test_colon_membership_tau_conducts_P():
+def test_in_colon_tau_conducts_P():
     # tau * P lands in A: the defining property making P the conductor
     # in the product-criterion case.
     alg = case_b_algebra()
@@ -259,18 +257,16 @@ def test_colon_membership_tau_conducts_P():
         gens=[alg.scalar(2), w - alg.scalar(X), u - alg.scalar(Y)],
         name="P",
     )
-    oracle = a_oracle(alg)
-    assert colon_membership(tau_of(alg), p_ideal, oracle)
-    assert colon_membership(alg.one(), p_ideal, oracle)
-    assert not colon_membership(w.half(), p_ideal, oracle)
+    assert in_colon(tau_of(alg), p_ideal)
+    assert in_colon(alg.one(), p_ideal)
+    assert not in_colon(w.half(), p_ideal)
 
 
-def test_colon_oracle_describes_target():
+def test_in_colon_of_two():
     alg = case_b_algebra()
     p_ideal = IdealGens(algebra=alg, gens=[alg.scalar(2)], name="P0")
-    oracle = colon_oracle(p_ideal)
     # x is in (A : (2)) iff 2x is in A.
-    assert oracle.contains(alg.root_f().half())
+    assert in_colon(alg.root_f().half(), p_ideal)
 
 
 def test_bounded_colon_search_case_b():
@@ -281,12 +277,12 @@ def test_bounded_colon_search_case_b():
         gens=[alg.scalar(2), w - alg.scalar(X), u - alg.scalar(Y)],
         name="P",
     )
-    found = bounded_colon_search(p_ideal, a_oracle(alg), 1, 3)
+    found = bounded_colon_search(p_ideal, 1, 3)
     assert found[0] == alg.one()
     fractional = [x for x in found if x.denom_exp == 1]
     assert fractional, "the dual of P contains genuinely fractional elements"
     for x in found:
-        assert colon_membership(x, p_ideal, a_oracle(alg))
+        assert in_colon(x, p_ideal)
     # tau itself is among the solutions up to A-span: check that tau
     # minus some found fractional element lands in A.
     tau = tau_of(alg)
@@ -302,20 +298,19 @@ def test_bounded_colon_search_denominator_4():
         ring, parse_poly("V^2*X^2-2*X^2+4", ring), parse_poly("V^2*Y^2-2*Y^2+4", ring)
     )
     ideal = ideal_I(alg)
-    oracle = a_oracle(alg)
     for degree in (1, 2):
-        found = bounded_colon_search(ideal, oracle, 2, degree)
+        found = bounded_colon_search(ideal, 2, degree)
         assert found[0] == alg.one()
         for x in found:
-            assert colon_membership(x, ideal, oracle)
+            assert in_colon(x, ideal)
         # The denominator-2 solutions are the q-only solutions of stage 2.
-        assert len(found) >= len(bounded_colon_search(ideal, oracle, 1, degree))
+        assert len(found) >= len(bounded_colon_search(ideal, 1, degree))
 
 
 def test_bounded_colon_search_guards():
     alg = case_b_algebra()
     p_ideal = IdealGens(algebra=alg, gens=[alg.scalar(2)], name="P0")
     with pytest.raises(BoundTooLargeError):
-        bounded_colon_search(p_ideal, a_oracle(alg), 3, 3)
+        bounded_colon_search(p_ideal, 3, 3)
     with pytest.raises(BoundTooLargeError):
-        bounded_colon_search(p_ideal, a_oracle(alg), 1, 9)
+        bounded_colon_search(p_ideal, 1, 9)

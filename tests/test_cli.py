@@ -300,6 +300,11 @@ def _job(**fields):
         ("classify", _job(f="X^2+2\u00b2")),
         ("classify", _job(f="X^2+" + "1" * 5000)),
         ("classify", "[" * 200000),
+        # Polynomials are JSON strings; nothing else is re-read as text.
+        ("classify", _job(f=3)),
+        ("classify", _job(f=True)),
+        ("classify", _job(g=["Y^2+2"])),
+        ("sweep", dict(_family({"values": [1]}), f=3)),
     ],
     ids=[
         "values_float",
@@ -321,6 +326,10 @@ def _job(**fields):
         "superscript_digit",
         "long_literal",
         "deep_json",
+        "f_number",
+        "f_bool",
+        "g_list",
+        "family_f_number",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
@@ -336,6 +345,13 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
     assert "Traceback" not in err
     [line] = err.splitlines()
     assert json.loads(line)["error"]
+
+
+def test_polynomial_fields_must_be_strings(tmp_path, capsys):
+    path = write_job(tmp_path, "in.json", _job(g=7))
+    assert main(["classify", "--job", path]) == 2
+    reason = json.loads(capsys.readouterr().err)
+    assert reason == {"error": "MalformedInputError", "detail": "g must be a string"}
 
 
 def test_every_package_error_has_one_exit_code():

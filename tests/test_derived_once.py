@@ -94,6 +94,8 @@ def test_each_fact_once_per_report(monkeypatch, name):
     resolutions_of_S_mod_Q = Calls(monkeypatch, homology, "resolution_of_S_mod_Q")
     compositions = Calls(monkeypatch, homology, "check_composition_zero")
     quadratic_checks = Calls(monkeypatch, algebra, "min_poly_check")
+    ranks = Calls(monkeypatch, linalg, "bareiss_rank")
+    minor_sets = Calls(monkeypatch, homology, "minor_ideal_generators")
 
     report = assemble_report(ring, f, g, options)
     case = report["case"]
@@ -127,6 +129,11 @@ def test_each_fact_once_per_report(monkeypatch, name):
     assert len(resolutions_of_S_mod_Q) == (1 if case in NON_CM else 0)
     assert len(compositions) == (3 if case in NON_CM else 0)
     assert [id(args[0]) for args in compositions.args] == complexes
+    # Each differential's rank and rank-size minors are computed once,
+    # shared by its grade certificates and the exactness check.
+    differentials = sum(len(args[0].matrices) for args in be_checks.args)
+    assert differentials == (6 if case in NON_CM else 0)
+    assert len(ranks) == len(minor_sets) == differentials
 
     # Each recorded quadratic is checked once.
     pres = report["ring_presentation"]

@@ -172,6 +172,18 @@ def test_be_exactness_rejects_rank_violation():
     assert not be_exactness_check(cx, certs)
 
 
+def test_be_exactness_rejects_wrong_minor_ideal():
+    wf, wg = family2_witnesses()
+    cx = resolution_of_I(wf, wg)
+    certs = standard_grade_certificates(cx)
+    first = certs[0]
+    wrong = GradeCertificate(
+        ideal_gens=first.ideal_gens + [RING2.const(7)], witness=first.witness
+    )
+    with pytest.raises(MissingCertificateError, match="wrong minor ideal"):
+        be_exactness_check(cx, [wrong] + certs[1:])
+
+
 def test_be_exactness_requires_certificates():
     wf, wg = family2_witnesses()
     cx = resolution_of_I(wf, wg)

@@ -36,6 +36,7 @@ from cmwitness.poly import (
     BaseRing,
     Poly,
     lift_f2,
+    parse_poly,
     reduce_mod2,
     sqrt_f2,
 )
@@ -162,7 +163,7 @@ def test_case_tag_invariant_under_unit_squares():
 
 def test_k_mul_associative_commutative():
     rng = random.Random(1006)
-    alg = make_algebra(RING, RING.parse("X^2+2"), RING.parse("Y^2+2"))
+    alg = make_algebra(RING, parse_poly("X^2+2", RING), parse_poly("Y^2+2", RING))
     for _ in range(200):
         xs = []
         for _ in range(3):
@@ -177,13 +178,13 @@ def test_k_mul_associative_commutative():
 def test_conductor_products_land_in_A():
     rng = random.Random(1007)
     fixtures = []
-    alg_b = make_algebra(RING, RING.parse("X^2+2"), RING.parse("Y^2+2"))
+    alg_b = make_algebra(RING, parse_poly("X^2+2", RING), parse_poly("Y^2+2", RING))
     fixtures.append((alg_b, CASE_B))
-    alg_3 = make_algebra(RING, RING.parse("-X^2+4"), RING.parse("-Y^2+4"))
+    alg_3 = make_algebra(RING, parse_poly("-X^2+4", RING), parse_poly("-Y^2+4", RING))
     fixtures.append((alg_3, CASE_C_NONCM_GRADE3))
     for alg, case in fixtures:
         pres = build_R(alg, case)
-        rep = conductor(alg, case, pres)
+        rep = conductor(pres)
         assert rep.available and rep.verified
         for _ in range(100):
             # Random S-combination of conductor generators times a
@@ -241,10 +242,10 @@ def test_presentation_complexes_compose_and_verify():
         (RING3, "3*V^2+4", "3*X^2+4", CASE_C_NONCM_GRADE3),
         (RING3, "V^2*X^2+2*X^2+4", "V^2*Y^2+2*Y^2+4", CASE_C_NONCM_GRADE2),
     ]:
-        alg = make_algebra(ring, ring.parse(ftext), ring.parse(gtext))
+        alg = make_algebra(ring, parse_poly(ftext, ring), parse_poly(gtext, ring))
         pres = build_R(alg, case)
         cx = presentation_complex(pres)
         assert check_composition_zero(cx)
         assert [row[0] for row in cx.matrices[0]] == [
-            ring.parse(text) for text in pres.presentation["relation"]
+            parse_poly(text, ring) for text in pres.presentation["relation"]
         ]
