@@ -279,12 +279,6 @@ class KElement:
             self._hash = hash((self.coords, self.denom_exp))
         return self._hash
 
-    def serialize(self) -> dict:
-        return {
-            "coords": [str(c) for c in self.coords],
-            "denom_exp": self.denom_exp,
-        }
-
     def __repr__(self):
         return f"KElement({self})"
 

@@ -44,13 +44,13 @@ from .errors import (
     CaseConflictError,
     InternalVerificationError,
     UnsupportedError,
+    UnverifiedComplexError,
     WrongCaseError,
 )
 from .homology import (
     FreeComplex,
     VerifiedComplex,
     kernel_saturation_check,
-    pd_depth_report,
     resolution_of_I,
     resolution_of_S_mod_Q,
     verify_complex,
@@ -62,7 +62,6 @@ from .poly import (
     Poly,
     f2_divide_exact,
     f2_is_divisible,
-    f2_one,
     f2_zero,
     is_even,
     lift_f2,
@@ -303,9 +302,10 @@ class RingPresentation:
     When ``sfree`` is true, ``generators`` is a free S-basis of R and
     ``mult_table`` holds the verified multiplication table.  Otherwise
     ``generators`` is a module generating set with the single
-    ``relation``, ``resolution_S_mod_Q`` is verified, and ``presentation``
-    records the relation, the rank-2 free part and the Syz^2 block,
-    matching R = S^2 (+) Syz^2(S/Q).
+    ``relation`` (its rank-2 free part and the Syz^2 block of the
+    verified ``resolution_S_mod_Q`` give R = S^2 (+) Syz^2(S/Q)), and
+    ``ideal_I`` is the ideal I, verified to multiply every generator and
+    every product of two generators into A.
     """
 
     case: CaseTag
@@ -314,29 +314,9 @@ class RingPresentation:
     cm_verdict: bool
     mult_table: Optional[MultiplicationTable] = None
     quadratics: List[Tuple[int, KElement, KElement]] = field(default_factory=list)
-    presentation: Optional[Dict[str, object]] = None
     relation: Optional[List[Poly]] = None
     resolution_S_mod_Q: Optional[VerifiedComplex] = None
-
-    def serialize(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "case": self.case,
-            "sfree": self.sfree,
-            "cm_verdict": self.cm_verdict,
-            "generators": [g.serialize() for g in self.generators],
-            "quadratics": [
-                {"index": i, "c1": c1.serialize(), "c0": c0.serialize()}
-                for i, c1, c0 in self.quadratics
-            ],
-        }
-        if self.mult_table is not None:
-            out["mult_table"] = {
-                "%d,%d" % key: [str(fr) for fr in sol]
-                for key, sol in sorted(self.mult_table.entries.items())
-            }
-        if self.presentation is not None:
-            out["presentation"] = self.presentation
-        return out
+    ideal_I: Optional[IdealGens] = None
 
 
 def _free_presentation(
@@ -456,12 +436,8 @@ def _build_R_case_c(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
         acc = acc + gen.scale_poly(coeff)
     if not acc.is_zero():
         raise InternalVerificationError("module relation for R fails")
+    # gens[0] = 1, so the products 1 * gen test the generators themselves
     i_ideal = ideal_I(alg)
-    for idx, gen in enumerate(gens):
-        if not in_colon(gen, i_ideal):
-            raise InternalVerificationError(
-                "claimed generator %d of R fails the colon test against I" % idx
-            )
     for i in range(len(gens)):
         for j in range(i, len(gens)):
             if not in_colon(k_mul(gens[i], gens[j]), i_ideal):
@@ -469,26 +445,15 @@ def _build_R_case_c(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
                     "product of generators %d and %d leaves R" % (i, j)
                 )
     res_q = verify_complex(resolution_of_S_mod_Q(lift_f2(shape.z), c_lift, e_lift))
-    _, d2, d3 = res_q.complex.matrices
-    presentation = {
-        "structure": "S^2 (+) Syz^2(S/Q)",
-        "s_free_part_rank": 2,
-        "module_generators": [g.serialize() for g in gens],
-        "relation": [str(p) for p in relation],
-        "syz2_generators": [
-            [str(row[j]) for row in d2] for j in range(len(d2[0]))
-        ],
-        "syz2_relation": [str(row[0]) for row in d3],
-    }
     return RingPresentation(
         case=case,
         sfree=False,
         generators=gens,
         cm_verdict=False,
         quadratics=_root_quadratics(alg),
-        presentation=presentation,
         relation=relation,
         resolution_S_mod_Q=res_q,
+        ideal_I=i_ideal,
     )
 
 
@@ -515,41 +480,28 @@ def presentation_complex(pres: RingPresentation) -> "FreeComplex":
 
 @dataclass
 class ConductorReport:
-    """The conductor of R into A, when the theory identifies it."""
+    """The conductor of R into A, when the theory identifies it.
 
-    case: CaseTag
-    available: bool
+    ``ideal`` is the verified conductor, or None where the theory does
+    not identify it.  In CaseC, ``ideal_J`` is J = (2, wu - h1h2) and
+    ``R_in_J_star`` says whether every generator of R multiplies J into A.
+    """
+
     ideal: Optional[IdealGens]
-    verified: bool
-    reason: str
-    j_datum: Optional[Dict[str, object]] = None
-
-    def serialize(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "case": self.case,
-            "available": self.available,
-            "verified": self.verified,
-            "reason": self.reason,
-        }
-        if self.ideal is not None:
-            out["ideal"] = {
-                "name": self.ideal.name,
-                "gens": [g.serialize() for g in self.ideal.gens],
-            }
-        if self.j_datum is not None:
-            out["j_datum"] = self.j_datum
-        return out
+    ideal_J: Optional[IdealGens] = None
+    R_in_J_star: Optional[bool] = None
 
 
 def conductor(pres: RingPresentation) -> ConductorReport:
     """Report the conductor of the built R into A where identified.
 
     The case and the algebra are read from the presentation.  CaseB:
-    the conductor is P.  CaseC with Q a grade-3 complete intersection:
-    the conductor is I.  Every CaseC report also records the ideal
-    J = (2, wu - h1h2) with its dual datum J^* = R, verified on the R
-    generators.  An ideal is verified to conduct R when every generator
-    x of R passes in_colon(x, ideal), i.e. multiplies the ideal into A.
+    the conductor is P, verified here.  CaseC with Q a grade-3 complete
+    intersection: the conductor is I, which build_R already verified to
+    multiply R into A.  Every CaseC report also records the ideal
+    J = (2, wu - h1h2) with its dual datum J^* = R, checked on the R
+    generators.  An ideal conducts R when every generator x of R passes
+    in_colon(x, ideal), i.e. multiplies the ideal into A.
     """
     case = pres.case
     alg = pres.generators[0].algebra
@@ -557,42 +509,17 @@ def conductor(pres: RingPresentation) -> ConductorReport:
     def conducts(ideal: IdealGens) -> bool:
         return all(in_colon(x, ideal) for x in pres.generators)
 
-    j_datum = None
+    out = ConductorReport(ideal=None)
     if case in (CASE_C_CM, CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2):
-        j = ideal_J(alg)
-        j_datum = {
-            "ideal": {"name": j.name, "gens": [g.serialize() for g in j.gens]},
-            "claim": "J^* = R",
-            "verified_R_subset_J_star": conducts(j),
-        }
-    if case in (CASE_B, CASE_C_NONCM_GRADE3):
-        ideal = ideal_P(alg) if case == CASE_B else ideal_I(alg)
-        if not conducts(ideal):
-            raise InternalVerificationError(
-                "%s fails to conduct R into A" % ideal.name
-            )
-        return ConductorReport(
-            case=case,
-            available=True,
-            ideal=ideal,
-            verified=True,
-            reason="",
-            j_datum=j_datum,
-        )
-    reasons = {
-        CASE_A_BOTH: "the conductor is not identified for the tensor-split case",
-        CASE_A_ONE: "the conductor is not identified for the tensor-split case",
-        CASE_C_CM: "the conductor is not identified when Q is two-generated",
-        CASE_C_NONCM_GRADE2: "the conductor is not identified in the grade-2 case",
-    }
-    return ConductorReport(
-        case=case,
-        available=False,
-        ideal=None,
-        verified=False,
-        reason=reasons[case],
-        j_datum=j_datum,
-    )
+        out.ideal_J = ideal_J(alg)
+        out.R_in_J_star = conducts(out.ideal_J)
+    if case == CASE_B:
+        out.ideal = ideal_P(alg)
+        if not conducts(out.ideal):
+            raise InternalVerificationError("P fails to conduct R into A")
+    elif case == CASE_C_NONCM_GRADE3:
+        out.ideal = pres.ideal_I
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -614,30 +541,16 @@ class CmModuleCertificate:
     the verified resolutions.
     """
 
-    case: CaseTag
     ideal_P: IdealGens
     ideal_I: IdealGens
     ideal_H: IdealGens
     ideal_IP: IdealGens
     checks: Dict[str, bool]
-    description: str
     resolution_I: VerifiedComplex
     resolution_S_mod_Q: VerifiedComplex
 
     def all_pass(self) -> bool:
         return all(self.checks.values())
-
-    def serialize(self) -> Dict[str, object]:
-        return {
-            "case": self.case,
-            "checks": {k: self.checks[k] for k in sorted(self.checks)},
-            "all_pass": self.all_pass(),
-            "module": self.description,
-            "ideals": {
-                i.name: [g.serialize() for g in i.gens]
-                for i in (self.ideal_P, self.ideal_I, self.ideal_H, self.ideal_IP)
-            },
-        }
 
 
 def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
@@ -655,7 +568,7 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
         )
     alg = pres.generators[0].algebra
     p = ideal_P(alg)
-    i_ideal = ideal_I(alg)
+    i_ideal = pres.ideal_I
     h_ideal = ideal_H(alg)
     ip = ideal_product(i_ideal, p)
     checks: Dict[str, bool] = {}
@@ -687,15 +600,19 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
     )
     checks["H_equals_I"] = h_ideal.gens[1] == expansion
 
-    # (iv) the length-1 resolution of I is exact (pd I <= 1)
+    # (iv) the length-1 resolution of I is exact (pd I <= 1) and d_2
+    # saturates ker(d_1); verify_complex raises on an inexact complex
     res_i = verify_complex(resolution_of_I(alg.wf, alg.wg))
-    i_ok = res_i.verified and kernel_saturation_check(res_i.complex)
-    checks["I_resolution_ok"] = i_ok
-    pd_i, depth_i = pd_depth_report(res_i.complex, i_ok)
+    if not kernel_saturation_check(res_i.complex):
+        raise UnverifiedComplexError(
+            "the resolution of I does not saturate the kernel of d_1"
+        )
+    checks["I_resolution_ok"] = True
 
-    # (v) the length-3 resolution of S/Q is exact by rank-and-grade
+    # (v) the length-3 resolution of S/Q is exact by rank-and-grade,
+    # verified once by build_R
     res_q = pres.resolution_S_mod_Q
-    checks["BE_ok"] = res_q.verified
+    checks["BE_ok"] = True
 
     # (vi) the depth chain: every hypothesis above feeds the conclusion
     # depth M = d, i.e. M is a (maximal) CM module
@@ -704,10 +621,8 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
         checks["P_free"]
         and checks["eta_conducts"]
         and checks["H_equals_I"]
-        and i_ok
-        and checks["BE_ok"]
-        and pd_i == 1
-        and depth_i == d - 1
+        and res_i.pd_bound == 1
+        and res_i.depth == d - 1
         and res_q.pd_bound == 3
     )
 
@@ -717,16 +632,11 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
         for x in (alg.one(), alg.root_f(), alg.root_g(), alg.root_fg())
     )
     return CmModuleCertificate(
-        case=case,
         ideal_P=p,
         ideal_I=i_ideal,
         ideal_H=h_ideal,
         ideal_IP=ip,
         checks=checks,
-        description=(
-            "M = (IP)^* = {x in K : x*I*P in A}; membership decided by "
-            "multiplying against the listed generators of IP"
-        ),
         resolution_I=res_i,
         resolution_S_mod_Q=res_q,
     )
@@ -756,21 +666,14 @@ class _DPair:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _DPair):
             return NotImplemented
-        lhs_u = self.u * _f2_pow(self.vvar, other.j)
-        rhs_u = other.u * _f2_pow(self.vvar, self.j)
-        lhs_t = self.t * _f2_pow(self.vvar, other.j)
-        rhs_t = other.t * _f2_pow(self.vvar, self.j)
+        lhs_u = self.u * self.vvar ** other.j
+        rhs_u = other.u * self.vvar ** self.j
+        lhs_t = self.t * self.vvar ** other.j
+        rhs_t = other.t * self.vvar ** self.j
         return lhs_u == rhs_u and lhs_t == rhs_t
 
     def __hash__(self):
         return hash((self.u, self.t, self.j))
-
-
-def _f2_pow(base: F2Poly, n: int) -> F2Poly:
-    acc = f2_one(base.ring)
-    for _ in range(n):
-        acc = acc * base
-    return acc
 
 
 def example_2_10_identity(ring: BaseRing, multiplier: int = 4) -> bool:

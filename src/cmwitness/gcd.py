@@ -19,15 +19,7 @@ import math
 from typing import Dict, Optional, Union
 
 from .errors import BothZeroError, NotDivisibleError
-from .poly import (
-    BaseRing,
-    Exponent,
-    F2Poly,
-    Poly,
-    _exp_sub,
-    grlex_key,
-    lift_f2,
-)
+from .poly import Exponent, F2Poly, Poly, _exp_sub, grlex_key
 
 
 Rec = Union[int, Dict[int, "Rec"]]

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraDesc
 from .errors import (
@@ -128,16 +128,6 @@ class FreeComplex:
             minor_ideal_generators(m, r)
             for m, r in zip(self.matrices, self.differential_ranks)
         ]
-
-    def serialize(self) -> Dict[str, object]:
-        return {
-            "labels": list(self.labels),
-            "augmented": self.augmented,
-            "matrices": [
-                [[str(entry) for entry in row] for row in mat]
-                for mat in self.matrices
-            ],
-        }
 
 
 @dataclass
@@ -405,18 +395,15 @@ def standard_grade_certificates(cx: FreeComplex) -> List[GradeCertificate]:
     return out
 
 
-def pd_depth_report(cx: FreeComplex, verified: bool) -> Tuple[int, int]:
-    """(pd bound, depth) for the module resolved by a verified complex.
+def pd_depth_report(cx: FreeComplex) -> Tuple[int, int]:
+    """(pd bound, depth) for the module resolved by an exact complex.
 
     The projective dimension bound is the length of the resolution: the
     number of matrices, minus one when the complex is augmented (d_1
     then maps onto the module instead of presenting its cokernel).
-    Depth is d - pd with d = dim S = number of variables + 1.
+    Depth is d - pd with d = dim S = number of variables + 1.  The
+    bound holds only for a verified complex, see verify_complex.
     """
-    if not verified:
-        raise UnverifiedComplexError(
-            "refusing to report pd/depth for an unverified complex"
-        )
     ring = cx.matrices[0][0][0].ring
     d = len(ring.variables) + 1
     pd_bound = len(cx.matrices) - (1 if cx.augmented else 0)
@@ -425,21 +412,24 @@ def pd_depth_report(cx: FreeComplex, verified: bool) -> Tuple[int, int]:
 
 @dataclass
 class VerifiedComplex:
-    """A complex with its grade certificates, exactness verdict and pd/depth."""
+    """A complex verified exact, with its grade certificates and pd/depth."""
 
     complex: FreeComplex
     certificates: List[GradeCertificate]
-    verified: bool
     pd_bound: int
     depth: int
 
 
 def verify_complex(cx: FreeComplex) -> VerifiedComplex:
-    """Build the grade certificates of ``cx`` and verify it exactly once."""
+    """Build the grade certificates of ``cx`` and verify it exactly once.
+
+    Raises UnverifiedComplexError when the differentials do not compose
+    to zero or the exactness criterion fails.
+    """
     certs = standard_grade_certificates(cx)
-    verified = check_composition_zero(cx) and be_exactness_check(cx, certs)
-    pd_bound, depth = pd_depth_report(cx, verified)
-    return VerifiedComplex(cx, certs, verified, pd_bound, depth)
+    if not (check_composition_zero(cx) and be_exactness_check(cx, certs)):
+        raise UnverifiedComplexError("the complex is not verified exact")
+    return VerifiedComplex(cx, certs, *pd_depth_report(cx))
 
 
 def kernel_saturation_check(cx: FreeComplex) -> bool:

@@ -2,6 +2,8 @@
 
 A report is an ordered plain dict (insertion order is the contract) so
 that ``render_json`` produces byte-identical output for identical jobs.
+This module alone knows the report's layout: the pipeline's result
+types keep verified facts, and each block is built here from them.
 Timings are recorded as null: wall-clock numbers would break the
 golden-file byte comparison, and nothing downstream consumes them.
 """
@@ -9,13 +11,19 @@ golden-file byte comparison, and nothing downstream consumes them.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraDesc, make_algebra
+from .algebra import AlgebraDesc, IdealGens, KElement, make_algebra
 from .classifier import (
+    CASE_A_BOTH,
+    CASE_A_ONE,
+    CASE_C_CM,
     CASE_C_NONCM_GRADE2,
     CASE_C_NONCM_GRADE3,
     OUTSIDE_SCOPE,
+    CmModuleCertificate,
+    ConductorReport,
+    RingPresentation,
     build_R,
     build_small_cm_certificate,
     classify,
@@ -31,6 +39,20 @@ __all__ = ["DEFAULT_OPTIONS", "assemble_report", "render_json", "parse_job"]
 DEFAULT_OPTIONS = {"colon_search_degree": 6, "spot_check_seed": 1}
 
 CM_TAG_PREFIXES = ("CaseA_", "CaseB_", "CaseC_CM_")
+
+# Why the conductor is not given, for the cases where the theory does
+# not identify it.
+CONDUCTOR_UNIDENTIFIED = {
+    CASE_A_BOTH: "the conductor is not identified for the tensor-split case",
+    CASE_A_ONE: "the conductor is not identified for the tensor-split case",
+    CASE_C_CM: "the conductor is not identified when Q is two-generated",
+    CASE_C_NONCM_GRADE2: "the conductor is not identified in the grade-2 case",
+}
+
+MODULE_DESCRIPTION = (
+    "M = (IP)^* = {x in K : x*I*P in A}; membership decided by "
+    "multiplying against the listed generators of IP"
+)
 
 
 def cm_verdict_for_tag(case: str) -> Optional[bool]:
@@ -107,14 +129,99 @@ def _witnesses_block(alg: AlgebraDesc) -> Dict[str, Optional[str]]:
     return out
 
 
+def _element(x: KElement) -> Dict[str, object]:
+    return {"coords": [str(c) for c in x.coords], "denom_exp": x.denom_exp}
+
+
+def _elements(xs: Sequence[KElement]) -> List[Dict[str, object]]:
+    return [_element(x) for x in xs]
+
+
+def _ideal_block(ideal: IdealGens) -> Dict[str, object]:
+    return {"name": ideal.name, "gens": _elements(ideal.gens)}
+
+
+def _presentation_block(pres: RingPresentation) -> Dict[str, object]:
+    out: Dict[str, object] = {
+        "case": pres.case,
+        "sfree": pres.sfree,
+        "cm_verdict": pres.cm_verdict,
+        "generators": _elements(pres.generators),
+        "quadratics": [
+            {"index": i, "c1": _element(c1), "c0": _element(c0)}
+            for i, c1, c0 in pres.quadratics
+        ],
+    }
+    if pres.mult_table is not None:
+        out["mult_table"] = {
+            "%d,%d" % key: [str(fr) for fr in sol]
+            for key, sol in sorted(pres.mult_table.entries.items())
+        }
+    if pres.relation is not None:
+        # R = S^2 (+) Syz^2(S/Q): the columns of d2 of the resolution of
+        # S/Q generate Syz^2 and the column of d3 is their relation.
+        _, d2, d3 = pres.resolution_S_mod_Q.complex.matrices
+        out["presentation"] = {
+            "structure": "S^2 (+) Syz^2(S/Q)",
+            "s_free_part_rank": 2,
+            "module_generators": _elements(pres.generators),
+            "relation": [str(p) for p in pres.relation],
+            "syz2_generators": [
+                [str(row[j]) for row in d2] for j in range(len(d2[0]))
+            ],
+            "syz2_relation": [str(row[0]) for row in d3],
+        }
+    return out
+
+
+def _conductor_block(case: str, cond: ConductorReport) -> Dict[str, object]:
+    # conductor() returns an ideal only after it is verified to conduct R
+    known = cond.ideal is not None
+    out: Dict[str, object] = {
+        "case": case,
+        "available": known,
+        "verified": known,
+        "reason": CONDUCTOR_UNIDENTIFIED.get(case, ""),
+    }
+    if known:
+        out["ideal"] = _ideal_block(cond.ideal)
+    if cond.ideal_J is not None:
+        out["j_datum"] = {
+            "ideal": _ideal_block(cond.ideal_J),
+            "claim": "J^* = R",
+            "verified_R_subset_J_star": cond.R_in_J_star,
+        }
+    return out
+
+
+def _certificate_block(case: str, cert: CmModuleCertificate) -> Dict[str, object]:
+    return {
+        "case": case,
+        "checks": {k: cert.checks[k] for k in sorted(cert.checks)},
+        "all_pass": cert.all_pass(),
+        "module": MODULE_DESCRIPTION,
+        "ideals": {
+            i.name: _elements(i.gens)
+            for i in (cert.ideal_P, cert.ideal_I, cert.ideal_H, cert.ideal_IP)
+        },
+    }
+
+
 def _verified_complex_block(res: VerifiedComplex, name: str) -> Dict[str, object]:
-    block = {"name": name}
-    block.update(res.complex.serialize())
-    block["verified"] = res.verified
-    block["pd_bound"] = res.pd_bound
-    block["depth"] = res.depth
-    block["grade_witnesses"] = [[str(w) for w in c.witness] for c in res.certificates]
-    return block
+    cx = res.complex
+    return {
+        "name": name,
+        "labels": list(cx.labels),
+        "augmented": cx.augmented,
+        "matrices": [
+            [[str(entry) for entry in row] for row in mat] for mat in cx.matrices
+        ],
+        # verify_complex raises rather than return an inexact complex
+        "verified": True,
+        "pd_bound": res.pd_bound,
+        "depth": res.depth,
+        "grade_witnesses": [[str(w) for w in c.witness] for c in res.certificates],
+    }
 
 
 def assemble_report(
@@ -157,11 +264,11 @@ def assemble_report(
             "e": str(shape.e),
         }
         pres = build_R(alg, case)
-        report["ring_presentation"] = pres.serialize()
-        report["conductor"] = conductor(pres).serialize()
+        report["ring_presentation"] = _presentation_block(pres)
+        report["conductor"] = _conductor_block(case, conductor(pres))
         if case in (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2):
             cert = build_small_cm_certificate(pres)
-            report["certificate"] = cert.serialize()
+            report["certificate"] = _certificate_block(case, cert)
             report["resolutions"] = [
                 _verified_complex_block(cert.resolution_I, "resolution_of_I"),
                 _verified_complex_block(

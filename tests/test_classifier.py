@@ -40,6 +40,7 @@ from cmwitness.errors import (
 from cmwitness.homology import check_composition_zero, pd_depth_report
 from cmwitness.poly import BaseRing, parse_poly
 from cmwitness.predicates import S2Witness, decompose_S2
+from cmwitness.report import CONDUCTOR_UNIDENTIFIED
 
 RING2 = BaseRing(("X", "Y"))
 RING3 = BaseRing(("V", "X", "Y"))
@@ -144,10 +145,12 @@ def test_build_R_non_cm_five_generators():
     pres = build_R(alg, CASE_C_NONCM_GRADE3)
     assert not pres.sfree and not pres.cm_verdict
     assert len(pres.generators) == 5
-    assert pres.presentation is not None
-    rel = [parse_poly(text, RING2) for text in pres.presentation["relation"]]
+    rel = pres.relation
     assert rel[-1] == RING2.const(2)
-    assert pres.presentation["s_free_part_rank"] == 2
+    # R = S^2 (+) Syz^2(S/Q): two free generators plus the three
+    # columns of d2 of the verified resolution of S/Q.
+    _, d2, _ = pres.resolution_S_mod_Q.complex.matrices
+    assert len(pres.generators) == 2 + len(d2[0])
     # The relation annihilates the generator tuple in K.
     acc = alg.zero()
     for coeff, gen in zip(rel, pres.generators):
@@ -177,7 +180,7 @@ def test_presentation_complex():
     assert check_composition_zero(cx)
     assert len(cx.matrices) == 1 and len(cx.matrices[0]) == 5
     # pd_S(R) = 1, so depth R = d - 1 = 3 by Auslander-Buchsbaum.
-    assert pd_depth_report(cx, True) == (1, 3)
+    assert pd_depth_report(cx) == (1, 3)
     sfree_pres = build_R(alg_of(RING2, "X^2+2", "Y^2+2"), CASE_B)
     with pytest.raises(WrongCaseError):
         presentation_complex(sfree_pres)
@@ -197,32 +200,30 @@ def test_residue_mod_P():
 def test_conductor_case_b():
     alg = alg_of(RING2, "X^2+2", "Y^2+2")
     rep = conductor(build_R(alg, CASE_B))
-    assert rep.available and rep.verified
-    assert rep.ideal.name == "P"
+    assert rep.ideal is not None and rep.ideal.name == "P"
+    assert rep.ideal_J is None
 
 
 def test_conductor_grade3_is_I():
     alg = alg_of(RING2, "-X^2+4", "-Y^2+4")
     rep = conductor(build_R(alg, CASE_C_NONCM_GRADE3))
-    assert rep.available and rep.verified
-    assert rep.ideal.name == "I"
-    assert rep.j_datum is not None
-    assert rep.j_datum["verified_R_subset_J_star"]
+    assert rep.ideal is not None and rep.ideal.name == "I"
+    assert rep.ideal_J.name == "J" and rep.R_in_J_star is True
 
 
 def test_conductor_grade2_unavailable_with_J_datum():
     alg = alg_of(RING3, "V^2*X^2-2*X^2+4", "V^2*Y^2-2*Y^2+4")
     rep = conductor(build_R(alg, CASE_C_NONCM_GRADE2))
-    assert not rep.available
-    assert rep.reason
-    assert rep.j_datum is not None and rep.j_datum["verified_R_subset_J_star"]
+    assert rep.ideal is None
+    assert CONDUCTOR_UNIDENTIFIED[CASE_C_NONCM_GRADE2]
+    assert rep.ideal_J.name == "J" and rep.R_in_J_star is True
 
 
 def test_conductor_case_a_unavailable():
     alg = alg_of(RINGU, "U^2*V^2+4", "U^2*Y^2+4")
     rep = conductor(build_R(alg, CASE_A_BOTH))
-    assert not rep.available
-    assert rep.reason
+    assert rep.ideal is None and rep.ideal_J is None
+    assert CONDUCTOR_UNIDENTIFIED[CASE_A_BOTH]
 
 
 def test_certificate_grade3():

@@ -96,6 +96,7 @@ def test_each_fact_once_per_report(monkeypatch, name):
     quadratic_checks = Calls(monkeypatch, algebra, "min_poly_check")
     ranks = Calls(monkeypatch, linalg, "bareiss_rank")
     minor_sets = Calls(monkeypatch, homology, "minor_ideal_generators")
+    colon_tests = Calls(monkeypatch, algebra, "in_colon")
 
     report = assemble_report(ring, f, g, options)
     case = report["case"]
@@ -139,3 +140,6 @@ def test_each_fact_once_per_report(monkeypatch, name):
     pres = report["ring_presentation"]
     assert len(quadratic_checks) == (0 if pres is None else len(pres["quadratics"]))
 
+    # No colon test x * ideal inside A runs twice on the same pair.
+    colon_pairs = [(x, tuple(ideal.gens)) for x, ideal in colon_tests.args]
+    assert len(colon_pairs) == len(set(colon_pairs))

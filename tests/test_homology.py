@@ -19,10 +19,12 @@ from cmwitness.homology import (
     resolution_of_I,
     resolution_of_S_mod_Q,
     standard_grade_certificates,
+    verify_complex,
 )
 from cmwitness.linalg import DimensionMismatchError
 from cmwitness.poly import BaseRing, parse_poly
 from cmwitness.predicates import decompose_S2
+from cmwitness.report import assemble_report, parse_job
 
 RING2 = BaseRing(("X", "Y"))
 RING3 = BaseRing(("V", "X", "Y"))
@@ -217,15 +219,21 @@ def test_pd_depth_report():
     wf, wg = family2_witnesses()
     cx = resolution_of_I(wf, wg)
     # d = dim S = nvars + 1 = 3 here; the augmented complex has pd 1.
-    assert pd_depth_report(cx, True) == (1, 2)
-    with pytest.raises(UnverifiedComplexError):
-        pd_depth_report(cx, False)
+    assert pd_depth_report(cx) == (1, 2)
     X, Y = RING2.gens()
     q_cx = resolution_of_S_mod_Q(RING2.one(), X, Y)
-    assert pd_depth_report(q_cx, True) == (3, 0)
+    assert pd_depth_report(q_cx) == (3, 0)
     V, X3, Y3 = RING3.gens()
     q_cx3 = resolution_of_S_mod_Q(V, X3, Y3)
-    assert pd_depth_report(q_cx3, True) == (3, 1)
+    assert pd_depth_report(q_cx3) == (3, 1)
+    # verify_complex records pd/depth only for a verified complex: here
+    # d_1 d_2 = 4*X != 0, so it raises instead.
+    two = RING2.const(2)
+    broken = FreeComplex(
+        matrices=[[[two, X]], [[X], [two]]], labels=["S", "S^2", "S"]
+    )
+    with pytest.raises(UnverifiedComplexError):
+        verify_complex(broken)
 
 
 def test_minor_ideal_generators():
@@ -258,9 +266,13 @@ def test_kernel_saturation():
 
 
 def test_serialize_shape():
-    wf, wg = family2_witnesses()
-    cx = resolution_of_I(wf, wg)
-    data = cx.serialize()
-    assert data["augmented"] is True
+    # The report serialises the resolution of I first among the
+    # resolutions of the grade-3 family (-X^2+4, -Y^2+4).
+    ring, f, g, options = parse_job(
+        {"variables": ["X", "Y"], "f": "-X^2+4", "g": "-Y^2+4"}
+    )
+    data = assemble_report(ring, f, g, options)["resolutions"][0]
+    assert data["name"] == "resolution_of_I"
+    assert data["augmented"] is True and data["verified"] is True
     assert data["labels"][0].startswith("A = S^4")
     assert data["matrices"][1] == [["-Y"], ["X"], ["2"]]

@@ -1,0 +1,65 @@
+"""Every name a cmwitness module imports is used there or re-exported.
+
+A name counts as used when it appears as an identifier anywhere in the
+module outside the import statements (string annotations included), or
+when the module lists it in ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cmwitness
+
+PACKAGE_DIR = Path(cmwitness.__file__).resolve().parent
+MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+
+
+def imported_names(tree):
+    """Names bound by the module's imports (``__future__`` excluded)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [a.asname or a.name for a in node.names]
+    return out
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree):
+    """Identifiers read in the module, including those in string annotations."""
+    out = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                inner = ast.parse(node.value, mode="eval")
+                out.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return out
+
+
+def exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    keep = used_names(tree) | exported_names(tree)
+    unused = [name for name in imported_names(tree) if name not in keep]
+    assert not unused, "%s imports unused names %s" % (path.name, unused)

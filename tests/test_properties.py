@@ -185,7 +185,7 @@ def test_conductor_products_land_in_A():
     for alg, case in fixtures:
         pres = build_R(alg, case)
         rep = conductor(pres)
-        assert rep.available and rep.verified
+        assert rep.ideal is not None
         for _ in range(100):
             # Random S-combination of conductor generators times a
             # random S-combination of R-generators stays inside A.
@@ -235,7 +235,7 @@ def test_emitted_complexes_compose_to_zero():
 def test_presentation_complexes_compose_and_verify():
     # Every non-CM presentation complex emitted by the classifier has a
     # single injective relation column; composition-zero is trivial but
-    # the column entries must reproduce the verified relation.
+    # the column must be the relation, annihilating the generators of R.
     for ring, ftext, gtext, case in [
         (RING, "-X^2+4", "-Y^2+4", CASE_C_NONCM_GRADE3),
         (RING3, "V^2*X^2-2*X^2+4", "V^2*Y^2-2*Y^2+4", CASE_C_NONCM_GRADE2),
@@ -246,6 +246,9 @@ def test_presentation_complexes_compose_and_verify():
         pres = build_R(alg, case)
         cx = presentation_complex(pres)
         assert check_composition_zero(cx)
-        assert [row[0] for row in cx.matrices[0]] == [
-            parse_poly(text, ring) for text in pres.presentation["relation"]
-        ]
+        column = [row[0] for row in cx.matrices[0]]
+        assert column == pres.relation and column[-1] == ring.const(2)
+        acc = alg.zero()
+        for coeff, gen in zip(column, pres.generators):
+            acc = acc + gen.scale_poly(coeff)
+        assert acc.is_zero()

@@ -10,8 +10,6 @@ import importlib.util
 from pathlib import Path
 
 import cmwitness.cli  # noqa: F401  (the tracer wraps cli.cmd_regress/cmd_sweep)
-from cmwitness.linalg import PolyFraction
-from cmwitness.poly import BaseRing
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -37,6 +35,11 @@ def test_install_uninstall_round_trip():
         for name in {m for m, _ in tracer_mod.SPAN_TARGETS}
     }
     before = {name: dict(vars(mod)) for name, mod in modules.items()}
+    # Take the classes from the modules as imported now: the benchmark
+    # harness purges and re-imports cmwitness, and the tracer patches the
+    # re-imported PolyFraction.
+    PolyFraction = modules["linalg"].PolyFraction
+    BaseRing = importlib.import_module("cmwitness.poly").BaseRing
     init = PolyFraction.__dict__["__init__"]
 
     tracer = tracer_mod.Tracer()
