@@ -61,10 +61,11 @@ class AlgebraDesc:
     out-of-scope tag).
 
     Derived facts are computed with their checks on first use and cached
-    outside the fields, so equality and hashing are unchanged: w4f, w4g
-    (the S^{2,4} witnesses of f, g, or None), q_shape (the shape of
-    Q = (2, h1, h2)) and local_factors ((k1, k2) with (w - h1)^2 = 2*k1
-    and (u - h2)^2 = 2*k2 verified).
+    outside the fields, so equality and hashing are unchanged: fg (the
+    product f*g that k_mul reads), w4f, w4g (the S^{2,4} witnesses of
+    f, g, or None), q_shape (the shape of Q = (2, h1, h2)) and
+    local_factors ((k1, k2) with (w - h1)^2 = 2*k1 and (u - h2)^2 = 2*k2
+    verified).
     """
 
     ring: BaseRing
@@ -134,6 +135,10 @@ class AlgebraDesc:
     @cached_property
     def w4g(self) -> Optional[S2w4Witness]:
         return in_S2wedge4(self.g)
+
+    @cached_property
+    def fg(self) -> Poly:
+        return self.f * self.g
 
     @cached_property
     def q_shape(self) -> QShape:
@@ -309,7 +314,7 @@ def k_mul(x: KElement, y: KElement) -> KElement:
     f, g = alg.f, alg.g
     n0, n1, n2, n3 = x.coords
     m0, m1, m2, m3 = y.coords
-    fg = f * g
+    fg = alg.fg
     c0 = n0 * m0 + f * (n1 * m1) + g * (n2 * m2) + fg * (n3 * m3)
     c1 = n0 * m1 + n1 * m0 + g * (n2 * m3 + n3 * m2)
     c2 = n0 * m2 + n2 * m0 + f * (n1 * m3 + n3 * m1)

@@ -55,7 +55,7 @@ from .homology import (
     resolution_of_S_mod_Q,
     verify_complex,
 )
-from .linalg import bareiss_rank, poly_det
+from .linalg import poly_det
 from .poly import (
     BaseRing,
     F2Poly,
@@ -729,6 +729,7 @@ def example_2_10_regression(ring: BaseRing) -> bool:
     ygamma = _DPair(zero, yb, 0, gsq, vb)
     veps = _DPair(zero, vb * yb, 1, gsq, vb)
     ok = ok and ygamma == veps
-    # syzygy vector (0, y, -v): annihilates (1, gamma, eps), generic rank 1
-    ok = ok and bareiss_rank([[zero, yb, vb]]) == 1
+    # syzygy vector (0, y, -v): annihilates (1, gamma, eps); one row over
+    # a domain has generic rank 1 exactly when some entry is nonzero
+    ok = ok and any(not x.is_zero() for x in (zero, yb, vb))
     return ok

@@ -183,10 +183,7 @@ def _is_regular_sequence(witness: Sequence[Poly]) -> bool:
                 "length-2 witnesses must start with a power of 2"
             )
         return not reduce_mod2(second).is_zero()
-    first, c, e = witness
-    if not (first.is_constant() and first.constant_coeff() == 2):
-        raise MalformedSequenceError("length-3 witnesses must have the shape (2, c, e)")
-    return regular_sequence_certificate([first, c, e])
+    return regular_sequence_certificate(witness)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@
   constant coefficient.  It is an output type only: it carries no
   arithmetic.
 
-* One fraction-free Gauss-Jordan elimination (Bareiss) over Z[x] or
-  GF(2)[x] behind bareiss_rank, solve_fraction_system and
-  fraction_kernel: polynomial matrices in, reduced fractions out.
+* One fraction-free Gauss-Jordan elimination (Bareiss) over Z[x] behind
+  bareiss_rank, solve_fraction_system and fraction_kernel: polynomial
+  matrices in, reduced fractions out.
   Callers with fractional data clear the denominators before the call
   (the K-elements of algebra.py share one power of 2).  Entries stay
   polynomial because every intermediate entry is a minor of the input,
@@ -25,17 +25,11 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, SpanNotFreeError
 from .gcd import gcd_z
-from .poly import (
-    BaseRing,
-    F2Poly,
-    Poly,
-    divide_exact,
-    f2_divide_exact,
-)
+from .poly import BaseRing, Poly, divide_exact
 
 
 class PolyFraction:
@@ -96,19 +90,10 @@ class PolyFraction:
         return f"({self.num})/({self.den})"
 
 
-MatrixElement = Union[Poly, F2Poly]
-
-
-def _elem_divide(a: MatrixElement, b: MatrixElement) -> MatrixElement:
-    if isinstance(a, F2Poly):
-        return f2_divide_exact(a, b)
-    return divide_exact(a, b)
-
-
 def _fraction_free_rref(
-    work: List[List[MatrixElement]],
+    work: List[List[Poly]],
     _pivot_cols: Optional[int] = None,
-) -> Tuple[List[int], Optional[MatrixElement]]:
+) -> Tuple[List[int], Optional[Poly]]:
     """Fraction-free Gauss-Jordan elimination of ``work`` in place.
 
     Pivots are chosen deterministically (first nonzero entry scanning
@@ -126,7 +111,7 @@ def _fraction_free_rref(
     nrows = len(work)
     ncols = len(work[0]) if work else 0
     pivots: List[int] = []
-    prev: Optional[MatrixElement] = None
+    prev: Optional[Poly] = None
     for col in range(ncols if _pivot_cols is None else _pivot_cols):
         top = len(pivots)
         if top == nrows:
@@ -145,18 +130,14 @@ def _fraction_free_rref(
                 num = piv * row[j]
                 if not (factor.is_zero() or pivot_row[j].is_zero()):
                     num = num - factor * pivot_row[j]
-                row[j] = num if prev is None else _elem_divide(num, prev)
+                row[j] = num if prev is None else divide_exact(num, prev)
         pivots.append(col)
         prev = piv
     return pivots, prev
 
 
-def bareiss_rank(rows: Sequence[Sequence[MatrixElement]]) -> int:
-    """Rank over the fraction field via fraction-free elimination.
-
-    Works for entries in Z[vars] or GF(2)[vars]; both support exact
-    multiplication, subtraction and exact division.
-    """
+def bareiss_rank(rows: Sequence[Sequence[Poly]]) -> int:
+    """Rank over the fraction field via fraction-free elimination."""
     pivots, _ = _fraction_free_rref([list(r) for r in rows])
     return len(pivots)
 

@@ -21,7 +21,7 @@ of exponent tuples (the monomials with coefficient 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .errors import (
@@ -136,7 +136,7 @@ class Poly:
         """Nonnegative gcd of all coefficients (0 for the zero poly)."""
         g = 0
         for c in self._terms.values():
-            g = _int_gcd(g, c)
+            g = gcd(g, c)
         return g
 
     def is_unit(self) -> bool:
@@ -236,13 +236,6 @@ class Poly:
 
     def __str__(self):
         return format_poly(self)
-
-
-def _int_gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _exp_sub(e1: Exponent, e2: Exponent) -> Optional[Exponent]:
@@ -406,18 +399,14 @@ class F2Poly:
         return hash((self.ring, self.monomials))
 
     def __repr__(self):
-        return f"F2Poly({format_f2poly(self)})"
+        return f"F2Poly({self})"
 
     def __str__(self):
-        return format_f2poly(self)
+        return format_poly(lift_f2(self))
 
 
 def f2_zero(ring: BaseRing) -> F2Poly:
     return F2Poly(ring, ())
-
-
-def f2_one(ring: BaseRing) -> F2Poly:
-    return F2Poly(ring, (ring.zero_exponent(),))
 
 
 def reduce_mod2(p: Poly) -> F2Poly:
@@ -470,7 +459,7 @@ def f2_divide_exact(a: F2Poly, b: F2Poly) -> F2Poly:
         e = _exp_sub(er, eb)
         if e is None:
             raise NotDivisibleError(
-                f"{format_f2poly(a)} is not divisible by {format_f2poly(b)} mod 2"
+                f"{a} is not divisible by {b} mod 2"
             )
         quot.add(e)
         rem = rem + F2Poly(a.ring, (e,)) * b
@@ -684,13 +673,3 @@ def format_poly(p: Poly) -> str:
         out += s if s.startswith("-") else "+" + s
     return out
 
-
-def format_f2poly(r: F2Poly) -> str:
-    """Canonical string for a GF(2) polynomial (coefficients are 1)."""
-    if r.is_zero():
-        return "0"
-    chunks = []
-    for e in r.sorted_monomials():
-        mono = _format_monomial(r.ring, e)
-        chunks.append(mono if mono else "1")
-    return "+".join(chunks)

@@ -19,7 +19,6 @@ content primes other than 2 never matter.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,6 +30,7 @@ from .errors import (
 )
 from .gcd import gcd_f2, gcd_many_q, gcd_q, is_ring_square
 from .poly import (
+    BaseRing,
     F2Poly,
     Poly,
     f2_divide_exact,
@@ -40,6 +40,7 @@ from .poly import (
     partial_derivative,
     reduce_mod2,
     sqrt_f2,
+    substitute_ints,
 )
 
 
@@ -60,9 +61,6 @@ class S2w4Witness:
 
     h: Poly
     a_prime: Poly
-
-    def reexpand(self) -> Poly:
-        return self.h * self.h + self.a_prime.scale(4)
 
 
 @dataclass(frozen=True)
@@ -138,10 +136,9 @@ def decompose_S2(f: Poly) -> Optional[S2Witness]:
 def in_S2wedge4(f: Poly) -> Optional[S2w4Witness]:
     """Witness f = h^2 + 4a', if one exists.
 
-    The verdict does not depend on the chosen lift h: replacing h by
-    h + 2t shifts a by -2(th + t^2), preserving parity.  That
-    independence is re-asserted here on deterministic pseudo-random
-    perturbations as a guard against lift bugs.
+    The verdict is read off the canonical lift h of the mod-2 square
+    root and holds for every lift h + 2t; _assert_lift_independence
+    checks the identity that proves this.
     """
     w = decompose_S2(f)
     if w is None:
@@ -153,22 +150,25 @@ def in_S2wedge4(f: Poly) -> Optional[S2w4Witness]:
     return S2w4Witness(h=w.h, a_prime=half(w.a))
 
 
-def _assert_lift_independence(f: Poly, w: S2Witness, verdict: bool, trials: int = 10):
-    ring = f.ring
-    rng = random.Random(0)
-    max_deg = max(w.h.total_degree(), 1)
-    for _ in range(trials):
-        terms = {}
-        for _ in range(3):
-            e = tuple(rng.randint(0, max_deg) for _ in range(ring.nvars))
-            terms[e] = rng.randint(0, 2)
-        t = Poly(ring, terms)
-        h2 = w.h + t.scale(2)
-        a2 = half(f - h2 * h2)
-        if is_even(a2) != verdict:
-            raise InternalVerificationError(
-                "S^{2,4} membership verdict changed under lift perturbation"
-            )
+def _assert_lift_independence(f: Poly, w: S2Witness, verdict: bool):
+    """Check that the S^{2,4} verdict is the same for every lift of h.
+
+    Over S[T], T a fresh variable, a_T = (f - (h + 2T)^2)/2 is the a of
+    the generic lift h + 2T.  If a_T - a lies in 2S[T] then substituting
+    any t in S for T gives a_t = a mod 2, so every lift h + 2t sees the
+    parity of a, and that parity must be the verdict.
+    """
+    name = "T"
+    while name in f.ring.variables:
+        name += "_"
+    big = BaseRing(f.ring.variables + (name,))
+    h, a = (substitute_ints(p, {}, big) for p in (w.h, w.a))
+    lift = h + big.var(name).scale(2)
+    a_T = half(substitute_ints(f, {}, big) - lift * lift)
+    if not (is_even(a_T - a) and is_even(a) == verdict):
+        raise InternalVerificationError(
+            "S^{2,4} membership verdict depends on the lift"
+        )
 
 
 def product_in_S2wedge4(wf: S2Witness, wg: S2Witness) -> bool:

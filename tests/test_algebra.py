@@ -7,7 +7,6 @@ from sympy.polys.matrices import DomainMatrix
 
 from cmwitness.algebra import (
     IdealGens,
-    KElement,
     a_membership,
     bounded_colon_search,
     express_in_span,
@@ -52,6 +51,7 @@ def test_make_algebra_witnesses():
     assert alg.w4f is None and alg.w4g is None
     assert alg.q_shape.tag == "Grade3CI_NotTwoGen"
     assert alg.local_factors is alg.local_factors
+    assert alg.fg is alg.fg and alg.fg == alg.f * alg.g
     fresh = case_b_algebra()
     assert alg == fresh and hash(alg) == hash(fresh)
 

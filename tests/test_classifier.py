@@ -39,7 +39,7 @@ from cmwitness.errors import (
 )
 from cmwitness.homology import check_composition_zero, pd_depth_report
 from cmwitness.poly import BaseRing, parse_poly
-from cmwitness.predicates import S2Witness, decompose_S2
+from cmwitness.predicates import decompose_S2
 from cmwitness.report import CONDUCTOR_UNIDENTIFIED
 
 RING2 = BaseRing(("X", "Y"))

@@ -6,7 +6,6 @@ import json
 import pkgutil
 import shutil
 import time
-from pathlib import Path
 
 import pytest
 

@@ -1,8 +1,10 @@
-"""Every name a cmwitness module imports is used there or re-exported.
+"""Every name a cmwitness or test module imports is used there or re-exported.
 
 A name counts as used when it appears as an identifier anywhere in the
 module outside the import statements (string annotations included), or
-when the module lists it in ``__all__``.
+when the module lists it in ``__all__``.  An import whose line carries
+``# noqa: F401`` is kept for its side effect and not checked.  No
+package module imports ``random``: every check in the package is exact.
 """
 
 import ast
@@ -13,13 +15,19 @@ import pytest
 import cmwitness
 
 PACKAGE_DIR = Path(cmwitness.__file__).resolve().parent
-MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+PACKAGE_MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+MODULES = PACKAGE_MODULES + TEST_MODULES
 
 
-def imported_names(tree):
-    """Names bound by the module's imports (``__future__`` excluded)."""
+def imported_names(tree, lines):
+    """Names bound by the module's imports (``__future__`` and noqa excluded)."""
     out = []
     for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+            "# noqa: F401" in lines[node.lineno - 1]
+        ):
+            continue
         if isinstance(node, ast.Import):
             out += [(a.asname or a.name).split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -59,7 +67,26 @@ def exported_names(tree):
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text)
     keep = used_names(tree) | exported_names(tree)
-    unused = [name for name in imported_names(tree) if name not in keep]
+    unused = [n for n in imported_names(tree, text.splitlines()) if n not in keep]
     assert not unused, "%s imports unused names %s" % (path.name, unused)
+
+
+def imported_modules(tree):
+    """Top-level names of the modules a module imports from or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_imports_no_random():
+    users = [
+        p.name
+        for p in PACKAGE_MODULES
+        if "random" in imported_modules(ast.parse(p.read_text(encoding="utf-8")))
+    ]
+    assert not users, "package modules import random: %s" % users

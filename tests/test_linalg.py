@@ -18,7 +18,7 @@ from cmwitness.linalg import (
     poly_det,
     solve_fraction_system,
 )
-from cmwitness.poly import BaseRing, Poly, divide_exact, parse_poly
+from cmwitness.poly import BaseRing, Poly, divide_exact
 
 RING = BaseRing(("X", "Y"))
 X, Y = RING.gens()

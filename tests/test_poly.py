@@ -14,7 +14,6 @@ from cmwitness.poly import (
     divide_exact,
     f2_divide_exact,
     f2_is_divisible,
-    f2_one,
     f2_zero,
     format_poly,
     half,
@@ -181,9 +180,10 @@ def test_reduce_mod2():
     r = reduce_mod2(X * X + Y.scale(3) + RING.const(4))
     assert str(r) == "X^2+Y"
     assert reduce_mod2(X.scale(2)).is_zero()
-    assert reduce_mod2(RING.const(5)) == f2_one(RING)
+    assert reduce_mod2(RING.const(5)) == reduce_mod2(RING.one())
     assert f2_zero(RING).is_zero()
-    assert f2_one(RING).is_unit()
+    assert reduce_mod2(RING.one()).is_unit()
+    assert str(reduce_mod2(RING.one())) == "1" and str(f2_zero(RING)) == "0"
 
 
 def test_lift_and_parity():
@@ -200,7 +200,7 @@ def test_sqrt_f2():
     assert sqrt_f2(reduce_mod2((X * Y + V).scale(1) ** 2)) == reduce_mod2(X * Y + V)
     assert sqrt_f2(reduce_mod2(X * Y)) is None
     assert sqrt_f2(f2_zero(RING)).is_zero()
-    assert sqrt_f2(f2_one(RING)) == f2_one(RING)
+    assert sqrt_f2(reduce_mod2(RING.one())) == reduce_mod2(RING.one())
 
 
 def test_f2_division():

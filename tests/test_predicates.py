@@ -5,9 +5,14 @@ import random
 
 import pytest
 
-from cmwitness.errors import MalformedSequenceError, UnsupportedError, ZeroInputError
-from cmwitness.poly import BaseRing, Poly, lift_f2, parse_poly, reduce_mod2
+from cmwitness.errors import (
+    InternalVerificationError,
+    MalformedSequenceError,
+    ZeroInputError,
+)
+from cmwitness.poly import BaseRing, Poly, is_even, parse_poly, reduce_mod2
 from cmwitness.predicates import (
+    _assert_lift_independence,
     decompose_S2,
     degree_four_check,
     ideal_Q_classify,
@@ -119,6 +124,31 @@ def test_in_S2wedge4_lift_independence():
         h_shift = w.h + t.scale(2)
         a_shift = f - h_shift * h_shift
         assert a_shift.integer_content() % 2 == 0 or a_shift.is_zero()
+
+
+def test_lift_identity_refuses_a_flipped_verdict():
+    # One f inside S^{2,4} (a even) and one outside (a odd): the identity
+    # over S[T] confirms each true verdict and raises on the flipped one.
+    for text, verdict in (("V^2*X^2+4", True), ("V^2*X^2-2*X^2+4", False)):
+        f = P(text)
+        w = decompose_S2(f)
+        assert is_even(w.a) == verdict
+        _assert_lift_independence(f, w, verdict)
+        with pytest.raises(InternalVerificationError):
+            _assert_lift_independence(f, w, not verdict)
+
+
+def test_lift_identity_avoids_existing_variable_names():
+    # The fresh variable's first choices "T" and "T_" are taken here.
+    ring = BaseRing(("X", "T", "T_"))
+    Xr, T, T_ = ring.gens()
+    inside = (Xr * T + T_) ** 2 + ring.const(4)
+    outside = (Xr * T + T_) ** 2 + T.scale(2) + ring.const(4)
+    w = in_S2wedge4(inside)
+    assert w is not None and w.h * w.h + w.a_prime.scale(4) == inside
+    assert in_S2wedge4(outside) is None
+    with pytest.raises(InternalVerificationError):
+        _assert_lift_independence(outside, decompose_S2(outside), True)
 
 
 def test_product_in_S2wedge4():
