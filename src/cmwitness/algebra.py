@@ -48,8 +48,6 @@ from .predicates import (
     satisfies_A1,
 )
 
-BASIS_NAMES = ("1", "w", "u", "w*u")
-
 
 @dataclass(frozen=True)
 class AlgebraDesc:
@@ -235,8 +233,6 @@ class KElement:
         )
         return KElement.make(self.algebra, coords, k)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return KElement(
             self.algebra, tuple(c.scale(-1) for c in self.coords), self.denom_exp
@@ -248,19 +244,11 @@ class KElement:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return k_mul(self, other)
-
-    __rmul__ = __mul__
 
     def scale_poly(self, p: Poly) -> "KElement":
         coords = tuple(c * p for c in self.coords)
@@ -283,20 +271,6 @@ class KElement:
         if self._hash is None:
             self._hash = hash((self.coords, self.denom_exp))
         return self._hash
-
-    def __repr__(self):
-        return f"KElement({self})"
-
-    def __str__(self):
-        parts = []
-        for c, name in zip(self.coords, BASIS_NAMES):
-            if c.is_zero():
-                continue
-            parts.append(f"({c})" if name == "1" else f"({c})*{name}")
-        body = " + ".join(parts) if parts else "0"
-        if self.denom_exp:
-            return f"[{body}] / 2^{self.denom_exp}"
-        return body
 
 
 def _check_same_algebra(a: KElement, b: KElement):
@@ -335,14 +309,6 @@ def min_poly_check(x: KElement, coeffs: Sequence[Union[Poly, KElement]]) -> bool
     return (k_mul(x, x) - k_mul(c1, x) - c0).is_zero()
 
 
-@dataclass
-class MultiplicationTable:
-    """Closure certificate: coefficients of gens[i]*gens[j] in the gens."""
-
-    gens: List[KElement]
-    entries: Dict[Tuple[int, int], List[PolyFraction]]
-
-
 def _common_coords(*groups: Sequence[KElement]) -> List[List[List[Poly]]]:
     """Each group's coordinate vectors, all scaled to one denominator 2^k.
 
@@ -357,17 +323,20 @@ def _common_coords(*groups: Sequence[KElement]) -> List[List[List[Poly]]]:
     ]
 
 
-def span_closure_check(gens: Sequence[KElement]) -> MultiplicationTable:
+def span_closure_check(
+    gens: Sequence[KElement],
+) -> Dict[Tuple[int, int], List[PolyFraction]]:
     """Certify that the S-span of gens is closed under multiplication.
 
-    Every product gens[i]*gens[j] is expressed in the basis (1, w, u,
-    wu), scaled with the generators to one power of 2, and all of them
-    are solved against the generator columns in one elimination.  A
-    solution coefficient lies in S exactly when its reduced denominator
-    is a unit (odd constant term).  Raises NotClosedError with the
-    first offending pair if some product is not an S-combination,
-    SpanNotFreeError if the generators are linearly dependent over the
-    fraction field.
+    Returns the multiplication table: for i <= j, key (i, j) holds the
+    coefficients of gens[i]*gens[j] over the gens.  Every product is
+    expressed in the basis (1, w, u, wu), scaled with the generators to
+    one power of 2, and all of them are solved against the generator
+    columns in one elimination.  A solution coefficient lies in S
+    exactly when its reduced denominator is a unit (odd constant term).
+    Raises NotClosedError with the first offending pair if some product
+    is not an S-combination, SpanNotFreeError if the generators are
+    linearly dependent over the fraction field.
     """
     gens = list(gens)
     if not gens or not (gens[0] == gens[0].algebra.one()):
@@ -388,7 +357,7 @@ def span_closure_check(gens: Sequence[KElement]) -> MultiplicationTable:
             raise NotClosedError(
                 f"product of generators {i} and {j} needs coefficients outside S"
             )
-    return MultiplicationTable(gens=gens, entries=dict(zip(pairs, sols)))
+    return dict(zip(pairs, sols))
 
 
 def express_in_span(

@@ -32,7 +32,6 @@ from .algebra import (
     AlgebraDesc,
     IdealGens,
     KElement,
-    MultiplicationTable,
     express_in_span,
     ideal_product,
     in_colon,
@@ -55,13 +54,11 @@ from .homology import (
     resolution_of_S_mod_Q,
     verify_complex,
 )
-from .linalg import poly_det
+from .linalg import PolyFraction, poly_det
 from .poly import (
     BaseRing,
     F2Poly,
     Poly,
-    f2_divide_exact,
-    f2_is_divisible,
     f2_zero,
     is_even,
     lift_f2,
@@ -312,7 +309,7 @@ class RingPresentation:
     sfree: bool
     generators: List[KElement]
     cm_verdict: bool
-    mult_table: Optional[MultiplicationTable] = None
+    mult_table: Optional[Dict[Tuple[int, int], List[PolyFraction]]] = None
     quadratics: List[Tuple[int, KElement, KElement]] = field(default_factory=list)
     relation: Optional[List[Poly]] = None
     resolution_S_mod_Q: Optional[VerifiedComplex] = None
@@ -646,36 +643,6 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
 # the guard-rail regression
 
 
-class _DPair:
-    """u + t*gamma over F_2[x..], gamma^2 = gsq, with denominator v^j."""
-
-    __slots__ = ("u", "t", "j", "gsq", "vvar")
-
-    def __init__(self, u: F2Poly, t: F2Poly, j: int, gsq: F2Poly, vvar: F2Poly):
-        while j > 0 and f2_is_divisible(u, vvar) and f2_is_divisible(t, vvar):
-            u = f2_divide_exact(u, vvar)
-            t = f2_divide_exact(t, vvar)
-            j -= 1
-        self.u, self.t, self.j, self.gsq, self.vvar = u, t, j, gsq, vvar
-
-    def __mul__(self, other: "_DPair") -> "_DPair":
-        u = self.u * other.u + self.t * other.t * self.gsq
-        t = self.u * other.t + self.t * other.u
-        return _DPair(u, t, self.j + other.j, self.gsq, self.vvar)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _DPair):
-            return NotImplemented
-        lhs_u = self.u * self.vvar ** other.j
-        rhs_u = other.u * self.vvar ** self.j
-        lhs_t = self.t * self.vvar ** other.j
-        rhs_t = other.t * self.vvar ** self.j
-        return lhs_u == rhs_u and lhs_t == rhs_t
-
-    def __hash__(self):
-        return hash((self.u, self.t, self.j))
-
-
 def example_2_10_identity(ring: BaseRing, multiplier: int = 4) -> bool:
     """V^2*g = Y^2*f + m*(V^2 - Y^2) for f = X*V^2+4, g = X*Y^2+4.
 
@@ -713,23 +680,16 @@ def example_2_10_regression(ring: BaseRing) -> bool:
     alg = make_algebra(ring, f, g)
     ok = ok and classify(alg) == OUTSIDE_SCOPE
 
-    xb = reduce_mod2(ring.var("X"))
-    yb = reduce_mod2(ring.var("Y"))
-    vb = reduce_mod2(ring.var("V"))
-    zero = f2_zero(xb.ring)
+    # D = F_2[x,y,v]<1, gamma> with gamma^2 = x*v^2 and eps = y*gamma/v;
+    # each identity below is multiplied through by eps's denominators.
+    xb, yb, vb = (reduce_mod2(ring.var(n)) for n in ("X", "Y", "V"))
     gsq = xb * vb * vb
-    one = reduce_mod2(ring.one())
-    gamma = _DPair(zero, one, 0, gsq, vb)
-    eps = _DPair(zero, yb, 1, gsq, vb)
-
-    # eps * gamma = x*y*v and eps^2 = gbar = x*y^2, as ring elements
-    ok = ok and (eps * gamma) == _DPair(xb * yb * vb, zero, 0, gsq, vb)
-    ok = ok and (eps * eps) == _DPair(xb * yb * yb, zero, 0, gsq, vb)
-    # the relation y*gamma - v*eps = 0
-    ygamma = _DPair(zero, yb, 0, gsq, vb)
-    veps = _DPair(zero, vb * yb, 1, gsq, vb)
-    ok = ok and ygamma == veps
+    # eps * gamma = y*gamma^2/v = x*y*v and eps^2 = y^2*gamma^2/v^2 = gbar
+    ok = ok and yb * gsq == vb * (xb * yb * vb)
+    ok = ok and yb * yb * gsq == vb * vb * (xb * yb * yb)
+    # the relation y*gamma = v*eps, times v, on gamma-coefficients
+    ok = ok and yb * vb == vb * yb
     # syzygy vector (0, y, -v): annihilates (1, gamma, eps); one row over
     # a domain has generic rank 1 exactly when some entry is nonzero
-    ok = ok and any(not x.is_zero() for x in (zero, yb, vb))
+    ok = ok and any(not x.is_zero() for x in (f2_zero(xb.ring), yb, vb))
     return ok

@@ -64,7 +64,6 @@ from .predicates import S2Witness, regular_sequence_certificate
 
 __all__ = [
     "FreeComplex",
-    "GradeCertificate",
     "VerifiedComplex",
     "resolution_of_I",
     "resolution_of_S_mod_Q",
@@ -128,36 +127,6 @@ class FreeComplex:
             minor_ideal_generators(m, r)
             for m, r in zip(self.matrices, self.differential_ranks)
         ]
-
-
-@dataclass
-class GradeCertificate:
-    """Evidence that an ideal has grade at least ``len(witness)``.
-
-    ``ideal_gens`` generate the ideal (here: the rank-size minors of a
-    differential); ``witness`` is a regular sequence contained in the
-    ideal.  ``validate`` checks containment and regularity and returns
-    the certified lower bound.
-    """
-
-    ideal_gens: List[Poly]
-    witness: List[Poly]
-
-    @property
-    def certified_grade_lower_bound(self) -> int:
-        return len(self.witness)
-
-    def validate(self) -> bool:
-        if not self.witness:
-            raise MalformedSequenceError("empty witness sequence certifies nothing")
-        if len(self.witness) > 3:
-            raise MalformedSequenceError(
-                "witness sequences longer than 3 are not supported"
-            )
-        for w in self.witness:
-            if not _in_ideal_by_divisibility(w, self.ideal_gens):
-                return False
-        return _is_regular_sequence(self.witness)
 
 
 def _in_ideal_by_divisibility(elem: Poly, gens: Sequence[Poly]) -> bool:
@@ -315,21 +284,19 @@ def minor_ideal_generators(mat: List[List[Poly]], size: int) -> List[Poly]:
     return out
 
 
-def be_exactness_check(
-    cx: FreeComplex, grades: Sequence[Optional[GradeCertificate]]
-) -> bool:
+def be_exactness_check(cx: FreeComplex, witnesses: Sequence[Sequence[Poly]]) -> bool:
     """Acyclicity criterion: rank additivity plus certified minor grades.
 
-    ``grades[i]`` must certify grade >= i+1 for the ideal of
-    rank-size minors of d_{i+1}; MissingCertificate when a slot is
-    absent or the claimed bound is too small.  Returns False when a rank
-    or certificate check fails, True when the complex is verified exact
-    in positive degrees.
+    ``witnesses[i]`` must be a regular sequence of length >= i+1 inside
+    the ideal of rank-size minors of d_{i+1} (``cx.rank_minors[i]``);
+    MissingCertificate when the list or a sequence is too short.
+    Returns False when a rank, containment or regularity check fails,
+    True when the complex is verified exact in positive degrees.
     """
     n = len(cx.matrices)
-    if len(grades) < n:
+    if len(witnesses) < n:
         raise MissingCertificateError(
-            "need %d grade certificates, got %d" % (n, len(grades))
+            "need %d grade witnesses, got %d" % (n, len(witnesses))
         )
     ranks = cx.differential_ranks
     dims = cx.ranks()
@@ -337,27 +304,24 @@ def be_exactness_check(
         expected = ranks[i - 1] + (ranks[i] if i < n else 0)
         if expected != dims[i]:
             return False
-    for i in range(1, n + 1):
-        cert = grades[i - 1]
-        if cert is None:
-            raise MissingCertificateError("no grade certificate for position %d" % i)
-        if cert.certified_grade_lower_bound < i:
+    for i, (witness, minors) in enumerate(zip(witnesses, cx.rank_minors), start=1):
+        if len(witness) < i:
             raise MissingCertificateError(
-                "certificate at position %d only reaches grade %d"
-                % (i, cert.certified_grade_lower_bound)
+                "witness at position %d only reaches grade %d" % (i, len(witness))
             )
-        supplied = {p for p in cert.ideal_gens}
-        if supplied != {p for p in cx.rank_minors[i - 1]}:
-            raise MissingCertificateError(
-                "certificate at position %d lists the wrong minor ideal" % i
+        if len(witness) > 3:
+            raise MalformedSequenceError(
+                "witness sequences longer than 3 are not supported"
             )
-        if not cert.validate():
+        if not all(_in_ideal_by_divisibility(w, minors) for w in witness):
+            return False
+        if not _is_regular_sequence(witness):
             return False
     return True
 
 
-def standard_grade_certificates(cx: FreeComplex) -> List[GradeCertificate]:
-    """Build the grade certificates for the two complexes made here.
+def standard_grade_certificates(cx: FreeComplex) -> List[List[Poly]]:
+    """One grade witness per differential of the two complexes made here.
 
     Witness recipes, one per homological position i:
 
@@ -368,7 +332,7 @@ def standard_grade_certificates(cx: FreeComplex) -> List[GradeCertificate]:
       i=3: (2, c, e) via the explicit length-3 check.
     """
     ring = cx.matrices[0][0][0].ring
-    out: List[GradeCertificate] = []
+    out: List[List[Poly]] = []
     for i, minors in enumerate(cx.rank_minors, start=1):
         nonzero = [m for m in minors if not m.is_zero()]
         if i == 1:
@@ -388,7 +352,7 @@ def standard_grade_certificates(cx: FreeComplex) -> List[GradeCertificate]:
             raise MissingCertificateError(
                 "no length-%d witness available for this complex" % i
             )
-        out.append(GradeCertificate(ideal_gens=list(minors), witness=witness))
+        out.append(witness)
     return out
 
 
@@ -409,24 +373,24 @@ def pd_depth_report(cx: FreeComplex) -> Tuple[int, int]:
 
 @dataclass
 class VerifiedComplex:
-    """A complex verified exact, with its grade certificates and pd/depth."""
+    """A complex verified exact, with its grade witnesses and pd/depth."""
 
     complex: FreeComplex
-    certificates: List[GradeCertificate]
+    witnesses: List[List[Poly]]
     pd_bound: int
     depth: int
 
 
 def verify_complex(cx: FreeComplex) -> VerifiedComplex:
-    """Build the grade certificates of ``cx`` and verify it exactly once.
+    """Build the grade witnesses of ``cx`` and verify it exactly once.
 
     Raises UnverifiedComplexError when the differentials do not compose
     to zero or the exactness criterion fails.
     """
-    certs = standard_grade_certificates(cx)
-    if not (check_composition_zero(cx) and be_exactness_check(cx, certs)):
+    witnesses = standard_grade_certificates(cx)
+    if not (check_composition_zero(cx) and be_exactness_check(cx, witnesses)):
         raise UnverifiedComplexError("the complex is not verified exact")
-    return VerifiedComplex(cx, certs, *pd_depth_report(cx))
+    return VerifiedComplex(cx, witnesses, *pd_depth_report(cx))
 
 
 def kernel_saturation_check(cx: FreeComplex) -> bool:

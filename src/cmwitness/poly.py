@@ -351,11 +351,6 @@ class F2Poly:
         """Unit of the localized residue ring: constant term present."""
         return self.ring.zero_exponent() in self.monomials
 
-    def total_degree(self) -> int:
-        if not self.monomials:
-            return -1
-        return max(sum(e) for e in self.monomials)
-
     def lead(self) -> Exponent:
         if not self.monomials:
             raise ValueError("zero polynomial has no leading term")
@@ -383,12 +378,6 @@ class F2Poly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 acc[e] = acc.get(e, 0) ^ 1
         return F2Poly(self.ring, (e for e, c in acc.items() if c))
-
-    def __pow__(self, n: int):
-        out = F2Poly(self.ring, {self.ring.zero_exponent()})
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, F2Poly):
@@ -464,14 +453,6 @@ def f2_divide_exact(a: F2Poly, b: F2Poly) -> F2Poly:
         quot.add(e)
         rem = rem + F2Poly(a.ring, (e,)) * b
     return F2Poly(a.ring, quot)
-
-
-def f2_is_divisible(a: F2Poly, b: F2Poly) -> bool:
-    try:
-        f2_divide_exact(a, b)
-        return True
-    except NotDivisibleError:
-        return False
 
 
 # ---------------------------------------------------------------------------

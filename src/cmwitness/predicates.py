@@ -34,6 +34,7 @@ from .poly import (
     F2Poly,
     Poly,
     f2_divide_exact,
+    f2_zero,
     half,
     is_even,
     lift_f2,
@@ -195,7 +196,7 @@ def ideal_Q_classify(h1: Poly, h2: Poly) -> QShape:
     r1, r2 = reduce_mod2(h1), reduce_mod2(h2)
     if r1.is_zero() and r2.is_zero():
         # Q = (2): degenerate, principal hence two-generated.
-        zero = F2Poly(h1.ring, ())
+        zero = f2_zero(h1.ring)
         return QShape(z=zero, c=zero, e=zero, tag="TwoGenerated")
     z = gcd_f2(r1, r2)
     c = f2_divide_exact(r1, z)

@@ -30,7 +30,7 @@ from .classifier import (
     conductor,
     presentation_complex,
 )
-from .errors import MalformedInputError
+from .errors import BoundTooLargeError, MalformedInputError
 from .homology import VerifiedComplex, verify_complex
 from .poly import BaseRing, Poly, parse_poly
 
@@ -39,6 +39,10 @@ __all__ = ["DEFAULT_OPTIONS", "assemble_report", "render_json", "parse_job"]
 DEFAULT_OPTIONS = {"colon_search_degree": 6, "spot_check_seed": 1}
 
 CM_TAG_PREFIXES = ("CaseA_", "CaseB_", "CaseC_CM_")
+
+# Work grows about cubically in the number of variables, used or not;
+# every worked example of the paper needs at most 3.
+MAX_VARIABLES = 16
 
 # Why the conductor is not given, for the cases where the theory does
 # not identify it.
@@ -67,9 +71,13 @@ def cm_verdict_for_tag(case: str) -> Optional[bool]:
 
 
 def parse_ring(variables: object) -> BaseRing:
-    """The ring of a job or family: a non-empty list of variable names."""
+    """The ring of a job or family: 1 to MAX_VARIABLES variable names."""
     if not isinstance(variables, list) or not variables:
         raise MalformedInputError("variables must be a non-empty list of strings")
+    if len(variables) > MAX_VARIABLES:
+        raise BoundTooLargeError(
+            "%d variables; limit is %d" % (len(variables), MAX_VARIABLES)
+        )
     return BaseRing(tuple(variables))
 
 
@@ -155,7 +163,7 @@ def _presentation_block(pres: RingPresentation) -> Dict[str, object]:
     if pres.mult_table is not None:
         out["mult_table"] = {
             "%d,%d" % key: [str(fr) for fr in sol]
-            for key, sol in sorted(pres.mult_table.entries.items())
+            for key, sol in sorted(pres.mult_table.items())
         }
     if pres.relation is not None:
         # R = S^2 (+) Syz^2(S/Q): the columns of d2 of the resolution of
@@ -220,7 +228,7 @@ def _verified_complex_block(res: VerifiedComplex, name: str) -> Dict[str, object
         "verified": True,
         "pd_bound": res.pd_bound,
         "depth": res.depth,
-        "grade_witnesses": [[str(w) for w in c.witness] for c in res.certificates],
+        "grade_witnesses": [[str(w) for w in ws] for ws in res.witnesses],
     }
 
 

@@ -109,7 +109,7 @@ def test_build_R_case_a_both():
     assert pres.sfree and pres.cm_verdict
     assert len(pres.generators) == 4
     assert pres.mult_table is not None
-    assert all(fr.is_in_S() for row in pres.mult_table.entries.values() for fr in row)
+    assert all(fr.is_in_S() for row in pres.mult_table.values() for fr in row)
     # tau_1 = (w + h1)/2 satisfies t^2 = h1 t + a', integral over S.
     t1 = pres.generators[1]
     assert t1.denom_exp == 1
@@ -119,7 +119,7 @@ def test_build_R_case_a_one():
     alg = alg_of(RING2, "X^2+4", "Y^2+2")
     pres = build_R(alg, CASE_A_ONE)
     assert pres.sfree and pres.cm_verdict and len(pres.generators) == 4
-    assert all(fr.is_in_S() for row in pres.mult_table.entries.values() for fr in row)
+    assert all(fr.is_in_S() for row in pres.mult_table.values() for fr in row)
 
 
 def test_build_R_case_b():
@@ -137,7 +137,7 @@ def test_build_R_case_c_cm_trims():
     pres = build_R(alg, CASE_C_CM)
     assert pres.sfree and pres.cm_verdict
     assert len(pres.generators) == 4
-    assert all(fr.is_in_S() for row in pres.mult_table.entries.values() for fr in row)
+    assert all(fr.is_in_S() for row in pres.mult_table.values() for fr in row)
 
 
 def test_build_R_non_cm_five_generators():

@@ -274,6 +274,11 @@ def _job(**fields):
     return dict({"variables": ["X", "Y"], "f": "X^2+2", "g": "Y^2+2"}, **fields)
 
 
+def _variables(n):
+    """X, Y and n - 2 unused names."""
+    return ["X", "Y"] + ["Z%d" % i for i in range(n - 2)]
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [
@@ -304,6 +309,9 @@ def _job(**fields):
         ("classify", _job(f=True)),
         ("classify", _job(g=["Y^2+2"])),
         ("sweep", dict(_family({"values": [1]}), f=3)),
+        # Work grows with every variable, used or not.
+        ("classify", _job(variables=_variables(17))),
+        ("sweep", dict(_family({"values": [1]}), variables=_variables(17))),
     ],
     ids=[
         "values_float",
@@ -329,6 +337,8 @@ def _job(**fields):
         "f_bool",
         "g_list",
         "family_f_number",
+        "job_17_variables",
+        "family_17_variables",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
@@ -344,6 +354,11 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
     assert "Traceback" not in err
     [line] = err.splitlines()
     assert json.loads(line)["error"]
+
+
+def test_sixteen_variables_still_classify(tmp_path):
+    path = write_job(tmp_path, "in.json", _job(variables=_variables(16)))
+    assert main(["classify", "--job", path, "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_polynomial_fields_must_be_strings(tmp_path, capsys):

@@ -1,16 +1,16 @@
-"""Free complexes, Buchsbaum-Eisenbud exactness, grade certificates."""
+"""Free complexes, Buchsbaum-Eisenbud exactness, grade witnesses."""
 
 import pytest
 
 from cmwitness.errors import (
     LiftInvalidError,
+    MalformedSequenceError,
     MissingCertificateError,
     UnverifiedComplexError,
     WitnessMismatchError,
 )
 from cmwitness.homology import (
     FreeComplex,
-    GradeCertificate,
     be_exactness_check,
     check_composition_zero,
     kernel_saturation_check,
@@ -147,7 +147,7 @@ def test_be_exactness_family2_resolutions():
     q_certs = standard_grade_certificates(q_cx)
     assert be_exactness_check(q_cx, q_certs)
     # The grade-3 witness for the length-3 stage is (2, X, Y).
-    assert [str(p) for p in q_certs[-1].witness] == ["2", "X", "Y"]
+    assert [str(p) for p in q_certs[-1]] == ["2", "X", "Y"]
 
 
 def test_be_exactness_family1_resolutions():
@@ -167,23 +167,18 @@ def test_be_exactness_rejects_rank_violation():
     m1 = [[X, Y], [Y, X]]
     m2 = [[X, RING2.zero()], [RING2.zero(), X]]
     cx = FreeComplex(matrices=[m1, m2], labels=["F0", "F1", "F2"], augmented=False)
-    certs = [
-        GradeCertificate(ideal_gens=[X], witness=[X]),
-        GradeCertificate(ideal_gens=[X], witness=[X, Y]),
-    ]
-    assert not be_exactness_check(cx, certs)
+    assert not be_exactness_check(cx, [[X], [X, Y]])
 
 
 def test_be_exactness_rejects_wrong_minor_ideal():
+    # d_1 of the resolution of I has 2x2 minors 4, -2X, -2Y (and zeros);
+    # X is odd, so it lies outside that ideal and certifies nothing.
     wf, wg = family2_witnesses()
     cx = resolution_of_I(wf, wg)
-    certs = standard_grade_certificates(cx)
-    first = certs[0]
-    wrong = GradeCertificate(
-        ideal_gens=first.ideal_gens + [RING2.const(7)], witness=first.witness
-    )
-    with pytest.raises(MissingCertificateError, match="wrong minor ideal"):
-        be_exactness_check(cx, [wrong] + certs[1:])
+    witnesses = standard_grade_certificates(cx)
+    assert be_exactness_check(cx, witnesses)
+    X, _ = RING2.gens()
+    assert not be_exactness_check(cx, [[X]] + witnesses[1:])
 
 
 def test_be_exactness_requires_certificates():
@@ -191,28 +186,35 @@ def test_be_exactness_requires_certificates():
     cx = resolution_of_I(wf, wg)
     with pytest.raises(MissingCertificateError):
         be_exactness_check(cx, [])
+    # A witness shorter than its position certifies too small a grade.
+    first, second = standard_grade_certificates(cx)
+    with pytest.raises(MissingCertificateError, match="position 2"):
+        be_exactness_check(cx, [first, second[:1]])
 
 
 def test_grade_certificate_validate():
+    # The resolution of S/Q for Q = (2, X, Y): d_1 = [2, X, Y] and the
+    # tail column [-Y, X, -2], whose 1x1 minors contain (2, X, Y).
     X, Y = RING2.gens()
-    good = GradeCertificate(ideal_gens=[RING2.const(2), X, Y], witness=[RING2.const(2), X, Y])
-    assert good.validate()
-    assert good.certified_grade_lower_bound == 3
-    # Witness element outside the ideal: rejected.
-    bad = GradeCertificate(ideal_gens=[X], witness=[Y])
-    assert not bad.validate()
+    two = RING2.const(2)
+    cx = resolution_of_S_mod_Q(RING2.one(), X, Y)
+    first, second, _ = standard_grade_certificates(cx)
+    assert be_exactness_check(cx, [first, second, [two, X, Y]])
+    # A unit outside the minor ideal: rejected.
+    assert not be_exactness_check(cx, [[RING2.const(3)], second, [two, X, Y]])
     # Non-regular witness (repeated element mod 2): rejected.
-    bad2 = GradeCertificate(
-        ideal_gens=[RING2.const(2), X], witness=[RING2.const(2), X, X]
-    )
-    assert not bad2.validate()
+    assert not be_exactness_check(cx, [first, second, [two, X, X]])
+    with pytest.raises(MalformedSequenceError):
+        be_exactness_check(cx, [[two, X, Y, X], second, [two, X, Y]])
 
 
 def test_grade_certificate_ring_mismatch_raises():
     # A witness from another ring is a caller error, not "outside the ideal".
-    cert = GradeCertificate(ideal_gens=[RING2.var("X")], witness=[RING3.var("X")])
+    X, Y = RING2.gens()
+    cx = resolution_of_S_mod_Q(RING2.one(), X, Y)
+    witnesses = standard_grade_certificates(cx)
     with pytest.raises(ValueError):
-        cert.validate()
+        be_exactness_check(cx, [[RING3.var("X")]] + witnesses[1:])
 
 
 def test_pd_depth_report():

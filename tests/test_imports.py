@@ -5,9 +5,12 @@ module outside the import statements (string annotations included), or
 when the module lists it in ``__all__``.  An import whose line carries
 ``# noqa: F401`` is kept for its side effect and not checked.  No
 package module imports ``random``: every check in the package is exact.
+Every module-level function and class of the package is read by some
+package module other than ``__init__``, so none exists only for tests.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ PACKAGE_DIR = Path(cmwitness.__file__).resolve().parent
 PACKAGE_MODULES = sorted(PACKAGE_DIR.glob("*.py"))
 TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 MODULES = PACKAGE_MODULES + TEST_MODULES
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def imported_names(tree, lines):
@@ -90,3 +94,31 @@ def test_package_imports_no_random():
         if "random" in imported_modules(ast.parse(p.read_text(encoding="utf-8")))
     ]
     assert not users, "package modules import random: %s" % users
+
+
+def traced_names():
+    """Functions the benchmark's tracer wraps by name from outside."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name for _, name in module.SPAN_TARGETS}
+
+
+def test_every_definition_is_read_in_the_package():
+    # bounded_colon_search is the independent oracle the tests check
+    # the constructed closures against.
+    exempt = {"bounded_colon_search"} | traced_names()
+    defined = []
+    read = set()
+    for path in PACKAGE_MODULES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= used_names(tree)
+        defined += [
+            (path.name, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+    unread = [d for d in defined if d[1] not in read | exempt]
+    assert not unread, "defined but never read in the package: %s" % unread

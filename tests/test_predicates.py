@@ -10,7 +10,7 @@ from cmwitness.errors import (
     MalformedSequenceError,
     ZeroInputError,
 )
-from cmwitness.poly import BaseRing, Poly, is_even, parse_poly, reduce_mod2
+from cmwitness.poly import BaseRing, Poly, half, is_even, parse_poly, reduce_mod2
 from cmwitness.predicates import (
     _assert_lift_independence,
     decompose_S2,
@@ -107,23 +107,25 @@ def test_in_S2wedge4():
 
 
 def test_in_S2wedge4_lift_independence():
-    # Replacing the canonical lift h by h + 2t flips a by 2(th + t^2),
-    # never its parity; spot-check by re-deriving from shifted lifts.
+    # Replacing the canonical lift h by h + 2t changes a = (f - h^2)/2 by
+    # -2(th + t^2), never its parity: for every shifted lift, a_t is even
+    # exactly when f lies in S^{2,4}.  One f inside, one outside.
     rng = random.Random(77)
-    f = P("V^2*X^2+4")
-    w = in_S2wedge4(f)
-    assert w is not None
-    for _ in range(10):
-        t = Poly(
-            RING,
-            {
-                tuple(rng.randrange(2) for _ in RING.variables): rng.randrange(-3, 4)
-                for _ in range(2)
-            },
-        )
-        h_shift = w.h + t.scale(2)
-        a_shift = f - h_shift * h_shift
-        assert a_shift.integer_content() % 2 == 0 or a_shift.is_zero()
+    for text, inside in (("V^2*X^2+4", True), ("V^2*X^2-2*X^2+4", False)):
+        f = P(text)
+        assert (in_S2wedge4(f) is not None) == inside
+        h = decompose_S2(f).h
+        for _ in range(10):
+            t = Poly(
+                RING,
+                {
+                    tuple(rng.randrange(2) for _ in RING.variables): rng.randrange(-3, 4)
+                    for _ in range(2)
+                },
+            )
+            h_shift = h + t.scale(2)
+            a_t = half(f - h_shift * h_shift)
+            assert is_even(a_t) == inside
 
 
 def test_lift_identity_refuses_a_flipped_verdict():
