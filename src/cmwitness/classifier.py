@@ -59,7 +59,6 @@ from .poly import (
     BaseRing,
     F2Poly,
     Poly,
-    f2_zero,
     is_even,
     lift_f2,
     parse_poly,
@@ -662,12 +661,9 @@ def example_2_10_regression(ring: BaseRing) -> bool:
     """Guard-rail checks for the pair f = X*V^2 + 4, g = X*Y^2 + 4.
 
     The pair is outside the covered scope (neither residue is a square
-    mod 2), but its one-dimensional behaviour is still rigid: the
-    linking identity between f and g holds exactly, and the rank-2
-    model D = F_2[x,y,v]<1, gamma> with gamma^2 = x*v^2 supports the
-    element eps = y*gamma/v with eps^2 = gbar, the single relation
-    y*gamma - v*eps = 0 with syzygy vector (0, y, -v) of generic rank
-    1.  Returns True only when every check passes.
+    mod 2).  The regression checks that the linking identity between f
+    and g holds exactly and that ``classify`` returns OUTSIDE_SCOPE.
+    Returns True only when both checks pass.
     """
     if tuple(ring.variables) != ("X", "Y", "V"):
         raise UnsupportedError("the guard-rail example lives in Z[X, Y, V]")
@@ -678,18 +674,4 @@ def example_2_10_regression(ring: BaseRing) -> bool:
     f = parse_poly("X*V^2+4", ring)
     g = parse_poly("X*Y^2+4", ring)
     alg = make_algebra(ring, f, g)
-    ok = ok and classify(alg) == OUTSIDE_SCOPE
-
-    # D = F_2[x,y,v]<1, gamma> with gamma^2 = x*v^2 and eps = y*gamma/v;
-    # each identity below is multiplied through by eps's denominators.
-    xb, yb, vb = (reduce_mod2(ring.var(n)) for n in ("X", "Y", "V"))
-    gsq = xb * vb * vb
-    # eps * gamma = y*gamma^2/v = x*y*v and eps^2 = y^2*gamma^2/v^2 = gbar
-    ok = ok and yb * gsq == vb * (xb * yb * vb)
-    ok = ok and yb * yb * gsq == vb * vb * (xb * yb * yb)
-    # the relation y*gamma = v*eps, times v, on gamma-coefficients
-    ok = ok and yb * vb == vb * yb
-    # syzygy vector (0, y, -v): annihilates (1, gamma, eps); one row over
-    # a domain has generic rank 1 exactly when some entry is nonzero
-    ok = ok and any(not x.is_zero() for x in (f2_zero(xb.ring), yb, vb))
-    return ok
+    return ok and classify(alg) == OUTSIDE_SCOPE

@@ -11,12 +11,26 @@ divisions along the way are exact.
 The same kernel runs over Z (mod=None) and over GF(2) (mod=2); the GF(2)
 gcd is genuinely a separate computation, not a reduction of the integer
 one, since gcds do not commute with reduction mod 2.
+
+Most gcds the hypothesis checks ask for are 1, so ``gcd_q`` first tries
+an exact coprimality certificate from modular images (after Brown 1971
+and Zippel 1979).  For each variable x_j, every other variable is set to
+a fixed point mod the prime p = 2^31 - 1, giving univariate images in
+GF(p)[x_j].  The certificate needs one input whose image keeps its full
+x_j-degree, and a univariate Euclid over GF(p) must find the gcd of the
+images to be a nonzero constant.  That proves deg_xj G = 0 for the true
+gcd G: G divides the input that kept its degree, so the leading
+coefficient of G survives too and G's image keeps G's x_j-degree; and
+G's image divides the gcd of the images.  When this holds for every
+variable, G is a constant over Q.  Any other outcome proves nothing,
+and ``gcd_q`` runs the subresultant PRS as before.  The points are
+constants, so every result is deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from .errors import BothZeroError, NotDivisibleError
 from .poly import Exponent, F2Poly, Poly, _exp_sub, grlex_key
@@ -259,6 +273,77 @@ def _subresultant_last(f: Rec, g: Rec, k: int, mod: Optional[int]) -> Rec:
     return g
 
 
+# ---------------------------------------------------------------------------
+# Coprimality certificate from modular images
+
+_P = 2**31 - 1
+# Variable x_i is evaluated at _POINT_BASE + _POINT_STEP * i.
+_POINT_BASE = 1000003
+_POINT_STEP = 7919
+
+
+def _trim(a: List[int]) -> List[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _urem(a: List[int], b: List[int]) -> List[int]:
+    """Remainder of a by a nonzero b in GF(_P)[t]; coefficients lowest first."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, _P)
+    while len(a) > db:
+        q = a[-1] * inv % _P
+        shift = len(a) - 1 - db
+        for i in range(db):
+            a[shift + i] = (a[shift + i] - q * b[i]) % _P
+        a.pop()
+        _trim(a)
+    return a
+
+
+def _ucoprime(a: List[int], b: List[int]) -> bool:
+    """Whether trimmed a, b have a nonzero constant gcd in GF(_P)[t]."""
+    while b:
+        a, b = b, _urem(a, b)
+    return len(a) == 1
+
+
+def _coprime_by_images(a: Poly, b: Poly) -> bool:
+    """True only when gcd(a, b) over Q is a constant; see the module docstring.
+
+    False means "not proved": a zero operand, a ring without variables,
+    or images that lose degree or share a factor at the fixed point.
+    """
+    k = a.ring.nvars
+    if k == 0 or a.ring != b.ring or a.is_zero() or b.is_zero():
+        return False
+    points = [_POINT_BASE + _POINT_STEP * i for i in range(k)]
+    # Per term: its coefficient and the powers of every point it uses.
+    inputs = [
+        [(e, c, [pow(x, d, _P) for x, d in zip(points, e)]) for e, c in p.sorted_terms()]
+        for p in (a, b)
+    ]
+    for j in range(k):
+        kept = False
+        images = []
+        for terms in inputs:
+            img = [0] * (1 + max(e[j] for e, _, _ in terms))
+            for e, c, powers in terms:
+                v = c
+                for i, w in enumerate(powers):
+                    if i != j:
+                        v = v * w % _P
+                img[e[j]] += v
+            img = [v % _P for v in img]
+            kept = kept or img[-1] != 0
+            images.append(_trim(img))
+        if not (kept and _ucoprime(*images)):
+            return False
+    return True
+
+
 def _normalize_sign(p: Poly) -> Poly:
     if p.is_zero():
         return p
@@ -275,6 +360,9 @@ def gcd_z(a: Poly, b: Poly) -> Poly:
         raise ValueError("operands belong to different rings")
     if a.is_zero() and b.is_zero():
         raise BothZeroError("gcd(0, 0) is undefined")
+    if (not a.is_zero() and a.is_constant()) or (not b.is_zero() and b.is_constant()):
+        # A nonzero constant operand leaves only the integer contents.
+        return a.ring.const(math.gcd(a.integer_content(), b.integer_content()))
     k = a.ring.nvars
     ra = _to_rec(dict(a.sorted_terms()), k, None)
     rb = _to_rec(dict(b.sorted_terms()), k, None)
@@ -285,6 +373,8 @@ def gcd_z(a: Poly, b: Poly) -> Poly:
 def gcd_q(a: Poly, b: Poly) -> Poly:
     """Primitive-part gcd over Q: the gcd in Q[variables], returned as a
     primitive integer polynomial with positive leading coefficient."""
+    if _coprime_by_images(a, b):
+        return a.ring.one()
     g = gcd_z(a, b)
     c = g.integer_content()
     if c > 1:

@@ -3,6 +3,7 @@ certificate."""
 
 import pytest
 
+from cmwitness import classifier
 from cmwitness.algebra import (
     AlgebraDesc,
     a_membership,
@@ -295,6 +296,18 @@ def test_example_2_10_checks():
     assert example_2_10_regression(ring)
     with pytest.raises(UnsupportedError):
         example_2_10_regression(BaseRing(("A", "B", "C")))
+
+
+def test_example_2_10_regression_fails_when_a_check_fails(monkeypatch):
+    # Each of the regression's two checks can turn it False on its own.
+    ring = BaseRing(("X", "Y", "V"))
+    with monkeypatch.context() as m:
+        m.setattr(classifier, "classify", lambda alg: CASE_B)
+        assert not example_2_10_regression(ring)
+    with monkeypatch.context() as m:
+        m.setattr(classifier, "example_2_10_identity", lambda ring, multiplier=4: False)
+        assert not example_2_10_regression(ring)
+    assert example_2_10_regression(ring)
 
 
 def test_classify_symmetry_spot():

@@ -5,8 +5,14 @@ import random
 import pytest
 import sympy
 
+from cmwitness import gcd
 from cmwitness.gcd import (
     BothZeroError,
+    _coprime_by_images,
+    _from_rec,
+    _normalize_sign,
+    _rgcd,
+    _to_rec,
     gcd_f2,
     gcd_many_q,
     gcd_q,
@@ -20,6 +26,8 @@ from cmwitness.poly import BaseRing, Poly, lift_f2, parse_poly, reduce_mod2
 RING = BaseRing(("X", "Y", "V"))
 X, Y, V = RING.gens()
 SYMS = sympy.symbols("X Y V")
+# The certificate's evaluation points for X and Y.
+X_POINT, Y_POINT = 1000003, 1007922
 
 
 def to_sympy(p):
@@ -113,6 +121,121 @@ def test_gcd_q_structured_products():
         # via sympy's exact division.
         q, rem = sympy.div(to_sympy(g), to_sympy(common), *SYMS)
         assert rem == 0
+
+
+def prs_gcd_z(a, b):
+    """gcd_z computed by the recursive subresultant kernel alone."""
+    k = RING.nvars
+    ra = _to_rec(dict(a.sorted_terms()), k, None)
+    rb = _to_rec(dict(b.sorted_terms()), k, None)
+    return _normalize_sign(Poly(RING, _from_rec(_rgcd(ra, rb, k, None), k)))
+
+
+def sympy_gcd_q(a, b):
+    """sympy's gcd, made primitive with a positive leading coefficient."""
+    g = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)))
+    c = g.integer_content()
+    g = Poly(RING, {e: v // c for e, v in g.sorted_terms()})
+    return -g if g.lead()[1] < 0 else g
+
+
+def test_gcd_z_constant_operand():
+    assert gcd_z(RING.zero(), X) == X
+    assert gcd_z(X.scale(6), RING.const(-4)) == RING.const(2)
+    assert gcd_z(RING.const(-4), RING.zero()) == RING.const(4)
+    assert gcd_z(RING.const(-3), X + Y) == RING.one()
+    rng = random.Random(337)
+    checked = 0
+    while checked < 100:
+        a = rand_poly(rng)
+        c = RING.const(rng.choice([-12, -6, -4, -1, 1, 2, 3, 8, 30]))
+        if a.is_zero():
+            continue
+        assert gcd_z(a, c) == prs_gcd_z(a, c)
+        assert gcd_z(c, a) == prs_gcd_z(c, a)
+        checked += 1
+
+
+def test_certificate_never_claims_a_shared_factor():
+    # Seeded products c*u, c*v with a nonconstant common factor c.
+    rng = random.Random(338)
+    checked = 0
+    while checked < 60:
+        common = rand_poly(rng)
+        a = common * rand_poly(rng)
+        b = common * rand_poly(rng)
+        if common.is_constant() or a.is_zero() or b.is_zero():
+            continue
+        assert not _coprime_by_images(a, b)
+        assert gcd_q(a, b) == sympy_gcd_q(a, b)
+        checked += 1
+
+
+def test_certificate_agrees_with_sympy_random():
+    # Whenever the certificate fires, the true gcd over Q is 1; on these
+    # seeded pairs it also fires for every coprime pair.
+    rng = random.Random(339)
+    fired = coprime = 0
+    for _ in range(300):
+        a, b = rand_poly(rng), rand_poly(rng)
+        if a.is_zero() or b.is_zero():
+            continue
+        proved = _coprime_by_images(a, b)
+        if sympy_gcd_q(a, b) == RING.one():
+            coprime += 1
+        else:
+            assert not proved
+        fired += proved
+    assert fired == coprime > 100
+
+
+def test_certificate_with_vanishing_leading_coefficients():
+    # c's X-leading coefficient Y - Y_POINT and its Y-leading coefficient
+    # X - X_POINT both vanish at the fixed point, where c's images are 1.
+    c = (Y - Y_POINT) * (X - X_POINT) + RING.one()
+    a = c * (X + Y + RING.one())
+    b = c * (X + Y + RING.const(2))
+    # Both inputs drop degree in X and in Y; the images alone would look
+    # coprime, so the certificate must fall through to the PRS.
+    assert not _coprime_by_images(a, b)
+    assert gcd_q(a, b) == c
+    # One input keeps its degree in each variable: proved coprime.
+    d = (Y - Y_POINT) * X + RING.one()
+    assert _coprime_by_images(d, X + Y)
+    assert gcd_q(d, X + Y) == RING.one()
+    # Neither input keeps its X-degree: not proved, though coprime.
+    e = (Y - Y_POINT) * X + Y
+    assert not _coprime_by_images(d, e)
+    assert gcd_q(d, e) == RING.one()
+
+
+def test_certificate_integer_common_divisor_and_degenerate_inputs():
+    # Only an integer divides both: gcd_q is still 1, gcd_z keeps it.
+    assert _coprime_by_images(X.scale(6), Y.scale(4))
+    assert gcd_q(X.scale(6), Y.scale(4)) == RING.one()
+    assert gcd_z(X.scale(6), Y.scale(4)) == RING.const(2)
+    # Zero operands and rings without variables are never certified.
+    assert not _coprime_by_images(RING.zero(), X)
+    assert gcd_q(RING.zero(), X.scale(-3)) == X
+    ring0 = BaseRing(())
+    assert not _coprime_by_images(ring0.const(2), ring0.const(3))
+    assert gcd_q(ring0.const(2), ring0.const(3)) == ring0.one()
+
+
+def test_coprime_pair_skips_the_subresultant_prs(monkeypatch):
+    calls = []
+    prs = gcd._subresultant_last
+
+    def counting(*args):
+        calls.append(args)
+        return prs(*args)
+
+    monkeypatch.setattr(gcd, "_subresultant_last", counting)
+    assert gcd_q(X * X + Y.scale(4) - RING.const(12), X * Y + RING.const(2)) == RING.one()
+    assert gcd_many_q([X * Y + V, X + RING.one(), Y * V]) == RING.one()
+    assert calls == []
+    assert gcd_q(X * X - Y * Y, X + Y) == X + Y
+    assert calls
 
 
 def test_gcd_f2():
