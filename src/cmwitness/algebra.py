@@ -4,7 +4,10 @@ A is free over S on the basis (1, w, u, wu); its total fraction field K
 is a degree-4 extension of Frac(S).  Every element this package needs
 lives in (1/2^k)A, so a K-element is four integer polynomial
 coordinates plus a denominator exponent k, kept in reduced form (k = 0
-or some coordinate odd).
+or some coordinate odd).  k_mul forms each output coordinate with one
+poly_dot; the products of the right operand's coordinates with f, g and
+f*g are kept on that element, since the same ideal generators are the
+right operand of hundreds of products per report.
 
 The module provides exact multiplication, membership in A (denominator
 clearance in reduced form), verification of quadratic relations,
@@ -35,7 +38,7 @@ from .linalg import (
     f2_nullspace,
     solve_fraction_system,
 )
-from .poly import BaseRing, F2Poly, Poly, half, is_even, reduce_mod2
+from .poly import BaseRing, F2Poly, Poly, half, is_even, poly_dot, reduce_mod2
 from .predicates import (
     QShape,
     S2w4Witness,
@@ -184,9 +187,13 @@ def make_algebra(ring: BaseRing, f: Poly, g: Poly) -> AlgebraDesc:
 
 
 class KElement:
-    """(n0 + n1*w + n2*u + n3*w*u) / 2^k in reduced form."""
+    """(n0 + n1*w + n2*u + n3*w*u) / 2^k in reduced form.
 
-    __slots__ = ("algebra", "coords", "denom_exp", "_hash")
+    _right_products holds f*n1, g*n2, fg*n3, g*n3, f*n3 once the element
+    has been the right operand of k_mul; equality and hashing ignore it.
+    """
+
+    __slots__ = ("algebra", "coords", "denom_exp", "_hash", "_right_products")
 
     def __init__(self, algebra: AlgebraDesc, coords: Tuple[Poly, ...], denom_exp: int):
         # Callers go through make(); direct construction assumes reduced.
@@ -194,6 +201,7 @@ class KElement:
         self.coords = coords
         self.denom_exp = denom_exp
         self._hash = None
+        self._right_products: Optional[Tuple[Poly, ...]] = None
 
     @classmethod
     def make(
@@ -274,7 +282,7 @@ class KElement:
 
 
 def _check_same_algebra(a: KElement, b: KElement):
-    if a.algebra != b.algebra:
+    if a.algebra is not b.algebra and a.algebra != b.algebra:
         raise ValueError("operands belong to different algebras")
 
 
@@ -282,17 +290,23 @@ def k_mul(x: KElement, y: KElement) -> KElement:
     """Exact product in K using the structure constants of (1, w, u, wu).
 
     w*w = f, u*u = g, w*u = wu, w*wu = f*u, u*wu = g*w, wu*wu = f*g.
+    The structure constants are moved onto y's coordinates, whose five
+    products with f, g and fg are formed once per right operand, so
+    each output coordinate is one four-term poly_dot.
     """
     _check_same_algebra(x, y)
     alg = x.algebra
-    f, g = alg.f, alg.g
     n0, n1, n2, n3 = x.coords
     m0, m1, m2, m3 = y.coords
-    fg = alg.fg
-    c0 = n0 * m0 + f * (n1 * m1) + g * (n2 * m2) + fg * (n3 * m3)
-    c1 = n0 * m1 + n1 * m0 + g * (n2 * m3 + n3 * m2)
-    c2 = n0 * m2 + n2 * m0 + f * (n1 * m3 + n3 * m1)
-    c3 = n0 * m3 + n3 * m0 + n1 * m2 + n2 * m1
+    if y._right_products is None:
+        f, g = alg.f, alg.g
+        y._right_products = (f * m1, g * m2, alg.fg * m3, g * m3, f * m3)
+    fm1, gm2, fgm3, gm3, fm3 = y._right_products
+    ring = alg.ring
+    c0 = poly_dot(ring, ((n0, m0), (n1, fm1), (n2, gm2), (n3, fgm3)))
+    c1 = poly_dot(ring, ((n0, m1), (n1, m0), (n2, gm3), (n3, gm2)))
+    c2 = poly_dot(ring, ((n0, m2), (n2, m0), (n1, fm3), (n3, fm1)))
+    c3 = poly_dot(ring, ((n0, m3), (n3, m0), (n1, m2), (n2, m1)))
     return KElement.make(alg, (c0, c1, c2, c3), x.denom_exp + y.denom_exp)
 
 

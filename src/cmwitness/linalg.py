@@ -13,7 +13,10 @@
   Callers with fractional data clear the denominators before the call
   (the K-elements of algebra.py share one power of 2).  Entries stay
   polynomial because every intermediate entry is a minor of the input,
-  so each division by the previous pivot is exact.  The result is d
+  so each division by the previous pivot is exact.  Each entry update
+  piv*row[j] - row[col]*pivot_row[j] is one poly_dot followed by
+  divide_exact, which divides term by term when the previous pivot is a
+  single term (most pivots are constants).  The result is d
   times the reduced row echelon form, d the last pivot, and each output
   entry becomes one reduced fraction over d.  solve_fraction_system
   eliminates the coefficient matrix once for a whole list of
@@ -29,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, SpanNotFreeError
 from .gcd import gcd_z
-from .poly import BaseRing, Poly, divide_exact
+from .poly import BaseRing, Poly, divide_exact, poly_dot
 
 
 class PolyFraction:
@@ -122,14 +125,13 @@ def _fraction_free_rref(
         work[top], work[sel] = work[sel], work[top]
         pivot_row = work[top]
         piv = pivot_row[col]
+        ring = piv.ring
         for i, row in enumerate(work):
             if i == top:
                 continue
-            factor = row[col]
+            neg_factor = -row[col]
             for j in range(ncols):
-                num = piv * row[j]
-                if not (factor.is_zero() or pivot_row[j].is_zero()):
-                    num = num - factor * pivot_row[j]
+                num = poly_dot(ring, ((piv, row[j]), (neg_factor, pivot_row[j])))
                 row[j] = num if prev is None else divide_exact(num, prev)
         pivots.append(col)
         prev = piv

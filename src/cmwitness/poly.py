@@ -14,6 +14,13 @@ integer coefficients.  The monomial order used for leading terms,
 canonical printing and exact division is graded lexicographic: compare
 total degree first, then the exponent tuple lexicographically.
 
+Every product of polynomials goes through one multiply-accumulate
+kernel, poly_dot(ring, pairs) = sum of a*b, which builds the result in a
+single term dict.  The operands in this package are small (most have
+zero to three terms), so the cost of arithmetic is the objects built
+per product, not the monomial loop: fusing a sum of products into one
+call removes the intermediate Poly of each product and partial sum.
+
 Residues mod 2 live in GF(2)[x1, ..., xn] and are stored as a frozenset
 of exponent tuples (the monomials with coefficient 1).
 """
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd
+from operator import add
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .errors import (
@@ -183,17 +191,7 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        _check_same_ring(self, other)
-        terms: Dict[Exponent, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly(self.ring, terms)
+        return poly_dot(self.ring, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -238,6 +236,30 @@ class Poly:
         return format_poly(self)
 
 
+def poly_dot(ring: BaseRing, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
+    """The sum of a*b over the pairs, accumulated in one term dict.
+
+    This is the package's one monomial-product loop: Poly.__mul__ is the
+    case of a single pair, and k_mul and the Bareiss row update pass
+    four and two.  No Poly is built for a product or a partial sum;
+    cancelled terms are dropped once, at the end.  Every operand must
+    belong to ``ring``.
+    """
+    terms: Dict[Exponent, int] = {}
+    get = terms.get
+    for a, b in pairs:
+        if (a.ring is not ring and a.ring != ring) or (
+            b.ring is not ring and b.ring != ring
+        ):
+            raise ValueError("operands belong to different rings")
+        b_terms = b._terms.items()
+        for e1, c1 in a._terms.items():
+            for e2, c2 in b_terms:
+                e = tuple(map(add, e1, e2))
+                terms[e] = get(e, 0) + c1 * c2
+    return Poly(ring, terms)
+
+
 def _exp_sub(e1: Exponent, e2: Exponent) -> Optional[Exponent]:
     """Componentwise difference, or None when e2 does not divide e1."""
     out = []
@@ -254,25 +276,35 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
     Leading-term division under graded lex: when a = q*b the leading
     term of a is the product of the leading terms of q and b, so each
     round strips one term of q and the leading term of the remainder
-    strictly decreases in a well-order.
+    strictly decreases in a well-order.  A single-term divisor (most
+    divisors in the eliminations are constants) divides term by term.
     """
     _check_same_ring(a, b)
     if b.is_zero():
         raise NotDivisibleError("division by zero polynomial")
     quot: Dict[Exponent, int] = {}
-    rem = a
     eb, cb = b.lead()
+    if len(b._terms) == 1:
+        for er, cr in a._terms.items():
+            e = _exp_sub(er, eb)
+            if e is None or cr % cb != 0:
+                raise _not_divisible(a, b)
+            quot[e] = cr // cb
+        return Poly(a.ring, quot)
+    rem = a
     while not rem.is_zero():
         er, cr = rem.lead()
         e = _exp_sub(er, eb)
         if e is None or cr % cb != 0:
-            raise NotDivisibleError(
-                f"{format_poly(a)} is not divisible by {format_poly(b)}"
-            )
+            raise _not_divisible(a, b)
         q = cr // cb
         quot[e] = q
         rem = rem - Poly(a.ring, {e: q}) * b
     return Poly(a.ring, quot)
+
+
+def _not_divisible(a: Poly, b: Poly) -> NotDivisibleError:
+    return NotDivisibleError(f"{format_poly(a)} is not divisible by {format_poly(b)}")
 
 
 def is_divisible(a: Poly, b: Poly) -> bool:
@@ -410,7 +442,7 @@ def lift_f2(r: F2Poly) -> Poly:
 
 def is_even(p: Poly) -> bool:
     """Membership in 2S: all coefficients even."""
-    return reduce_mod2(p).is_zero()
+    return not any(c % 2 for c in p._terms.values())
 
 
 def half(p: Poly) -> Poly:

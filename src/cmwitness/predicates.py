@@ -23,14 +23,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
-    InternalVerificationError,
     MalformedSequenceError,
     UnsupportedError,
     ZeroInputError,
 )
 from .gcd import gcd_f2, gcd_many_q, gcd_q, is_ring_square
 from .poly import (
-    BaseRing,
     F2Poly,
     Poly,
     f2_divide_exact,
@@ -41,7 +39,6 @@ from .poly import (
     partial_derivative,
     reduce_mod2,
     sqrt_f2,
-    substitute_ints,
 )
 
 
@@ -137,39 +134,14 @@ def decompose_S2(f: Poly) -> Optional[S2Witness]:
 def in_S2wedge4(f: Poly) -> Optional[S2w4Witness]:
     """Witness f = h^2 + 4a', if one exists.
 
-    The verdict is read off the canonical lift h of the mod-2 square
-    root and holds for every lift h + 2t; _assert_lift_independence
-    checks the identity that proves this.
+    The verdict is the parity of a in f = h^2 + 2a, read off the
+    canonical lift h of the mod-2 square root.  It holds for every lift
+    h + 2t: then a becomes a - 2(th + t^2), whose parity is that of a.
     """
     w = decompose_S2(f)
-    if w is None:
-        return None
-    verdict = is_even(w.a)
-    _assert_lift_independence(f, w, verdict)
-    if not verdict:
+    if w is None or not is_even(w.a):
         return None
     return S2w4Witness(h=w.h, a_prime=half(w.a))
-
-
-def _assert_lift_independence(f: Poly, w: S2Witness, verdict: bool):
-    """Check that the S^{2,4} verdict is the same for every lift of h.
-
-    Over S[T], T a fresh variable, a_T = (f - (h + 2T)^2)/2 is the a of
-    the generic lift h + 2T.  If a_T - a lies in 2S[T] then substituting
-    any t in S for T gives a_t = a mod 2, so every lift h + 2t sees the
-    parity of a, and that parity must be the verdict.
-    """
-    name = "T"
-    while name in f.ring.variables:
-        name += "_"
-    big = BaseRing(f.ring.variables + (name,))
-    h, a = (substitute_ints(p, {}, big) for p in (w.h, w.a))
-    lift = h + big.var(name).scale(2)
-    a_T = half(substitute_ints(f, {}, big) - lift * lift)
-    if not (is_even(a_T - a) and is_even(a) == verdict):
-        raise InternalVerificationError(
-            "S^{2,4} membership verdict depends on the lift"
-        )
 
 
 def product_in_S2wedge4(wf: S2Witness, wg: S2Witness) -> bool:

@@ -1,6 +1,8 @@
 """The rank-4 algebra A = S[w, u], K-elements with 2-power denominators,
 span closure, ideals, and the bounded colon-dual search."""
 
+import random
+
 import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
@@ -24,7 +26,7 @@ from cmwitness.errors import (
     NotClosedError,
 )
 from cmwitness.linalg import PolyFraction, SpanNotFreeError
-from cmwitness.poly import BaseRing, parse_poly
+from cmwitness.poly import BaseRing, Poly, parse_poly
 
 RING = BaseRing(("X", "Y"))
 X, Y = RING.gens()
@@ -90,6 +92,66 @@ def test_k_arithmetic():
     half_w = w.half()
     assert half_w + half_w == w
     assert half_w.denom_exp == 1
+
+
+def rand_coord(rng):
+    """0 to 3 terms of degree <= 2; a third of them zero."""
+    if rng.randrange(3) == 0:
+        return RING.zero()
+    return Poly(
+        RING,
+        {
+            tuple(rng.randrange(3) for _ in RING.variables): rng.randrange(-5, 6)
+            for _ in range(rng.randrange(1, 4))
+        },
+    )
+
+
+def structure_constant_product(x, y):
+    """x*y by the structure constants of (1, w, u, wu), one Poly op at a time."""
+    alg = x.algebra
+    f, g = alg.f, alg.g
+    n0, n1, n2, n3 = x.coords
+    m0, m1, m2, m3 = y.coords
+    c0 = n0 * m0 + f * (n1 * m1) + g * (n2 * m2) + (f * g) * (n3 * m3)
+    c1 = n0 * m1 + n1 * m0 + g * (n2 * m3 + n3 * m2)
+    c2 = n0 * m2 + n2 * m0 + f * (n1 * m3 + n3 * m1)
+    c3 = n0 * m3 + n3 * m0 + n1 * m2 + n2 * m1
+    return alg.element((c0, c1, c2, c3), x.denom_exp + y.denom_exp)
+
+
+def test_k_mul_matches_the_structure_constants():
+    rng = random.Random(1204)
+    algebras = [case_b_algebra(), make_algebra(RING, P("X^2*Y+2*X+2"), P("Y^2+2*X*Y+6"))]
+    checked = 0
+    for alg in algebras:
+        for _ in range(60):
+            # One right operand against several left ones: the first
+            # product fills its cache, the others read it.
+            y = alg.element([rand_coord(rng) for _ in range(4)], rng.randrange(3))
+            for _ in range(3):
+                x = alg.element([rand_coord(rng) for _ in range(4)], rng.randrange(3))
+                assert k_mul(x, y) == structure_constant_product(x, y)
+                checked += 1
+            assert y._right_products is not None
+            assert k_mul(y, y) == structure_constant_product(y, y)
+    assert checked >= 300
+
+
+def test_right_operand_cache_is_invisible():
+    alg = case_b_algebra()
+    coords = (X + 1, Y.scale(3), RING.zero(), X * Y)
+    used, fresh, hashed_first = (alg.element(coords, 1) for _ in range(3))
+    before = hash(hashed_first)
+    for y in (used, hashed_first):
+        k_mul(alg.root_f(), y)
+        assert y._right_products is not None
+    assert fresh._right_products is None
+    assert hash(hashed_first) == before
+    assert used == fresh and fresh == used and used == hashed_first
+    assert hash(used) == hash(fresh) == before
+    assert len({used, fresh, hashed_first}) == 1
+    assert not (used == alg.element(coords, 0))
 
 
 def test_a_membership():

@@ -51,7 +51,7 @@ def test_each_fact_once_per_report(monkeypatch, name):
     job = json.loads((GOLDEN_DIR / (name + ".job.json")).read_text(encoding="utf-8"))
     ring, f, g, options = parse_job(job)
 
-    lift_checks = Calls(monkeypatch, predicates, "_assert_lift_independence")
+    lift_checks = Calls(monkeypatch, predicates, "in_S2wedge4")
     shapes = Calls(monkeypatch, predicates, "ideal_Q_classify")
     rrefs = Calls(monkeypatch, linalg, "_fraction_free_rref")
     fractions = []

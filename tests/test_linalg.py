@@ -117,6 +117,54 @@ def test_fraction_free_rref_vs_sympy():
     assert deficient >= 60
 
 
+def textbook_bareiss(rows):
+    """The Bareiss update written with one Poly operation at a time."""
+    work = [list(r) for r in rows]
+    pivots, prev, top = [], None, 0
+    for col in range(len(work[0])):
+        sel = next((r for r in range(top, len(work)) if not work[r][col].is_zero()), None)
+        if sel is None:
+            continue
+        work[top], work[sel] = work[sel], work[top]
+        piv = work[top][col]
+        for i, row in enumerate(work):
+            if i != top:
+                factor = row[col]
+                for j in range(len(row)):
+                    num = piv * row[j] - factor * work[top][j]
+                    row[j] = num if prev is None else divide_exact(num, prev)
+        pivots.append(col)
+        prev = piv
+        top += 1
+        if top == len(work):
+            break
+    return work, pivots, prev
+
+
+def test_fraction_free_rref_matches_the_textbook_update():
+    # Every intermediate entry is the same exact minor, so the fused
+    # update must leave the very same matrix.  Constant pivots take the
+    # term-by-term division, polynomial pivots the general one.
+    rng = random.Random(1205)
+    for trial in range(200):
+        n, m = rng.randrange(1, 5), rng.randrange(1, 6)
+        if trial % 2:
+            rows = [[RING.const(rng.randrange(-9, 10)) for _ in range(m)] for _ in range(n)]
+        else:
+            rows = [[rand_poly(rng) for _ in range(m)] for _ in range(n)]
+        expected, expected_pivots, expected_d = textbook_bareiss(rows)
+        work = [list(r) for r in rows]
+        pivots, d = _fraction_free_rref(work)
+        assert pivots == expected_pivots and d == expected_d
+        assert work == expected
+
+
+def test_fraction_free_rref_rejects_an_entry_from_another_ring():
+    other = BaseRing(("X", "Y", "Z"))
+    with pytest.raises(ValueError):
+        _fraction_free_rref([[X, Y], [Y, other.var("Z")]])
+
+
 def combination(coeffs, cols):
     """sum_j coeffs[j] * cols[j] for fraction coeffs, cleared.
 

@@ -21,6 +21,7 @@ from cmwitness.poly import (
     lift_f2,
     parse_poly,
     partial_derivative,
+    poly_dot,
     reduce_mod2,
     sqrt_f2,
     substitute_ints,
@@ -112,6 +113,92 @@ def test_divide_exact_random_roundtrip():
             continue
         assert divide_exact(a * b, b) == a
         checked += 1
+
+
+def naive_product(a, b):
+    """a*b term by term, without poly_dot."""
+    terms = {}
+    for e1, c1 in a.sorted_terms():
+        for e2, c2 in b.sorted_terms():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return Poly(a.ring, terms)
+
+
+def test_poly_dot_is_the_sum_of_products():
+    rng = random.Random(1201)
+    for _ in range(300):
+        pairs = [
+            (rand_poly(rng, RING, max_terms=3), rand_poly(rng, RING, max_terms=3))
+            for _ in range(rng.randrange(5))
+        ]
+        if pairs and rng.randrange(3) == 0:
+            a, b = pairs[0]
+            pairs.append((-a, b))  # cancels the first product exactly
+        if rng.randrange(4) == 0:
+            pairs.append((RING.zero(), rand_poly(rng, RING)))
+        expected = RING.zero()
+        for a, b in pairs:
+            expected = expected + naive_product(a, b)
+        got = poly_dot(RING, pairs)
+        assert got == expected
+        assert got.num_terms() == expected.num_terms()
+        assert all(c != 0 for _, c in got.sorted_terms())
+    p = X * Y + V
+    assert poly_dot(RING, [(p, X), (-p, X)]).is_zero()
+    assert poly_dot(RING, []).is_zero()
+    # Poly.__mul__ is the one-pair case.
+    assert X * (Y + 1) == poly_dot(RING, [(X, Y + 1)]) == X * Y + X
+
+
+def test_poly_dot_rejects_an_operand_from_another_ring():
+    other = BaseRing(("X", "Y"))
+    Xo = other.var("X")
+    for pairs in ([(Xo, X)], [(X, Xo)], [(X, Y), (V, Xo)]):
+        with pytest.raises(ValueError):
+            poly_dot(RING, pairs)
+    with pytest.raises(ValueError):
+        X * Xo
+    # An equal ring built separately is the same ring.
+    same = BaseRing(("X", "Y", "V"))
+    assert poly_dot(same, [(X, Y)]) == X * Y
+
+
+def test_divide_exact_by_a_single_term():
+    rng = random.Random(1202)
+    for _ in range(300):
+        a = rand_poly(rng, RING)
+        e = tuple(rng.randrange(3) for _ in RING.variables)
+        b = Poly(RING, {e: rng.choice([-6, -3, -2, -1, 1, 2, 4, 5])})
+        assert divide_exact(a * b, b) == a
+        # b divides a exactly when it divides every term of a.
+        divides = all(
+            all(i >= j for i, j in zip(ea, e)) and ca % b.lead()[1] == 0
+            for ea, ca in a.sorted_terms()
+        )
+        assert is_divisible(a, b) == divides
+        if divides:
+            assert divide_exact(a, b) * b == a
+    with pytest.raises(NotDivisibleError):
+        divide_exact(X.scale(6), RING.const(4))
+    with pytest.raises(NotDivisibleError):
+        divide_exact(X, Y)
+    assert divide_exact(RING.zero(), RING.const(3)).is_zero()
+    assert divide_exact(RING.zero(), (X * Y).scale(-2)).is_zero()
+    assert divide_exact((X * X * Y).scale(-6) + X.scale(4), X.scale(-2)) == (
+        (X * Y).scale(3) - RING.const(2)
+    )
+
+
+def test_is_even_reads_the_coefficients():
+    rng = random.Random(1203)
+    for _ in range(300):
+        p = rand_poly(rng, RING)
+        if rng.randrange(2):
+            p = p.scale(2)
+        assert is_even(p) == reduce_mod2(p).is_zero()
+    assert is_even(RING.zero())
+    assert not is_even(X.scale(2) + RING.const(-3))
 
 
 def test_partial_derivative():
