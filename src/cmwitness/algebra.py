@@ -4,10 +4,17 @@ A is free over S on the basis (1, w, u, wu); its total fraction field K
 is a degree-4 extension of Frac(S).  Every element this package needs
 lives in (1/2^k)A, so a K-element is four integer polynomial
 coordinates plus a denominator exponent k, kept in reduced form (k = 0
-or some coordinate odd).  k_mul forms each output coordinate with one
-poly_dot; the products of the right operand's coordinates with f, g and
-f*g are kept on that element, since the same ideal generators are the
-right operand of hundreds of products per report.
+or some coordinate odd).  _k_coords forms each numerator coordinate of
+a product with one poly_dot; the products of the right operand's
+coordinates with f, g and f*g are kept on that element, since the same
+ideal generators are the right operand of hundreds of products per
+report.  k_mul reduces those numerators to a K-element.
+
+The colon test in_colon(x, J) builds no K-element: x*g is c / 2^k with
+c = _k_coords(x, g) and k the sum of the denominator exponents, and it
+lies in A exactly when 2^k divides every coefficient of c, which the
+test reads off as c & (2^k - 1) == 0 (also right for negative c).  A
+generator with k = 0 needs no product, since A is a ring.
 
 The module provides exact multiplication, membership in A (denominator
 clearance in reduced form), verification of quadratic relations,
@@ -38,7 +45,16 @@ from .linalg import (
     f2_nullspace,
     solve_fraction_system,
 )
-from .poly import BaseRing, F2Poly, Poly, half, is_even, poly_dot, reduce_mod2
+from .poly import (
+    BaseRing,
+    F2Poly,
+    Poly,
+    half,
+    is_divisible_by_2_power,
+    is_even,
+    poly_dot,
+    reduce_mod2,
+)
 from .predicates import (
     QShape,
     S2w4Witness,
@@ -287,12 +303,17 @@ def _check_same_algebra(a: KElement, b: KElement):
 
 
 def k_mul(x: KElement, y: KElement) -> KElement:
-    """Exact product in K using the structure constants of (1, w, u, wu).
+    """Exact product in K, reduced: _k_coords(x, y) / 2^(kx + ky)."""
+    return KElement.make(x.algebra, _k_coords(x, y), x.denom_exp + y.denom_exp)
 
-    w*w = f, u*u = g, w*u = wu, w*wu = f*u, u*wu = g*w, wu*wu = f*g.
-    The structure constants are moved onto y's coordinates, whose five
-    products with f, g and fg are formed once per right operand, so
-    each output coordinate is one four-term poly_dot.
+
+def _k_coords(x: KElement, y: KElement) -> Tuple[Poly, Poly, Poly, Poly]:
+    """Numerator coordinates of x*y over (1, w, u, wu), not reduced.
+
+    The structure constants are w*w = f, u*u = g, w*u = wu, w*wu = f*u,
+    u*wu = g*w and wu*wu = f*g.  They are moved onto y's coordinates,
+    whose five products with f, g and fg are formed once per right
+    operand, so each output coordinate is one four-term poly_dot.
     """
     _check_same_algebra(x, y)
     alg = x.algebra
@@ -307,7 +328,7 @@ def k_mul(x: KElement, y: KElement) -> KElement:
     c1 = poly_dot(ring, ((n0, m1), (n1, m0), (n2, gm3), (n3, gm2)))
     c2 = poly_dot(ring, ((n0, m2), (n2, m0), (n1, fm3), (n3, fm1)))
     c3 = poly_dot(ring, ((n0, m3), (n3, m0), (n1, m2), (n2, m1)))
-    return KElement.make(alg, (c0, c1, c2, c3), x.denom_exp + y.denom_exp)
+    return c0, c1, c2, c3
 
 
 def a_membership(x: KElement) -> bool:
@@ -412,8 +433,19 @@ def ideal_product(a: IdealGens, b: IdealGens) -> IdealGens:
 
 
 def in_colon(x: KElement, ideal: IdealGens) -> bool:
-    """x in (A : ideal): x times every generator of the ideal lies in A."""
-    return all(a_membership(k_mul(x, g)) for g in ideal.gens)
+    """x in (A : ideal): x times every generator of the ideal lies in A.
+
+    Decided from the parities of the numerators _k_coords(x, g), with no
+    K-element built (see the module docstring); a generator g with
+    kx + kg = 0 lies in A with x, so it forms no product.
+    """
+    for g in ideal.gens:
+        k = x.denom_exp + g.denom_exp
+        if k == 0:
+            _check_same_algebra(x, g)
+        elif not all(is_divisible_by_2_power(c, k) for c in _k_coords(x, g)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -322,7 +322,7 @@ def _coprime_by_images(a: Poly, b: Poly) -> bool:
     points = [_POINT_BASE + _POINT_STEP * i for i in range(k)]
     # Per term: its coefficient and the powers of every point it uses.
     inputs = [
-        [(e, c, [pow(x, d, _P) for x, d in zip(points, e)]) for e, c in p.sorted_terms()]
+        [(e, c, [pow(x, d, _P) for x, d in zip(points, e)]) for e, c in p._terms.items()]
         for p in (a, b)
     ]
     for j in range(k):
@@ -364,10 +364,10 @@ def gcd_z(a: Poly, b: Poly) -> Poly:
         # A nonzero constant operand leaves only the integer contents.
         return a.ring.const(math.gcd(a.integer_content(), b.integer_content()))
     k = a.ring.nvars
-    ra = _to_rec(dict(a.sorted_terms()), k, None)
-    rb = _to_rec(dict(b.sorted_terms()), k, None)
+    ra = _to_rec(a._terms, k, None)
+    rb = _to_rec(b._terms, k, None)
     g = _rgcd(ra, rb, k, None)
-    return _normalize_sign(Poly(a.ring, _from_rec(g, k)))
+    return _normalize_sign(Poly._from_canonical(a.ring, _from_rec(g, k)))
 
 
 def gcd_q(a: Poly, b: Poly) -> Poly:
@@ -378,7 +378,9 @@ def gcd_q(a: Poly, b: Poly) -> Poly:
     g = gcd_z(a, b)
     c = g.integer_content()
     if c > 1:
-        g = Poly(g.ring, {e: cf // c for e, cf in g.sorted_terms()})
+        g = Poly._from_canonical(
+            g.ring, {e: cf // c for e, cf in g._terms.items()}
+        )
     return g
 
 
@@ -404,7 +406,9 @@ def gcd_many_q(polys) -> Poly:
         raise BothZeroError("gcd(0, ..., 0) is undefined")
     c = acc.integer_content()
     if c > 1:
-        acc = Poly(acc.ring, {e: cf // c for e, cf in acc.sorted_terms()})
+        acc = Poly._from_canonical(
+            acc.ring, {e: cf // c for e, cf in acc._terms.items()}
+        )
     return _normalize_sign(acc)
 
 
@@ -480,7 +484,7 @@ def is_ring_square(p: Poly) -> Optional[Poly]:
     croot = integer_sqrt_exact(content)
     if croot is None:
         return None
-    pp = Poly(p.ring, {e: c // content for e, c in p.sorted_terms()})
+    pp = Poly._from_canonical(p.ring, {e: c // content for e, c in p._terms.items()})
     root = poly_sqrt_z(pp)
     if root is None:
         return None

@@ -14,6 +14,18 @@ integer coefficients.  The monomial order used for leading terms,
 canonical printing and exact division is graded lexicographic: compare
 total degree first, then the exponent tuple lexicographically.
 
+That canonical form (no zero coefficient, only plain ints) is an
+invariant of every Poly, and no code mutates a term dict once it is
+built, so polynomials can be shared: scale(1) and adding zero return
+the operand itself.  The public constructor Poly(ring, terms) filters
+and converts whatever dict it is given.  The kernels that build a dict
+already in canonical form (addition, negation, scale, poly_dot after
+dropping its cancelled terms, divide_exact, half, lift_f2,
+partial_derivative, substitute_ints, and the content divisions and
+recursive-form results of gcd.py and predicates.py) hand it to the
+private Poly._from_canonical, which takes it unchecked and uncopied.
+No other code may call it.
+
 Every product of polynomials goes through one multiply-accumulate
 kernel, poly_dot(ring, pairs) = sum of a*b, which builds the result in a
 single term dict.  The operands in this package are small (most have
@@ -108,6 +120,20 @@ class Poly:
         self._terms = {e: int(c) for e, c in terms.items() if c != 0}
         self._hash: Optional[int] = None
 
+    @classmethod
+    def _from_canonical(cls, ring: BaseRing, terms: Dict[Exponent, int]) -> "Poly":
+        """A Poly that takes ``terms`` as its term dict, unchecked and uncopied.
+
+        Only this package's kernels call it, on a dict they have just
+        built with no zero and only int coefficients and keep no
+        reference to; every other caller goes through Poly(ring, terms).
+        """
+        p = cls.__new__(cls)
+        p.ring = ring
+        p._terms = terms
+        p._hash = None
+        return p
+
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -161,6 +187,10 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         _check_same_ring(self, other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         terms = dict(self._terms)
         for e, c in other._terms.items():
             s = terms.get(e, 0) + c
@@ -168,12 +198,12 @@ class Poly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return Poly(self.ring, terms)
+        return Poly._from_canonical(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self._terms.items()})
+        return Poly._from_canonical(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -206,7 +236,11 @@ class Poly:
     def scale(self, n: int) -> "Poly":
         if n == 0:
             return self.ring.zero()
-        return Poly(self.ring, {e: c * n for e, c in self._terms.items()})
+        if n == 1:
+            # No kernel mutates a term dict, so a Poly can be shared.
+            return self
+        terms = {e: c * n for e, c in self._terms.items()}
+        return Poly._from_canonical(self.ring, terms)
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -240,8 +274,8 @@ def poly_dot(ring: BaseRing, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
     """The sum of a*b over the pairs, accumulated in one term dict.
 
     This is the package's one monomial-product loop: Poly.__mul__ is the
-    case of a single pair, and k_mul and the Bareiss row update pass
-    four and two.  No Poly is built for a product or a partial sum;
+    case of a single pair, and each coordinate of a K-element product
+    (algebra._k_coords) and the Bareiss row update pass four and two.  No Poly is built for a product or a partial sum;
     cancelled terms are dropped once, at the end.  Every operand must
     belong to ``ring``.
     """
@@ -257,7 +291,9 @@ def poly_dot(ring: BaseRing, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
             for e2, c2 in b_terms:
                 e = tuple(map(add, e1, e2))
                 terms[e] = get(e, 0) + c1 * c2
-    return Poly(ring, terms)
+    if 0 in terms.values():
+        terms = {e: c for e, c in terms.items() if c}
+    return Poly._from_canonical(ring, terms)
 
 
 def _exp_sub(e1: Exponent, e2: Exponent) -> Optional[Exponent]:
@@ -276,8 +312,9 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
     Leading-term division under graded lex: when a = q*b the leading
     term of a is the product of the leading terms of q and b, so each
     round strips one term of q and the leading term of the remainder
-    strictly decreases in a well-order.  A single-term divisor (most
-    divisors in the eliminations are constants) divides term by term.
+    strictly decreases in a well-order.  A single-term divisor divides
+    term by term, and a constant one (most divisors in the eliminations)
+    divides each coefficient with the exponents left as they are.
     """
     _check_same_ring(a, b)
     if b.is_zero():
@@ -285,12 +322,19 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
     quot: Dict[Exponent, int] = {}
     eb, cb = b.lead()
     if len(b._terms) == 1:
+        if not any(eb):
+            # A constant divisor, such as most Bareiss pivots.
+            for er, cr in a._terms.items():
+                if cr % cb != 0:
+                    raise _not_divisible(a, b)
+                quot[er] = cr // cb
+            return Poly._from_canonical(a.ring, quot)
         for er, cr in a._terms.items():
             e = _exp_sub(er, eb)
             if e is None or cr % cb != 0:
                 raise _not_divisible(a, b)
             quot[e] = cr // cb
-        return Poly(a.ring, quot)
+        return Poly._from_canonical(a.ring, quot)
     rem = a
     while not rem.is_zero():
         er, cr = rem.lead()
@@ -299,8 +343,8 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
             raise _not_divisible(a, b)
         q = cr // cb
         quot[e] = q
-        rem = rem - Poly(a.ring, {e: q}) * b
-    return Poly(a.ring, quot)
+        rem = rem - Poly._from_canonical(a.ring, {e: q}) * b
+    return Poly._from_canonical(a.ring, quot)
 
 
 def _not_divisible(a: Poly, b: Poly) -> NotDivisibleError:
@@ -326,7 +370,7 @@ def partial_derivative(p: Poly, index: int) -> Poly:
         e2[index] = k - 1
         e2 = tuple(e2)
         terms[e2] = terms.get(e2, 0) + c * k
-    return Poly(p.ring, terms)
+    return Poly._from_canonical(p.ring, terms)
 
 
 def substitute_ints(p: Poly, assignment: Dict[str, int], target: BaseRing) -> Poly:
@@ -357,7 +401,7 @@ def substitute_ints(p: Poly, assignment: Dict[str, int], target: BaseRing) -> Po
             terms[key] = s
         else:
             terms.pop(key, None)
-    return Poly(target, terms)
+    return Poly._from_canonical(target, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +481,7 @@ def reduce_mod2(p: Poly) -> F2Poly:
 
 def lift_f2(r: F2Poly) -> Poly:
     """Canonical lift with all coefficients 0 or 1."""
-    return Poly(r.ring, {e: 1 for e in r.monomials})
+    return Poly._from_canonical(r.ring, {e: 1 for e in r.monomials})
 
 
 def is_even(p: Poly) -> bool:
@@ -445,11 +489,21 @@ def is_even(p: Poly) -> bool:
     return not any(c % 2 for c in p._terms.values())
 
 
+def is_divisible_by_2_power(p: Poly, k: int) -> bool:
+    """Membership in 2^k S: the low k bits of every coefficient are zero.
+
+    The mask test is right for negative coefficients too, since & reads
+    an int as an infinite two's complement.
+    """
+    mask = (1 << k) - 1
+    return not any(c & mask for c in p._terms.values())
+
+
 def half(p: Poly) -> Poly:
     """Exact division by 2; NotDivisibleError when p has an odd coefficient."""
     if not is_even(p):
         raise NotDivisibleError("polynomial is not divisible by 2")
-    return Poly(p.ring, {e: c // 2 for e, c in p._terms.items()})
+    return Poly._from_canonical(p.ring, {e: c // 2 for e, c in p._terms.items()})
 
 
 def sqrt_f2(r: F2Poly) -> Optional[F2Poly]:

@@ -83,7 +83,7 @@ def is_squarefree(f: Poly) -> bool:
     content = f.integer_content()
     if content % 4 == 0:
         return False
-    pp = Poly(f.ring, {e: c // content for e, c in f.sorted_terms()})
+    pp = Poly._from_canonical(f.ring, {e: c // content for e, c in f._terms.items()})
     if pp.is_constant():
         return True
     seq = [pp] + [partial_derivative(pp, i) for i in range(f.ring.nvars)]

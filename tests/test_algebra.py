@@ -7,6 +7,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from cmwitness import algebra
 from cmwitness.algebra import (
     IdealGens,
     a_membership,
@@ -329,6 +330,57 @@ def test_in_colon_of_two():
     p_ideal = IdealGens(algebra=alg, gens=[alg.scalar(2)], name="P0")
     # x is in (A : (2)) iff 2x is in A.
     assert in_colon(alg.root_f().half(), p_ideal)
+
+
+def test_in_colon_is_membership_of_every_product(monkeypatch):
+    # in_colon reads the parity of the unreduced numerators; the
+    # reference reduces every product and reads its denominator.
+    products = []
+    k_coords = algebra._k_coords
+
+    def counting(x, y):
+        products.append((x, y))
+        return k_coords(x, y)
+
+    monkeypatch.setattr(algebra, "_k_coords", counting)
+    rng = random.Random(1305)
+    algebras = [case_b_algebra(), make_algebra(RING, P("X^2*Y+2*X+2"), P("Y^2+2*X*Y+6"))]
+    verdicts = {}
+    for alg in algebras:
+        w, u, wu = alg.root_f(), alg.root_g(), alg.root_fg()
+        two, four = RING.const(2), RING.const(4)
+        pool = [
+            alg.scalar(2),
+            alg.scalar(4),
+            w.scale_poly(two),
+            (u - alg.scalar(Y)).scale_poly(two),
+            (wu + alg.scalar(X)).scale_poly(four),
+            w + alg.scalar(X),
+            u - alg.scalar(Y),
+            wu + alg.scalar(2),
+            alg.scalar(X - 3),
+        ]
+        for _ in range(150):
+            # Numerators whose coordinates are often multiples of 2 or 4,
+            # so both verdicts occur for denominators 2 and 4.
+            coords = [rand_coord(rng).scale(rng.choice([1, 2, 4])) for _ in range(4)]
+            x = alg.element(coords, rng.randrange(3))
+            for _ in range(3):
+                ideal = IdealGens(alg, rng.sample(pool, rng.randrange(1, 3)))
+                if rng.randrange(6) == 0:
+                    ideal.gens.append(alg.element([rand_coord(rng) for _ in range(4)]))
+                expected = all(a_membership(k_mul(x, g)) for g in ideal.gens)
+                products.clear()
+                assert in_colon(x, ideal) == expected
+                # x and the generators lie in A: no product is formed.
+                assert products == [] or x.denom_exp > 0
+                key = (x.denom_exp, expected)
+                verdicts[key] = verdicts.get(key, 0) + 1
+    assert set(verdicts) == {(0, True), (1, True), (1, False), (2, True), (2, False)}
+    assert min(verdicts.values()) >= 10, verdicts
+    other = make_algebra(RING, P("X^2+2"), P("Y^2+6"))
+    with pytest.raises(ValueError):
+        in_colon(other.one(), IdealGens(algebras[0], [algebras[0].one()]))
 
 
 def test_bounded_colon_search_case_b():

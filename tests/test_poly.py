@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cmwitness.gcd import gcd_many_q, gcd_q, gcd_z, is_ring_square
 from cmwitness.poly import (
     _MAX_NESTING,
     BaseRing,
@@ -190,6 +191,26 @@ def test_divide_exact_by_a_single_term():
     )
 
 
+def test_divide_exact_by_a_constant():
+    rng = random.Random(1303)
+    for _ in range(200):
+        a = rand_poly(rng, RING)
+        b = RING.const(rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 8]))
+        c = b.constant_coeff()
+        if all(ca % c == 0 for _, ca in a.sorted_terms()):
+            q = divide_exact(a, b)
+            assert q == Poly(RING, {e: ca // c for e, ca in a.sorted_terms()})
+            assert q * b == a
+        else:
+            with pytest.raises(NotDivisibleError) as info:
+                divide_exact(a, b)
+            assert str(info.value) == "%s is not divisible by %s" % (
+                format_poly(a),
+                format_poly(b),
+            )
+        assert divide_exact(a.scale(c), b) == a
+
+
 def test_is_even_reads_the_coefficients():
     rng = random.Random(1203)
     for _ in range(300):
@@ -300,3 +321,63 @@ def test_f2_division():
 def test_hash_consistency():
     seen = {X + Y: "a"}
     assert seen[Y + X] == "a"
+
+
+def is_canonical(p):
+    """No zero coefficient and only plain ints in the term dict."""
+    return all(type(c) is int and c != 0 for c in p._terms.values())
+
+
+def test_kernels_build_canonical_polynomials(monkeypatch):
+    built = []
+    from_canonical = Poly._from_canonical.__func__
+
+    def recording(cls, ring, terms):
+        p = from_canonical(cls, ring, terms)
+        built.append(p)
+        return p
+
+    monkeypatch.setattr(Poly, "_from_canonical", classmethod(recording))
+    rng = random.Random(1304)
+    target = BaseRing(("Y", "V"))
+    for _ in range(300):
+        a = rand_poly(rng, RING, max_terms=4)
+        b = rand_poly(rng, RING, max_terms=4)
+        c = X + rand_poly(rng, RING, max_terms=2, max_deg=1).scale(2)  # never zero
+        n = rng.choice([-3, -2, -1, 1, 2, 5])
+        outputs = [
+            a + b,
+            a + (-a),  # cancels to zero
+            a - b,
+            -a,
+            a.scale(n),
+            a.scale(0),
+            a * b,
+            poly_dot(RING, [(a, b), (-a, b), (c, b)]),  # the first two cancel
+            divide_exact((a * c).scale(n), c),
+            divide_exact(a.scale(n), RING.const(n)),
+            divide_exact(a * X * Y, X * Y),
+            half(a.scale(2)),
+            lift_f2(reduce_mod2(a)),
+            partial_derivative(a, rng.randrange(3)),
+            substitute_ints(a, {"X": rng.randrange(-2, 3)}, target),
+            # X := 1 turns X*Y - Y into zero.
+            substitute_ints(a + X * Y - Y, {"X": 1}, target),
+        ]
+        if not (a.is_zero() or b.is_zero()):
+            outputs += [gcd_z(a * c, b * c), gcd_q((a * c).scale(n), b * c)]
+            outputs.append(gcd_many_q([(a * c).scale(6), (b * c).scale(4)]))
+            outputs.append(is_ring_square((a * a).scale(4)))
+        for p in outputs:
+            assert is_canonical(p), p
+    assert len(built) > 300 * 15
+    assert all(is_canonical(p) for p in built)
+
+
+def test_public_constructor_canonicalises():
+    e, e2 = (1, 0, 0), (0, 1, 0)
+    p = Poly(RING, {e: 0, e2: True})
+    assert p._terms == {e2: 1} and type(p._terms[e2]) is int
+    assert p == Y
+    assert p.scale(1) is p
+    assert p + RING.zero() is p and RING.zero() + p is p
