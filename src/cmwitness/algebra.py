@@ -147,11 +147,11 @@ class AlgebraDesc:
 
     @cached_property
     def w4f(self) -> Optional[S2w4Witness]:
-        return in_S2wedge4(self.f)
+        return in_S2wedge4(self.wf)
 
     @cached_property
     def w4g(self) -> Optional[S2w4Witness]:
-        return in_S2wedge4(self.g)
+        return in_S2wedge4(self.wg)
 
     @cached_property
     def fg(self) -> Poly:

@@ -26,6 +26,13 @@ Membership of a witness element in the minor ideal is checked by exact
 divisibility by one of the listed generators, which is sound (any
 multiple of a generator lies in the ideal) and sufficient for every
 witness constructed here.
+
+The rank-1 tails are cross-checked by one gcd.  S is a UFD, so when
+rank(d_1) = dim F_1 - 1 and d_1 . c = 0 for the single column c of d_2,
+ker(d_1) = (K c) cap F_1 equals S c exactly when the gcd of the entries
+of c is a unit of S.  An irreducible of Z[x] lies in the maximal ideal
+(2, x) exactly when its constant term is even, so the Z[x]-gcd is a
+unit of S exactly when its constant coefficient is odd.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .algebra import AlgebraDesc
 from .errors import (
@@ -44,20 +51,14 @@ from .errors import (
     UnverifiedComplexError,
     WitnessMismatchError,
 )
-from .gcd import gcd_many_q
-from .linalg import (
-    DimensionMismatchError,
-    PolyFraction,
-    bareiss_rank,
-    fraction_kernel,
-    poly_det,
-)
+from .gcd import gcd_z
+from .linalg import DimensionMismatchError, bareiss_rank, poly_det
 from .poly import (
-    NotDivisibleError,
     Poly,
     divide_exact,
     is_divisible,
     is_even,
+    poly_dot,
     reduce_mod2,
 )
 from .predicates import S2Witness, regular_sequence_certificate
@@ -253,23 +254,27 @@ def resolution_of_S_mod_Q(z: Poly, c: Poly, e: Poly) -> FreeComplex:
 # verification
 
 
+def _product_is_zero(left: List[List[Poly]], right: List[List[Poly]], i: int) -> bool:
+    """True iff d_i . d_{i+1} = left . right is the zero matrix.
+
+    Each entry is one poly_dot.  DimensionMismatch when the shapes do
+    not compose.
+    """
+    if len(right) != len(left[0]):
+        raise DimensionMismatchError("d_%d and d_%d are not composable" % (i, i + 1))
+    ring = left[0][0].ring
+    columns = list(zip(*right))
+    return all(
+        poly_dot(ring, zip(row, col)).is_zero() for row in left for col in columns
+    )
+
+
 def check_composition_zero(cx: FreeComplex) -> bool:
     """True iff every adjacent product d_i . d_{i+1} is the zero matrix."""
-    for i in range(len(cx.matrices) - 1):
-        left = cx.matrices[i]
-        right = cx.matrices[i + 1]
-        if len(right) != len(left[0]):
-            raise DimensionMismatchError(
-                "d_%d and d_%d are not composable" % (i + 1, i + 2)
-            )
-        for r in range(len(left)):
-            for s in range(len(right[0])):
-                acc = left[0][0].ring.zero()
-                for k in range(len(right)):
-                    acc = acc + left[r][k] * right[k][s]
-                if not acc.is_zero():
-                    return False
-    return True
+    return all(
+        _product_is_zero(cx.matrices[i - 1], cx.matrices[i], i)
+        for i in range(1, len(cx.matrices))
+    )
 
 
 def minor_ideal_generators(mat: List[List[Poly]], size: int) -> List[Poly]:
@@ -394,56 +399,29 @@ def verify_complex(cx: FreeComplex) -> VerifiedComplex:
 
 
 def kernel_saturation_check(cx: FreeComplex) -> bool:
-    """Spot check that ker(d_1) is exactly the column span of d_2.
+    """Whether ker(d_1) is exactly S c for the single column c of d_2.
 
-    Computes a generic kernel basis of d_1 over the fraction field,
-    clears denominators and integer content in each basis vector, and
-    checks the result lies in the S-column span of d_2 (for the rank-1
-    tails here: is an exact S-multiple of the single column).  This
-    guards against a d_2 that spans the right generic kernel but fails
-    to saturate it in S.
+    True exactly when rank(d_1) = dim F_1 - 1 (the cached generic rank),
+    d_1 . c = 0 and the Z[x]-gcd of the nonzero entries of c is a unit
+    of S (see the module docstring).  The gcd is folded in increasing
+    degree, so a constant entry keeps every step on gcd_z's
+    constant-operand path.  False for an all-zero column and for
+    ker(d_1) = 0, where d_2 is no rank-1 tail of d_1; the fraction-field
+    check this replaces returned True on ker(d_1) = 0.
+    DimensionMismatch for fewer than two differentials, a d_2 with more
+    than one column, or shapes that do not compose.
     """
     if len(cx.matrices) < 2:
         raise DimensionMismatchError("need at least two differentials")
     d1, d2 = cx.matrices[0], cx.matrices[1]
-    basis = fraction_kernel(d1)
     if len(d2[0]) != 1:
         raise DimensionMismatchError("saturation spot check expects a rank-1 tail")
-    column = [row[0] for row in d2]
-    for vec in basis:
-        cleared = _clear_to_polys(vec)
-        if not _is_s_multiple_of_column(cleared, column):
-            return False
-    return True
-
-
-def _clear_to_polys(vec: Sequence[PolyFraction]) -> List[Poly]:
-    """Scale a fraction vector to a content-free polynomial vector."""
-    ring = vec[0].ring
-    denom = ring.one()
-    for entry in vec:
-        denom = divide_exact(denom * entry.den, gcd_many_q([denom, entry.den]))
-    try:
-        polys = [divide_exact(entry.num * denom, entry.den) for entry in vec]
-    except NotDivisibleError:
-        raise InternalVerificationError("denominator clearing failed") from None
-    content = gcd_many_q(polys)
-    return [divide_exact(p, content) for p in polys]
-
-
-def _is_s_multiple_of_column(vec: Sequence[Poly], column: Sequence[Poly]) -> bool:
-    """True if vec = s * column for some s in S (unit denominators allowed)."""
-    ratio: Optional[PolyFraction] = None
-    for v, c in zip(vec, column):
-        if c.is_zero():
-            if not v.is_zero():
-                return False
-            continue
-        here = PolyFraction(v, c)
-        if ratio is None:
-            ratio = here
-        elif ratio != here:
-            return False
-    if ratio is None:
-        return all(v.is_zero() for v in vec)
-    return ratio.is_in_S()
+    if not _product_is_zero(d1, d2, 1):
+        return False
+    entries = sorted((r[0] for r in d2 if not r[0].is_zero()), key=Poly.total_degree)
+    if not entries or cx.differential_ranks[0] != len(d1[0]) - 1:
+        return False
+    content = entries[0]
+    for entry in entries[1:]:
+        content = gcd_z(content, entry)
+    return content.is_unit()

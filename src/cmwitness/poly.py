@@ -104,9 +104,11 @@ def grlex_key(e: Exponent) -> Tuple[int, Exponent]:
     return (sum(e), e)
 
 
-def _check_same_ring(a, b):
-    if a.ring != b.ring:
-        raise ValueError("operands belong to different rings")
+def _check_same_ring(ring, *operands):
+    """ValueError unless every operand belongs to ``ring`` (identity first)."""
+    for p in operands:
+        if p.ring is not ring and p.ring != ring:
+            raise ValueError("operands belong to different rings")
 
 
 class Poly:
@@ -186,7 +188,7 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        _check_same_ring(self, other)
+        _check_same_ring(self.ring, other)
         if not other._terms:
             return self
         if not self._terms:
@@ -282,10 +284,7 @@ def poly_dot(ring: BaseRing, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
     terms: Dict[Exponent, int] = {}
     get = terms.get
     for a, b in pairs:
-        if (a.ring is not ring and a.ring != ring) or (
-            b.ring is not ring and b.ring != ring
-        ):
-            raise ValueError("operands belong to different rings")
+        _check_same_ring(ring, a, b)
         b_terms = b._terms.items()
         for e1, c1 in a._terms.items():
             for e2, c2 in b_terms:
@@ -316,7 +315,7 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
     term by term, and a constant one (most divisors in the eliminations)
     divides each coefficient with the exponents left as they are.
     """
-    _check_same_ring(a, b)
+    _check_same_ring(a.ring, b)
     if b.is_zero():
         raise NotDivisibleError("division by zero polynomial")
     quot: Dict[Exponent, int] = {}
@@ -438,7 +437,7 @@ class F2Poly:
     def __add__(self, other):
         if not isinstance(other, F2Poly):
             return NotImplemented
-        _check_same_ring(self, other)
+        _check_same_ring(self.ring, other)
         return F2Poly(self.ring, self.monomials ^ other.monomials)
 
     # Subtraction coincides with addition in characteristic two.
@@ -447,7 +446,7 @@ class F2Poly:
     def __mul__(self, other):
         if not isinstance(other, F2Poly):
             return NotImplemented
-        _check_same_ring(self, other)
+        _check_same_ring(self.ring, other)
         acc: Dict[Exponent, int] = {}
         for e1 in self.monomials:
             for e2 in other.monomials:
@@ -523,7 +522,7 @@ def sqrt_f2(r: F2Poly) -> Optional[F2Poly]:
 
 def f2_divide_exact(a: F2Poly, b: F2Poly) -> F2Poly:
     """Exact quotient in GF(2)[variables]; NotDivisibleError otherwise."""
-    _check_same_ring(a, b)
+    _check_same_ring(a.ring, b)
     if b.is_zero():
         raise NotDivisibleError("division by zero polynomial")
     quot = set()

@@ -131,14 +131,14 @@ def decompose_S2(f: Poly) -> Optional[S2Witness]:
     return S2Witness(h=h, a=a)
 
 
-def in_S2wedge4(f: Poly) -> Optional[S2w4Witness]:
-    """Witness f = h^2 + 4a', if one exists.
+def in_S2wedge4(w: Optional[S2Witness]) -> Optional[S2w4Witness]:
+    """Witness f = h^2 + 4a' from w = decompose_S2(f), if one exists.
 
     The verdict is the parity of a in f = h^2 + 2a, read off the
     canonical lift h of the mod-2 square root.  It holds for every lift
     h + 2t: then a becomes a - 2(th + t^2), whose parity is that of a.
+    No witness (f not in S^2) gives None.
     """
-    w = decompose_S2(f)
     if w is None or not is_even(w.a):
         return None
     return S2w4Witness(h=w.h, a_prime=half(w.a))

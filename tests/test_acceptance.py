@@ -178,7 +178,7 @@ def test_acceptance_2_both_hypersurfaces_non_normal(capsys):
     ring = BaseRing(("U", "Y", "V"))
     f = parse_poly("U^2*V^2+4", ring)
     g = parse_poly("U^2*Y^2+4", ring)
-    wf4, wg4 = in_S2wedge4(f), in_S2wedge4(g)
+    wf4, wg4 = in_S2wedge4(decompose_S2(f)), in_S2wedge4(decompose_S2(g))
     alg = make_algebra(ring, f, g)
     case = classify(alg)
     rep = build_R(alg, case)
@@ -248,8 +248,8 @@ def test_acceptance_3_grade2_family(capsys):
             "g witness (V*Y, 2 - Y^2)",
             wg.h == parse_poly("V*Y", ring) and wg.a == parse_poly("2-Y^2", ring),
         ),
-        ("f has no refined square witness", in_S2wedge4(f) is None),
-        ("g has no refined square witness", in_S2wedge4(g) is None),
+        ("f has no refined square witness", in_S2wedge4(decompose_S2(f)) is None),
+        ("g has no refined square witness", in_S2wedge4(decompose_S2(g)) is None),
         ("product criterion a*h2^2 + b*h1^2 is even", product_in_S2wedge4(wf, wg)),
         (
             "criterion value is 2*V^2*(X^2 + Y^2 - X^2*Y^2)",

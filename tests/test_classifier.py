@@ -6,6 +6,7 @@ import pytest
 from cmwitness import classifier
 from cmwitness.algebra import (
     AlgebraDesc,
+    IdealGens,
     a_membership,
     in_colon,
     k_mul,
@@ -26,9 +27,11 @@ from cmwitness.classifier import (
     conductor,
     example_2_10_identity,
     example_2_10_regression,
+    ideal_H,
     ideal_I,
     ideal_P,
     presentation_complex,
+    prime_dual_gen,
     q_shape,
     residue_mod_P,
 )
@@ -259,6 +262,64 @@ def test_certificate_synthetic_exemplars():
         )
     )
     assert cert2.all_pass()
+
+
+# Keys that read True whatever the input: verify_complex raises instead
+# of returning an inexact resolution, and 1, w, u, wu lie in A with
+# I*P inside A.  Identities about M itself (ROADMAP item 3) replace them.
+CONSTANT_CERTIFICATE_KEYS = {"I_resolution_ok", "BE_ok", "M_contains_A"}
+
+
+def perturbed_P(alg):
+    # The second generator w - h1 scaled by the first variable.
+    gens = ideal_P(alg).gens
+    x = alg.ring.var(alg.ring.variables[0])
+    return IdealGens(alg, [gens[0], gens[1].scale_poly(x), gens[2]], "P")
+
+
+def perturbed_eta(alg):
+    # (w + h1)(u + h2)/4 in place of /2.
+    return prime_dual_gen(alg).half()
+
+
+def perturbed_H(alg):
+    # The generator (w + h1)(u + h2) with its sign flipped.
+    gens = ideal_H(alg).gens
+    return IdealGens(alg, [gens[0], -gens[1], gens[2]], "H")
+
+
+@pytest.mark.parametrize(
+    "ring,ftext,gtext,case",
+    [
+        (RING2, "-X^2+4", "-Y^2+4", CASE_C_NONCM_GRADE3),
+        (RING3, "V^2*X^2-2*X^2+4", "V^2*Y^2-2*Y^2+4", CASE_C_NONCM_GRADE2),
+        (RING3, "3*V^2+4", "3*X^2+4", CASE_C_NONCM_GRADE3),
+    ],
+)
+def test_certificate_checks_can_fail(monkeypatch, ring, ftext, gtext, case):
+    # Each check key that is not a constant reads False under a perturbed
+    # input; a new key with no such guard fails the pinned key set.
+    pres = build_R(alg_of(ring, ftext, gtext), case)
+    checks = build_small_cm_certificate(pres).checks
+    guarded = {"P_free", "depth_chain_ok", "eta_conducts", "M_contains_eta", "H_equals_I"}
+    assert set(checks) == guarded | CONSTANT_CERTIFICATE_KEYS
+    assert all(checks.values())
+    failed = set()
+    for name, perturbed, expect in (
+        ("ideal_P", perturbed_P, {"P_free", "depth_chain_ok"}),
+        (
+            "prime_dual_gen",
+            perturbed_eta,
+            {"eta_conducts", "M_contains_eta", "depth_chain_ok"},
+        ),
+        ("ideal_H", perturbed_H, {"H_equals_I", "depth_chain_ok"}),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(classifier, name, perturbed)
+            checks = build_small_cm_certificate(pres).checks
+        assert {k for k, ok in checks.items() if not ok} == expect, name
+        failed |= expect
+    assert failed == guarded
 
 
 def test_certificate_wrong_case():

@@ -52,6 +52,7 @@ def test_each_fact_once_per_report(monkeypatch, name):
     ring, f, g, options = parse_job(job)
 
     lift_checks = Calls(monkeypatch, predicates, "in_S2wedge4")
+    decompositions = Calls(monkeypatch, predicates, "decompose_S2")
     shapes = Calls(monkeypatch, predicates, "ideal_Q_classify")
     rrefs = Calls(monkeypatch, linalg, "_fraction_free_rref")
     fractions = []
@@ -102,6 +103,8 @@ def test_each_fact_once_per_report(monkeypatch, name):
     case = report["case"]
 
     assert len(lift_checks) <= 2
+    # The S^2 decompositions of f and g, reused by the S^{2,4} tests.
+    assert len(decompositions) <= 2
     from_h = [args for args in shapes.args if args != (f, g)]
     assert len(from_h) == (0 if case == OUTSIDE_SCOPE else 1)
     # The (f, g) cross-check runs on the Case C path only, as before.

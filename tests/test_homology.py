@@ -1,5 +1,9 @@
 """Free complexes, Buchsbaum-Eisenbud exactness, grade witnesses."""
 
+import math
+import random
+from collections import Counter
+
 import pytest
 
 from cmwitness.errors import (
@@ -21,8 +25,9 @@ from cmwitness.homology import (
     standard_grade_certificates,
     verify_complex,
 )
-from cmwitness.linalg import DimensionMismatchError
-from cmwitness.poly import BaseRing, parse_poly
+from cmwitness.gcd import gcd_many_q
+from cmwitness.linalg import DimensionMismatchError, PolyFraction, fraction_kernel
+from cmwitness.poly import BaseRing, Poly, divide_exact, parse_poly
 from cmwitness.predicates import decompose_S2
 from cmwitness.report import assemble_report, parse_job
 
@@ -265,6 +270,139 @@ def test_kernel_saturation():
         kernel_saturation_check(
             FreeComplex(matrices=[[[X]]], labels=["F0", "F1"], augmented=False)
         )
+
+
+def saturation_reference(d1, column):
+    """ker(d_1) = S * column, decided over the fraction field.
+
+    The clearing algorithm the package used before the gcd identity: a
+    generic kernel basis of d_1 (fraction_kernel), each vector cleared
+    of denominators and content, must be an S-multiple of the column.
+    Unlike that version it also divides out the integer content, which
+    the lcm of denominators over gcd_many_q (a primitive gcd) can leave
+    behind: without it (-2Y, 2X, 4) passed as a saturating column for
+    the resolution of I.  An empty basis (ker(d_1) = 0) reads True.
+    """
+    for vec in fraction_kernel(d1):
+        ring = vec[0].ring
+        denom = ring.one()
+        for entry in vec:
+            denom = divide_exact(denom * entry.den, gcd_many_q([denom, entry.den]))
+        polys = [divide_exact(entry.num * denom, entry.den) for entry in vec]
+        content = gcd_many_q(polys)
+        polys = [divide_exact(p, content) for p in polys]
+        k = math.gcd(*(p.integer_content() for p in polys if not p.is_zero()))
+        polys = [divide_exact(p, ring.const(k)) for p in polys]
+        ratio = None
+        for v, c in zip(polys, column):
+            if c.is_zero():
+                if not v.is_zero():
+                    return False
+                continue
+            here = PolyFraction(v, c)
+            if ratio is None:
+                ratio = here
+            elif ratio != here:
+                return False
+        if ratio is None or not ratio.is_in_S():
+            return False
+    return True
+
+
+def rank1_tail(d1, column):
+    return FreeComplex(
+        matrices=[d1, [[c] for c in column]],
+        labels=["F0", "F1", "S"],
+        augmented=False,
+    )
+
+
+def small_poly(rng, ring):
+    terms = {}
+    for _ in range(rng.randrange(1, 3)):
+        e = tuple(rng.randrange(2) for _ in ring.variables)
+        terms[e] = terms.get(e, 0) + rng.randrange(-3, 4)
+    return Poly(ring, terms)
+
+
+UNITS = ("1", "-1", "3", "1+2*X", "1-2*Y+4*X*Y")
+NON_UNITS = ("2", "X", "2+X", "-Y", "X*Y+2*X")
+
+
+def test_kernel_saturation_matches_fraction_kernel_reference():
+    # Seeded rank-1 tails over Z[X, Y]: the rows of d_1 are S-combinations
+    # of the Koszul rows orthogonal to c0 (one row leaves rank 1, so
+    # ker(d_1) has rank 2), and the column is c = m * c0 for a unit or
+    # non-unit m, sometimes knocked out of the kernel by adding 1 to one
+    # entry.  A constant entry of c0 puts the gcd on its constant path.
+    rng = random.Random(1407)
+    two = RING2.const(2)
+    verdicts, kinds = Counter(), Counter()
+    for _ in range(240):
+        c0 = [small_poly(rng, RING2) for _ in range(3)]
+        if rng.random() < 0.3:
+            c0[rng.randrange(3)] = rng.choice((two, RING2.one(), RING2.const(-3)))
+        if all(c.is_zero() for c in c0):
+            continue
+        a, b, c = c0
+        zero = RING2.zero()
+        koszul = [[b, -a, zero], [c, zero, -a], [zero, c, -b]]
+        nrows = rng.choice((1, 2, 2, 3, 3))
+        d1 = []
+        for _ in range(nrows):
+            coeffs = [small_poly(rng, RING2) for _ in koszul]
+            d1.append([sum((k * row[j] for k, row in zip(coeffs, koszul)), zero)
+                       for j in range(3)])
+        unit = rng.random() < 0.5
+        m = parse_poly(rng.choice(UNITS if unit else NON_UNITS), RING2)
+        column = [m * x for x in c0]
+        outside = rng.random() < 0.15
+        if outside:
+            column[rng.randrange(3)] += 1
+        cx = rank1_tail(d1, column)
+        got = kernel_saturation_check(cx)
+        assert got == saturation_reference(d1, column), (d1, column)
+        rank_ok = cx.differential_ranks[0] == 2
+        verdicts[got] += 1
+        kinds["saturated by a non-constant unit multiple"] += got and not m.is_constant()
+        kinds["rank 1, c in ker, unit multiplier"] += not rank_ok and not outside and unit
+        kinds["c outside ker"] += outside
+        kinds["non-unit multiplier in ker"] += rank_ok and not outside and not unit
+    assert sum(verdicts.values()) >= 200, verdicts
+    assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
+    assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
+
+
+def test_kernel_saturation_rejects_degenerate_tails():
+    X, Y = RING2.gens()
+    zero, one, two = RING2.zero(), RING2.one(), RING2.const(2)
+    # ker(d_1) = 0: the check reads False (the fraction-field check,
+    # whose kernel basis is empty, read True).
+    injective = [[one, zero, zero], [zero, one, zero], [zero, zero, two]]
+    assert not kernel_saturation_check(rank1_tail(injective, [zero, zero, zero]))
+    assert saturation_reference(injective, [zero, zero, zero])
+    # A zero column: ker(d_1) = S * (-Y, X, 2) is not spanned by it.
+    koszul = [[X, Y, zero], [two, zero, Y]]
+    assert kernel_saturation_check(rank1_tail(koszul, [-Y, X, two]))
+    assert not kernel_saturation_check(rank1_tail(koszul, [zero, zero, zero]))
+    assert not saturation_reference(koszul, [zero, zero, zero])
+    # 2 * (-Y, X, 2) lies in the kernel but does not saturate it.
+    wf, wg = family2_witnesses()
+    cx = resolution_of_I(wf, wg)
+    doubled = FreeComplex(
+        matrices=[cx.matrices[0], [[row[0].scale(2)] for row in cx.matrices[1]]],
+        labels=list(cx.labels),
+        augmented=True,
+    )
+    assert check_composition_zero(doubled)
+    assert not kernel_saturation_check(doubled)
+    assert not saturation_reference(cx.matrices[0], [r[0] for r in doubled.matrices[1]])
+    # Shapes that do not compose raise as check_composition_zero does.
+    short = rank1_tail(koszul, [-Y, X])
+    with pytest.raises(DimensionMismatchError, match="not composable"):
+        check_composition_zero(short)
+    with pytest.raises(DimensionMismatchError, match="not composable"):
+        kernel_saturation_check(short)
 
 
 def test_serialize_shape():

@@ -91,15 +91,15 @@ def test_decompose_S2():
 
 
 def test_in_S2wedge4():
-    w = in_S2wedge4(P("V^2*X^2+4"))
+    w = in_S2wedge4(decompose_S2(P("V^2*X^2+4")))
     assert w is not None and w.h == V * X and w.a_prime == RING.one()
-    assert in_S2wedge4(P("V^2*X^2-2*X^2+4")) is None
-    assert in_S2wedge4(P("2*Y")) is None
-    assert in_S2wedge4(P("X*V^2+4")) is None
+    assert in_S2wedge4(decompose_S2(P("V^2*X^2-2*X^2+4"))) is None
+    assert in_S2wedge4(decompose_S2(P("2*Y"))) is None
+    assert in_S2wedge4(decompose_S2(P("X*V^2+4"))) is None
     # Soundness: h^2 + 4*a_prime re-expands to the input.
     for text in ("V^2*X^2+4", "X^2+4", "X^2*Y^2+4*Y^2+4*X+8"):
         f = P(text)
-        wit = in_S2wedge4(f)
+        wit = in_S2wedge4(decompose_S2(f))
         assert wit is not None
         assert wit.h * wit.h + wit.a_prime.scale(4) == f
 
@@ -111,7 +111,7 @@ def test_in_S2wedge4_lift_independence():
     rng = random.Random(77)
     for text, inside in (("V^2*X^2+4", True), ("V^2*X^2-2*X^2+4", False)):
         f = P(text)
-        assert (in_S2wedge4(f) is not None) == inside
+        assert (in_S2wedge4(decompose_S2(f)) is not None) == inside
         h = decompose_S2(f).h
         for _ in range(10):
             t = Poly(
@@ -133,9 +133,9 @@ def test_lift_identity_avoids_existing_variable_names():
     Xr, T, T_ = ring.gens()
     inside = (Xr * T + T_) ** 2 + ring.const(4)
     outside = (Xr * T + T_) ** 2 + T.scale(2) + ring.const(4)
-    w = in_S2wedge4(inside)
+    w = in_S2wedge4(decompose_S2(inside))
     assert w is not None and w.h * w.h + w.a_prime.scale(4) == inside
-    assert in_S2wedge4(outside) is None
+    assert in_S2wedge4(decompose_S2(outside)) is None
 
 
 def test_product_in_S2wedge4():
@@ -150,7 +150,7 @@ def test_product_in_S2wedge4():
 
 def test_product_criterion_matches_direct_membership():
     # Whenever f*g lands in S^2, the witness criterion a*h2^2 + b*h1^2
-    # being even must agree with in_S2wedge4(f*g) directly.
+    # being even must agree with the S^{2,4} test of f*g itself.
     pairs = [
         ("X^2+2", "Y^2+2"),
         ("X^2+2", "X^2*Y^2+2*Y^2+4"),
@@ -162,7 +162,7 @@ def test_product_criterion_matches_direct_membership():
         f, g = P(ftext), P(gtext)
         wf, wg = decompose_S2(f), decompose_S2(g)
         assert wf is not None and wg is not None
-        direct = in_S2wedge4(f * g) is not None
+        direct = in_S2wedge4(decompose_S2(f * g)) is not None
         assert product_in_S2wedge4(wf, wg) == direct
 
 

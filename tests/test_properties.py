@@ -110,7 +110,7 @@ def test_s2wedge4_lift_independence():
         f = h * h + a.scale(2)
         if f.is_zero():
             continue
-        verdict = in_S2wedge4(f) is not None
+        verdict = in_S2wedge4(decompose_S2(f)) is not None
         for _ in range(3):
             t = rand_poly(rng, RING, max_terms=2, max_deg=1, max_coeff=2)
             h_shift = h + t.scale(2)
