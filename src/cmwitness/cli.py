@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedError,
     ZeroInputError,
 )
-from .poly import BaseRing, parse_poly, substitute_ints
+from .poly import BaseRing, check_coeff_bound, parse_poly, substitute_ints
 from .report import (
     assemble_report,
     cm_verdict_for_tag,
@@ -222,6 +222,8 @@ def cmd_sweep(family_path: str, out_path: str) -> int:
             assignment = dict(zip(names, combo))
             f = substitute_ints(f_template, assignment, ring)
             g = substitute_ints(g_template, assignment, ring)
+            check_coeff_bound(f, "f")
+            check_coeff_bound(g, "g")
             cm_text = shape_text = ""
             try:
                 alg = make_algebra(ring, f, g)

@@ -33,7 +33,7 @@ import math
 from typing import Dict, List, Optional, Union
 
 from .errors import BothZeroError, NotDivisibleError
-from .poly import Exponent, F2Poly, Poly, _exp_sub, grlex_key
+from .poly import Exponent, F2Poly, Poly, _exp_sub, grlex_key, primitive
 
 
 Rec = Union[int, Dict[int, "Rec"]]
@@ -375,13 +375,7 @@ def gcd_q(a: Poly, b: Poly) -> Poly:
     primitive integer polynomial with positive leading coefficient."""
     if _coprime_by_images(a, b):
         return a.ring.one()
-    g = gcd_z(a, b)
-    c = g.integer_content()
-    if c > 1:
-        g = Poly._from_canonical(
-            g.ring, {e: cf // c for e, cf in g._terms.items()}
-        )
-    return g
+    return primitive(gcd_z(a, b))[1]
 
 
 def gcd_many_q(polys) -> Poly:
@@ -404,12 +398,7 @@ def gcd_many_q(polys) -> Poly:
         raise BothZeroError("gcd of an empty sequence")
     if acc.is_zero():
         raise BothZeroError("gcd(0, ..., 0) is undefined")
-    c = acc.integer_content()
-    if c > 1:
-        acc = Poly._from_canonical(
-            acc.ring, {e: cf // c for e, cf in acc._terms.items()}
-        )
-    return _normalize_sign(acc)
+    return _normalize_sign(primitive(acc)[1])
 
 
 def gcd_f2(a: F2Poly, b: F2Poly) -> F2Poly:
@@ -480,11 +469,10 @@ def is_ring_square(p: Poly) -> Optional[Poly]:
     """
     if p.is_zero():
         return p.ring.zero()
-    content = p.integer_content()
+    content, pp = primitive(p)
     croot = integer_sqrt_exact(content)
     if croot is None:
         return None
-    pp = Poly._from_canonical(p.ring, {e: c // content for e, c in p._terms.items()})
     root = poly_sqrt_z(pp)
     if root is None:
         return None

@@ -59,9 +59,8 @@ from .poly import (
     is_divisible,
     is_even,
     poly_dot,
-    reduce_mod2,
 )
-from .predicates import S2Witness, regular_sequence_certificate
+from .predicates import regular_sequence_certificate
 
 __all__ = [
     "FreeComplex",
@@ -152,7 +151,7 @@ def _is_regular_sequence(witness: Sequence[Poly]) -> bool:
             raise MalformedSequenceError(
                 "length-2 witnesses must start with a power of 2"
             )
-        return not reduce_mod2(second).is_zero()
+        return not is_even(second)
     return regular_sequence_certificate(witness)
 
 
@@ -160,7 +159,7 @@ def _is_regular_sequence(witness: Sequence[Poly]) -> bool:
 # the two concrete complexes (verify_complex checks that they compose to zero)
 
 
-def resolution_of_I(wf: S2Witness, wg: S2Witness) -> FreeComplex:
+def resolution_of_I(alg: AlgebraDesc) -> FreeComplex:
     """Augmented complex 0 -> S --psi^T--> S^3 --phi--> A = S^4 onto I.
 
     phi sends the standard basis to (2w, 2u, h2*w - h1*u), written in
@@ -168,16 +167,15 @@ def resolution_of_I(wf: S2Witness, wg: S2Witness) -> FreeComplex:
     h2*w - h1*u) A intersected with the displayed generators' span; the
     three multiplication identities verified below show the image is
     closed under multiplication by w, u and wu, i.e. really is I.
-    Raises WitnessMismatch when the witnesses are degenerate (both h's
-    even) or the excess term a*h2^2 + b*h1^2 is odd, in which case no
-    element e with (wu)(wu - h1*h2) = -h1*h2(wu - h1*h2) + 4e exists.
+    Raises WitnessMismatch when the algebra's witnesses are degenerate
+    (both h's even) or the excess term a*h2^2 + b*h1^2 is odd, in which
+    case no element e with (wu)(wu - h1*h2) = -h1*h2(wu - h1*h2) + 4e
+    exists.
     """
-    ring = wf.h.ring
-    if wg.h.ring is not ring:
-        raise DimensionMismatchError("witnesses over different rings")
-    h1, a = wf.h, wf.a
-    h2, b = wg.h, wg.a
-    if reduce_mod2(h1).is_zero() and reduce_mod2(h2).is_zero():
+    ring = alg.ring
+    h1, a = alg.h1(), alg.a()
+    h2, b = alg.h2(), alg.b()
+    if is_even(h1) and is_even(h2):
         raise WitnessMismatchError(
             "both residues vanish mod 2; the ideal I degenerates to (2)"
         )
@@ -186,9 +184,6 @@ def resolution_of_I(wf: S2Witness, wg: S2Witness) -> FreeComplex:
         raise WitnessMismatchError(
             "a*h2^2 + b*h1^2 is odd, so the product has no square-mod-4 structure"
         )
-    f = wf.reexpand()
-    g = wg.reexpand()
-    alg = AlgebraDesc(ring=ring, f=f, g=g, wf=wf, wg=wg)
     e = divide_exact(excess, ring.const(2)) + a * b
 
     two_w = alg.root_f().scale_poly(ring.const(2))
@@ -232,7 +227,7 @@ def resolution_of_S_mod_Q(z: Poly, c: Poly, e: Poly) -> FreeComplex:
     needs z*c^2 nonzero mod 2.
     """
     ring = z.ring
-    if reduce_mod2(z).is_zero():
+    if is_even(z):
         raise LiftInvalidError("lift of the residue gcd vanishes mod 2")
     two = ring.const(2)
     zero = ring.zero()
@@ -343,7 +338,7 @@ def standard_grade_certificates(cx: FreeComplex) -> List[List[Poly]]:
         if i == 1:
             witness = [nonzero[0]]
         elif i == 2:
-            odd_part = [m for m in nonzero if not reduce_mod2(m).is_zero()]
+            odd_part = [m for m in nonzero if not is_even(m)]
             if not odd_part:
                 raise MissingCertificateError(
                     "no minor survives mod 2; cannot certify grade >= 2"

@@ -20,18 +20,19 @@ built, so polynomials can be shared: scale(1) and adding zero return
 the operand itself.  The public constructor Poly(ring, terms) filters
 and converts whatever dict it is given.  The kernels that build a dict
 already in canonical form (addition, negation, scale, poly_dot after
-dropping its cancelled terms, divide_exact, half, lift_f2,
-partial_derivative, substitute_ints, and the content divisions and
-recursive-form results of gcd.py and predicates.py) hand it to the
-private Poly._from_canonical, which takes it unchecked and uncopied.
-No other code may call it.
+dropping its cancelled terms, divide_exact, half, primitive (the one
+content division, used by gcd.py and predicates.py), lift_f2,
+partial_derivative, substitute_ints, and the recursive-form result of
+gcd.gcd_z) hand it to the private Poly._from_canonical, which takes it
+unchecked and uncopied.  No other code may call it.
 
-Every product of polynomials goes through one multiply-accumulate
-kernel, poly_dot(ring, pairs) = sum of a*b, which builds the result in a
-single term dict.  The operands in this package are small (most have
-zero to three terms), so the cost of arithmetic is the objects built
-per product, not the monomial loop: fusing a sum of products into one
-call removes the intermediate Poly of each product and partial sum.
+Every product of integer polynomials (F2Poly keeps its own XOR loop)
+goes through one multiply-accumulate kernel, poly_dot(ring, pairs) =
+sum of a*b, which builds the result in a single term dict.  The
+operands in this package are small (most have zero to three terms), so
+the cost of arithmetic is the objects built per product, not the
+monomial loop: fusing a sum of products into one call removes the
+intermediate Poly of each product and partial sum.
 
 Residues mod 2 live in GF(2)[x1, ..., xn] and are stored as a frozenset
 of exponent tuples (the monomials with coefficient 1).
@@ -45,6 +46,7 @@ from operator import add
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .errors import (
+    BoundTooLargeError,
     MalformedInputError,
     NotDivisibleError,
     PolyParseError,
@@ -505,6 +507,17 @@ def half(p: Poly) -> Poly:
     return Poly._from_canonical(p.ring, {e: c // 2 for e, c in p._terms.items()})
 
 
+def primitive(p: Poly) -> Tuple[int, Poly]:
+    """(content, part) with p = content * part; the part is p itself
+    when the content is 0 or 1."""
+    content = p.integer_content()
+    if content <= 1:
+        return content, p
+    return content, Poly._from_canonical(
+        p.ring, {e: c // content for e, c in p._terms.items()}
+    )
+
+
 def sqrt_f2(r: F2Poly) -> Optional[F2Poly]:
     """Square root in GF(2)[variables], or None.
 
@@ -547,15 +560,29 @@ def f2_divide_exact(a: F2Poly, b: F2Poly) -> F2Poly:
 # Four Python frames per level keeps parsing far below the recursion limit.
 _MAX_NESTING = 100
 
-# Each power and product is bounded before it is expanded: its term count
-# and, for a power base^n, its degree n*deg(base) (n for a constant) and
-# the bit length of its coefficients (at most n times that of the sum of
-# the absolute coefficients of base); nested powers would otherwise grow
-# without limit.  Every input this package is built for uses exponents
-# <= 4, small coefficients and a few dozen terms.
+# Each power and product is bounded before it is expanded: its term count,
+# for a power base^n its degree n*deg(base) (n for a constant), and its
+# coefficient bits through the norm |p| = sum of |coefficients|, as
+# |p*q| <= |p|*|q|.  Literals and the f, g a sweep substitutes obey the
+# same bit bound, far below the 4300 digits str(int) prints.  Every input
+# this package is built for uses exponents <= 4, small coefficients and
+# a few dozen terms.
 _MAX_EXPONENT = 64
 _MAX_TERMS = 10_000
 _MAX_COEFF_BITS = 1024
+
+
+def _norm_bits(p: Poly) -> int:
+    return sum(abs(c) for c in p._terms.values()).bit_length()
+
+
+def check_coeff_bound(p: Poly, name: str) -> None:
+    """BoundTooLargeError when a coefficient of p exceeds _MAX_COEFF_BITS."""
+    bits = max((abs(c).bit_length() for c in p._terms.values()), default=0)
+    if bits > _MAX_COEFF_BITS:
+        raise BoundTooLargeError(
+            "%s has a %d-bit coefficient; limit is %d" % (name, bits, _MAX_COEFF_BITS)
+        )
 
 
 def _tokenize(text: str):
@@ -575,6 +602,8 @@ def _tokenize(text: str):
                 value = int(text[i:j])
             except ValueError:  # a digit int() cannot read, or too many digits
                 raise PolyParseError(f"invalid integer {text[i:j]!r}", i) from None
+            if value.bit_length() > _MAX_COEFF_BITS:
+                raise PolyParseError("integer literal too large", i)
             tokens.append(("INT", value, i))
             i = j
             continue
@@ -654,7 +683,10 @@ class _Parser:
             if kind == "OP" and val == "*":
                 self.advance()
                 factor = self.parse_factor()
-                if acc.num_terms() * factor.num_terms() > _MAX_TERMS:
+                if (
+                    acc.num_terms() * factor.num_terms() > _MAX_TERMS
+                    or _norm_bits(acc) + _norm_bits(factor) > _MAX_COEFF_BITS
+                ):
                     raise PolyParseError("product too large to expand", pos)
                 acc = acc * factor
             else:
@@ -669,13 +701,12 @@ class _Parser:
             if k != "INT":
                 raise PolyParseError("expected integer exponent", p)
             self.advance()
-            norm = sum(abs(c) for c in base._terms.values())
             if (
                 n * max(base.total_degree(), 1) > _MAX_EXPONENT
                 # base^n has at most one term per degree-n monomial in
                 # the terms of base.
                 or comb(max(base.num_terms(), 1) + n - 1, n) > _MAX_TERMS
-                or n * norm.bit_length() > _MAX_COEFF_BITS
+                or n * _norm_bits(base) > _MAX_COEFF_BITS
             ):
                 raise PolyParseError("power too large to expand", p)
             return base ** n

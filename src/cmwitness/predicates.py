@@ -37,6 +37,7 @@ from .poly import (
     is_even,
     lift_f2,
     partial_derivative,
+    primitive,
     reduce_mod2,
     sqrt_f2,
 )
@@ -80,10 +81,9 @@ def is_squarefree(f: Poly) -> bool:
     """
     if f.is_zero():
         raise ZeroInputError("is_squarefree(0)")
-    content = f.integer_content()
+    content, pp = primitive(f)
     if content % 4 == 0:
         return False
-    pp = Poly._from_canonical(f.ring, {e: c // content for e, c in f._terms.items()})
     if pp.is_constant():
         return True
     seq = [pp] + [partial_derivative(pp, i) for i in range(f.ring.nvars)]

@@ -280,7 +280,7 @@ def assemble_report(
             report["resolutions"] = [
                 _verified_complex_block(cert.resolution_I, "resolution_of_I"),
                 _verified_complex_block(
-                    cert.resolution_S_mod_Q, "resolution_of_S_mod_Q"
+                    pres.resolution_S_mod_Q, "resolution_of_S_mod_Q"
                 ),
                 _verified_complex_block(
                     verify_complex(presentation_complex(pres)), "R_presentation"

@@ -271,8 +271,7 @@ def test_acceptance_3_grade2_family(capsys):
         ("certificate check P_free", cert.checks["P_free"]),
         ("certificate check eta_conducts", cert.checks["eta_conducts"]),
         ("certificate check H_equals_I", cert.checks["H_equals_I"]),
-        ("certificate check I_resolution_ok", cert.checks["I_resolution_ok"]),
-        ("certificate check BE_ok", cert.checks["BE_ok"]),
+        ("certificate check M_contains_eta", cert.checks["M_contains_eta"]),
         ("certificate passes in full", cert.all_pass()),
         (
             "closure has projective dimension 1 over S",

@@ -39,6 +39,7 @@ from cmwitness.errors import (
     CaseConflictError,
     InternalVerificationError,
     UnsupportedError,
+    UnverifiedComplexError,
     WrongCaseError,
 )
 from cmwitness.homology import check_composition_zero, pd_depth_report
@@ -234,14 +235,7 @@ def test_certificate_grade3():
     alg = alg_of(RING2, "-X^2+4", "-Y^2+4")
     cert = build_small_cm_certificate(build_R(alg, CASE_C_NONCM_GRADE3))
     assert cert.all_pass()
-    for name in (
-        "P_free",
-        "eta_conducts",
-        "H_equals_I",
-        "I_resolution_ok",
-        "BE_ok",
-        "depth_chain_ok",
-    ):
+    for name in ("P_free", "eta_conducts", "H_equals_I", "M_contains_eta"):
         assert cert.checks[name] is True
 
 
@@ -262,12 +256,6 @@ def test_certificate_synthetic_exemplars():
         )
     )
     assert cert2.all_pass()
-
-
-# Keys that read True whatever the input: verify_complex raises instead
-# of returning an inexact resolution, and 1, w, u, wu lie in A with
-# I*P inside A.  Identities about M itself (ROADMAP item 3) replace them.
-CONSTANT_CERTIFICATE_KEYS = {"I_resolution_ok", "BE_ok", "M_contains_A"}
 
 
 def perturbed_P(alg):
@@ -297,22 +285,18 @@ def perturbed_H(alg):
     ],
 )
 def test_certificate_checks_can_fail(monkeypatch, ring, ftext, gtext, case):
-    # Each check key that is not a constant reads False under a perturbed
-    # input; a new key with no such guard fails the pinned key set.
+    # Each check key reads False under a perturbed input; a new key with
+    # no such guard fails the pinned key set.
     pres = build_R(alg_of(ring, ftext, gtext), case)
     checks = build_small_cm_certificate(pres).checks
-    guarded = {"P_free", "depth_chain_ok", "eta_conducts", "M_contains_eta", "H_equals_I"}
-    assert set(checks) == guarded | CONSTANT_CERTIFICATE_KEYS
+    guarded = {"P_free", "eta_conducts", "M_contains_eta", "H_equals_I"}
+    assert set(checks) == guarded
     assert all(checks.values())
     failed = set()
     for name, perturbed, expect in (
-        ("ideal_P", perturbed_P, {"P_free", "depth_chain_ok"}),
-        (
-            "prime_dual_gen",
-            perturbed_eta,
-            {"eta_conducts", "M_contains_eta", "depth_chain_ok"},
-        ),
-        ("ideal_H", perturbed_H, {"H_equals_I", "depth_chain_ok"}),
+        ("ideal_P", perturbed_P, {"P_free"}),
+        ("prime_dual_gen", perturbed_eta, {"eta_conducts", "M_contains_eta"}),
+        ("ideal_H", perturbed_H, {"H_equals_I"}),
     ):
         with monkeypatch.context() as patch:
             patch.setattr(classifier, name, perturbed)
@@ -320,6 +304,15 @@ def test_certificate_checks_can_fail(monkeypatch, ring, ftext, gtext, case):
         assert {k for k, ok in checks.items() if not ok} == expect, name
         failed |= expect
     assert failed == guarded
+
+
+def test_certificate_raises_on_unsaturated_resolution(monkeypatch):
+    # The resolution of I is no check key: building the certificate
+    # raises when d_2 does not saturate ker(d_1).
+    pres = build_R(alg_of(RING2, "-X^2+4", "-Y^2+4"), CASE_C_NONCM_GRADE3)
+    monkeypatch.setattr(classifier, "kernel_saturation_check", lambda cx: False)
+    with pytest.raises(UnverifiedComplexError, match="saturate"):
+        build_small_cm_certificate(pres)
 
 
 def test_certificate_wrong_case():

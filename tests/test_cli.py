@@ -10,7 +10,8 @@ import time
 import pytest
 
 import cmwitness
-from cmwitness import cli, report
+from cmwitness import classifier, cli, report
+from cmwitness.classifier import CASE_B
 from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES, main
 from cmwitness.errors import CmWitnessError, InternalError, RejectedInputError
 from cmwitness.poly import NotDivisibleError
@@ -113,6 +114,38 @@ def test_regress_detects_corruption(tmp_path, monkeypatch, capsys):
     assert main(["regress"]) == 1
     out = capsys.readouterr().out
     assert "FAIL case_b_synthetic" in out
+
+
+@pytest.mark.parametrize(
+    "target, name, replacement, failed",
+    [
+        (classifier, "classify", lambda alg: CASE_B, "example_2_10_identity_model"),
+        (
+            classifier,
+            "example_2_10_identity",
+            lambda ring, multiplier=4: False,
+            "example_2_10_identity_model",
+        ),
+        (
+            cli,
+            "example_2_10_identity",
+            lambda ring, multiplier=4: True,
+            "example_2_10_perturbed_rejected",
+        ),
+    ],
+    ids=["classify_in_scope", "identity_false", "perturbed_identity_true"],
+)
+def test_regress_detects_broken_identity(
+    monkeypatch, capsys, target, name, replacement, failed
+):
+    # Each hand-checked item of regress can fail on its own.
+    monkeypatch.setattr(target, name, replacement)
+    assert main(["regress"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL %s: ok" % failed
+    ]
+    assert "regress: 7/8 green" in out
 
 
 def test_regress_missing_golden(tmp_path, monkeypatch):
@@ -303,6 +336,12 @@ def _variables(n):
         # Digits int() cannot read: a superscript, and past its length limit.
         ("classify", _job(f="X^2+2\u00b2")),
         ("classify", _job(f="X^2+" + "1" * 5000)),
+        # Coefficients are bounded too: a literal int() reads but str()
+        # cannot print once 1 is added, a product of bounded factors,
+        # and a sweep substitution.
+        ("classify", _job(f="X^2+2*Y+" + "9" * 4300 + "+1")),
+        ("classify", _job(f="(2^500+1)*(2^500+1)*(2^500+1)*X")),
+        ("sweep", dict(_family({"values": [int("7" * 4000)]}), f="s^2*X^2")),
         ("classify", "[" * 200000),
         # Polynomials are JSON strings; nothing else is re-read as text.
         ("classify", _job(f=3)),
@@ -332,6 +371,9 @@ def _variables(n):
         "wide_product",
         "superscript_digit",
         "long_literal",
+        "huge_literal",
+        "huge_product_coefficient",
+        "huge_substituted_coefficient",
         "deep_json",
         "f_number",
         "f_bool",

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from cmwitness.algebra import AlgebraDesc, make_algebra
 from cmwitness.errors import (
     LiftInvalidError,
     MalformedSequenceError,
@@ -35,21 +36,22 @@ RING2 = BaseRing(("X", "Y"))
 RING3 = BaseRing(("V", "X", "Y"))
 
 
-def family2_witnesses():
-    f = parse_poly("-X^2+4", RING2)
-    g = parse_poly("-Y^2+4", RING2)
-    return decompose_S2(f), decompose_S2(g)
+def family2_algebra():
+    return make_algebra(
+        RING2, parse_poly("-X^2+4", RING2), parse_poly("-Y^2+4", RING2)
+    )
 
 
-def family1_witnesses():
-    f = parse_poly("V^2*X^2-2*X^2+4", RING3)
-    g = parse_poly("V^2*Y^2-2*Y^2+4", RING3)
-    return decompose_S2(f), decompose_S2(g)
+def family1_algebra():
+    return make_algebra(
+        RING3,
+        parse_poly("V^2*X^2-2*X^2+4", RING3),
+        parse_poly("V^2*Y^2-2*Y^2+4", RING3),
+    )
 
 
 def test_resolution_of_I_family2():
-    wf, wg = family2_witnesses()
-    cx = resolution_of_I(wf, wg)
+    cx = resolution_of_I(family2_algebra())
     assert cx.augmented
     assert check_composition_zero(cx)
     X, Y = RING2.gens()
@@ -63,8 +65,7 @@ def test_resolution_of_I_family2():
 
 
 def test_resolution_of_I_family1():
-    wf, wg = family1_witnesses()
-    cx = resolution_of_I(wf, wg)
+    cx = resolution_of_I(family1_algebra())
     V, X, Y = RING3.gens()
     tail = [row[0] for row in cx.matrices[1]]
     assert tail == [-(V * Y), V * X, RING3.const(2)]
@@ -76,9 +77,9 @@ def test_resolution_of_I_rejects_double_2S():
     # resolution builder, and it must refuse rather than emit garbage.
     f = parse_poly("2*X", RING2)
     g = parse_poly("2*Y", RING2)
-    wf, wg = decompose_S2(f), decompose_S2(g)
+    alg = AlgebraDesc(RING2, f, g, decompose_S2(f), decompose_S2(g))
     with pytest.raises(WitnessMismatchError):
-        resolution_of_I(wf, wg)
+        resolution_of_I(alg)
 
 
 def test_resolution_of_S_mod_Q_family1():
@@ -130,8 +131,7 @@ def test_resolution_of_S_mod_Q_rejects_even_z():
 
 
 def test_composition_zero_detects_corruption():
-    wf, wg = family2_witnesses()
-    cx = resolution_of_I(wf, wg)
+    cx = resolution_of_I(family2_algebra())
     bad_tail = [[-(row[0]) if i == 0 else row[0]] for i, row in enumerate(cx.matrices[1])]
     corrupted = FreeComplex(
         matrices=[cx.matrices[0], bad_tail],
@@ -142,8 +142,7 @@ def test_composition_zero_detects_corruption():
 
 
 def test_be_exactness_family2_resolutions():
-    wf, wg = family2_witnesses()
-    cx = resolution_of_I(wf, wg)
+    cx = resolution_of_I(family2_algebra())
     certs = standard_grade_certificates(cx)
     assert check_composition_zero(cx)
     assert be_exactness_check(cx, certs)
@@ -160,8 +159,7 @@ def test_be_exactness_family1_resolutions():
     q_cx = resolution_of_S_mod_Q(V, X, Y)
     q_certs = standard_grade_certificates(q_cx)
     assert be_exactness_check(q_cx, q_certs)
-    wf, wg = family1_witnesses()
-    cx = resolution_of_I(wf, wg)
+    cx = resolution_of_I(family1_algebra())
     assert be_exactness_check(cx, standard_grade_certificates(cx))
 
 
@@ -178,8 +176,7 @@ def test_be_exactness_rejects_rank_violation():
 def test_be_exactness_rejects_wrong_minor_ideal():
     # d_1 of the resolution of I has 2x2 minors 4, -2X, -2Y (and zeros);
     # X is odd, so it lies outside that ideal and certifies nothing.
-    wf, wg = family2_witnesses()
-    cx = resolution_of_I(wf, wg)
+    cx = resolution_of_I(family2_algebra())
     witnesses = standard_grade_certificates(cx)
     assert be_exactness_check(cx, witnesses)
     X, _ = RING2.gens()
@@ -187,8 +184,7 @@ def test_be_exactness_rejects_wrong_minor_ideal():
 
 
 def test_be_exactness_requires_certificates():
-    wf, wg = family2_witnesses()
-    cx = resolution_of_I(wf, wg)
+    cx = resolution_of_I(family2_algebra())
     with pytest.raises(MissingCertificateError):
         be_exactness_check(cx, [])
     # A witness shorter than its position certifies too small a grade.
@@ -223,8 +219,7 @@ def test_grade_certificate_ring_mismatch_raises():
 
 
 def test_pd_depth_report():
-    wf, wg = family2_witnesses()
-    cx = resolution_of_I(wf, wg)
+    cx = resolution_of_I(family2_algebra())
     # d = dim S = nvars + 1 = 3 here; the augmented complex has pd 1.
     assert pd_depth_report(cx) == (1, 2)
     X, Y = RING2.gens()
@@ -253,8 +248,7 @@ def test_minor_ideal_generators():
 
 
 def test_kernel_saturation():
-    wf, wg = family2_witnesses()
-    cx = resolution_of_I(wf, wg)
+    cx = resolution_of_I(family2_algebra())
     assert kernel_saturation_check(cx)
     # For the S/Q resolution the rank-1 tail sits one stage deeper:
     # check saturation of ker(Phi) against the [-e, c, -2] column.
@@ -387,8 +381,7 @@ def test_kernel_saturation_rejects_degenerate_tails():
     assert not kernel_saturation_check(rank1_tail(koszul, [zero, zero, zero]))
     assert not saturation_reference(koszul, [zero, zero, zero])
     # 2 * (-Y, X, 2) lies in the kernel but does not saturate it.
-    wf, wg = family2_witnesses()
-    cx = resolution_of_I(wf, wg)
+    cx = resolution_of_I(family2_algebra())
     doubled = FreeComplex(
         matrices=[cx.matrices[0], [[row[0].scale(2)] for row in cx.matrices[1]]],
         labels=list(cx.labels),

@@ -219,11 +219,10 @@ def test_emitted_complexes_compose_to_zero():
             continue
         if not product_in_S2wedge4(wf, wg):
             continue
-        cx = resolution_of_I(wf, wg)
+        alg = AlgebraDesc(ring=RING3, f=f, g=g, wf=wf, wg=wg)
+        cx = resolution_of_I(alg)
         assert check_composition_zero(cx)
-        shape = q_shape(
-            AlgebraDesc(ring=RING3, f=f, g=g, wf=wf, wg=wg)
-        )
+        shape = q_shape(alg)
         if not shape.z.is_zero():
             q_cx = resolution_of_S_mod_Q(
                 lift_f2(shape.z), lift_f2(shape.c), lift_f2(shape.e)
