@@ -25,18 +25,46 @@ G's image divides the gcd of the images.  When this holds for every
 variable, G is a constant over Q.  Any other outcome proves nothing,
 and ``gcd_q`` runs the subresultant PRS as before.  The points are
 constants, so every result is deterministic.
+
+Each polynomial's images are computed once: ``_univariate_images``
+gives, per variable x_j, the polynomial's x_j-degree and its image in
+GF(p)[x_j], and the result is kept in a lazily filled slot of the Poly,
+so the squarefree tests of f and g and the coprimality test of the
+pair (f, g) read the same images of f and g.
+
+The same images certify squarefreeness (``squarefree_by_images``): for
+every variable x_j with deg_xj f > 0, the image f_j must keep its
+x_j-degree and gcd(f_j, f_j') must be 1 over GF(p).  Proof: if h^2
+divides f over Q with h nonconstant, take h primitive in Z[x], so
+f = h^2 * q in Z[x] by Gauss's lemma, and pick x_j in h.  The leading
+x_j-coefficient of f is lc(h)^2 * lc(q), so the image keeping its degree
+means h_j keeps deg_xj h > 0.  Then f_j = h_j^2 * q_j, and the formal
+derivative f_j' = h_j * (2 h_j' q_j + h_j q_j') is divisible by h_j too,
+in any characteristic: gcd(f_j, f_j') is not constant.  ``is_squarefree``
+reads the images of f itself, not of its primitive part: the content is
+a unit mod p unless p divides it, and then every image of f is 0, the
+degree test fails and the subresultant path decides.
+
+``gcd_f2`` first writes each operand as its largest monomial factor
+times a part that no variable divides.  The variables are irreducible
+and divide neither part, so gcd(m_a * r_a, m_b * r_b) =
+gcd(m_a, m_b) * gcd(r_a, r_b), where gcd(m_a, m_b) takes the smaller
+exponent of each variable.  When either part is 1 the gcd is that
+monomial and no recursion runs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BothZeroError, NotDivisibleError
 from .poly import Exponent, F2Poly, Poly, _exp_sub, grlex_key, primitive
 
 
 Rec = Union[int, Dict[int, "Rec"]]
+# Per variable x_j: (deg_xj p, the trimmed image of p in GF(_P)[x_j]).
+Images = Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 
 def _rzero(k: int) -> Rec:
@@ -288,7 +316,7 @@ def _trim(a: List[int]) -> List[int]:
     return a
 
 
-def _urem(a: List[int], b: List[int]) -> List[int]:
+def _urem(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """Remainder of a by a nonzero b in GF(_P)[t]; coefficients lowest first."""
     a = list(a)
     db = len(b) - 1
@@ -303,11 +331,42 @@ def _urem(a: List[int], b: List[int]) -> List[int]:
     return a
 
 
-def _ucoprime(a: List[int], b: List[int]) -> bool:
+def _ucoprime(a: Sequence[int], b: Sequence[int]) -> bool:
     """Whether trimmed a, b have a nonzero constant gcd in GF(_P)[t]."""
     while b:
         a, b = b, _urem(a, b)
     return len(a) == 1
+
+
+def _univariate_images(p: Poly) -> Images:
+    """Per variable x_j: (deg_xj p, the trimmed image of p in GF(_P)[x_j]).
+
+    The image sets every other variable x_i to its fixed point.  It kept
+    its x_j-degree exactly when its length is deg_xj p + 1.
+    """
+    points = [_POINT_BASE + _POINT_STEP * i for i in range(p.ring.nvars)]
+    # Per term: its coefficient and the powers of every point it uses.
+    terms = [
+        (e, c, [pow(x, d, _P) for x, d in zip(points, e)]) for e, c in p._terms.items()
+    ]
+    out = []
+    for j in range(len(points)):
+        img = [0] * (1 + max((e[j] for e in p._terms), default=-1))
+        for e, c, powers in terms:
+            v = c
+            for i, w in enumerate(powers):
+                if i != j:
+                    v = v * w % _P
+            img[e[j]] += v
+        out.append((len(img) - 1, tuple(_trim([v % _P for v in img]))))
+    return tuple(out)
+
+
+def _images(p: Poly) -> Images:
+    """_univariate_images(p), computed once and kept on p."""
+    if p._images is None:
+        p._images = _univariate_images(p)
+    return p._images
 
 
 def _coprime_by_images(a: Poly, b: Poly) -> bool:
@@ -316,30 +375,31 @@ def _coprime_by_images(a: Poly, b: Poly) -> bool:
     False means "not proved": a zero operand, a ring without variables,
     or images that lose degree or share a factor at the fixed point.
     """
-    k = a.ring.nvars
-    if k == 0 or a.ring != b.ring or a.is_zero() or b.is_zero():
+    if a.ring.nvars == 0 or a.ring != b.ring or a.is_zero() or b.is_zero():
         return False
-    points = [_POINT_BASE + _POINT_STEP * i for i in range(k)]
-    # Per term: its coefficient and the powers of every point it uses.
-    inputs = [
-        [(e, c, [pow(x, d, _P) for x, d in zip(points, e)]) for e, c in p._terms.items()]
-        for p in (a, b)
-    ]
-    for j in range(k):
-        kept = False
-        images = []
-        for terms in inputs:
-            img = [0] * (1 + max(e[j] for e, _, _ in terms))
-            for e, c, powers in terms:
-                v = c
-                for i, w in enumerate(powers):
-                    if i != j:
-                        v = v * w % _P
-                img[e[j]] += v
-            img = [v % _P for v in img]
-            kept = kept or img[-1] != 0
-            images.append(_trim(img))
-        if not (kept and _ucoprime(*images)):
+    for (da, ia), (db, ib) in zip(_images(a), _images(b)):
+        kept = len(ia) == da + 1 or len(ib) == db + 1
+        if not (kept and _ucoprime(ia, ib)):
+            return False
+    return True
+
+
+def squarefree_by_images(p: Poly) -> bool:
+    """True only when p has no repeated nonconstant factor over Q.
+
+    See the module docstring.  False means "not proved": a zero
+    operand, or an image that loses degree or shares a factor with its
+    derivative.
+    """
+    if p.is_zero():
+        return False
+    for deg, img in _images(p):
+        if deg == 0:
+            continue
+        if len(img) != deg + 1:
+            return False
+        derivative = [i * c % _P for i, c in enumerate(img)][1:]
+        if not _ucoprime(img, _trim(derivative)):
             return False
     return True
 
@@ -401,17 +461,41 @@ def gcd_many_q(polys) -> Poly:
     return _normalize_sign(primitive(acc)[1])
 
 
+def _split_monomial(r: F2Poly) -> Tuple[Exponent, Dict[Exponent, int]]:
+    """(m, part) with r = x^m * part and part divisible by no variable.
+
+    ``r`` is nonzero; ``part`` is a term dict with coefficients 1.
+    """
+    m = tuple(map(min, zip(*r.monomials)))
+    return m, {tuple(a - b for a, b in zip(e, m)): 1 for e in r.monomials}
+
+
 def gcd_f2(a: F2Poly, b: F2Poly) -> F2Poly:
-    """Gcd in GF(2)[variables), computed directly in characteristic two."""
+    """Gcd in GF(2)[variables], computed directly in characteristic two.
+
+    The largest monomial factor of each operand is split off first, and
+    only the two remaining parts go through the recursion; see the
+    module docstring.
+    """
     if a.ring != b.ring:
         raise ValueError("operands belong to different rings")
     if a.is_zero() and b.is_zero():
         raise BothZeroError("gcd(0, 0) is undefined")
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    ma, pa = _split_monomial(a)
+    mb, pb = _split_monomial(b)
+    m = tuple(map(min, ma, mb))
+    if len(pa) == 1 or len(pb) == 1:
+        # One part is 1, so the gcd is the common monomial factor.
+        return F2Poly(a.ring, (m,))
     k = a.ring.nvars
-    ra = _to_rec({e: 1 for e in a.monomials}, k, 2)
-    rb = _to_rec({e: 1 for e in b.monomials}, k, 2)
-    g = _rgcd(ra, rb, k, 2)
-    return F2Poly(a.ring, _from_rec(g, k).keys())
+    g = _rgcd(_to_rec(pa, k, 2), _to_rec(pb, k, 2), k, 2)
+    return F2Poly(
+        a.ring, (tuple(x + y for x, y in zip(e, m)) for e in _from_rec(g, k))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -114,15 +114,20 @@ def _check_same_ring(ring, *operands):
 
 
 class Poly:
-    """An element of Z[variables], viewed inside the local ring S."""
+    """An element of Z[variables], viewed inside the local ring S.
 
-    __slots__ = ("ring", "_terms", "_hash")
+    _images holds gcd.py's modular images once a gcd has asked for them;
+    like _hash it is filled lazily, and equality and hashing ignore it.
+    """
+
+    __slots__ = ("ring", "_terms", "_hash", "_images")
 
     def __init__(self, ring: BaseRing, terms: Dict[Exponent, int]):
         self.ring = ring
         # Canonical form: no zero coefficients, plain ints.
         self._terms = {e: int(c) for e, c in terms.items() if c != 0}
         self._hash: Optional[int] = None
+        self._images = None
 
     @classmethod
     def _from_canonical(cls, ring: BaseRing, terms: Dict[Exponent, int]) -> "Poly":
@@ -136,6 +141,7 @@ class Poly:
         p.ring = ring
         p._terms = terms
         p._hash = None
+        p._images = None
         return p
 
     # -- structure ----------------------------------------------------
@@ -534,10 +540,15 @@ def sqrt_f2(r: F2Poly) -> Optional[F2Poly]:
 
 
 def f2_divide_exact(a: F2Poly, b: F2Poly) -> F2Poly:
-    """Exact quotient in GF(2)[variables]; NotDivisibleError otherwise."""
+    """Exact quotient in GF(2)[variables]; NotDivisibleError otherwise.
+
+    Division by 1 returns ``a`` itself.
+    """
     _check_same_ring(a.ring, b)
     if b.is_zero():
         raise NotDivisibleError("division by zero polynomial")
+    if b.monomials == {a.ring.zero_exponent()}:
+        return a
     quot = set()
     rem = a
     eb = b.lead()

@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedError,
     ZeroInputError,
 )
-from .gcd import gcd_f2, gcd_many_q, gcd_q, is_ring_square
+from .gcd import gcd_f2, gcd_many_q, gcd_q, is_ring_square, squarefree_by_images
 from .poly import (
     F2Poly,
     Poly,
@@ -77,14 +77,18 @@ def is_squarefree(f: Poly) -> bool:
 
     Two independent conditions: the 2-adic valuation of the integer
     content is at most one, and the primitive part has no repeated
-    factor over Q (trivial joint gcd with all partial derivatives).
+    factor over Q.  The second is first tried by the modular-image
+    certificate ``squarefree_by_images(f)`` (see gcd.py), whose images
+    of f the coprimality test of a pair reuses; when it proves nothing,
+    the joint gcd of the primitive part with all its partial
+    derivatives must be trivial.
     """
     if f.is_zero():
         raise ZeroInputError("is_squarefree(0)")
     content, pp = primitive(f)
     if content % 4 == 0:
         return False
-    if pp.is_constant():
+    if pp.is_constant() or squarefree_by_images(f):
         return True
     seq = [pp] + [partial_derivative(pp, i) for i in range(f.ring.nvars)]
     return gcd_many_q(seq).is_constant()
@@ -163,7 +167,10 @@ def ideal_Q_classify(h1: Poly, h2: Poly) -> QShape:
     when c or e is a unit (then (2, h1, h2) = (2, z*gcd-complement));
     a grade-three complete intersection when z is a unit but neither
     c nor e is; and otherwise a grade-two ideal whose quotient has
-    projective dimension three.
+    projective dimension three.  ``gcd_f2`` splits the monomial factors
+    off both residues first, so a residue that is a monomial (h1 = X,
+    say) never reaches the recursive gcd, and dividing by z = 1 returns
+    the residue itself.
     """
     r1, r2 = reduce_mod2(h1), reduce_mod2(h2)
     if r1.is_zero() and r2.is_zero():

@@ -347,21 +347,24 @@ def test_example_2_10_checks():
     ring = BaseRing(("X", "Y", "V"))
     assert example_2_10_identity(ring, multiplier=4)
     assert not example_2_10_identity(ring, multiplier=2)
-    assert example_2_10_regression(ring)
+    assert example_2_10_regression(ring) == []
     with pytest.raises(UnsupportedError):
         example_2_10_regression(BaseRing(("A", "B", "C")))
 
 
 def test_example_2_10_regression_fails_when_a_check_fails(monkeypatch):
-    # Each of the regression's two checks can turn it False on its own.
+    # Each of the regression's two checks can fail on its own and names
+    # what failed.
     ring = BaseRing(("X", "Y", "V"))
     with monkeypatch.context() as m:
         m.setattr(classifier, "classify", lambda alg: CASE_B)
-        assert not example_2_10_regression(ring)
+        assert example_2_10_regression(ring) == [
+            "classify gives %s, not %s" % (CASE_B, OUTSIDE_SCOPE)
+        ]
     with monkeypatch.context() as m:
         m.setattr(classifier, "example_2_10_identity", lambda ring, multiplier=4: False)
-        assert not example_2_10_regression(ring)
-    assert example_2_10_regression(ring)
+        assert example_2_10_regression(ring) == ["identity with multiplier 4 does not hold"]
+    assert example_2_10_regression(ring) == []
 
 
 def test_classify_symmetry_spot():

@@ -11,7 +11,7 @@ import pytest
 
 import cmwitness
 from cmwitness import classifier, cli, report
-from cmwitness.classifier import CASE_B
+from cmwitness.classifier import CASE_B, OUTSIDE_SCOPE
 from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES, main
 from cmwitness.errors import CmWitnessError, InternalError, RejectedInputError
 from cmwitness.poly import NotDivisibleError
@@ -119,18 +119,24 @@ def test_regress_detects_corruption(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "target, name, replacement, failed",
     [
-        (classifier, "classify", lambda alg: CASE_B, "example_2_10_identity_model"),
+        (
+            classifier,
+            "classify",
+            lambda alg: CASE_B,
+            "example_2_10_identity_model: classify gives %s, not %s"
+            % (CASE_B, OUTSIDE_SCOPE),
+        ),
         (
             classifier,
             "example_2_10_identity",
             lambda ring, multiplier=4: False,
-            "example_2_10_identity_model",
+            "example_2_10_identity_model: identity with multiplier 4 does not hold",
         ),
         (
             cli,
             "example_2_10_identity",
             lambda ring, multiplier=4: True,
-            "example_2_10_perturbed_rejected",
+            "example_2_10_perturbed_rejected: identity with multiplier 2 holds",
         ),
     ],
     ids=["classify_in_scope", "identity_false", "perturbed_identity_true"],
@@ -138,14 +144,14 @@ def test_regress_detects_corruption(tmp_path, monkeypatch, capsys):
 def test_regress_detects_broken_identity(
     monkeypatch, capsys, target, name, replacement, failed
 ):
-    # Each hand-checked item of regress can fail on its own.
+    # Each hand-checked item of regress can fail on its own, and its
+    # FAIL line says what failed; the other items still print "ok".
     monkeypatch.setattr(target, name, replacement)
     assert main(["regress"]) == 1
-    out = capsys.readouterr().out
-    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        "FAIL %s: ok" % failed
-    ]
-    assert "regress: 7/8 green" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == ["FAIL " + failed]
+    assert all(line.endswith(": ok") for line in lines[:-1] if not line.startswith("FAIL"))
+    assert lines[-1] == "regress: 7/8 green"
 
 
 def test_regress_missing_golden(tmp_path, monkeypatch):

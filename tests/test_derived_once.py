@@ -2,24 +2,28 @@
 
 The counters wrap package functions in every cmwitness module that
 binds them, so calls through imported names are seen too.  One
-report per golden job; the counts are per report.
+report per golden job; the counts are per report.  The hypothesis
+layer builds one set of modular images per input, and a sweep of the
+benchmark's committed family reproduces its committed CSV byte for byte.
 """
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from cmwitness import algebra, homology, linalg, predicates
+from cmwitness import algebra, gcd, homology, linalg, predicates
 from cmwitness.classifier import (
     CASE_C_NONCM_GRADE2,
     CASE_C_NONCM_GRADE3,
     OUTSIDE_SCOPE,
 )
-from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES
+from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES, cmd_sweep
 from cmwitness.report import assemble_report, parse_job
 
 NON_CM = (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2)
+SWEEP_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 class Calls:
@@ -146,3 +150,21 @@ def test_each_fact_once_per_report(monkeypatch, name):
     # No colon test x * ideal inside A runs twice on the same pair.
     colon_pairs = [(x, tuple(ideal.gens)) for x, ideal in colon_tests.args]
     assert len(colon_pairs) == len(set(colon_pairs))
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_images_once_per_input(monkeypatch, name):
+    # Every golden pair passes the hypotheses.  The squarefree tests of
+    # f and g and the coprimality test of the pair read one set of
+    # modular images per input, computed on first use.
+    job = json.loads((GOLDEN_DIR / (name + ".job.json")).read_text(encoding="utf-8"))
+    ring, f, g, _ = parse_job(job)
+    images = Calls(monkeypatch, gcd, "_univariate_images")
+    algebra.make_algebra(ring, f, g)
+    assert [id(args[0]) for args in images.args] == [id(f), id(g)]
+
+
+def test_sweep_reproduces_committed_csv(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert cmd_sweep(str(SWEEP_DATA / "sweep_family.json"), str(out)) == 0
+    assert out.read_bytes() == (SWEEP_DATA / "sweep_family.csv").read_bytes()

@@ -5,13 +5,14 @@ import random
 import pytest
 import sympy
 
-from cmwitness import gcd
+from cmwitness import gcd, predicates
 from cmwitness.gcd import (
     BothZeroError,
     _coprime_by_images,
     _from_rec,
     _normalize_sign,
     _rgcd,
+    _split_monomial,
     _to_rec,
     gcd_f2,
     gcd_many_q,
@@ -20,14 +21,27 @@ from cmwitness.gcd import (
     integer_sqrt_exact,
     is_ring_square,
     poly_sqrt_z,
+    squarefree_by_images,
 )
-from cmwitness.poly import BaseRing, Poly, lift_f2, parse_poly, reduce_mod2
+from cmwitness.poly import (
+    BaseRing,
+    F2Poly,
+    NotDivisibleError,
+    Poly,
+    f2_divide_exact,
+    lift_f2,
+    parse_poly,
+    partial_derivative,
+    primitive,
+    reduce_mod2,
+)
+from cmwitness.predicates import is_squarefree
 
 RING = BaseRing(("X", "Y", "V"))
 X, Y, V = RING.gens()
 SYMS = sympy.symbols("X Y V")
-# The certificate's evaluation points for X and Y.
-X_POINT, Y_POINT = 1000003, 1007922
+# The certificate's evaluation points for X, Y and V.
+X_POINT, Y_POINT, V_POINT = 1000003, 1007922, 1015841
 
 
 def to_sympy(p):
@@ -238,6 +252,129 @@ def test_coprime_pair_skips_the_subresultant_prs(monkeypatch):
     assert calls
 
 
+def subresultant_squarefree(f):
+    """is_squarefree by the joint gcd with the partials alone."""
+    content, pp = primitive(f)
+    if content % 4 == 0:
+        return False
+    if pp.is_constant():
+        return True
+    partials = [partial_derivative(pp, i) for i in range(RING.nvars)]
+    return gcd_many_q([pp] + partials).is_constant()
+
+
+def sympy_squarefree_over_q(f):
+    _, factors = sympy.Poly(to_sympy(f), *SYMS).sqf_list()
+    return all(m == 1 for _, m in factors)
+
+
+def planted_square_factors(rng):
+    """Five nonconstant h to plant as h^2: one in each variable alone,
+    one whose leading coefficient vanishes at the fixed point, one random."""
+    univariate = []
+    for x in (X, Y, V):
+        # h in x alone, of degree 1 or 2, with a nonzero constant term
+        # at times and none at others.
+        h = x.scale(rng.choice([1, -1, 2, 3])) + RING.const(rng.randrange(-3, 4))
+        if rng.random() < 0.5:
+            h = h * x + RING.const(rng.randrange(-2, 3))
+        univariate.append(h)
+    vanishing = [
+        # Leading coefficients that vanish at the fixed point, in X, Y or
+        # V; the last h has the image 1 in every variable, so only the
+        # degree test keeps the certificate from accepting h^2 * q.
+        (Y - Y_POINT) * X + RING.one(),
+        (V - V_POINT) * Y + X,
+        (X - X_POINT) * V + Y + RING.const(2),
+        (Y - Y_POINT) * (X - X_POINT) + V,
+        (Y - Y_POINT) * (X - X_POINT) + RING.one(),
+    ]
+    while True:
+        general = rand_poly(rng, max_terms=3, max_deg=1)
+        if not general.is_constant():
+            break
+    return univariate + [rng.choice(vanishing), general]
+
+
+def test_squarefree_certificate_on_planted_squares(monkeypatch):
+    # f = c * h^2 * q with h nonconstant is never squarefree; the image
+    # certificate must never say it is, and is_squarefree must agree
+    # with the subresultant path on every input, planted or not (and
+    # with sympy where the content is not divisible by 4).  Contents 2
+    # and 4 exercise the 2-adic half of the test.
+    fallbacks = []
+    original = predicates.gcd_many_q
+
+    def counting(polys):
+        result = original(polys)
+        fallbacks.append(result.is_constant())
+        return result
+
+    monkeypatch.setattr(predicates, "gcd_many_q", counting)
+    rng = random.Random(340)
+    planted = proved = 0
+    for _ in range(60):
+        for h in planted_square_factors(rng):
+            q = rand_poly(rng, max_terms=2, max_deg=1)
+            if q.is_zero():
+                q = RING.one()
+            content = RING.const(rng.choice([1, 2, 4, -1, 3, 6]))
+            for f, square in ((content * h * h * q, True), (content * h * q, False)):
+                verdict = is_squarefree(f)
+                assert verdict == subresultant_squarefree(f)
+                if square:
+                    planted += 1
+                    assert not squarefree_by_images(f)
+                    assert not verdict
+                elif primitive(f)[0] % 4:
+                    assert verdict == sympy_squarefree_over_q(f)
+                proved += squarefree_by_images(f)
+    assert planted >= 300 and proved > 50
+    # The fallback ran, and at least once on a squarefree input whose
+    # images lost degree (the vanishing leading coefficients).
+    assert False in fallbacks and True in fallbacks
+
+
+def test_squarefree_certificate_vanishing_leading_coefficient():
+    # c's X-leading coefficient Y - Y_POINT vanishes at the fixed point:
+    # c is squarefree, but its X-image loses degree, so only the
+    # fallback can say so.
+    c = (Y - Y_POINT) * X + RING.one()
+    assert not squarefree_by_images(c)
+    assert is_squarefree(c)
+    assert squarefree_by_images(X * Y + RING.one())
+    # A content divisible by the prime zeroes every image.
+    big = (X + Y).scale(2**31 - 1)
+    assert not squarefree_by_images(big)
+    assert is_squarefree(big)
+    assert not squarefree_by_images(RING.zero())
+    # A constant has no nonconstant factor; its 2-adic content is for
+    # is_squarefree to judge.
+    assert squarefree_by_images(BaseRing(()).const(4))
+
+
+def test_images_are_computed_once_per_polynomial(monkeypatch):
+    computed = []
+    original = gcd._univariate_images
+
+    def counting(p):
+        computed.append(p)
+        return original(p)
+
+    monkeypatch.setattr(gcd, "_univariate_images", counting)
+    f = parse_poly("X^2+2*X*Y+4", RING)
+    g = parse_poly("Y^2+2*V+4", RING)
+    assert squarefree_by_images(f) and squarefree_by_images(g)
+    assert _coprime_by_images(f, g) and _coprime_by_images(g, f)
+    assert computed == [f, g]
+    # An equal polynomial built again has its own images; equality and
+    # hashing ignore the cached slot.
+    f_again = parse_poly("X^2+2*X*Y+4", RING)
+    assert f_again == f and hash(f_again) == hash(f)
+    assert _coprime_by_images(f_again, g)
+    assert len(computed) == 3
+
+
 def test_gcd_f2():
     a = reduce_mod2(X * X + Y * Y)
     b = reduce_mod2(X + Y)
@@ -263,6 +400,48 @@ def test_gcd_f2_vs_sympy_random():
         ours_sympy = sympy.Poly(to_sympy(lift_f2(ours)), *SYMS, modulus=2)
         assert ours_sympy == theirs or ours_sympy == -theirs
         checked += 1
+
+
+def test_gcd_f2_monomial_split_vs_sympy():
+    # Random pairs times planted monomials, including pairs where a whole
+    # operand is a monomial and the recursion is skipped.
+    rng = random.Random(341)
+    checked = skipped = 0
+    while checked < 200:
+        a, b = rand_poly(rng), rand_poly(rng)
+        if rng.random() < 0.25:
+            a = RING.one()
+        ma = Poly(RING, {tuple(rng.randrange(3) for _ in SYMS): 1})
+        mb = Poly(RING, {tuple(rng.randrange(3) for _ in SYMS): 1})
+        ra, rb = reduce_mod2(a * ma), reduce_mod2(b * mb)
+        if ra.is_zero() or rb.is_zero():
+            continue
+        skipped += len(_split_monomial(ra)[1]) == 1 or len(_split_monomial(rb)[1]) == 1
+        ours = gcd_f2(ra, rb)
+        theirs = sympy.gcd(
+            sympy.Poly(to_sympy(lift_f2(ra)), *SYMS, modulus=2),
+            sympy.Poly(to_sympy(lift_f2(rb)), *SYMS, modulus=2),
+        )
+        ours_sympy = sympy.Poly(to_sympy(lift_f2(ours)), *SYMS, modulus=2)
+        assert ours_sympy == theirs or ours_sympy == -theirs
+        assert gcd_f2(rb, ra) == ours
+        checked += 1
+    assert skipped > 20
+
+
+def test_split_monomial_and_division_by_one():
+    r = reduce_mod2(X * X * Y + X * Y * V)
+    assert _split_monomial(r) == ((1, 1, 0), {(1, 0, 0): 1, (0, 0, 1): 1})
+    assert _split_monomial(reduce_mod2(X * Y)) == ((1, 1, 0), {(0, 0, 0): 1})
+    assert gcd_f2(r, reduce_mod2(X * X * V)) == reduce_mod2(X)
+    assert gcd_f2(r, reduce_mod2(X * Y * (X + V))) == r
+    one = reduce_mod2(RING.one())
+    assert f2_divide_exact(r, one) is r
+    assert f2_divide_exact(r, reduce_mod2(X * Y)) == reduce_mod2(X + V)
+    with pytest.raises(NotDivisibleError):
+        f2_divide_exact(r, reduce_mod2(X + Y))
+    with pytest.raises(NotDivisibleError):
+        f2_divide_exact(one, F2Poly(RING, ()))
 
 
 def test_integer_sqrt_exact():
