@@ -39,12 +39,7 @@ from .errors import (
     NotClosedError,
     WitnessMismatchError,
 )
-from .linalg import (
-    PolyFraction,
-    SpanNotFreeError,
-    f2_nullspace,
-    solve_fraction_system,
-)
+from .linalg import PolyFraction, f2_nullspace, solve_in_S
 from .poly import (
     BaseRing,
     F2Poly,
@@ -193,13 +188,7 @@ def make_algebra(ring: BaseRing, f: Poly, g: Poly) -> AlgebraDesc:
         raise HypothesisViolationError(
             "degree_four", "one of f, g, f*g is a square in S"
         )
-    wf = decompose_S2(f)
-    wg = decompose_S2(g)
-    if wf is not None and not (wf.reexpand() == f):
-        raise WitnessMismatchError("witness for f does not re-expand")
-    if wg is not None and not (wg.reexpand() == g):
-        raise WitnessMismatchError("witness for g does not re-expand")
-    return AlgebraDesc(ring=ring, f=f, g=g, wf=wf, wg=wg)
+    return AlgebraDesc(ring=ring, f=f, g=g, wf=decompose_S2(f), wg=decompose_S2(g))
 
 
 class KElement:
@@ -360,46 +349,42 @@ def _common_coords(*groups: Sequence[KElement]) -> List[List[List[Poly]]]:
 
 def span_closure_check(
     gens: Sequence[KElement],
-) -> Dict[Tuple[int, int], List[PolyFraction]]:
+) -> Dict[Tuple[int, int], List[Union[Poly, PolyFraction]]]:
     """Certify that the S-span of gens is closed under multiplication.
 
     Returns the multiplication table: for i <= j, key (i, j) holds the
-    coefficients of gens[i]*gens[j] over the gens.  Every product is
-    expressed in the basis (1, w, u, wu), scaled with the generators to
-    one power of 2, and all of them are solved against the generator
-    columns in one elimination.  A solution coefficient lies in S
-    exactly when its reduced denominator is a unit (odd constant term).
-    Raises NotClosedError with the first offending pair if some product
-    is not an S-combination, SpanNotFreeError if the generators are
-    linearly dependent over the fraction field.
+    coefficients in S of gens[i]*gens[j] over the gens, each a Poly, or
+    a PolyFraction with unit denominator when it is not a polynomial.
+    Every product is expressed in the basis (1, w, u, wu), scaled with
+    the generators to one power of 2, and all of them are solved against
+    the generator columns by one solve_in_S.  Raises NotClosedError with
+    the first pair whose product is not an S-combination of the gens,
+    SpanNotFreeError if the generators are linearly dependent.
     """
     gens = list(gens)
     if not gens or not (gens[0] == gens[0].algebra.one()):
         raise ValueError("gens[0] must be the unit element 1")
-    if len(gens) > 4:
-        raise SpanNotFreeError("more than 4 generators cannot be free in K")
     pairs = [(i, j) for i in range(len(gens)) for j in range(i, len(gens))]
     columns, targets = _common_coords(
         gens, [k_mul(gens[i], gens[j]) for i, j in pairs]
     )
-    sols = solve_fraction_system(columns, targets, require_unique=True)
+    sols = solve_in_S(columns, targets)
     for (i, j), sol in zip(pairs, sols):
         if sol is None:
             raise NotClosedError(
-                f"product of generators {i} and {j} is outside the span"
-            )
-        if not all(fr.is_in_S() for fr in sol):
-            raise NotClosedError(
-                f"product of generators {i} and {j} needs coefficients outside S"
+                f"product of generators {i} and {j} is not an S-combination of them"
             )
     return dict(zip(pairs, sols))
 
 
 def express_in_span(
     xs: Sequence[KElement], gens: Sequence[KElement]
-) -> List[Optional[List[PolyFraction]]]:
-    """Coefficients of each x over the gens (one elimination), or None."""
-    return solve_fraction_system(*_common_coords(gens, xs))
+) -> List[Optional[List[Union[Poly, PolyFraction]]]]:
+    """Coefficients in S of each x over the gens (one solve_in_S), or None.
+
+    Raises SpanNotFreeError if the gens are linearly dependent.
+    """
+    return solve_in_S(*_common_coords(gens, xs))
 
 
 @dataclass

@@ -26,7 +26,7 @@ producing an unverified report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .algebra import (
     AlgebraDesc,
@@ -42,6 +42,7 @@ from .algebra import (
 from .errors import (
     CaseConflictError,
     InternalVerificationError,
+    SpanNotFreeError,
     UnsupportedError,
     UnverifiedComplexError,
     WrongCaseError,
@@ -296,7 +297,9 @@ class RingPresentation:
     """The integral closure R, either S-free or presented by a relation.
 
     When ``sfree`` is true, ``generators`` is a free S-basis of R and
-    ``mult_table`` holds the verified multiplication table.  Otherwise
+    ``mult_table`` holds the verified multiplication table: key (i, j),
+    i <= j, maps to the coefficients in S over the generators of the
+    product of generators i and j (see span_closure_check).  Otherwise
     ``generators`` is a module generating set with the single
     ``relation`` (its rank-2 free part and the Syz^2 block of the
     verified ``resolution_S_mod_Q`` give R = S^2 (+) Syz^2(S/Q)), and
@@ -308,7 +311,7 @@ class RingPresentation:
     sfree: bool
     generators: List[KElement]
     cm_verdict: bool
-    mult_table: Optional[Dict[Tuple[int, int], List[PolyFraction]]] = None
+    mult_table: Optional[Dict[Tuple[int, int], List[Union[Poly, PolyFraction]]]] = None
     quadratics: List[Tuple[int, KElement, KElement]] = field(default_factory=list)
     relation: Optional[List[Poly]] = None
     resolution_S_mod_Q: Optional[VerifiedComplex] = None
@@ -573,14 +576,15 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
     in_p = all(residue_mod_P(b).is_zero() for b in basis)
     det = poly_det([[b.coords[i] for b in basis] for i in range(4)])
     det_ok = det == alg.ring.const(2) or det == alg.ring.const(-2)
-    sols = express_in_span(
-        [k_mul(mult, b) for mult in (alg.root_f(), alg.root_g()) for b in basis],
-        basis,
-    )
-    spans = all(
-        sol is not None and all(fr.is_in_S() for fr in sol) for sol in sols
-    )
-    checks["P_free"] = in_p and det_ok and spans
+    try:
+        sols = express_in_span(
+            [k_mul(mult, b) for mult in (alg.root_f(), alg.root_g()) for b in basis],
+            basis,
+        )
+    except SpanNotFreeError:
+        # The basis is linearly dependent.
+        sols = [None]
+    checks["P_free"] = in_p and det_ok and all(sol is not None for sol in sols)
 
     # (ii) eta conducts P into A, so M contains the unit 1 birationally
     eta = prime_dual_gen(alg)

@@ -77,7 +77,7 @@ class NotClosedError(InternalError):
 
 
 class WitnessMismatchError(InternalError):
-    """A witness fails to re-expand to the element it certifies."""
+    """A witness is missing or does not fit what it is meant to certify."""
 
 
 class LiftInvalidError(InternalError):
@@ -109,7 +109,11 @@ class BothZeroError(InternalError):
 
 
 class SpanNotFreeError(InternalError):
-    """A claimed free generating set is linearly dependent."""
+    """A claimed free generating set is dependent or not in echelon form.
+
+    solve_over_S needs each column's last nonzero coordinate to be a
+    pivot +-2^k, with no two columns sharing one.
+    """
 
 
 class DimensionMismatchError(InternalError):

@@ -1,4 +1,30 @@
-"""Exact linear algebra: polynomial fractions, fraction-free elimination, GF(2).
+"""Exact linear algebra: spans over S, fraction-free elimination, GF(2).
+
+* solve_in_S: coefficients over S = Z[x]_(2, x) of targets in the span
+  of independent columns.  Its fast path, solve_over_S, is one
+  back-substitution for columns in echelon form: each column's pivot is
+  its last nonzero coordinate, the pivot coordinates are distinct and
+  each pivot is a constant +-2^k.  A coefficient r / 2^k lies in S
+  exactly when 2^k divides every coefficient of r, and then it is the
+  polynomial divide_exact(r, 2^k); no fraction is formed.  The free R
+  bases of CaseA and CaseB, of CaseC_CM when its unit cofactor c is 1,
+  and the basis of P take this path.  The other CaseC_CM bases (rho
+  ends in the coordinate of the kept root u, or its pivot is a unit
+  such as 1 + X) fall back to solve_fraction_system.
+
+* One fraction-free Gauss-Jordan elimination (Bareiss) over Z[x] behind
+  bareiss_rank, solve_fraction_system and fraction_kernel: polynomial
+  matrices in, reduced fractions (PolyFraction) out.  Entries stay
+  polynomial because every intermediate entry is a minor of the input,
+  so each division by the previous pivot is exact.  Each entry update
+  piv*row[j] - row[col]*pivot_row[j] is one poly_dot followed by
+  divide_exact, which divides term by term when the previous pivot is a
+  single term (most pivots are constants).  The result is d
+  times the reduced row echelon form, d the last pivot, and each output
+  entry becomes one reduced fraction over d.  solve_fraction_system is
+  solve_in_S's fallback and the fraction-field reference the tests hold
+  solve_over_S to; fraction_kernel is read only by the tests and by the
+  benchmark's tracer.
 
 * PolyFraction: an element of the fraction field Q(x1, ..., xn), always
   kept reduced (numerator and denominator coprime, denominator with
@@ -7,30 +33,15 @@
   constant coefficient.  It is an output type only: it carries no
   arithmetic.
 
-* One fraction-free Gauss-Jordan elimination (Bareiss) over Z[x] behind
-  bareiss_rank, solve_fraction_system and fraction_kernel: polynomial
-  matrices in, reduced fractions out.
-  Callers with fractional data clear the denominators before the call
-  (the K-elements of algebra.py share one power of 2).  Entries stay
-  polynomial because every intermediate entry is a minor of the input,
-  so each division by the previous pivot is exact.  Each entry update
-  piv*row[j] - row[col]*pivot_row[j] is one poly_dot followed by
-  divide_exact, which divides term by term when the previous pivot is a
-  single term (most pivots are constants).  The result is d
-  times the reduced row echelon form, d the last pivot, and each output
-  entry becomes one reduced fraction over d.  solve_fraction_system
-  eliminates the coefficient matrix once for a whole list of
-  right-hand sides.
-
 * GF(2) linear systems with rows packed into Python integers, used by
   the bounded colon search.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import DimensionMismatchError, SpanNotFreeError
+from .errors import DimensionMismatchError, NotDivisibleError, SpanNotFreeError
 from .gcd import gcd_z
 from .poly import BaseRing, Poly, divide_exact, poly_dot
 
@@ -181,6 +192,97 @@ def solve_fraction_system(
                 sol[c] = PolyFraction(aug[r][k], d)
             out.append(sol)
     return out
+
+
+def solve_over_S(
+    columns: Sequence[Sequence[Poly]],
+    targets: Sequence[Sequence[Poly]],
+) -> List[Optional[List[Poly]]]:
+    """Solve sum_j x_j * columns[j] = t with every x_j in S, for each t.
+
+    The columns (one or more) must be in echelon form: each column's
+    pivot is its last nonzero coordinate, no two columns share a pivot
+    coordinate, and every pivot is a constant +-2^k; otherwise
+    SpanNotFreeError names the offending column, even when the columns
+    are independent (solve_in_S then falls back to the fraction field).
+    In echelon form the columns are independent, so the solution over
+    the fraction field is unique, and back-substitution from the last
+    coordinate finds it: at a pivot coordinate the residual r gives
+    x_j = r / pivot, in S exactly when 2^k divides every coefficient of
+    r; at any other coordinate the residual must vanish.  Returns, per target, its polynomial coefficients, or None
+    when the target is not an S-combination of the columns.
+    """
+    ncols = len(columns)
+    nrows = len(columns[0])
+    if any(len(vec) != nrows for vec in (*columns, *targets)):
+        raise DimensionMismatchError("column length differs from target")
+    # pivot coordinate -> (column, pivot)
+    pivots = {}
+    for j, col in enumerate(columns):
+        i = next((i for i in reversed(range(nrows)) if not col[i].is_zero()), None)
+        if i is None:
+            raise SpanNotFreeError(f"column {j} is zero")
+        if i in pivots:
+            raise SpanNotFreeError(
+                f"columns {pivots[i][0]} and {j} share pivot coordinate {i}"
+            )
+        piv = col[i]
+        size = abs(piv.constant_coeff())
+        if not piv.is_constant() or size & (size - 1):
+            raise SpanNotFreeError(f"pivot {piv} of column {j} is not +-2^k")
+        pivots[i] = (j, piv)
+    ring = columns[0][0].ring
+    one = ring.one()
+    negated = [[-c for c in col] for col in columns]
+
+    def back_substitute(t: Sequence[Poly]) -> Optional[List[Poly]]:
+        sol: List[Poly] = [one] * ncols  # each entry is set at its pivot
+        solved: List[int] = []
+        for i in reversed(range(nrows)):
+            residual = poly_dot(
+                ring, ((t[i], one), *((sol[j], negated[j][i]) for j in solved))
+            )
+            if i not in pivots:
+                if not residual.is_zero():
+                    return None
+                continue
+            j, piv = pivots[i]
+            try:
+                sol[j] = divide_exact(residual, piv)
+            except NotDivisibleError:
+                return None
+            solved.append(j)
+        return sol
+
+    return [back_substitute(t) for t in targets]
+
+
+def solve_in_S(
+    columns: Sequence[Sequence[Poly]],
+    targets: Sequence[Sequence[Poly]],
+) -> List[Optional[List[Union[Poly, PolyFraction]]]]:
+    """Coefficients in S of each target over independent columns, or None.
+
+    Raises SpanNotFreeError when the columns are linearly dependent over
+    the fraction field; otherwise each target has at most one solution,
+    and it is returned when every entry lies in S.  Columns in the
+    echelon form of solve_over_S are solved there, with polynomial
+    coefficients.  Any other basis goes to solve_fraction_system: for
+    instance CaseC_CM's {1, u, tau, rho}, where rho ends in the same
+    coordinate as u, or where rho's pivot is a unit such as 1 + X.  An
+    entry is then returned as a Poly when it is one and as its reduced
+    PolyFraction, whose denominator is a unit of S, when it is not.
+    """
+    try:
+        return solve_over_S(columns, targets)
+    except SpanNotFreeError:
+        pass
+    return [
+        None
+        if sol is None or not all(fr.is_in_S() for fr in sol)
+        else [fr.num if fr.is_polynomial() else fr for fr in sol]
+        for sol in solve_fraction_system(columns, targets, require_unique=True)
+    ]
 
 
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:

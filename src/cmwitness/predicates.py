@@ -50,9 +50,6 @@ class S2Witness:
     h: Poly
     a: Poly
 
-    def reexpand(self) -> Poly:
-        return self.h * self.h + self.a.scale(2)
-
 
 @dataclass(frozen=True)
 class S2w4Witness:
@@ -126,7 +123,12 @@ def degree_four_check(f: Poly, g: Poly) -> bool:
 
 
 def decompose_S2(f: Poly) -> Optional[S2Witness]:
-    """Witness f = h^2 + 2a, if the mod-2 reduction is a square."""
+    """Witness f = h^2 + 2a, if the mod-2 reduction is a square.
+
+    h is the canonical lift of the mod-2 square root, so f - h^2 is even
+    and a = (f - h^2)/2 by exact halving: the witness re-expands to f by
+    construction, and half raises on an odd coefficient.
+    """
     r = sqrt_f2(reduce_mod2(f))
     if r is None:
         return None

@@ -43,7 +43,8 @@ from cmwitness.errors import (
     WrongCaseError,
 )
 from cmwitness.homology import check_composition_zero, pd_depth_report
-from cmwitness.poly import BaseRing, parse_poly
+from cmwitness.linalg import PolyFraction
+from cmwitness.poly import BaseRing, divide_exact, parse_poly
 from cmwitness.predicates import decompose_S2
 from cmwitness.report import CONDUCTOR_UNIDENTIFIED
 
@@ -55,6 +56,32 @@ RING_XYV = BaseRing(("X", "Y", "V"))
 
 def alg_of(ring, ftext, gtext):
     return make_algebra(ring, parse_poly(ftext, ring), parse_poly(gtext, ring))
+
+
+def assert_table_recombines(pres):
+    """Each mult_table entry holds coefficients in S of its product.
+
+    A coefficient that is not a polynomial is a PolyFraction with unit
+    denominator; the check clears the denominators first.
+    """
+    gens = pres.generators
+    assert set(pres.mult_table) == {
+        (i, j) for i in range(len(gens)) for j in range(i, len(gens))
+    }
+    for (i, j), coeffs in pres.mult_table.items():
+        fractions = [c for c in coeffs if isinstance(c, PolyFraction)]
+        assert all(fr.is_in_S() and not fr.is_polynomial() for fr in fractions)
+        common = gens[0].algebra.ring.one()
+        for fr in fractions:
+            common = common * fr.den
+        acc = gens[0].algebra.zero()
+        for coeff, gen in zip(coeffs, gens):
+            if isinstance(coeff, PolyFraction):
+                coeff = coeff.num * divide_exact(common, coeff.den)
+            else:
+                coeff = coeff * common
+            acc = acc + gen.scale_poly(coeff)
+        assert acc == k_mul(gens[i], gens[j]).scale_poly(common)
 
 
 def test_classify_all_tags():
@@ -114,7 +141,7 @@ def test_build_R_case_a_both():
     assert pres.sfree and pres.cm_verdict
     assert len(pres.generators) == 4
     assert pres.mult_table is not None
-    assert all(fr.is_in_S() for row in pres.mult_table.values() for fr in row)
+    assert_table_recombines(pres)
     # tau_1 = (w + h1)/2 satisfies t^2 = h1 t + a', integral over S.
     t1 = pres.generators[1]
     assert t1.denom_exp == 1
@@ -124,7 +151,7 @@ def test_build_R_case_a_one():
     alg = alg_of(RING2, "X^2+4", "Y^2+2")
     pres = build_R(alg, CASE_A_ONE)
     assert pres.sfree and pres.cm_verdict and len(pres.generators) == 4
-    assert all(fr.is_in_S() for row in pres.mult_table.values() for fr in row)
+    assert_table_recombines(pres)
 
 
 def test_build_R_case_b():
@@ -142,7 +169,34 @@ def test_build_R_case_c_cm_trims():
     pres = build_R(alg, CASE_C_CM)
     assert pres.sfree and pres.cm_verdict
     assert len(pres.generators) == 4
-    assert all(fr.is_in_S() for row in pres.mult_table.values() for fr in row)
+    assert_table_recombines(pres)
+
+
+def test_build_R_case_c_cm_unit_cofactor_e():
+    # f and g of the test above swapped: now e is the unit cofactor, the
+    # basis keeps u, and rho ends in u's coordinate, so the span solve
+    # leaves the back-substitution for the fraction-field fallback.
+    alg = alg_of(RING2, "X^2*Y^2+2*Y^2+4", "X^2+2")
+    pres = build_R(alg, CASE_C_CM)
+    assert pres.sfree and pres.cm_verdict
+    assert pres.generators[1] == alg.root_g()
+    assert_table_recombines(pres)
+
+
+def test_build_R_case_c_cm_nonconstant_unit_cofactor():
+    # c = 1 + Y is a unit of S but not a constant, so rho's pivot is
+    # (1 + Y)/2 and some table entries need the denominator 1 + Y.
+    alg = alg_of(RING2, "X^2*(1+Y)^2+2*(1+Y)^2+4", "X^2*Y^2+2*Y^2+4")
+    pres = build_R(alg, CASE_C_CM)
+    assert pres.sfree and pres.cm_verdict
+    dens = {
+        str(c.den)
+        for row in pres.mult_table.values()
+        for c in row
+        if isinstance(c, PolyFraction)
+    }
+    assert dens == {"Y+1"}
+    assert_table_recombines(pres)
 
 
 def test_build_R_non_cm_five_generators():

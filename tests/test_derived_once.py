@@ -67,32 +67,17 @@ def test_each_fact_once_per_report(monkeypatch, name):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(linalg.PolyFraction, "__init__", counting_init)
-    per_solve = []
-    fractions_per_solve = []
+    rrefs_per_solve = []
 
-    def solves_inside(gens_and_targets):
-        def on_call(original, *args, **kwargs):
-            before = len(rrefs), len(fractions)
-            result = original(*args, **kwargs)
-            per_solve.append(len(rrefs) - before[0])
-            ngens, ntargets = gens_and_targets(*args)
-            fractions_per_solve.append((len(fractions) - before[1], ngens, ntargets))
-            return result
+    def rrefs_inside(original, *args, **kwargs):
+        before = len(rrefs)
+        result = original(*args, **kwargs)
+        rrefs_per_solve.append(len(rrefs) - before)
+        return result
 
-        return on_call
-
-    closures = Calls(
-        monkeypatch,
-        algebra,
-        "span_closure_check",
-        solves_inside(lambda gens: (len(gens), len(gens) * (len(gens) + 1) // 2)),
-    )
-    spans = Calls(
-        monkeypatch,
-        algebra,
-        "express_in_span",
-        solves_inside(lambda xs, gens: (len(gens), len(xs))),
-    )
+    closures = Calls(monkeypatch, algebra, "span_closure_check", rrefs_inside)
+    spans = Calls(monkeypatch, algebra, "express_in_span", rrefs_inside)
+    solves = Calls(monkeypatch, linalg, "solve_over_S")
     be_checks = Calls(monkeypatch, homology, "be_exactness_check")
     grade_certs = Calls(monkeypatch, homology, "standard_grade_certificates")
     resolutions_of_I = Calls(monkeypatch, homology, "resolution_of_I")
@@ -118,14 +103,14 @@ def test_each_fact_once_per_report(monkeypatch, name):
     free = case not in NON_CM and case != OUTSIDE_SCOPE
     assert len(closures) == (1 if free else 0)
     assert len(spans) == (1 if case in NON_CM else 0)
-    assert per_solve == [1] * len(per_solve)
-    # The solver's inputs are polynomials: the only fractions built are
-    # one shared zero and one per solution entry (1 + 4*10 for a
-    # closure on four generators).
-    for built, ngens, ntargets in fractions_per_solve:
-        assert built <= 1 + ngens * ntargets
+    # Spans are solved over S by one back-substitution each: no
+    # elimination runs inside a solve, and the report builds no fraction.
+    assert len(solves) == len(rrefs_per_solve) == len(closures) + len(spans)
+    assert rrefs_per_solve == [0] * len(rrefs_per_solve)
+    assert fractions == []
     if free:
-        assert fractions_per_solve[0][1:] == (4, 10)
+        columns, targets = solves.args[0]
+        assert (len(columns), len(targets)) == (4, 10)
 
     complexes = [id(args[0]) for args in be_checks.args]
     assert len(complexes) == len(set(complexes)) == (3 if case in NON_CM else 0)

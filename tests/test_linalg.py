@@ -1,6 +1,7 @@
 """Fraction-free linear algebra: Bareiss, fraction fields, GF(2) bitmasks."""
 
 import random
+import re
 
 import pytest
 import sympy
@@ -17,6 +18,8 @@ from cmwitness.linalg import (
     fraction_kernel,
     poly_det,
     solve_fraction_system,
+    solve_in_S,
+    solve_over_S,
 )
 from cmwitness.poly import BaseRing, Poly, divide_exact
 
@@ -205,6 +208,115 @@ def test_solve_fraction_system_dependent():
     # Without the uniqueness demand a solution is still produced.
     [sol] = solve_fraction_system(cols, [[X, Y]])
     assert sol is not None
+
+
+def random_echelon_basis(rng, nrows=4):
+    """1-4 columns with distinct pivot coordinates, pivots +-1, +-2, +-4.
+
+    A column's pivot is its last nonzero coordinate; the entries before
+    it are random and the columns come in random order.
+    """
+    ncols = rng.randrange(1, nrows + 1)
+    cols = []
+    for p in rng.sample(range(nrows), ncols):
+        col = [rand_poly(rng) for _ in range(p)]
+        col.append(RING.const(rng.choice((1, -1, 2, -2, 4, -4))))
+        cols.append(col + [RING.zero()] * (nrows - p - 1))
+    return cols
+
+
+def test_solve_over_S_matches_the_fraction_field_reference():
+    # Where the unique solution over Q(X, Y) has polynomial entries the
+    # back-substitution returns them; where it does not, or there is no
+    # solution, it returns None.
+    rng = random.Random(417)
+    outcomes = {"in S": 0, "outside S": 0, "no solution": 0}
+    for _ in range(300):
+        cols = random_echelon_basis(rng)
+        nrows, ncols = len(cols[0]), len(cols)
+
+        def combination(coeffs):
+            return [
+                sum((c * col[i] for c, col in zip(coeffs, cols)), RING.zero())
+                for i in range(nrows)
+            ]
+
+        in_span = combination([rand_poly(rng) for _ in range(ncols)])
+        targets = [
+            in_span,
+            [rand_poly(rng) for _ in range(nrows)],
+            [t + rand_poly(rng).scale(2) for t in in_span],
+        ]
+        got = solve_over_S(cols, targets)
+        assert got[0] is not None
+        for t, sol in zip(targets, got):
+            [ref] = solve_fraction_system(cols, [t], require_unique=True)
+            if ref is None:
+                outcomes["no solution"] += 1
+                assert sol is None
+            elif all(fr.is_polynomial() for fr in ref):
+                outcomes["in S"] += 1
+                assert sol == [fr.num for fr in ref]
+            else:
+                outcomes["outside S"] += 1
+                assert sol is None
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_solve_over_S_rejects_a_pivot_that_is_not_a_power_of_2():
+    pivot = X.scale(2) + RING.const(3)
+    cols = [[RING.one(), RING.zero()], [Y, pivot]]
+    with pytest.raises(SpanNotFreeError, match=re.escape(str(pivot))):
+        solve_over_S(cols, [[X, Y]])
+    with pytest.raises(SpanNotFreeError, match="pivot 3 "):
+        solve_over_S([[RING.const(3)]], [[X]])
+
+
+def test_solve_over_S_rejects_a_repeated_pivot_coordinate():
+    # Independent columns, but both end in coordinate 1.
+    cols = [[RING.one(), RING.const(2)], [RING.zero(), RING.one()]]
+    with pytest.raises(SpanNotFreeError, match="coordinate 1"):
+        solve_over_S(cols, [[X, Y]])
+    with pytest.raises(SpanNotFreeError, match="zero"):
+        solve_over_S([[RING.one(), RING.zero()], [RING.zero()] * 2], [[X, Y]])
+
+
+def test_solve_over_S_non_pivot_residual():
+    # Coordinate 1 carries no pivot: a target nonzero there has no
+    # solution, one that vanishes there is solved.
+    cols = [[RING.one(), RING.zero(), RING.zero()], [X, RING.zero(), RING.const(2)]]
+    assert solve_over_S(cols, [[RING.zero(), Y, RING.zero()]]) == [None]
+    target = [X + Y, RING.zero(), RING.const(2)]
+    assert solve_over_S(cols, [target]) == [[Y, RING.one()]]
+    # 1/2 is a solution over the fraction field but not in S.
+    assert solve_over_S([[RING.const(2)]], [[RING.one()]]) == [None]
+
+
+def test_solve_in_S_falls_back_on_bases_outside_echelon_form():
+    one, zero = RING.one(), RING.zero()
+    # Echelon form with power-of-2 pivots: polynomial coefficients.
+    assert solve_in_S([[one, zero], [X, RING.const(2)]], [[X, RING.const(4)]]) == [
+        [-X, RING.const(2)]
+    ]
+    # A unit pivot 1 + X: the coefficient 1/(1 + X) lies in S and is
+    # returned as a fraction, the other one as a polynomial.
+    unit = X + one
+    [sol] = solve_in_S([[one, zero], [Y, unit]], [[zero, one]])
+    assert sol[1] == PolyFraction(one, unit) and sol[1].is_in_S()
+    assert sol[0] == PolyFraction(-Y, unit)
+    [sol] = solve_in_S([[one, zero], [Y, unit]], [[Y, unit]])
+    assert sol == [zero, one]
+    # A pivot 3 + 2X is a unit too; a pivot 2 + X is not.
+    assert solve_in_S([[X.scale(2) + RING.const(3)]], [[X]]) == [
+        [PolyFraction(X, X.scale(2) + RING.const(3))]
+    ]
+    assert solve_in_S([[X + RING.const(2)]], [[one]]) == [None]
+    # Independent columns sharing their last coordinate.
+    cols = [[one, RING.const(2)], [zero, one]]
+    assert solve_in_S(cols, [[X, Y]]) == [[X, Y - X.scale(2)]]
+    # Dependent columns are refused by both paths.
+    with pytest.raises(SpanNotFreeError):
+        solve_in_S([[one, X], [X, X * X]], [[X, Y]])
 
 
 def test_solve_random_roundtrip():
