@@ -357,9 +357,10 @@ def span_closure_check(
     a PolyFraction with unit denominator when it is not a polynomial.
     Every product is expressed in the basis (1, w, u, wu), scaled with
     the generators to one power of 2, and all of them are solved against
-    the generator columns by one solve_in_S.  Raises NotClosedError with
-    the first pair whose product is not an S-combination of the gens,
-    SpanNotFreeError if the generators are linearly dependent.
+    the generator columns by one back-substitution (solve_in_S).  Raises
+    NotClosedError with the first pair whose product is not an
+    S-combination of the gens, SpanNotFreeError if the generators do not
+    peel into triangular form, which every dependent set fails to do.
     """
     gens = list(gens)
     if not gens or not (gens[0] == gens[0].algebra.one()):
@@ -382,7 +383,9 @@ def express_in_span(
 ) -> List[Optional[List[Union[Poly, PolyFraction]]]]:
     """Coefficients in S of each x over the gens (one solve_in_S), or None.
 
-    Raises SpanNotFreeError if the gens are linearly dependent.
+    Each coefficient is a Poly, or a PolyFraction with unit denominator
+    when it is not a polynomial.  Raises SpanNotFreeError if the gens do
+    not peel into triangular form, which every dependent set fails to do.
     """
     return solve_in_S(*_common_coords(gens, xs))
 

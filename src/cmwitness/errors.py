@@ -109,10 +109,11 @@ class BothZeroError(InternalError):
 
 
 class SpanNotFreeError(InternalError):
-    """A claimed free generating set is dependent or not in echelon form.
+    """A claimed free generating set does not peel into triangular form.
 
-    solve_over_S needs each column's last nonzero coordinate to be a
-    pivot +-2^k, with no two columns sharing one.
+    solve_in_S pivots each column at a coordinate where it is the only
+    nonzero entry among the columns not yet pivoted; dependent columns
+    never peel.
     """
 
 

@@ -1,16 +1,27 @@
 """Exact linear algebra: spans over S, fraction-free elimination, GF(2).
 
 * solve_in_S: coefficients over S = Z[x]_(2, x) of targets in the span
-  of independent columns.  Its fast path, solve_over_S, is one
-  back-substitution for columns in echelon form: each column's pivot is
-  its last nonzero coordinate, the pivot coordinates are distinct and
-  each pivot is a constant +-2^k.  A coefficient r / 2^k lies in S
-  exactly when 2^k divides every coefficient of r, and then it is the
-  polynomial divide_exact(r, 2^k); no fraction is formed.  The free R
-  bases of CaseA and CaseB, of CaseC_CM when its unit cofactor c is 1,
-  and the basis of P take this path.  The other CaseC_CM bases (rho
-  ends in the coordinate of the kept root u, or its pivot is a unit
-  such as 1 + X) fall back to solve_fraction_system.
+  of columns, by one back-substitution.  The pivots are found once per
+  column set by peeling: repeatedly take the highest coordinate with
+  exactly one nonzero entry among the columns not yet pivoted; that
+  entry is the column's pivot.  Columns that never peel are refused
+  (SpanNotFreeError): every dependent set, and the independent sets
+  that no permutation of coordinates makes triangular.  Write
+  each pivot as p_j = 2^k_j * v_j, 2^k_j the 2-part of its content, and
+  let D be the product of the v_j other than +-1.  Back-substitution on
+  D * t takes y_j = divide_exact(r_j, p_j) over Z[x].  By Cramer's rule
+  on the triangular pivot rows, y_j = D * x_j = +-adj_j / 2^K lies in
+  Z[x][1/2], so a failed division leaves 2 in the reduced denominator
+  of x_j, and the target has no solution in S; neither has one with a
+  nonzero residual at a coordinate that carries no pivot.  When D = 1
+  the y_j are the coefficients and no fraction is formed; otherwise
+  x_j = PolyFraction(y_j, D), and the target is solved when every x_j
+  lies in S.  Over (1, w, u, wu) every basis the package builds peels:
+  CaseA and CaseB with pivots 1, 1/2 and 1/4; P = {2, w - h1, u - h2,
+  wu - h1h2} with 1, 1, 1 and 2; CaseC_CM with c a unit, where rho
+  peels at u with pivot c/2; and CaseC_CM with e a unit, where rho
+  peels at w with pivot e/2 once tau is solved.  D = 1 on every golden
+  and generated input.
 
 * One fraction-free Gauss-Jordan elimination (Bareiss) over Z[x] behind
   bareiss_rank, solve_fraction_system and fraction_kernel: polynomial
@@ -21,10 +32,10 @@
   divide_exact, which divides term by term when the previous pivot is a
   single term (most pivots are constants).  The result is d
   times the reduced row echelon form, d the last pivot, and each output
-  entry becomes one reduced fraction over d.  solve_fraction_system is
-  solve_in_S's fallback and the fraction-field reference the tests hold
-  solve_over_S to; fraction_kernel is read only by the tests and by the
-  benchmark's tracer.
+  entry becomes one reduced fraction over d.  No package module solves
+  with solve_fraction_system or fraction_kernel: the first is the
+  fraction-field reference the tests hold solve_in_S to, and both are
+  read by the benchmark's tracer.
 
 * PolyFraction: an element of the fraction field Q(x1, ..., xn), always
   kept reduced (numerator and denominator coprime, denominator with
@@ -194,95 +205,78 @@ def solve_fraction_system(
     return out
 
 
-def solve_over_S(
-    columns: Sequence[Sequence[Poly]],
-    targets: Sequence[Sequence[Poly]],
-) -> List[Optional[List[Poly]]]:
-    """Solve sum_j x_j * columns[j] = t with every x_j in S, for each t.
-
-    The columns (one or more) must be in echelon form: each column's
-    pivot is its last nonzero coordinate, no two columns share a pivot
-    coordinate, and every pivot is a constant +-2^k; otherwise
-    SpanNotFreeError names the offending column, even when the columns
-    are independent (solve_in_S then falls back to the fraction field).
-    In echelon form the columns are independent, so the solution over
-    the fraction field is unique, and back-substitution from the last
-    coordinate finds it: at a pivot coordinate the residual r gives
-    x_j = r / pivot, in S exactly when 2^k divides every coefficient of
-    r; at any other coordinate the residual must vanish.  Returns, per target, its polynomial coefficients, or None
-    when the target is not an S-combination of the columns.
-    """
-    ncols = len(columns)
-    nrows = len(columns[0])
-    if any(len(vec) != nrows for vec in (*columns, *targets)):
-        raise DimensionMismatchError("column length differs from target")
-    # pivot coordinate -> (column, pivot)
-    pivots = {}
-    for j, col in enumerate(columns):
-        i = next((i for i in reversed(range(nrows)) if not col[i].is_zero()), None)
-        if i is None:
-            raise SpanNotFreeError(f"column {j} is zero")
-        if i in pivots:
-            raise SpanNotFreeError(
-                f"columns {pivots[i][0]} and {j} share pivot coordinate {i}"
-            )
-        piv = col[i]
-        size = abs(piv.constant_coeff())
-        if not piv.is_constant() or size & (size - 1):
-            raise SpanNotFreeError(f"pivot {piv} of column {j} is not +-2^k")
-        pivots[i] = (j, piv)
-    ring = columns[0][0].ring
-    one = ring.one()
-    negated = [[-c for c in col] for col in columns]
-
-    def back_substitute(t: Sequence[Poly]) -> Optional[List[Poly]]:
-        sol: List[Poly] = [one] * ncols  # each entry is set at its pivot
-        solved: List[int] = []
-        for i in reversed(range(nrows)):
-            residual = poly_dot(
-                ring, ((t[i], one), *((sol[j], negated[j][i]) for j in solved))
-            )
-            if i not in pivots:
-                if not residual.is_zero():
-                    return None
-                continue
-            j, piv = pivots[i]
-            try:
-                sol[j] = divide_exact(residual, piv)
-            except NotDivisibleError:
-                return None
-            solved.append(j)
-        return sol
-
-    return [back_substitute(t) for t in targets]
-
-
 def solve_in_S(
     columns: Sequence[Sequence[Poly]],
     targets: Sequence[Sequence[Poly]],
 ) -> List[Optional[List[Union[Poly, PolyFraction]]]]:
-    """Coefficients in S of each target over independent columns, or None.
+    """Solve sum_j x_j * columns[j] = t with every x_j in S, for each t.
 
-    Raises SpanNotFreeError when the columns are linearly dependent over
-    the fraction field; otherwise each target has at most one solution,
-    and it is returned when every entry lies in S.  Columns in the
-    echelon form of solve_over_S are solved there, with polynomial
-    coefficients.  Any other basis goes to solve_fraction_system: for
-    instance CaseC_CM's {1, u, tau, rho}, where rho ends in the same
-    coordinate as u, or where rho's pivot is a unit such as 1 + X.  An
-    entry is then returned as a Poly when it is one and as its reduced
-    PolyFraction, whose denominator is a unit of S, when it is not.
+    Returns, per target, its coefficients, or None when the target is
+    not an S-combination of the columns.  A coefficient is a Poly, or
+    its reduced PolyFraction (a unit denominator) when it is not a
+    polynomial.  Columns that do not peel (see the module docstring)
+    raise SpanNotFreeError.  With no columns only a zero target is
+    solved, by the empty list.
     """
-    try:
-        return solve_over_S(columns, targets)
-    except SpanNotFreeError:
-        pass
-    return [
-        None
-        if sol is None or not all(fr.is_in_S() for fr in sol)
-        else [fr.num if fr.is_polynomial() else fr for fr in sol]
-        for sol in solve_fraction_system(columns, targets, require_unique=True)
-    ]
+    if not columns:
+        return [[] if all(x.is_zero() for x in t) else None for t in targets]
+    ncols, nrows = len(columns), len(columns[0])
+    if any(len(vec) != nrows for vec in (*columns, *targets)):
+        raise DimensionMismatchError("column length differs from target")
+    ring = columns[0][0].ring
+    one = ring.one()
+    order: List[Tuple[int, Optional[int]]] = []  # (coordinate, column)
+    den = one  # D, the product of the pivots' odd parts other than +-1
+    unsolved = set(range(ncols))
+    while unsolved:
+        for i in reversed(range(nrows)):
+            hits = [j for j in unsolved if not columns[j][i].is_zero()]
+            if len(hits) == 1:
+                break
+        else:
+            raise SpanNotFreeError(
+                f"columns are not triangular: none of {sorted(unsolved)} peels"
+            )
+        j = hits[0]
+        order.append((i, j))
+        unsolved.remove(j)
+        piv = columns[j][i]
+        size = abs(piv.constant_coeff())
+        if not piv.is_constant() or size & (size - 1):  # not +-2^k
+            content = piv.integer_content()
+            den = den * divide_exact(piv, ring.const(content & -content))
+    # Coordinates with no pivot come last: their residuals must vanish.
+    pivot_rows = {i for i, _ in order}
+    order += [(i, None) for i in range(nrows) if i not in pivot_rows]
+    scaled = den != one
+    negated = [[-c for c in col] for col in columns]
+
+    def back_substitute(t: Sequence[Poly]) -> Optional[List[Union[Poly, PolyFraction]]]:
+        if scaled:
+            t = [den * x for x in t]
+        sol: List[Poly] = [one] * ncols  # each entry is set at its pivot
+        solved: List[int] = []
+        for i, j in order:
+            residual = poly_dot(
+                ring, ((t[i], one), *((sol[k], negated[k][i]) for k in solved))
+            )
+            if j is None:
+                if not residual.is_zero():
+                    return None
+                continue
+            try:
+                sol[j] = divide_exact(residual, columns[j][i])
+            except NotDivisibleError:
+                return None
+            solved.append(j)
+        if not scaled:
+            return sol
+        fractions = [PolyFraction(y, den) for y in sol]
+        if not all(fr.is_in_S() for fr in fractions):
+            return None
+        return [fr.num if fr.is_polynomial() else fr for fr in fractions]
+
+    return [back_substitute(t) for t in targets]
 
 
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:

@@ -3,7 +3,7 @@ certificate."""
 
 import pytest
 
-from cmwitness import classifier
+from cmwitness import classifier, linalg
 from cmwitness.algebra import (
     AlgebraDesc,
     IdealGens,
@@ -56,6 +56,19 @@ RING_XYV = BaseRing(("X", "Y", "V"))
 
 def alg_of(ring, ftext, gtext):
     return make_algebra(ring, parse_poly(ftext, ring), parse_poly(gtext, ring))
+
+
+def count_eliminations(monkeypatch):
+    """Argument tuples of every Bareiss elimination from now on."""
+    calls = []
+    original = linalg._fraction_free_rref
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_fraction_free_rref", counting)
+    return calls
 
 
 def assert_table_recombines(pres):
@@ -172,22 +185,27 @@ def test_build_R_case_c_cm_trims():
     assert_table_recombines(pres)
 
 
-def test_build_R_case_c_cm_unit_cofactor_e():
+def test_build_R_case_c_cm_unit_cofactor_e(monkeypatch):
     # f and g of the test above swapped: now e is the unit cofactor, the
-    # basis keeps u, and rho ends in u's coordinate, so the span solve
-    # leaves the back-substitution for the fraction-field fallback.
+    # basis keeps u, and rho shares u's coordinate; it peels at w's
+    # coordinate once tau is solved, so no elimination runs.
     alg = alg_of(RING2, "X^2*Y^2+2*Y^2+4", "X^2+2")
+    eliminations = count_eliminations(monkeypatch)
     pres = build_R(alg, CASE_C_CM)
+    assert eliminations == []
     assert pres.sfree and pres.cm_verdict
     assert pres.generators[1] == alg.root_g()
     assert_table_recombines(pres)
 
 
-def test_build_R_case_c_cm_nonconstant_unit_cofactor():
+def test_build_R_case_c_cm_nonconstant_unit_cofactor(monkeypatch):
     # c = 1 + Y is a unit of S but not a constant, so rho's pivot is
-    # (1 + Y)/2 and some table entries need the denominator 1 + Y.
+    # (1 + Y)/2 and some table entries need the denominator 1 + Y; the
+    # back-substitution forms them without an elimination.
     alg = alg_of(RING2, "X^2*(1+Y)^2+2*(1+Y)^2+4", "X^2*Y^2+2*Y^2+4")
+    eliminations = count_eliminations(monkeypatch)
     pres = build_R(alg, CASE_C_CM)
+    assert eliminations == []
     assert pres.sfree and pres.cm_verdict
     dens = {
         str(c.den)

@@ -77,7 +77,7 @@ def test_each_fact_once_per_report(monkeypatch, name):
 
     closures = Calls(monkeypatch, algebra, "span_closure_check", rrefs_inside)
     spans = Calls(monkeypatch, algebra, "express_in_span", rrefs_inside)
-    solves = Calls(monkeypatch, linalg, "solve_over_S")
+    solves = Calls(monkeypatch, linalg, "solve_in_S")
     be_checks = Calls(monkeypatch, homology, "be_exactness_check")
     grade_certs = Calls(monkeypatch, homology, "standard_grade_certificates")
     resolutions_of_I = Calls(monkeypatch, homology, "resolution_of_I")
@@ -96,9 +96,9 @@ def test_each_fact_once_per_report(monkeypatch, name):
     assert len(decompositions) <= 2
     from_h = [args for args in shapes.args if args != (f, g)]
     assert len(from_h) == (0 if case == OUTSIDE_SCOPE else 1)
-    # The (f, g) cross-check runs on the Case C path only, as before.
+    # Q's shape is derived from (h1, h2) only, never again from (f, g).
     crosschecks = len(shapes) - len(from_h)
-    assert crosschecks == (1 if case.startswith("CaseC_") else 0)
+    assert crosschecks == 0
 
     free = case not in NON_CM and case != OUTSIDE_SCOPE
     assert len(closures) == (1 if free else 0)

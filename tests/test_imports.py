@@ -27,7 +27,7 @@ TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # Definitions that no package module reads but the tracer wraps by name:
 # they stay in the package while perfbench/tracer.py's SPAN_TARGETS
 # lists them.
-TRACER_ONLY = {"q_shape", "fraction_kernel"}
+TRACER_ONLY = {"q_shape", "fraction_kernel", "solve_fraction_system"}
 
 
 def imported_names(tree, lines):

@@ -1,7 +1,6 @@
 """Fraction-free linear algebra: Bareiss, fraction fields, GF(2) bitmasks."""
 
 import random
-import re
 
 import pytest
 import sympy
@@ -19,7 +18,6 @@ from cmwitness.linalg import (
     poly_det,
     solve_fraction_system,
     solve_in_S,
-    solve_over_S,
 )
 from cmwitness.poly import BaseRing, Poly, divide_exact
 
@@ -210,29 +208,41 @@ def test_solve_fraction_system_dependent():
     assert sol is not None
 
 
-def random_echelon_basis(rng, nrows=4):
-    """1-4 columns with distinct pivot coordinates, pivots +-1, +-2, +-4.
+def random_triangular_basis(rng):
+    """1-4 columns, triangular up to a random permutation of coordinates.
 
-    A column's pivot is its last nonzero coordinate; the entries before
-    it are random and the columns come in random order.
+    In the permuted order each column's pivot is its last nonzero
+    coordinate, no two columns share one, and the entries before it are
+    random.  Pivots are +-2^k * v with v a unit of S (1, 3, 1 + X,
+    1 + X + Y) or an odd non-unit (2 + X, X).  Returns the columns and
+    the product of the pivots' powers of 2.
     """
-    ncols = rng.randrange(1, nrows + 1)
+    nrows = rng.randrange(1, 5)
+    perm = rng.sample(range(nrows), nrows)
     cols = []
-    for p in rng.sample(range(nrows), ncols):
+    twos = 1
+    for p in rng.sample(range(nrows), rng.randrange(1, nrows + 1)):
+        odd = rng.choice((RING.one(), RING.const(3), X + 1, X + Y + 1, X + 2, X))
+        two = 2 ** rng.randrange(3)
+        twos *= two
         col = [rand_poly(rng) for _ in range(p)]
-        col.append(RING.const(rng.choice((1, -1, 2, -2, 4, -4))))
-        cols.append(col + [RING.zero()] * (nrows - p - 1))
-    return cols
+        col.append(odd.scale(rng.choice((1, -1)) * two))
+        col += [RING.zero()] * (nrows - p - 1)
+        cols.append([col[perm[i]] for i in range(nrows)])
+    return cols, twos
 
 
-def test_solve_over_S_matches_the_fraction_field_reference():
-    # Where the unique solution over Q(X, Y) has polynomial entries the
-    # back-substitution returns them; where it does not, or there is no
-    # solution, it returns None.
+def test_solve_in_S_matches_the_fraction_field_reference():
+    # Where the unique solution over Q(X, Y) lies in S the
+    # back-substitution returns it, as polynomials when the entries are
+    # polynomials and as reduced fractions otherwise; where it does not,
+    # or there is no solution, it returns None.  The last target clears
+    # the pivots' powers of 2 (Cramer's rule), so on square bases its
+    # solution has only the pivots' odd parts in its denominators.
     rng = random.Random(417)
-    outcomes = {"in S": 0, "outside S": 0, "no solution": 0}
+    outcomes = {"polynomial": 0, "fraction in S": 0, "outside S": 0, "no solution": 0}
     for _ in range(300):
-        cols = random_echelon_basis(rng)
+        cols, twos = random_triangular_basis(rng)
         nrows, ncols = len(cols[0]), len(cols)
 
         def combination(coeffs):
@@ -246,53 +256,37 @@ def test_solve_over_S_matches_the_fraction_field_reference():
             in_span,
             [rand_poly(rng) for _ in range(nrows)],
             [t + rand_poly(rng).scale(2) for t in in_span],
+            [rand_poly(rng).scale(twos) for _ in range(nrows)],
         ]
-        got = solve_over_S(cols, targets)
+        got = solve_in_S(cols, targets)
         assert got[0] is not None
         for t, sol in zip(targets, got):
             [ref] = solve_fraction_system(cols, [t], require_unique=True)
             if ref is None:
                 outcomes["no solution"] += 1
                 assert sol is None
-            elif all(fr.is_polynomial() for fr in ref):
-                outcomes["in S"] += 1
-                assert sol == [fr.num for fr in ref]
+            elif all(fr.is_in_S() for fr in ref):
+                polynomial = all(fr.is_polynomial() for fr in ref)
+                outcomes["polynomial" if polynomial else "fraction in S"] += 1
+                assert sol == [fr.num if fr.is_polynomial() else fr for fr in ref]
             else:
                 outcomes["outside S"] += 1
                 assert sol is None
     assert min(outcomes.values()) >= 50, outcomes
 
 
-def test_solve_over_S_rejects_a_pivot_that_is_not_a_power_of_2():
-    pivot = X.scale(2) + RING.const(3)
-    cols = [[RING.one(), RING.zero()], [Y, pivot]]
-    with pytest.raises(SpanNotFreeError, match=re.escape(str(pivot))):
-        solve_over_S(cols, [[X, Y]])
-    with pytest.raises(SpanNotFreeError, match="pivot 3 "):
-        solve_over_S([[RING.const(3)]], [[X]])
-
-
-def test_solve_over_S_rejects_a_repeated_pivot_coordinate():
-    # Independent columns, but both end in coordinate 1.
-    cols = [[RING.one(), RING.const(2)], [RING.zero(), RING.one()]]
-    with pytest.raises(SpanNotFreeError, match="coordinate 1"):
-        solve_over_S(cols, [[X, Y]])
-    with pytest.raises(SpanNotFreeError, match="zero"):
-        solve_over_S([[RING.one(), RING.zero()], [RING.zero()] * 2], [[X, Y]])
-
-
-def test_solve_over_S_non_pivot_residual():
+def test_solve_in_S_non_pivot_residual():
     # Coordinate 1 carries no pivot: a target nonzero there has no
     # solution, one that vanishes there is solved.
     cols = [[RING.one(), RING.zero(), RING.zero()], [X, RING.zero(), RING.const(2)]]
-    assert solve_over_S(cols, [[RING.zero(), Y, RING.zero()]]) == [None]
+    assert solve_in_S(cols, [[RING.zero(), Y, RING.zero()]]) == [None]
     target = [X + Y, RING.zero(), RING.const(2)]
-    assert solve_over_S(cols, [target]) == [[Y, RING.one()]]
+    assert solve_in_S(cols, [target]) == [[Y, RING.one()]]
     # 1/2 is a solution over the fraction field but not in S.
-    assert solve_over_S([[RING.const(2)]], [[RING.one()]]) == [None]
+    assert solve_in_S([[RING.const(2)]], [[RING.one()]]) == [None]
 
 
-def test_solve_in_S_falls_back_on_bases_outside_echelon_form():
+def test_solve_in_S_unit_pivots_and_bases_outside_echelon_form():
     one, zero = RING.one(), RING.zero()
     # Echelon form with power-of-2 pivots: polynomial coefficients.
     assert solve_in_S([[one, zero], [X, RING.const(2)]], [[X, RING.const(4)]]) == [
@@ -306,17 +300,36 @@ def test_solve_in_S_falls_back_on_bases_outside_echelon_form():
     assert sol[0] == PolyFraction(-Y, unit)
     [sol] = solve_in_S([[one, zero], [Y, unit]], [[Y, unit]])
     assert sol == [zero, one]
-    # A pivot 3 + 2X is a unit too; a pivot 2 + X is not.
+    # A pivot 3 + 2X is a unit too; a pivot 2 + X is not, and neither
+    # is 2 * (1 + X), whose quotient keeps a 2 in its denominator.
     assert solve_in_S([[X.scale(2) + RING.const(3)]], [[X]]) == [
         [PolyFraction(X, X.scale(2) + RING.const(3))]
     ]
     assert solve_in_S([[X + RING.const(2)]], [[one]]) == [None]
-    # Independent columns sharing their last coordinate.
+    assert solve_in_S([[unit.scale(2)]], [[one], [unit.scale(2)]]) == [None, [one]]
+    # Independent columns sharing their last coordinate: the second
+    # column peels there once the first is pivoted at coordinate 0.
     cols = [[one, RING.const(2)], [zero, one]]
     assert solve_in_S(cols, [[X, Y]]) == [[X, Y - X.scale(2)]]
-    # Dependent columns are refused by both paths.
-    with pytest.raises(SpanNotFreeError):
+    # Dependent columns never peel.
+    with pytest.raises(SpanNotFreeError, match="not triangular"):
         solve_in_S([[one, X], [X, X * X]], [[X, Y]])
+    with pytest.raises(SpanNotFreeError, match="not triangular"):
+        solve_in_S([[one, zero], [zero] * 2], [[X, Y]])
+
+
+def test_solve_in_S_refuses_independent_columns_that_are_not_triangular():
+    # Every coordinate of [[1, 1], [1, -1]] is nonzero in both columns,
+    # so no pivot order exists although the determinant is -2.
+    one = RING.one()
+    with pytest.raises(SpanNotFreeError, match="not triangular"):
+        solve_in_S([[one, one], [one, -one]], [[X, Y]])
+
+
+def test_solve_in_S_with_no_columns():
+    # The empty span holds only the zero vector, with no coefficients.
+    zero = RING.zero()
+    assert solve_in_S([], [[zero, zero], [X, zero]]) == [[], None]
 
 
 def test_solve_random_roundtrip():

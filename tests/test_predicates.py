@@ -200,6 +200,40 @@ def test_ideal_Q_classify_symmetry():
         assert ideal_Q_classify(h1, h2).tag == ideal_Q_classify(h2, h1).tag
 
 
+def test_ideal_Q_shape_from_f_and_g_matches_shape_from_h1_and_h2():
+    # f = h1^2 + 2a and g = h2^2 + 2b reduce to the squares of h1 and h2,
+    # and squaring is injective on F2[x]: the gcd, the cofactors and
+    # every unit test of (fbar, gbar) are the squares of those of
+    # (h1bar, h2bar), so Q's shape is the same from either pair.
+    rng = random.Random(119)
+
+    def rand_poly():
+        return Poly(
+            RING,
+            {
+                tuple(rng.randrange(3) for _ in RING.variables): rng.randrange(-4, 5)
+                for _ in range(rng.randrange(3))
+            },
+        )
+
+    def rand_factor():
+        # A sum of one or two variables, plus 1 (a unit) 40% of the time.
+        acc = sum(rng.sample((X, Y, V), rng.randrange(1, 3)), RING.zero())
+        return acc + 1 if rng.random() < 0.4 else acc
+
+    tags = {}
+    for _ in range(300):
+        z, c, e = rand_factor(), rand_factor(), rand_factor()
+        h1 = z * c + rand_poly().scale(2)
+        h2 = z * e + rand_poly().scale(2)
+        f = h1 * h1 + rand_poly().scale(2)
+        g = h2 * h2 + rand_poly().scale(2)
+        tag = ideal_Q_classify(h1, h2).tag
+        assert ideal_Q_classify(f, g).tag == tag
+        tags[tag] = tags.get(tag, 0) + 1
+    assert len(tags) == 4 and min(tags.values()) >= 25, tags
+
+
 def test_ideal_Q_classify_degenerate():
     assert ideal_Q_classify(RING.zero(), RING.zero()).tag == "TwoGenerated"
     assert ideal_Q_classify(X.scale(2), Y.scale(2)).tag == "TwoGenerated"
