@@ -16,6 +16,15 @@ lies in A exactly when 2^k divides every coefficient of c, which the
 test reads off as c & (2^k - 1) == 0 (also right for negative c).  A
 generator with k = 0 needs no product, since A is a ring.
 
+The standing hypotheses split by what they read.  Squarefreeness and
+the S^2 decomposition of f depend on f alone (admit_input), so a sweep
+whose rows share an f or a g checks each distinct input once; A1 and
+the degree-four condition read the pair (admit_pair).  make_algebra
+runs admit_input on f, admit_input on g, then admit_pair, so the first
+failing predicate is still squarefree_f, squarefree_g, A1, degree_four
+in that order (decompose_S2 in admit_input raises nothing: f - h^2 is
+even by construction).
+
 The module provides exact multiplication, membership in A (denominator
 clearance in reduced form), verification of quadratic relations,
 span-closure certification for claimed module generating sets of
@@ -168,18 +177,35 @@ class AlgebraDesc:
         return k1, k2
 
 
-def make_algebra(ring: BaseRing, f: Poly, g: Poly) -> AlgebraDesc:
-    """Validate the standing hypotheses and build the descriptor.
+def admit_input(p: Poly, side: str) -> Optional[S2Witness]:
+    """The per-input hypothesis: p squarefree, then its S^2 decomposition.
 
-    Checks, in order: f and g squarefree, the no-common-height-one-prime
-    condition, and the degree-four condition (none of f, g, f*g a
-    square in S).  Raises HypothesisViolationError naming the first
-    predicate that fails.
+    Raises HypothesisViolationError("squarefree_<side>") when p is not
+    squarefree (ZeroInputError when p is zero); otherwise returns
+    decompose_S2(p), None when p is not in S^2.  It depends on p alone,
+    so a sweep runs it once per distinct f and g.
     """
-    if not is_squarefree(f):
-        raise HypothesisViolationError("squarefree_f", f"f = {f} is not squarefree")
-    if not is_squarefree(g):
-        raise HypothesisViolationError("squarefree_g", f"g = {g} is not squarefree")
+    if not is_squarefree(p):
+        raise HypothesisViolationError(
+            "squarefree_" + side, f"{side} = {p} is not squarefree"
+        )
+    return decompose_S2(p)
+
+
+def admit_pair(
+    ring: BaseRing,
+    f: Poly,
+    g: Poly,
+    wf: Optional[S2Witness],
+    wg: Optional[S2Witness],
+) -> AlgebraDesc:
+    """The pair hypotheses on admitted inputs, then the descriptor.
+
+    wf and wg are admit_input(f, "f") and admit_input(g, "g").  Checks,
+    in order, the no-common-height-one-prime condition and the
+    degree-four condition (none of f, g, f*g a square in S), which the
+    squarefree inputs let degree_four_check decide on constants alone.
+    """
     if not satisfies_A1(f, g):
         raise HypothesisViolationError(
             "A1", "f and g share a height-one prime of S"
@@ -188,7 +214,19 @@ def make_algebra(ring: BaseRing, f: Poly, g: Poly) -> AlgebraDesc:
         raise HypothesisViolationError(
             "degree_four", "one of f, g, f*g is a square in S"
         )
-    return AlgebraDesc(ring=ring, f=f, g=g, wf=decompose_S2(f), wg=decompose_S2(g))
+    return AlgebraDesc(ring=ring, f=f, g=g, wf=wf, wg=wg)
+
+
+def make_algebra(ring: BaseRing, f: Poly, g: Poly) -> AlgebraDesc:
+    """Validate the standing hypotheses and build the descriptor.
+
+    admit_input on f, then on g, then admit_pair, so the checks run in
+    the order f squarefree, g squarefree, A1, degree-four.  Raises
+    HypothesisViolationError naming the first predicate that fails.
+    """
+    wf = admit_input(f, "f")
+    wg = admit_input(g, "g")
+    return admit_pair(ring, f, g, wf, wg)
 
 
 class KElement:
@@ -264,7 +302,7 @@ class KElement:
         return k_mul(self, other)
 
     def scale_poly(self, p: Poly) -> "KElement":
-        coords = tuple(c * p for c in self.coords)
+        coords = tuple(c * p if c else c for c in self.coords)
         return KElement.make(self.algebra, coords, self.denom_exp)
 
     def half(self) -> "KElement":
@@ -310,7 +348,14 @@ def _k_coords(x: KElement, y: KElement) -> Tuple[Poly, Poly, Poly, Poly]:
     m0, m1, m2, m3 = y.coords
     if y._right_products is None:
         f, g = alg.f, alg.g
-        y._right_products = (f * m1, g * m2, alg.fg * m3, g * m3, f * m3)
+        # A zero coordinate is its own product with anything.
+        y._right_products = (
+            f * m1 if m1 else m1,
+            g * m2 if m2 else m2,
+            alg.fg * m3 if m3 else m3,
+            g * m3 if m3 else m3,
+            f * m3 if m3 else m3,
+        )
     fm1, gm2, fgm3, gm3, fm3 = y._right_products
     ring = alg.ring
     c0 = poly_dot(ring, ((n0, m0), (n1, fm1), (n2, gm2), (n3, fgm3)))

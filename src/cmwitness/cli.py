@@ -29,7 +29,7 @@ from .classifier import (
     example_2_10_identity,
     example_2_10_regression,
 )
-from .algebra import make_algebra
+from .algebra import admit_input, admit_pair
 from .errors import (
     BoundTooLargeError,
     HypothesisViolationError,
@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedError,
     ZeroInputError,
 )
-from .poly import BaseRing, check_coeff_bound, parse_poly, substitute_ints
+from .poly import BaseRing, Poly, check_coeff_bound, parse_poly, substitute_ints
 from .report import (
     assemble_report,
     cm_verdict_for_tag,
@@ -202,12 +202,74 @@ def _parse_family(spec: Dict[str, object]) -> Tuple[
     return ring, names, value_lists, poly_text(spec, "f"), poly_text(spec, "g")
 
 
+# Rejections a sweep records as a row instead of stopping.
+ROW_REJECTIONS = (HypothesisViolationError, ZeroInputError, UnsupportedError)
+
+
+def _rejection_tag(exc: Exception) -> str:
+    """The sweep row tag of one of the ROW_REJECTIONS."""
+    if isinstance(exc, HypothesisViolationError):
+        return "rejected_" + exc.predicate
+    if isinstance(exc, ZeroInputError):
+        return "rejected_zero_input"
+    return "rejected_unsupported"
+
+
+class _SweepInput:
+    """One template of a sweep, worked once per distinct input.
+
+    The input depends only on the parameters that occur in the
+    template, so it is substituted and bound-checked once per distinct
+    restriction of the assignment to them, and admitted (admit_input)
+    at most once.  The memos live for one cmd_sweep call and hold plain
+    values: the Poly, then its S^2 witness (or None) or a rejection tag,
+    never an exception, whose traceback would tie the memo to the frame.
+    """
+
+    def __init__(self, template: Poly, ring: BaseRing, side: str):
+        nvars = ring.nvars
+        used = set()
+        for e, _ in template.sorted_terms():
+            used.update(i for i, k in enumerate(e[nvars:]) if k)
+        self.template = template
+        self.ring = ring
+        self.side = side
+        self.used = sorted(used)
+        self.polys: Dict[Tuple[int, ...], Poly] = {}
+        self.admitted: Dict[Tuple[int, ...], object] = {}
+
+    def key(self, combo: Sequence[int]) -> Tuple[int, ...]:
+        return tuple(combo[i] for i in self.used)
+
+    def poly(self, key: Tuple[int, ...], assignment: Dict[str, int]) -> Poly:
+        """The substituted input; an unused parameter's power is 1."""
+        p = self.polys.get(key)
+        if p is None:
+            p = substitute_ints(self.template, assignment, self.ring)
+            check_coeff_bound(p, self.side)
+            self.polys[key] = p
+        return p
+
+    def admit(self, key: Tuple[int, ...]) -> object:
+        """admit_input of the input: its witness, or a rejection tag."""
+        if key not in self.admitted:
+            try:
+                result = admit_input(self.polys[key], self.side)
+            except ROW_REJECTIONS as exc:
+                result = _rejection_tag(exc)
+            self.admitted[key] = result
+        return self.admitted[key]
+
+
 def cmd_sweep(family_path: str, out_path: str) -> int:
     """Classify every (f,g) pair of a parametric family into a CSV.
 
     Pairs rejected by the standing hypotheses get a
     ``rejected_<predicate>`` row instead of aborting the sweep, so one
     degenerate parameter choice does not hide the rest of the family.
+    Each distinct f and g is substituted and admitted once per call;
+    a row runs only the pair hypotheses (admit_pair) and classify, and
+    the rows are those of make_algebra and classify run on each pair.
     """
     try:
         ring, names, value_lists, f_text, g_text = _parse_family(_load_json(family_path))
@@ -219,29 +281,30 @@ def cmd_sweep(family_path: str, out_path: str) -> int:
                 "family enumerates %d pairs; limit is %d" % (total, MAX_SWEEP_PAIRS)
             )
         template_ring = BaseRing(tuple(ring.variables) + tuple(names))
-        f_template = parse_poly(f_text, template_ring)
-        g_template = parse_poly(g_text, template_ring)
+        f_in = _SweepInput(parse_poly(f_text, template_ring), ring, "f")
+        g_in = _SweepInput(parse_poly(g_text, template_ring), ring, "g")
         rows: List[List[str]] = []
         for combo in itertools.product(*value_lists):
             assignment = dict(zip(names, combo))
-            f = substitute_ints(f_template, assignment, ring)
-            g = substitute_ints(g_template, assignment, ring)
-            check_coeff_bound(f, "f")
-            check_coeff_bound(g, "g")
+            kf, kg = f_in.key(combo), g_in.key(combo)
+            f = f_in.poly(kf, assignment)
+            g = g_in.poly(kg, assignment)
             cm_text = shape_text = ""
-            try:
-                alg = make_algebra(ring, f, g)
-                case = classify(alg)
-            except HypothesisViolationError as exc:
-                case = "rejected_" + exc.predicate
-            except ZeroInputError:
-                case = "rejected_zero_input"
-            except UnsupportedError:
-                case = "rejected_unsupported"
+            # As in make_algebra, g is admitted only once f is.
+            wf = f_in.admit(kf)
+            wg = wf if isinstance(wf, str) else g_in.admit(kg)
+            if isinstance(wg, str):
+                case = wg
             else:
-                cm = cm_verdict_for_tag(case)
-                cm_text = "" if cm is None else ("true" if cm else "false")
-                shape_text = "" if case == OUTSIDE_SCOPE else alg.q_shape.tag
+                try:
+                    alg = admit_pair(ring, f, g, wf, wg)
+                    case = classify(alg)
+                except ROW_REJECTIONS as exc:
+                    case = _rejection_tag(exc)
+                else:
+                    cm = cm_verdict_for_tag(case)
+                    cm_text = "" if cm is None else ("true" if cm else "false")
+                    shape_text = "" if case == OUTSIDE_SCOPE else alg.q_shape.tag
             rows.append([str(v) for v in combo] + [case, cm_text, shape_text])
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -5,7 +5,8 @@ decide, with extractable witnesses:
 
 * squarefreeness of an element of S,
 * the coprimality hypothesis on a pair (f, g),
-* the degree-four (non-square) hypothesis on f, g and f*g,
+* the degree-four (non-square) hypothesis on f, g and f*g, decided
+  on the constants among them once the other two hold,
 * membership in S^2 = {h^2 + 2a} and in S^{2,4} = {h^2 + 4a'}, which
   controls integral closedness of the quadric hypersurfaces,
 * the product criterion deciding whether f*g lies in S^{2,4},
@@ -101,17 +102,30 @@ def satisfies_A1(f: Poly, g: Poly) -> bool:
 
 
 def degree_four_check(f: Poly, g: Poly) -> bool:
-    """Neither f, g nor f*g is a square in S.
+    """Neither f, g nor f*g is a square in S, for squarefree f, g with A1.
 
     For an integer polynomial, being a square in S is equivalent to
     being a square in Q[vars] (compare irreducible multiplicities in
     the UFD Z[vars]; units of S are products of odd-constant
-    irreducibles, which the valuation argument covers as well).  The
-    Unsupported branch below is the contractual guard for unit inputs
-    whose content behaves unexpectedly; it is unreachable for reduced
-    inputs since a unit has odd content.
+    irreducibles, which the valuation argument covers as well).
+
+    Only constants need is_ring_square, by this argument.  A squarefree
+    p has a primitive part with no repeated factor over Q, so when p is
+    not constant some irreducible divides it exactly once and p is not
+    a Q-square.  A1 makes the primitive parts of f and g coprime over
+    Q, so the primitive part of f*g, their product, has no repeated
+    factor either, and f*g is not a square unless f and g are both
+    constant.  Outside these hypotheses (f = X^2, say) the verdict says
+    nothing; make_algebra checks them first.
+
+    The Unsupported branch below is the contractual guard for unit
+    inputs whose content behaves unexpectedly; it is unreachable for
+    reduced inputs since a unit has odd content.
     """
-    for p in (f, g, f * g):
+    candidates = [p for p in (f, g) if p.is_constant()]
+    if len(candidates) == 2:
+        candidates.append(f * g)
+    for p in candidates:
         root = is_ring_square(p)
         if root is not None:
             if p.is_unit() and p.integer_content() % 2 == 0:

@@ -9,6 +9,7 @@ from cmwitness.errors import (
     MalformedSequenceError,
     ZeroInputError,
 )
+from cmwitness.gcd import is_ring_square
 from cmwitness.poly import BaseRing, Poly, half, is_even, parse_poly, reduce_mod2
 from cmwitness.predicates import (
     decompose_S2,
@@ -70,10 +71,50 @@ def test_satisfies_A1():
 
 def test_degree_four_check():
     assert degree_four_check(P("X*V^2+4"), P("X*Y^2+4"))
-    assert not degree_four_check(P("X^2"), P("Y"))
     assert degree_four_check(P("X^2+2"), P("Y^2+2"))
-    # f*g a square is also rejected.
-    assert not degree_four_check(X, X * Y * Y)
+    # Under the hypotheses only a constant can be a square: f or g ...
+    assert not degree_four_check(P("9"), P("Y^2+2"))
+    assert not degree_four_check(P("X^2+2"), P("1"))
+    # ... or f*g, when both are constant.
+    assert not degree_four_check(P("3"), P("3"))
+    assert degree_four_check(P("3"), P("5"))
+    # A non-constant square, or f*g = X * X*Y^2, is not squarefree, so
+    # the squarefree hypothesis rejects it before this check runs.
+    assert not is_squarefree(P("X^2"))
+    assert not is_squarefree(X * Y * Y)
+
+
+def full_degree_four_check(f, g):
+    """The check before the reduction: is_ring_square on f, g and f*g."""
+    return all(is_ring_square(p) is None for p in (f, g, f * g))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_degree_four_check_matches_the_full_loop(seed):
+    # On pairs that satisfy the hypotheses the reduced check, which
+    # tests only constants, agrees with is_ring_square on f, g and f*g.
+    rng = random.Random(seed)
+    squares = [1, 9, 25, 49]
+    constants = squares + [-1, -9, -25, -3, 2, 6, -2, 18, 3, 5, 7, 15]
+    mono = [(i, j, k) for i in range(3) for j in range(3) for k in range(2)]
+    polys = []
+    while len(polys) < 12:
+        terms = {e: rng.choice([-3, -2, -1, 1, 2, 3, 4]) for e in rng.sample(mono, 3)}
+        p = Poly(RING, terms).scale(rng.choice([1, 1, 9, 25, -1]))
+        if not p.is_constant() and is_squarefree(p):
+            polys.append(p)
+    inputs = [RING.const(c) for c in constants] + polys
+    pairs = [(f, g) for f in inputs for g in inputs]
+    rng.shuffle(pairs)
+    false = checked = 0
+    for f, g in pairs:
+        if not (is_squarefree(f) and is_squarefree(g) and satisfies_A1(f, g)):
+            continue
+        verdict = degree_four_check(f, g)
+        assert verdict == full_degree_four_check(f, g), (f, g)
+        checked += 1
+        false += not verdict
+    assert false >= 30 and checked - false >= 30
 
 
 def test_decompose_S2():
