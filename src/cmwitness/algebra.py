@@ -4,17 +4,24 @@ A is free over S on the basis (1, w, u, wu); its total fraction field K
 is a degree-4 extension of Frac(S).  Every element this package needs
 lives in (1/2^k)A, so a K-element is four integer polynomial
 coordinates plus a denominator exponent k, kept in reduced form (k = 0
-or some coordinate odd).  _k_coords forms each numerator coordinate of
+or some coordinate odd).  k_mul forms each numerator coordinate of
 a product with one poly_dot; the products of the right operand's
 coordinates with f, g and f*g are kept on that element, since the same
 ideal generators are the right operand of hundreds of products per
 report.  k_mul reduces those numerators to a K-element.
 
-The colon test in_colon(x, J) builds no K-element: x*g is c / 2^k with
-c = _k_coords(x, g) and k the sum of the denominator exponents, and it
-lies in A exactly when 2^k divides every coefficient of c, which the
-test reads off as c & (2^k - 1) == 0 (also right for negative c).  A
-generator with k = 0 needs no product, since A is a ring.
+The colon test in_colon(x, J) forms no exact product.  Generators g of
+J lie in A, so x*g lies in A exactly when 2^k, k = k_x, divides its
+numerators, which depends only on the operands mod 2^k: the test runs
+the four numerator poly_dots on residues (reduce_mod_2k) of x's
+coordinates and of g's coordinates and right products, the latter
+formed from f, g and f*g mod 2^k and cached per k on g and on the
+descriptor.  k = 0 needs no product (A is a ring), nor does a scalar
+generator (p, 0, 0, 0): KElement.make keeps x reduced, so for k > 0
+some coordinate n_i of x has an odd coefficient, and by Gauss's lemma
+for the prime 2 in Z[x] (v2 of the content is additive) 2^k divides
+every n_i*p exactly when it divides every coefficient of p, which
+p = 0 passes.
 
 The standing hypotheses split by what they read.  Squarefreeness and
 the S^2 decomposition of f depend on f alone (admit_input), so a sweep
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BoundTooLargeError,
@@ -54,10 +61,10 @@ from .poly import (
     F2Poly,
     Poly,
     half,
-    is_divisible_by_2_power,
     is_even,
     poly_dot,
     reduce_mod2,
+    reduce_mod_2k,
 )
 from .predicates import (
     QShape,
@@ -86,7 +93,7 @@ class AlgebraDesc:
     product f*g that k_mul reads), w4f, w4g (the S^{2,4} witnesses of
     f, g, or None), q_shape (the shape of Q = (2, h1, h2)) and
     local_factors ((k1, k2) with (w - h1)^2 = 2*k1 and (u - h2)^2 = 2*k2
-    verified).
+    verified).  residues(k) keeps f, g and f*g mod 2^k per k.
     """
 
     ring: BaseRing
@@ -162,6 +169,17 @@ class AlgebraDesc:
         return self.f * self.g
 
     @cached_property
+    def _residues(self) -> Dict[int, Tuple[Poly, Poly, Poly]]:
+        return {}
+
+    def residues(self, k: int) -> Tuple[Poly, Poly, Poly]:
+        """f, g and f*g mod 2^k (f*g from the residues of f and g)."""
+        if k not in self._residues:
+            fk, gk = reduce_mod_2k(self.f, k), reduce_mod_2k(self.g, k)
+            self._residues[k] = (fk, gk, reduce_mod_2k(fk * gk, k))
+        return self._residues[k]
+
+    @cached_property
     def q_shape(self) -> QShape:
         return ideal_Q_classify(self.h1(), self.h2())
 
@@ -233,10 +251,12 @@ class KElement:
     """(n0 + n1*w + n2*u + n3*w*u) / 2^k in reduced form.
 
     _right_products holds f*n1, g*n2, fg*n3, g*n3, f*n3 once the element
-    has been the right operand of k_mul; equality and hashing ignore it.
+    has been the right operand of k_mul, _residues maps k to coordinates
+    and those products mod 2^k; equality and hashing ignore both.
     """
 
-    __slots__ = ("algebra", "coords", "denom_exp", "_hash", "_right_products")
+    __slots__ = ("algebra", "coords", "denom_exp", "_hash", "_right_products",
+                 "_residues")
 
     def __init__(self, algebra: AlgebraDesc, coords: Tuple[Poly, ...], denom_exp: int):
         # Callers go through make(); direct construction assumes reduced.
@@ -245,6 +265,7 @@ class KElement:
         self.denom_exp = denom_exp
         self._hash = None
         self._right_products: Optional[Tuple[Poly, ...]] = None
+        self._residues: Optional[Dict[int, Tuple[Tuple[Poly, ...], ...]]] = None
 
     @classmethod
     def make(
@@ -302,6 +323,8 @@ class KElement:
         return k_mul(self, other)
 
     def scale_poly(self, p: Poly) -> "KElement":
+        if not p:
+            return self.algebra.zero()
         coords = tuple(c * p if c else c for c in self.coords)
         return KElement.make(self.algebra, coords, self.denom_exp)
 
@@ -330,39 +353,52 @@ def _check_same_algebra(a: KElement, b: KElement):
 
 
 def k_mul(x: KElement, y: KElement) -> KElement:
-    """Exact product in K, reduced: _k_coords(x, y) / 2^(kx + ky)."""
-    return KElement.make(x.algebra, _k_coords(x, y), x.denom_exp + y.denom_exp)
+    """Exact product in K, reduced: the numerators / 2^(kx + ky).
 
-
-def _k_coords(x: KElement, y: KElement) -> Tuple[Poly, Poly, Poly, Poly]:
-    """Numerator coordinates of x*y over (1, w, u, wu), not reduced.
-
-    The structure constants are w*w = f, u*u = g, w*u = wu, w*wu = f*u,
-    u*wu = g*w and wu*wu = f*g.  They are moved onto y's coordinates,
-    whose five products with f, g and fg are formed once per right
-    operand, so each output coordinate is one four-term poly_dot.
+    y's five right products are formed once per right operand, so each
+    numerator coordinate is one four-term poly_dot.
     """
     _check_same_algebra(x, y)
     alg = x.algebra
-    n0, n1, n2, n3 = x.coords
-    m0, m1, m2, m3 = y.coords
     if y._right_products is None:
-        f, g = alg.f, alg.g
-        # A zero coordinate is its own product with anything.
-        y._right_products = (
-            f * m1 if m1 else m1,
-            g * m2 if m2 else m2,
-            alg.fg * m3 if m3 else m3,
-            g * m3 if m3 else m3,
-            f * m3 if m3 else m3,
-        )
-    fm1, gm2, fgm3, gm3, fm3 = y._right_products
-    ring = alg.ring
-    c0 = poly_dot(ring, ((n0, m0), (n1, fm1), (n2, gm2), (n3, fgm3)))
-    c1 = poly_dot(ring, ((n0, m1), (n1, m0), (n2, gm3), (n3, gm2)))
-    c2 = poly_dot(ring, ((n0, m2), (n2, m0), (n1, fm3), (n3, fm1)))
-    c3 = poly_dot(ring, ((n0, m3), (n3, m0), (n1, m2), (n2, m1)))
-    return c0, c1, c2, c3
+        y._right_products = _right_products(y.coords, alg.f, alg.g, alg.fg)
+    coords = tuple(_numerators(alg.ring, x.coords, y.coords, y._right_products))
+    return KElement.make(alg, coords, x.denom_exp + y.denom_exp)
+
+
+def _right_products(m: Sequence[Poly], f: Poly, g: Poly, fg: Poly) -> Tuple[Poly, ...]:
+    """f*m1, g*m2, fg*m3, g*m3, f*m3 for a right operand's coordinates m.
+
+    They move the structure constants w*w = f, u*u = g, w*wu = f*u,
+    u*wu = g*w and wu*wu = f*g onto m.  A zero coordinate is its own
+    product with anything.
+    """
+    _, m1, m2, m3 = m
+    pairs = ((f, m1), (g, m2), (fg, m3), (g, m3), (f, m3))
+    return tuple(a * b if b else b for a, b in pairs)
+
+
+def _numerators(ring: BaseRing, n, m, right) -> Iterator[Poly]:
+    """x*y's numerators over (1, w, u, wu), one at a time, from the
+    coordinates n of x, m of y and right = _right_products of m."""
+    n0, n1, n2, n3 = n
+    m0, m1, m2, m3 = m
+    fm1, gm2, fgm3, gm3, fm3 = right
+    yield poly_dot(ring, ((n0, m0), (n1, fm1), (n2, gm2), (n3, fgm3)))
+    yield poly_dot(ring, ((n0, m1), (n1, m0), (n2, gm3), (n3, gm2)))
+    yield poly_dot(ring, ((n0, m2), (n2, m0), (n1, fm3), (n3, fm1)))
+    yield poly_dot(ring, ((n0, m3), (n3, m0), (n1, m2), (n2, m1)))
+
+
+def _residues(y: KElement, k: int) -> Tuple[Tuple[Poly, ...], Tuple[Poly, ...]]:
+    """y's coordinates and right products mod 2^k, cached on y per k."""
+    if y._residues is None:
+        y._residues = {}
+    if k not in y._residues:
+        m = tuple(reduce_mod_2k(c, k) for c in y.coords)
+        right = _right_products(m, *y.algebra.residues(k))
+        y._residues[k] = m, tuple(reduce_mod_2k(p, k) for p in right)
+    return y._residues[k]
 
 
 def a_membership(x: KElement) -> bool:
@@ -466,17 +502,24 @@ def ideal_product(a: IdealGens, b: IdealGens) -> IdealGens:
 
 
 def in_colon(x: KElement, ideal: IdealGens) -> bool:
-    """x in (A : ideal): x times every generator of the ideal lies in A.
+    """x in (A : ideal): x times every generator (in A) lies in A.
 
-    Decided from the parities of the numerators _k_coords(x, g), with no
-    K-element built (see the module docstring); a generator g with
-    kx + kg = 0 lies in A with x, so it forms no product.
+    Decided on residues mod 2^k, k = k_x; k = 0 and scalar generators
+    form no product (see the module docstring).
     """
+    k = x.denom_exp
+    n = tuple(reduce_mod_2k(c, k) for c in x.coords) if k else None
     for g in ideal.gens:
-        k = x.denom_exp + g.denom_exp
+        _check_same_algebra(x, g)
+        if g.denom_exp:  # IdealGens checks this only when it is built
+            raise WitnessMismatchError("ideal generators must lie in A")
         if k == 0:
-            _check_same_algebra(x, g)
-        elif not all(is_divisible_by_2_power(c, k) for c in _k_coords(x, g)):
+            continue
+        if not any(g.coords[1:]):  # a scalar: test p itself
+            numerators = g.coords[:1]
+        else:
+            numerators = _numerators(x.algebra.ring, n, *_residues(g, k))
+        if any(reduce_mod_2k(c, k) for c in numerators):
             return False
     return True
 
@@ -505,11 +548,12 @@ def _monomials_up_to(ring: BaseRing, degree: int):
 
 
 def _mul_matrix_mod2(g: KElement) -> List[List[F2Poly]]:
-    """4x4 matrix of the mod-2 coordinates of basis_c * g."""
+    """4x4 matrix of the mod-2 coordinates of basis_c * g (g in A), read
+    from the residues mod 2 that the colon test caches on g."""
     alg = g.algebra
     basis = [alg.one(), alg.root_f(), alg.root_g(), alg.root_fg()]
     return [
-        [reduce_mod2(c) for c in k_mul(b, g).coords]
+        [reduce_mod2(c) for c in _numerators(alg.ring, b.coords, *_residues(g, 1))]
         for b in basis
     ]
 

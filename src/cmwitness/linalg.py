@@ -294,8 +294,10 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
         if rows[0][j].is_zero():
             continue
         minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * poly_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
+        cofactor = poly_det(minor)
+        if cofactor:
+            term = rows[0][j] * cofactor
+            acc = acc + (term if j % 2 == 0 else -term)
     return acc
 
 

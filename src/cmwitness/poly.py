@@ -20,19 +20,21 @@ built, so polynomials can be shared: scale(1) and adding zero return
 the operand itself.  The public constructor Poly(ring, terms) filters
 and converts whatever dict it is given.  The kernels that build a dict
 already in canonical form (addition, negation, scale, poly_dot after
-dropping its cancelled terms, divide_exact, half, primitive (the one
-content division, used by gcd.py and predicates.py), lift_f2,
-partial_derivative, substitute_ints, and the recursive-form result of
-gcd.gcd_z) hand it to the private Poly._from_canonical, which takes it
-unchecked and uncopied.  No other code may call it.
+dropping its cancelled terms, divide_exact, half, reduce_mod_2k,
+frobenius_mod2, primitive (the one content division, used by gcd.py
+and predicates.py), lift_f2, partial_derivative, substitute_ints, and
+the recursive-form result of gcd.gcd_z) hand it to the private
+Poly._from_canonical, which takes it unchecked and uncopied.  No other
+code may call it.
 
-Every product of integer polynomials (F2Poly keeps its own XOR loop)
-goes through one multiply-accumulate kernel, poly_dot(ring, pairs) =
-sum of a*b, which builds the result in a single term dict.  The
-operands in this package are small (most have zero to three terms), so
-the cost of arithmetic is the objects built per product, not the
-monomial loop: fusing a sum of products into one call removes the
-intermediate Poly of each product and partial sum.
+Every product of integer polynomials goes through one
+multiply-accumulate kernel, poly_dot(ring, pairs) = sum of a*b, which
+builds the result in a single term dict.  The operands in this package
+are small (most have zero to three terms), so the cost of arithmetic is
+the objects built per product, not the monomial loop: fusing a sum of
+products into one call removes the intermediate Poly of each product
+and partial sum; a claim mod 2^k runs it on residues (reduce_mod_2k).
+F2Poly keeps its XOR loop for the Q-shape code's GF(2) gcd and division.
 
 Residues mod 2 live in GF(2)[x1, ..., xn] and are stored as a frozenset
 of exponent tuples (the monomials with coefficient 1).
@@ -285,9 +287,11 @@ def poly_dot(ring: BaseRing, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
 
     This is the package's one monomial-product loop: Poly.__mul__ is the
     case of a single pair, and each coordinate of a K-element product
-    (algebra._k_coords) and the Bareiss row update pass four and two.  No Poly is built for a product or a partial sum;
-    cancelled terms are dropped once, at the end.  Every operand must
-    belong to ``ring``.
+    (algebra.k_mul) and the Bareiss row update pass four and two.
+    On residues (reduce_mod_2k) it serves algebra.in_colon,
+    algebra._mul_matrix_mod2 and predicates.product_in_S2wedge4.  No
+    Poly is built for a product or a partial sum; cancelled terms are
+    dropped once, at the end.  Every operand must belong to ``ring``.
     """
     terms: Dict[Exponent, int] = {}
     get = terms.get
@@ -496,14 +500,22 @@ def is_even(p: Poly) -> bool:
     return not any(c % 2 for c in p._terms.values())
 
 
-def is_divisible_by_2_power(p: Poly, k: int) -> bool:
-    """Membership in 2^k S: the low k bits of every coefficient are zero.
+def reduce_mod_2k(p: Poly, k: int) -> Poly:
+    """p with each coefficient in [0, 2^k); zero exactly when 2^k | p.
 
-    The mask test is right for negative coefficients too, since & reads
-    an int as an infinite two's complement.
+    & reads a negative int as an infinite two's complement, so the
+    residue is right for negative coefficients too.
     """
     mask = (1 << k) - 1
-    return not any(c & mask for c in p._terms.values())
+    return Poly._from_canonical(
+        p.ring, {e: c & mask for e, c in p._terms.items() if c & mask}
+    )
+
+
+def frobenius_mod2(p: Poly) -> Poly:
+    """p^2 mod 2 as a 0/1 lift: p's odd monomials with doubled exponents."""
+    square = {tuple(2 * i for i in e): 1 for e, c in p._terms.items() if c & 1}
+    return Poly._from_canonical(p.ring, square)
 
 
 def half(p: Poly) -> Poly:

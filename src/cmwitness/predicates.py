@@ -9,7 +9,8 @@ decide, with extractable witnesses:
   on the constants among them once the other two hold,
 * membership in S^2 = {h^2 + 2a} and in S^{2,4} = {h^2 + 4a'}, which
   controls integral closedness of the quadric hypersurfaces,
-* the product criterion deciding whether f*g lies in S^{2,4},
+* the product criterion deciding whether f*g lies in S^{2,4}, a parity
+  read mod 2, where h^2 is h with doubled exponents (Frobenius),
 * the shape of the ideal (2, h1, h2) mod 2, which separates the
   Cohen-Macaulay and non-Cohen-Macaulay branches.
 
@@ -34,12 +35,15 @@ from .poly import (
     Poly,
     f2_divide_exact,
     f2_zero,
+    frobenius_mod2,
     half,
     is_even,
     lift_f2,
     partial_derivative,
+    poly_dot,
     primitive,
     reduce_mod2,
+    reduce_mod_2k,
     sqrt_f2,
 )
 
@@ -169,10 +173,12 @@ def product_in_S2wedge4(wf: S2Witness, wg: S2Witness) -> bool:
 
     With f = h1^2 + 2a and g = h2^2 + 2b one has
     f*g = (h1*h2)^2 + 2*(a*h2^2 + b*h1^2) + 4*a*b, so membership is
-    the parity condition a*h2^2 + b*h1^2 in 2S.
+    the parity condition a*h2^2 + b*h1^2 in 2S, read from residues mod
+    2 with h^2 = frobenius_mod2(h): no exact square or product is formed.
     """
-    mixed = wf.a * (wg.h * wg.h) + wg.a * (wf.h * wf.h)
-    return is_even(mixed)
+    pairs = ((reduce_mod_2k(wf.a, 1), frobenius_mod2(wg.h)),
+             (reduce_mod_2k(wg.a, 1), frobenius_mod2(wf.h)))
+    return is_even(poly_dot(wf.a.ring, pairs))
 
 
 def ideal_Q_classify(h1: Poly, h2: Poly) -> QShape:

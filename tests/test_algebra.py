@@ -7,7 +7,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from cmwitness import algebra
+from cmwitness import algebra, poly
 from cmwitness.algebra import (
     IdealGens,
     a_membership,
@@ -25,6 +25,7 @@ from cmwitness.errors import (
     BoundTooLargeError,
     HypothesisViolationError,
     NotClosedError,
+    WitnessMismatchError,
 )
 from cmwitness.linalg import PolyFraction, SpanNotFreeError
 from cmwitness.poly import BaseRing, Poly, parse_poly
@@ -343,55 +344,67 @@ def test_in_colon_of_two():
     assert in_colon(alg.root_f().half(), p_ideal)
 
 
+def exact_in_colon(x, ideal):
+    """The reference colon test: reduce every exact product, read its denominator."""
+    return all(a_membership(k_mul(x, g)) for g in ideal.gens)
+
+
 def test_in_colon_is_membership_of_every_product(monkeypatch):
-    # in_colon reads the parity of the unreduced numerators; the
-    # reference reduces every product and reads its denominator.
+    # in_colon reads residues mod 2^k; the reference multiplies exactly.
+    # Scalar generators p (content valuation 0 to 3, and p = 0) and
+    # k = 0 form no product at all, so they make no poly_dot call.
     products = []
-    k_coords = algebra._k_coords
-
-    def counting(x, y):
-        products.append((x, y))
-        return k_coords(x, y)
-
-    monkeypatch.setattr(algebra, "_k_coords", counting)
+    for module in (algebra, poly):
+        monkeypatch.setattr(
+            module,
+            "poly_dot",
+            lambda ring, pairs, dot=poly.poly_dot: products.append(pairs)
+            or dot(ring, pairs),
+        )
     rng = random.Random(1305)
     algebras = [case_b_algebra(), make_algebra(RING, P("X^2*Y+2*X+2"), P("Y^2+2*X*Y+6"))]
     verdicts = {}
     for alg in algebras:
         w, u, wu = alg.root_f(), alg.root_g(), alg.root_fg()
         two, four = RING.const(2), RING.const(4)
-        pool = [
-            alg.scalar(2),
-            alg.scalar(4),
+        scalars = [alg.scalar(P(p)) for p in ("1", "X+3", "2", "6", "4*X+4", "8")]
+        scalars.append(alg.zero())
+        pool = scalars + [
             w.scale_poly(two),
             (u - alg.scalar(Y)).scale_poly(two),
             (wu + alg.scalar(X)).scale_poly(four),
             w + alg.scalar(X),
             u - alg.scalar(Y),
             wu + alg.scalar(2),
-            alg.scalar(X - 3),
         ]
         for _ in range(150):
-            # Numerators whose coordinates are often multiples of 2 or 4,
-            # so both verdicts occur for denominators 2 and 4.
-            coords = [rand_coord(rng).scale(rng.choice([1, 2, 4])) for _ in range(4)]
-            x = alg.element(coords, rng.randrange(3))
-            for _ in range(3):
-                ideal = IdealGens(alg, rng.sample(pool, rng.randrange(1, 3)))
-                if rng.randrange(6) == 0:
-                    ideal.gens.append(alg.element([rand_coord(rng) for _ in range(4)]))
-                expected = all(a_membership(k_mul(x, g)) for g in ideal.gens)
+            # Numerators whose coordinates are often multiples of 2, 4 or
+            # 8, so both verdicts occur for denominators 2, 4 and 8.
+            coords = [rand_coord(rng).scale(rng.choice([1, 2, 4, 8])) for _ in range(4)]
+            x = alg.element(coords, rng.randrange(4))
+            ideals = [[rng.choice(scalars)], rng.sample(pool, rng.randrange(1, 3))]
+            ideals.append(ideals[1] + [alg.element([rand_coord(rng) for _ in range(4)])])
+            for gens in ideals:
+                ideal = IdealGens(alg, gens)
+                expected = exact_in_colon(x, ideal)
                 products.clear()
                 assert in_colon(x, ideal) == expected
-                # x and the generators lie in A: no product is formed.
-                assert products == [] or x.denom_exp > 0
+                if x.denom_exp == 0 or all(g in scalars for g in gens):
+                    assert products == []
                 key = (x.denom_exp, expected)
                 verdicts[key] = verdicts.get(key, 0) + 1
-    assert set(verdicts) == {(0, True), (1, True), (1, False), (2, True), (2, False)}
+    classes = {(0, True)} | {(k, v) for k in (1, 2, 3) for v in (True, False)}
+    assert set(verdicts) == classes
     assert min(verdicts.values()) >= 10, verdicts
     other = make_algebra(RING, P("X^2+2"), P("Y^2+6"))
     with pytest.raises(ValueError):
         in_colon(other.one(), IdealGens(algebras[0], [algebras[0].one()]))
+    # k = k_x needs the generators in A, also after the ideal was built.
+    ideal = IdealGens(algebras[0], [algebras[0].scalar(2)])
+    ideal.gens.append(algebras[0].root_f().half())
+    for x in (algebras[0].one(), algebras[0].root_f().half()):
+        with pytest.raises(WitnessMismatchError):
+            in_colon(x, ideal)
 
 
 def test_bounded_colon_search_case_b():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cmwitness import algebra, gcd, homology, linalg, predicates
+from cmwitness import algebra, gcd, homology, linalg, poly, predicates
 from cmwitness.classifier import (
     CASE_C_NONCM_GRADE2,
     CASE_C_NONCM_GRADE3,
@@ -135,6 +135,25 @@ def test_each_fact_once_per_report(monkeypatch, name):
     # No colon test x * ideal inside A runs twice on the same pair.
     colon_pairs = [(x, tuple(ideal.gens)) for x, ideal in colon_tests.args]
     assert len(colon_pairs) == len(set(colon_pairs))
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_no_product_has_a_zero_operand(monkeypatch, name):
+    # A product with zero is zero: determinants skip a zero cofactor and
+    # scale_poly a zero factor, so no report multiplies a zero polynomial.
+    job = json.loads((GOLDEN_DIR / (name + ".job.json")).read_text(encoding="utf-8"))
+    zero_operands = []
+    mul = poly.Poly.__mul__
+
+    def checked(self, other):
+        if not self or not other:
+            zero_operands.append((str(self), str(other)))
+        return mul(self, other)
+
+    monkeypatch.setattr(poly.Poly, "__mul__", checked)
+    monkeypatch.setattr(poly.Poly, "__rmul__", checked)
+    assemble_report(*parse_job(job))
+    assert zero_operands == []
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)

@@ -12,6 +12,7 @@ from cmwitness.errors import (
 from cmwitness.gcd import is_ring_square
 from cmwitness.poly import BaseRing, Poly, half, is_even, parse_poly, reduce_mod2
 from cmwitness.predicates import (
+    S2Witness,
     decompose_S2,
     degree_four_check,
     ideal_Q_classify,
@@ -187,6 +188,35 @@ def test_product_in_S2wedge4():
     wf2 = decompose_S2(P("X^2+2"))
     wg2 = decompose_S2(P("Y^2+2"))
     assert not product_in_S2wedge4(wf2, wg2)
+
+
+def exact_product_in_S2wedge4(wf, wg):
+    """The reference criterion: form a*h2^2 + b*h1^2 exactly."""
+    return is_even(wf.a * wg.h * wg.h + wg.a * wf.h * wf.h)
+
+
+def test_product_in_S2wedge4_matches_exact_parity():
+    # The residue criterion squares h by doubling exponents mod 2; the
+    # witnesses here have negative and even coefficients in h and a.
+    rng = random.Random(2103)
+
+    def rand_poly():
+        return Poly(
+            RING,
+            {
+                tuple(rng.randrange(3) for _ in RING.variables): rng.randrange(-6, 7)
+                for _ in range(rng.randrange(4))
+            },
+        )
+
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        wf = S2Witness(h=rand_poly(), a=rand_poly())
+        wg = S2Witness(h=rand_poly(), a=rand_poly())
+        expected = exact_product_in_S2wedge4(wf, wg)
+        assert product_in_S2wedge4(wf, wg) == expected
+        verdicts[expected] += 1
+    assert min(verdicts.values()) >= 50, verdicts
 
 
 def test_product_criterion_matches_direct_membership():
