@@ -39,7 +39,8 @@ overrings, ideal products, the colon test in_colon (x in (A : J), i.e.
 x * J inside A), and a brute-force bounded search for colon duals used
 as an independent oracle: all elements x = p / 2^k with deg p <= D and
 x * J inside A, found by GF(2) linear algebra (one system for k = 1, a
-two-stage lift for k = 2).
+two-stage lift for k = 2) on exact k_mul products reduced mod 2, so it
+runs none of in_colon's residue code.
 """
 
 from __future__ import annotations
@@ -56,16 +57,7 @@ from .errors import (
     WitnessMismatchError,
 )
 from .linalg import PolyFraction, f2_nullspace, solve_in_S
-from .poly import (
-    BaseRing,
-    F2Poly,
-    Poly,
-    half,
-    is_even,
-    poly_dot,
-    reduce_mod2,
-    reduce_mod_2k,
-)
+from .poly import BaseRing, Poly, half, is_even, poly_dot, reduce_mod_2k
 from .predicates import (
     QShape,
     S2w4Witness,
@@ -547,15 +539,12 @@ def _monomials_up_to(ring: BaseRing, degree: int):
     return out
 
 
-def _mul_matrix_mod2(g: KElement) -> List[List[F2Poly]]:
+def _mul_matrix_mod2(g: KElement) -> List[List[Poly]]:
     """4x4 matrix of the mod-2 coordinates of basis_c * g (g in A), read
-    from the residues mod 2 that the colon test caches on g."""
+    off the exact products, not the residues the colon test runs on."""
     alg = g.algebra
     basis = [alg.one(), alg.root_f(), alg.root_g(), alg.root_fg()]
-    return [
-        [reduce_mod2(c) for c in _numerators(alg.ring, b.coords, *_residues(g, 1))]
-        for b in basis
-    ]
+    return [[reduce_mod_2k(c, 1) for c in k_mul(b, g).coords] for b in basis]
 
 
 def bounded_colon_search(
@@ -599,7 +588,7 @@ def bounded_colon_search(
                         continue
                     for mi, m in enumerate(monos):
                         bit = offset + c * nmono + mi
-                        for mm in entry.sorted_monomials():
+                        for mm, _ in entry.sorted_terms():
                             key = (gi, d, tuple(x + y for x, y in zip(m, mm)))
                             rows[key] = rows.get(key, 0) ^ (1 << bit)
         return [rows[k] for k in sorted(rows)]
@@ -634,8 +623,8 @@ def bounded_colon_search(
             prod = k_mul(b, g)
             assert prod.denom_exp == 0
             for d in range(4):
-                r = reduce_mod2(half(prod.coords[d]))
-                for mm in r.sorted_monomials():
+                r = reduce_mod_2k(half(prod.coords[d]), 1)
+                for mm, _ in r.sorted_terms():
                     key = (gi, d, mm)
                     rows2[key] = rows2.get(key, 0) ^ (1 << bi)
     # The q-part has the stage-1 structure, shifted past the eps bits.

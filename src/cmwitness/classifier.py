@@ -56,15 +56,7 @@ from .homology import (
     verify_complex,
 )
 from .linalg import PolyFraction, poly_det
-from .poly import (
-    BaseRing,
-    F2Poly,
-    Poly,
-    is_even,
-    lift_f2,
-    parse_poly,
-    reduce_mod2,
-)
+from .poly import BaseRing, Poly, is_even, parse_poly, poly_dot, reduce_mod_2k
 from .predicates import QShape, product_in_S2wedge4
 
 __all__ = [
@@ -259,15 +251,19 @@ def ideal_H(alg: AlgebraDesc) -> IdealGens:
     )
 
 
-def residue_mod_P(x: KElement) -> F2Poly:
-    """Image of x in A/P = S/2S = F_2[x1..xn]; requires x in A."""
+def residue_mod_P(x: KElement) -> Poly:
+    """Image of x in A/P = S/2S = F_2[x1..xn] as a 0/1 Poly; requires x in A.
+
+    w and u map to h1 and h2 mod 2, so the image is one poly_dot on
+    residues mod 2.
+    """
     if x.denom_exp != 0:
         raise ValueError("residue mod P is defined for elements of A only")
     alg = x.algebra
-    h1b = reduce_mod2(alg.h1())
-    h2b = reduce_mod2(alg.h2())
-    n0, n1, n2, n3 = (reduce_mod2(c) for c in x.coords)
-    return n0 + n1 * h1b + n2 * h2b + n3 * h1b * h2b
+    h1, h2 = reduce_mod_2k(alg.h1(), 1), reduce_mod_2k(alg.h2(), 1)
+    n0, n1, n2, n3 = (reduce_mod_2k(c, 1) for c in x.coords)
+    pairs = ((n0, alg.ring.one()), (n1, h1), (n2, h2), (n3, h1 * h2))
+    return reduce_mod_2k(poly_dot(alg.ring, pairs), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +382,15 @@ def _build_R_case_c(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
         raise WrongCaseError(
             "case tag %s does not match the shape %s of Q" % (case, shape.tag)
         )
-    c_lift = lift_f2(shape.c)
-    e_lift = lift_f2(shape.e)
+    c, e = shape.c, shape.e
     tau = product_closure_gen(alg)
-    rho = mixed_syzygy_gen(alg, c_lift, e_lift)
+    rho = mixed_syzygy_gen(alg, c, e)
     one = alg.one()
     if case == CASE_C_CM:
         k1, k2 = alg.local_factors
-        if shape.c.is_unit():
+        if c.is_unit():
             root, square = alg.root_f(), alg.f
-        elif shape.e.is_unit():
+        elif e.is_unit():
             root, square = alg.root_g(), alg.g
         else:
             raise WrongCaseError("two-generated shape without a unit cofactor")
@@ -406,9 +401,9 @@ def _build_R_case_c(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
         )
     gens = [one, alg.root_f(), alg.root_g(), tau, rho]
     relation = [
-        e_lift * alg.h1() + c_lift * alg.h2(),
-        -e_lift,
-        -c_lift,
+        e * alg.h1() + c * alg.h2(),
+        -e,
+        -c,
         alg.ring.zero(),
         alg.ring.const(2),
     ]
@@ -425,7 +420,7 @@ def _build_R_case_c(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
                 raise InternalVerificationError(
                     "product of generators %d and %d leaves R" % (i, j)
                 )
-    res_q = verify_complex(resolution_of_S_mod_Q(lift_f2(shape.z), c_lift, e_lift))
+    res_q = verify_complex(resolution_of_S_mod_Q(shape.z, c, e))
     return RingPresentation(
         case=case,
         sfree=False,

@@ -59,7 +59,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BothZeroError, NotDivisibleError
-from .poly import Exponent, F2Poly, Poly, _exp_sub, grlex_key, primitive
+from .poly import Exponent, Poly, _exp_sub, grlex_key, primitive, reduce_mod_2k
 
 
 Rec = Union[int, Dict[int, "Rec"]]
@@ -461,17 +461,19 @@ def gcd_many_q(polys) -> Poly:
     return _normalize_sign(primitive(acc)[1])
 
 
-def _split_monomial(r: F2Poly) -> Tuple[Exponent, Dict[Exponent, int]]:
+def _split_monomial(r: Poly) -> Tuple[Exponent, Dict[Exponent, int]]:
     """(m, part) with r = x^m * part and part divisible by no variable.
 
-    ``r`` is nonzero; ``part`` is a term dict with coefficients 1.
+    ``r`` is a nonzero 0/1 Poly; ``part`` is a term dict with
+    coefficients 1.
     """
-    m = tuple(map(min, zip(*r.monomials)))
-    return m, {tuple(a - b for a, b in zip(e, m)): 1 for e in r.monomials}
+    m = tuple(map(min, zip(*r._terms)))
+    return m, {tuple(a - b for a, b in zip(e, m)): 1 for e in r._terms}
 
 
-def gcd_f2(a: F2Poly, b: F2Poly) -> F2Poly:
-    """Gcd in GF(2)[variables], computed directly in characteristic two.
+def gcd_f2(a: Poly, b: Poly) -> Poly:
+    """Gcd of a and b mod 2 in GF(2)[variables] as a 0/1 Poly, computed
+    directly in characteristic two.
 
     The largest monomial factor of each operand is split off first, and
     only the two remaining parts go through the recursion; see the
@@ -479,6 +481,7 @@ def gcd_f2(a: F2Poly, b: F2Poly) -> F2Poly:
     """
     if a.ring != b.ring:
         raise ValueError("operands belong to different rings")
+    a, b = reduce_mod_2k(a, 1), reduce_mod_2k(b, 1)
     if a.is_zero() and b.is_zero():
         raise BothZeroError("gcd(0, 0) is undefined")
     if a.is_zero():
@@ -490,11 +493,11 @@ def gcd_f2(a: F2Poly, b: F2Poly) -> F2Poly:
     m = tuple(map(min, ma, mb))
     if len(pa) == 1 or len(pb) == 1:
         # One part is 1, so the gcd is the common monomial factor.
-        return F2Poly(a.ring, (m,))
+        return Poly._from_canonical(a.ring, {m: 1})
     k = a.ring.nvars
     g = _rgcd(_to_rec(pa, k, 2), _to_rec(pb, k, 2), k, 2)
-    return F2Poly(
-        a.ring, (tuple(x + y for x, y in zip(e, m)) for e in _from_rec(g, k))
+    return Poly._from_canonical(
+        a.ring, {tuple(x + y for x, y in zip(e, m)): 1 for e in _from_rec(g, k)}
     )
 
 

@@ -22,8 +22,9 @@ and converts whatever dict it is given.  The kernels that build a dict
 already in canonical form (addition, negation, scale, poly_dot after
 dropping its cancelled terms, divide_exact, half, reduce_mod_2k,
 frobenius_mod2, primitive (the one content division, used by gcd.py
-and predicates.py), lift_f2, partial_derivative, substitute_ints, and
-the recursive-form result of gcd.gcd_z) hand it to the private
+and predicates.py), sqrt_f2, f2_divide_exact, partial_derivative,
+substitute_ints, and the recursive-form results of gcd.gcd_z and
+gcd.gcd_f2) hand it to the private
 Poly._from_canonical, which takes it unchecked and uncopied.  No other
 code may call it.
 
@@ -34,10 +35,11 @@ are small (most have zero to three terms), so the cost of arithmetic is
 the objects built per product, not the monomial loop: fusing a sum of
 products into one call removes the intermediate Poly of each product
 and partial sum; a claim mod 2^k runs it on residues (reduce_mod_2k).
-F2Poly keeps its XOR loop for the Q-shape code's GF(2) gcd and division.
 
-Residues mod 2 live in GF(2)[x1, ..., xn] and are stored as a frozenset
-of exponent tuples (the monomials with coefficient 1).
+A residue mod 2^k is a Poly with every coefficient in [0, 2^k), so an
+element of GF(2)[x1, ..., xn] is a 0/1 Poly, its own canonical lift.
+The GF(2) kernels (sqrt_f2, f2_divide_exact, gcd.gcd_f2) take any Poly,
+read it mod 2 and return 0/1 Polys.
 """
 
 from __future__ import annotations
@@ -289,7 +291,7 @@ def poly_dot(ring: BaseRing, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
     case of a single pair, and each coordinate of a K-element product
     (algebra.k_mul) and the Bareiss row update pass four and two.
     On residues (reduce_mod_2k) it serves algebra.in_colon,
-    algebra._mul_matrix_mod2 and predicates.product_in_S2wedge4.  No
+    classifier.residue_mod_P and predicates.product_in_S2wedge4.  No
     Poly is built for a product or a partial sum; cancelled terms are
     dropped once, at the end.  Every operand must belong to ``ring``.
     """
@@ -416,83 +418,7 @@ def substitute_ints(p: Poly, assignment: Dict[str, int], target: BaseRing) -> Po
 
 
 # ---------------------------------------------------------------------------
-# GF(2) residues
-
-
-class F2Poly:
-    """An element of GF(2)[variables]: the set of monomials present."""
-
-    __slots__ = ("ring", "monomials")
-
-    def __init__(self, ring: BaseRing, monomials: Iterable[Exponent]):
-        self.ring = ring
-        self.monomials = frozenset(tuple(e) for e in monomials)
-
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-    def __bool__(self) -> bool:
-        return bool(self.monomials)
-
-    def is_unit(self) -> bool:
-        """Unit of the localized residue ring: constant term present."""
-        return self.ring.zero_exponent() in self.monomials
-
-    def lead(self) -> Exponent:
-        if not self.monomials:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.monomials, key=grlex_key)
-
-    def sorted_monomials(self) -> Iterator[Exponent]:
-        return iter(sorted(self.monomials, key=grlex_key, reverse=True))
-
-    def __add__(self, other):
-        if not isinstance(other, F2Poly):
-            return NotImplemented
-        _check_same_ring(self.ring, other)
-        return F2Poly(self.ring, self.monomials ^ other.monomials)
-
-    # Subtraction coincides with addition in characteristic two.
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        if not isinstance(other, F2Poly):
-            return NotImplemented
-        _check_same_ring(self.ring, other)
-        acc: Dict[Exponent, int] = {}
-        for e1 in self.monomials:
-            for e2 in other.monomials:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, 0) ^ 1
-        return F2Poly(self.ring, (e for e, c in acc.items() if c))
-
-    def __eq__(self, other):
-        if not isinstance(other, F2Poly):
-            return NotImplemented
-        return self.ring == other.ring and self.monomials == other.monomials
-
-    def __hash__(self):
-        return hash((self.ring, self.monomials))
-
-    def __repr__(self):
-        return f"F2Poly({self})"
-
-    def __str__(self):
-        return format_poly(lift_f2(self))
-
-
-def f2_zero(ring: BaseRing) -> F2Poly:
-    return F2Poly(ring, ())
-
-
-def reduce_mod2(p: Poly) -> F2Poly:
-    """Image of p in GF(2)[variables]: monomials with odd coefficient."""
-    return F2Poly(p.ring, (e for e, c in p._terms.items() if c % 2))
-
-
-def lift_f2(r: F2Poly) -> Poly:
-    """Canonical lift with all coefficients 0 or 1."""
-    return Poly._from_canonical(r.ring, {e: 1 for e in r.monomials})
+# Residues mod 2^k
 
 
 def is_even(p: Poly) -> bool:
@@ -504,9 +430,15 @@ def reduce_mod_2k(p: Poly, k: int) -> Poly:
     """p with each coefficient in [0, 2^k); zero exactly when 2^k | p.
 
     & reads a negative int as an infinite two's complement, so the
-    residue is right for negative coefficients too.
+    residue is right for negative coefficients too.  A p already
+    reduced is returned itself: reducing a residue again copies nothing.
     """
     mask = (1 << k) - 1
+    for c in p._terms.values():
+        if c & mask != c:
+            break
+    else:
+        return p
     return Poly._from_canonical(
         p.ring, {e: c & mask for e, c in p._terms.items() if c & mask}
     )
@@ -536,44 +468,43 @@ def primitive(p: Poly) -> Tuple[int, Poly]:
     )
 
 
-def sqrt_f2(r: F2Poly) -> Optional[F2Poly]:
-    """Square root in GF(2)[variables], or None.
+def sqrt_f2(p: Poly) -> Optional[Poly]:
+    """Square root of p mod 2 in GF(2)[variables] as a 0/1 Poly, or None.
 
-    Squaring is the Frobenius endomorphism, so r is a square exactly
-    when every exponent in every monomial is even, and the root is
-    obtained by halving all exponents.
+    Squaring mod 2 is the Frobenius endomorphism (frobenius_mod2), so p
+    is a square mod 2 exactly when every exponent of every monomial
+    with an odd coefficient is even, and the root halves them all.
     """
-    roots = []
-    for e in r.monomials:
-        if any(k % 2 for k in e):
-            return None
-        roots.append(tuple(k // 2 for k in e))
-    return F2Poly(r.ring, roots)
+    root = {}
+    for e, c in p._terms.items():
+        if c % 2:
+            if any(k % 2 for k in e):
+                return None
+            root[tuple(k // 2 for k in e)] = 1
+    return Poly._from_canonical(p.ring, root)
 
 
-def f2_divide_exact(a: F2Poly, b: F2Poly) -> F2Poly:
-    """Exact quotient in GF(2)[variables]; NotDivisibleError otherwise.
-
-    Division by 1 returns ``a`` itself.
+def f2_divide_exact(a: Poly, b: Poly) -> Poly:
+    """Exact quotient of a by b mod 2 as a 0/1 Poly; NotDivisibleError
+    otherwise.  Division by 1 returns a mod 2, which is ``a`` itself
+    when a is already reduced (see reduce_mod_2k).
     """
     _check_same_ring(a.ring, b)
+    a, b = reduce_mod_2k(a, 1), reduce_mod_2k(b, 1)
     if b.is_zero():
         raise NotDivisibleError("division by zero polynomial")
-    if b.monomials == {a.ring.zero_exponent()}:
+    if b._terms.keys() == {a.ring.zero_exponent()}:  # b is 1
         return a
-    quot = set()
-    rem = a
-    eb = b.lead()
-    while not rem.is_zero():
-        er = rem.lead()
-        e = _exp_sub(er, eb)
+    quot: Dict[Exponent, int] = {}
+    rem = set(a._terms)
+    eb = b.lead()[0]
+    while rem:
+        e = _exp_sub(max(rem, key=grlex_key), eb)
         if e is None:
-            raise NotDivisibleError(
-                f"{a} is not divisible by {b} mod 2"
-            )
-        quot.add(e)
-        rem = rem + F2Poly(a.ring, (e,)) * b
-    return F2Poly(a.ring, quot)
+            raise NotDivisibleError(f"{a} is not divisible by {b} mod 2")
+        quot[e] = 1
+        rem ^= {tuple(map(add, e, m)) for m in b._terms}
+    return Poly._from_canonical(a.ring, quot)
 
 
 # ---------------------------------------------------------------------------

@@ -24,25 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import (
-    MalformedSequenceError,
-    UnsupportedError,
-    ZeroInputError,
-)
+from .errors import MalformedSequenceError, ZeroInputError
 from .gcd import gcd_f2, gcd_many_q, gcd_q, is_ring_square, squarefree_by_images
 from .poly import (
-    F2Poly,
     Poly,
     f2_divide_exact,
-    f2_zero,
     frobenius_mod2,
     half,
     is_even,
-    lift_f2,
     partial_derivative,
     poly_dot,
     primitive,
-    reduce_mod2,
     reduce_mod_2k,
     sqrt_f2,
 )
@@ -66,11 +58,14 @@ class S2w4Witness:
 
 @dataclass(frozen=True)
 class QShape:
-    """Mod-2 shape of the ideal Q = (2, h1, h2): h1 = z*c, h2 = z*e."""
+    """Mod-2 shape of the ideal Q = (2, h1, h2): h1 = z*c, h2 = z*e mod 2.
 
-    z: F2Poly
-    c: F2Poly
-    e: F2Poly
+    z, c and e are 0/1 Polys, so each is its own canonical lift to S.
+    """
+
+    z: Poly
+    c: Poly
+    e: Poly
     tag: str  # UnitIdeal | TwoGenerated | Grade3CI_NotTwoGen | Grade2Pd3
 
 
@@ -121,21 +116,12 @@ def degree_four_check(f: Poly, g: Poly) -> bool:
     factor either, and f*g is not a square unless f and g are both
     constant.  Outside these hypotheses (f = X^2, say) the verdict says
     nothing; make_algebra checks them first.
-
-    The Unsupported branch below is the contractual guard for unit
-    inputs whose content behaves unexpectedly; it is unreachable for
-    reduced inputs since a unit has odd content.
     """
     candidates = [p for p in (f, g) if p.is_constant()]
     if len(candidates) == 2:
         candidates.append(f * g)
     for p in candidates:
-        root = is_ring_square(p)
-        if root is not None:
-            if p.is_unit() and p.integer_content() % 2 == 0:
-                raise UnsupportedError(
-                    "unit input is a Q-square with even content"
-                )
+        if is_ring_square(p) is not None:
             return False
     return True
 
@@ -143,14 +129,14 @@ def degree_four_check(f: Poly, g: Poly) -> bool:
 def decompose_S2(f: Poly) -> Optional[S2Witness]:
     """Witness f = h^2 + 2a, if the mod-2 reduction is a square.
 
-    h is the canonical lift of the mod-2 square root, so f - h^2 is even
-    and a = (f - h^2)/2 by exact halving: the witness re-expands to f by
-    construction, and half raises on an odd coefficient.
+    h is the mod-2 square root, a 0/1 Poly (the canonical lift), so
+    f - h^2 is even and a = (f - h^2)/2 by exact halving: the witness
+    re-expands to f by construction, and half raises on an odd
+    coefficient.
     """
-    r = sqrt_f2(reduce_mod2(f))
-    if r is None:
+    h = sqrt_f2(f)
+    if h is None:
         return None
-    h = lift_f2(r)
     a = half(f - h * h)
     return S2Witness(h=h, a=a)
 
@@ -194,11 +180,10 @@ def ideal_Q_classify(h1: Poly, h2: Poly) -> QShape:
     say) never reaches the recursive gcd, and dividing by z = 1 returns
     the residue itself.
     """
-    r1, r2 = reduce_mod2(h1), reduce_mod2(h2)
+    r1, r2 = reduce_mod_2k(h1, 1), reduce_mod_2k(h2, 1)
     if r1.is_zero() and r2.is_zero():
         # Q = (2): degenerate, principal hence two-generated.
-        zero = f2_zero(h1.ring)
-        return QShape(z=zero, c=zero, e=zero, tag="TwoGenerated")
+        return QShape(z=r1, c=r1, e=r1, tag="TwoGenerated")
     z = gcd_f2(r1, r2)
     c = f2_divide_exact(r1, z)
     e = f2_divide_exact(r2, z)
@@ -227,8 +212,6 @@ def regular_sequence_certificate(seq: Sequence[Poly]) -> bool:
     two, c, e = seq
     if not (two == two.ring.const(2)):
         raise MalformedSequenceError("sequence must start with the constant 2")
-    cbar = reduce_mod2(c)
-    ebar = reduce_mod2(e)
-    if cbar.is_zero():
+    if is_even(c):
         return False
-    return gcd_f2(cbar, ebar).is_unit()
+    return gcd_f2(c, e).is_unit()

@@ -46,9 +46,8 @@ from cmwitness.poly import (
     NotDivisibleError,
     f2_divide_exact,
     is_even,
-    lift_f2,
     parse_poly,
-    reduce_mod2,
+    reduce_mod_2k,
 )
 from cmwitness.predicates import (
     decompose_S2,
@@ -89,18 +88,17 @@ def _eta(alg):
 
 
 def _rho(alg, shape):
-    c, e = lift_f2(shape.c), lift_f2(shape.e)
     return (
-        (alg.root_f() - alg.scalar(alg.h1())).scale_poly(e)
-        + (alg.root_g() - alg.scalar(alg.h2())).scale_poly(c)
+        (alg.root_f() - alg.scalar(alg.h1())).scale_poly(shape.e)
+        + (alg.root_g() - alg.scalar(alg.h2())).scale_poly(shape.c)
     ).half()
 
 
 def _bvec(x):
-    """Mod-2 coordinate vector of 2x on the basis 1, w, u, wu."""
+    """Mod-2 coordinate vector of 2x on the basis 1, w, u, wu (0/1 Polys)."""
     doubled = x + x
     assert doubled.denom_exp == 0
-    return [reduce_mod2(c) for c in doubled.coords]
+    return [reduce_mod_2k(c, 1) for c in doubled.coords]
 
 
 def _in_A_plus_S_eta(x, eta):
@@ -112,7 +110,7 @@ def _in_A_plus_S_eta(x, eta):
     if x.denom_exp == 0:
         return True
     s_bar = _bvec(x)[3]
-    return a_membership(x - eta.scale_poly(lift_f2(s_bar)))
+    return a_membership(x - eta.scale_poly(s_bar))
 
 
 def _in_A_plus_S_tau_rho(x, alg, shape, tau, rho):
@@ -126,12 +124,12 @@ def _in_A_plus_S_tau_rho(x, alg, shape, tau, rho):
     if x.denom_exp == 0:
         return True
     B = _bvec(x)
-    h1b, h2b = reduce_mod2(alg.h1()), reduce_mod2(alg.h2())
     s_bar = B[3]
-    r_w = B[1] + s_bar * h2b
-    r_u = B[2] + s_bar * h1b
+    # Integer sums and products of residues, reduced mod 2 again.
+    r_w = reduce_mod_2k(B[1] + s_bar * alg.h2(), 1)
+    r_u = reduce_mod_2k(B[2] + s_bar * alg.h1(), 1)
     if r_w.is_zero() and r_u.is_zero():
-        t_bar = reduce_mod2(alg.ring.zero())
+        t_bar = alg.ring.zero()
     elif not shape.e.is_zero() and not r_w.is_zero():
         try:
             t_bar = f2_divide_exact(r_w, shape.e)
@@ -144,7 +142,7 @@ def _in_A_plus_S_tau_rho(x, alg, shape, tau, rho):
             return False
     else:
         return False
-    remainder = x - tau.scale_poly(lift_f2(s_bar)) - rho.scale_poly(lift_f2(t_bar))
+    remainder = x - tau.scale_poly(s_bar) - rho.scale_poly(t_bar)
     return a_membership(remainder)
 
 
@@ -291,7 +289,7 @@ def test_acceptance_4_grade3_family(capsys):
     pres = build_R(alg, case)
     cond = conductor(pres)
     cert = build_small_cm_certificate(pres)
-    q_cx = resolution_of_S_mod_Q(lift_f2(shape.z), lift_f2(shape.c), lift_f2(shape.e))
+    q_cx = resolution_of_S_mod_Q(shape.z, shape.c, shape.e)
     q_certs = standard_grade_certificates(q_cx)
     pair_ok = cond.ideal is not None and all(
         in_colon(r, cond.ideal) for r in pres.generators
@@ -430,7 +428,7 @@ def test_acceptance_7_property_suites(capsys):
     import test_properties as props
 
     suites = [
-        ("reduce_mod2 is a ring homomorphism", props.test_reduce_mod2_is_ring_homomorphism),
+        ("reduction mod 2 is a ring homomorphism", props.test_reduce_mod2_is_ring_homomorphism),
         ("sqrt of square roundtrip", props.test_sqrt_of_square_roundtrip),
         ("square witness lift independence", props.test_s2wedge4_lift_independence),
         ("classify symmetric in f and g", props.test_classify_symmetric_in_f_and_g),

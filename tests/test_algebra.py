@@ -407,7 +407,7 @@ def test_in_colon_is_membership_of_every_product(monkeypatch):
             in_colon(x, ideal)
 
 
-def test_bounded_colon_search_case_b():
+def test_bounded_colon_search_case_b(monkeypatch):
     alg = case_b_algebra()
     w, u = alg.root_f(), alg.root_g()
     p_ideal = IdealGens(
@@ -415,7 +415,15 @@ def test_bounded_colon_search_case_b():
         gens=[alg.scalar(2), w - alg.scalar(X), u - alg.scalar(Y)],
         name="P",
     )
-    found = bounded_colon_search(p_ideal, 1, 3)
+
+    def residues_unused(*args):
+        raise AssertionError("the oracle must not share in_colon's residue code")
+
+    # An independent oracle reads exact k_mul products, never the
+    # residues mod 2^k that in_colon decides on.
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "_residues", residues_unused)
+        found = bounded_colon_search(p_ideal, 1, 3)
     assert found[0] == alg.one()
     fractional = [x for x in found if x.denom_exp == 1]
     assert fractional, "the dual of P contains genuinely fractional elements"

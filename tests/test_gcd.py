@@ -25,15 +25,15 @@ from cmwitness.gcd import (
 )
 from cmwitness.poly import (
     BaseRing,
-    F2Poly,
     NotDivisibleError,
     Poly,
     f2_divide_exact,
-    lift_f2,
+    is_even,
     parse_poly,
     partial_derivative,
     primitive,
-    reduce_mod2,
+    reduce_mod_2k,
+    sqrt_f2,
 )
 from cmwitness.predicates import is_squarefree
 
@@ -375,30 +375,45 @@ def test_images_are_computed_once_per_polynomial(monkeypatch):
     assert len(computed) == 3
 
 
+def is_01(p):
+    """Every coefficient is 1: p is a residue mod 2, its own lift."""
+    return all(c == 1 for c in p._terms.values())
+
+
+def mod2_sympy(p):
+    return sympy.Poly(to_sympy(p), *SYMS, modulus=2)
+
+
 def test_gcd_f2():
-    a = reduce_mod2(X * X + Y * Y)
-    b = reduce_mod2(X + Y)
-    assert gcd_f2(a, b) == b
-    assert gcd_f2(reduce_mod2(X), reduce_mod2(Y)).is_unit()
-    z = reduce_mod2(RING.zero())
-    assert gcd_f2(z, b) == b
+    a = X * X + Y.scale(3) * Y
+    b = X.scale(-1) + Y
+    assert gcd_f2(a, b) == X + Y
+    assert gcd_f2(X, Y.scale(5)).is_unit()
+    assert gcd_f2(RING.const(2), b) == X + Y
 
 
 def test_gcd_f2_vs_sympy_random():
+    # The operands are unreduced; every result must be a 0/1 residue.
     rng = random.Random(335)
     checked = 0
     while checked < 200:
         a, b = rand_poly(rng), rand_poly(rng)
-        ra, rb = reduce_mod2(a), reduce_mod2(b)
-        if ra.is_zero() and rb.is_zero():
+        if is_even(a) and is_even(b):
             continue
-        ours = gcd_f2(ra, rb)
-        theirs = sympy.gcd(
-            sympy.Poly(to_sympy(a), *SYMS, modulus=2),
-            sympy.Poly(to_sympy(b), *SYMS, modulus=2),
-        )
-        ours_sympy = sympy.Poly(to_sympy(lift_f2(ours)), *SYMS, modulus=2)
+        ours = gcd_f2(a, b)
+        theirs = sympy.gcd(mod2_sympy(a), mod2_sympy(b))
+        ours_sympy = mod2_sympy(ours)
         assert ours_sympy == theirs or ours_sympy == -theirs
+        ca, cb = f2_divide_exact(a, ours), f2_divide_exact(b, ours)
+        assert mod2_sympy(ca) * theirs == mod2_sympy(a)
+        assert mod2_sympy(cb) * theirs == mod2_sympy(b)
+        root = sqrt_f2(a * a)
+        assert mod2_sympy(root) == mod2_sympy(a)
+        if sqrt_f2(a) is not None:
+            assert mod2_sympy(sqrt_f2(a)) ** 2 == mod2_sympy(a)
+        shape = predicates.ideal_Q_classify(a, b)
+        assert (shape.z, shape.c, shape.e) == (ours, ca, cb)
+        assert all(is_01(p) for p in (ours, ca, cb, root))
         checked += 1
 
 
@@ -413,35 +428,35 @@ def test_gcd_f2_monomial_split_vs_sympy():
             a = RING.one()
         ma = Poly(RING, {tuple(rng.randrange(3) for _ in SYMS): 1})
         mb = Poly(RING, {tuple(rng.randrange(3) for _ in SYMS): 1})
-        ra, rb = reduce_mod2(a * ma), reduce_mod2(b * mb)
+        ra, rb = reduce_mod_2k(a * ma, 1), reduce_mod_2k(b * mb, 1)
         if ra.is_zero() or rb.is_zero():
             continue
         skipped += len(_split_monomial(ra)[1]) == 1 or len(_split_monomial(rb)[1]) == 1
-        ours = gcd_f2(ra, rb)
-        theirs = sympy.gcd(
-            sympy.Poly(to_sympy(lift_f2(ra)), *SYMS, modulus=2),
-            sympy.Poly(to_sympy(lift_f2(rb)), *SYMS, modulus=2),
-        )
-        ours_sympy = sympy.Poly(to_sympy(lift_f2(ours)), *SYMS, modulus=2)
+        ours = gcd_f2(a * ma, b * mb)
+        theirs = sympy.gcd(mod2_sympy(ra), mod2_sympy(rb))
+        ours_sympy = mod2_sympy(ours)
         assert ours_sympy == theirs or ours_sympy == -theirs
-        assert gcd_f2(rb, ra) == ours
+        assert gcd_f2(rb, ra) == ours and is_01(ours)
         checked += 1
     assert skipped > 20
 
 
 def test_split_monomial_and_division_by_one():
-    r = reduce_mod2(X * X * Y + X * Y * V)
+    r = X * X * Y + X * Y * V
     assert _split_monomial(r) == ((1, 1, 0), {(1, 0, 0): 1, (0, 0, 1): 1})
-    assert _split_monomial(reduce_mod2(X * Y)) == ((1, 1, 0), {(0, 0, 0): 1})
-    assert gcd_f2(r, reduce_mod2(X * X * V)) == reduce_mod2(X)
-    assert gcd_f2(r, reduce_mod2(X * Y * (X + V))) == r
-    one = reduce_mod2(RING.one())
-    assert f2_divide_exact(r, one) is r
-    assert f2_divide_exact(r, reduce_mod2(X * Y)) == reduce_mod2(X + V)
+    assert _split_monomial(X * Y) == ((1, 1, 0), {(0, 0, 0): 1})
+    assert gcd_f2(r, X * X * V) == X
+    assert gcd_f2(r, X * Y * (X + V)) == r
+    # Division by 1 returns a reduced operand itself, and an unreduced
+    # one mod 2.
+    assert f2_divide_exact(r, RING.one()) is r
+    assert f2_divide_exact(r, RING.const(-3)) is r
+    assert f2_divide_exact(r.scale(3), RING.one()) == r
+    assert f2_divide_exact(r, X * Y) == X + V
     with pytest.raises(NotDivisibleError):
-        f2_divide_exact(r, reduce_mod2(X + Y))
+        f2_divide_exact(r, X + Y)
     with pytest.raises(NotDivisibleError):
-        f2_divide_exact(one, F2Poly(RING, ()))
+        f2_divide_exact(RING.one(), RING.const(2))
 
 
 def test_integer_sqrt_exact():

@@ -14,16 +14,14 @@ from cmwitness.poly import (
     UnknownVariableError,
     divide_exact,
     f2_divide_exact,
-    f2_zero,
     format_poly,
     half,
     is_divisible,
     is_even,
-    lift_f2,
     parse_poly,
     partial_derivative,
     poly_dot,
-    reduce_mod2,
+    reduce_mod_2k,
     sqrt_f2,
     substitute_ints,
 )
@@ -217,7 +215,7 @@ def test_is_even_reads_the_coefficients():
         p = rand_poly(rng, RING)
         if rng.randrange(2):
             p = p.scale(2)
-        assert is_even(p) == reduce_mod2(p).is_zero()
+        assert is_even(p) == reduce_mod_2k(p, 1).is_zero()
     assert is_even(RING.zero())
     assert not is_even(X.scale(2) + RING.const(-3))
 
@@ -283,19 +281,25 @@ def test_format_canonical():
     assert str(V * Y * X) == "X*Y*V"
 
 
+def mod2(p):
+    return reduce_mod_2k(p, 1)
+
+
 def test_reduce_mod2():
-    r = reduce_mod2(X * X + Y.scale(3) + RING.const(4))
+    r = mod2(X * X + Y.scale(-3) + RING.const(4))
     assert str(r) == "X^2+Y"
-    assert reduce_mod2(X.scale(2)).is_zero()
-    assert reduce_mod2(RING.const(5)) == reduce_mod2(RING.one())
-    assert f2_zero(RING).is_zero()
-    assert reduce_mod2(RING.one()).is_unit()
-    assert str(reduce_mod2(RING.one())) == "1" and str(f2_zero(RING)) == "0"
+    assert mod2(X.scale(2)).is_zero()
+    assert mod2(RING.const(5)) == mod2(RING.const(-1)) == RING.one()
+    assert mod2(RING.one()).is_unit() and not mod2(X + RING.const(2)).is_unit()
+    assert str(mod2(RING.one())) == "1" and str(mod2(RING.const(2))) == "0"
 
 
 def test_lift_and_parity():
-    r = reduce_mod2(X * Y + RING.const(1))
-    assert reduce_mod2(lift_f2(r)) == r
+    # A residue is its own 0/1 lift: reducing it again returns it.
+    r = mod2(X * Y + RING.const(-1))
+    assert r == X * Y + RING.const(1) and mod2(r) is r
+    p = X.scale(5)
+    assert reduce_mod_2k(p, 3) is p and reduce_mod_2k(p, 2) == X
     assert is_even(X.scale(2) + RING.const(4))
     assert not is_even(X.scale(2) + RING.const(3))
     assert half(X.scale(2) + RING.const(4)) == X + RING.const(2)
@@ -304,18 +308,23 @@ def test_lift_and_parity():
 
 
 def test_sqrt_f2():
-    assert sqrt_f2(reduce_mod2((X * Y + V).scale(1) ** 2)) == reduce_mod2(X * Y + V)
-    assert sqrt_f2(reduce_mod2(X * Y)) is None
-    assert sqrt_f2(f2_zero(RING)).is_zero()
-    assert sqrt_f2(reduce_mod2(RING.one())) == reduce_mod2(RING.one())
+    # Operands are read mod 2: (X*Y+V)^2 has the even term 2*X*Y*V.
+    assert sqrt_f2((X * Y + V) ** 2) == X * Y + V
+    assert sqrt_f2(X * X.scale(-3) + (X * Y).scale(2)) == X
+    assert sqrt_f2(X * Y) is None
+    assert sqrt_f2(RING.zero()).is_zero()
+    assert sqrt_f2(RING.const(7)) == RING.one()
 
 
 def test_f2_division():
-    a = reduce_mod2((X + Y) * (X * Y + RING.const(1)))
-    b = reduce_mod2(X + Y)
-    assert f2_divide_exact(a, b) == reduce_mod2(X * Y + RING.const(1))
+    a = (X + Y) * (X * Y + RING.const(1))
+    b = X + Y.scale(3)
+    assert f2_divide_exact(a, b) == X * Y + RING.const(1)
+    assert f2_divide_exact(a.scale(-1), mod2(b)) == X * Y + RING.const(1)
     with pytest.raises(NotDivisibleError):
-        f2_divide_exact(reduce_mod2(X), reduce_mod2(Y))
+        f2_divide_exact(X, Y)
+    with pytest.raises(NotDivisibleError):
+        f2_divide_exact(X, RING.const(2))
 
 
 def test_hash_consistency():
@@ -358,7 +367,9 @@ def test_kernels_build_canonical_polynomials(monkeypatch):
             divide_exact(a.scale(n), RING.const(n)),
             divide_exact(a * X * Y, X * Y),
             half(a.scale(2)),
-            lift_f2(reduce_mod2(a)),
+            mod2(a),
+            sqrt_f2(a * a),
+            f2_divide_exact(a * c, c),
             partial_derivative(a, rng.randrange(3)),
             substitute_ints(a, {"X": rng.randrange(-2, 3)}, target),
             # X := 1 turns X*Y - Y into zero.

@@ -10,7 +10,7 @@ from cmwitness.errors import (
     ZeroInputError,
 )
 from cmwitness.gcd import is_ring_square
-from cmwitness.poly import BaseRing, Poly, half, is_even, parse_poly, reduce_mod2
+from cmwitness.poly import BaseRing, Poly, half, is_even, parse_poly
 from cmwitness.predicates import (
     S2Witness,
     decompose_S2,
@@ -242,11 +242,12 @@ def test_ideal_Q_classify():
     assert ideal_Q_classify(X, Y).tag == "Grade3CI_NotTwoGen"
     assert ideal_Q_classify(X, X * Y).tag == "TwoGenerated"
     assert ideal_Q_classify(RING.one() + X.scale(2), Y).tag == "UnitIdeal"
-    shape = ideal_Q_classify(V * X, V * Y)
+    shape = ideal_Q_classify(V * X.scale(3), V * Y + X.scale(2))
     assert str(shape.z) == "V" and str(shape.c) == "X" and str(shape.e) == "Y"
-    # Factorization invariant: z*c and z*e recover the reductions.
-    assert shape.z * shape.c == reduce_mod2(V * X)
-    assert shape.z * shape.e == reduce_mod2(V * Y)
+    # Factorization invariant: z*c and z*e are the reductions mod 2,
+    # and each field is a 0/1 Poly, its own lift.
+    assert shape.z * shape.c == V * X and shape.z * shape.e == V * Y
+    assert (shape.z, shape.c, shape.e) == (V, X, Y)
 
 
 def test_ideal_Q_classify_symmetry():
@@ -266,7 +267,7 @@ def test_ideal_Q_classify_symmetry():
                 for _ in range(1 + rng.randrange(3))
             },
         )
-        if reduce_mod2(h1).is_zero() and reduce_mod2(h2).is_zero():
+        if is_even(h1) and is_even(h2):
             continue
         assert ideal_Q_classify(h1, h2).tag == ideal_Q_classify(h2, h1).tag
 

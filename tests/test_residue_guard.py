@@ -7,9 +7,12 @@ test_predicates, and the two renderings must be the same bytes.  The
 inputs are the large grade-2 jobs big_n (n = 1..3), whose f has a few
 hundred terms but few odd ones, and the first non-CM pairs of the
 benchmark's case generator (perfbench/casegen.py, loaded by path
-because perfbench is not a package).
+because perfbench is not a package).  A digest also pins the bytes of
+the generator's first reports, which reach case tags no golden job
+does (CaseA_oneHypersurfaceNonNormal).
 """
 
+import hashlib
 import importlib.util
 import itertools
 import sys
@@ -19,9 +22,13 @@ from test_algebra import exact_in_colon
 from test_predicates import exact_product_in_S2wedge4
 
 from cmwitness import algebra, predicates
+from cmwitness.errors import RejectedInputError
 from cmwitness.report import assemble_report, parse_job, render_json
 
 CASEGEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "casegen.py"
+# SHA-256 over the render_json texts of the first 200 casegen.generate(7)
+# jobs, in order; a rejected job contributes its exception class name.
+CASEGEN_7_DIGEST = "c1cb525d389e3380f29607069a84253e03a67971cd594f334d1f5242b269fc2d"
 
 
 def load_casegen():
@@ -81,3 +88,18 @@ def test_residue_tests_render_the_exact_reports(monkeypatch):
         assert render(job) == text, job
         # Every non-CM report runs both claims through the references.
         assert {exact_in_colon, exact_product_in_S2wedge4} <= set(calls[before:])
+
+
+def test_casegen_reports_keep_their_bytes():
+    casegen = load_casegen()
+    digest = hashlib.sha256()
+    outcomes = set()
+    for job, allowed in itertools.islice(casegen.generate(7), 200):
+        outcomes.add(allowed[0])
+        try:
+            text = render(job)
+        except RejectedInputError as exc:
+            text = type(exc).__name__
+        digest.update(text.encode())
+    assert {casegen.A_ONE, casegen.A_BOTH, casegen.CASE_B, casegen.C_CM} <= outcomes
+    assert digest.hexdigest() == CASEGEN_7_DIGEST
