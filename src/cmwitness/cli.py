@@ -36,7 +36,6 @@ from .errors import (
     InternalError,
     MalformedInputError,
     RejectedInputError,
-    UnsupportedError,
     ZeroInputError,
 )
 from .poly import BaseRing, Poly, check_coeff_bound, parse_poly, substitute_ints
@@ -203,16 +202,14 @@ def _parse_family(spec: Dict[str, object]) -> Tuple[
 
 
 # Rejections a sweep records as a row instead of stopping.
-ROW_REJECTIONS = (HypothesisViolationError, ZeroInputError, UnsupportedError)
+ROW_REJECTIONS = (HypothesisViolationError, ZeroInputError)
 
 
 def _rejection_tag(exc: Exception) -> str:
     """The sweep row tag of one of the ROW_REJECTIONS."""
     if isinstance(exc, HypothesisViolationError):
         return "rejected_" + exc.predicate
-    if isinstance(exc, ZeroInputError):
-        return "rejected_zero_input"
-    return "rejected_unsupported"
+    return "rejected_zero_input"
 
 
 class _SweepInput:

@@ -44,8 +44,9 @@
   constant coefficient.  It is an output type only: it carries no
   arithmetic.
 
-* GF(2) linear systems with rows packed into Python integers, used by
-  the bounded colon search.
+* GF(2) linear systems with rows packed into Python integers.  No
+  package module calls f2_nullspace: the tests' colon oracle solves
+  with it, and the benchmark's tracer reads it.
 """
 
 from __future__ import annotations

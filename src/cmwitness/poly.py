@@ -65,7 +65,9 @@ class BaseRing:
     """The ring S = Z[variables] localized at (2, variables).
 
     Only the ambient polynomial variables are recorded; the residual
-    characteristic is always two.
+    characteristic is always two.  The zero exponent is built once, on
+    construction, outside the fields, so equality and hashing read the
+    variables alone.
     """
 
     variables: Tuple[str, ...]
@@ -76,13 +78,14 @@ class BaseRing:
                 raise MalformedInputError(f"invalid variable name: {v!r}")
         if len(set(self.variables)) != len(self.variables):
             raise MalformedInputError("duplicate variable names")
+        object.__setattr__(self, "_zero_exponent", (0,) * len(self.variables))
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
 
     def zero_exponent(self) -> Exponent:
-        return (0,) * self.nvars
+        return self._zero_exponent
 
     def zero(self) -> "Poly":
         return Poly(self, {})

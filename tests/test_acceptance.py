@@ -6,9 +6,14 @@ is visible in the run log), and then asserts that every sub-check held,
 listing the failures by name if not.
 """
 
+from colon_oracle import (
+    bounded_colon_search,
+    in_A_plus_S_eta,
+    in_A_plus_S_tau_rho,
+)
+
 from cmwitness.algebra import (
     a_membership,
-    bounded_colon_search,
     in_colon,
     k_mul,
     make_algebra,
@@ -41,14 +46,7 @@ from cmwitness.homology import (
     standard_grade_certificates,
 )
 from cmwitness.linalg import bareiss_rank
-from cmwitness.poly import (
-    BaseRing,
-    NotDivisibleError,
-    f2_divide_exact,
-    is_even,
-    parse_poly,
-    reduce_mod_2k,
-)
+from cmwitness.poly import BaseRing, is_even, parse_poly
 from cmwitness.predicates import (
     decompose_S2,
     in_S2wedge4,
@@ -92,58 +90,6 @@ def _rho(alg, shape):
         (alg.root_f() - alg.scalar(alg.h1())).scale_poly(shape.e)
         + (alg.root_g() - alg.scalar(alg.h2())).scale_poly(shape.c)
     ).half()
-
-
-def _bvec(x):
-    """Mod-2 coordinate vector of 2x on the basis 1, w, u, wu (0/1 Polys)."""
-    doubled = x + x
-    assert doubled.denom_exp == 0
-    return [reduce_mod_2k(c, 1) for c in doubled.coords]
-
-
-def _in_A_plus_S_eta(x, eta):
-    """Exact membership in A + S*eta for a half-integral element.
-
-    2*eta has wu-coordinate 1, so the wu-coordinate of 2x mod 2 pins
-    down the eta-multiplier; the remainder must then land in A.
-    """
-    if x.denom_exp == 0:
-        return True
-    s_bar = _bvec(x)[3]
-    return a_membership(x - eta.scale_poly(s_bar))
-
-
-def _in_A_plus_S_tau_rho(x, alg, shape, tau, rho):
-    """Exact membership in A + S*tau + S*rho for a half-integral element.
-
-    On the mod-2 coordinate vectors, 2*tau contributes (h1h2, h2, h1, 1)
-    and 2*rho contributes (e*h1 + c*h2, e, c, 0), so the wu-coordinate
-    forces the tau-multiplier and the w/u-coordinates force the
-    rho-multiplier by exact division; the remainder must land in A.
-    """
-    if x.denom_exp == 0:
-        return True
-    B = _bvec(x)
-    s_bar = B[3]
-    # Integer sums and products of residues, reduced mod 2 again.
-    r_w = reduce_mod_2k(B[1] + s_bar * alg.h2(), 1)
-    r_u = reduce_mod_2k(B[2] + s_bar * alg.h1(), 1)
-    if r_w.is_zero() and r_u.is_zero():
-        t_bar = alg.ring.zero()
-    elif not shape.e.is_zero() and not r_w.is_zero():
-        try:
-            t_bar = f2_divide_exact(r_w, shape.e)
-        except NotDivisibleError:
-            return False
-    elif not shape.c.is_zero() and not r_u.is_zero():
-        try:
-            t_bar = f2_divide_exact(r_u, shape.c)
-        except NotDivisibleError:
-            return False
-    else:
-        return False
-    remainder = x - tau.scale_poly(s_bar) - rho.scale_poly(t_bar)
-    return a_membership(remainder)
 
 
 def test_acceptance_1_outside_scope(capsys):
@@ -466,7 +412,7 @@ def test_acceptance_8_oracle_equivalence(capsys):
         frac_p = [x for x in found_p if x.denom_exp == 1]
         checks.append(
             ("%s: P-search basis lies in A + S*eta" % label,
-             all(_in_A_plus_S_eta(x, eta) for x in found_p)),
+             all(in_A_plus_S_eta(x, eta) for x in found_p)),
         )
         checks.append(
             ("%s: eta conducts P into A" % label,
@@ -496,7 +442,7 @@ def test_acceptance_8_oracle_equivalence(capsys):
         pres_rank = len(pres.generators) - 1
         checks.append(
             ("%s: I-search basis lies in A + S*tau + S*rho" % label,
-             all(_in_A_plus_S_tau_rho(x, alg, shape, tau, rho) for x in found_i)),
+             all(in_A_plus_S_tau_rho(x, alg, shape, tau, rho) for x in found_i)),
         )
         checks.append(
             ("%s: tau and rho conduct I into A" % label,

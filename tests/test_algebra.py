@@ -7,11 +7,12 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from colon_oracle import bounded_colon_search
+
 from cmwitness import algebra, poly
 from cmwitness.algebra import (
     IdealGens,
     a_membership,
-    bounded_colon_search,
     express_in_span,
     ideal_product,
     in_colon,

@@ -7,8 +7,8 @@ when the module lists it in ``__all__``.  An import whose line carries
 package module imports ``random``: every check in the package is exact.
 Every module-level function and class of the package is read by some
 package module other than ``__init__``, so none exists only for tests;
-the exceptions are the colon-search oracle and the names in
-``TRACER_ONLY``, which only tests and the benchmark's tracer read.
+the only exceptions are the names in ``TRACER_ONLY``, which only tests
+and the benchmark's tracer read.
 """
 
 import ast
@@ -27,7 +27,7 @@ TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # Definitions that no package module reads but the tracer wraps by name:
 # they stay in the package while perfbench/tracer.py's SPAN_TARGETS
 # lists them.
-TRACER_ONLY = {"q_shape", "fraction_kernel", "solve_fraction_system"}
+TRACER_ONLY = {"q_shape", "fraction_kernel", "solve_fraction_system", "f2_nullspace"}
 
 
 def imported_names(tree, lines):
@@ -128,11 +128,8 @@ def package_definitions_and_reads():
 
 
 def test_every_definition_is_read_in_the_package():
-    # bounded_colon_search is the independent oracle the tests check
-    # the constructed closures against.
-    exempt = {"bounded_colon_search"} | TRACER_ONLY
     defined, read = package_definitions_and_reads()
-    unread = [d for d in defined if d[1] not in read | exempt]
+    unread = [d for d in defined if d[1] not in read | TRACER_ONLY]
     assert not unread, "defined but never read in the package: %s" % unread
 
 

@@ -49,6 +49,12 @@ def test_ring_constructors():
         RING.var("Z")
     with pytest.raises(ValueError):
         BaseRing(("X", "X"))
+    # The zero exponent is built once per ring; rings compare and hash
+    # by their variables alone.
+    assert RING.zero_exponent() == (0, 0, 0)
+    assert RING.zero_exponent() is RING.zero_exponent()
+    same = BaseRing(("X", "Y", "V"))
+    assert same == RING and hash(same) == hash(RING) and repr(same) == repr(RING)
 
 
 def test_arithmetic_identities():

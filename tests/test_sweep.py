@@ -22,7 +22,6 @@ from cmwitness.cli import cmd_sweep
 from cmwitness.errors import (
     BoundTooLargeError,
     HypothesisViolationError,
-    UnsupportedError,
     ZeroInputError,
 )
 from cmwitness.poly import BaseRing, check_coeff_bound, parse_poly, substitute_ints
@@ -76,8 +75,6 @@ def reference_rows(spec):
             case = "rejected_" + exc.predicate
         except ZeroInputError:
             case = "rejected_zero_input"
-        except UnsupportedError:
-            case = "rejected_unsupported"
         else:
             cm = cm_verdict_for_tag(case)
             cm_text = "" if cm is None else ("true" if cm else "false")
