@@ -4,25 +4,25 @@ A is free over S on the basis (1, w, u, wu); its total fraction field K
 is a degree-4 extension of Frac(S).  Every element this package needs
 lives in (1/2^k)A, so a K-element is four integer polynomial
 coordinates plus a denominator exponent k, kept in reduced form (k = 0
-or some coordinate odd).  k_mul forms each numerator coordinate of
-a product with one poly_dot; the products of the right operand's
-coordinates with f, g and f*g are kept on that element, since a report
-multiplies by the same element more than once (a golden report forms
-at most 47 exact products, and 10 to 31 of them find the right
-products already kept).  k_mul reduces those numerators to a K-element.
+or some coordinate odd).  k_mul forms the four numerators of a
+product in one poly_dots call over the structure-constant table
+_K_TABLE, from the left coordinates n and the right vector
+(m0..m3, f*m1, g*m2, fg*m3, g*m3, f*m3) of the right operand.  That
+vector is kept on the right operand, since a report multiplies by the
+same element more than once (a golden report forms at most 47 exact
+products, and 10 to 31 of them find it already kept).
 
 The colon test in_colon(x, J) forms no exact product.  Generators g of
 J lie in A, so x*g lies in A exactly when 2^k, k = k_x, divides its
-numerators, which depends only on the operands mod 2^k: the test runs
-the four numerator poly_dots on residues (reduce_mod_2k) of x's
-coordinates and of g's coordinates and right products, the latter
-formed from f, g and f*g mod 2^k and cached per k on g and on the
-descriptor.  k = 0 needs no product (A is a ring), nor does a scalar
-generator (p, 0, 0, 0): KElement.make keeps x reduced, so for k > 0
-some coordinate n_i of x has an odd coefficient, and by Gauss's lemma
-for the prime 2 in Z[x] (v2 of the content is additive) 2^k divides
-every n_i*p exactly when it divides every coefficient of p, which
-p = 0 passes.
+numerators, which depends only on the operands mod 2^k: the test makes
+the same poly_dots call on residues (reduce_mod_2k) of x's coordinates
+and of g's right vector, the latter formed from f, g and f*g mod 2^k
+and cached per k on g and on the descriptor.  k = 0 needs no product
+(A is a ring), nor does a scalar generator (p, 0, 0, 0): KElement.make
+keeps x reduced, so for k > 0 some coordinate n_i of x has an odd
+coefficient, and by Gauss's lemma for the prime 2 in Z[x] (v2 of the
+content is additive) 2^k divides every n_i*p exactly when it divides
+every coefficient of p, which p = 0 passes.
 
 The standing hypotheses split by what they read.  Squarefreeness and
 the S^2 decomposition of f depend on f alone (admit_input), so a sweep
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     HypothesisViolationError,
@@ -53,7 +53,7 @@ from .errors import (
     WitnessMismatchError,
 )
 from .linalg import PolyFraction, solve_in_S
-from .poly import BaseRing, Poly, half, is_even, poly_dot, reduce_mod_2k
+from .poly import BaseRing, Poly, half, is_even, poly_dots, reduce_mod_2k
 from .predicates import (
     QShape,
     S2w4Witness,
@@ -238,9 +238,10 @@ def make_algebra(ring: BaseRing, f: Poly, g: Poly) -> AlgebraDesc:
 class KElement:
     """(n0 + n1*w + n2*u + n3*w*u) / 2^k in reduced form.
 
-    _right_products holds f*n1, g*n2, fg*n3, g*n3, f*n3 once the element
-    has been the right operand of k_mul, _residues maps k to coordinates
-    and those products mod 2^k; equality and hashing ignore both.
+    _right_products holds the right vector (n0, n1, n2, n3, f*n1, g*n2,
+    fg*n3, g*n3, f*n3) once the element has been the right operand of
+    k_mul, _residues maps k to that vector mod 2^k; equality and
+    hashing ignore both.
     """
 
     __slots__ = ("algebra", "coords", "denom_exp", "_hash", "_right_products",
@@ -253,7 +254,7 @@ class KElement:
         self.denom_exp = denom_exp
         self._hash = None
         self._right_products: Optional[Tuple[Poly, ...]] = None
-        self._residues: Optional[Dict[int, Tuple[Tuple[Poly, ...], ...]]] = None
+        self._residues: Optional[Dict[int, Tuple[Poly, ...]]] = None
 
     @classmethod
     def make(
@@ -340,52 +341,47 @@ def _check_same_algebra(a: KElement, b: KElement):
         raise ValueError("operands belong to different algebras")
 
 
+# (i, j, o): left coordinate n_i times entry j of the right vector
+# (_right_products) goes into numerator o, one row per numerator.
+_K_TABLE = ((0, 0, 0), (1, 4, 0), (2, 5, 0), (3, 6, 0),
+            (0, 1, 1), (1, 0, 1), (2, 7, 1), (3, 5, 1),
+            (0, 2, 2), (2, 0, 2), (1, 8, 2), (3, 4, 2),
+            (0, 3, 3), (3, 0, 3), (1, 2, 3), (2, 1, 3))
+
+
 def k_mul(x: KElement, y: KElement) -> KElement:
     """Exact product in K, reduced: the numerators / 2^(kx + ky).
 
-    y's five right products are formed once per right operand, so each
-    numerator coordinate is one four-term poly_dot.
+    y's right vector is formed once per right operand.
     """
     _check_same_algebra(x, y)
     alg = x.algebra
     if y._right_products is None:
         y._right_products = _right_products(y.coords, alg.f, alg.g, alg.fg)
-    coords = tuple(_numerators(alg.ring, x.coords, y.coords, y._right_products))
+    coords = poly_dots(alg.ring, x.coords, y._right_products, _K_TABLE, 4)
     return KElement.make(alg, coords, x.denom_exp + y.denom_exp)
 
 
 def _right_products(m: Sequence[Poly], f: Poly, g: Poly, fg: Poly) -> Tuple[Poly, ...]:
-    """f*m1, g*m2, fg*m3, g*m3, f*m3 for a right operand's coordinates m.
+    """The right vector (m0, m1, m2, m3, f*m1, g*m2, fg*m3, g*m3, f*m3).
 
-    They move the structure constants w*w = f, u*u = g, w*wu = f*u,
-    u*wu = g*w and wu*wu = f*g onto m.  A zero coordinate is its own
-    product with anything.
+    The products move the structure constants w*w = f, u*u = g,
+    w*wu = f*u, u*wu = g*w and wu*wu = f*g onto the coordinates m.  A
+    zero coordinate is its own product with anything.
     """
     _, m1, m2, m3 = m
     pairs = ((f, m1), (g, m2), (fg, m3), (g, m3), (f, m3))
-    return tuple(a * b if b else b for a, b in pairs)
+    return tuple(m) + tuple(a * b if b else b for a, b in pairs)
 
 
-def _numerators(ring: BaseRing, n, m, right) -> Iterator[Poly]:
-    """x*y's numerators over (1, w, u, wu), one at a time, from the
-    coordinates n of x, m of y and right = _right_products of m."""
-    n0, n1, n2, n3 = n
-    m0, m1, m2, m3 = m
-    fm1, gm2, fgm3, gm3, fm3 = right
-    yield poly_dot(ring, ((n0, m0), (n1, fm1), (n2, gm2), (n3, fgm3)))
-    yield poly_dot(ring, ((n0, m1), (n1, m0), (n2, gm3), (n3, gm2)))
-    yield poly_dot(ring, ((n0, m2), (n2, m0), (n1, fm3), (n3, fm1)))
-    yield poly_dot(ring, ((n0, m3), (n3, m0), (n1, m2), (n2, m1)))
-
-
-def _residues(y: KElement, k: int) -> Tuple[Tuple[Poly, ...], Tuple[Poly, ...]]:
-    """y's coordinates and right products mod 2^k, cached on y per k."""
+def _residues(y: KElement, k: int) -> Tuple[Poly, ...]:
+    """y's right vector mod 2^k, cached on y per k."""
     if y._residues is None:
         y._residues = {}
     if k not in y._residues:
         m = tuple(reduce_mod_2k(c, k) for c in y.coords)
         right = _right_products(m, *y.algebra.residues(k))
-        y._residues[k] = m, tuple(reduce_mod_2k(p, k) for p in right)
+        y._residues[k] = tuple(reduce_mod_2k(p, k) for p in right)
     return y._residues[k]
 
 
@@ -506,7 +502,7 @@ def in_colon(x: KElement, ideal: IdealGens) -> bool:
         if not any(g.coords[1:]):  # a scalar: test p itself
             numerators = g.coords[:1]
         else:
-            numerators = _numerators(x.algebra.ring, n, *_residues(g, k))
+            numerators = poly_dots(x.algebra.ring, n, _residues(g, k), _K_TABLE, 4)
         if any(reduce_mod_2k(c, k) for c in numerators):
             return False
     return True

@@ -19,8 +19,8 @@ invariant of every Poly, and no code mutates a term dict once it is
 built, so polynomials can be shared: scale(1) and adding zero return
 the operand itself.  The public constructor Poly(ring, terms) filters
 and converts whatever dict it is given.  The kernels that build a dict
-already in canonical form (addition, negation, scale, poly_dot after
-dropping its cancelled terms, divide_exact, half, reduce_mod_2k,
+already in canonical form (addition, negation, scale, poly_dot(s) after
+dropping cancelled terms, divide_exact, half, reduce_mod_2k,
 frobenius_mod2, primitive (the one content division, used by gcd.py
 and predicates.py), sqrt_f2, f2_divide_exact, partial_derivative,
 substitute_ints, and the recursive-form results of gcd.gcd_z and
@@ -28,13 +28,14 @@ gcd.gcd_f2) hand it to the private
 Poly._from_canonical, which takes it unchecked and uncopied.  No other
 code may call it.
 
-Every product of integer polynomials goes through one
-multiply-accumulate kernel, poly_dot(ring, pairs) = sum of a*b, which
-builds the result in a single term dict.  The operands in this package
-are small (most have zero to three terms), so the cost of arithmetic is
-the objects built per product, not the monomial loop: fusing a sum of
-products into one call removes the intermediate Poly of each product
-and partial sum; a claim mod 2^k runs it on residues (reduce_mod_2k).
+Every product of integer polynomials goes through one monomial loop,
+_accumulate, called by poly_dot(ring, pairs) = sum of a*b and by
+poly_dots, which forms the n sums of a product table in one call.  The
+operands in this package are small (most have zero to three terms), so
+the cost of arithmetic is the calls and objects per product, not the
+monomial loop: a fused sum builds no Poly per product or partial sum,
+a pair with a zero operand costs one truth test, and a claim mod 2^k
+runs on residues (reduce_mod_2k).
 
 A residue mod 2^k is a Poly with every coefficient in [0, 2^k), so an
 element of GF(2)[x1, ..., xn] is a 0/1 Poly, its own canonical lift.
@@ -47,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 from operator import add
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     BoundTooLargeError,
@@ -203,7 +204,8 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        _check_same_ring(self.ring, other)
+        if other.ring is not self.ring:
+            _check_same_ring(self.ring, other)
         if not other._terms:
             return self
         if not self._terms:
@@ -290,26 +292,65 @@ class Poly:
 def poly_dot(ring: BaseRing, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
     """The sum of a*b over the pairs, accumulated in one term dict.
 
-    This is the package's one monomial-product loop: Poly.__mul__ is the
-    case of a single pair, and each coordinate of a K-element product
-    (algebra.k_mul) and the Bareiss row update pass four and two.
-    On residues (reduce_mod_2k) it serves algebra.in_colon,
-    classifier.residue_mod_P and predicates.product_in_S2wedge4.  No
-    Poly is built for a product or a partial sum; cancelled terms are
-    dropped once, at the end.  Every operand must belong to ``ring``.
+    Poly.__mul__ is the case of a single pair; the Bareiss row update
+    passes two, and the span back-substitution and homology's matrix
+    products one per entry of a row.  On residues (reduce_mod_2k) it
+    serves classifier.residue_mod_P and predicates.product_in_S2wedge4.
+    Every operand must belong to ``ring``.
     """
     terms: Dict[Exponent, int] = {}
-    get = terms.get
     for a, b in pairs:
-        _check_same_ring(ring, a, b)
-        b_terms = b._terms.items()
-        for e1, c1 in a._terms.items():
-            for e2, c2 in b_terms:
-                e = tuple(map(add, e1, e2))
-                terms[e] = get(e, 0) + c1 * c2
+        if a.ring is not ring:
+            _check_same_ring(ring, a)
+        if b.ring is not ring:
+            _check_same_ring(ring, b)
+        if a._terms and b._terms:
+            _accumulate(terms, a._terms, b._terms)
     if 0 in terms.values():
         terms = {e: c for e, c in terms.items() if c}
     return Poly._from_canonical(ring, terms)
+
+
+def poly_dots(ring: BaseRing, left: Sequence[Poly], right: Sequence[Poly],
+              table: Iterable[Tuple[int, int, int]], n: int) -> List[Poly]:
+    """The n sums out[o] = sum of left[i]*right[j] over (i, j, o) in table.
+
+    algebra.k_mul and algebra.in_colon form the four numerators of a
+    K-product in one call from its structure-constant table.  A pair
+    with a zero operand is skipped before any loop.  Every operand must
+    belong to ``ring``, zero ones included.
+    """
+    for p in left:
+        if p.ring is not ring:
+            _check_same_ring(ring, p)
+    for p in right:
+        if p.ring is not ring:
+            _check_same_ring(ring, p)
+    outs: List[Dict[Exponent, int]] = [{} for _ in range(n)]
+    for i, j, o in table:
+        a = left[i]._terms
+        if a:
+            b = right[j]._terms
+            if b:
+                _accumulate(outs[o], a, b)
+    out = []
+    for terms in outs:
+        if 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c}
+        out.append(Poly._from_canonical(ring, terms))
+    return out
+
+
+def _accumulate(terms: Dict[Exponent, int], a: Dict[Exponent, int], b: Dict[Exponent, int]):
+    """Add the product of the term dicts a and b into terms: the
+    package's one monomial-product loop.  Callers drop cancelled terms
+    once, at the end."""
+    get = terms.get
+    b_terms = b.items()
+    for e1, c1 in a.items():
+        for e2, c2 in b_terms:
+            e = tuple(map(add, e1, e2))
+            terms[e] = get(e, 0) + c1 * c2
 
 
 def _exp_sub(e1: Exponent, e2: Exponent) -> Optional[Exponent]:

@@ -1,7 +1,9 @@
 """Deterministic JSON report assembly for the classification pipeline.
 
 A report is an ordered plain dict (insertion order is the contract) so
-that ``render_json`` produces byte-identical output for identical jobs.
+that ``render_json`` produces byte-identical output for identical jobs;
+it writes json.dumps(indent=2, ensure_ascii=True)'s bytes directly,
+without json's pure-Python indenting encoder.
 This module alone knows the report's layout: the pipeline's result
 types keep verified facts, and each block is built here from them.
 Timings are recorded as null: wall-clock numbers would break the
@@ -10,7 +12,7 @@ golden-file byte comparison, and nothing downstream consumes them.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraDesc, IdealGens, KElement, make_algebra
@@ -295,5 +297,41 @@ def assemble_report(
 
 
 def render_json(report: Dict[str, object]) -> str:
-    """Canonical JSON text: two-space indent, insertion order, LF, ASCII."""
-    return json.dumps(report, indent=2, ensure_ascii=True) + "\n"
+    """Canonical JSON text: two-space indent, insertion order, LF, ASCII.
+
+    The bytes of json.dumps(report, indent=2, ensure_ascii=True) + "\n",
+    written directly (strings escaped by json's own encoder); a value
+    json would print some other way (a float, tuple or set, a dict key
+    that is not a string) raises TypeError.
+    """
+    return _json_text(report, "\n") + "\n"
+
+
+def _json_text(value: object, newline: str) -> str:
+    """value's text in json.dumps(indent=2); newline opens its lines."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise TypeError("report key %r is not a string" % (k,))
+            items.append(encode_basestring_ascii(k) + ": " + _json_text(v, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError("a report holds no %s value" % type(value).__name__)

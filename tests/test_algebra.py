@@ -157,6 +157,39 @@ def test_right_operand_cache_is_invisible():
     assert not (used == alg.element(coords, 0))
 
 
+def test_k_mul_and_in_colon_check_the_ring_of_every_coordinate():
+    # A zero coordinate takes part in no product, but it is still an
+    # operand: one from another ring is refused in either position.
+    alg = case_b_algebra()
+    w, u = alg.root_f(), alg.root_g()
+    foreign = BaseRing(("X", "Z")).zero()
+    for i in range(4):
+        coords = [X + 1, Y, X * Y, RING.one()]
+        coords[i] = foreign
+        bad = alg.element(coords)
+        with pytest.raises(ValueError):
+            k_mul(bad, w + u)
+        with pytest.raises(ValueError):
+            k_mul(w + u, alg.element(coords))
+        # k > 0: x's residues and the generator's right vector are
+        # operands of the same kernel.
+        with pytest.raises(ValueError):
+            in_colon(alg.element(coords, 1), IdealGens(alg, [w + u]))
+        with pytest.raises(ValueError):
+            in_colon(w.half(), IdealGens(alg, [alg.element(coords)]))
+    # An equal ring built separately is the same ring.
+    same = BaseRing(("X", "Y"))
+    x = alg.element([X + 1, Y, RING.zero(), X * Y], 1)
+    twin = alg.element([Poly(same, c._terms) for c in x.coords], 1)
+    assert twin.coords[2].ring is same
+    y = w + u.scale_poly(Y)
+    assert k_mul(twin, y) == k_mul(x, y)
+    assert k_mul(y, twin) == k_mul(y, x)
+    for gens in ([w + u], [alg.scalar(X), u - alg.scalar(Y)]):
+        ideal = IdealGens(alg, gens)
+        assert in_colon(twin, ideal) == in_colon(x, ideal)
+
+
 def test_a_membership():
     alg = case_b_algebra()
     w = alg.root_f()
@@ -353,18 +386,22 @@ def exact_in_colon(x, ideal):
 def test_in_colon_is_membership_of_every_product(monkeypatch):
     # in_colon reads residues mod 2^k; the reference multiplies exactly.
     # Scalar generators p (content valuation 0 to 3, and p = 0) and
-    # k = 0 form no product at all, so they make no poly_dot call.
+    # k = 0 form no product at all, so they make no call of poly_dots,
+    # the kernel behind every product (Poly.__mul__ and poly_dot too).
     products = []
     for module in (algebra, poly):
         monkeypatch.setattr(
             module,
-            "poly_dot",
-            lambda ring, pairs, dot=poly.poly_dot: products.append(pairs)
-            or dot(ring, pairs),
+            "poly_dots",
+            lambda ring, left, right, table, n, dots=poly.poly_dots: products.append(
+                table
+            )
+            or dots(ring, left, right, table, n),
         )
     rng = random.Random(1305)
     algebras = [case_b_algebra(), make_algebra(RING, P("X^2*Y+2*X+2"), P("Y^2+2*X*Y+6"))]
     verdicts = {}
+    probed = 0  # tests that formed a product: the probe sees the kernel
     for alg in algebras:
         w, u, wu = alg.root_f(), alg.root_g(), alg.root_fg()
         two, four = RING.const(2), RING.const(4)
@@ -392,11 +429,13 @@ def test_in_colon_is_membership_of_every_product(monkeypatch):
                 assert in_colon(x, ideal) == expected
                 if x.denom_exp == 0 or all(g in scalars for g in gens):
                     assert products == []
+                probed += bool(products)
                 key = (x.denom_exp, expected)
                 verdicts[key] = verdicts.get(key, 0) + 1
     classes = {(0, True)} | {(k, v) for k in (1, 2, 3) for v in (True, False)}
     assert set(verdicts) == classes
     assert min(verdicts.values()) >= 10, verdicts
+    assert probed >= 100
     other = make_algebra(RING, P("X^2+2"), P("Y^2+6"))
     with pytest.raises(ValueError):
         in_colon(other.one(), IdealGens(algebras[0], [algebras[0].one()]))

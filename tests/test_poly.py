@@ -164,9 +164,13 @@ def test_poly_dot_rejects_an_operand_from_another_ring():
             poly_dot(RING, pairs)
     with pytest.raises(ValueError):
         X * Xo
+    for a, b in ((X, Xo), (Xo, X), (X, other.zero()), (RING.zero(), Xo)):
+        with pytest.raises(ValueError):
+            a + b
     # An equal ring built separately is the same ring.
     same = BaseRing(("X", "Y", "V"))
     assert poly_dot(same, [(X, Y)]) == X * Y
+    assert X + same.var("Y") == X + Y
 
 
 def test_divide_exact_by_a_single_term():
