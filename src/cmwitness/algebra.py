@@ -53,7 +53,7 @@ from .errors import (
     WitnessMismatchError,
 )
 from .linalg import PolyFraction, solve_in_S
-from .poly import BaseRing, Poly, half, is_even, poly_dots, reduce_mod_2k
+from .poly import BaseRing, Poly, halve_common, poly_dots, reduce_mod_2k
 from .predicates import (
     QShape,
     S2w4Witness,
@@ -81,7 +81,9 @@ class AlgebraDesc:
     product f*g that k_mul reads), w4f, w4g (the S^{2,4} witnesses of
     f, g, or None), q_shape (the shape of Q = (2, h1, h2)) and
     local_factors ((k1, k2) with (w - h1)^2 = 2*k1 and (u - h2)^2 = 2*k2
-    verified).  residues(k) keeps f, g and f*g mod 2^k per k.
+    verified).  residues(k) keeps f, g and f*g mod 2^k per k.  zero(),
+    one(), root_f(), root_g() and root_fg() return the same element on
+    every call, so each forms its right vector (k_mul) once per algebra.
     """
 
     ring: BaseRing
@@ -95,13 +97,18 @@ class AlgebraDesc:
     def element(self, coords: Sequence[Poly], denom_exp: int = 0) -> "KElement":
         return KElement.make(self, tuple(coords), denom_exp)
 
+    @cached_property
+    def _basis(self) -> Tuple["KElement", ...]:
+        """0, 1, w, u and wu, built once: each keeps its right vector."""
+        z, o = self.ring.zero(), self.ring.one()
+        coords = ((z, z, z, z), (o, z, z, z), (z, o, z, z), (z, z, o, z), (z, z, z, o))
+        return tuple(self.element(c) for c in coords)
+
     def zero(self) -> "KElement":
-        z = self.ring.zero()
-        return self.element((z, z, z, z))
+        return self._basis[0]
 
     def one(self) -> "KElement":
-        z = self.ring.zero()
-        return self.element((self.ring.one(), z, z, z))
+        return self._basis[1]
 
     def scalar(self, p: Union[Poly, int]) -> "KElement":
         if isinstance(p, int):
@@ -110,16 +117,13 @@ class AlgebraDesc:
         return self.element((p, z, z, z))
 
     def root_f(self) -> "KElement":
-        z = self.ring.zero()
-        return self.element((z, self.ring.one(), z, z))
+        return self._basis[2]
 
     def root_g(self) -> "KElement":
-        z = self.ring.zero()
-        return self.element((z, z, self.ring.one(), z))
+        return self._basis[3]
 
     def root_fg(self) -> "KElement":
-        z = self.ring.zero()
-        return self.element((z, z, z, self.ring.one()))
+        return self._basis[4]
 
     # -- witness accessors -------------------------------------------
 
@@ -264,9 +268,9 @@ class KElement:
             raise ValueError("a K-element has exactly 4 coordinates")
         if denom_exp < 0:
             raise ValueError("negative denominator exponent")
-        while denom_exp > 0 and all(is_even(c) for c in coords):
-            coords = tuple(half(c) for c in coords)
-            denom_exp -= 1
+        if denom_exp:
+            t, coords = halve_common(coords, denom_exp)
+            denom_exp -= t
         return cls(algebra, tuple(coords), denom_exp)
 
     def is_zero(self) -> bool:
@@ -285,14 +289,7 @@ class KElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        _check_same_algebra(self, other)
-        k = max(self.denom_exp, other.denom_exp)
-        sa = 2 ** (k - self.denom_exp)
-        sb = 2 ** (k - other.denom_exp)
-        coords = tuple(
-            a.scale(sa) + b.scale(sb) for a, b in zip(self.coords, other.coords)
-        )
-        return KElement.make(self.algebra, coords, k)
+        return self._plus(other, 1)
 
     def __neg__(self):
         return KElement(
@@ -303,7 +300,20 @@ class KElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "KElement", sign: int) -> "KElement":
+        """self + sign*other, sign = 1 or -1, over the larger denominator."""
+        _check_same_algebra(self, other)
+        k = max(self.denom_exp, other.denom_exp)
+        pairs = zip(self.coords, other.coords)
+        if self.denom_exp == other.denom_exp:  # both scales are 1
+            coords = tuple(a + b if sign == 1 else a - b for a, b in pairs)
+        else:
+            sa = 1 << (k - self.denom_exp)
+            sb = sign << (k - other.denom_exp)
+            coords = tuple(a.scale(sa) + b.scale(sb) for a, b in pairs)
+        return KElement.make(self.algebra, coords, k)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -493,6 +503,7 @@ def in_colon(x: KElement, ideal: IdealGens) -> bool:
     """
     k = x.denom_exp
     n = tuple(reduce_mod_2k(c, k) for c in x.coords) if k else None
+    mask = (1 << k) - 1
     for g in ideal.gens:
         _check_same_algebra(x, g)
         if g.denom_exp:  # IdealGens checks this only when it is built
@@ -503,6 +514,6 @@ def in_colon(x: KElement, ideal: IdealGens) -> bool:
             numerators = g.coords[:1]
         else:
             numerators = poly_dots(x.algebra.ring, n, _residues(g, k), _K_TABLE, 4)
-        if any(reduce_mod_2k(c, k) for c in numerators):
+        if any(c & mask for p in numerators for c in p._terms.values()):
             return False
     return True

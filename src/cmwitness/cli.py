@@ -224,14 +224,16 @@ class _SweepInput:
     """
 
     def __init__(self, template: Poly, ring: BaseRing, side: str):
-        nvars = ring.nvars
-        used = set()
-        for e, _ in template.sorted_terms():
-            used.update(i for i, k in enumerate(e[nvars:]) if k)
+        # A parameter occurs when its field of some monomial key is
+        # nonzero, that is its field of the OR of all keys.
+        bits = 0
+        for e in template._terms:
+            bits |= e
+        fields = template.ring.unpack(bits)[ring.nvars:]
         self.template = template
         self.ring = ring
         self.side = side
-        self.used = sorted(used)
+        self.used = [i for i, k in enumerate(fields) if k]
         self.polys: Dict[Tuple[int, ...], Poly] = {}
         self.admitted: Dict[Tuple[int, ...], object] = {}
 

@@ -2,7 +2,9 @@
 
 The gcd kernel works on a recursive dense representation: a polynomial
 in k variables is a dict {degree in the last variable: polynomial in the
-first k-1 variables}, bottoming out at integers.  Gcds are computed by
+first k-1 variables}, bottoming out at integers.  The last variable's
+exponent is the lowest field of a monomial key (poly.py), so each level
+peels one field off the keys.  Gcds are computed by
 the classical primitive-part recursion: split off the content with
 respect to the last variable, recurse on contents, and run a
 subresultant polynomial remainder sequence on the primitive parts.  All
@@ -59,10 +61,11 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BothZeroError, NotDivisibleError
-from .poly import Exponent, Poly, _exp_sub, grlex_key, primitive, reduce_mod_2k
+from .poly import FIELD_BITS, BaseRing, Poly, primitive, reduce_mod_2k
 
 
 Rec = Union[int, Dict[int, "Rec"]]
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 # Per variable x_j: (deg_xj p, the trimmed image of p in GF(_P)[x_j]).
 Images = Tuple[Tuple[int, Tuple[int, ...]], ...]
 
@@ -80,24 +83,32 @@ def _rnormal(d: Dict[int, Rec], k: int) -> Rec:
     return {i: c for i, c in d.items() if not _ris_zero(c, k - 1)}
 
 
-def _to_rec(p_terms: Dict[Exponent, int], k: int, mod: Optional[int]) -> Rec:
+def _to_rec(p_terms: Dict[int, int], k: int, mod: Optional[int]) -> Rec:
+    """The recursive form of a term dict whose keys hold k exponent
+    fields below whatever bits are left above them."""
     if k == 0:
-        c = p_terms.get((), 0)
+        # Every key left at level 0 came from one monomial: at most one.
+        c = sum(p_terms.values())
         return c % mod if mod else c
-    buckets: Dict[int, Dict[Exponent, int]] = {}
+    buckets: Dict[int, Dict[int, int]] = {}
     for e, c in p_terms.items():
-        buckets.setdefault(e[-1], {})[e[:-1]] = c
+        buckets.setdefault(e & _FIELD_MASK, {})[e >> FIELD_BITS] = c
     out = {i: _to_rec(sub, k - 1, mod) for i, sub in buckets.items()}
     return _rnormal(out, k)
 
 
-def _from_rec(a: Rec, k: int) -> Dict[Exponent, int]:
+def _from_rec(a: Rec, k: int) -> Dict[int, int]:
+    """The term dict of a recursive form in k variables, keys packed
+    for a ring of k variables (degree field included)."""
     if k == 0:
-        return {(): a} if a else {}
-    out: Dict[Exponent, int] = {}
+        return {0: a} if a else {}
+    # The last variable's exponent i goes into the lowest field and the
+    # degree field, which sits just above the k exponent fields.
+    unit = 1 | 1 << FIELD_BITS * k
+    out: Dict[int, int] = {}
     for i, c in a.items():
         for e, v in _from_rec(c, k - 1).items():
-            out[e + (i,)] = v
+            out[(e << FIELD_BITS) + i * unit] = v
     return out
 
 
@@ -345,13 +356,14 @@ def _univariate_images(p: Poly) -> Images:
     its x_j-degree exactly when its length is deg_xj p + 1.
     """
     points = [_POINT_BASE + _POINT_STEP * i for i in range(p.ring.nvars)]
-    # Per term: its coefficient and the powers of every point it uses.
-    terms = [
-        (e, c, [pow(x, d, _P) for x, d in zip(points, e)]) for e, c in p._terms.items()
-    ]
+    # Per term: its exponents, coefficient and the powers of every point.
+    terms = []
+    for key, c in p._terms.items():
+        e = p.ring.unpack(key)
+        terms.append((e, c, [pow(x, d, _P) for x, d in zip(points, e)]))
     out = []
     for j in range(len(points)):
-        img = [0] * (1 + max((e[j] for e in p._terms), default=-1))
+        img = [0] * (1 + max((t[0][j] for t in terms), default=-1))
         for e, c, powers in terms:
             v = c
             for i, w in enumerate(powers):
@@ -461,14 +473,21 @@ def gcd_many_q(polys) -> Poly:
     return _normalize_sign(primitive(acc)[1])
 
 
-def _split_monomial(r: Poly) -> Tuple[Exponent, Dict[Exponent, int]]:
+def _monomial_gcd(ring: BaseRing, keys) -> int:
+    """The key of the gcd of the monomials: the least exponent of each
+    variable."""
+    return ring.pack(map(min, zip(*map(ring.unpack, keys))))
+
+
+def _split_monomial(r: Poly) -> Tuple[int, Dict[int, int]]:
     """(m, part) with r = x^m * part and part divisible by no variable.
 
-    ``r`` is a nonzero 0/1 Poly; ``part`` is a term dict with
-    coefficients 1.
+    ``r`` is a nonzero 0/1 Poly; m is a key and ``part`` a term dict
+    with coefficients 1 (x^m divides every monomial, so the key
+    differences borrow nothing).
     """
-    m = tuple(map(min, zip(*r._terms)))
-    return m, {tuple(a - b for a, b in zip(e, m)): 1 for e in r._terms}
+    m = _monomial_gcd(r.ring, r._terms)
+    return m, {e - m: 1 for e in r._terms}
 
 
 def gcd_f2(a: Poly, b: Poly) -> Poly:
@@ -490,15 +509,14 @@ def gcd_f2(a: Poly, b: Poly) -> Poly:
         return a
     ma, pa = _split_monomial(a)
     mb, pb = _split_monomial(b)
-    m = tuple(map(min, ma, mb))
+    m = _monomial_gcd(a.ring, (ma, mb))
     if len(pa) == 1 or len(pb) == 1:
         # One part is 1, so the gcd is the common monomial factor.
         return Poly._from_canonical(a.ring, {m: 1})
     k = a.ring.nvars
     g = _rgcd(_to_rec(pa, k, 2), _to_rec(pb, k, 2), k, 2)
-    return Poly._from_canonical(
-        a.ring, {tuple(x + y for x, y in zip(e, m)): 1 for e in _from_rec(g, k)}
-    )
+    # x^m times a divisor of both parts: no degree beyond either operand's.
+    return Poly._from_canonical(a.ring, {e + m: 1 for e in _from_rec(g, k)})
 
 
 # ---------------------------------------------------------------------------
@@ -522,24 +540,25 @@ def poly_sqrt_z(p: Poly) -> Optional[Poly]:
     """
     if p.is_zero():
         return p.ring.zero()
+    ring = p.ring
     e, c = p.lead()
-    if any(k % 2 for k in e) or c < 0:
+    e2 = ring.monomial_sqrt(e)
+    if e2 is None or c < 0:
         return None
     c0 = integer_sqrt_exact(c)
     if c0 is None:
         return None
-    root = Poly(p.ring, {tuple(k // 2 for k in e): c0})
-    lead2 = root.scale(2)
-    e2, c2 = lead2.lead()
+    root = Poly._from_canonical(ring, {e2: c0})
+    c2 = 2 * c0  # 2*root has the leading term c2 * x^e2
     while True:
         rem = p - root * root
         if rem.is_zero():
             break
         er, cr = rem.lead()
-        et = _exp_sub(er, e2)
-        if et is None or cr % c2 != 0 or grlex_key(er) >= grlex_key(e):
+        et = ring.monomial_quotient(er, e2)
+        if et is None or cr % c2 != 0 or er >= e:
             return None
-        root = root + Poly(p.ring, {et: cr // c2})
+        root = root + Poly._from_canonical(ring, {et: cr // c2})
     return root if root * root == p else None
 
 

@@ -9,24 +9,49 @@ of S is represented by an integer polynomial; a polynomial is a unit of S
 exactly when its constant coefficient is odd, so no fractions are needed
 until linear algebra over the fraction field (see linalg.py).
 
-A polynomial is stored as a dict mapping exponent tuples to nonzero
-integer coefficients.  The monomial order used for leading terms,
-canonical printing and exact division is graded lexicographic: compare
-total degree first, then the exponent tuple lexicographically.
+A polynomial is stored as a dict mapping monomial keys to nonzero
+integer coefficients.  The key of x1^e1 ... xn^en packs (d, e1, ..., en),
+d = e1 + ... + en its total degree, into n + 1 fields of B = FIELD_BITS
+bits, d in the top field and en in the lowest:
+
+    key = d*2^(B*n) + e1*2^(B*(n-1)) + ... + en*2^0.
+
+Two keys compare as ints the way their monomials compare in the graded
+lexicographic order (total degree first, then e1, e2, ... in turn),
+since every field is below 2^B.  So the leading term is max(terms), the
+canonical order is sorted(terms, reverse=True), and BaseRing.pack and
+BaseRing.unpack are the only places a key meets an exponent tuple: the
+public constructor Poly(ring, terms) takes tuples and packs them, and
+sorted_terms and format_poly unpack.
+
+The key of a product of monomials is the sum of their keys as long as
+no field carries into the next.  Every exponent is at most the degree,
+so while the degree of the product stays below 2^B no field can carry;
+a degree of 2^B or more carries out of the top field and gives a key of
+at least the ring's key limit 2^(B*(n+1)).  The kernels that add keys
+(_accumulate, under poly_dot and poly_dots, and frobenius_mod2) compare
+the keys they build with that limit and raise BoundTooLargeError, and
+the parser rejects such a product first with PolyParseError.  The sums in
+the exact divisions need no test: each is a monomial of the remainder,
+whose degree never exceeds the dividend's.  A monomial e2 divides e1
+when the difference of their keys borrows across no field
+(BaseRing.monomial_quotient), and an exponent vector is even when the
+lowest bit of every field is 0, and one shift then halves it
+(BaseRing.monomial_sqrt).
 
 That canonical form (no zero coefficient, only plain ints) is an
 invariant of every Poly, and no code mutates a term dict once it is
 built, so polynomials can be shared: scale(1) and adding zero return
 the operand itself.  The public constructor Poly(ring, terms) filters
 and converts whatever dict it is given.  The kernels that build a dict
-already in canonical form (addition, negation, scale, poly_dot(s) after
-dropping cancelled terms, divide_exact, half, reduce_mod_2k,
-frobenius_mod2, primitive (the one content division, used by gcd.py
-and predicates.py), sqrt_f2, f2_divide_exact, partial_derivative,
-substitute_ints, and the recursive-form results of gcd.gcd_z and
-gcd.gcd_f2) hand it to the private
-Poly._from_canonical, which takes it unchecked and uncopied.  No other
-code may call it.
+already in canonical form (addition, subtraction, negation, scale,
+poly_dot(s) after dropping cancelled terms, divide_exact, half,
+halve_common, reduce_mod_2k, frobenius_mod2, primitive (the one content
+division, used by gcd.py and predicates.py), sqrt_f2, f2_divide_exact,
+partial_derivative, substitute_ints, and the recursive-form results of
+gcd.gcd_z and gcd.gcd_f2) hand it to the private Poly._from_canonical,
+which takes it unchecked and uncopied.  No other code may call it.
+format_poly keeps the canonical string of each Poly once it is built.
 
 Every product of integer polynomials goes through one monomial loop,
 _accumulate, called by poly_dot(ring, pairs) = sum of a*b and by
@@ -34,8 +59,8 @@ poly_dots, which forms the n sums of a product table in one call.  The
 operands in this package are small (most have zero to three terms), so
 the cost of arithmetic is the calls and objects per product, not the
 monomial loop: a fused sum builds no Poly per product or partial sum,
-a pair with a zero operand costs one truth test, and a claim mod 2^k
-runs on residues (reduce_mod_2k).
+a pair with a zero operand costs one truth test, a monomial product is
+one int addition, and a claim mod 2^k runs on residues (reduce_mod_2k).
 
 A residue mod 2^k is a Poly with every coefficient in [0, 2^k), so an
 element of GF(2)[x1, ..., xn] is a 0/1 Poly, its own canonical lift.
@@ -47,7 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd
-from operator import add
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -60,15 +85,20 @@ from .errors import (
 
 Exponent = Tuple[int, ...]
 
+# Bits per field of a monomial key; a degree below 2^FIELD_BITS packs.
+FIELD_BITS = 16
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
 
 @dataclass(frozen=True)
 class BaseRing:
     """The ring S = Z[variables] localized at (2, variables).
 
     Only the ambient polynomial variables are recorded; the residual
-    characteristic is always two.  The zero exponent is built once, on
-    construction, outside the fields, so equality and hashing read the
-    variables alone.
+    characteristic is always two.  The key layout (each variable's key,
+    the field shifts, the key limit and the field boundaries) is built
+    once, on construction, outside the fields, so equality and hashing
+    read the variables alone.
     """
 
     variables: Tuple[str, ...]
@@ -79,39 +109,83 @@ class BaseRing:
                 raise MalformedInputError(f"invalid variable name: {v!r}")
         if len(set(self.variables)) != len(self.variables):
             raise MalformedInputError("duplicate variable names")
-        object.__setattr__(self, "_zero_exponent", (0,) * len(self.variables))
+        n = len(self.variables)
+        shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        layout = {
+            "_shifts": shifts,
+            # x_i's key: degree 1 and e_i = 1.
+            "_var_keys": tuple((1 << FIELD_BITS * n) | (1 << s) for s in shifts),
+            "_degree_shift": FIELD_BITS * n,
+            "_key_limit": 1 << FIELD_BITS * (n + 1),
+            # The lowest bit of every field but the last (en's).
+            "_borrow_bits": sum(1 << FIELD_BITS * i for i in range(1, n + 1)),
+        }
+        for name, value in layout.items():
+            object.__setattr__(self, name, value)
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
 
-    def zero_exponent(self) -> Exponent:
-        return self._zero_exponent
+    def pack(self, e: Sequence[int]) -> int:
+        """The key of the exponent vector e.
+
+        ValueError unless e holds one non-negative int per variable;
+        BoundTooLargeError when its degree reaches 2^FIELD_BITS.
+        """
+        e = tuple(e)
+        if len(e) != self.nvars or not all(isinstance(k, int) and k >= 0 for k in e):
+            raise ValueError(f"invalid exponent vector {e!r} for {self.variables}")
+        key = sum(map(mul, e, self._var_keys))
+        if key >= self._key_limit:
+            raise _overflow(self, key)
+        return key
+
+    def unpack(self, key: int) -> Exponent:
+        """The exponent vector of a key."""
+        return tuple([key >> s & _FIELD_MASK for s in self._shifts])
+
+    def monomial_quotient(self, e1: int, e2: int) -> Optional[int]:
+        """The key of x^e1 / x^e2 when x^e2 divides x^e1, else None.
+
+        e1 - e2 subtracts field by field exactly when no field borrows
+        from the next: a borrow into a field boundary shows as a set bit
+        of (e1 - e2) ^ e1 ^ e2 there, and one out of the top field as a
+        negative difference.
+        """
+        d = e1 - e2
+        if d < 0 or (d ^ e1 ^ e2) & self._borrow_bits:
+            return None
+        return d
+
+    def monomial_sqrt(self, e: int) -> Optional[int]:
+        """The key of x^(e/2) when every exponent of x^e is even, else None:
+        the lowest bit of every field is 0, and one shift halves them all."""
+        if e & (1 | self._borrow_bits):
+            return None
+        return e >> 1
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return Poly._from_canonical(self, {})
 
     def one(self) -> "Poly":
         return self.const(1)
 
     def const(self, n: int) -> "Poly":
-        if n == 0:
-            return Poly(self, {})
-        return Poly(self, {self.zero_exponent(): int(n)})
+        return Poly._from_canonical(self, {0: int(n)} if n else {})
 
     def var(self, name: str) -> "Poly":
-        i = self.variables.index(name)
-        e = [0] * self.nvars
-        e[i] = 1
-        return Poly(self, {tuple(e): 1})
+        return Poly._from_canonical(self, {self._var_keys[self.variables.index(name)]: 1})
 
     def gens(self) -> Tuple["Poly", ...]:
         return tuple(self.var(v) for v in self.variables)
 
 
-def grlex_key(e: Exponent) -> Tuple[int, Exponent]:
-    """Sort key realizing the graded lexicographic order."""
-    return (sum(e), e)
+def _overflow(ring: BaseRing, key: int) -> BoundTooLargeError:
+    return BoundTooLargeError(
+        "a monomial of degree %d does not fit; degrees must stay below 2^%d"
+        % (key >> ring._degree_shift, FIELD_BITS)
+    )
 
 
 def _check_same_ring(ring, *operands):
@@ -124,25 +198,28 @@ def _check_same_ring(ring, *operands):
 class Poly:
     """An element of Z[variables], viewed inside the local ring S.
 
-    _images holds gcd.py's modular images once a gcd has asked for them;
-    like _hash it is filled lazily, and equality and hashing ignore it.
+    _images holds gcd.py's modular images once a gcd has asked for them,
+    _text the canonical string once format_poly has built it; like _hash
+    they are filled lazily, and equality and hashing ignore them.
     """
 
-    __slots__ = ("ring", "_terms", "_hash", "_images")
+    __slots__ = ("ring", "_terms", "_hash", "_images", "_text")
 
     def __init__(self, ring: BaseRing, terms: Dict[Exponent, int]):
         self.ring = ring
-        # Canonical form: no zero coefficients, plain ints.
-        self._terms = {e: int(c) for e, c in terms.items() if c != 0}
+        # Canonical form: packed keys, no zero coefficients, plain ints.
+        pack = ring.pack
+        self._terms = {pack(e): int(c) for e, c in terms.items() if c != 0}
         self._hash: Optional[int] = None
         self._images = None
+        self._text: Optional[str] = None
 
     @classmethod
-    def _from_canonical(cls, ring: BaseRing, terms: Dict[Exponent, int]) -> "Poly":
+    def _from_canonical(cls, ring: BaseRing, terms: Dict[int, int]) -> "Poly":
         """A Poly that takes ``terms`` as its term dict, unchecked and uncopied.
 
-        Only this package's kernels call it, on a dict they have just
-        built with no zero and only int coefficients and keep no
+        Only this package's kernels call it, on a dict of keys they have
+        just built with no zero and only int coefficients and keep no
         reference to; every other caller goes through Poly(ring, terms).
         """
         p = cls.__new__(cls)
@@ -150,6 +227,7 @@ class Poly:
         p._terms = terms
         p._hash = None
         p._images = None
+        p._text = None
         return p
 
     # -- structure ----------------------------------------------------
@@ -161,24 +239,25 @@ class Poly:
         return bool(self._terms)
 
     def sorted_terms(self) -> Iterator[Tuple[Exponent, int]]:
-        """Terms in descending graded lex order (deterministic)."""
-        for e in sorted(self._terms, key=grlex_key, reverse=True):
-            yield e, self._terms[e]
+        """(exponent tuple, coefficient) in descending graded lex order."""
+        unpack = self.ring.unpack
+        for e in sorted(self._terms, reverse=True):
+            yield unpack(e), self._terms[e]
 
     def constant_coeff(self) -> int:
-        return self._terms.get(self.ring.zero_exponent(), 0)
+        return self._terms.get(0, 0)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(self._terms) >> self.ring._degree_shift
 
-    def lead(self) -> Tuple[Exponent, int]:
-        """Leading (exponent, coefficient) under graded lex."""
+    def lead(self) -> Tuple[int, int]:
+        """Leading (key, coefficient) under graded lex."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self._terms, key=grlex_key)
+        e = max(self._terms)
         return e, self._terms[e]
 
     def num_terms(self) -> int:
@@ -196,7 +275,7 @@ class Poly:
         return self.constant_coeff() % 2 != 0
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self._terms)
+        return not any(self._terms)  # the constant monomial's key is 0
 
     # -- arithmetic ---------------------------------------------------
 
@@ -204,20 +283,7 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.ring is not self.ring:
-            _check_same_ring(self.ring, other)
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return Poly._from_canonical(self.ring, terms)
+        return _plus(self, other, 1)
 
     __radd__ = __add__
 
@@ -228,13 +294,13 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _plus(self, other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _plus(other, self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -289,6 +355,25 @@ class Poly:
         return format_poly(self)
 
 
+def _plus(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign*q, sign = 1 or -1, in one copy of p's term dict."""
+    if q.ring is not p.ring:
+        _check_same_ring(p.ring, q)
+    if not q._terms:
+        return p
+    if not p._terms and sign == 1:
+        return q
+    terms = dict(p._terms)
+    get = terms.get
+    for e, c in q._terms.items():
+        s = get(e, 0) + sign * c
+        if s:
+            terms[e] = s
+        else:
+            del terms[e]
+    return Poly._from_canonical(p.ring, terms)
+
+
 def poly_dot(ring: BaseRing, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
     """The sum of a*b over the pairs, accumulated in one term dict.
 
@@ -298,14 +383,14 @@ def poly_dot(ring: BaseRing, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
     serves classifier.residue_mod_P and predicates.product_in_S2wedge4.
     Every operand must belong to ``ring``.
     """
-    terms: Dict[Exponent, int] = {}
+    terms: Dict[int, int] = {}
     for a, b in pairs:
         if a.ring is not ring:
             _check_same_ring(ring, a)
         if b.ring is not ring:
             _check_same_ring(ring, b)
         if a._terms and b._terms:
-            _accumulate(terms, a._terms, b._terms)
+            _accumulate(terms, a._terms, b._terms, ring)
     if 0 in terms.values():
         terms = {e: c for e, c in terms.items() if c}
     return Poly._from_canonical(ring, terms)
@@ -326,13 +411,13 @@ def poly_dots(ring: BaseRing, left: Sequence[Poly], right: Sequence[Poly],
     for p in right:
         if p.ring is not ring:
             _check_same_ring(ring, p)
-    outs: List[Dict[Exponent, int]] = [{} for _ in range(n)]
+    outs: List[Dict[int, int]] = [{} for _ in range(n)]
     for i, j, o in table:
         a = left[i]._terms
         if a:
             b = right[j]._terms
             if b:
-                _accumulate(outs[o], a, b)
+                _accumulate(outs[o], a, b, ring)
     out = []
     for terms in outs:
         if 0 in terms.values():
@@ -341,26 +426,21 @@ def poly_dots(ring: BaseRing, left: Sequence[Poly], right: Sequence[Poly],
     return out
 
 
-def _accumulate(terms: Dict[Exponent, int], a: Dict[Exponent, int], b: Dict[Exponent, int]):
-    """Add the product of the term dicts a and b into terms: the
-    package's one monomial-product loop.  Callers drop cancelled terms
-    once, at the end."""
+def _accumulate(terms: Dict[int, int], a: Dict[int, int], b: Dict[int, int],
+                ring: BaseRing):
+    """Add the product of the term dicts a and b of ``ring`` into terms:
+    the package's one monomial-product loop.  BoundTooLargeError when a
+    key carries out of the top field; callers drop cancelled terms once,
+    at the end."""
     get = terms.get
+    limit = ring._key_limit
     b_terms = b.items()
     for e1, c1 in a.items():
         for e2, c2 in b_terms:
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
+            if e >= limit:
+                raise _overflow(ring, e)
             terms[e] = get(e, 0) + c1 * c2
-
-
-def _exp_sub(e1: Exponent, e2: Exponent) -> Optional[Exponent]:
-    """Componentwise difference, or None when e2 does not divide e1."""
-    out = []
-    for a, b in zip(e1, e2):
-        if a < b:
-            return None
-        out.append(a - b)
-    return tuple(out)
 
 
 def divide_exact(a: Poly, b: Poly) -> Poly:
@@ -371,15 +451,16 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
     round strips one term of q and the leading term of the remainder
     strictly decreases in a well-order.  A single-term divisor divides
     term by term, and a constant one (most divisors in the eliminations)
-    divides each coefficient with the exponents left as they are.
+    divides each coefficient with the keys left as they are.
     """
     _check_same_ring(a.ring, b)
     if b.is_zero():
         raise NotDivisibleError("division by zero polynomial")
-    quot: Dict[Exponent, int] = {}
+    quotient = a.ring.monomial_quotient
+    quot: Dict[int, int] = {}
     eb, cb = b.lead()
     if len(b._terms) == 1:
-        if not any(eb):
+        if not eb:
             # A constant divisor, such as most Bareiss pivots.
             for er, cr in a._terms.items():
                 if cr % cb != 0:
@@ -387,7 +468,7 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
                 quot[er] = cr // cb
             return Poly._from_canonical(a.ring, quot)
         for er, cr in a._terms.items():
-            e = _exp_sub(er, eb)
+            e = quotient(er, eb)
             if e is None or cr % cb != 0:
                 raise _not_divisible(a, b)
             quot[e] = cr // cb
@@ -395,7 +476,7 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
     rem = a
     while not rem.is_zero():
         er, cr = rem.lead()
-        e = _exp_sub(er, eb)
+        e = quotient(er, eb)
         if e is None or cr % cb != 0:
             raise _not_divisible(a, b)
         q = cr // cb
@@ -418,15 +499,13 @@ def is_divisible(a: Poly, b: Poly) -> bool:
 
 def partial_derivative(p: Poly, index: int) -> Poly:
     """Formal partial derivative with respect to variables[index]."""
-    terms: Dict[Exponent, int] = {}
+    shift = p.ring._shifts[index]
+    unit = p.ring._var_keys[index]
+    terms = {}
     for e, c in p._terms.items():
-        k = e[index]
-        if k == 0:
-            continue
-        e2 = list(e)
-        e2[index] = k - 1
-        e2 = tuple(e2)
-        terms[e2] = terms.get(e2, 0) + c * k
+        k = e >> shift & _FIELD_MASK
+        if k:
+            terms[e - unit] = c * k
     return Poly._from_canonical(p.ring, terms)
 
 
@@ -436,23 +515,20 @@ def substitute_ints(p: Poly, assignment: Dict[str, int], target: BaseRing) -> Po
     Every variable of p's ring must either appear in the assignment or
     be a variable of the target ring.
     """
-    src = p.ring
-    positions = []
-    for i, v in enumerate(src.variables):
+    values = []  # (position, integer value)
+    keys = []  # (position, key of the same variable in the target ring)
+    for i, v in enumerate(p.ring.variables):
         if v in assignment:
-            positions.append(("int", i, int(assignment[v])))
+            values.append((i, int(assignment[v])))
         else:
-            positions.append(("var", i, target.variables.index(v)))
-    terms: Dict[Exponent, int] = {}
+            keys.append((i, target._var_keys[target.variables.index(v)]))
+    terms: Dict[int, int] = {}
     for e, c in p._terms.items():
-        out_e = [0] * target.nvars
+        exps = p.ring.unpack(e)
         coeff = c
-        for kind, i, j in positions:
-            if kind == "int":
-                coeff *= j ** e[i]
-            else:
-                out_e[j] += e[i]
-        key = tuple(out_e)
+        for i, value in values:
+            coeff *= value ** exps[i]
+        key = sum(exps[i] * k for i, k in keys)
         s = terms.get(key, 0) + coeff
         if s:
             terms[key] = s
@@ -489,8 +565,11 @@ def reduce_mod_2k(p: Poly, k: int) -> Poly:
 
 
 def frobenius_mod2(p: Poly) -> Poly:
-    """p^2 mod 2 as a 0/1 lift: p's odd monomials with doubled exponents."""
-    square = {tuple(2 * i for i in e): 1 for e, c in p._terms.items() if c & 1}
+    """p^2 mod 2 as a 0/1 lift: p's odd monomials with doubled exponents
+    (doubled keys)."""
+    square = {e << 1: 1 for e, c in p._terms.items() if c & 1}
+    if square and max(square) >= p.ring._key_limit:
+        raise _overflow(p.ring, max(square))
     return Poly._from_canonical(p.ring, square)
 
 
@@ -499,6 +578,26 @@ def half(p: Poly) -> Poly:
     if not is_even(p):
         raise NotDivisibleError("polynomial is not divisible by 2")
     return Poly._from_canonical(p.ring, {e: c // 2 for e, c in p._terms.items()})
+
+
+def halve_common(polys: Sequence[Poly], most: int) -> Tuple[int, Tuple[Poly, ...]]:
+    """(t, each p / 2^t) for the largest t <= most with 2^t dividing all.
+
+    t is the 2-adic valuation of the OR of every coefficient (in two's
+    complement each coefficient's lowest set bit is that of its
+    absolute value), or ``most`` when all are zero; one pass finds it.
+    """
+    bits = 0
+    for p in polys:
+        for c in p._terms.values():
+            bits |= c
+    t = min(most, (bits & -bits).bit_length() - 1) if bits else most
+    if t == 0:
+        return 0, tuple(polys)
+    return t, tuple(
+        Poly._from_canonical(p.ring, {e: c >> t for e, c in p._terms.items()})
+        for p in polys
+    )
 
 
 def primitive(p: Poly) -> Tuple[int, Poly]:
@@ -517,14 +616,15 @@ def sqrt_f2(p: Poly) -> Optional[Poly]:
 
     Squaring mod 2 is the Frobenius endomorphism (frobenius_mod2), so p
     is a square mod 2 exactly when every exponent of every monomial
-    with an odd coefficient is even, and the root halves them all.
+    with an odd coefficient is even (BaseRing.monomial_sqrt).
     """
     root = {}
     for e, c in p._terms.items():
-        if c % 2:
-            if any(k % 2 for k in e):
+        if c & 1:
+            r = p.ring.monomial_sqrt(e)
+            if r is None:
                 return None
-            root[tuple(k // 2 for k in e)] = 1
+            root[r] = 1
     return Poly._from_canonical(p.ring, root)
 
 
@@ -537,17 +637,17 @@ def f2_divide_exact(a: Poly, b: Poly) -> Poly:
     a, b = reduce_mod_2k(a, 1), reduce_mod_2k(b, 1)
     if b.is_zero():
         raise NotDivisibleError("division by zero polynomial")
-    if b._terms.keys() == {a.ring.zero_exponent()}:  # b is 1
+    if b._terms.keys() == {0}:  # b is 1
         return a
-    quot: Dict[Exponent, int] = {}
+    quot: Dict[int, int] = {}
     rem = set(a._terms)
-    eb = b.lead()[0]
+    eb = max(b._terms)
     while rem:
-        e = _exp_sub(max(rem, key=grlex_key), eb)
+        e = a.ring.monomial_quotient(max(rem), eb)
         if e is None:
             raise NotDivisibleError(f"{a} is not divisible by {b} mod 2")
         quot[e] = 1
-        rem ^= {tuple(map(add, e, m)) for m in b._terms}
+        rem ^= {e + m for m in b._terms}
     return Poly._from_canonical(a.ring, quot)
 
 
@@ -564,7 +664,8 @@ _MAX_NESTING = 100
 # |p*q| <= |p|*|q|.  Literals and the f, g a sweep substitutes obey the
 # same bit bound, far below the 4300 digits str(int) prints.  Every input
 # this package is built for uses exponents <= 4, small coefficients and
-# a few dozen terms.
+# a few dozen terms.  A product's degree must also stay below
+# 2^FIELD_BITS, so that its monomials pack.
 _MAX_EXPONENT = 64
 _MAX_TERMS = 10_000
 _MAX_COEFF_BITS = 1024
@@ -684,6 +785,7 @@ class _Parser:
                 if (
                     acc.num_terms() * factor.num_terms() > _MAX_TERMS
                     or _norm_bits(acc) + _norm_bits(factor) > _MAX_COEFF_BITS
+                    or acc.total_degree() + factor.total_degree() >= 1 << FIELD_BITS
                 ):
                     raise PolyParseError("product too large to expand", pos)
                 acc = acc * factor
@@ -749,7 +851,16 @@ def _format_monomial(ring: BaseRing, e: Exponent) -> str:
 
 
 def format_poly(p: Poly) -> str:
-    """Canonical string: descending graded lex, explicit '*' and '^'."""
+    """Canonical string: descending graded lex, explicit '*' and '^'.
+
+    Built once per Poly and kept in its _text slot.
+    """
+    if p._text is None:
+        p._text = _format(p)
+    return p._text
+
+
+def _format(p: Poly) -> str:
     if p.is_zero():
         return "0"
     chunks = []
