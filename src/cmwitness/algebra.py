@@ -291,11 +291,6 @@ class KElement:
             return NotImplemented
         return self._plus(other, 1)
 
-    def __neg__(self):
-        return KElement(
-            self.algebra, tuple(c.scale(-1) for c in self.coords), self.denom_exp
-        )
-
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -310,8 +305,7 @@ class KElement:
         if self.denom_exp == other.denom_exp:  # both scales are 1
             coords = tuple(a + b if sign == 1 else a - b for a, b in pairs)
         else:
-            sa = 1 << (k - self.denom_exp)
-            sb = sign << (k - other.denom_exp)
+            sa, sb = 1 << (k - self.denom_exp), sign << (k - other.denom_exp)
             coords = tuple(a.scale(sa) + b.scale(sb) for a, b in pairs)
         return KElement.make(self.algebra, coords, k)
 

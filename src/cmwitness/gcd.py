@@ -2,9 +2,8 @@
 
 The gcd kernel works on a recursive dense representation: a polynomial
 in k variables is a dict {degree in the last variable: polynomial in the
-first k-1 variables}, bottoming out at integers.  The last variable's
-exponent is the lowest field of a monomial key (poly.py), so each level
-peels one field off the keys.  Gcds are computed by
+first k-1 variables}, bottoming out at integers; each level peels the
+lowest field off the monomial keys (poly.py).  Gcds are computed by
 the classical primitive-part recursion: split off the content with
 respect to the last variable, recurse on contents, and run a
 subresultant polynomial remainder sequence on the primitive parts.  All
@@ -84,11 +83,8 @@ def _rnormal(d: Dict[int, Rec], k: int) -> Rec:
 
 
 def _to_rec(p_terms: Dict[int, int], k: int, mod: Optional[int]) -> Rec:
-    """The recursive form of a term dict whose keys hold k exponent
-    fields below whatever bits are left above them."""
     if k == 0:
-        # Every key left at level 0 came from one monomial: at most one.
-        c = sum(p_terms.values())
+        c = sum(p_terms.values())  # at most one key is left at level 0
         return c % mod if mod else c
     buckets: Dict[int, Dict[int, int]] = {}
     for e, c in p_terms.items():
@@ -98,13 +94,9 @@ def _to_rec(p_terms: Dict[int, int], k: int, mod: Optional[int]) -> Rec:
 
 
 def _from_rec(a: Rec, k: int) -> Dict[int, int]:
-    """The term dict of a recursive form in k variables, keys packed
-    for a ring of k variables (degree field included)."""
     if k == 0:
         return {0: a} if a else {}
-    # The last variable's exponent i goes into the lowest field and the
-    # degree field, which sits just above the k exponent fields.
-    unit = 1 | 1 << FIELD_BITS * k
+    unit = 1 | 1 << FIELD_BITS * k  # the lowest field and the degree field
     out: Dict[int, int] = {}
     for i, c in a.items():
         for e, v in _from_rec(c, k - 1).items():
@@ -357,10 +349,8 @@ def _univariate_images(p: Poly) -> Images:
     """
     points = [_POINT_BASE + _POINT_STEP * i for i in range(p.ring.nvars)]
     # Per term: its exponents, coefficient and the powers of every point.
-    terms = []
-    for key, c in p._terms.items():
-        e = p.ring.unpack(key)
-        terms.append((e, c, [pow(x, d, _P) for x, d in zip(points, e)]))
+    terms = [(p.ring.unpack(e), c) for e, c in p._terms.items()]
+    terms = [(e, c, [pow(x, d, _P) for x, d in zip(points, e)]) for e, c in terms]
     out = []
     for j in range(len(points)):
         img = [0] * (1 + max((t[0][j] for t in terms), default=-1))
@@ -474,17 +464,15 @@ def gcd_many_q(polys) -> Poly:
 
 
 def _monomial_gcd(ring: BaseRing, keys) -> int:
-    """The key of the gcd of the monomials: the least exponent of each
-    variable."""
+    """The key of the gcd of the monomials: each variable's least exponent."""
     return ring.pack(map(min, zip(*map(ring.unpack, keys))))
 
 
 def _split_monomial(r: Poly) -> Tuple[int, Dict[int, int]]:
     """(m, part) with r = x^m * part and part divisible by no variable.
 
-    ``r`` is a nonzero 0/1 Poly; m is a key and ``part`` a term dict
-    with coefficients 1 (x^m divides every monomial, so the key
-    differences borrow nothing).
+    ``r`` is a nonzero 0/1 Poly; m is a key, ``part`` a term dict
+    with coefficients 1.
     """
     m = _monomial_gcd(r.ring, r._terms)
     return m, {e - m: 1 for e in r._terms}
@@ -540,25 +528,24 @@ def poly_sqrt_z(p: Poly) -> Optional[Poly]:
     """
     if p.is_zero():
         return p.ring.zero()
-    ring = p.ring
     e, c = p.lead()
-    e2 = ring.monomial_sqrt(e)
+    e2 = p.ring.monomial_sqrt(e)
     if e2 is None or c < 0:
         return None
     c0 = integer_sqrt_exact(c)
     if c0 is None:
         return None
-    root = Poly._from_canonical(ring, {e2: c0})
+    root = Poly._from_canonical(p.ring, {e2: c0})
     c2 = 2 * c0  # 2*root has the leading term c2 * x^e2
     while True:
         rem = p - root * root
         if rem.is_zero():
             break
         er, cr = rem.lead()
-        et = ring.monomial_quotient(er, e2)
+        et = p.ring.monomial_quotient(er, e2)
         if et is None or cr % c2 != 0 or er >= e:
             return None
-        root = root + Poly._from_canonical(ring, {et: cr // c2})
+        root = root + Poly._from_canonical(p.ring, {et: cr // c2})
     return root if root * root == p else None
 
 

@@ -10,34 +10,22 @@ exactly when its constant coefficient is odd, so no fractions are needed
 until linear algebra over the fraction field (see linalg.py).
 
 A polynomial is stored as a dict mapping monomial keys to nonzero
-integer coefficients.  The key of x1^e1 ... xn^en packs (d, e1, ..., en),
-d = e1 + ... + en its total degree, into n + 1 fields of B = FIELD_BITS
-bits, d in the top field and en in the lowest:
-
-    key = d*2^(B*n) + e1*2^(B*(n-1)) + ... + en*2^0.
-
-Two keys compare as ints the way their monomials compare in the graded
-lexicographic order (total degree first, then e1, e2, ... in turn),
-since every field is below 2^B.  So the leading term is max(terms), the
-canonical order is sorted(terms, reverse=True), and BaseRing.pack and
-BaseRing.unpack are the only places a key meets an exponent tuple: the
-public constructor Poly(ring, terms) takes tuples and packs them, and
-sorted_terms and format_poly unpack.
-
-The key of a product of monomials is the sum of their keys as long as
-no field carries into the next.  Every exponent is at most the degree,
-so while the degree of the product stays below 2^B no field can carry;
-a degree of 2^B or more carries out of the top field and gives a key of
-at least the ring's key limit 2^(B*(n+1)).  The kernels that add keys
-(_accumulate, under poly_dot and poly_dots, and frobenius_mod2) compare
-the keys they build with that limit and raise BoundTooLargeError, and
-the parser rejects such a product first with PolyParseError.  The sums in
-the exact divisions need no test: each is a monomial of the remainder,
-whose degree never exceeds the dividend's.  A monomial e2 divides e1
-when the difference of their keys borrows across no field
-(BaseRing.monomial_quotient), and an exponent vector is even when the
-lowest bit of every field is 0, and one shift then halves it
-(BaseRing.monomial_sqrt).
+integer coefficients.  The key of x1^e1 ... xn^en is one int holding
+(d, e1, ..., en), d the total degree, in fields of B = FIELD_BITS bits
+with d in the top one: key = d*2^(B*n) + e1*2^(B*(n-1)) + ... + en.
+Every field is below 2^B, so int order on keys is the graded lex order
+(degree first, then e1, e2, ...) and the leading term is max(terms).
+The key of a product of monomials is the sum of their keys: every
+exponent is at most the degree, so no field carries while the degree
+stays below 2^B, and a degree of 2^B or more carries out of the top
+field, giving a key of at least the ring's limit 2^(B*(n+1)).
+_accumulate and frobenius_mod2 compare each key they form with that
+limit and raise BoundTooLargeError; the parser rejects such a product
+first (PolyParseError).  An exact division forms no key beyond the
+dividend's degree.  x^e2 divides x^e1 when e1 - e2 borrows across no
+field (BaseRing.monomial_quotient).  BaseRing.pack and unpack convert
+keys and exponent tuples for Poly(ring, terms), sorted_terms and
+format_poly.
 
 That canonical form (no zero coefficient, only plain ints) is an
 invariant of every Poly, and no code mutates a term dict once it is
@@ -51,7 +39,6 @@ division, used by gcd.py and predicates.py), sqrt_f2, f2_divide_exact,
 partial_derivative, substitute_ints, and the recursive-form results of
 gcd.gcd_z and gcd.gcd_f2) hand it to the private Poly._from_canonical,
 which takes it unchecked and uncopied.  No other code may call it.
-format_poly keeps the canonical string of each Poly once it is built.
 
 Every product of integer polynomials goes through one monomial loop,
 _accumulate, called by poly_dot(ring, pairs) = sum of a*b and by
@@ -95,10 +82,8 @@ class BaseRing:
     """The ring S = Z[variables] localized at (2, variables).
 
     Only the ambient polynomial variables are recorded; the residual
-    characteristic is always two.  The key layout (each variable's key,
-    the field shifts, the key limit and the field boundaries) is built
-    once, on construction, outside the fields, so equality and hashing
-    read the variables alone.
+    characteristic is always two.  The key layout is built once, outside
+    the fields, so equality and hashing read the variables alone.
     """
 
     variables: Tuple[str, ...]
@@ -109,18 +94,15 @@ class BaseRing:
                 raise MalformedInputError(f"invalid variable name: {v!r}")
         if len(set(self.variables)) != len(self.variables):
             raise MalformedInputError("duplicate variable names")
-        n = len(self.variables)
-        shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
-        layout = {
-            "_shifts": shifts,
-            # x_i's key: degree 1 and e_i = 1.
-            "_var_keys": tuple((1 << FIELD_BITS * n) | (1 << s) for s in shifts),
-            "_degree_shift": FIELD_BITS * n,
-            "_key_limit": 1 << FIELD_BITS * (n + 1),
-            # The lowest bit of every field but the last (en's).
-            "_borrow_bits": sum(1 << FIELD_BITS * i for i in range(1, n + 1)),
-        }
-        for name, value in layout.items():
+        top = FIELD_BITS * len(self.variables)  # the degree field's shift
+        shifts = tuple(range(top - FIELD_BITS, -1, -FIELD_BITS))
+        for name, value in (
+            ("_shifts", shifts),
+            ("_var_keys", tuple(1 << top | 1 << s for s in shifts)),  # x_i: d = e_i = 1
+            ("_degree_shift", top),
+            ("_key_limit", 1 << top + FIELD_BITS),
+            ("_borrow_bits", sum(1 << s + FIELD_BITS for s in shifts)),  # field boundaries
+        ):
             object.__setattr__(self, name, value)
 
     @property
@@ -128,11 +110,8 @@ class BaseRing:
         return len(self.variables)
 
     def pack(self, e: Sequence[int]) -> int:
-        """The key of the exponent vector e.
-
-        ValueError unless e holds one non-negative int per variable;
-        BoundTooLargeError when its degree reaches 2^FIELD_BITS.
-        """
+        """The key of the exponent vector e; ValueError unless it holds one
+        int >= 0 per variable, BoundTooLargeError if its degree is too large."""
         e = tuple(e)
         if len(e) != self.nvars or not all(isinstance(k, int) and k >= 0 for k in e):
             raise ValueError(f"invalid exponent vector {e!r} for {self.variables}")
@@ -146,21 +125,17 @@ class BaseRing:
         return tuple([key >> s & _FIELD_MASK for s in self._shifts])
 
     def monomial_quotient(self, e1: int, e2: int) -> Optional[int]:
-        """The key of x^e1 / x^e2 when x^e2 divides x^e1, else None.
-
-        e1 - e2 subtracts field by field exactly when no field borrows
-        from the next: a borrow into a field boundary shows as a set bit
-        of (e1 - e2) ^ e1 ^ e2 there, and one out of the top field as a
-        negative difference.
-        """
+        """The key of x^e1 / x^e2 when x^e2 divides x^e1, else None: no
+        field of e1 - e2 borrows, which (e1 - e2) ^ e1 ^ e2 would show as a
+        set bit at a field boundary, or the top field as a negative key."""
         d = e1 - e2
         if d < 0 or (d ^ e1 ^ e2) & self._borrow_bits:
             return None
         return d
 
     def monomial_sqrt(self, e: int) -> Optional[int]:
-        """The key of x^(e/2) when every exponent of x^e is even, else None:
-        the lowest bit of every field is 0, and one shift halves them all."""
+        """The key of x^(e/2) when every exponent of x^e is even (the lowest
+        bit of every field is 0, and one shift halves them all), else None."""
         if e & (1 | self._borrow_bits):
             return None
         return e >> 1
@@ -182,10 +157,8 @@ class BaseRing:
 
 
 def _overflow(ring: BaseRing, key: int) -> BoundTooLargeError:
-    return BoundTooLargeError(
-        "a monomial of degree %d does not fit; degrees must stay below 2^%d"
-        % (key >> ring._degree_shift, FIELD_BITS)
-    )
+    degree = key >> ring._degree_shift
+    return BoundTooLargeError("monomial degree %d reaches 2^%d" % (degree, FIELD_BITS))
 
 
 def _check_same_ring(ring, *operands):
@@ -208,8 +181,7 @@ class Poly:
     def __init__(self, ring: BaseRing, terms: Dict[Exponent, int]):
         self.ring = ring
         # Canonical form: packed keys, no zero coefficients, plain ints.
-        pack = ring.pack
-        self._terms = {pack(e): int(c) for e, c in terms.items() if c != 0}
+        self._terms = {ring.pack(e): int(c) for e, c in terms.items() if c != 0}
         self._hash: Optional[int] = None
         self._images = None
         self._text: Optional[str] = None
@@ -426,12 +398,10 @@ def poly_dots(ring: BaseRing, left: Sequence[Poly], right: Sequence[Poly],
     return out
 
 
-def _accumulate(terms: Dict[int, int], a: Dict[int, int], b: Dict[int, int],
-                ring: BaseRing):
+def _accumulate(terms: Dict[int, int], a: Dict[int, int], b: Dict[int, int], ring):
     """Add the product of the term dicts a and b of ``ring`` into terms:
-    the package's one monomial-product loop.  BoundTooLargeError when a
-    key carries out of the top field; callers drop cancelled terms once,
-    at the end."""
+    the package's one monomial-product loop (BoundTooLargeError when a key
+    carries).  Callers drop cancelled terms once, at the end."""
     get = terms.get
     limit = ring._key_limit
     b_terms = b.items()
@@ -456,7 +426,6 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
     _check_same_ring(a.ring, b)
     if b.is_zero():
         raise NotDivisibleError("division by zero polynomial")
-    quotient = a.ring.monomial_quotient
     quot: Dict[int, int] = {}
     eb, cb = b.lead()
     if len(b._terms) == 1:
@@ -468,7 +437,7 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
                 quot[er] = cr // cb
             return Poly._from_canonical(a.ring, quot)
         for er, cr in a._terms.items():
-            e = quotient(er, eb)
+            e = a.ring.monomial_quotient(er, eb)
             if e is None or cr % cb != 0:
                 raise _not_divisible(a, b)
             quot[e] = cr // cb
@@ -476,7 +445,7 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
     rem = a
     while not rem.is_zero():
         er, cr = rem.lead()
-        e = quotient(er, eb)
+        e = a.ring.monomial_quotient(er, eb)
         if e is None or cr % cb != 0:
             raise _not_divisible(a, b)
         q = cr // cb
@@ -565,8 +534,7 @@ def reduce_mod_2k(p: Poly, k: int) -> Poly:
 
 
 def frobenius_mod2(p: Poly) -> Poly:
-    """p^2 mod 2 as a 0/1 lift: p's odd monomials with doubled exponents
-    (doubled keys)."""
+    """p^2 mod 2 as a 0/1 lift: p's odd monomials with doubled exponents."""
     square = {e << 1: 1 for e, c in p._terms.items() if c & 1}
     if square and max(square) >= p.ring._key_limit:
         raise _overflow(p.ring, max(square))
@@ -581,12 +549,9 @@ def half(p: Poly) -> Poly:
 
 
 def halve_common(polys: Sequence[Poly], most: int) -> Tuple[int, Tuple[Poly, ...]]:
-    """(t, each p / 2^t) for the largest t <= most with 2^t dividing all.
-
-    t is the 2-adic valuation of the OR of every coefficient (in two's
-    complement each coefficient's lowest set bit is that of its
-    absolute value), or ``most`` when all are zero; one pass finds it.
-    """
+    """(t, each p / 2^t) for the largest t <= most with 2^t dividing all:
+    t is the 2-adic valuation of the OR of all coefficients (two's
+    complement keeps each one's lowest set bit), ``most`` if all are 0."""
     bits = 0
     for p in polys:
         for c in p._terms.values():
@@ -852,30 +817,19 @@ def _format_monomial(ring: BaseRing, e: Exponent) -> str:
 
 def format_poly(p: Poly) -> str:
     """Canonical string: descending graded lex, explicit '*' and '^'.
-
-    Built once per Poly and kept in its _text slot.
-    """
-    if p._text is None:
-        p._text = _format(p)
-    return p._text
-
-
-def _format(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    chunks = []
+    Built once per Poly and kept in its _text slot."""
+    if p._text is not None:
+        return p._text
+    out = ""
     for e, c in p.sorted_terms():
         mono = _format_monomial(p.ring, e)
         if not mono:
-            chunks.append(str(c))
-        elif c == 1:
-            chunks.append(mono)
-        elif c == -1:
-            chunks.append(f"-{mono}")
+            s = str(c)
+        elif c == 1 or c == -1:
+            s = mono if c == 1 else f"-{mono}"
         else:
-            chunks.append(f"{c}*{mono}")
-    out = chunks[0]
-    for s in chunks[1:]:
-        out += s if s.startswith("-") else "+" + s
-    return out
+            s = f"{c}*{mono}"
+        out += s if not out or s.startswith("-") else "+" + s
+    p._text = out or "0"
+    return p._text
 

@@ -345,7 +345,7 @@ def perturbed_eta(alg):
 def perturbed_H(alg):
     # The generator (w + h1)(u + h2) with its sign flipped.
     gens = ideal_H(alg).gens
-    return IdealGens(alg, [gens[0], -gens[1], gens[2]], "H")
+    return IdealGens(alg, [gens[0], alg.zero() - gens[1], gens[2]], "H")
 
 
 @pytest.mark.parametrize(
