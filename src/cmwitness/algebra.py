@@ -240,7 +240,8 @@ def make_algebra(ring: BaseRing, f: Poly, g: Poly) -> AlgebraDesc:
 
 
 class KElement:
-    """(n0 + n1*w + n2*u + n3*w*u) / 2^k in reduced form.
+    """(n0 + n1*w + n2*u + n3*w*u) / 2^k in reduced form: make divides
+    out the largest power of 2 that k allows in one pass (halve_common).
 
     _right_products holds the right vector (n0, n1, n2, n3, f*n1, g*n2,
     fg*n3, g*n3, f*n3) once the element has been the right operand of
