@@ -57,6 +57,7 @@ monomial and no recursion runs.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BothZeroError, NotDivisibleError
@@ -465,7 +466,9 @@ def gcd_many_q(polys) -> Poly:
 
 def _monomial_gcd(ring: BaseRing, keys) -> int:
     """The key of the gcd of the monomials: each variable's least exponent."""
-    return ring.pack(map(min, zip(*map(ring.unpack, keys))))
+    if 0 in keys:  # the constant monomial 1
+        return 0
+    return sum(map(mul, map(min, zip(*map(ring.unpack, keys))), ring._var_keys))
 
 
 def _split_monomial(r: Poly) -> Tuple[int, Dict[int, int]]:
@@ -475,7 +478,7 @@ def _split_monomial(r: Poly) -> Tuple[int, Dict[int, int]]:
     with coefficients 1.
     """
     m = _monomial_gcd(r.ring, r._terms)
-    return m, {e - m: 1 for e in r._terms}
+    return m, {e - m: 1 for e in r._terms} if m else r._terms
 
 
 def gcd_f2(a: Poly, b: Poly) -> Poly:

@@ -470,11 +470,7 @@ def partial_derivative(p: Poly, index: int) -> Poly:
     """Formal partial derivative with respect to variables[index]."""
     shift = p.ring._shifts[index]
     unit = p.ring._var_keys[index]
-    terms = {}
-    for e, c in p._terms.items():
-        k = e >> shift & _FIELD_MASK
-        if k:
-            terms[e - unit] = c * k
+    terms = {e - unit: c * k for e, c in p._terms.items() if (k := e >> shift & _FIELD_MASK)}
     return Poly._from_canonical(p.ring, terms)
 
 
@@ -492,12 +488,12 @@ def substitute_ints(p: Poly, assignment: Dict[str, int], target: BaseRing) -> Po
         else:
             keys.append((i, target._var_keys[target.variables.index(v)]))
     terms: Dict[int, int] = {}
-    for e, c in p._terms.items():
-        exps = p.ring.unpack(e)
-        coeff = c
+    unpack = p.ring.unpack
+    for e, coeff in p._terms.items():
+        exps = unpack(e)
         for i, value in values:
             coeff *= value ** exps[i]
-        key = sum(exps[i] * k for i, k in keys)
+        key = sum([exps[i] * k for i, k in keys])
         s = terms.get(key, 0) + coeff
         if s:
             terms[key] = s
