@@ -125,9 +125,9 @@ class BaseRing:
         return tuple([key >> s & _FIELD_MASK for s in self._shifts])
 
     def monomial_quotient(self, e1: int, e2: int) -> Optional[int]:
-        """The key of x^e1 / x^e2 when x^e2 divides x^e1, else None: no
-        field of e1 - e2 borrows, which (e1 - e2) ^ e1 ^ e2 would show as a
-        set bit at a field boundary, or the top field as a negative key."""
+        """The key of x^e1 / x^e2 when x^e2 divides x^e1, else None: no field
+        of e1 - e2 borrows (a set bit of (e1 - e2) ^ e1 ^ e2 at a field
+        boundary), nor the top field (a negative difference)."""
         d = e1 - e2
         if d < 0 or (d ^ e1 ^ e2) & self._borrow_bits:
             return None
