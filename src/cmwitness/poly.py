@@ -60,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 from operator import mul
+from struct import Struct
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -73,6 +74,7 @@ from .errors import (
 Exponent = Tuple[int, ...]
 
 # Bits per field of a monomial key; a degree below 2^FIELD_BITS packs.
+# BaseRing.unpack reads each field as a big-endian unsigned short ("H").
 FIELD_BITS = 16
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 
@@ -102,6 +104,7 @@ class BaseRing:
             ("_degree_shift", top),
             ("_key_limit", 1 << top + FIELD_BITS),
             ("_borrow_bits", sum(1 << s + FIELD_BITS for s in shifts)),  # field boundaries
+            ("_fields", Struct(">2x%dH" % len(shifts))),  # the degree field skipped
         ):
             object.__setattr__(self, name, value)
 
@@ -122,7 +125,7 @@ class BaseRing:
 
     def unpack(self, key: int) -> Exponent:
         """The exponent vector of a key."""
-        return tuple([key >> s & _FIELD_MASK for s in self._shifts])
+        return self._fields.unpack(key.to_bytes(self._fields.size, "big"))
 
     def monomial_quotient(self, e1: int, e2: int) -> Optional[int]:
         """The key of x^e1 / x^e2 when x^e2 divides x^e1, else None: no field
@@ -336,9 +339,8 @@ def _plus(p: Poly, q: Poly, sign: int) -> Poly:
     if not p._terms and sign == 1:
         return q
     terms = dict(p._terms)
-    get = terms.get
     for e, c in q._terms.items():
-        s = get(e, 0) + sign * c
+        s = terms.get(e, 0) + sign * c
         if s:
             terms[e] = s
         else:
