@@ -79,7 +79,8 @@ class AlgebraDesc:
     Derived facts are computed with their checks on first use and cached
     outside the fields, so equality and hashing are unchanged: fg (the
     product f*g that k_mul reads), w4f, w4g (the S^{2,4} witnesses of
-    f, g, or None), q_shape (the shape of Q = (2, h1, h2)) and
+    f, g, or None), q_shape (the shape of Q = (2, h1, h2)), dual_product
+    ((w + h1)(u + h2), which ideal_H and prime_dual_gen share) and
     local_factors ((k1, k2) with (w - h1)^2 = 2*k1 and (u - h2)^2 = 2*k2
     verified).  residues(k) keeps f, g and f*g mod 2^k per k.  zero(),
     one(), root_f(), root_g() and root_fg() return the same element on
@@ -174,6 +175,11 @@ class AlgebraDesc:
     @cached_property
     def q_shape(self) -> QShape:
         return ideal_Q_classify(self.h1(), self.h2())
+
+    @cached_property
+    def dual_product(self) -> "KElement":
+        w_plus = self.root_f() + self.scalar(self.h1())
+        return k_mul(w_plus, self.root_g() + self.scalar(self.h2()))
 
     @cached_property
     def local_factors(self) -> Tuple["KElement", "KElement"]:

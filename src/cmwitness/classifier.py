@@ -182,10 +182,7 @@ def product_closure_gen(alg: AlgebraDesc) -> KElement:
 
 def prime_dual_gen(alg: AlgebraDesc) -> KElement:
     """eta = (w + h1)(u + h2)/2, the fractional generator of P^*."""
-    prod = k_mul(
-        alg.root_f() + alg.scalar(alg.h1()), alg.root_g() + alg.scalar(alg.h2())
-    )
-    return prod.half()
+    return alg.dual_product.half()
 
 
 def mixed_syzygy_gen(alg: AlgebraDesc, c: Poly, e: Poly) -> KElement:
@@ -242,11 +239,13 @@ def ideal_J(alg: AlgebraDesc) -> IdealGens:
 
 def ideal_H(alg: AlgebraDesc) -> IdealGens:
     """H = (2, (w + h1)(u + h2), wu - h1h2); equals I by an identity."""
-    h1, h2 = alg.h1(), alg.h2()
-    prod = k_mul(alg.root_f() + alg.scalar(h1), alg.root_g() + alg.scalar(h2))
     return IdealGens(
         algebra=alg,
-        gens=[alg.scalar(2), prod, alg.root_fg() - alg.scalar(h1 * h2)],
+        gens=[
+            alg.scalar(2),
+            alg.dual_product,
+            alg.root_fg() - alg.scalar(alg.h1() * alg.h2()),
+        ],
         name="H",
     )
 

@@ -29,7 +29,7 @@ from .classifier import (
     example_2_10_identity,
     example_2_10_regression,
 )
-from .algebra import admit_input, admit_pair
+from .algebra import AlgebraDesc, admit_input, admit_pair
 from .errors import (
     BoundTooLargeError,
     HypothesisViolationError,
@@ -38,7 +38,14 @@ from .errors import (
     RejectedInputError,
     ZeroInputError,
 )
-from .poly import BaseRing, Poly, check_coeff_bound, parse_poly, substitute_ints
+from .poly import (
+    BaseRing,
+    Poly,
+    check_coeff_bound,
+    parse_poly,
+    reduce_mod_2k,
+    substitute_ints,
+)
 from .report import (
     assemble_report,
     cm_verdict_for_tag,
@@ -218,12 +225,16 @@ class _SweepInput:
     The input depends only on the parameters that occur in the
     template, so it is substituted and bound-checked once per distinct
     restriction of the assignment to them, and admitted (admit_input)
-    at most once.  The memos live for one cmd_sweep call and hold plain
-    values: the Poly, then its S^2 witness (or None) or a rejection tag,
-    never an exception, whose traceback would tie the memo to the frame.
+    at most once.  An admitted input also gets the id of its residue
+    signature, interned per call: None outside S^2, else (h, a mod 2)
+    from its witness h^2 + 2a, which is all of the input that classify
+    reads (see cmd_sweep).  The memos live for one cmd_sweep call and
+    hold plain values: the Poly, then its S^2 witness (or None) with
+    the signature id, or a rejection tag, never an exception, whose
+    traceback would tie the memo to the frame.
     """
 
-    def __init__(self, template: Poly, ring: BaseRing, side: str):
+    def __init__(self, template: Poly, ring: BaseRing, side: str, names: List[str]):
         # A parameter occurs when its field of some monomial key is
         # nonzero, that is its field of the OR of all keys.
         bits = 0
@@ -233,31 +244,48 @@ class _SweepInput:
         self.template = template
         self.ring = ring
         self.side = side
+        self.names = names
         self.used = [i for i, k in enumerate(fields) if k]
         self.polys: Dict[Tuple[int, ...], Poly] = {}
-        self.admitted: Dict[Tuple[int, ...], object] = {}
+        self.admitted: Dict[Tuple[int, ...], Tuple[object, Optional[int]]] = {}
+        self.signatures: Dict[object, int] = {}
 
     def key(self, combo: Sequence[int]) -> Tuple[int, ...]:
         return tuple(combo[i] for i in self.used)
 
-    def poly(self, key: Tuple[int, ...], assignment: Dict[str, int]) -> Poly:
+    def poly(self, key: Tuple[int, ...], combo: Sequence[int]) -> Poly:
         """The substituted input; an unused parameter's power is 1."""
         p = self.polys.get(key)
         if p is None:
-            p = substitute_ints(self.template, assignment, self.ring)
+            p = substitute_ints(self.template, dict(zip(self.names, combo)), self.ring)
             check_coeff_bound(p, self.side)
             self.polys[key] = p
         return p
 
-    def admit(self, key: Tuple[int, ...]) -> object:
-        """admit_input of the input: its witness, or a rejection tag."""
-        if key not in self.admitted:
+    def admit(self, key: Tuple[int, ...]) -> Tuple[object, Optional[int]]:
+        """admit_input of the input with its signature id, or (rejection tag, None)."""
+        entry = self.admitted.get(key)
+        if entry is None:
             try:
-                result = admit_input(self.polys[key], self.side)
+                w = admit_input(self.polys[key], self.side)
             except ROW_REJECTIONS as exc:
-                result = _rejection_tag(exc)
-            self.admitted[key] = result
-        return self.admitted[key]
+                entry = (_rejection_tag(exc), None)
+            else:
+                sig = None if w is None else (w.h, reduce_mod_2k(w.a, 1))
+                entry = (w, self.signatures.setdefault(sig, len(self.signatures)))
+            self.admitted[key] = entry
+        return entry
+
+
+def _classified_cells(alg: AlgebraDesc) -> Tuple[str, str, str]:
+    """The case, cm and q_shape cells of a row whose pair was admitted."""
+    try:
+        case = classify(alg)
+    except ROW_REJECTIONS as exc:
+        return _rejection_tag(exc), "", ""
+    cm = cm_verdict_for_tag(case)
+    cm_text = "" if cm is None else ("true" if cm else "false")
+    return case, cm_text, "" if case == OUTSIDE_SCOPE else alg.q_shape.tag
 
 
 def cmd_sweep(family_path: str, out_path: str) -> int:
@@ -266,9 +294,17 @@ def cmd_sweep(family_path: str, out_path: str) -> int:
     Pairs rejected by the standing hypotheses get a
     ``rejected_<predicate>`` row instead of aborting the sweep, so one
     degenerate parameter choice does not hide the rest of the family.
-    Each distinct f and g is substituted and admitted once per call;
-    a row runs only the pair hypotheses (admit_pair) and classify, and
-    the rows are those of make_algebra and classify run on each pair.
+    Each distinct f and g is substituted and admitted once per call,
+    and every row runs the pair hypotheses (admit_pair).  The cells
+    of an admitted row are a function of the two residue signatures
+    (_SweepInput), so classify runs once per distinct pair of them in
+    a call.  That is exact: with f = h1^2 + 2a and g = h2^2 + 2b,
+    classify and the cells read only whether wf and wg exist; the
+    S^{2,4} tests (in_S2wedge4), the parities of a and b; is_even(f),
+    which holds exactly when the 0/1 lift h1 is 0 (f = h1^2 mod 2), and
+    is_even(g) likewise; product_in_S2wedge4, which reads a and b mod
+    2 and h1, h2; and the shape of Q (ideal_Q_classify(h1, h2)).  The
+    rows are those of make_algebra and classify run on each pair.
     """
     try:
         ring, names, value_lists, f_text, g_text = _parse_family(_load_json(family_path))
@@ -280,31 +316,29 @@ def cmd_sweep(family_path: str, out_path: str) -> int:
                 "family enumerates %d pairs; limit is %d" % (total, MAX_SWEEP_PAIRS)
             )
         template_ring = BaseRing(tuple(ring.variables) + tuple(names))
-        f_in = _SweepInput(parse_poly(f_text, template_ring), ring, "f")
-        g_in = _SweepInput(parse_poly(g_text, template_ring), ring, "g")
+        f_in = _SweepInput(parse_poly(f_text, template_ring), ring, "f", names)
+        g_in = _SweepInput(parse_poly(g_text, template_ring), ring, "g", names)
+        classified: Dict[Tuple[int, int], Tuple[str, str, str]] = {}
         rows: List[List[str]] = []
         for combo in itertools.product(*value_lists):
-            assignment = dict(zip(names, combo))
             kf, kg = f_in.key(combo), g_in.key(combo)
-            f = f_in.poly(kf, assignment)
-            g = g_in.poly(kg, assignment)
-            cm_text = shape_text = ""
+            f = f_in.poly(kf, combo)
+            g = g_in.poly(kg, combo)
             # As in make_algebra, g is admitted only once f is.
-            wf = f_in.admit(kf)
-            wg = wf if isinstance(wf, str) else g_in.admit(kg)
+            wf, sf = f_in.admit(kf)
+            wg, sg = (wf, sf) if isinstance(wf, str) else g_in.admit(kg)
             if isinstance(wg, str):
-                case = wg
+                cells = (wg, "", "")
             else:
                 try:
                     alg = admit_pair(ring, f, g, wf, wg)
-                    case = classify(alg)
                 except ROW_REJECTIONS as exc:
-                    case = _rejection_tag(exc)
+                    cells = (_rejection_tag(exc), "", "")
                 else:
-                    cm = cm_verdict_for_tag(case)
-                    cm_text = "" if cm is None else ("true" if cm else "false")
-                    shape_text = "" if case == OUTSIDE_SCOPE else alg.q_shape.tag
-            rows.append([str(v) for v in combo] + [case, cm_text, shape_text])
+                    cells = classified.get((sf, sg))
+                    if cells is None:
+                        cells = classified[sf, sg] = _classified_cells(alg)
+            rows.append([*map(str, combo), *cells])
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(names + ["case", "cm", "q_shape"])

@@ -92,12 +92,16 @@ def is_squarefree(f: Poly) -> bool:
 
 
 def satisfies_A1(f: Poly, g: Poly) -> bool:
-    """No common height-one prime: primitive gcd 1 and not both in 2S."""
+    """No common height-one prime: primitive gcd 1 and not both in 2S.
+
+    gcd_q returns a primitive polynomial with positive leading
+    coefficient, so it is constant exactly when it is 1.
+    """
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("satisfies_A1 with a zero argument")
     if is_even(f) and is_even(g):
         return False
-    return gcd_q(f, g) == f.ring.one()
+    return gcd_q(f, g).is_constant()
 
 
 def degree_four_check(f: Poly, g: Poly) -> bool:

@@ -3,9 +3,13 @@
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +104,22 @@ def test_regress_green(capsys):
     assert main(["regress"]) == 0
     out = capsys.readouterr().out
     assert "regress: 8/8 green" in out
+
+
+def test_python_m_cmwitness_regress():
+    # A checkout runs the CLI as a module: PYTHONPATH=src python -m cmwitness.
+    src = str(Path(cmwitness.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmwitness", "regress"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "regress: 8/8 green"
 
 
 def test_regress_detects_corruption(tmp_path, monkeypatch, capsys):

@@ -54,6 +54,7 @@ class Calls:
 def test_each_fact_once_per_report(monkeypatch, name):
     job = json.loads((GOLDEN_DIR / (name + ".job.json")).read_text(encoding="utf-8"))
     ring, f, g, options = parse_job(job)
+    witnesses = [predicates.decompose_S2(p) for p in (f, g)]
 
     lift_checks = Calls(monkeypatch, predicates, "in_S2wedge4")
     decompositions = Calls(monkeypatch, predicates, "decompose_S2")
@@ -87,6 +88,7 @@ def test_each_fact_once_per_report(monkeypatch, name):
     ranks = Calls(monkeypatch, linalg, "bareiss_rank")
     minor_sets = Calls(monkeypatch, homology, "minor_ideal_generators")
     colon_tests = Calls(monkeypatch, algebra, "in_colon")
+    products = Calls(monkeypatch, algebra, "k_mul")
 
     report = assemble_report(ring, f, g, options)
     case = report["case"]
@@ -131,6 +133,19 @@ def test_each_fact_once_per_report(monkeypatch, name):
     # Each recorded quadratic is checked once.
     pres = report["ring_presentation"]
     assert len(quadratic_checks) == (0 if pres is None else len(pres["quadratics"]))
+
+    # (w + h1)(u + h2) is formed once, shared by H and eta.
+    if None not in witnesses:
+        z, o = ring.zero(), ring.one()
+        plus = (
+            ((witnesses[0].h, o, z, z), 0),
+            ((witnesses[1].h, z, o, z), 0),
+        )
+        formed = [
+            args for args in products.args
+            if tuple((x.coords, x.denom_exp) for x in args) == plus
+        ]
+        assert len(formed) == (1 if case in NON_CM else 0)
 
     # No colon test x * ideal inside A runs twice on the same pair.
     colon_pairs = [(x, tuple(ideal.gens)) for x, ideal in colon_tests.args]

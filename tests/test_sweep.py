@@ -2,7 +2,8 @@
 
 ``cmd_sweep`` substitutes, bound-checks and admits each input once per
 distinct restriction of the row's assignment to the parameters its
-template uses.  Its CSV must equal the rows of a per-row reference kept
+template uses, and classifies once per distinct pair of residue
+signatures.  Its CSV must equal the rows of a per-row reference kept
 here: substitute, ``make_algebra`` and ``classify`` on every pair.
 """
 
@@ -17,7 +18,7 @@ import pytest
 
 from cmwitness import algebra
 from cmwitness.algebra import make_algebra
-from cmwitness.classifier import OUTSIDE_SCOPE, classify
+from cmwitness.classifier import CASE_TAGS, OUTSIDE_SCOPE, classify
 from cmwitness.cli import cmd_sweep
 from cmwitness.errors import (
     BoundTooLargeError,
@@ -43,14 +44,34 @@ REJECTIONS = {
 }
 
 
-def family(seed, values=VALUES):
+# Over X, Y, V.  h1 = (z*V+1-z)*(c*X+1-c) and h2 = (z*V+1-z)*Y mod 2,
+# so z and c pick each shape of Q = (2, h1, h2); t, o and k set the
+# parities of a and b, and an odd o takes f out of S^2.  Every case
+# tag occurs; the X/Y family above never reaches CaseC_CM or grade 2.
+XYV = (
+    ("X", "Y", "V"),
+    "((z*V+1-z)*(c*X+1-c))^2+2*t*(c*X+1-c)^2+4*(X*V+s)+4*Y+o*X",
+    "((z*V+1-z)*Y)^2+2*(t*Y^2+k*X^2)+4*(s*Y*V+1)+4*X",
+)
+XYV_VALUES = {
+    "z": [0, 1],
+    "c": [0, 1],
+    "t": [0, 1, 2, 3],
+    "s": list(range(-3, 5)),
+    "o": [0, 1, 2],
+    "k": list(range(-4, 4)),
+}
+
+
+def family(seed, values=VALUES, shape=(("X", "Y"), F_TEMPLATE, G_TEMPLATE)):
     rng = random.Random(seed)
     parameters = []
     for name, vals in values.items():
         vals = list(vals)
         rng.shuffle(vals)
         parameters.append({"name": name, "values": vals})
-    return {"variables": ["X", "Y"], "parameters": parameters, "f": F_TEMPLATE, "g": G_TEMPLATE}
+    variables, f, g = shape
+    return {"variables": list(variables), "parameters": parameters, "f": f, "g": g}
 
 
 def reference_rows(spec):
@@ -106,6 +127,21 @@ def test_sweep_matches_the_per_row_reference(tmp_path, seed):
     assert len(cases) >= 3, cases
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_matches_the_reference_on_every_case_tag(tmp_path, seed):
+    # 3072 rows.  The row order, which the seed picks, decides which row
+    # of each signature pair classifies and fills the memo.
+    spec = family(seed, XYV_VALUES, XYV)
+    code, out = run_sweep(tmp_path, spec)
+    assert code == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == reference_rows(spec)
+    assert {row[6] for row in rows[1:]} == set(CASE_TAGS)
+    shapes = {row[8] for row in rows[1:]} - {""}
+    assert shapes == {"UnitIdeal", "TwoGenerated", "Grade3CI_NotTwoGen", "Grade2Pd3"}
+
+
 def test_oversized_coefficient_on_a_later_row_exits_2(tmp_path, capsys):
     # a = 2^1100 first occurs after two thirds of the rows, whose inputs
     # were all admitted; the first f that holds it stops the sweep.
@@ -120,26 +156,38 @@ def test_oversized_coefficient_on_a_later_row_exits_2(tmp_path, capsys):
     assert reason == {"error": "BoundTooLargeError", "detail": str(info.value)}
 
 
-def count_admissions(monkeypatch, tmp_path):
+def count_calls(monkeypatch, tmp_path):
+    """Admissions of f, of g, and classify calls in one committed sweep."""
     calls = []
-    original = algebra.admit_input
 
-    def counting(p, side):
+    def counting_admit(p, side):
         calls.append(side)
-        return original(p, side)
+        return algebra.admit_input(p, side)
 
-    monkeypatch.setattr("cmwitness.cli.admit_input", counting)
+    def counting_classify(alg):
+        calls.append("classify")
+        return classify(alg)
+
+    monkeypatch.setattr("cmwitness.cli.admit_input", counting_admit)
+    monkeypatch.setattr("cmwitness.cli.classify", counting_classify)
     out = tmp_path / "sweep.csv"
     assert cmd_sweep(str(SWEEP_DATA / "sweep_family.json"), str(out)) == 0
     assert out.read_bytes() == (SWEEP_DATA / "sweep_family.csv").read_bytes()
-    return calls.count("f"), calls.count("g")
+    return tuple(calls.count(k) for k in ("f", "g", "classify"))
 
 
 def test_each_input_admitted_once_per_call(monkeypatch, tmp_path):
     # f depends on (p, q, r) and g on (q, r, s): 4096 rows, 512 of each.
-    assert count_admissions(monkeypatch, tmp_path) == (512, 512)
+    assert count_calls(monkeypatch, tmp_path)[:2] == (512, 512)
     # Nothing carries over to a second call.
-    assert count_admissions(monkeypatch, tmp_path) == (512, 512)
+    assert count_calls(monkeypatch, tmp_path)[:2] == (512, 512)
+
+
+def test_classify_once_per_signature_pair(monkeypatch, tmp_path):
+    # The 4032 rows that pass the pair hypotheses hold 20 distinct pairs
+    # of signatures (h, a mod 2), on a second call too.
+    assert count_calls(monkeypatch, tmp_path)[2] == 20
+    assert count_calls(monkeypatch, tmp_path)[2] == 20
 
 
 def test_sweep_leaves_no_cyclic_garbage(tmp_path):
