@@ -279,10 +279,7 @@ class _SweepInput:
 
 def _classified_cells(alg: AlgebraDesc) -> Tuple[str, str, str]:
     """The case, cm and q_shape cells of a row whose pair was admitted."""
-    try:
-        case = classify(alg)
-    except ROW_REJECTIONS as exc:
-        return _rejection_tag(exc), "", ""
+    case = classify(alg)
     cm = cm_verdict_for_tag(case)
     cm_text = "" if cm is None else ("true" if cm else "false")
     return case, cm_text, "" if case == OUTSIDE_SCOPE else alg.q_shape.tag
