@@ -63,14 +63,14 @@ XYV_VALUES = {
 }
 
 
-def family(seed, values=VALUES, shape=(("X", "Y"), F_TEMPLATE, G_TEMPLATE)):
+def family(seed, values=VALUES, templates=(("X", "Y"), F_TEMPLATE, G_TEMPLATE)):
     rng = random.Random(seed)
     parameters = []
     for name, vals in values.items():
         vals = list(vals)
         rng.shuffle(vals)
         parameters.append({"name": name, "values": vals})
-    variables, f, g = shape
+    variables, f, g = templates
     return {"variables": list(variables), "parameters": parameters, "f": f, "g": g}
 
 
