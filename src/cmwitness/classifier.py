@@ -281,13 +281,14 @@ class RingPresentation:
     ``relation`` (its rank-2 free part and the Syz^2 block of the
     verified ``resolution_S_mod_Q`` give R = S^2 (+) Syz^2(S/Q)), and
     ``ideal_I`` is the ideal I, verified to multiply every generator and
-    every product of two generators into A.
+    every product of two generators into A.  ``sfree`` is also the CM
+    verdict: by Auslander-Buchsbaum over the regular S, R is CM exactly
+    when it is S-free.
     """
 
     case: CaseTag
     sfree: bool
     generators: List[KElement]
-    cm_verdict: bool
     mult_table: Optional[Dict[Tuple[int, int], List[Union[Poly, PolyFraction]]]] = None
     quadratics: List[Tuple[int, KElement, KElement]] = field(default_factory=list)
     relation: Optional[List[Poly]] = None
@@ -303,7 +304,6 @@ def _free_presentation(
         case=case,
         sfree=True,
         generators=gens,
-        cm_verdict=True,
         mult_table=span_closure_check(gens),
         quadratics=quadratics,
     )
@@ -424,7 +424,6 @@ def _build_R_case_c(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
         case=case,
         sfree=False,
         generators=gens,
-        cm_verdict=False,
         quadratics=_root_quadratics(alg),
         relation=relation,
         resolution_S_mod_Q=res_q,

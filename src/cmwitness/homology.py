@@ -6,14 +6,14 @@ A complex is stored as a list of matrices over the polynomial ring,
 
 with d_i given in column convention: column j of d_i holds the
 coordinates of the image of the j-th basis vector of F_i in the basis
-of F_{i-1}.  Exactness in positive degrees is certified by the rank and
-grade conditions of the acyclicity criterion for finite free complexes:
-
-  (i)  rank(d_i) + rank(d_{i+1}) = dim F_i for i = 1..n, and
-  (ii) the ideal of rank(d_i)-minors of d_i has grade >= i.
-
-Ranks are generic ranks over the fraction field (Bareiss elimination);
-grades are certified by explicit regular sequences inside the minor
+of F_{i-1}.  Exactness in positive degrees is certified by the
+Buchsbaum-Eisenbud acyclicity criterion at the ranks the free ranks
+force, r_n = dim F_n and r_i = dim F_i - r_{i+1}: the ideal of
+r_i-minors of d_i must have grade >= i.  No elimination runs: a nonzero
+grade witness inside the r_i-minors gives rank(d_i) >= r_i, and
+composition zero gives rank(d_i) <= dim F_i - rank(d_{i+1}) = r_i by
+induction from the top, so rank additivity holds by construction.
+Grades are certified by explicit regular sequences inside the minor
 ideals, validated by shape:
 
   * length 1: a nonzero element (S is a domain);
@@ -27,19 +27,20 @@ divisibility by one of the listed generators, which is sound (any
 multiple of a generator lies in the ideal) and sufficient for every
 witness constructed here.
 
-The rank-1 tails are cross-checked by one gcd.  S is a UFD, so when
-rank(d_1) = dim F_1 - 1 and d_1 . c = 0 for the single column c of d_2,
-ker(d_1) = (K c) cap F_1 equals S c exactly when the gcd of the entries
-of c is a unit of S.  An irreducible of Z[x] lies in the maximal ideal
-(2, x) exactly when its constant term is even, so the Z[x]-gcd is a
-unit of S exactly when its constant coefficient is odd.
+The rank-1 tails are cross-checked by one gcd.  A nonzero minor of
+size dim F_1 - 1 and d_1 . c = 0 for a nonzero column c of d_2 give
+rank(d_1) = dim F_1 - 1; S is a UFD, so ker(d_1) = (K c) cap F_1 equals
+S c exactly when the gcd of the entries of c is a unit of S.  An
+irreducible of Z[x] lies in the maximal ideal (2, x) exactly when its
+constant term is even, so the Z[x]-gcd is a unit of S exactly when its
+constant coefficient is odd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import List, Sequence, Tuple
 
 from .algebra import AlgebraDesc
@@ -52,7 +53,7 @@ from .errors import (
     WitnessMismatchError,
 )
 from .gcd import gcd_z
-from .linalg import DimensionMismatchError, bareiss_rank, poly_det
+from .linalg import DimensionMismatchError, poly_det
 from .poly import (
     Poly,
     divide_exact,
@@ -86,9 +87,9 @@ class FreeComplex:
     augmentation whose *image* (not cokernel) is the module being
     resolved, so the resolution of that module has length n - 1.
 
-    The generic rank of each differential and its rank-size minors are
-    computed on first use and cached outside the fields, so both
-    exactness checks read the same values.
+    The rank-size minors of each differential, at the ranks the free
+    ranks force, are computed on first use and cached outside the
+    fields, so both exactness checks read the same values.
     """
 
     matrices: List[List[List[Poly]]]
@@ -117,12 +118,12 @@ class FreeComplex:
 
     @cached_property
     def differential_ranks(self) -> List[int]:
-        """Generic ranks of d_1 .. d_n over the fraction field."""
-        return [bareiss_rank(m) for m in self.matrices]
+        """Ranks of d_1 .. d_n in an exact complex: r_i = dim F_i - r_{i+1}."""
+        return list(accumulate(self.ranks()[:0:-1], lambda r, dim: dim - r))[::-1]
 
     @cached_property
     def rank_minors(self) -> List[List[Poly]]:
-        """The rank(d_i)-size minors of each d_i, i = 1 .. n."""
+        """The r_i-size minors of each d_i at the forced ranks r_i."""
         return [
             minor_ideal_generators(m, r)
             for m, r in zip(self.matrices, self.differential_ranks)
@@ -273,10 +274,10 @@ def check_composition_zero(cx: FreeComplex) -> bool:
 
 
 def minor_ideal_generators(mat: List[List[Poly]], size: int) -> List[Poly]:
-    """All size x size minors of ``mat`` (the determinantal ideal I_size)."""
+    """All size x size minors of ``mat``; none unless 1 <= size <= rows, cols."""
     nrows, ncols = len(mat), len(mat[0])
-    if size <= 0 or size > min(nrows, ncols):
-        raise DimensionMismatchError("minor size %d out of range" % size)
+    if not 1 <= size <= min(nrows, ncols):
+        return []
     out = []
     for rows in combinations(range(nrows), size):
         for cols in combinations(range(ncols), size):
@@ -285,25 +286,19 @@ def minor_ideal_generators(mat: List[List[Poly]], size: int) -> List[Poly]:
 
 
 def be_exactness_check(cx: FreeComplex, witnesses: Sequence[Sequence[Poly]]) -> bool:
-    """Acyclicity criterion: rank additivity plus certified minor grades.
+    """Acyclicity criterion: certified grades of the forced-rank minors.
 
     ``witnesses[i]`` must be a regular sequence of length >= i+1 inside
-    the ideal of rank-size minors of d_{i+1} (``cx.rank_minors[i]``);
+    the ideal of r_{i+1}-minors of d_{i+1} (``cx.rank_minors[i]``);
     MissingCertificate when the list or a sequence is too short.
-    Returns False when a rank, containment or regularity check fails,
-    True when the complex is verified exact in positive degrees.
+    Returns False when a containment or regularity check fails; True,
+    with composition zero, proves the complex exact in positive degrees.
     """
     n = len(cx.matrices)
     if len(witnesses) < n:
         raise MissingCertificateError(
             "need %d grade witnesses, got %d" % (n, len(witnesses))
         )
-    ranks = cx.differential_ranks
-    dims = cx.ranks()
-    for i in range(1, n + 1):
-        expected = ranks[i - 1] + (ranks[i] if i < n else 0)
-        if expected != dims[i]:
-            return False
     for i, (witness, minors) in enumerate(zip(witnesses, cx.rank_minors), start=1):
         if len(witness) < i:
             raise MissingCertificateError(
@@ -330,11 +325,15 @@ def standard_grade_certificates(cx: FreeComplex) -> List[List[Poly]]:
            nonzero mod 2 -- for both complexes 4 = 2*2 and w = z*c*c (or
            h1^2 / h2^2 for the augmented complex) divide listed minors;
       i=3: (2, c, e) via the explicit length-3 check.
+
+    UnverifiedComplex when some d_i has no nonzero r_i-minor.
     """
     ring = cx.matrices[0][0][0].ring
     out: List[List[Poly]] = []
     for i, minors in enumerate(cx.rank_minors, start=1):
         nonzero = [m for m in minors if not m.is_zero()]
+        if not nonzero:
+            raise UnverifiedComplexError("d_%d has no nonzero r_%d-minor" % (i, i))
         if i == 1:
             witness = [nonzero[0]]
         elif i == 2:
@@ -396,25 +395,26 @@ def verify_complex(cx: FreeComplex) -> VerifiedComplex:
 def kernel_saturation_check(cx: FreeComplex) -> bool:
     """Whether ker(d_1) is exactly S c for the single column c of d_2.
 
-    True exactly when rank(d_1) = dim F_1 - 1 (the cached generic rank),
-    d_1 . c = 0 and the Z[x]-gcd of the nonzero entries of c is a unit
-    of S (see the module docstring).  The gcd is folded in increasing
-    degree, so a constant entry keeps every step on gcd_z's
-    constant-operand path.  False for an all-zero column and for
+    True exactly when d_1 . c = 0, some (dim F_1 - 1)-minor of d_1 is
+    nonzero (so rank(d_1) = dim F_1 - 1, as c != 0; these minors are
+    the cached ``cx.rank_minors[0]``) and the Z[x]-gcd of the nonzero
+    entries of c is a unit of S (see the module docstring).  The gcd is
+    folded in increasing degree, so a constant entry keeps every step on
+    gcd_z's constant-operand path.  False for an all-zero column and for
     ker(d_1) = 0, where d_2 is no rank-1 tail of d_1; the fraction-field
     check this replaces returned True on ker(d_1) = 0.
-    DimensionMismatch for fewer than two differentials, a d_2 with more
-    than one column, or shapes that do not compose.
+    DimensionMismatch unless there are exactly two differentials, for a
+    d_2 with more than one column, and for shapes that do not compose.
     """
-    if len(cx.matrices) < 2:
-        raise DimensionMismatchError("need at least two differentials")
-    d1, d2 = cx.matrices[0], cx.matrices[1]
+    if len(cx.matrices) != 2:
+        raise DimensionMismatchError("need exactly two differentials")
+    d1, d2 = cx.matrices
     if len(d2[0]) != 1:
         raise DimensionMismatchError("saturation spot check expects a rank-1 tail")
     if not _product_is_zero(d1, d2, 1):
         return False
     entries = sorted((r[0] for r in d2 if not r[0].is_zero()), key=Poly.total_degree)
-    if not entries or cx.differential_ranks[0] != len(d1[0]) - 1:
+    if not entries or (len(d1[0]) > 1 and not any(cx.rank_minors[0])):
         return False
     content = entries[0]
     for entry in entries[1:]:

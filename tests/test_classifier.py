@@ -151,7 +151,7 @@ def test_q_shape_values():
 def test_build_R_case_a_both():
     alg = alg_of(RINGU, "U^2*V^2+4", "U^2*Y^2+4")
     pres = build_R(alg, CASE_A_BOTH)
-    assert pres.sfree and pres.cm_verdict
+    assert pres.sfree
     assert len(pres.generators) == 4
     assert pres.mult_table is not None
     assert_table_recombines(pres)
@@ -163,7 +163,7 @@ def test_build_R_case_a_both():
 def test_build_R_case_a_one():
     alg = alg_of(RING2, "X^2+4", "Y^2+2")
     pres = build_R(alg, CASE_A_ONE)
-    assert pres.sfree and pres.cm_verdict and len(pres.generators) == 4
+    assert pres.sfree and len(pres.generators) == 4
     assert_table_recombines(pres)
 
 
@@ -180,7 +180,7 @@ def test_build_R_case_b():
 def test_build_R_case_c_cm_trims():
     alg = alg_of(RING2, "X^2+2", "X^2*Y^2+2*Y^2+4")
     pres = build_R(alg, CASE_C_CM)
-    assert pres.sfree and pres.cm_verdict
+    assert pres.sfree
     assert len(pres.generators) == 4
     assert_table_recombines(pres)
 
@@ -193,7 +193,7 @@ def test_build_R_case_c_cm_unit_cofactor_e(monkeypatch):
     eliminations = count_eliminations(monkeypatch)
     pres = build_R(alg, CASE_C_CM)
     assert eliminations == []
-    assert pres.sfree and pres.cm_verdict
+    assert pres.sfree
     assert pres.generators[1] == alg.root_g()
     assert_table_recombines(pres)
 
@@ -206,7 +206,7 @@ def test_build_R_case_c_cm_nonconstant_unit_cofactor(monkeypatch):
     eliminations = count_eliminations(monkeypatch)
     pres = build_R(alg, CASE_C_CM)
     assert eliminations == []
-    assert pres.sfree and pres.cm_verdict
+    assert pres.sfree
     dens = {
         str(c.den)
         for row in pres.mult_table.values()
@@ -220,7 +220,7 @@ def test_build_R_case_c_cm_nonconstant_unit_cofactor(monkeypatch):
 def test_build_R_non_cm_five_generators():
     alg = alg_of(RING2, "-X^2+4", "-Y^2+4")
     pres = build_R(alg, CASE_C_NONCM_GRADE3)
-    assert not pres.sfree and not pres.cm_verdict
+    assert not pres.sfree
     assert len(pres.generators) == 5
     rel = pres.relation
     assert rel[-1] == RING2.const(2)

@@ -124,11 +124,13 @@ def test_each_fact_once_per_report(monkeypatch, name):
     assert len(resolutions_of_S_mod_Q) == (1 if case in NON_CM else 0)
     assert len(compositions) == (3 if case in NON_CM else 0)
     assert [id(args[0]) for args in compositions.args] == complexes
-    # Each differential's rank and rank-size minors are computed once,
-    # shared by its grade certificates and the exactness check.
+    # No elimination computes a rank: each differential's minors, at the
+    # rank the free ranks force, are computed once, shared by its grade
+    # certificates, the exactness check and the kernel saturation check.
     differentials = sum(len(args[0].matrices) for args in be_checks.args)
     assert differentials == (6 if case in NON_CM else 0)
-    assert len(ranks) == len(minor_sets) == differentials
+    assert len(ranks) == 0
+    assert len(minor_sets) == differentials
 
     # Each recorded quadratic is checked once.
     pres = report["ring_presentation"]

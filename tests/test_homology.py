@@ -1,16 +1,23 @@
 """Free complexes, Buchsbaum-Eisenbud exactness, grade witnesses."""
 
+import itertools
+import json
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from test_residue_guard import load_casegen
 
+from cmwitness import classifier, linalg, report
 from cmwitness.algebra import AlgebraDesc, make_algebra
+from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES, cmd_regress, cmd_sweep
 from cmwitness.errors import (
     LiftInvalidError,
     MalformedSequenceError,
     MissingCertificateError,
+    RejectedInputError,
     UnverifiedComplexError,
     WitnessMismatchError,
 )
@@ -27,13 +34,19 @@ from cmwitness.homology import (
     verify_complex,
 )
 from cmwitness.gcd import gcd_many_q
-from cmwitness.linalg import DimensionMismatchError, PolyFraction, fraction_kernel
+from cmwitness.linalg import (
+    DimensionMismatchError,
+    PolyFraction,
+    bareiss_rank,
+    fraction_kernel,
+)
 from cmwitness.poly import BaseRing, Poly, divide_exact, parse_poly
 from cmwitness.predicates import decompose_S2
-from cmwitness.report import assemble_report, parse_job
+from cmwitness.report import assemble_report, parse_job, render_json
 
 RING2 = BaseRing(("X", "Y"))
 RING3 = BaseRing(("V", "X", "Y"))
+SWEEP_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def family2_algebra():
@@ -171,6 +184,25 @@ def test_be_exactness_rejects_rank_violation():
     m2 = [[X, RING2.zero()], [RING2.zero(), X]]
     cx = FreeComplex(matrices=[m1, m2], labels=["F0", "F1", "F2"], augmented=False)
     assert not be_exactness_check(cx, [[X], [X, Y]])
+
+
+def test_verify_complex_rejects_a_rank_deficit():
+    # Both complexes compose to zero, but rank d_1 = 1 falls short of the
+    # forced r_1 = 3 - 1 = 2: the 2-minors of the first d_1 all vanish,
+    # and the 1 x 3 second d_1 has no 2-minor at all.
+    X, Y = RING2.gens()
+    zero, one = RING2.zero(), RING2.one()
+    deficient = [
+        ([[X, Y, zero], [X, Y, zero]], [[Y], [-X], [zero]]),
+        ([[X, X, X]], [[one], [-one], [zero]]),
+    ]
+    for d1, d2 in deficient:
+        cx = FreeComplex(matrices=[d1, d2], labels=["F0", "F1", "F2"])
+        assert check_composition_zero(cx)
+        assert cx.differential_ranks == [2, 1]
+        assert bareiss_rank(d1) == 1
+        with pytest.raises(UnverifiedComplexError, match="no nonzero r_1-minor"):
+            verify_complex(cx)
 
 
 def test_be_exactness_rejects_wrong_minor_ideal():
@@ -356,7 +388,7 @@ def test_kernel_saturation_matches_fraction_kernel_reference():
         cx = rank1_tail(d1, column)
         got = kernel_saturation_check(cx)
         assert got == saturation_reference(d1, column), (d1, column)
-        rank_ok = cx.differential_ranks[0] == 2
+        rank_ok = bareiss_rank(d1) == 2
         verdicts[got] += 1
         kinds["saturated by a non-constant unit multiple"] += got and not m.is_constant()
         kinds["rank 1, c in ker, unit multiplier"] += not rank_ok and not outside and unit
@@ -380,6 +412,10 @@ def test_kernel_saturation_rejects_degenerate_tails():
     assert kernel_saturation_check(rank1_tail(koszul, [-Y, X, two]))
     assert not kernel_saturation_check(rank1_tail(koszul, [zero, zero, zero]))
     assert not saturation_reference(koszul, [zero, zero, zero])
+    # F_1 = S: d_1 = 0 has rank dim F_1 - 1 = 0 with no minor to show.
+    for column, saturated in (([one], True), ([X], False)):
+        assert kernel_saturation_check(rank1_tail([[zero]], column)) is saturated
+        assert saturation_reference([[zero]], column) is saturated
     # 2 * (-Y, X, 2) lies in the kernel but does not saturate it.
     cx = resolution_of_I(family2_algebra())
     doubled = FreeComplex(
@@ -409,3 +445,44 @@ def test_serialize_shape():
     assert data["augmented"] is True and data["verified"] is True
     assert data["labels"][0].startswith("A = S^4")
     assert data["matrices"][1] == [["-Y"], ["X"], ["2"]]
+
+
+def test_forced_ranks_match_elimination_and_no_report_eliminates(monkeypatch, tmp_path):
+    # Every complex of the golden reports and of the first casegen.generate(1)
+    # reports is built and verified with Bareiss elimination patched to
+    # raise, and the goldens, regress and the committed sweep come out the
+    # same.  Afterwards the ranks the free ranks force equal the ranks
+    # elimination gives on every one of those complexes.
+    complexes = []
+
+    def recording(cx):
+        complexes.append(cx)
+        return verify_complex(cx)
+
+    def eliminating(*args):
+        raise AssertionError("an elimination ran on a report path")
+
+    rendered = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_fraction_free_rref", eliminating)
+        for module in (classifier, report):
+            patch.setattr(module, "verify_complex", recording)
+        for name in GOLDEN_NAMES:
+            job = json.loads((GOLDEN_DIR / (name + ".job.json")).read_text(encoding="utf-8"))
+            text = render_json(assemble_report(*parse_job(job)))
+            assert text == (GOLDEN_DIR / (name + ".report.json")).read_text(encoding="utf-8")
+        for job, _tags in itertools.islice(load_casegen().generate(1), 240):
+            try:
+                assemble_report(*parse_job(job))
+            except RejectedInputError:
+                continue
+            rendered += 1
+        assert cmd_regress() == 0
+        out = tmp_path / "sweep.csv"
+        assert cmd_sweep(str(SWEEP_DATA / "sweep_family.json"), str(out)) == 0
+        assert out.read_bytes() == (SWEEP_DATA / "sweep_family.csv").read_bytes()
+    assert rendered >= 200
+    shapes = Counter(tuple(cx.differential_ranks) for cx in complexes)
+    assert set(shapes) == {(1, 2, 1), (2, 1), (1,)} and sum(shapes.values()) >= 200, shapes
+    for cx in complexes:
+        assert cx.differential_ranks == [bareiss_rank(m) for m in cx.matrices]

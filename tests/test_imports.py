@@ -26,8 +26,10 @@ MODULES = PACKAGE_MODULES + TEST_MODULES
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # Definitions that no package module reads but the tracer wraps by name:
 # they stay in the package while perfbench/tracer.py's SPAN_TARGETS
-# lists them.
-TRACER_ONLY = {"q_shape", "fraction_kernel", "solve_fraction_system", "f2_nullspace"}
+# lists them.  bareiss_rank is also the tests' reference rank.
+TRACER_ONLY = {
+    "q_shape", "fraction_kernel", "solve_fraction_system", "f2_nullspace", "bareiss_rank",
+}
 
 
 def imported_names(tree, lines):
