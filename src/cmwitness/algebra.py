@@ -48,7 +48,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     HypothesisViolationError,
-    InternalVerificationError,
     NotClosedError,
     WitnessMismatchError,
 )
@@ -81,10 +80,10 @@ class AlgebraDesc:
     product f*g that k_mul reads), w4f, w4g (the S^{2,4} witnesses of
     f, g, or None), q_shape (the shape of Q = (2, h1, h2)), dual_product
     ((w + h1)(u + h2), which ideal_H and prime_dual_gen share) and
-    local_factors ((k1, k2) with (w - h1)^2 = 2*k1 and (u - h2)^2 = 2*k2
-    verified).  residues(k) keeps f, g and f*g mod 2^k per k.  zero(),
-    one(), root_f(), root_g() and root_fg() return the same element on
-    every call, so each forms its right vector (k_mul) once per algebra.
+    local_factors ((k1, k2) with (w - h1)^2 = 2*k1, (u - h2)^2 = 2*k2).
+    residues(k) keeps f, g and f*g mod 2^k per k.  zero(), one(),
+    root_f(), root_g() and root_fg() return the same element on every
+    call, so each forms its right vector (k_mul) once per algebra.
     """
 
     ring: BaseRing
@@ -183,13 +182,15 @@ class AlgebraDesc:
 
     @cached_property
     def local_factors(self) -> Tuple["KElement", "KElement"]:
+        """(k1, k2) = (h1^2 + a - h1*w, h2^2 + b - h2*u).
+
+        (w - h1)^2 = 2*k1 by construction (decompose_S2 builds a =
+        (f - h1^2)/2), and likewise for k2; the one claim they feed,
+        tau^2 = k1*k2, is verified by min_poly_check in build_R.
+        """
         h1, h2 = self.h1(), self.h2()
         k1 = self.scalar(h1 * h1 + self.a()) - self.root_f().scale_poly(h1)
         k2 = self.scalar(h2 * h2 + self.b()) - self.root_g().scale_poly(h2)
-        for root, h, k in ((self.root_f(), h1, k1), (self.root_g(), h2, k2)):
-            diff = root - self.scalar(h)
-            if not (k_mul(diff, diff) == k.scale_poly(self.ring.const(2))):
-                raise InternalVerificationError("(root - h)^2 = 2k failed")
         return k1, k2
 
 
@@ -252,7 +253,8 @@ class KElement:
     _right_products holds the right vector (n0, n1, n2, n3, f*n1, g*n2,
     fg*n3, g*n3, f*n3) once the element has been the right operand of
     k_mul, _residues maps k to that vector mod 2^k; equality and
-    hashing ignore both.
+    hashing ignore both.  +, - and * take K-elements of one algebra;
+    AlgebraDesc.scalar lifts a polynomial.
     """
 
     __slots__ = ("algebra", "coords", "denom_exp", "_hash", "_right_products",
@@ -283,25 +285,10 @@ class KElement:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
 
-    def _coerce(self, other):
-        if isinstance(other, KElement):
-            return other
-        if isinstance(other, Poly):
-            return self.algebra.scalar(other)
-        if isinstance(other, int):
-            return self.algebra.scalar(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __add__(self, other: "KElement") -> "KElement":
         return self._plus(other, 1)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __sub__(self, other: "KElement") -> "KElement":
         return self._plus(other, -1)
 
     def _plus(self, other: "KElement", sign: int) -> "KElement":
@@ -316,10 +303,7 @@ class KElement:
             coords = tuple(a.scale(sa) + b.scale(sb) for a, b in pairs)
         return KElement.make(self.algebra, coords, k)
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __mul__(self, other: "KElement") -> "KElement":
         return k_mul(self, other)
 
     def scale_poly(self, p: Poly) -> "KElement":
@@ -401,11 +385,8 @@ def a_membership(x: KElement) -> bool:
     return x.denom_exp == 0
 
 
-def min_poly_check(x: KElement, coeffs: Sequence[Union[Poly, KElement]]) -> bool:
-    """Verify the quadratic x^2 - c1*x - c0 = 0 with coeffs = [c1, c0]."""
-    if len(coeffs) != 2:
-        raise ValueError("expected coefficients [c1, c0]")
-    c1, c0 = (x._coerce(c) for c in coeffs)
+def min_poly_check(x: KElement, c1: KElement, c0: KElement) -> bool:
+    """Verify the quadratic x^2 - c1*x - c0 = 0 over K."""
     return (k_mul(x, x) - k_mul(c1, x) - c0).is_zero()
 
 

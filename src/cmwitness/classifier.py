@@ -72,6 +72,7 @@ __all__ = [
     "ConductorReport",
     "CmModuleCertificate",
     "classify",
+    "cm_verdict",
     "q_shape",
     "build_R",
     "conductor",
@@ -108,6 +109,19 @@ CASE_TAGS = (
 )
 
 CaseTag = str
+
+_NON_CM_CASES = (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2)
+
+
+def cm_verdict(case: CaseTag) -> Optional[bool]:
+    """Whether R is Cohen-Macaulay, from the case tag alone: None
+    outside the covered scope (the structure theory makes no claim
+    there, so the report carries null), False exactly for the two
+    non-CM tags.
+    """
+    if case == OUTSIDE_SCOPE:
+        return None
+    return case not in _NON_CM_CASES
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +382,7 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
     else:
         pres = _build_R_case_c(alg, case)
     for idx, c1, c0 in pres.quadratics:
-        if not min_poly_check(pres.generators[idx], [c1, c0]):
+        if not min_poly_check(pres.generators[idx], c1, c0):
             raise InternalVerificationError(
                 "recorded quadratic for generator %d fails" % idx
             )
@@ -535,7 +549,7 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
     on the algebra.
     """
     case = pres.case
-    if case not in (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2):
+    if case not in _NON_CM_CASES:
         raise WrongCaseError(
             "the small CM module certificate applies to the non-CM cases only"
         )

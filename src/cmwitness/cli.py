@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .classifier import (
     OUTSIDE_SCOPE,
     classify,
+    cm_verdict,
     example_2_10_identity,
     example_2_10_regression,
 )
@@ -48,7 +49,6 @@ from .poly import (
 )
 from .report import (
     assemble_report,
-    cm_verdict_for_tag,
     parse_job,
     parse_ring,
     poly_text,
@@ -280,7 +280,7 @@ class _SweepInput:
 def _classified_cells(alg: AlgebraDesc) -> Tuple[str, str, str]:
     """The case, cm and q_shape cells of a row whose pair was admitted."""
     case = classify(alg)
-    cm = cm_verdict_for_tag(case)
+    cm = cm_verdict(case)
     cm_text = "" if cm is None else ("true" if cm else "false")
     return case, cm_text, "" if case == OUTSIDE_SCOPE else alg.q_shape.tag
 

@@ -1,4 +1,4 @@
-"""Multivariate polynomial gcd and exact square detection.
+"""Multivariate polynomial gcd, and the square test on integer constants.
 
 The gcd kernel works on a recursive dense representation: a polynomial
 in k variables is a dict {degree in the last variable: polynomial in the
@@ -514,62 +514,17 @@ def gcd_f2(a: Poly, b: Poly) -> Poly:
 # Exact squares
 
 
-def integer_sqrt_exact(n: int) -> Optional[int]:
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
+def is_ring_square(p: Poly) -> bool:
+    """Whether the constant p = n is the square of an element of S.
 
-
-def poly_sqrt_z(p: Poly) -> Optional[Poly]:
-    """Square root in Z[variables] if one exists, else None.
-
-    Greedy extraction in descending graded lex order: the leading term
-    of any root is forced, and after subtracting, each further root term
-    is forced by dividing the remainder's leading term by twice the
-    root's leading term.  Soundness is rechecked by squaring at the end.
+    n is a square in S exactly when it is the square of an integer,
+    n >= 0 and isqrt(n)^2 = n: from n*q^2 = r^2 in the UFD Z[variables]
+    (r/q a root in S) every prime occurs in n to even multiplicity, and
+    the leading coefficients of q^2 and r^2 are positive.  A
+    non-constant p raises ValueError; degree_four_check asks about
+    constants alone.
     """
-    if p.is_zero():
-        return p.ring.zero()
-    e, c = p.lead()
-    e2 = p.ring.monomial_sqrt(e)
-    if e2 is None or c < 0:
-        return None
-    c0 = integer_sqrt_exact(c)
-    if c0 is None:
-        return None
-    root = Poly._from_canonical(p.ring, {e2: c0})
-    c2 = 2 * c0  # 2*root has the leading term c2 * x^e2
-    while True:
-        rem = p - root * root
-        if rem.is_zero():
-            break
-        er, cr = rem.lead()
-        et = p.ring.monomial_quotient(er, e2)
-        if et is None or cr % c2 != 0 or er >= e:
-            return None
-        root = root + Poly._from_canonical(p.ring, {et: cr // c2})
-    return root if root * root == p else None
-
-
-def is_ring_square(p: Poly) -> Optional[Poly]:
-    """Decide whether p is the square of an element of S.
-
-    For an integer polynomial this is equivalent to being a square in
-    Q[variables]: a unit u of S with u = (p/q)^2 forces, by comparing
-    irreducible factorizations in the UFD Z[variables], every
-    irreducible (unit or not) to occur to even multiplicity.  In turn a
-    Q[variables] square with integer coefficients is an integer
-    polynomial square up to a perfect-square content.  Returns a root
-    or None.
-    """
-    if p.is_zero():
-        return p.ring.zero()
-    content, pp = primitive(p)
-    croot = integer_sqrt_exact(content)
-    if croot is None:
-        return None
-    root = poly_sqrt_z(pp)
-    if root is None:
-        return None
-    return root.scale(croot)
+    if not p.is_constant():
+        raise ValueError("is_ring_square decides constants only")
+    n = p.constant_coeff()
+    return n >= 0 and math.isqrt(n) ** 2 == n

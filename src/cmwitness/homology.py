@@ -45,6 +45,7 @@ from typing import List, Sequence, Tuple
 
 from .algebra import AlgebraDesc
 from .errors import (
+    DimensionMismatchError,
     InternalVerificationError,
     LiftInvalidError,
     MalformedSequenceError,
@@ -53,7 +54,7 @@ from .errors import (
     WitnessMismatchError,
 )
 from .gcd import gcd_z
-from .linalg import DimensionMismatchError, poly_det
+from .linalg import poly_det
 from .poly import (
     Poly,
     divide_exact,

@@ -112,8 +112,9 @@ def degree_four_check(f: Poly, g: Poly) -> bool:
     the UFD Z[vars]; units of S are products of odd-constant
     irreducibles, which the valuation argument covers as well).
 
-    Only constants need is_ring_square, by this argument.  A squarefree
-    p has a primitive part with no repeated factor over Q, so when p is
+    Only constants can be squares here, so is_ring_square, which
+    decides constants only, is asked about them alone.  A squarefree p
+    has a primitive part with no repeated factor over Q, so when p is
     not constant some irreducible divides it exactly once and p is not
     a Q-square.  A1 makes the primitive parts of f and g coprime over
     Q, so the primitive part of f*g, their product, has no repeated
@@ -124,10 +125,7 @@ def degree_four_check(f: Poly, g: Poly) -> bool:
     candidates = [p for p in (f, g) if p.is_constant()]
     if len(candidates) == 2:
         candidates.append(f * g)
-    for p in candidates:
-        if is_ring_square(p) is not None:
-            return False
-    return True
+    return not any(is_ring_square(p) for p in candidates)
 
 
 def decompose_S2(f: Poly) -> Optional[S2Witness]:

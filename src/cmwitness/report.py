@@ -21,7 +21,6 @@ from .classifier import (
     CASE_A_ONE,
     CASE_C_CM,
     CASE_C_NONCM_GRADE2,
-    CASE_C_NONCM_GRADE3,
     OUTSIDE_SCOPE,
     CmModuleCertificate,
     ConductorReport,
@@ -29,6 +28,7 @@ from .classifier import (
     build_R,
     build_small_cm_certificate,
     classify,
+    cm_verdict,
     conductor,
     presentation_complex,
 )
@@ -39,8 +39,6 @@ from .poly import BaseRing, Poly, parse_poly
 __all__ = ["DEFAULT_OPTIONS", "assemble_report", "render_json", "parse_job"]
 
 DEFAULT_OPTIONS = {"colon_search_degree": 6, "spot_check_seed": 1}
-
-CM_TAG_PREFIXES = ("CaseA_", "CaseB_", "CaseC_CM_")
 
 # Work grows about cubically in the number of variables, used or not;
 # every worked example of the paper needs at most 3.
@@ -59,17 +57,6 @@ MODULE_DESCRIPTION = (
     "M = (IP)^* = {x in K : x*I*P in A}; membership decided by "
     "multiplying against the listed generators of IP"
 )
-
-
-def cm_verdict_for_tag(case: str) -> Optional[bool]:
-    """The CM verdict as a pure function of the case tag.
-
-    None outside the covered scope: the structure theory makes no
-    claim there, so the report carries null rather than a guess.
-    """
-    if case == OUTSIDE_SCOPE:
-        return None
-    return any(case.startswith(p) for p in CM_TAG_PREFIXES)
 
 
 def parse_ring(variables: object) -> BaseRing:
@@ -247,7 +234,7 @@ def assemble_report(
         options = dict(DEFAULT_OPTIONS)
     alg = make_algebra(ring, f, g)
     case = classify(alg)
-    cm = cm_verdict_for_tag(case)
+    cm = cm_verdict(case)
 
     report: Dict[str, object] = {
         "input": {
@@ -276,7 +263,7 @@ def assemble_report(
         pres = build_R(alg, case)
         report["ring_presentation"] = _presentation_block(pres)
         report["conductor"] = _conductor_block(case, conductor(pres))
-        if case in (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2):
+        if not pres.sfree:
             cert = build_small_cm_certificate(pres)
             report["certificate"] = _certificate_block(case, cert)
             report["resolutions"] = [

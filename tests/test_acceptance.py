@@ -29,6 +29,7 @@ from cmwitness.classifier import (
     build_R,
     build_small_cm_certificate,
     classify,
+    cm_verdict,
     conductor,
     example_2_10_identity,
     example_2_10_regression,
@@ -54,7 +55,6 @@ from cmwitness.predicates import (
     product_in_S2wedge4,
     satisfies_A1,
 )
-from cmwitness.report import cm_verdict_for_tag
 
 SEARCH_DEGREE = 6
 
@@ -108,7 +108,7 @@ def test_acceptance_1_outside_scope(capsys):
         ("f has no mod-2 square witness", decompose_S2(f) is None),
         ("g has no mod-2 square witness", decompose_S2(g) is None),
         ("classified outside scope", classify(alg) == OUTSIDE_SCOPE),
-        ("no CM verdict outside scope", cm_verdict_for_tag(OUTSIDE_SCOPE) is None),
+        ("no CM verdict outside scope", cm_verdict(OUTSIDE_SCOPE) is None),
         ("linking identity V^2*g = Y^2*f + 4*(V^2 - Y^2)", v2 * g == y2 * f + shift),
         ("linking identity holds with multiplier 4", example_2_10_identity(ring, multiplier=4)),
         ("linking identity fails with multiplier 2", not example_2_10_identity(ring, multiplier=2)),
@@ -153,15 +153,15 @@ def test_acceptance_2_both_hypersurfaces_non_normal(capsys):
         ("multiplication table recorded and closed", rep.mult_table is not None),
         (
             "tau1^2 = h1*tau1 + a'",
-            min_poly_check(t1, [alg.scalar(wf4.h), alg.scalar(wf4.a_prime)]),
+            min_poly_check(t1, alg.scalar(wf4.h), alg.scalar(wf4.a_prime)),
         ),
         (
             "tau2^2 = h2*tau2 + b'",
-            min_poly_check(t2, [alg.scalar(wg4.h), alg.scalar(wg4.a_prime)]),
+            min_poly_check(t2, alg.scalar(wg4.h), alg.scalar(wg4.a_prime)),
         ),
         (
             "closure is Cohen-Macaulay",
-            rep.sfree is True and cm_verdict_for_tag(case) is True,
+            rep.sfree is True and cm_verdict(case) is True,
         ),
     ]
     _verdict(capsys, 2, "free closure when both hypersurfaces are non-normal", checks)
@@ -209,7 +209,7 @@ def test_acceptance_3_grade2_family(capsys):
         ),
         (
             "classified non-CM of grade 2",
-            case == CASE_C_NONCM_GRADE2 and cm_verdict_for_tag(case) is False,
+            case == CASE_C_NONCM_GRADE2 and cm_verdict(case) is False,
         ),
         ("closure reported non-CM", pres.sfree is False),
         ("certificate check P_free", cert.checks["P_free"]),
@@ -250,7 +250,7 @@ def test_acceptance_4_grade3_family(capsys):
         ),
         (
             "classified non-CM of grade 3",
-            case == CASE_C_NONCM_GRADE3 and cm_verdict_for_tag(case) is False,
+            case == CASE_C_NONCM_GRADE3 and cm_verdict(case) is False,
         ),
         (
             "conductor identified as I and verified",
@@ -304,12 +304,12 @@ def test_acceptance_5_product_criterion_fails(capsys):
         (
             "tau^2 = k1*k2",
             k_mul(tau, tau) == k_mul(k1, k2)
-            and min_poly_check(tau, [alg.zero(), k_mul(k1, k2)]),
+            and min_poly_check(tau, alg.zero(), k_mul(k1, k2)),
         ),
         (
             "recorded quadratics all verify",
             all(
-                min_poly_check(pres.generators[i], [c1, c0])
+                min_poly_check(pres.generators[i], c1, c0)
                 for i, c1, c0 in pres.quadratics
             ),
         ),
@@ -320,7 +320,7 @@ def test_acceptance_5_product_criterion_fails(capsys):
         ),
         (
             "closure is Cohen-Macaulay",
-            pres.sfree is True and cm_verdict_for_tag(case) is True,
+            pres.sfree is True and cm_verdict(case) is True,
         ),
     ]
     _verdict(capsys, 5, "odd product criterion: closure A + S*tau, conductor P", checks)
@@ -360,7 +360,7 @@ def test_acceptance_6_two_generated_Q(capsys):
         ),
         (
             "classified CM with two-generated Q",
-            case == CASE_C_CM and cm_verdict_for_tag(case) is True,
+            case == CASE_C_CM and cm_verdict(case) is True,
         ),
         (
             "closure trims to four free generators",

@@ -205,13 +205,13 @@ def test_a_membership():
 def test_min_poly_check():
     alg = case_b_algebra()
     w = alg.root_f()
-    assert min_poly_check(w, [RING.zero(), alg.f])
-    assert not min_poly_check(w, [RING.zero(), alg.g])
+    assert min_poly_check(w, alg.zero(), alg.scalar(alg.f))
+    assert not min_poly_check(w, alg.zero(), alg.scalar(alg.g))
     # tau^2 = k1 * k2 with k_i = h_i^2 + (a or b) - h_i * root.
     tau = tau_of(alg)
     k1 = alg.scalar(X * X + alg.a()) - w.scale_poly(X)
     k2 = alg.scalar(Y * Y + alg.b()) - alg.root_g().scale_poly(Y)
-    assert min_poly_check(tau, [alg.zero(), k_mul(k1, k2)])
+    assert min_poly_check(tau, alg.zero(), k_mul(k1, k2))
 
 
 def test_span_closure_case_b():

@@ -235,6 +235,25 @@ def test_build_R_non_cm_five_generators():
     assert acc.is_zero()
 
 
+@pytest.mark.parametrize(
+    "ring,ftext,gtext,case,generator",
+    [
+        (RING2, "X^2+2", "Y^2+2", CASE_B, 3),  # case_b_synthetic
+        # example_4_7_family1
+        (RING3, "V^2*X^2-2*X^2+4", "V^2*Y^2-2*Y^2+4", CASE_C_NONCM_GRADE2, 3),
+        (RING2, "X^2+2", "X^2*Y^2+2*Y^2+4", CASE_C_CM, 2),  # case_c_cm_synthetic
+    ],
+)
+def test_build_R_rejects_a_wrong_local_factor(ring, ftext, gtext, case, generator):
+    # local_factors checks nothing itself: the one claim k1 and k2 feed,
+    # tau^2 = k1*k2, is the quadratic build_R verifies for tau.
+    alg = alg_of(ring, ftext, gtext)
+    k1, k2 = alg.local_factors
+    alg.__dict__["local_factors"] = (k1 + alg.one(), k2)
+    with pytest.raises(InternalVerificationError, match="generator %d " % generator):
+        build_R(alg, case)
+
+
 def test_build_R_wrong_case_raises():
     # Q here has shape Grade3CI, so asking for the grade-2 branch is a
     # detectable mismatch; the out-of-scope tag is refused outright.

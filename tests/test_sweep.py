@@ -18,7 +18,7 @@ import pytest
 
 from cmwitness import algebra
 from cmwitness.algebra import make_algebra
-from cmwitness.classifier import CASE_TAGS, OUTSIDE_SCOPE, classify
+from cmwitness.classifier import CASE_TAGS, OUTSIDE_SCOPE, classify, cm_verdict
 from cmwitness.cli import cmd_sweep
 from cmwitness.errors import (
     BoundTooLargeError,
@@ -26,7 +26,6 @@ from cmwitness.errors import (
     ZeroInputError,
 )
 from cmwitness.poly import BaseRing, check_coeff_bound, parse_poly, substitute_ints
-from cmwitness.report import cm_verdict_for_tag
 
 SWEEP_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -97,7 +96,7 @@ def reference_rows(spec):
         except ZeroInputError:
             case = "rejected_zero_input"
         else:
-            cm = cm_verdict_for_tag(case)
+            cm = cm_verdict(case)
             cm_text = "" if cm is None else ("true" if cm else "false")
             shape_text = "" if case == OUTSIDE_SCOPE else alg.q_shape.tag
         rows.append([str(v) for v in combo] + [case, cm_text, shape_text])
