@@ -307,7 +307,9 @@ def cmd_sweep(family_path: str, out_path: str) -> int:
         ring, names, value_lists, f_text, g_text = _parse_family(_load_json(family_path))
         total = 1
         for values in value_lists:
-            total *= len(values)
+            # len() of a range raises OverflowError once it holds 2^63 values.
+            n = values.stop - values.start if isinstance(values, range) else len(values)
+            total *= max(n, 0)
         if total > MAX_SWEEP_PAIRS:
             raise BoundTooLargeError(
                 "family enumerates %d pairs; limit is %d" % (total, MAX_SWEEP_PAIRS)
@@ -317,7 +319,8 @@ def cmd_sweep(family_path: str, out_path: str) -> int:
         g_in = _SweepInput(parse_poly(g_text, template_ring), ring, "g", names)
         classified: Dict[Tuple[int, int], Tuple[str, str, str]] = {}
         rows: List[List[str]] = []
-        for combo in itertools.product(*value_lists):
+        # product() materialises each range first, even when another is empty.
+        for combo in itertools.product(*value_lists) if total else ():
             kf, kg = f_in.key(combo), g_in.key(combo)
             f = f_in.poly(kf, combo)
             g = g_in.poly(kg, combo)

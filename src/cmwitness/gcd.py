@@ -18,14 +18,27 @@ an exact coprimality certificate from modular images (after Brown 1971
 and Zippel 1979).  For each variable x_j, every other variable is set to
 a fixed point mod the prime p = 2^31 - 1, giving univariate images in
 GF(p)[x_j].  The certificate needs one input whose image keeps its full
-x_j-degree, and a univariate Euclid over GF(p) must find the gcd of the
-images to be a nonzero constant.  That proves deg_xj G = 0 for the true
-gcd G: G divides the input that kept its degree, so the leading
-coefficient of G survives too and G's image keeps G's x_j-degree; and
-G's image divides the gcd of the images.  When this holds for every
-variable, G is a constant over Q.  Any other outcome proves nothing,
-and ``gcd_q`` runs the subresultant PRS as before.  The points are
-constants, so every result is deterministic.
+x_j-degree, and the gcd of the images in GF(p)[x_j] must be a nonzero
+constant.  That proves deg_xj G = 0 for the true gcd G: G divides the
+input that kept its degree, so the leading coefficient of G survives
+too and G's image keeps G's x_j-degree; and G's image divides the gcd
+of the images.  When this holds for every variable, G is a constant
+over Q.  Any other outcome proves nothing, and ``gcd_q`` runs the
+subresultant PRS as before.  The points are constants, so every result
+is deterministic.
+
+The gcd of two images a, b is decided exactly, and mostly without a
+remainder sequence (``_ucoprime``).  The units of GF(p)[t] are the
+nonzero constants, so a nonzero constant image is coprime to anything,
+and gcd(a, 0) = a.  A linear image b = b1*t + b0 (b1 != 0) is
+irreducible: its only divisors are the units and the associates of b,
+so gcd(a, b) is 1 or b.  By the factor theorem b divides a exactly when
+a(r) = 0 at its one root r = -b0/b1, and a zero a is no exception.  So
+one inverse of b1 and a Horner pass over a decide the pair; only two
+images of degree 2 or more run the Euclid.  The squarefree test of a
+quadratic image always takes the root path, since its derivative is
+linear, and so does the coprimality test of any image against a linear
+or constant one.
 
 Each polynomial's images are computed once: ``_univariate_images``
 gives, per variable x_j, the polynomial's x_j-degree and its image in
@@ -336,7 +349,25 @@ def _urem(a: Sequence[int], b: Sequence[int]) -> List[int]:
 
 
 def _ucoprime(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Whether trimmed a, b have a nonzero constant gcd in GF(_P)[t]."""
+    """Whether trimmed a, b have a nonzero constant gcd in GF(_P)[t].
+
+    Let b be the shorter image.  A nonzero constant b is coprime to
+    anything; a zero b leaves gcd(a, 0) = a.  A linear b = b1*t + b0 is
+    irreducible with the one root r = -b0/b1, so gcd(a, b) is b or 1 as
+    a(r) is 0 or not (a zero a included): one inverse and a Horner pass.
+    Only two images of degree 2 or more run the Euclid on _urem.  The
+    module docstring says why each rule is exact.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 2:
+        r = -b[0] * pow(b[1], -1, _P) % _P
+        v = 0
+        for c in reversed(a):
+            v = (v * r + c) % _P
+        return v != 0
+    if len(b) < 2:
+        return len(b) == 1 or len(a) == 1
     while b:
         a, b = b, _urem(a, b)
     return len(a) == 1

@@ -416,7 +416,24 @@ def _accumulate(terms: Dict[int, int], a: Dict[int, int], b: Dict[int, int], rin
 
 
 def divide_exact(a: Poly, b: Poly) -> Poly:
-    """Exact quotient a / b in Z[variables]; NotDivisibleError otherwise.
+    """Exact quotient a / b in Z[variables]; NotDivisibleError otherwise."""
+    _check_same_ring(a.ring, b)
+    if b.is_zero():
+        raise NotDivisibleError("division by zero polynomial")
+    quot = _quotient(a, b)
+    if quot is None:
+        raise NotDivisibleError(f"{format_poly(a)} is not divisible by {format_poly(b)}")
+    return Poly._from_canonical(a.ring, quot)
+
+
+def is_divisible(a: Poly, b: Poly) -> bool:
+    """Whether b divides a in Z[variables]; a zero b divides nothing."""
+    _check_same_ring(a.ring, b)
+    return not b.is_zero() and _quotient(a, b) is not None
+
+
+def _quotient(a: Poly, b: Poly) -> Optional[Dict[int, int]]:
+    """The terms of a / b for a nonzero b, or None when b does not divide a.
 
     Leading-term division under graded lex: when a = q*b the leading
     term of a is the product of the leading terms of q and b, so each
@@ -425,9 +442,6 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
     term by term, and a constant one (most divisors in the eliminations)
     divides each coefficient with the keys left as they are.
     """
-    _check_same_ring(a.ring, b)
-    if b.is_zero():
-        raise NotDivisibleError("division by zero polynomial")
     quot: Dict[int, int] = {}
     eb, cb = b.lead()
     if len(b._terms) == 1:
@@ -435,37 +449,25 @@ def divide_exact(a: Poly, b: Poly) -> Poly:
             # A constant divisor, such as most Bareiss pivots.
             for er, cr in a._terms.items():
                 if cr % cb != 0:
-                    raise _not_divisible(a, b)
+                    return None
                 quot[er] = cr // cb
-            return Poly._from_canonical(a.ring, quot)
+            return quot
         for er, cr in a._terms.items():
             e = a.ring.monomial_quotient(er, eb)
             if e is None or cr % cb != 0:
-                raise _not_divisible(a, b)
+                return None
             quot[e] = cr // cb
-        return Poly._from_canonical(a.ring, quot)
+        return quot
     rem = a
     while not rem.is_zero():
         er, cr = rem.lead()
         e = a.ring.monomial_quotient(er, eb)
         if e is None or cr % cb != 0:
-            raise _not_divisible(a, b)
+            return None
         q = cr // cb
         quot[e] = q
         rem = rem - Poly._from_canonical(a.ring, {e: q}) * b
-    return Poly._from_canonical(a.ring, quot)
-
-
-def _not_divisible(a: Poly, b: Poly) -> NotDivisibleError:
-    return NotDivisibleError(f"{format_poly(a)} is not divisible by {format_poly(b)}")
-
-
-def is_divisible(a: Poly, b: Poly) -> bool:
-    try:
-        divide_exact(a, b)
-        return True
-    except NotDivisibleError:
-        return False
+    return quot
 
 
 def partial_derivative(p: Poly, index: int) -> Poly:

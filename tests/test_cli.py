@@ -230,6 +230,26 @@ def test_sweep_empty_range(tmp_path):
     assert out.read_text(encoding="utf-8") == "s,case,cm,q_shape\n"
 
 
+def test_sweep_empty_range_beside_a_huge_one(tmp_path):
+    # Zero pairs pass the guard; the huge range must not be expanded.
+    fam = write_job(
+        tmp_path,
+        "fam.json",
+        {
+            "variables": ["X", "Y"],
+            "parameters": [
+                {"name": "s", "range": [1, 0]},
+                {"name": "t", "range": [0, 2**62]},
+            ],
+            "f": "X^2+2*s",
+            "g": "Y^2+2*t",
+        },
+    )
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--family", fam, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "s,t,case,cm,q_shape\n"
+
+
 def test_sweep_rejected_rows(tmp_path):
     # s = 0 makes f = X^2, which is not squarefree; the row records the
     # rejection instead of poisoning the rest of the family.
@@ -350,6 +370,8 @@ def _variables(n):
         ("sweep", _family({"range": 3})),
         # The pair-count guard must fire before the range is expanded.
         ("sweep", _family({"range": [0, 2**62]})),
+        # ... and before len() of a range past 2^63 - 1 values overflows.
+        ("sweep", _family({"range": [0, 2**63]})),
         ("sweep", dict(_family({"values": [1]}), parameters=[{"name": 5, "values": [1]}])),
         ("sweep", _family({"range": [1]})),
         ("classify", _job(options={"spot_check_seed": True})),
@@ -387,6 +409,7 @@ def _variables(n):
         "range_bool",
         "range_not_a_list",
         "range_huge",
+        "range_past_int64",
         "param_name_not_string",
         "range_one_entry",
         "option_bool",

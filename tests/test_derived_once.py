@@ -4,7 +4,8 @@ The counters wrap package functions in every cmwitness module that
 binds them, so calls through imported names are seen too.  One
 report per golden job; the counts are per report.  The hypothesis
 layer builds one set of modular images per input, and a sweep of the
-benchmark's committed family reproduces its committed CSV byte for byte.
+benchmark's committed family reproduces its committed CSV byte for byte
+without one image remainder sequence.
 """
 
 import json
@@ -185,7 +186,13 @@ def test_images_once_per_input(monkeypatch, name):
     assert [id(args[0]) for args in images.args] == [id(f), id(g)]
 
 
-def test_sweep_reproduces_committed_csv(tmp_path):
+def test_sweep_reproduces_committed_csv(monkeypatch, tmp_path):
+    # Every image coprimality test of this family has a side of degree
+    # at most 1, so it is decided at a root and no remainder sequence runs.
+    coprime_tests = Calls(monkeypatch, gcd, "_ucoprime")
+    remainders = Calls(monkeypatch, gcd, "_urem")
     out = tmp_path / "sweep.csv"
     assert cmd_sweep(str(SWEEP_DATA / "sweep_family.json"), str(out)) == 0
     assert out.read_bytes() == (SWEEP_DATA / "sweep_family.csv").read_bytes()
+    assert len(coprime_tests) > 4096
+    assert len(remainders) == 0

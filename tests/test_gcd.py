@@ -352,6 +352,103 @@ def test_squarefree_certificate_vanishing_leading_coefficient():
     assert squarefree_by_images(BaseRing(()).const(4))
 
 
+P = 2**31 - 1
+
+
+def euclid_coprime(a, b):
+    """Reference: gcd(a, b) in GF(P)[t] is a nonzero constant, by a
+    remainder sequence on trimmed coefficient lists, lowest first."""
+    a, b = list(a), list(b)
+    while b:
+        inv = pow(b[-1], -1, P)
+        while len(a) >= len(b):
+            q = a[-1] * inv % P
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % P
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def umul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % P
+    return out
+
+
+def rand_image(rng, deg):
+    """A trimmed image of degree deg over GF(P); deg -1 is the zero image."""
+    if deg < 0:
+        return []
+    return [rng.randrange(P) for _ in range(deg)] + [rng.randrange(1, P)]
+
+
+def test_ucoprime_agrees_with_euclid(monkeypatch):
+    # Seeded images of degree 0 to 4 on each side, half of them with a
+    # planted common factor of degree 1 or 2, and the edge cases below.
+    rems = []
+    urem = gcd._urem
+    monkeypatch.setattr(gcd, "_urem", lambda a, b: rems.append(1) or urem(a, b))
+    rng = random.Random(341)
+    cases = []
+    for _ in range(400):
+        da, db = rng.randrange(5), rng.randrange(5)
+        a, b = rand_image(rng, da), rand_image(rng, db)
+        if rng.random() < 0.5:
+            common = rand_image(rng, rng.choice([1, 2]))
+            a, b = umul(common, a), umul(common, b)
+        cases.append((a, b))
+    r = rng.randrange(P)
+    root = [-r % P, 1]  # t - r
+    cases += [
+        # A shared linear factor, with the linear one on either side.
+        (umul(root, [3, 0, 1]), umul(root, [5])),
+        (umul(root, [7]), umul(root, [1, 2, 3, 4])),
+        # Two linear images with the same root; with different roots.
+        (umul(root, [3]), umul(root, [P - 5])),
+        (umul(root, [3]), [r + 1, P - 1]),
+        # A constant side, against zero, linear and quadratic images.
+        ([4], []),
+        ([], [P - 1]),
+        ([4], root),
+        ([2, 1, 1], [9]),
+        # Zero images: gcd(a, 0) = a.
+        ([], []),
+        ([], root),
+        (umul(root, root), []),
+    ]
+    verdicts = []
+    for a, b in cases:
+        want = euclid_coprime(a, b)
+        assert gcd._ucoprime(a, b) == want
+        assert gcd._ucoprime(b, a) == want
+        verdicts.append(want)
+    assert verdicts.count(True) > 150 and verdicts.count(False) > 150
+    assert gcd._ucoprime(umul(root, [3]), umul(root, [P - 5])) is False
+    assert gcd._ucoprime([4], []) is True and gcd._ucoprime([], []) is False
+    # Only two images of degree 2 or more need the remainder sequence.
+    rems.clear()
+    for a, b in cases:
+        if min(len(a), len(b)) <= 2:
+            gcd._ucoprime(a, b)
+    assert rems == []
+
+
+def test_squarefree_certificate_double_linear_root():
+    # (X + 2)^2: the X-image has a double root, its derivative is linear.
+    assert not squarefree_by_images((X + RING.const(2)) * (X + RING.const(2)) * (Y + V))
+    assert not squarefree_by_images((X + Y) * (X + Y))
+    # X^2 + Y - Y_POINT is squarefree, but its X-image t^2 is not: not
+    # proved, and the fallback decides.
+    f = X * X + Y - RING.const(Y_POINT)
+    assert not squarefree_by_images(f)
+    assert is_squarefree(f)
+
+
 def test_images_are_computed_once_per_polynomial(monkeypatch):
     computed = []
     original = gcd._univariate_images

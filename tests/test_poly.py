@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cmwitness import poly
 from cmwitness.gcd import gcd_many_q, gcd_q, gcd_z, is_ring_square
 from cmwitness.poly import (
     _MAX_NESTING,
@@ -106,6 +107,23 @@ def test_divide_exact():
         divide_exact(p, X - Y)
     with pytest.raises(NotDivisibleError):
         divide_exact(X, RING.zero())
+
+
+def test_is_divisible_builds_no_message(monkeypatch):
+    # is_divisible answers without an exception, so nothing is formatted;
+    # divide_exact still names both operands.
+    formatted = []
+    monkeypatch.setattr(poly, "format_poly", lambda q: formatted.append(q) or "?")
+    p = (X + Y) * (V - RING.const(2))
+    for b in (X - Y, X * Y, RING.const(4), RING.zero()):
+        assert not is_divisible(p, b)
+    assert is_divisible(p, X + Y) and is_divisible(p.scale(4), RING.const(4))
+    assert formatted == []
+    monkeypatch.undo()
+    with pytest.raises(NotDivisibleError, match=r"^X\*V\+Y\*V-2\*X-2\*Y is not divisible by X-Y$"):
+        divide_exact(p, X - Y)
+    with pytest.raises(ValueError):
+        is_divisible(p, BaseRing(("X",)).var("X"))
 
 
 def test_divide_exact_random_roundtrip():
