@@ -1,25 +1,36 @@
 """The rank-4 free S-algebra A = S[w, u] with w^2 = f, u^2 = g.
 
-A is free over S on the basis (1, w, u, wu); its total fraction field K
-is a degree-4 extension of Frac(S).  Every element this package needs
-lives in (1/2^k)A, so a K-element is four integer polynomial
-coordinates plus a denominator exponent k, kept in reduced form (k = 0
-or some coordinate odd).  k_mul forms the four numerators of a
-product in one poly_dots call over the structure-constant table
-_K_TABLE, from the left coordinates n and the right vector
-(m0..m3, f*m1, g*m2, fg*m3, g*m3, f*m3) of the right operand.  That
-vector is kept on the right operand, since a report multiplies by the
-same element more than once (a golden report forms at most 47 exact
-products, and 10 to 31 of them find it already kept).
+A is free over S on the basis (b0, b1, b2, b3) = (1, w, u, wu), and
+b_i*b_j = c(i & j)*b_(i ^ j) with c = (1, f, g, fg): A is a twisted
+group algebra of (Z/2)^2.  Its total fraction field K is a degree-4
+extension of Frac(S).  Every element this package needs lives in
+(1/2^k)A, so a K-element is (n0*b0 + n1*b1 + n2*b2 + n3*b3) / 2^k,
+held as one term dict: the term c*x^e of n_i has the key (e << 2) | i,
+e the packed monomial key of poly.BaseRing, and k is kept reduced
+(k = 0 or some coefficient odd).  coords splits the dict into the four
+coordinate Polys once, for the report, the span solves and the
+certificate determinant.
+
+k_mul is one loop over the terms of one operand against the four
+tables of the other, T_i = sum over j of m_j*c(i & j) tagged i ^ j
+(m_j the coordinates of that operand): a term c*x^e*b_i contributes
+c*x^e*T_i, a key addition per product term.  A monomial degree of
+2^FIELD_BITS reaches the key limit and raises BoundTooLargeError; it
+never carries into the tag or the next field.  The tables are kept on
+their operand, since a report multiplies by the same element more than
+once (a golden report forms at most 44 exact products, and 10 to 31 of
+them find tables already kept), and K is commutative, so k_mul reads
+them from whichever operand has them, else builds them for the one
+with fewer terms.
 
 The colon test in_colon(x, J) forms no exact product.  Generators g of
 J lie in A, so x*g lies in A exactly when 2^k, k = k_x, divides its
-numerators, which depends only on the operands mod 2^k: the test makes
-the same poly_dots call on residues (reduce_mod_2k) of x's coordinates
-and of g's right vector, the latter formed from f, g and f*g mod 2^k
-and cached per k on g and on the descriptor.  k = 0 needs no product
-(A is a ring), nor does a scalar generator (p, 0, 0, 0): KElement.make
-keeps x reduced, so for k > 0 some coordinate n_i of x has an odd
+numerators, which depends only on the operands mod 2^k: the test runs
+k_mul's loop on the residues of x's coefficients against g's tables
+mod 2^k (built from f, g and f*g mod 2^k, cached per k on g and on the
+descriptor), then masks the result with 2^k - 1.  k = 0 needs no
+product (A is a ring), nor does a scalar generator (p, 0, 0, 0): x is
+kept reduced, so for k > 0 some coordinate n_i of x has an odd
 coefficient, and by Gauss's lemma for the prime 2 in Z[x] (v2 of the
 content is additive) 2^k divides every n_i*p exactly when it divides
 every coefficient of p, which p = 0 passes.
@@ -44,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     HypothesisViolationError,
@@ -52,7 +63,7 @@ from .errors import (
     WitnessMismatchError,
 )
 from .linalg import PolyFraction, solve_in_S
-from .poly import BaseRing, Poly, halve_common, poly_dots, reduce_mod_2k
+from .poly import BaseRing, Poly, _check_same_ring, _overflow, reduce_mod_2k
 from .predicates import (
     QShape,
     S2w4Witness,
@@ -64,6 +75,10 @@ from .predicates import (
     is_squarefree,
     satisfies_A1,
 )
+
+Terms = Tuple[Tuple[int, int], ...]  # (key, coefficient) pairs
+Constants = Tuple[Optional[Terms], ...]  # c = (1, f, g, fg), 1 as None
+Tables = Tuple[Terms, ...]  # T_0 .. T_3 of an element (module docstring)
 
 
 @dataclass(frozen=True)
@@ -77,13 +92,14 @@ class AlgebraDesc:
 
     Derived facts are computed with their checks on first use and cached
     outside the fields, so equality and hashing are unchanged: fg (the
-    product f*g that k_mul reads), w4f, w4g (the S^{2,4} witnesses of
-    f, g, or None), q_shape (the shape of Q = (2, h1, h2)), dual_product
-    ((w + h1)(u + h2), which ideal_H and prime_dual_gen share) and
-    local_factors ((k1, k2) with (w - h1)^2 = 2*k1, (u - h2)^2 = 2*k2).
-    residues(k) keeps f, g and f*g mod 2^k per k.  zero(), one(),
+    product f*g that the tables read), w4f, w4g (the S^{2,4} witnesses
+    of f, g, or None), q_shape (the shape of Q = (2, h1, h2)),
+    dual_product ((w + h1)(u + h2), which ideal_H and prime_dual_gen
+    share) and local_factors ((k1, k2) with (w - h1)^2 = 2*k1,
+    (u - h2)^2 = 2*k2).  constants(k) keeps the structure constants,
+    exact and mod 2^k per k, in the form the tables read.  zero(), one(),
     root_f(), root_g() and root_fg() return the same element on every
-    call, so each forms its right vector (k_mul) once per algebra.
+    call, so each builds its tables (k_mul) at most once per algebra.
     """
 
     ring: BaseRing
@@ -95,11 +111,20 @@ class AlgebraDesc:
     # -- element factories -------------------------------------------
 
     def element(self, coords: Sequence[Poly], denom_exp: int = 0) -> "KElement":
-        return KElement.make(self, tuple(coords), denom_exp)
+        """(n0 + n1*w + n2*u + n3*w*u) / 2^denom_exp, reduced; ValueError
+        unless there are 4 coordinates of this ring and denom_exp >= 0."""
+        coords = tuple(coords)
+        if len(coords) != 4:
+            raise ValueError("a K-element has exactly 4 coordinates")
+        if denom_exp < 0:
+            raise ValueError("negative denominator exponent")
+        _check_same_ring(self.ring, *coords)
+        terms = {e << 2 | i: c for i, p in enumerate(coords) for e, c in p._terms.items()}
+        return KElement(self, terms, denom_exp)
 
     @cached_property
     def _basis(self) -> Tuple["KElement", ...]:
-        """0, 1, w, u and wu, built once: each keeps its right vector."""
+        """0, 1, w, u and wu, built once: each keeps its tables."""
         z, o = self.ring.zero(), self.ring.one()
         coords = ((z, z, z, z), (o, z, z, z), (z, o, z, z), (z, z, o, z), (z, z, z, o))
         return tuple(self.element(c) for c in coords)
@@ -161,15 +186,23 @@ class AlgebraDesc:
         return self.f * self.g
 
     @cached_property
-    def _residues(self) -> Dict[int, Tuple[Poly, Poly, Poly]]:
+    def _constants(self) -> Dict[Optional[int], Constants]:
         return {}
 
-    def residues(self, k: int) -> Tuple[Poly, Poly, Poly]:
-        """f, g and f*g mod 2^k (f*g from the residues of f and g)."""
-        if k not in self._residues:
-            fk, gk = reduce_mod_2k(self.f, k), reduce_mod_2k(self.g, k)
-            self._residues[k] = (fk, gk, reduce_mod_2k(fk * gk, k))
-        return self._residues[k]
+    def constants(self, k: Optional[int] = None) -> Constants:
+        """The structure constants c = (1, f, g, fg) as the tables read
+        them: None for 1, else (key << 2, coefficient) pairs.  With k, the
+        residues mod 2^k of f, g and fg (fg from the residues of f, g)."""
+        if k not in self._constants:
+            if k is None:
+                polys = (self.f, self.g, self.fg)
+            else:
+                fk, gk = reduce_mod_2k(self.f, k), reduce_mod_2k(self.g, k)
+                polys = (fk, gk, reduce_mod_2k(fk * gk, k))
+            self._constants[k] = (None,) + tuple(
+                tuple((e << 2, c) for e, c in p._terms.items()) for p in polys
+            )
+        return self._constants[k]
 
     @cached_property
     def q_shape(self) -> QShape:
@@ -247,43 +280,56 @@ def make_algebra(ring: BaseRing, f: Poly, g: Poly) -> AlgebraDesc:
 
 
 class KElement:
-    """(n0 + n1*w + n2*u + n3*w*u) / 2^k in reduced form: make divides
-    out the largest power of 2 that k allows in one pass (halve_common).
+    """(n0 + n1*w + n2*u + n3*w*u) / 2^k in reduced form (k = 0 or some
+    coefficient odd), held as one term dict: the term c*x^e of n_i has
+    the key (e << 2) | i, e the packed monomial key (poly.BaseRing).
 
-    _right_products holds the right vector (n0, n1, n2, n3, f*n1, g*n2,
-    fg*n3, g*n3, f*n3) once the element has been the right operand of
-    k_mul, _residues maps k to that vector mod 2^k; equality and
-    hashing ignore both.  +, - and * take K-elements of one algebra;
-    AlgebraDesc.scalar lifts a polynomial.
+    The constructor divides out the largest power of 2 that k allows in
+    one pass: t = min(k, v2 of the OR of all coefficients), two's
+    complement keeping each one's lowest set bit; the zero element gets
+    k = 0.  coords splits the dict into the four coordinate Polys on
+    first use.  _tables holds the element's product tables once it has
+    been the table operand of k_mul, _residues maps k to those tables
+    mod 2^k; equality and hashing read the term dict and k only.  +, -
+    and * take K-elements of one algebra; AlgebraDesc.element and
+    AlgebraDesc.scalar build one from polynomials.
     """
 
-    __slots__ = ("algebra", "coords", "denom_exp", "_hash", "_right_products",
+    __slots__ = ("algebra", "_terms", "denom_exp", "_coords", "_hash", "_tables",
                  "_residues")
 
-    def __init__(self, algebra: AlgebraDesc, coords: Tuple[Poly, ...], denom_exp: int):
-        # Callers go through make(); direct construction assumes reduced.
-        self.algebra = algebra
-        self.coords = coords
-        self.denom_exp = denom_exp
-        self._hash = None
-        self._right_products: Optional[Tuple[Poly, ...]] = None
-        self._residues: Optional[Dict[int, Tuple[Poly, ...]]] = None
-
-    @classmethod
-    def make(
-        cls, algebra: AlgebraDesc, coords: Tuple[Poly, ...], denom_exp: int
-    ) -> "KElement":
-        if len(coords) != 4:
-            raise ValueError("a K-element has exactly 4 coordinates")
-        if denom_exp < 0:
-            raise ValueError("negative denominator exponent")
+    def __init__(self, algebra: AlgebraDesc, terms: Dict[int, int], denom_exp: int):
+        # terms is a canonical tagged dict (no zero coefficient) that no
+        # code mutates once it is built, so it may be shared.
         if denom_exp:
-            t, coords = halve_common(coords, denom_exp)
-            denom_exp -= t
-        return cls(algebra, tuple(coords), denom_exp)
+            bits = 0
+            for c in terms.values():
+                bits |= c
+            t = min(denom_exp, (bits & -bits).bit_length() - 1) if bits else denom_exp
+            if t:
+                terms = {e: c >> t for e, c in terms.items()}
+                denom_exp -= t
+        self.algebra = algebra
+        self._terms = terms
+        self.denom_exp = denom_exp
+        self._coords: Optional[Tuple[Poly, ...]] = None
+        self._hash = None
+        self._tables: Optional[Tables] = None
+        self._residues: Optional[Dict[int, Tables]] = None
+
+    @property
+    def coords(self) -> Tuple[Poly, ...]:
+        """(n0, n1, n2, n3), split from the term dict once."""
+        if self._coords is None:
+            parts: Tuple[Dict[int, int], ...] = ({}, {}, {}, {})
+            for e, c in self._terms.items():
+                parts[e & 3][e >> 2] = c
+            ring = self.algebra.ring
+            self._coords = tuple(Poly._from_canonical(ring, p) for p in parts)
+        return self._coords
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not self._terms
 
     def __add__(self, other: "KElement") -> "KElement":
         return self._plus(other, 1)
@@ -295,26 +341,34 @@ class KElement:
         """self + sign*other, sign = 1 or -1, over the larger denominator."""
         _check_same_algebra(self, other)
         k = max(self.denom_exp, other.denom_exp)
-        pairs = zip(self.coords, other.coords)
-        if self.denom_exp == other.denom_exp:  # both scales are 1
-            coords = tuple(a + b if sign == 1 else a - b for a, b in pairs)
+        shift = k - self.denom_exp
+        if shift:
+            terms = {e: c << shift for e, c in self._terms.items()}
         else:
-            sa, sb = 1 << (k - self.denom_exp), sign << (k - other.denom_exp)
-            coords = tuple(a.scale(sa) + b.scale(sb) for a, b in pairs)
-        return KElement.make(self.algebra, coords, k)
+            terms = dict(self._terms)
+        get = terms.get
+        scale = sign << (k - other.denom_exp)
+        for e, c in other._terms.items():
+            s = get(e, 0) + scale * c
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+        return KElement(self.algebra, terms, k)
 
     def __mul__(self, other: "KElement") -> "KElement":
         return k_mul(self, other)
 
     def scale_poly(self, p: Poly) -> "KElement":
-        if not p:
-            return self.algebra.zero()
-        coords = tuple(c * p if c else c for c in self.coords)
-        return KElement.make(self.algebra, coords, self.denom_exp)
+        alg = self.algebra
+        _check_same_ring(alg.ring, p)
+        shifted = tuple((e << 2, c) for e, c in p._terms.items())  # p*b_i has tag i
+        return KElement(alg, _product(self._terms.items(), (shifted,) * 4, alg.ring),
+                        self.denom_exp)
 
     def half(self) -> "KElement":
         """Divide by 2 in K (the result need not lie in A)."""
-        return KElement.make(self.algebra, self.coords, self.denom_exp + 1)
+        return KElement(self.algebra, self._terms, self.denom_exp + 1)
 
     def __eq__(self, other):
         if not isinstance(other, KElement):
@@ -322,12 +376,12 @@ class KElement:
         return (
             self.algebra == other.algebra
             and self.denom_exp == other.denom_exp
-            and self.coords == other.coords
+            and self._terms == other._terms
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.coords, self.denom_exp))
+            self._hash = hash((frozenset(self._terms.items()), self.denom_exp))
         return self._hash
 
 
@@ -336,48 +390,84 @@ def _check_same_algebra(a: KElement, b: KElement):
         raise ValueError("operands belong to different algebras")
 
 
-# (i, j, o): left coordinate n_i times entry j of the right vector
-# (_right_products) goes into numerator o, one row per numerator.
-_K_TABLE = ((0, 0, 0), (1, 4, 0), (2, 5, 0), (3, 6, 0),
-            (0, 1, 1), (1, 0, 1), (2, 7, 1), (3, 5, 1),
-            (0, 2, 2), (2, 0, 2), (1, 8, 2), (3, 4, 2),
-            (0, 3, 3), (3, 0, 3), (1, 2, 3), (2, 1, 3))
+def _tables(terms: Dict[int, int], consts: Constants, ring: BaseRing) -> Tables:
+    """T_0 .. T_3 with T_i = sum over j of m_j*c(i & j) tagged i ^ j.
+
+    m_j is the coordinate of tag j, c = consts.  An entry of T_i is kept
+    relative to the left tag i, key (x^e << 2) + (i ^ j) - i, so that
+    _product adds it to a left key of tag i.  Entries of T_i from
+    different j carry different tags, so T_i is their disjoint union;
+    each product m_j*c(s) is formed once.
+    """
+    parts: Tuple[List[Tuple[int, int]], ...] = ([], [], [], [])
+    for e, c in terms.items():
+        parts[e & 3].append((e & -4, c))
+    tables: Tuple[Dict[int, int], ...] = ({}, {}, {}, {})
+    for j, m in enumerate(parts):
+        if not m:
+            continue
+        scaled = {0: m}
+        for i, table in enumerate(tables):
+            s = i & j
+            if s not in scaled:
+                scaled[s] = _product(m, (consts[s],), ring).items()  # m has tag 0
+            offset = (i ^ j) - i
+            for e, c in scaled[s]:
+                table[e + offset] = c
+    return tuple(tuple(t.items()) for t in tables)
+
+
+def _product(terms: Iterable[Tuple[int, int]], tables: Tables, ring: BaseRing) -> Dict[int, int]:
+    """The sum of c*x^e*b_i*T_i over the terms (x^e << 2 | i, c), one key
+    addition per product term, cancelled terms dropped: the tagged
+    numerators of a K-product, and of a product by a polynomial when
+    every T_i is that polynomial.  A monomial degree of 2^FIELD_BITS
+    reaches ring._key_limit << 2 and raises BoundTooLargeError; it never
+    carries into the tag or the next field."""
+    out: Dict[int, int] = {}
+    get = out.get
+    limit = ring._key_limit << 2
+    for e1, c1 in terms:
+        for e2, c2 in tables[e1 & 3]:
+            e = e1 + e2
+            if e >= limit:
+                raise _overflow(ring, e >> 2)
+            out[e] = get(e, 0) + c1 * c2
+    if 0 in out.values():
+        out = {e: c for e, c in out.items() if c}
+    return out
 
 
 def k_mul(x: KElement, y: KElement) -> KElement:
     """Exact product in K, reduced: the numerators / 2^(kx + ky).
 
-    y's right vector is formed once per right operand.
+    One loop over the terms of one operand against the tables of the
+    other.  K is commutative, so the tables come from the operand that
+    has them already, else from the one with fewer terms (the cheaper
+    tables), and are kept on it.
     """
     _check_same_algebra(x, y)
     alg = x.algebra
-    if y._right_products is None:
-        y._right_products = _right_products(y.coords, alg.f, alg.g, alg.fg)
-    coords = poly_dots(alg.ring, x.coords, y._right_products, _K_TABLE, 4)
-    return KElement.make(alg, coords, x.denom_exp + y.denom_exp)
+    if y._tables is None and (x._tables is not None or len(x._terms) < len(y._terms)):
+        x, y = y, x
+    if y._tables is None:
+        y._tables = _tables(y._terms, alg.constants(), alg.ring)
+    return KElement(alg, _product(x._terms.items(), y._tables, alg.ring),
+                    x.denom_exp + y.denom_exp)
 
 
-def _right_products(m: Sequence[Poly], f: Poly, g: Poly, fg: Poly) -> Tuple[Poly, ...]:
-    """The right vector (m0, m1, m2, m3, f*m1, g*m2, fg*m3, g*m3, f*m3).
-
-    The products move the structure constants w*w = f, u*u = g,
-    w*wu = f*u, u*wu = g*w and wu*wu = f*g onto the coordinates m.  A
-    zero coordinate is its own product with anything.
-    """
-    _, m1, m2, m3 = m
-    pairs = ((f, m1), (g, m2), (fg, m3), (g, m3), (f, m3))
-    return tuple(m) + tuple(a * b if b else b for a, b in pairs)
-
-
-def _residues(y: KElement, k: int) -> Tuple[Poly, ...]:
-    """y's right vector mod 2^k, cached on y per k."""
+def _residues(y: KElement, k: int) -> Tables:
+    """y's tables mod 2^k, from y and f, g, fg mod 2^k, cached on y per k."""
     if y._residues is None:
         y._residues = {}
-    if k not in y._residues:
-        m = tuple(reduce_mod_2k(c, k) for c in y.coords)
-        right = _right_products(m, *y.algebra.residues(k))
-        y._residues[k] = tuple(reduce_mod_2k(p, k) for p in right)
-    return y._residues[k]
+    tables = y._residues.get(k)
+    if tables is None:
+        mask = (1 << k) - 1
+        m = {e: c & mask for e, c in y._terms.items() if c & mask}
+        tables = _tables(m, y.algebra.constants(k), y.algebra.ring)
+        tables = tuple(tuple((e, c & mask) for e, c in t if c & mask) for t in tables)
+        y._residues[k] = tables
+    return tables
 
 
 def a_membership(x: KElement) -> bool:
@@ -480,22 +570,23 @@ def ideal_product(a: IdealGens, b: IdealGens) -> IdealGens:
 def in_colon(x: KElement, ideal: IdealGens) -> bool:
     """x in (A : ideal): x times every generator (in A) lies in A.
 
-    Decided on residues mod 2^k, k = k_x; k = 0 and scalar generators
-    form no product (see the module docstring).
+    Decided on residues mod 2^k, k = k_x: k_mul's loop on x's residues
+    and the generator's residue tables, then a mask test; k = 0 and
+    scalar generators form no product (see the module docstring).
     """
     k = x.denom_exp
-    n = tuple(reduce_mod_2k(c, k) for c in x.coords) if k else None
     mask = (1 << k) - 1
+    n = {e: c & mask for e, c in x._terms.items() if c & mask} if k else None
     for g in ideal.gens:
         _check_same_algebra(x, g)
         if g.denom_exp:  # IdealGens checks this only when it is built
             raise WitnessMismatchError("ideal generators must lie in A")
         if k == 0:
             continue
-        if not any(g.coords[1:]):  # a scalar: test p itself
-            numerators = g.coords[:1]
-        else:
-            numerators = poly_dots(x.algebra.ring, n, _residues(g, k), _K_TABLE, 4)
-        if any(c & mask for p in numerators for c in p._terms.values()):
+        if any(e & 3 for e in g._terms):
+            numerators = _product(n.items(), _residues(g, k), x.algebra.ring).values()
+        else:  # a scalar p: test p itself
+            numerators = g._terms.values()
+        if any(c & mask for c in numerators):
             return False
     return True

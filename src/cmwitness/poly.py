@@ -33,21 +33,25 @@ built, so polynomials can be shared: scale(1) and adding zero return
 the operand itself.  The public constructor Poly(ring, terms) filters
 and converts whatever dict it is given.  The kernels that build a dict
 already in canonical form (addition, subtraction, negation, scale,
-poly_dot(s) after dropping cancelled terms, divide_exact, half,
-halve_common, reduce_mod_2k, frobenius_mod2, primitive (the one content
-division, used by gcd.py and predicates.py), sqrt_f2, f2_divide_exact,
-partial_derivative, substitute_ints, and the recursive-form results of
-gcd.gcd_z and gcd.gcd_f2) hand it to the private Poly._from_canonical,
-which takes it unchecked and uncopied.  No other code may call it.
+poly_dot after dropping cancelled terms, divide_exact, half,
+reduce_mod_2k, frobenius_mod2, primitive (the one content division,
+used by gcd.py and predicates.py), sqrt_f2, f2_divide_exact,
+partial_derivative, substitute_ints, the recursive-form results of
+gcd.gcd_z and gcd.gcd_f2, and the coordinates that algebra.KElement
+splits from its tagged term dict) hand it to the private
+Poly._from_canonical, which takes it unchecked and uncopied.  No other
+code may call it.
 
 Every product of integer polynomials goes through one monomial loop,
-_accumulate, called by poly_dot(ring, pairs) = sum of a*b and by
-poly_dots, which forms the n sums of a product table in one call.  The
+_accumulate, called by poly_dot(ring, pairs) = sum of a*b.  The
 operands in this package are small (most have zero to three terms), so
 the cost of arithmetic is the calls and objects per product, not the
 monomial loop: a fused sum builds no Poly per product or partial sum,
 a pair with a zero operand costs one truth test, a monomial product is
 one int addition, and a claim mod 2^k runs on residues (reduce_mod_2k).
+K-elements (algebra.py) keep their four coordinates in one dict of
+these keys shifted left by two bits, and multiply in loops of their
+own against the same key limit.
 
 A residue mod 2^k is a Poly with every coefficient in [0, 2^k), so an
 element of GF(2)[x1, ..., xn] is a 0/1 Poly, its own canonical lift.
@@ -61,7 +65,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 from operator import mul
 from struct import Struct
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import (
     BoundTooLargeError,
@@ -85,7 +89,8 @@ class BaseRing:
 
     Only the ambient polynomial variables are recorded; the residual
     characteristic is always two.  The key layout is built once, outside
-    the fields, so equality and hashing read the variables alone.
+    the fields, so equality and hashing read the variables alone; so
+    does the memo of monomial texts that format_poly fills.
     """
 
     variables: Tuple[str, ...]
@@ -105,6 +110,7 @@ class BaseRing:
             ("_key_limit", 1 << top + FIELD_BITS),
             ("_borrow_bits", sum(1 << s + FIELD_BITS for s in shifts)),  # field boundaries
             ("_fields", Struct(">2x%dH" % len(shifts))),  # the degree field skipped
+            ("_monomial_texts", {}),  # key -> text, filled by format_poly
         ):
             object.__setattr__(self, name, value)
 
@@ -370,39 +376,9 @@ def poly_dot(ring: BaseRing, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
     return Poly._from_canonical(ring, terms)
 
 
-def poly_dots(ring: BaseRing, left: Sequence[Poly], right: Sequence[Poly],
-              table: Iterable[Tuple[int, int, int]], n: int) -> List[Poly]:
-    """The n sums out[o] = sum of left[i]*right[j] over (i, j, o) in table.
-
-    algebra.k_mul and algebra.in_colon form the four numerators of a
-    K-product in one call from its structure-constant table.  A pair
-    with a zero operand is skipped before any loop.  Every operand must
-    belong to ``ring``, zero ones included.
-    """
-    for p in left:
-        if p.ring is not ring:
-            _check_same_ring(ring, p)
-    for p in right:
-        if p.ring is not ring:
-            _check_same_ring(ring, p)
-    outs: List[Dict[int, int]] = [{} for _ in range(n)]
-    for i, j, o in table:
-        a = left[i]._terms
-        if a:
-            b = right[j]._terms
-            if b:
-                _accumulate(outs[o], a, b, ring)
-    out = []
-    for terms in outs:
-        if 0 in terms.values():
-            terms = {e: c for e, c in terms.items() if c}
-        out.append(Poly._from_canonical(ring, terms))
-    return out
-
-
 def _accumulate(terms: Dict[int, int], a: Dict[int, int], b: Dict[int, int], ring):
     """Add the product of the term dicts a and b of ``ring`` into terms:
-    the package's one monomial-product loop (BoundTooLargeError when a key
+    the one monomial-product loop of Polys (BoundTooLargeError when a key
     carries).  Callers drop cancelled terms once, at the end."""
     get = terms.get
     limit = ring._key_limit
@@ -546,23 +522,6 @@ def half(p: Poly) -> Poly:
     if not is_even(p):
         raise NotDivisibleError("polynomial is not divisible by 2")
     return Poly._from_canonical(p.ring, {e: c // 2 for e, c in p._terms.items()})
-
-
-def halve_common(polys: Sequence[Poly], most: int) -> Tuple[int, Tuple[Poly, ...]]:
-    """(t, each p / 2^t) for the largest t <= most with 2^t dividing all:
-    t is the 2-adic valuation of the OR of all coefficients (two's
-    complement keeps each one's lowest set bit), ``most`` if all are 0."""
-    bits = 0
-    for p in polys:
-        for c in p._terms.values():
-            bits |= c
-    t = min(most, (bits & -bits).bit_length() - 1) if bits else most
-    if t == 0:
-        return 0, tuple(polys)
-    return t, tuple(
-        Poly._from_canonical(p.ring, {e: c >> t for e, c in p._terms.items()})
-        for p in polys
-    )
 
 
 def primitive(p: Poly) -> Tuple[int, Poly]:
@@ -817,12 +776,18 @@ def _format_monomial(ring: BaseRing, e: Exponent) -> str:
 
 def format_poly(p: Poly) -> str:
     """Canonical string: descending graded lex, explicit '*' and '^'.
-    Built once per Poly and kept in its _text slot."""
+    Built once per Poly and kept in its _text slot; each monomial's text
+    is built once per ring and kept in the ring's _monomial_texts."""
     if p._text is not None:
         return p._text
+    ring, terms = p.ring, p._terms
+    texts = ring._monomial_texts
     out = ""
-    for e, c in p.sorted_terms():
-        mono = _format_monomial(p.ring, e)
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
+        mono = texts.get(e)
+        if mono is None:
+            mono = texts[e] = _format_monomial(ring, ring.unpack(e))
         if not mono:
             s = str(c)
         elif c == 1 or c == -1:

@@ -111,14 +111,14 @@ def bounded_colon_search(
     if denom_bound == 1:
         out = [alg.one()]
         for mask in basis1:
-            out.append(KElement.make(alg, mask_to_coords(mask, 0), 1))
+            out.append(alg.element(mask_to_coords(mask, 0), 1))
         return out
 
     # Denominator 4: p = sum_i eps_i * b_i + 2q with the b_i the lifted
     # mod-2 solutions.  Then p*g = 2*(sum eps_i r_i + q*g) + 4*(...) with
     # r_i = (b_i * g)/2, so the mod-4 condition is the GF(2) system
     # sum eps_i r_i + q*g = 0 on the (eps, q) unknowns.
-    lifts = [KElement(alg, mask_to_coords(mask, 0), 0) for mask in basis1]
+    lifts = [alg.element(mask_to_coords(mask, 0)) for mask in basis1]
     neps = len(lifts)
     rows2: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
     for gi, g in enumerate(ideal.gens):
@@ -141,7 +141,7 @@ def bounded_colon_search(
                 pcoords = [p + c for p, c in zip(pcoords, b.coords)]
         qcoords = mask_to_coords(mask, neps)
         pcoords = [p + q.scale(2) for p, q in zip(pcoords, qcoords)]
-        x = KElement.make(alg, tuple(pcoords), 2)
+        x = alg.element(pcoords, 2)
         if not x.is_zero():
             out.append(x)
     return out

@@ -129,16 +129,34 @@ def test_k_mul_matches_the_structure_constants():
     checked = 0
     for alg in algebras:
         for _ in range(60):
-            # One right operand against several left ones: the first
-            # product fills its cache, the others read it.
+            # y's square fills y's tables and the products with y read
+            # them; two fresh operands table the one with fewer terms.
             y = alg.element([rand_coord(rng) for _ in range(4)], rng.randrange(3))
+            assert k_mul(y, y) == structure_constant_product(y, y)
+            assert y._tables is not None
             for _ in range(3):
                 x = alg.element([rand_coord(rng) for _ in range(4)], rng.randrange(3))
                 assert k_mul(x, y) == structure_constant_product(x, y)
-                checked += 1
-            assert y._right_products is not None
-            assert k_mul(y, y) == structure_constant_product(y, y)
+                assert x._tables is None
+                z = alg.element([rand_coord(rng) for _ in range(4)], rng.randrange(3))
+                assert k_mul(z, x) == structure_constant_product(z, x)
+                checked += 2
     assert checked >= 300
+
+
+def test_basis_products_follow_the_xor_rule():
+    # b_i * b_j = c(i & j) * b_(i ^ j) with c = (1, f, g, fg), on fresh
+    # basis elements and on the ones the descriptor keeps.
+    for alg in (case_b_algebra(), make_algebra(RING, P("X^2*Y+2*X+2"), P("Y^2+2*X*Y+6"))):
+        one, zero = RING.one(), RING.zero()
+        c = (one, alg.f, alg.g, alg.fg)
+        kept = [alg.one(), alg.root_f(), alg.root_g(), alg.root_fg()]
+        for i in range(4):
+            for j in range(4):
+                bi, bj = (alg.element([one if t == s else zero for t in range(4)]) for s in (i, j))
+                expected = structure_constant_product(bi, bj)
+                assert k_mul(bi, bj) == expected == k_mul(kept[i], kept[j])
+                assert expected == kept[i ^ j].scale_poly(c[i & j])
 
 
 def test_right_operand_cache_is_invisible():
@@ -147,9 +165,10 @@ def test_right_operand_cache_is_invisible():
     used, fresh, hashed_first = (alg.element(coords, 1) for _ in range(3))
     before = hash(hashed_first)
     for y in (used, hashed_first):
-        k_mul(alg.root_f(), y)
-        assert y._right_products is not None
-    assert fresh._right_products is None
+        k_mul(y, y)
+        assert y._tables is not None and y._coords is None
+        assert y.coords == coords
+    assert fresh._tables is None
     assert hash(hashed_first) == before
     assert used == fresh and fresh == used and used == hashed_first
     assert hash(used) == hash(fresh) == before
@@ -158,36 +177,90 @@ def test_right_operand_cache_is_invisible():
 
 
 def test_k_mul_and_in_colon_check_the_ring_of_every_coordinate():
-    # A zero coordinate takes part in no product, but it is still an
-    # operand: one from another ring is refused in either position.
+    # A zero coordinate is still an operand: one from another ring is
+    # refused in every position, and so is a scale_poly factor.
     alg = case_b_algebra()
     w, u = alg.root_f(), alg.root_g()
     foreign = BaseRing(("X", "Z")).zero()
     for i in range(4):
         coords = [X + 1, Y, X * Y, RING.one()]
         coords[i] = foreign
-        bad = alg.element(coords)
-        with pytest.raises(ValueError):
-            k_mul(bad, w + u)
-        with pytest.raises(ValueError):
-            k_mul(w + u, alg.element(coords))
-        # k > 0: x's residues and the generator's right vector are
-        # operands of the same kernel.
-        with pytest.raises(ValueError):
-            in_colon(alg.element(coords, 1), IdealGens(alg, [w + u]))
-        with pytest.raises(ValueError):
-            in_colon(w.half(), IdealGens(alg, [alg.element(coords)]))
+        for k in (0, 1):
+            with pytest.raises(ValueError):
+                alg.element(coords, k)
+    with pytest.raises(ValueError):
+        alg.scalar(BaseRing(("X", "Z")).one())
+    with pytest.raises(ValueError):
+        w.scale_poly(foreign)
     # An equal ring built separately is the same ring.
     same = BaseRing(("X", "Y"))
     x = alg.element([X + 1, Y, RING.zero(), X * Y], 1)
     twin = alg.element([Poly(same, dict(c.sorted_terms())) for c in x.coords], 1)
-    assert twin.coords[2].ring is same
-    y = w + u.scale_poly(Y)
+    assert twin == x
+    y = w + u.scale_poly(Poly(same, {(0, 1): 1}))
+    assert y == w + u.scale_poly(Y)
     assert k_mul(twin, y) == k_mul(x, y)
     assert k_mul(y, twin) == k_mul(y, x)
     for gens in ([w + u], [alg.scalar(X), u - alg.scalar(Y)]):
         ideal = IdealGens(alg, gens)
         assert in_colon(twin, ideal) == in_colon(x, ideal)
+
+
+def test_element_reduces_by_the_valuation_of_the_or():
+    # The reduced form divides out 2^t, t = min(k, v2 of the OR of all
+    # coefficients); the zero element gets k = 0.
+    rng = random.Random(2203)
+    alg = case_b_algebra()
+    seen = set()
+    for n in range(320):
+        coords = [rand_coord(rng).scale(rng.choice([1, 2, 4, 8, 16])) for _ in range(4)]
+        if n % 40 == 0:
+            coords = [RING.zero()] * 4
+        k = rng.randrange(5)
+        bits = 0
+        for c in coords:
+            for _, v in c.sorted_terms():
+                bits |= v
+        t = min(k, (bits & -bits).bit_length() - 1) if bits else k
+        x = alg.element(coords, k)
+        assert x.denom_exp == k - t
+        assert x.coords == tuple(
+            Poly(RING, {e: v >> t for e, v in c.sorted_terms()}) for c in coords
+        )
+        assert x == alg.element(x.coords, x.denom_exp)
+        seen.add((t > 0, x.is_zero()))
+    assert seen == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_products_past_the_degree_bound_raise():
+    # A monomial degree of 2^16 raises; just below it the product lands
+    # in the right coordinate, with no carry into the tag or the next field.
+    top = 1 << poly.FIELD_BITS
+    alg = case_b_algebra()  # f = X^2 + 2, g = Y^2 + 2
+    w, u, wu = alg.root_f(), alg.root_g(), alg.root_fg()
+    high = Poly(RING, {(top - 3, 0): 1})
+    x = wu.scale_poly(high)  # X^(top-3)*wu
+    assert k_mul(x, w) == u.scale_poly(high * alg.f)  # wu*w = f*u
+    assert k_mul(x, w).coords[2].total_degree() == top - 1
+    with pytest.raises(BoundTooLargeError):
+        k_mul(x, w.scale_poly(X))  # X^(top-3)*X*f, degree top
+    with pytest.raises(BoundTooLargeError):
+        k_mul(wu.scale_poly(X), x)  # the tables of either operand
+    with pytest.raises(BoundTooLargeError):
+        k_mul(x, x.scale_poly(RING.const(3)))
+    y = x.scale_poly(X * Y)
+    assert y.coords[3] == Poly(RING, {(top - 2, 1): 1})
+    with pytest.raises(BoundTooLargeError):
+        y.scale_poly(Y)
+    with pytest.raises(BoundTooLargeError):
+        x.scale_poly(Poly(RING, {(3, 0): 1}))
+    # in_colon forms the same products on residues mod 2^k.
+    ideal = IdealGens(alg, [w + alg.scalar(Y)])
+    assert not in_colon(u.scale_poly(high).half(), ideal)
+    with pytest.raises(BoundTooLargeError):
+        in_colon(wu.scale_poly(high * X).half(), ideal)
+    with pytest.raises(BoundTooLargeError):
+        in_colon(alg.root_f().half(), IdealGens(alg, [x.scale_poly(Y)]))
 
 
 def test_a_membership():
@@ -386,17 +459,16 @@ def exact_in_colon(x, ideal):
 def test_in_colon_is_membership_of_every_product(monkeypatch):
     # in_colon reads residues mod 2^k; the reference multiplies exactly.
     # Scalar generators p (content valuation 0 to 3, and p = 0) and
-    # k = 0 form no product at all, so they make no call of poly_dots,
-    # the kernel behind every product (Poly.__mul__ and poly_dot too).
+    # k = 0 form no product at all, so they make no call of a product
+    # loop: algebra._product (every K-product, table and scale_poly) or
+    # poly._accumulate (every Poly product).
     products = []
-    for module in (algebra, poly):
+    for module, name in ((algebra, "_product"), (poly, "_accumulate")):
+        loop = getattr(module, name)
         monkeypatch.setattr(
             module,
-            "poly_dots",
-            lambda ring, left, right, table, n, dots=poly.poly_dots: products.append(
-                table
-            )
-            or dots(ring, left, right, table, n),
+            name,
+            lambda *args, loop=loop, name=name: products.append(name) or loop(*args),
         )
     rng = random.Random(1305)
     algebras = [case_b_algebra(), make_algebra(RING, P("X^2*Y+2*X+2"), P("Y^2+2*X*Y+6"))]
