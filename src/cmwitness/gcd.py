@@ -1,17 +1,22 @@
 """Multivariate polynomial gcd, and the square test on integer constants.
 
-The gcd kernel works on a recursive dense representation: a polynomial
-in k variables is a dict {degree in the last variable: polynomial in the
-first k-1 variables}, bottoming out at integers; each level peels the
-lowest field off the monomial keys (poly.py).  Gcds are computed by
-the classical primitive-part recursion: split off the content with
-respect to the last variable, recurse on contents, and run a
-subresultant polynomial remainder sequence on the primitive parts.  All
-divisions along the way are exact.
+The gcd kernel works on the package's one polynomial type, Poly, in the
+operands' own ring.  Gcds are computed by the classical primitive-part
+recursion on a main variable x_j, from the last variable down: split
+off the content with respect to x_j (poly.coefficients_in gives the
+coefficients, polynomials in x_0, ..., x_{j-1}), recurse on contents,
+and run Brown's subresultant polynomial remainder sequence on the
+primitive parts.  Every division along the way is exact, so the
+coefficient arithmetic is that of Poly: poly_dot, ** and divide_exact.
+Each PRS intermediate is a Poly, so one whose monomial degree reaches
+2^16 raises BoundTooLargeError like any other product (poly.py).
 
-The same kernel runs over Z (mod=None) and over GF(2) (mod=2); the GF(2)
-gcd is genuinely a separate computation, not a reduction of the integer
-one, since gcds do not commute with reduction mod 2.
+The same kernel runs over Z and over GF(2), where it reduces each
+product with reduce_mod_2k(., 1) and divides with f2_divide_exact; the
+GF(2) gcd is genuinely a separate computation, not a reduction of the
+integer one, since gcds do not commute with reduction mod 2.  The
+recursion calls no public gcd function, so one gcd_z or gcd_f2 call is
+one call however deep it recurses.
 
 Most gcds the hypothesis checks ask for are 1, so ``gcd_q`` first tries
 an exact coprimality certificate from modular images (after Brown 1971
@@ -70,251 +75,126 @@ monomial and no recursion runs.
 from __future__ import annotations
 
 import math
-from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BothZeroError, NotDivisibleError
-from .poly import FIELD_BITS, BaseRing, Poly, primitive, reduce_mod_2k
+from .errors import BothZeroError
+from .poly import (
+    Poly,
+    coefficients_in,
+    divide_exact,
+    f2_divide_exact,
+    poly_dot,
+    primitive,
+    reduce_mod_2k,
+)
 
 
-Rec = Union[int, Dict[int, "Rec"]]
-_FIELD_MASK = (1 << FIELD_BITS) - 1
 # Per variable x_j: (deg_xj p, the trimmed image of p in GF(_P)[x_j]).
 Images = Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 
-def _rzero(k: int) -> Rec:
-    return 0 if k == 0 else {}
+# ---------------------------------------------------------------------------
+# Subresultant gcd over Z and over GF(2)
 
 
-def _ris_zero(a: Rec, k: int) -> bool:
-    return a == 0 if k == 0 else not a
+def _reduced(p: Poly, f2: bool) -> Poly:
+    """p, or over GF(2) its 0/1 residue."""
+    return reduce_mod_2k(p, 1) if f2 else p
 
 
-def _rnormal(d: Dict[int, Rec], k: int) -> Rec:
-    # k >= 1; drop zero coefficients.
-    return {i: c for i, c in d.items() if not _ris_zero(c, k - 1)}
+def _divide(a: Poly, b: Poly, f2: bool) -> Poly:
+    return f2_divide_exact(a, b) if f2 else divide_exact(a, b)
 
 
-def _to_rec(p_terms: Dict[int, int], k: int, mod: Optional[int]) -> Rec:
-    if k == 0:
-        c = sum(p_terms.values())  # at most one key is left at level 0
-        return c % mod if mod else c
-    buckets: Dict[int, Dict[int, int]] = {}
-    for e, c in p_terms.items():
-        buckets.setdefault(e & _FIELD_MASK, {})[e >> FIELD_BITS] = c
-    out = {i: _to_rec(sub, k - 1, mod) for i, sub in buckets.items()}
-    return _rnormal(out, k)
+def _lead(p: Poly, j: int) -> Tuple[int, Optional[Poly]]:
+    """(deg_xj p, the leading coefficient of p in x_j); (-1, None) for zero."""
+    coeffs = coefficients_in(p, j)
+    if not coeffs:
+        return -1, None
+    d = max(coeffs)
+    return d, coeffs[d]
 
 
-def _from_rec(a: Rec, k: int) -> Dict[int, int]:
-    if k == 0:
-        return {0: a} if a else {}
-    unit = 1 | 1 << FIELD_BITS * k  # the lowest field and the degree field
-    out: Dict[int, int] = {}
-    for i, c in a.items():
-        for e, v in _from_rec(c, k - 1).items():
-            out[(e << FIELD_BITS) + i * unit] = v
-    return out
-
-
-def _radd(a: Rec, b: Rec, k: int, mod: Optional[int]) -> Rec:
-    if k == 0:
-        s = a + b
-        return s % mod if mod else s
-    out = dict(a)
-    for i, c in b.items():
-        if i in out:
-            out[i] = _radd(out[i], c, k - 1, mod)
-        else:
-            out[i] = c
-    return _rnormal(out, k)
-
-
-def _rneg(a: Rec, k: int, mod: Optional[int]) -> Rec:
-    if k == 0:
-        return (-a) % mod if mod else -a
-    return {i: _rneg(c, k - 1, mod) for i, c in a.items()}
-
-
-def _rsub(a: Rec, b: Rec, k: int, mod: Optional[int]) -> Rec:
-    return _radd(a, _rneg(b, k, mod), k, mod)
-
-
-def _rmul(a: Rec, b: Rec, k: int, mod: Optional[int]) -> Rec:
-    if k == 0:
-        p = a * b
-        return p % mod if mod else p
-    out: Dict[int, Rec] = {}
-    for i, c in a.items():
-        for j, d in b.items():
-            t = _rmul(c, d, k - 1, mod)
-            if i + j in out:
-                out[i + j] = _radd(out[i + j], t, k - 1, mod)
-            else:
-                out[i + j] = t
-    return _rnormal(out, k)
-
-
-def _rdeg(a: Rec, k: int) -> int:
-    # Degree in the main (last) variable; -1 for zero.
-    if _ris_zero(a, k):
-        return -1
-    return max(a)
-
-
-def _rlc(a: Rec, k: int) -> Rec:
-    return a[max(a)]
-
-
-def _rmul_ground(a: Rec, c: Rec, k: int, mod: Optional[int]) -> Rec:
-    # Multiply a (level k) by a ground element c (level k-1).
-    if _ris_zero(c, k - 1):
-        return _rzero(k)
-    out = {i: _rmul(coeff, c, k - 1, mod) for i, coeff in a.items()}
-    return _rnormal(out, k)
-
-
-def _rshift_mul(a: Rec, c: Rec, j: int, k: int, mod: Optional[int]) -> Rec:
-    # a * c * x_k^j with c a ground element.
-    out = {i + j: _rmul(coeff, c, k - 1, mod) for i, coeff in a.items()}
-    return _rnormal(out, k)
-
-
-def _rdivexact(a: Rec, b: Rec, k: int, mod: Optional[int]) -> Rec:
-    """Exact division at level k; raises NotDivisibleError on failure."""
-    if k == 0:
-        if mod:
-            if b % mod == 0:
-                raise NotDivisibleError("division by zero mod 2")
-            return a % mod
-        if b == 0 or a % b != 0:
-            raise NotDivisibleError("inexact integer division")
-        return a // b
-    if _ris_zero(b, k):
-        raise NotDivisibleError("division by zero polynomial")
-    quot: Dict[int, Rec] = {}
-    rem = a
-    db = _rdeg(b, k)
-    lb = _rlc(b, k)
-    while not _ris_zero(rem, k):
-        dr = _rdeg(rem, k)
-        if dr < db:
-            raise NotDivisibleError("inexact polynomial division")
-        qc = _rdivexact(_rlc(rem, k), lb, k - 1, mod)
-        quot[dr - db] = qc
-        rem = _rsub(rem, _rshift_mul(b, qc, dr - db, k, mod), k, mod)
-    return _rnormal(quot, k)
-
-
-def _rdiv_ground(a: Rec, c: Rec, k: int, mod: Optional[int]) -> Rec:
-    out = {i: _rdivexact(coeff, c, k - 1, mod) for i, coeff in a.items()}
-    return _rnormal(out, k)
-
-
-def _rcontent(a: Rec, k: int, mod: Optional[int]) -> Rec:
-    # Gcd of the coefficients of a with respect to the last variable.
-    g = _rzero(k - 1)
-    for i in sorted(a):
-        g = _rgcd(g, a[i], k - 1, mod)
+def _content(coeffs: Dict[int, Poly], j: int, f2: bool) -> Poly:
+    """The gcd of the coefficients of a polynomial in x_j (by degree)."""
+    g = None
+    for d in sorted(coeffs):
+        g = coeffs[d] if g is None else _gcd(g, coeffs[d], j - 1, f2)
     return g
 
 
-def _rprem(f: Rec, g: Rec, k: int, mod: Optional[int]) -> Rec:
-    """Pseudo-remainder of f by g in the last variable.
+def _gcd(a: Poly, b: Poly, j: int, f2: bool) -> Poly:
+    """A gcd of a and b, polynomials in x_0, ..., x_j, up to a unit.
+
+    For j = -1 both are constants: their integer gcd, or 1 over GF(2).
+    Otherwise gcd(a, b) = gcd(cont a, cont b) * gcd(prim a, prim b),
+    the contents taken in x_j and their gcd one variable down.  An
+    operand free of x_j has primitive part 1, and the gcd of two
+    primitive parts is the primitive part of the last element of their
+    subresultant PRS, or 1 when that has x_j-degree 0.
+    """
+    if not a:
+        return b
+    if not b:
+        return a
+    if j < 0:
+        return a.ring.const(1 if f2 else math.gcd(a.constant_coeff(), b.constant_coeff()))
+    ka, kb = coefficients_in(a, j), coefficients_in(b, j)
+    ca, cb = _content(ka, j, f2), _content(kb, j, f2)
+    cg = _gcd(ca, cb, j - 1, f2)
+    if max(ka) == 0 or max(kb) == 0:
+        return cg
+    h = _subresultant_last(_divide(a, ca, f2), _divide(b, cb, f2), j, f2)
+    kh = coefficients_in(h, j)
+    if max(kh) == 0:
+        return cg
+    return _reduced(_divide(h, _content(kh, j, f2), f2) * cg, f2)
+
+
+def _prem(f: Poly, g: Poly, j: int, f2: bool) -> Poly:
+    """Pseudo-remainder of f by g in x_j.
 
     Classical prem: lc(g)^(deg f - deg g + 1) * f = q*g + prem(f, g),
-    so every subtraction step stays inside the ground ring.
+    so every subtraction step stays inside the coefficient ring.
     """
-    df, dg = _rdeg(f, k), _rdeg(g, k)
+    (df, _), (dg, lg) = _lead(f, j), _lead(g, j)
     if df < dg:
         return f
-    lg = _rlc(g, k)
+    x = g.ring.gens()[j]
     n = df - dg + 1
     r = f
     while True:
-        dr = _rdeg(r, k)
-        if dr < dg or _ris_zero(r, k):
+        dr, lr = _lead(r, j)
+        if dr < dg:
             break
         n -= 1
-        lr = _rlc(r, k)
-        r = _rsub(
-            _rmul_ground(r, lg, k, mod),
-            _rshift_mul(g, lr, dr - dg, k, mod),
-            k,
-            mod,
-        )
-    for _ in range(n):
-        r = _rmul_ground(r, lg, k, mod)
-    return r
+        r = _reduced(poly_dot(r.ring, ((r, lg), (g, -lr * x ** (dr - dg)))), f2)
+    return _reduced(r * lg**n, f2) if n else r
 
 
-def _rpow(a: Rec, n: int, k: int, mod: Optional[int]) -> Rec:
-    out = _rone(k)
-    for _ in range(n):
-        out = _rmul(out, a, k, mod)
-    return out
-
-
-def _rone(k: int) -> Rec:
-    return 1 if k == 0 else {0: _rone(k - 1)}
-
-
-def _rgcd(a: Rec, b: Rec, k: int, mod: Optional[int]) -> Rec:
-    if k == 0:
-        if mod:
-            return 1 if (a % mod or b % mod) else 0
-        return math.gcd(a, b)
-    if _ris_zero(a, k):
-        return b
-    if _ris_zero(b, k):
-        return a
-    ca = _rcontent(a, k, mod)
-    cb = _rcontent(b, k, mod)
-    pa = _rdiv_ground(a, ca, k, mod)
-    pb = _rdiv_ground(b, cb, k, mod)
-    cg = _rgcd(ca, cb, k - 1, mod)
-    h = _subresultant_last(pa, pb, k, mod)
-    if _rdeg(h, k) == 0:
-        # Coprime primitive parts: the whole gcd is the content gcd.
-        pg = {0: _rone(k - 1)}
-    else:
-        pg = _rdiv_ground(h, _rcontent(h, k, mod), k, mod)
-    return _rmul_ground(pg, cg, k, mod)
-
-
-def _subresultant_last(f: Rec, g: Rec, k: int, mod: Optional[int]) -> Rec:
-    """Last nonzero element of the subresultant PRS of f and g.
+def _subresultant_last(f: Poly, g: Poly, j: int, f2: bool) -> Poly:
+    """Last nonzero element of the subresultant PRS of f and g in x_j.
 
     Brown's subresultant sequence: each pseudo-remainder is divided by a
-    predicted ground factor, keeping coefficient growth polynomial while
-    using only exact ground divisions.  The bookkeeping of the running
+    predicted factor free of x_j, keeping coefficient growth polynomial
+    while using only exact divisions.  The bookkeeping of the running
     factors b and c follows Brown's algorithm with c stored negated.
     """
-    if _rdeg(f, k) < _rdeg(g, k):
+    if _lead(f, j)[0] < _lead(g, j)[0]:
         f, g = g, f
-    m = _rdeg(g, k)
-    d = _rdeg(f, k) - m
-    sign = _rone(k - 1) if (d + 1) % 2 == 0 else _rneg(_rone(k - 1), k - 1, mod)
-    h = _rmul_ground(_rprem(f, g, k, mod), sign, k, mod)
-    lc = _rlc(g, k)
-    c = _rneg(_rpow(lc, d, k - 1, mod), k - 1, mod)
-    while not _ris_zero(h, k):
-        dh = _rdeg(h, k)
+    m, lc = _lead(g, j)
+    d = _lead(f, j)[0] - m
+    h = _prem(f, g, j, f2)
+    if d % 2 == 0:
+        h = _reduced(-h, f2)
+    c = _reduced(-(lc**d), f2)
+    while h:
+        dh = _lead(h, j)[0]
         f, g, m, d = g, h, dh, m - dh
-        b = _rneg(_rmul(lc, _rpow(c, d, k - 1, mod), k - 1, mod), k - 1, mod)
-        h = _rprem(f, g, k, mod)
-        h = _rdiv_ground(h, b, k, mod)
-        lc = _rlc(g, k)
-        if d > 1:
-            c = _rdivexact(
-                _rpow(_rneg(lc, k - 1, mod), d, k - 1, mod),
-                _rpow(c, d - 1, k - 1, mod),
-                k - 1,
-                mod,
-            )
-        else:
-            c = _rneg(lc, k - 1, mod)
+        b = -lc * c**d
+        h = _divide(_prem(f, g, j, f2), b, f2)
+        lc = _lead(g, j)[1]
+        c = _divide((-lc) ** d, c ** (d - 1), f2) if d > 1 else _reduced(-lc, f2)
     return g
 
 
@@ -457,11 +337,7 @@ def gcd_z(a: Poly, b: Poly) -> Poly:
     if (not a.is_zero() and a.is_constant()) or (not b.is_zero() and b.is_constant()):
         # A nonzero constant operand leaves only the integer contents.
         return a.ring.const(math.gcd(a.integer_content(), b.integer_content()))
-    k = a.ring.nvars
-    ra = _to_rec(a._terms, k, None)
-    rb = _to_rec(b._terms, k, None)
-    g = _rgcd(ra, rb, k, None)
-    return _normalize_sign(Poly._from_canonical(a.ring, _from_rec(g, k)))
+    return _normalize_sign(_gcd(a, b, a.ring.nvars - 1, False))
 
 
 def gcd_q(a: Poly, b: Poly) -> Poly:
@@ -495,20 +371,13 @@ def gcd_many_q(polys) -> Poly:
     return _normalize_sign(primitive(acc)[1])
 
 
-def _monomial_gcd(ring: BaseRing, keys) -> int:
-    """The key of the gcd of the monomials: each variable's least exponent."""
-    if 0 in keys:  # the constant monomial 1
-        return 0
-    return sum(map(mul, map(min, zip(*map(ring.unpack, keys))), ring._var_keys))
-
-
 def _split_monomial(r: Poly) -> Tuple[int, Dict[int, int]]:
     """(m, part) with r = x^m * part and part divisible by no variable.
 
     ``r`` is a nonzero 0/1 Poly; m is a key, ``part`` a term dict
     with coefficients 1.
     """
-    m = _monomial_gcd(r.ring, r._terms)
+    m = r.ring.monomial_gcd(r._terms)
     return m, {e - m: 1 for e in r._terms} if m else r._terms
 
 
@@ -531,14 +400,15 @@ def gcd_f2(a: Poly, b: Poly) -> Poly:
         return a
     ma, pa = _split_monomial(a)
     mb, pb = _split_monomial(b)
-    m = _monomial_gcd(a.ring, (ma, mb))
+    ring = a.ring
+    m = ring.monomial_gcd((ma, mb))
     if len(pa) == 1 or len(pb) == 1:
         # One part is 1, so the gcd is the common monomial factor.
-        return Poly._from_canonical(a.ring, {m: 1})
-    k = a.ring.nvars
-    g = _rgcd(_to_rec(pa, k, 2), _to_rec(pb, k, 2), k, 2)
+        return Poly._from_canonical(ring, {m: 1})
+    pa, pb = Poly._from_canonical(ring, pa), Poly._from_canonical(ring, pb)
+    g = _gcd(pa, pb, ring.nvars - 1, True)
     # x^m times a divisor of both parts: no degree beyond either operand's.
-    return Poly._from_canonical(a.ring, {e + m: 1 for e in _from_rec(g, k)})
+    return Poly._from_canonical(ring, {e + m: 1 for e in g._terms})
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,15 @@ stays below 2^B, and a degree of 2^B or more carries out of the top
 field, giving a key of at least the ring's limit 2^(B*(n+1)).
 _accumulate and frobenius_mod2 compare each key they form with that
 limit and raise BoundTooLargeError; the parser rejects such a product
-first (PolyParseError).  An exact division forms no key beyond the
-dividend's degree.  x^e2 divides x^e1 when e1 - e2 borrows across no
-field (BaseRing.monomial_quotient).  BaseRing.pack and unpack convert
-keys and exponent tuples for Poly(ring, terms), sorted_terms and
-format_poly.
+first (PolyParseError).  The gcd kernel (gcd.py) multiplies Polys too,
+so a subresultant PRS intermediate whose degree reaches 2^B raises the
+same error.  An exact division forms no key beyond the dividend's
+degree.  x^e2 divides x^e1 when e1 - e2 borrows across no field
+(BaseRing.monomial_quotient), and BaseRing.monomial_gcd takes the least
+exponent of each variable.  BaseRing.pack and unpack convert keys and
+exponent tuples for Poly(ring, terms) and format_poly; the key layout
+stays in this module, and coefficients_in splits a Poly by its degree
+in one variable for the gcd kernel.
 
 That canonical form (no zero coefficient, only plain ints) is an
 invariant of every Poly, and no code mutates a term dict once it is
@@ -34,10 +38,10 @@ the operand itself.  The public constructor Poly(ring, terms) filters
 and converts whatever dict it is given.  The kernels that build a dict
 already in canonical form (addition, subtraction, negation, scale,
 poly_dot after dropping cancelled terms, divide_exact, half,
-reduce_mod_2k, frobenius_mod2, primitive (the one content division,
+reduce_mod_2k, frobenius_mod2, primitive (the one integer-content division,
 used by gcd.py and predicates.py), sqrt_f2, f2_divide_exact,
-partial_derivative, substitute_ints, the recursive-form results of
-gcd.gcd_z and gcd.gcd_f2, and the coordinates that algebra.KElement
+partial_derivative, coefficients_in, substitute_ints, gcd.gcd_f2's
+monomial split, and the coordinates that algebra.KElement
 splits from its tagged term dict) hand it to the private
 Poly._from_canonical, which takes it unchecked and uncopied.  No other
 code may call it.
@@ -65,7 +69,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 from operator import mul
 from struct import Struct
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     BoundTooLargeError,
@@ -141,6 +145,13 @@ class BaseRing:
         if d < 0 or (d ^ e1 ^ e2) & self._borrow_bits:
             return None
         return d
+
+    def monomial_gcd(self, keys: Collection[int]) -> int:
+        """The key of the gcd of the monomials x^e, e in keys (nonempty):
+        each variable's least exponent."""
+        if 0 in keys:  # the constant monomial 1
+            return 0
+        return sum(map(mul, map(min, zip(*map(self.unpack, keys))), self._var_keys))
 
     def monomial_sqrt(self, e: int) -> Optional[int]:
         """The key of x^(e/2) when every exponent of x^e is even (the lowest
@@ -218,12 +229,6 @@ class Poly:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def sorted_terms(self) -> Iterator[Tuple[Exponent, int]]:
-        """(exponent tuple, coefficient) in descending graded lex order."""
-        unpack = self.ring.unpack
-        for e in sorted(self._terms, reverse=True):
-            yield unpack(e), self._terms[e]
 
     def constant_coeff(self) -> int:
         return self._terms.get(0, 0)
@@ -452,6 +457,19 @@ def partial_derivative(p: Poly, index: int) -> Poly:
     unit = p.ring._var_keys[index]
     terms = {e - unit: c * k for e, c in p._terms.items() if (k := e >> shift & _FIELD_MASK)}
     return Poly._from_canonical(p.ring, terms)
+
+
+def coefficients_in(p: Poly, index: int) -> Dict[int, Poly]:
+    """{d: c_d} with p = sum of c_d * x^d, x = variables[index], every c_d
+    nonzero and free of x: the degree of p in x is the largest key, and
+    the zero polynomial has no key."""
+    shift = p.ring._shifts[index]
+    unit = p.ring._var_keys[index]
+    split: Dict[int, Dict[int, int]] = {}
+    for e, c in p._terms.items():
+        d = e >> shift & _FIELD_MASK
+        split.setdefault(d, {})[e - d * unit] = c
+    return {d: Poly._from_canonical(p.ring, terms) for d, terms in split.items()}
 
 
 def substitute_ints(p: Poly, assignment: Dict[str, int], target: BaseRing) -> Poly:

@@ -10,6 +10,8 @@ A + S*eta for the dual of P, A + S*tau + S*rho for the dual of I.
 
 from typing import Dict, List, Tuple
 
+from poly_terms import sorted_terms
+
 from cmwitness.algebra import IdealGens, KElement, a_membership, k_mul
 from cmwitness.errors import BoundTooLargeError
 from cmwitness.linalg import f2_nullspace
@@ -91,7 +93,7 @@ def bounded_colon_search(
                         continue
                     for mi, m in enumerate(monos):
                         bit = offset + c * nmono + mi
-                        for mm, _ in entry.sorted_terms():
+                        for mm, _ in sorted_terms(entry):
                             key = (gi, d, tuple(x + y for x, y in zip(m, mm)))
                             rows[key] = rows.get(key, 0) ^ (1 << bit)
         return [rows[k] for k in sorted(rows)]
@@ -127,7 +129,7 @@ def bounded_colon_search(
             assert prod.denom_exp == 0
             for d in range(4):
                 r = reduce_mod_2k(half(prod.coords[d]), 1)
-                for mm, _ in r.sorted_terms():
+                for mm, _ in sorted_terms(r):
                     key = (gi, d, mm)
                     rows2[key] = rows2.get(key, 0) ^ (1 << bi)
     # The q-part has the stage-1 structure, shifted past the eps bits.

@@ -5,15 +5,15 @@ import random
 import pytest
 import sympy
 
+from poly_terms import sorted_terms
+
 from cmwitness import gcd, predicates
 from cmwitness.gcd import (
     BothZeroError,
     _coprime_by_images,
-    _from_rec,
+    _gcd,
     _normalize_sign,
-    _rgcd,
     _split_monomial,
-    _to_rec,
     gcd_f2,
     gcd_many_q,
     gcd_q,
@@ -44,7 +44,7 @@ X_POINT, Y_POINT, V_POINT = 1000003, 1007922, 1015841
 
 def to_sympy(p):
     expr = sympy.Integer(0)
-    for e, c in p.sorted_terms():
+    for e, c in sorted_terms(p):
         term = sympy.Integer(c)
         for s, k in zip(SYMS, e):
             term *= s**k
@@ -136,19 +136,15 @@ def test_gcd_q_structured_products():
 
 
 def prs_gcd_z(a, b):
-    """gcd_z computed by the recursive subresultant kernel alone."""
-    k = RING.nvars
-    ra = _to_rec(a._terms, k, None)
-    rb = _to_rec(b._terms, k, None)
-    g = _from_rec(_rgcd(ra, rb, k, None), k)
-    return _normalize_sign(Poly(RING, {RING.unpack(e): c for e, c in g.items()}))
+    """gcd_z computed by the subresultant recursion alone, over Z."""
+    return _normalize_sign(_gcd(a, b, RING.nvars - 1, False))
 
 
 def sympy_gcd_q(a, b):
     """sympy's gcd, made primitive with a positive leading coefficient."""
     g = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)))
     c = g.integer_content()
-    g = Poly(RING, {e: v // c for e, v in g.sorted_terms()})
+    g = Poly(RING, {e: v // c for e, v in sorted_terms(g)})
     return -g if g.lead()[1] < 0 else g
 
 
@@ -249,6 +245,31 @@ def test_coprime_pair_skips_the_subresultant_prs(monkeypatch):
     assert calls == []
     assert gcd_q(X * X - Y * Y, X + Y) == X + Y
     assert calls
+
+
+def test_one_gcd_call_is_one_public_call(monkeypatch):
+    # The tracer counts gcd.gcd_z calls and their unit results, so the
+    # PRS recursion, contents included, calls no public gcd function.
+    calls = []
+
+    def counted(name):
+        original = getattr(gcd, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("gcd_z", "gcd_q", "gcd_many_q", "gcd_f2", "_subresultant_last"):
+        monkeypatch.setattr(gcd, name, counted(name))
+    # The V-contents X + Y and (X + Y)(X - Y) have a gcd of their own.
+    a = (X + Y) * (X * V + Y + RING.one())
+    b = (X + Y) * (X - Y) * (Y * V + X)
+    assert gcd.gcd_z(a, b) == X + Y
+    assert calls.count("gcd_z") == 1 and calls.count("_subresultant_last") >= 2
+    assert not {"gcd_q", "gcd_many_q", "gcd_f2"} & set(calls)
+    calls.clear()
+    a = (X + Y + RING.one()) * (X * Y + RING.one())
+    b = (X + Y + RING.one()) * (X + RING.one())
+    assert gcd.gcd_f2(a, b) == X + Y + RING.one()
+    assert calls.count("gcd_f2") == 1 and "_subresultant_last" in calls
+    assert not {"gcd_z", "gcd_q", "gcd_many_q"} & set(calls)
 
 
 def subresultant_squarefree(f):

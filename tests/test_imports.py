@@ -8,7 +8,9 @@ package module imports ``random``: every check in the package is exact.
 Every module-level function and class of the package is read by some
 package module other than ``__init__``, so none exists only for tests;
 the only exceptions are the names in ``TRACER_ONLY``, which only tests
-and the benchmark's tracer read.
+and the benchmark's tracer read.  The monomial key layout stays behind
+poly.py: gcd.py names no ``FIELD_BITS`` and reads no private attribute
+of ``BaseRing``.
 """
 
 import ast
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import cmwitness
+from cmwitness.poly import BaseRing
 
 PACKAGE_DIR = Path(cmwitness.__file__).resolve().parent
 PACKAGE_MODULES = sorted(PACKAGE_DIR.glob("*.py"))
@@ -140,3 +143,16 @@ def test_tracer_only_names_are_traced_and_unread():
     assert TRACER_ONLY <= {name for _, name in defined}
     assert TRACER_ONLY <= traced_names(), "not traced: %s" % (TRACER_ONLY - traced_names())
     assert not TRACER_ONLY & read, "read in the package: %s" % (TRACER_ONLY & read)
+
+
+def test_gcd_reads_no_key_layout():
+    text = (PACKAGE_DIR / "gcd.py").read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    ring = BaseRing(("X", "Y"))
+    members = [*vars(ring), *dir(BaseRing)]
+    private = {n for n in members if n.startswith("_") and not n.startswith("__")}
+    assert {"_var_keys", "_shifts", "_key_limit"} <= private
+    attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not attributes & private, "gcd.py reads %s" % sorted(attributes & private)
+    names = used_names(tree) | attributes | set(imported_names(tree, text.splitlines()))
+    assert "FIELD_BITS" not in names

@@ -6,6 +6,8 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from poly_terms import sorted_terms
+
 from cmwitness.linalg import (
     DimensionMismatchError,
     PolyFraction,
@@ -76,7 +78,7 @@ def test_bareiss_rank_polynomials():
 def to_sympy(p):
     sx, sy = SYMS
     out = sympy.Integer(0)
-    for (i, j), c in p.sorted_terms():
+    for (i, j), c in sorted_terms(p):
         out += c * sx**i * sy**j
     return out
 

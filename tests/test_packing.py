@@ -6,7 +6,8 @@ the package did before packing: graded lex is (sum(e), e), a product
 adds componentwise, a quotient subtracts componentwise when no entry
 goes negative.  Random vectors in 1 to 16 variables, with degrees up
 to the width bound, must give the same order, products, quotients,
-Frobenius squares and square roots mod 2, and canonical text.
+monomial gcds, coefficients in one variable, Frobenius squares and
+square roots mod 2, and canonical text.
 """
 
 import json
@@ -15,6 +16,8 @@ import time
 
 import pytest
 
+from poly_terms import sorted_terms
+
 from cmwitness.cli import main
 from cmwitness.errors import BoundTooLargeError, PolyParseError
 from cmwitness.poly import (
@@ -22,6 +25,7 @@ from cmwitness.poly import (
     BaseRing,
     NotDivisibleError,
     Poly,
+    coefficients_in,
     divide_exact,
     format_poly,
     frobenius_mod2,
@@ -113,7 +117,7 @@ def test_products_add_keys():
             a = rand_terms(rng, n, rng.randrange(4), 40)
             b = rand_terms(rng, n, rng.randrange(4), 40)
             got = Poly(ring, a) * Poly(ring, b)
-            assert dict(got.sorted_terms()) == ref_product(a, b)
+            assert dict(sorted_terms(got)) == ref_product(a, b)
 
 
 def test_monomial_divisibility_and_quotient():
@@ -151,6 +155,24 @@ def divide_exact_ok(a, b):
     return True
 
 
+def test_coefficients_in_one_variable_and_monomial_gcd():
+    rng = random.Random(2505)
+    for n in range(1, 17):
+        ring = ring_of(n)
+        assert coefficients_in(ring.zero(), n - 1) == {}
+        for _ in range(40):
+            terms = rand_terms(rng, n, 1 + rng.randrange(5), TOP)
+            i = rng.randrange(n)
+            want = {}
+            for e, c in terms.items():
+                rest = tuple(0 if j == i else k for j, k in enumerate(e))
+                want.setdefault(e[i], {})[rest] = c
+            got = coefficients_in(Poly(ring, terms), i)
+            assert {d: dict(sorted_terms(c)) for d, c in got.items()} == want
+            least = tuple(map(min, zip(*terms)))
+            assert ring.monomial_gcd([ring.pack(e) for e in terms]) == ring.pack(least)
+
+
 def test_frobenius_and_sqrt_mod2():
     rng = random.Random(2504)
     for n in range(1, 17):
@@ -160,8 +182,8 @@ def test_frobenius_and_sqrt_mod2():
             p = Poly(ring, terms)
             odd = {e: 1 for e, c in terms.items() if c % 2}
             square = {tuple(2 * k for k in e): 1 for e in odd}
-            assert dict(frobenius_mod2(p).sorted_terms()) == square
-            assert dict(sqrt_f2(Poly(ring, square)).sorted_terms()) == odd
+            assert dict(sorted_terms(frobenius_mod2(p))) == square
+            assert dict(sorted_terms(sqrt_f2(Poly(ring, square)))) == odd
             # One odd exponent in one odd monomial: no root mod 2.
             if odd:
                 e = rng.choice(sorted(odd))

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from poly_terms import sorted_terms
+
 from cmwitness import poly
 from cmwitness.gcd import gcd_many_q, gcd_q, gcd_z, is_ring_square
 from cmwitness.poly import (
@@ -141,8 +143,8 @@ def test_divide_exact_random_roundtrip():
 def naive_product(a, b):
     """a*b term by term, without poly_dot."""
     terms = {}
-    for e1, c1 in a.sorted_terms():
-        for e2, c2 in b.sorted_terms():
+    for e1, c1 in sorted_terms(a):
+        for e2, c2 in sorted_terms(b):
             e = tuple(i + j for i, j in zip(e1, e2))
             terms[e] = terms.get(e, 0) + c1 * c2
     return Poly(a.ring, terms)
@@ -166,7 +168,7 @@ def test_poly_dot_is_the_sum_of_products():
         got = poly_dot(RING, pairs)
         assert got == expected
         assert got.num_terms() == expected.num_terms()
-        assert all(c != 0 for _, c in got.sorted_terms())
+        assert all(c != 0 for _, c in sorted_terms(got))
     p = X * Y + V
     assert poly_dot(RING, [(p, X), (-p, X)]).is_zero()
     assert poly_dot(RING, []).is_zero()
@@ -201,7 +203,7 @@ def test_divide_exact_by_a_single_term():
         # b divides a exactly when it divides every term of a.
         divides = all(
             all(i >= j for i, j in zip(ea, e)) and ca % b.lead()[1] == 0
-            for ea, ca in a.sorted_terms()
+            for ea, ca in sorted_terms(a)
         )
         assert is_divisible(a, b) == divides
         if divides:
@@ -223,9 +225,9 @@ def test_divide_exact_by_a_constant():
         a = rand_poly(rng, RING)
         b = RING.const(rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 8]))
         c = b.constant_coeff()
-        if all(ca % c == 0 for _, ca in a.sorted_terms()):
+        if all(ca % c == 0 for _, ca in sorted_terms(a)):
             q = divide_exact(a, b)
-            assert q == Poly(RING, {e: ca // c for e, ca in a.sorted_terms()})
+            assert q == Poly(RING, {e: ca // c for e, ca in sorted_terms(a)})
             assert q * b == a
         else:
             with pytest.raises(NotDivisibleError) as info:

@@ -8,6 +8,8 @@ import random
 import pytest
 import sympy
 
+from poly_terms import sorted_terms
+
 from cmwitness.errors import (
     MalformedSequenceError,
     ZeroInputError,
@@ -98,7 +100,7 @@ def is_q_square(p):
     positive leading coefficient) is a Q-square exactly when the
     integer c is a positive square and every m_i is even.
     """
-    c, factors = sympy.Poly.from_dict(dict(p.sorted_terms()), *SYMS).sqf_list()
+    c, factors = sympy.Poly.from_dict(dict(sorted_terms(p)), *SYMS).sqf_list()
     c = int(c)
     return c > 0 and math.isqrt(c) ** 2 == c and all(m % 2 == 0 for _, m in factors)
 

@@ -10,6 +10,8 @@ emitted complex.
 
 import random
 
+from poly_terms import sorted_terms
+
 from cmwitness.algebra import (
     AlgebraDesc,
     a_membership,
@@ -119,7 +121,7 @@ def test_s2wedge4_lift_independence():
             rem = f - h_shift * h_shift
             # rem = 2 * a_shift; the shifted verdict reads its parity.
             shifted_verdict = not rem.is_zero() and all(
-                c % 4 == 0 for _, c in rem.sorted_terms()
+                c % 4 == 0 for _, c in sorted_terms(rem)
             )
             if f == h_shift * h_shift:
                 continue
