@@ -80,7 +80,6 @@ from .algebra import (
     admit_input,
     admit_pair,
     express_in_span,
-    ideal_product,
     in_colon,
     k_mul,
     make_algebra,
@@ -122,105 +121,3 @@ from .classifier import (
 from .report import DEFAULT_OPTIONS, assemble_report, parse_job, render_json
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgebraDesc",
-    "BaseRing",
-    "BoundTooLargeError",
-    "CASE_A_BOTH",
-    "CASE_A_ONE",
-    "CASE_B",
-    "CASE_C_CM",
-    "CASE_C_NONCM_GRADE2",
-    "CASE_C_NONCM_GRADE3",
-    "CASE_TAGS",
-    "CaseConflictError",
-    "CmModuleCertificate",
-    "CmWitnessError",
-    "ConductorReport",
-    "DEFAULT_OPTIONS",
-    "DimensionMismatchError",
-    "FreeComplex",
-    "HypothesisViolationError",
-    "IdealGens",
-    "InternalError",
-    "InternalVerificationError",
-    "KElement",
-    "LiftInvalidError",
-    "MalformedInputError",
-    "MalformedSequenceError",
-    "MissingCertificateError",
-    "NotClosedError",
-    "OUTSIDE_SCOPE",
-    "Poly",
-    "PolyFraction",
-    "PolyParseError",
-    "QShape",
-    "RejectedInputError",
-    "RingPresentation",
-    "S2Witness",
-    "S2w4Witness",
-    "SpanNotFreeError",
-    "UnknownVariableError",
-    "UnsupportedError",
-    "UnverifiedComplexError",
-    "VerifiedComplex",
-    "WitnessMismatchError",
-    "WrongCaseError",
-    "ZeroInputError",
-    "a_membership",
-    "admit_input",
-    "admit_pair",
-    "assemble_report",
-    "bareiss_rank",
-    "be_exactness_check",
-    "build_R",
-    "build_small_cm_certificate",
-    "check_composition_zero",
-    "classify",
-    "conductor",
-    "decompose_S2",
-    "degree_four_check",
-    "divide_exact",
-    "express_in_span",
-    "format_poly",
-    "fraction_kernel",
-    "gcd_f2",
-    "gcd_many_q",
-    "gcd_q",
-    "gcd_z",
-    "ideal_Q_classify",
-    "ideal_product",
-    "in_S2wedge4",
-    "in_colon",
-    "is_divisible",
-    "is_even",
-    "is_ring_square",
-    "is_squarefree",
-    "k_mul",
-    "kernel_saturation_check",
-    "make_algebra",
-    "min_poly_check",
-    "minor_ideal_generators",
-    "parse_job",
-    "parse_poly",
-    "partial_derivative",
-    "pd_depth_report",
-    "poly_det",
-    "poly_dot",
-    "presentation_complex",
-    "product_in_S2wedge4",
-    "q_shape",
-    "regular_sequence_certificate",
-    "render_json",
-    "resolution_of_I",
-    "resolution_of_S_mod_Q",
-    "satisfies_A1",
-    "solve_fraction_system",
-    "solve_in_S",
-    "span_closure_check",
-    "sqrt_f2",
-    "standard_grade_certificates",
-    "substitute_ints",
-    "verify_complex",
-]

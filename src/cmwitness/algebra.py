@@ -553,20 +553,6 @@ class IdealGens:
                 )
 
 
-def ideal_product(a: IdealGens, b: IdealGens) -> IdealGens:
-    """All pairwise products, reduced, duplicates removed (stable order)."""
-    if a.algebra != b.algebra:
-        raise ValueError("ideals over different algebras")
-    seen = []
-    for x in a.gens:
-        for y in b.gens:
-            p = k_mul(x, y)
-            if p not in seen:
-                seen.append(p)
-    name = f"{a.name}*{b.name}" if a.name and b.name else ""
-    return IdealGens(algebra=a.algebra, gens=seen, name=name)
-
-
 def in_colon(x: KElement, ideal: IdealGens) -> bool:
     """x in (A : ideal): x times every generator (in A) lies in A.
 

@@ -43,6 +43,7 @@ from .poly import (
     BaseRing,
     Poly,
     check_coeff_bound,
+    occurring_variables,
     parse_poly,
     reduce_mod_2k,
     substitute_ints,
@@ -54,8 +55,6 @@ from .report import (
     poly_text,
     render_json,
 )
-
-__all__ = ["main", "cmd_classify", "cmd_regress", "cmd_sweep", "GOLDEN_NAMES"]
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -235,17 +234,11 @@ class _SweepInput:
     """
 
     def __init__(self, template: Poly, ring: BaseRing, side: str, names: List[str]):
-        # A parameter occurs when its field of some monomial key is
-        # nonzero, that is its field of the OR of all keys.
-        bits = 0
-        for e in template._terms:
-            bits |= e
-        fields = template.ring.unpack(bits)[ring.nvars:]
         self.template = template
         self.ring = ring
         self.side = side
         self.names = names
-        self.used = [i for i, k in enumerate(fields) if k]
+        self.used = [i - ring.nvars for i in occurring_variables(template) if i >= ring.nvars]
         self.polys: Dict[Tuple[int, ...], Poly] = {}
         self.admitted: Dict[Tuple[int, ...], Tuple[object, Optional[int]]] = {}
         self.signatures: Dict[object, int] = {}

@@ -85,11 +85,13 @@ class LiftInvalidError(InternalError):
 
 
 class MissingCertificateError(InternalError):
-    """A non-CM report was requested without its supporting certificate."""
+    """A grade witness that an exactness check needs is missing or too short."""
 
 
 class UnverifiedComplexError(InternalError):
-    """A complex was used before its compositions were checked."""
+    """A complex failed its verification: its differentials do not compose
+    to zero, it fails the exactness criterion, some differential has no
+    nonzero minor of the forced rank, or d_2 does not saturate ker(d_1)."""
 
 
 class CaseConflictError(InternalError):

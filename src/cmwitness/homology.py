@@ -64,19 +64,6 @@ from .poly import (
 )
 from .predicates import regular_sequence_certificate
 
-__all__ = [
-    "FreeComplex",
-    "VerifiedComplex",
-    "resolution_of_I",
-    "resolution_of_S_mod_Q",
-    "check_composition_zero",
-    "be_exactness_check",
-    "minor_ideal_generators",
-    "pd_depth_report",
-    "kernel_saturation_check",
-    "verify_complex",
-]
-
 
 @dataclass
 class FreeComplex:
@@ -402,8 +389,7 @@ def kernel_saturation_check(cx: FreeComplex) -> bool:
     entries of c is a unit of S (see the module docstring).  The gcd is
     folded in increasing degree, so a constant entry keeps every step on
     gcd_z's constant-operand path.  False for an all-zero column and for
-    ker(d_1) = 0, where d_2 is no rank-1 tail of d_1; the fraction-field
-    check this replaces returned True on ker(d_1) = 0.
+    ker(d_1) = 0, where d_2 is no rank-1 tail of d_1.
     DimensionMismatch unless there are exactly two differentials, for a
     d_2 with more than one column, and for shapes that do not compose.
     """

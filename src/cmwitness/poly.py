@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 from operator import mul
 from struct import Struct
-from typing import Collection, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     BoundTooLargeError,
@@ -362,9 +362,9 @@ def _plus(p: Poly, q: Poly, sign: int) -> Poly:
 def poly_dot(ring: BaseRing, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
     """The sum of a*b over the pairs, accumulated in one term dict.
 
-    Poly.__mul__ is the case of a single pair; the Bareiss row update
-    passes two, and the span back-substitution and homology's matrix
-    products one per entry of a row.  On residues (reduce_mod_2k) it
+    Poly.__mul__ is the case of a single pair; the gcd pseudo-remainder
+    step passes two, and the span back-substitution and homology's
+    matrix products one per entry of a row.  On residues (reduce_mod_2k) it
     serves classifier.residue_mod_P and predicates.product_in_S2wedge4.
     Every operand must belong to ``ring``.
     """
@@ -420,14 +420,13 @@ def _quotient(a: Poly, b: Poly) -> Optional[Dict[int, int]]:
     term of a is the product of the leading terms of q and b, so each
     round strips one term of q and the leading term of the remainder
     strictly decreases in a well-order.  A single-term divisor divides
-    term by term, and a constant one (most divisors in the eliminations)
-    divides each coefficient with the keys left as they are.
+    term by term, and a constant one divides each coefficient with the
+    keys left as they are.
     """
     quot: Dict[int, int] = {}
     eb, cb = b.lead()
     if len(b._terms) == 1:
         if not eb:
-            # A constant divisor, such as most Bareiss pivots.
             for er, cr in a._terms.items():
                 if cr % cb != 0:
                     return None
@@ -457,6 +456,15 @@ def partial_derivative(p: Poly, index: int) -> Poly:
     unit = p.ring._var_keys[index]
     terms = {e - unit: c * k for e, c in p._terms.items() if (k := e >> shift & _FIELD_MASK)}
     return Poly._from_canonical(p.ring, terms)
+
+
+def occurring_variables(p: Poly) -> List[int]:
+    """The indices of the variables that occur in p, in increasing order:
+    a variable occurs when its field of the OR of all keys is nonzero."""
+    bits = 0
+    for e in p._terms:
+        bits |= e
+    return [i for i, k in enumerate(p.ring.unpack(bits)) if k]
 
 
 def coefficients_in(p: Poly, index: int) -> Dict[int, Poly]:

@@ -36,8 +36,6 @@ from .errors import BoundTooLargeError, MalformedInputError
 from .homology import VerifiedComplex, verify_complex
 from .poly import BaseRing, Poly, parse_poly
 
-__all__ = ["DEFAULT_OPTIONS", "assemble_report", "render_json", "parse_job"]
-
 DEFAULT_OPTIONS = {"colon_search_degree": 6, "spot_check_seed": 1}
 
 # Work grows about cubically in the number of variables, used or not;
@@ -55,7 +53,7 @@ CONDUCTOR_UNIDENTIFIED = {
 
 MODULE_DESCRIPTION = (
     "M = (IP)^* = {x in K : x*I*P in A}; membership decided by "
-    "multiplying against the listed generators of IP"
+    "testing x*i in P^* for each listed generator i of I"
 )
 
 
@@ -199,7 +197,7 @@ def _certificate_block(case: str, cert: CmModuleCertificate) -> Dict[str, object
         "module": MODULE_DESCRIPTION,
         "ideals": {
             i.name: _elements(i.gens)
-            for i in (cert.ideal_P, cert.ideal_I, cert.ideal_H, cert.ideal_IP)
+            for i in (cert.ideal_P, cert.ideal_I, cert.ideal_H)
         },
     }
 

@@ -15,7 +15,6 @@ from cmwitness.algebra import (
     IdealGens,
     a_membership,
     express_in_span,
-    ideal_product,
     in_colon,
     k_mul,
     make_algebra,
@@ -413,21 +412,6 @@ def test_span_and_express_mixed_denominators_vs_sympy():
     assert [sol is None for sol in sols] == [False, False, False, True, True, True]
     for x, sol in zip(xs, sols):
         assert_matches_sympy(sol, sympy_solution(span, x))
-
-
-def test_ideal_product():
-    alg = case_b_algebra()
-    w, u = alg.root_f(), alg.root_g()
-    p_ideal = IdealGens(
-        algebra=alg,
-        gens=[alg.scalar(2), w - alg.scalar(X), u - alg.scalar(Y)],
-        name="P",
-    )
-    sq = ideal_product(p_ideal, p_ideal)
-    # 3x3 pairwise products with symmetric duplicates removed.
-    assert len(sq.gens) == 6
-    for gen in sq.gens:
-        assert a_membership(gen)
 
 
 def test_in_colon_tau_conducts_P():

@@ -20,14 +20,15 @@ PER_TAG = 50
 REJECTIONS = 12  # of the three broken recipes, in turn
 
 
-def jobs_by_outcome(casegen):
-    """The first PER_TAG jobs of each tag and REJECTIONS broken ones."""
+def jobs_by_outcome(casegen, seed=SEED, per_tag=PER_TAG, rejections=REJECTIONS):
+    """(job, outcome) of the first per_tag jobs of each tag and of the
+    first ``rejections`` broken ones that casegen yields for seed."""
     tags = {casegen.OUTSIDE, casegen.A_BOTH, casegen.A_ONE, casegen.CASE_B,
             casegen.C_CM, casegen.C_GRADE3, casegen.C_GRADE2}
-    wanted = dict.fromkeys(tags, PER_TAG)
-    wanted["broken"] = REJECTIONS
+    wanted = dict.fromkeys(tags, per_tag)
+    wanted["broken"] = rejections
     out = {key: [] for key in wanted}
-    for job, (outcome,) in casegen.generate(SEED):
+    for job, (outcome,) in casegen.generate(seed):
         key = "broken" if outcome in casegen.BROKEN_OUTCOMES else outcome
         if len(out[key]) < wanted[key]:
             out[key].append((job, outcome))

@@ -1,7 +1,12 @@
 """Case trichotomy, R construction, conductors, and the small-CM-module
 certificate."""
 
+import itertools
+import json
+
 import pytest
+
+from test_residue_guard import load_casegen
 
 from cmwitness import classifier, linalg
 from cmwitness.algebra import (
@@ -35,6 +40,7 @@ from cmwitness.classifier import (
     q_shape,
     residue_mod_P,
 )
+from cmwitness.cli import GOLDEN_DIR
 from cmwitness.errors import (
     CaseConflictError,
     InternalVerificationError,
@@ -46,12 +52,15 @@ from cmwitness.homology import check_composition_zero, pd_depth_report
 from cmwitness.linalg import PolyFraction
 from cmwitness.poly import BaseRing, divide_exact, parse_poly
 from cmwitness.predicates import decompose_S2
-from cmwitness.report import CONDUCTOR_UNIDENTIFIED
+from cmwitness.report import CONDUCTOR_UNIDENTIFIED, parse_job
 
 RING2 = BaseRing(("X", "Y"))
 RING3 = BaseRing(("V", "X", "Y"))
 RINGU = BaseRing(("U", "Y", "V"))
 RING_XYV = BaseRing(("X", "Y", "V"))
+# The casegen seed and pair count of the M_contains_eta agreement test.
+AGREEMENT_SEED = 3
+AGREEMENT_PAIRS_PER_TAG = 50
 
 
 def alg_of(ring, ftext, gtext):
@@ -349,6 +358,11 @@ def test_certificate_synthetic_exemplars():
     assert cert2.all_pass()
 
 
+def product_ideal(a, b):
+    # Every pairwise product; IdealGens checks that each lies in A.
+    return IdealGens(a.algebra, [k_mul(x, y) for x in a.gens for y in b.gens], "I*P")
+
+
 def perturbed_P(alg):
     # The second generator w - h1 scaled by the first variable.
     gens = ideal_P(alg).gens
@@ -417,12 +431,40 @@ def test_certificate_module_membership_eta():
     # genuinely outside A: the birational module is strictly larger.
     alg = alg_of(RING2, "-X^2+4", "-Y^2+4")
     cert = build_small_cm_certificate(build_R(alg, CASE_C_NONCM_GRADE3))
+    ip = product_ideal(cert.ideal_I, cert.ideal_P)
     w, u = alg.root_f(), alg.root_g()
     h1, h2 = alg.scalar(alg.h1()), alg.scalar(alg.h2())
     eta = k_mul(w + h1, u + h2).half()
-    assert in_colon(eta, cert.ideal_IP)
+    assert in_colon(eta, ip)
     assert not a_membership(eta)
-    assert in_colon(alg.one(), cert.ideal_IP)
+    assert in_colon(alg.one(), ip)
+
+
+def agreement_jobs():
+    """Both non-CM golden jobs, then the first generated pairs of each
+    non-CM tag."""
+    for name in ("example_4_7_family1", "example_4_7_family2"):
+        yield json.loads((GOLDEN_DIR / (name + ".job.json")).read_text(encoding="utf-8"))
+    casegen = load_casegen()
+    for tag in (casegen.C_GRADE2, casegen.C_GRADE3):
+        jobs = (job for job, allowed in casegen.generate(AGREEMENT_SEED) if allowed[0] == tag)
+        yield from itertools.islice(jobs, AGREEMENT_PAIRS_PER_TAG)
+
+
+def test_M_contains_eta_agrees_with_the_product_ideal(monkeypatch):
+    # The certificate decides eta*I*P in A as eta*i in P^* for each
+    # generator i of I; in_colon against the nine products of I and P
+    # must give the same answer, true for eta and false for eta/2.
+    for job in agreement_jobs():
+        ring, f, g, _ = parse_job(job)
+        alg = make_algebra(ring, f, g)
+        pres = build_R(alg, classify(alg))
+        ip = product_ideal(pres.ideal_I, ideal_P(alg))
+        for eta_of, expect in ((prime_dual_gen, True), (perturbed_eta, False)):
+            with monkeypatch.context() as patch:
+                patch.setattr(classifier, "prime_dual_gen", eta_of)
+                check = build_small_cm_certificate(pres).checks["M_contains_eta"]
+            assert check == in_colon(eta_of(alg), ip) == expect, (job, eta_of)
 
 
 def test_conducts_relation_between_I_and_P():

@@ -1,8 +1,9 @@
 """Every name a cmwitness or test module imports is used there or re-exported.
 
 A name counts as used when it appears as an identifier anywhere in the
-module outside the import statements (string annotations included), or
-when the module lists it in ``__all__``.  An import whose line carries
+module outside the import statements (string annotations included).
+Every name the package root imports counts as re-exported: its import
+list is the list of public names.  An import whose line carries
 ``# noqa: F401`` is kept for its side effect and not checked.  No
 package module imports ``random``: every check in the package is exact.
 Every module-level function and class of the package is read by some
@@ -10,7 +11,7 @@ package module other than ``__init__``, so none exists only for tests;
 the only exceptions are the names in ``TRACER_ONLY``, which only tests
 and the benchmark's tracer read.  The monomial key layout stays behind
 poly.py: gcd.py names no ``FIELD_BITS`` and reads no private attribute
-of ``BaseRing``.
+of ``BaseRing``, and cli.py reads no term dict and unpacks no key.
 """
 
 import ast
@@ -71,21 +72,13 @@ def used_names(tree):
     return out
 
 
-def exported_names(tree):
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     text = path.read_text(encoding="utf-8")
     tree = ast.parse(text)
-    keep = used_names(tree) | exported_names(tree)
-    unused = [n for n in imported_names(tree, text.splitlines()) if n not in keep]
+    imported = imported_names(tree, text.splitlines())
+    keep = set(imported) if path == PACKAGE_DIR / "__init__.py" else used_names(tree)
+    unused = [n for n in imported if n not in keep]
     assert not unused, "%s imports unused names %s" % (path.name, unused)
 
 
@@ -156,3 +149,10 @@ def test_gcd_reads_no_key_layout():
     assert not attributes & private, "gcd.py reads %s" % sorted(attributes & private)
     names = used_names(tree) | attributes | set(imported_names(tree, text.splitlines()))
     assert "FIELD_BITS" not in names
+
+
+def test_cli_reads_no_key_layout():
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    read = (used_names(tree) | attributes) & {"_terms", "unpack"}
+    assert not read, "cli.py reads %s" % sorted(read)

@@ -6,8 +6,8 @@ the package did before packing: graded lex is (sum(e), e), a product
 adds componentwise, a quotient subtracts componentwise when no entry
 goes negative.  Random vectors in 1 to 16 variables, with degrees up
 to the width bound, must give the same order, products, quotients,
-monomial gcds, coefficients in one variable, Frobenius squares and
-square roots mod 2, and canonical text.
+monomial gcds, coefficients in one variable, occurring variables,
+Frobenius squares and square roots mod 2, and canonical text.
 """
 
 import json
@@ -29,6 +29,7 @@ from cmwitness.poly import (
     divide_exact,
     format_poly,
     frobenius_mod2,
+    occurring_variables,
     parse_poly,
     sqrt_f2,
 )
@@ -171,6 +172,17 @@ def test_coefficients_in_one_variable_and_monomial_gcd():
             assert {d: dict(sorted_terms(c)) for d, c in got.items()} == want
             least = tuple(map(min, zip(*terms)))
             assert ring.monomial_gcd([ring.pack(e) for e in terms]) == ring.pack(least)
+
+
+def test_occurring_variables():
+    rng = random.Random(2506)
+    for n in range(1, 17):
+        ring = ring_of(n)
+        assert occurring_variables(ring.zero()) == occurring_variables(ring.one()) == []
+        for _ in range(40):
+            terms = rand_terms(rng, n, 1 + rng.randrange(5), rng.choice((4, TOP)))
+            want = [j for j in range(n) if any(e[j] for e in terms)]
+            assert occurring_variables(Poly(ring, terms)) == want
 
 
 def test_frobenius_and_sqrt_mod2():

@@ -28,7 +28,7 @@ from cmwitness.report import assemble_report, parse_job, render_json
 CASEGEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "casegen.py"
 # SHA-256 over the render_json texts of the first 200 casegen.generate(7)
 # jobs, in order; a rejected job contributes its exception class name.
-CASEGEN_7_DIGEST = "c1cb525d389e3380f29607069a84253e03a67971cd594f334d1f5242b269fc2d"
+CASEGEN_7_DIGEST = "6b3f233e9af6546c00bc13ce2ec6d0b9750cc41e38bbc3c9c0de1463ed3183a8"
 
 
 def load_casegen():
