@@ -91,6 +91,7 @@ from .homology import (
     VerifiedComplex,
     be_exactness_check,
     check_composition_zero,
+    generating_identities,
     kernel_saturation_check,
     minor_ideal_generators,
     pd_depth_report,
@@ -110,11 +111,13 @@ from .classifier import (
     OUTSIDE_SCOPE,
     CmModuleCertificate,
     ConductorReport,
+    GenericClaims,
     RingPresentation,
     build_R,
     build_small_cm_certificate,
     classify,
     conductor,
+    generic_claims,
     presentation_complex,
     q_shape,
 )

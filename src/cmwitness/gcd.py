@@ -65,10 +65,11 @@ a unit mod p unless p divides it, and then every image of f is 0, the
 degree test fails and the subresultant path decides.
 
 ``gcd_f2`` first writes each operand as its largest monomial factor
-times a part that no variable divides.  The variables are irreducible
-and divide neither part, so gcd(m_a * r_a, m_b * r_b) =
-gcd(m_a, m_b) * gcd(r_a, r_b), where gcd(m_a, m_b) takes the smaller
-exponent of each variable.  When either part is 1 the gcd is that
+times a part that no variable divides (poly.monomial_split).  The
+variables are irreducible and divide neither part, so
+gcd(m_a * r_a, m_b * r_b) = gcd(m_a, m_b) * gcd(r_a, r_b), where
+gcd(m_a, m_b) takes the smaller exponent of each variable
+(poly.monomial_gcd).  When either part is 1 the gcd is that
 monomial and no recursion runs.
 """
 
@@ -82,7 +83,10 @@ from .poly import (
     Poly,
     coefficients_in,
     divide_exact,
+    exponent_terms,
     f2_divide_exact,
+    monomial_gcd,
+    monomial_split,
     poly_dot,
     primitive,
     reduce_mod_2k,
@@ -261,8 +265,9 @@ def _univariate_images(p: Poly) -> Images:
     """
     points = [_POINT_BASE + _POINT_STEP * i for i in range(p.ring.nvars)]
     # Per term: its exponents, coefficient and the powers of every point.
-    terms = [(p.ring.unpack(e), c) for e, c in p._terms.items()]
-    terms = [(e, c, [pow(x, d, _P) for x, d in zip(points, e)]) for e, c in terms]
+    terms = [
+        (e, c, [pow(x, d, _P) for x, d in zip(points, e)]) for e, c in exponent_terms(p)
+    ]
     out = []
     for j in range(len(points)):
         img = [0] * (1 + max((t[0][j] for t in terms), default=-1))
@@ -371,16 +376,6 @@ def gcd_many_q(polys) -> Poly:
     return _normalize_sign(primitive(acc)[1])
 
 
-def _split_monomial(r: Poly) -> Tuple[int, Dict[int, int]]:
-    """(m, part) with r = x^m * part and part divisible by no variable.
-
-    ``r`` is a nonzero 0/1 Poly; m is a key, ``part`` a term dict
-    with coefficients 1.
-    """
-    m = r.ring.monomial_gcd(r._terms)
-    return m, {e - m: 1 for e in r._terms} if m else r._terms
-
-
 def gcd_f2(a: Poly, b: Poly) -> Poly:
     """Gcd of a and b mod 2 in GF(2)[variables] as a 0/1 Poly, computed
     directly in characteristic two.
@@ -398,17 +393,15 @@ def gcd_f2(a: Poly, b: Poly) -> Poly:
         return b
     if b.is_zero():
         return a
-    ma, pa = _split_monomial(a)
-    mb, pb = _split_monomial(b)
-    ring = a.ring
-    m = ring.monomial_gcd((ma, mb))
-    if len(pa) == 1 or len(pb) == 1:
+    ma, pa = monomial_split(a)
+    mb, pb = monomial_split(b)
+    m = monomial_gcd((ma, mb))
+    if pa.num_terms() == 1 or pb.num_terms() == 1:
         # One part is 1, so the gcd is the common monomial factor.
-        return Poly._from_canonical(ring, {m: 1})
-    pa, pb = Poly._from_canonical(ring, pa), Poly._from_canonical(ring, pb)
-    g = _gcd(pa, pb, ring.nvars - 1, True)
+        return m
+    g = _gcd(pa, pb, a.ring.nvars - 1, True)
     # x^m times a divisor of both parts: no degree beyond either operand's.
-    return Poly._from_canonical(ring, {e + m: 1 for e in g._terms})
+    return g * m
 
 
 # ---------------------------------------------------------------------------

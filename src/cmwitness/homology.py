@@ -43,10 +43,9 @@ from functools import cached_property
 from itertools import accumulate, combinations
 from typing import List, Sequence, Tuple
 
-from .algebra import AlgebraDesc
+from .algebra import AlgebraDesc, KElement
 from .errors import (
     DimensionMismatchError,
-    InternalVerificationError,
     LiftInvalidError,
     MalformedSequenceError,
     MissingCertificateError,
@@ -57,10 +56,11 @@ from .gcd import gcd_z
 from .linalg import poly_det
 from .poly import (
     Poly,
-    divide_exact,
+    frobenius_mod2,
     is_divisible,
     is_even,
     poly_dot,
+    reduce_mod_2k,
 )
 from .predicates import regular_sequence_certificate
 
@@ -148,18 +148,64 @@ def _is_regular_sequence(witness: Sequence[Poly]) -> bool:
 # the two concrete complexes (verify_complex checks that they compose to zero)
 
 
+def generating_identities(
+    alg: AlgebraDesc,
+) -> List[Tuple[KElement, Tuple[KElement, ...]]]:
+    """The three identities that make the image of phi an ideal.
+
+    Each entry is (left side, summands of the right side), with
+    cross = wu - h1*h2 and mixed = h2*w - h1*u:
+
+      w * cross  = 2a*u - h1*mixed,
+      u * cross  = 2b*w + h2*mixed,
+      wu * cross = -h1*h2*cross + 2(a*h2^2 + b*h1^2) + 4ab.
+
+    They are identities in (h1, a, h2, b) once f = h1^2 + 2a and
+    g = h2^2 + 2b; the last reads fg = h1^2*h2^2 + 2(a*h2^2 + b*h1^2)
+    + 4ab.  classifier.generic_claims checks them once, on the generic
+    algebra, where a*h2^2 + b*h1^2 is odd, so the constant is kept as
+    2(a*h2^2 + b*h1^2) + 4ab rather than as 4e.
+    """
+    ring = alg.ring
+    h1, a = alg.h1(), alg.a()
+    h2, b = alg.h2(), alg.b()
+    w, u = alg.root_f(), alg.root_g()
+    two = ring.const(2)
+    mixed = w.scale_poly(h2) - u.scale_poly(h1)
+    cross = alg.root_fg() - alg.scalar(h1 * h2)
+    excess = poly_dot(ring, ((a, h2 * h2), (b, h1 * h1)))
+    return [
+        (w * cross, (u.scale_poly(two * a), mixed.scale_poly(-h1))),
+        (u * cross, (w.scale_poly(two * b), mixed.scale_poly(h2))),
+        (
+            alg.root_fg() * cross,
+            (
+                cross.scale_poly(-(h1 * h2)),
+                alg.scalar(excess.scale(2)),
+                alg.scalar((a * b).scale(4)),
+            ),
+        ),
+    ]
+
+
 def resolution_of_I(alg: AlgebraDesc) -> FreeComplex:
     """Augmented complex 0 -> S --psi^T--> S^3 --phi--> A = S^4 onto I.
 
     phi sends the standard basis to (2w, 2u, h2*w - h1*u), written in
     A-coordinates, so its image is the ideal I = (2, wu - h1*h2,
     h2*w - h1*u) A intersected with the displayed generators' span; the
-    three multiplication identities verified below show the image is
-    closed under multiplication by w, u and wu, i.e. really is I.
-    Raises WitnessMismatch when the algebra's witnesses are degenerate
+    three generating identities (generating_identities) show the image
+    is closed under multiplication by w, u and wu, i.e. really is I.
+    Those identities hold in (h1, a, h2, b) alone:
+    classifier.generic_claims proves them once per process on the
+    generic algebra, and build_small_cm_certificate checks
+    f = h1^2 + 2a and g = h2^2 + 2b on the job before it relies on
+    them, so this builder forms no K-element product.  What is not an identity stays here:
+    raises WitnessMismatch when the algebra's witnesses are degenerate
     (both h's even) or the excess term a*h2^2 + b*h1^2 is odd, in which
-    case no element e with (wu)(wu - h1*h2) = -h1*h2(wu - h1*h2) + 4e
-    exists.
+    case no polynomial e with (wu)(wu - h1*h2) = -h1*h2(wu - h1*h2) + 4e
+    exists.  The parity is read on residues: h^2 = frobenius_mod2(h)
+    mod 2.
     """
     ring = alg.ring
     h1, a = alg.h1(), alg.a()
@@ -168,29 +214,17 @@ def resolution_of_I(alg: AlgebraDesc) -> FreeComplex:
         raise WitnessMismatchError(
             "both residues vanish mod 2; the ideal I degenerates to (2)"
         )
-    excess = a * h2 * h2 + b * h1 * h1
+    excess = poly_dot(
+        ring,
+        (
+            (reduce_mod_2k(a, 1), frobenius_mod2(h2)),
+            (reduce_mod_2k(b, 1), frobenius_mod2(h1)),
+        ),
+    )
     if not is_even(excess):
         raise WitnessMismatchError(
             "a*h2^2 + b*h1^2 is odd, so the product has no square-mod-4 structure"
         )
-    e = divide_exact(excess, ring.const(2)) + a * b
-
-    two_w = alg.root_f().scale_poly(ring.const(2))
-    two_u = alg.root_g().scale_poly(ring.const(2))
-    mixed = alg.root_f().scale_poly(h2) - alg.root_g().scale_poly(h1)
-    cross = alg.root_fg() - alg.scalar(h1 * h2)
-
-    # the three generating identities that make the image an ideal
-    checks = [
-        (alg.root_f() * cross, two_u.scale_poly(a) - mixed.scale_poly(h1)),
-        (alg.root_g() * cross, two_w.scale_poly(b) + mixed.scale_poly(h2)),
-        (alg.root_fg() * cross, cross.scale_poly(-(h1 * h2)) + alg.scalar(ring.const(4) * e)),
-    ]
-    for got, want in checks:
-        if got != want:
-            raise InternalVerificationError(
-                "generating identity for the resolution of I failed"
-            )
 
     zero = ring.zero()
     phi = [

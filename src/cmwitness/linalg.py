@@ -9,7 +9,9 @@
   that no permutation of coordinates makes triangular.  Write
   each pivot as p_j = 2^k_j * v_j, 2^k_j the 2-part of its content, and
   let D be the product of the v_j other than +-1.  Back-substitution on
-  D * t takes y_j = divide_exact(r_j, p_j) over Z[x].  By Cramer's rule
+  D * t takes y_j = divide_exact(r_j, p_j) over Z[x], or +-r_j for a
+  pivot p_j = +-1; the residual r_j reads only the solved columns with
+  a nonzero entry at the pivot's coordinate.  By Cramer's rule
   on the triangular pivot rows, y_j = D * x_j = +-adj_j / 2^K lies in
   Z[x][1/2], so a failed division leaves 2 in the reduced denominator
   of x_j, and the target has no solution in S; neither has one with a
@@ -251,26 +253,41 @@ def solve_in_S(
     pivot_rows = {i for i, _ in order}
     order += [(i, None) for i in range(nrows) if i not in pivot_rows]
     scaled = den != one
-    negated = [[-c for c in col] for col in columns]
+    # Per step: the coordinate, its column (None: no pivot), the solved
+    # columns with a nonzero entry there, negated, and the pivot's sign
+    # when it is +-1 (None otherwise), so a unit pivot divides nothing.
+    steps = []
+    solved: List[int] = []
+    for i, j in order:
+        entries = [(k, -columns[k][i]) for k in solved if columns[k][i]]
+        sign = None
+        if j is not None:
+            piv = columns[j][i]
+            if piv.is_constant() and abs(piv.constant_coeff()) == 1:
+                sign = piv.constant_coeff()
+            solved.append(j)
+        steps.append((i, j, entries, sign))
 
     def back_substitute(t: Sequence[Poly]) -> Optional[List[Union[Poly, PolyFraction]]]:
         if scaled:
             t = [den * x for x in t]
         sol: List[Poly] = [one] * ncols  # each entry is set at its pivot
-        solved: List[int] = []
-        for i, j in order:
-            residual = poly_dot(
-                ring, ((t[i], one), *((sol[k], negated[k][i]) for k in solved))
-            )
+        for i, j, entries, sign in steps:
+            residual = t[i]
+            if entries:
+                residual = poly_dot(
+                    ring, ((residual, one), *((sol[k], c) for k, c in entries))
+                )
             if j is None:
                 if not residual.is_zero():
                     return None
-                continue
-            try:
-                sol[j] = divide_exact(residual, columns[j][i])
-            except NotDivisibleError:
-                return None
-            solved.append(j)
+            elif sign is not None:
+                sol[j] = residual if sign == 1 else -residual
+            else:
+                try:
+                    sol[j] = divide_exact(residual, columns[j][i])
+                except NotDivisibleError:
+                    return None
         if not scaled:
             return sol
         fractions = [PolyFraction(y, den) for y in sol]

@@ -28,8 +28,10 @@ degree.  x^e2 divides x^e1 when e1 - e2 borrows across no field
 (BaseRing.monomial_quotient), and BaseRing.monomial_gcd takes the least
 exponent of each variable.  BaseRing.pack and unpack convert keys and
 exponent tuples for Poly(ring, terms) and format_poly; the key layout
-stays in this module, and coefficients_in splits a Poly by its degree
-in one variable for the gcd kernel.
+stays in this module.  For the gcd kernel, coefficients_in splits a
+Poly by its degree in one variable, exponent_terms gives its terms'
+exponent vectors (the modular images) and monomial_split and
+monomial_gcd split off and combine monomial factors (gcd_f2).
 
 That canonical form (no zero coefficient, only plain ints) is an
 invariant of every Poly, and no code mutates a term dict once it is
@@ -40,8 +42,8 @@ already in canonical form (addition, subtraction, negation, scale,
 poly_dot after dropping cancelled terms, divide_exact, half,
 reduce_mod_2k, frobenius_mod2, primitive (the one integer-content division,
 used by gcd.py and predicates.py), sqrt_f2, f2_divide_exact,
-partial_derivative, coefficients_in, substitute_ints, gcd.gcd_f2's
-monomial split, and the coordinates that algebra.KElement
+partial_derivative, coefficients_in, substitute_ints, monomial_split
+and monomial_gcd, and the coordinates that algebra.KElement
 splits from its tagged term dict) hand it to the private
 Poly._from_canonical, which takes it unchecked and uncopied.  No other
 code may call it.
@@ -465,6 +467,31 @@ def occurring_variables(p: Poly) -> List[int]:
     for e in p._terms:
         bits |= e
     return [i for i, k in enumerate(p.ring.unpack(bits)) if k]
+
+
+def exponent_terms(p: Poly) -> List[Tuple[Exponent, int]]:
+    """(exponent vector, coefficient) of each term of p."""
+    unpack = p.ring.unpack
+    return [(unpack(e), c) for e, c in p._terms.items()]
+
+
+def monomial_split(p: Poly) -> Tuple[Poly, Poly]:
+    """(x^m, q) with p = x^m * q for a nonzero p: x^m is the largest
+    monomial that divides p, so no variable divides q.  When m = 0, x^m
+    is 1 and q is p itself."""
+    ring = p.ring
+    m = ring.monomial_gcd(p._terms)
+    if not m:
+        return ring.one(), p
+    part = {e - m: c for e, c in p._terms.items()}
+    return Poly._from_canonical(ring, {m: 1}), Poly._from_canonical(ring, part)
+
+
+def monomial_gcd(monomials: Sequence[Poly]) -> Poly:
+    """The gcd x^m of nonzero single-term Polys of one ring: each
+    variable's least exponent."""
+    ring = monomials[0].ring
+    return Poly._from_canonical(ring, {ring.monomial_gcd([p.lead()[0] for p in monomials]): 1})
 
 
 def coefficients_in(p: Poly, index: int) -> Dict[int, Poly]:

@@ -1,0 +1,184 @@
+"""Re-verify a report's identity claims from its bytes, with sympy alone.
+
+This checker imports nothing from cmwitness: it reads the JSON text of
+a report, parses every polynomial with sympy and redoes, in sympy's own
+sparse polynomial ring over ZZ, the claims that are identities once the
+printed witnesses are given.  A = S[w, u] with w^2 = f, u^2 = g is free
+on (1, w, u, wu), and an element prints as its four coordinates over
+that basis and a power-of-2 denominator.  The checks:
+
+* ``witness_f``, ``witness_g``: f = h1^2 + 2a and g = h2^2 + 2b, from
+  the input and the witnesses block (when the witnesses are printed).
+* ``P_free``: on the certificate's P and I, the basis
+  B = {P's three generators, I's second generator} lies in A, its last
+  element lies in P (its image n0 + n1*h1 + n2*h2 + n3*h1*h2 in
+  A/P = S/2S is even), the 4 x 4 coordinate determinant is +-2, and
+  w*b and u*b have polynomial coordinates over B for each b in B: with
+  det = +-2 those coordinates are adj(B)*v / det, so every coefficient
+  of adj(B)*v must be even.  Then the S-span of B is an ideal of A
+  between P's generators and P, so it is P, free of rank 4.
+* ``H_equals_I``: on the certificate's H and I, H and I share the
+  generator 2 (the scalar 2 is the first generator of each), H's third
+  generator is I's second, and H's second generator minus I's second
+  and third has even coordinates, so it lies in 2A.  Each ideal then
+  contains the other's generators.
+* ``resolution_of_I``: the two printed differentials compose to zero.
+
+check_report returns {check name: verdict} for the checks that apply
+to the report: none outside the covered scope, the witness checks for
+every report that prints witnesses, the rest for the non-CM reports.
+"""
+
+import json
+from functools import lru_cache
+from itertools import permutations
+
+import sympy
+from sympy import ZZ
+from sympy.polys.rings import ring
+
+
+@lru_cache(maxsize=None)
+def polynomial_ring(variables):
+    """sympy's sparse ring ZZ[variables] and its symbols by name."""
+    poly_ring = ring(",".join(variables), ZZ)[0]
+    return poly_ring, {str(s): s for s in poly_ring.symbols}
+
+
+@lru_cache(maxsize=None)
+def parse(variables, text):
+    """The polynomial that the report text denotes, in ZZ[variables]."""
+    poly_ring, symbols = polynomial_ring(variables)
+    return poly_ring.from_expr(sympy.sympify(text.replace("^", "**"), locals=symbols))
+
+
+def is_even(p):
+    return all(c % 2 == 0 for c in p.values())
+
+
+def det(rows):
+    """Leibniz determinant of a small square matrix."""
+    n = len(rows)
+    total = rows[0][0].ring.zero
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = rows[0][0].ring.one * sign
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+            if not term:
+                break
+        total += term
+    return total
+
+
+def adjugate(rows):
+    """adj(M) with adj(M)[i][j] = (-1)^(i+j) * det(M without row j, col i)."""
+    n = len(rows)
+    return [
+        [
+            (-1) ** (i + j)
+            * det([[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+class Report:
+    """A parsed report: its ring and a parser for its polynomial texts."""
+
+    def __init__(self, text):
+        self.data = json.loads(text)
+        self.variables = tuple(self.data["input"]["variables"])
+        self.ring = polynomial_ring(self.variables)[0]
+
+    def poly(self, text):
+        return parse(self.variables, text)
+
+    def element(self, printed):
+        """(coordinates over (1, w, u, wu), denominator exponent)."""
+        return [self.poly(c) for c in printed["coords"]], printed["denom_exp"]
+
+    def integral(self, printed):
+        """The coordinates of an element printed with denominator 1."""
+        coords, denom_exp = self.element(printed)
+        if denom_exp != 0:
+            raise ValueError("element is not in A")
+        return coords
+
+
+def check_witnesses(rep):
+    inp, wit = rep.data["input"], rep.data["witnesses"]
+    out = {}
+    for name, p, h, half in (("witness_f", "f", "h1", "a"), ("witness_g", "g", "h2", "b")):
+        if wit[h] is not None:
+            hh = rep.poly(wit[h])
+            out[name] = rep.poly(inp[p]) == hh * hh + 2 * rep.poly(wit[half])
+    return out
+
+
+def check_p_free(rep, f, g, h1, h2):
+    ideals = rep.data["certificate"]["ideals"]
+    try:
+        basis = [rep.integral(x) for x in ideals["P"]] + [rep.integral(ideals["I"][1])]
+    except ValueError:
+        return False
+    n0, n1, n2, n3 = basis[3]
+    if not is_even(n0 + n1 * h1 + n2 * h2 + n3 * h1 * h2):
+        return False
+    matrix = [[b[i] for b in basis] for i in range(4)]  # column j is basis[j]
+    if det(matrix) not in (2 * rep.ring.one, -2 * rep.ring.one):
+        return False
+    adj = adjugate(matrix)
+    for n0, n1, n2, n3 in basis:
+        # w*b and u*b over (1, w, u, wu), from w^2 = f and u^2 = g
+        for v in ((f * n1, n0, f * n3, n2), (g * n2, g * n3, n0, n1)):
+            if not all(is_even(sum((a * x for a, x in zip(row, v)), rep.ring.zero))
+                       for row in adj):
+                return False
+    return True
+
+
+def check_h_equals_i(rep):
+    ideals = rep.data["certificate"]["ideals"]
+    try:
+        h = [rep.integral(x) for x in ideals["H"]]
+        i = [rep.integral(x) for x in ideals["I"]]
+    except ValueError:
+        return False
+    zero, two = rep.ring.zero, 2 * rep.ring.one
+    difference = [a - b - c for a, b, c in zip(h[1], i[1], i[2])]
+    return (
+        h[0] == i[0] == [two, zero, zero, zero]
+        and h[2] == i[1]
+        and all(is_even(c) for c in difference)
+    )
+
+
+def check_resolution_of_i(rep):
+    [res] = [r for r in rep.data["resolutions"] if r["name"] == "resolution_of_I"]
+    d1, d2 = ([[rep.poly(x) for x in row] for row in m] for m in res["matrices"])
+    return all(
+        not sum((row[k] * d2[k][j] for k in range(len(d2))), rep.ring.zero)
+        for row in d1
+        for j in range(len(d2[0]))
+    )
+
+
+def check_report(text):
+    """{check name: verdict} for every check that applies to the report."""
+    rep = Report(text)
+    out = check_witnesses(rep)
+    if rep.data.get("certificate") is None:
+        return out
+    inp, wit = rep.data["input"], rep.data["witnesses"]
+    f, g = rep.poly(inp["f"]), rep.poly(inp["g"])
+    h1, h2 = rep.poly(wit["h1"]), rep.poly(wit["h2"])
+    out["P_free"] = check_p_free(rep, f, g, h1, h2)
+    out["H_equals_I"] = check_h_equals_i(rep)
+    out["resolution_of_I"] = check_resolution_of_i(rep)
+    return out

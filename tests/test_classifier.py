@@ -32,6 +32,7 @@ from cmwitness.classifier import (
     conductor,
     example_2_10_identity,
     example_2_10_regression,
+    generic_claims,
     ideal_H,
     ideal_I,
     ideal_P,
@@ -51,7 +52,7 @@ from cmwitness.errors import (
 from cmwitness.homology import check_composition_zero, pd_depth_report
 from cmwitness.linalg import PolyFraction
 from cmwitness.poly import BaseRing, divide_exact, parse_poly
-from cmwitness.predicates import decompose_S2
+from cmwitness.predicates import S2Witness, decompose_S2
 from cmwitness.report import CONDUCTOR_UNIDENTIFIED, parse_job
 
 RING2 = BaseRing(("X", "Y"))
@@ -391,7 +392,9 @@ def perturbed_H(alg):
 )
 def test_certificate_checks_can_fail(monkeypatch, ring, ftext, gtext, case):
     # Each check key reads False under a perturbed input; a new key with
-    # no such guard fails the pinned key set.
+    # no such guard fails the pinned key set.  P_free and H_equals_I are
+    # decided once per process on the generic algebra, so the generic
+    # cache is emptied around each perturbation.
     pres = build_R(alg_of(ring, ftext, gtext), case)
     checks = build_small_cm_certificate(pres).checks
     guarded = {"P_free", "eta_conducts", "M_contains_eta", "H_equals_I"}
@@ -403,12 +406,62 @@ def test_certificate_checks_can_fail(monkeypatch, ring, ftext, gtext, case):
         ("prime_dual_gen", perturbed_eta, {"eta_conducts", "M_contains_eta"}),
         ("ideal_H", perturbed_H, {"H_equals_I"}),
     ):
+        generic_claims.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(classifier, name, perturbed)
             checks = build_small_cm_certificate(pres).checks
+        generic_claims.cache_clear()
         assert {k for k, ok in checks.items() if not ok} == expect, name
         failed |= expect
     assert failed == guarded
+
+
+def test_generic_claims_hold():
+    generic_claims.cache_clear()
+    claims = generic_claims()
+    assert (claims.resolution_of_I, claims.P_free, claims.H_equals_I) == (True, True, True)
+
+
+# (identity, summand) of every summand of the three generating identities
+SUMMANDS = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("identity,summand", SUMMANDS)
+def test_a_wrong_sign_fails_the_generic_check(monkeypatch, identity, summand):
+    # The generic algebra satisfies no identity by accident: the sign of
+    # any one summand flipped makes the generic check fail, and the
+    # certificate then refuses to rely on the resolution of I.
+    original = classifier.generating_identities
+
+    def wrong_sign(alg):
+        out = original(alg)
+        lhs, rhs = out[identity]
+        rhs = tuple(alg.zero() - x if k == summand else x for k, x in enumerate(rhs))
+        out[identity] = (lhs, rhs)
+        return out
+
+    pres = build_R(alg_of(RING2, "-X^2+4", "-Y^2+4"), CASE_C_NONCM_GRADE3)
+    generic_claims.cache_clear()
+    monkeypatch.setattr(classifier, "generating_identities", wrong_sign)
+    try:
+        assert generic_claims().resolution_of_I is False
+        with pytest.raises(InternalVerificationError, match="generating identity"):
+            build_small_cm_certificate(pres)
+    finally:
+        generic_claims.cache_clear()
+
+
+def test_certificate_checks_the_job_witnesses():
+    # The generic claims carry over only through f = h1^2 + 2a and
+    # g = h2^2 + 2b: a witness a moved by 2 (same parity, same case) is
+    # refused before any claim is read.
+    alg = alg_of(RING3, "V^2*X^2-2*X^2+4", "V^2*Y^2-2*Y^2+4")
+    pres = build_R(alg, CASE_C_NONCM_GRADE2)
+    assert alg.witnesses_exact
+    del alg.__dict__["witnesses_exact"]
+    object.__setattr__(alg, "wf", S2Witness(alg.wf.h, alg.wf.a + alg.ring.const(2)))
+    with pytest.raises(InternalVerificationError, match="witness identity"):
+        build_small_cm_certificate(pres)
 
 
 def test_certificate_raises_on_unsaturated_resolution(monkeypatch):

@@ -14,11 +14,12 @@ from pathlib import Path
 import pytest
 
 import cmwitness
-from cmwitness import classifier, cli, report
+from cmwitness import algebra, classifier, cli, report
 from cmwitness.classifier import CASE_B, OUTSIDE_SCOPE
 from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES, main
 from cmwitness.errors import CmWitnessError, InternalError, RejectedInputError
 from cmwitness.poly import NotDivisibleError
+from cmwitness.predicates import S2Witness
 
 
 def write_job(tmp_path, name, payload):
@@ -484,6 +485,22 @@ def test_every_package_error_has_one_exit_code():
     ):
         assert issubclass(cls, cli.REJECTION_ERRORS)
         assert not issubclass(cls, cli.INTERNAL_ERRORS)
+
+
+def test_a_perturbed_witness_exits_3(tmp_path, monkeypatch, capsys):
+    # A witness a moved by 2 keeps its parity, so the case is unchanged;
+    # f = h1^2 + 2a then fails, and the report is refused as a bug.
+    exact = algebra.decompose_S2
+
+    def perturbed(p):
+        w = exact(p)
+        return None if w is None else S2Witness(w.h, w.a + p.ring.const(2))
+
+    monkeypatch.setattr(algebra, "decompose_S2", perturbed)
+    job = str(GOLDEN_DIR / "example_4_7_family1.job.json")
+    assert main(["classify", "--job", job]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "InternalVerificationError"
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from cmwitness.classifier import (
     CASE_C_NONCM_GRADE2,
     CASE_C_NONCM_GRADE3,
     OUTSIDE_SCOPE,
+    generic_claims,
 )
 from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES, cmd_sweep
 from cmwitness.report import assemble_report, parse_job
@@ -51,11 +52,19 @@ class Calls:
         return len(self.args)
 
 
+def golden_job(name):
+    return parse_job(
+        json.loads((GOLDEN_DIR / (name + ".job.json")).read_text(encoding="utf-8"))
+    )
+
+
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_each_fact_once_per_report(monkeypatch, name):
-    job = json.loads((GOLDEN_DIR / (name + ".job.json")).read_text(encoding="utf-8"))
-    ring, f, g, options = parse_job(job)
+    ring, f, g, options = golden_job(name)
     witnesses = [predicates.decompose_S2(p) for p in (f, g)]
+    # The identity claims of the certificate are decided once per
+    # process on the generic algebra; count the report's own work only.
+    generic_claims()
 
     lift_checks = Calls(monkeypatch, predicates, "in_S2wedge4")
     decompositions = Calls(monkeypatch, predicates, "decompose_S2")
@@ -105,7 +114,7 @@ def test_each_fact_once_per_report(monkeypatch, name):
 
     free = case not in NON_CM and case != OUTSIDE_SCOPE
     assert len(closures) == (1 if free else 0)
-    assert len(spans) == (1 if case in NON_CM else 0)
+    assert len(spans) == 0
     # Spans are solved over S by one back-substitution each: no
     # elimination runs inside a solve, and the report builds no fraction.
     assert len(solves) == len(rrefs_per_solve) == len(closures) + len(spans)
@@ -153,6 +162,53 @@ def test_each_fact_once_per_report(monkeypatch, name):
     # No colon test x * ideal inside A runs twice on the same pair.
     colon_pairs = [(x, tuple(ideal.gens)) for x, ideal in colon_tests.args]
     assert len(colon_pairs) == len(set(colon_pairs))
+
+
+@pytest.mark.parametrize(
+    "warm_up,name",
+    [
+        ("example_4_7_family1", "example_4_7_family2"),
+        ("example_4_7_family2", "example_4_7_family1"),
+    ],
+)
+def test_non_cm_report_solves_no_span_after_a_warm_up(monkeypatch, warm_up, name):
+    # The warm-up report decides the generic claims; the next non-CM
+    # report reads them and solves no span of its own.
+    generic_claims.cache_clear()
+    assemble_report(*golden_job(warm_up))
+    spans = Calls(monkeypatch, algebra, "express_in_span")
+    report = assemble_report(*golden_job(name))
+    assert report["case"] in NON_CM
+    assert report["certificate"]["checks"]["P_free"] is True
+    assert len(spans) == 0
+
+
+@pytest.mark.parametrize("name", ["example_4_7_family1", "example_4_7_family2"])
+def test_resolution_of_I_forms_no_product(monkeypatch, name):
+    # The generating identities are proved on the generic algebra: the
+    # job's resolution of I multiplies no K-element, by k_mul or by
+    # scale_poly (both run algebra._product).
+    ring, f, g, _ = golden_job(name)
+    alg = algebra.make_algebra(ring, f, g)
+    products = Calls(monkeypatch, algebra, "_product")
+    k_products = Calls(monkeypatch, algebra, "k_mul")
+    cx = homology.resolution_of_I(alg)
+    assert len(cx.matrices) == 2
+    assert len(products) == len(k_products) == 0
+
+
+def test_generic_check_runs_once_per_process(monkeypatch):
+    generic_claims.cache_clear()
+    identities = Calls(monkeypatch, homology, "generating_identities")
+    algebras = Calls(monkeypatch, algebra, "make_algebra")
+    spans = Calls(monkeypatch, algebra, "express_in_span")
+    for _ in range(2):
+        assemble_report(*golden_job("example_4_7_family1"))
+    # One generic algebra, one span solve and one identity check in all;
+    # each report builds its own algebra.
+    assert len(identities) == len(spans) == 1
+    assert len(algebras) == 3
+    assert generic_claims.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)

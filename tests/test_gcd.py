@@ -13,7 +13,6 @@ from cmwitness.gcd import (
     _coprime_by_images,
     _gcd,
     _normalize_sign,
-    _split_monomial,
     gcd_f2,
     gcd_many_q,
     gcd_q,
@@ -27,6 +26,8 @@ from cmwitness.poly import (
     Poly,
     f2_divide_exact,
     is_even,
+    monomial_gcd,
+    monomial_split,
     parse_poly,
     partial_derivative,
     primitive,
@@ -548,7 +549,8 @@ def test_gcd_f2_monomial_split_vs_sympy():
         ra, rb = reduce_mod_2k(a * ma, 1), reduce_mod_2k(b * mb, 1)
         if ra.is_zero() or rb.is_zero():
             continue
-        skipped += len(_split_monomial(ra)[1]) == 1 or len(_split_monomial(rb)[1]) == 1
+        parts = (monomial_split(ra)[1], monomial_split(rb)[1])
+        skipped += any(part.num_terms() == 1 for part in parts)
         ours = gcd_f2(a * ma, b * mb)
         theirs = sympy.gcd(mod2_sympy(ra), mod2_sympy(rb))
         ours_sympy = mod2_sympy(ours)
@@ -560,9 +562,11 @@ def test_gcd_f2_monomial_split_vs_sympy():
 
 def test_split_monomial_and_division_by_one():
     r = X * X * Y + X * Y * V
-    pack = RING.pack
-    assert _split_monomial(r) == (pack((1, 1, 0)), {pack((1, 0, 0)): 1, pack((0, 0, 1)): 1})
-    assert _split_monomial(X * Y) == (pack((1, 1, 0)), {0: 1})
+    assert monomial_split(r) == (X * Y, X + V)
+    assert monomial_split(X * Y) == (X * Y, RING.one())
+    assert monomial_split(r + RING.one()) == (RING.one(), r + RING.one())
+    assert monomial_gcd((X * X * Y, X * Y * V)) == X * Y
+    assert monomial_gcd((X, V)) == RING.one()
     assert gcd_f2(r, X * X * V) == X
     assert gcd_f2(r, X * Y * (X + V)) == r
     # Division by 1 returns a reduced operand itself, and an unreduced

@@ -10,8 +10,9 @@ Every module-level function and class of the package is read by some
 package module other than ``__init__``, so none exists only for tests;
 the only exceptions are the names in ``TRACER_ONLY``, which only tests
 and the benchmark's tracer read.  The monomial key layout stays behind
-poly.py: gcd.py names no ``FIELD_BITS`` and reads no private attribute
-of ``BaseRing``, and cli.py reads no term dict and unpacks no key.
+poly.py: gcd.py names no ``FIELD_BITS``, reads no private attribute
+of ``BaseRing``, reads no term dict, unpacks no key and builds no Poly
+from a term dict, and cli.py reads no term dict and unpacks no key.
 """
 
 import ast
@@ -149,6 +150,8 @@ def test_gcd_reads_no_key_layout():
     assert not attributes & private, "gcd.py reads %s" % sorted(attributes & private)
     names = used_names(tree) | attributes | set(imported_names(tree, text.splitlines()))
     assert "FIELD_BITS" not in names
+    read = names & {"_terms", "unpack", "_from_canonical"}
+    assert not read, "gcd.py reads %s" % sorted(read)
 
 
 def test_cli_reads_no_key_layout():

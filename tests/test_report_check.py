@@ -1,0 +1,90 @@
+"""The independent checker (report_check.py, sympy only) on real reports.
+
+It runs on the six golden reports as committed and on the reports of
+the first generated jobs of each non-CM tag that the benchmark's case
+generator (perfbench/casegen.py, loaded by path) yields for one seed.
+Each check must also fail on a report with one coefficient changed.
+"""
+
+import itertools
+import json
+
+import pytest
+
+from report_check import check_report
+from test_residue_guard import load_casegen
+
+from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES
+from cmwitness.report import assemble_report, parse_job, render_json
+
+SEED = 37
+REPORTS_PER_TAG = 50
+NON_CM_CHECKS = {"witness_f", "witness_g", "P_free", "H_equals_I", "resolution_of_I"}
+
+
+def golden_text(name):
+    return (GOLDEN_DIR / (name + ".report.json")).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_golden_reports_recheck(name):
+    text = golden_text(name)
+    data = json.loads(text)
+    verdicts = check_report(text)
+    if data["certificate"] is not None:
+        assert set(verdicts) == NON_CM_CHECKS
+    elif data["witnesses"]["h1"] is not None and data["witnesses"]["h2"] is not None:
+        assert set(verdicts) == {"witness_f", "witness_g"}
+    assert all(verdicts.values()), verdicts
+
+
+def test_generated_non_cm_reports_recheck():
+    casegen = load_casegen()
+    checked = 0
+    for tag in (casegen.C_GRADE2, casegen.C_GRADE3):
+        jobs = (job for job, allowed in casegen.generate(SEED) if allowed[0] == tag)
+        for job in itertools.islice(jobs, REPORTS_PER_TAG):
+            text = render_json(assemble_report(*parse_job(job)))
+            verdicts = check_report(text)
+            assert set(verdicts) == NON_CM_CHECKS and all(verdicts.values()), job
+            checked += 1
+    assert checked == 2 * REPORTS_PER_TAG
+
+
+def bump(text):
+    """The polynomial text with its constant coefficient moved by one."""
+    return text + "+1"
+
+
+def perturbed(data, path):
+    """A copy of the report data with the polynomial text at path bumped."""
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bump(node[path[-1]])
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "name", ["example_4_7_family1", "example_4_7_family2"]
+)
+@pytest.mark.parametrize(
+    "check,path",
+    [
+        ("witness_f", ("witnesses", "a")),
+        ("witness_g", ("witnesses", "b")),
+        ("P_free", ("certificate", "ideals", "P", 0, "coords", 0)),
+        ("P_free", ("certificate", "ideals", "P", 1, "coords", 0)),
+        ("P_free", ("certificate", "ideals", "I", 1, "coords", 0)),
+        ("H_equals_I", ("certificate", "ideals", "H", 1, "coords", 0)),
+        ("H_equals_I", ("certificate", "ideals", "I", 2, "coords", 1)),
+        ("resolution_of_I", ("resolutions", 0, "matrices", 1, 2, 0)),
+        ("resolution_of_I", ("resolutions", 0, "matrices", 0, 1, 2)),
+    ],
+)
+def test_one_changed_coefficient_fails_its_check(name, check, path):
+    data = json.loads(golden_text(name))
+    assert data["resolutions"][0]["name"] == "resolution_of_I"
+    verdicts = check_report(perturbed(data, path))
+    assert verdicts[check] is False
