@@ -7,11 +7,11 @@ table, verifies conductor and free-resolution data, and in the
 non-Cohen-Macaulay cases machine-checks a certificate that R still
 admits a birational small Cohen-Macaulay module.
 
-Everything is exact: sparse integer polynomials, fraction-free linear
-algebra, and GF(2) residue computations.  No floating point and no
-randomness.  The S^{2,4} verdict on f and g holds for every lift
-of the mod-2 square root by one exact identity over S[T], checked on
-each call.
+Everything is exact: sparse integer polynomials, spans over S solved
+by back-substitution, and GF(2) residue computations.  No floating
+point and no randomness.  The S^{2,4} verdict on f (likewise g) reads
+the parity of a in f = h^2 + 2a, which is the same for every lift h
+of the mod-2 square root.
 """
 
 from .errors import (

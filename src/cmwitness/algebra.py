@@ -47,8 +47,8 @@ even by construction).
 The module provides exact multiplication, membership in A (denominator
 clearance in reduced form), verification of quadratic relations,
 span-closure certification for claimed module generating sets of
-overrings, ideal products and the colon test in_colon (x in (A : J),
-i.e. x * J inside A).
+overrings and the colon test in_colon (x in (A : J), i.e. x * J
+inside A).
 """
 
 from __future__ import annotations

@@ -20,11 +20,11 @@ mod 4:
 
 All claimed identities are verified with exact arithmetic; any failure
 raises InternalVerificationError rather than producing an unverified
-report.  The certificate's claims that are identities in the witnesses
-(h1, a, h2, b) are verified once per process on the generic algebra
-(generic_claims), and each job checks the witness identities
-f = h1^2 + 2a, g = h2^2 + 2b that carry them over; every other claim
-is verified on the job at build time.
+report.  The certificate's checks, all identities or power-of-2
+divisibilities in the witnesses (h1, a, h2, b), are decided once per
+process on the generic algebra (generic_claims), and each job checks
+the witness identities f = h1^2 + 2a, g = h2^2 + 2b that carry them
+over; every other claim is verified on the job at build time.
 """
 
 from __future__ import annotations
@@ -490,17 +490,21 @@ def conductor(pres: RingPresentation) -> ConductorReport:
 
 
 class GenericClaims(NamedTuple):
-    """The certificate's claims that are identities in (h1, a, h2, b),
-    decided once on the generic algebra (generic_claims)."""
+    """The certificate's claims, all identities or power-of-2
+    divisibilities in (h1, a, h2, b), decided once on the generic
+    algebra (generic_claims).  Every field but resolution_of_I is a
+    key of the certificate's checks."""
 
     resolution_of_I: bool
     P_free: bool
+    eta_conducts: bool
     H_equals_I: bool
+    M_contains_eta: bool
 
 
 @cache
 def generic_claims() -> GenericClaims:
-    """Decide the identity claims of the certificate once per process.
+    """Decide the claims of the certificate once per process.
 
     They are decided on the generic algebra A_gen = Z[H1, A, H2, B][w, u]
     / (w^2 - H1^2 - 2A, u^2 - H2^2 - 2B), built by make_algebra on
@@ -515,9 +519,14 @@ def generic_claims() -> GenericClaims:
       express_in_span; the pivots are the constants 1, 1, 1 and 2, so
       no fraction arises).  Then the span is an ideal between the
       generators of P and P, so it is P, free of rank 4.
+    * eta_conducts: eta = (w + H1)(u + H2)/2 multiplies P into A
+      (in_colon), so M contains the unit 1 birationally.
     * H_equals_I: (w + H1)(u + H2) = (wu - H1H2) + (H2w - H1u) +
       2H1*u + 2H1H2; H and I share their other generators, 2 and
       wu - H1H2, by construction.
+    * M_contains_eta: eta lies in M = (IP)^*: eta * i lies in P^* for
+      each generator i of I, since IP is generated by the products of
+      the generators.
 
     Why a job may read them (the specialisation argument): a job with
     witnesses f = h1^2 + 2a and g = h2^2 + 2b, checked exactly on the
@@ -526,17 +535,23 @@ def generic_claims() -> GenericClaims:
     Extended by w -> w, u -> u it sends w^2 - H1^2 - 2A to w^2 - f and
     u^2 - H2^2 - 2B to u^2 - g, so it induces a ring map A_gen -> A
     that acts on the coordinates over (1, w, u, wu) and sends the
-    generic P, I, H and basis to the job's.  Every identity, every span
-    coefficient (a polynomial) and every power-of-2 divisibility
+    generic P, I, H, eta and basis to the job's.  Every identity, every
+    span coefficient (a polynomial) and every power-of-2 divisibility
     (residues mod P, the constant determinant) over A_gen therefore
-    holds over A.  The parity of a*h2^2 + b*h1^2, the degenerate
-    witnesses and every colon test are no such identities; they stay
-    per job.
+    holds over A.  The two colon tests are such divisibilities: eta has
+    denominator exponent 1 on the job as on A_gen, because its wu
+    coordinate is 1, and the map sends the numerator of each product
+    eta * p and eta * i * p (p in P, i in I) to the job's numerator.
+    Each coefficient of the job's numerator is a Z-combination of the
+    coefficients over Z[H1, A, H2, B], so a 2^k that divides all of
+    those divides it too.  The parity of a*h2^2 + b*h1^2 and the
+    degenerate witnesses are no such identities; they stay per job.
     """
     ring = BaseRing(("H1", "A", "H2", "B"))
     h1, a, h2, b = ring.gens()
     alg = make_algebra(ring, h1 * h1 + a.scale(2), h2 * h2 + b.scale(2))
     p, i_ideal, h_ideal = ideal_P(alg), ideal_I(alg), ideal_H(alg)
+    eta = prime_dual_gen(alg)
 
     basis = p.gens + i_ideal.gens[1:2]
     in_p = all(residue_mod_P(x).is_zero() for x in basis)
@@ -562,7 +577,9 @@ def generic_claims() -> GenericClaims:
             lhs == sum(rhs[1:], rhs[0]) for lhs, rhs in generating_identities(alg)
         ),
         P_free=in_p and det_ok and spans,
+        eta_conducts=in_colon(eta, p),
         H_equals_I=h_ideal.gens[1] == expansion,
+        M_contains_eta=all(in_colon(k_mul(eta, i), p) for i in i_ideal.gens),
     )
 
 
@@ -572,21 +589,17 @@ class CmModuleCertificate:
 
     The chain being instantiated: P is S-free of rank 4 (so depth_S
     P = d); eta = (w + h1)(u + h2)/2 conducts P into A, making M
-    birational; H = (2, (w+h1)(u+h2), wu - h1h2) equals I exactly; I
-    has an S-free resolution of length 1 (so depth I = d - 1 and A/I
-    behaves like S/Q); and the length-3 resolution of S/Q is exact, as
-    build_R verified.  ``checks`` records each step an identity decides.
-    P_free and H_equals_I, and the generating identities behind the
-    resolution of I, are identities in (h1, a, h2, b): they are read
-    from generic_claims, decided once on the generic algebra, and carry
-    over to the job because its witnesses satisfy f = h1^2 + 2a and
-    g = h2^2 + 2b exactly (checked per job; see generic_claims).
-    eta_conducts and M_contains_eta are colon tests on the job: x lies
-    in M exactly when x * I * P lies in A, that is when x * i lies in
-    P^* for each listed generator i of I, since IP is generated by the
-    products of the generators.  ``resolution_I`` is the verified
-    resolution of I; building the certificate raises when it is not
-    exact or d_2 does not saturate ker(d_1).
+    birational; H = (2, (w+h1)(u+h2), wu - h1h2) equals I exactly; eta
+    lies in M; I has an S-free resolution of length 1 (so depth I =
+    d - 1 and A/I behaves like S/Q); and the length-3 resolution of S/Q
+    is exact, as build_R verified.  ``checks`` records the four steps
+    that are identities or power-of-2 divisibilities in (h1, a, h2, b):
+    they are read from generic_claims, decided once on the generic
+    algebra, and carry over to the job because its witnesses satisfy
+    f = h1^2 + 2a and g = h2^2 + 2b exactly (checked per job; see
+    generic_claims).  ``resolution_I`` is the verified resolution of I;
+    building the certificate raises when it is not exact or d_2 does not
+    saturate ker(d_1).
     """
 
     ideal_P: IdealGens
@@ -603,10 +616,12 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
     """Assemble and verify the birational small CM module certificate.
 
     Only meaningful for the R of the two non-CM cases; WrongCase
-    otherwise.  The identity claims come from generic_claims once the
-    job's witness identities hold (InternalVerification otherwise, and
-    when a generating identity of the resolution of I fails); the colon
-    tests and the exactness of the resolution of I run here, once.
+    otherwise.  The checks come from generic_claims once the job's
+    witness identities hold (InternalVerification otherwise, and when a
+    generating identity of the resolution of I fails).  What depends on
+    the job runs here, once: the parity and both-h-even checks of
+    resolution_of_I, the exactness and kernel saturation of the
+    resolution of I, and the P, I and H the report prints.
     """
     case = pres.case
     if case not in _NON_CM_CASES:
@@ -623,36 +638,19 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
         raise InternalVerificationError(
             "generating identity for the resolution of I failed"
         )
-    p = ideal_P(alg)
-    i_ideal = pres.ideal_I
-    h_ideal = ideal_H(alg)
-    checks: Dict[str, bool] = {}
-
-    # (i) P is S-free of rank 4 on {2, w - h1, u - h2, wu - h1h2}
-    checks["P_free"] = claims.P_free
-
-    # (ii) eta conducts P into A, so M contains the unit 1 birationally
-    eta = prime_dual_gen(alg)
-    checks["eta_conducts"] = in_colon(eta, p)
-
-    # (iii) H = I via the exact expansion of (w + h1)(u + h2)
-    checks["H_equals_I"] = claims.H_equals_I
-
-    # (iv) the length-1 resolution of I is exact (pd I <= 1) and d_2
+    # the length-1 resolution of I is exact (pd I <= 1) and d_2
     # saturates ker(d_1); verify_complex raises on an inexact complex
     res_i = verify_complex(resolution_of_I(alg))
     if not kernel_saturation_check(res_i.complex):
         raise UnverifiedComplexError(
             "the resolution of I does not saturate the kernel of d_1"
         )
-
-    # (v) eta lies in M = (IP)^*: eta * i lies in P^* for each generator
-    # i of I, on the residue tables (ii) built on P's generators
-    checks["M_contains_eta"] = all(in_colon(k_mul(eta, i), p) for i in i_ideal.gens)
+    checks = claims._asdict()
+    del checks["resolution_of_I"]
     return CmModuleCertificate(
-        ideal_P=p,
-        ideal_I=i_ideal,
-        ideal_H=h_ideal,
+        ideal_P=ideal_P(alg),
+        ideal_I=pres.ideal_I,
+        ideal_H=ideal_H(alg),
         checks=checks,
         resolution_I=res_i,
     )

@@ -9,6 +9,8 @@ that basis and a power-of-2 denominator.  The checks:
 
 * ``witness_f``, ``witness_g``: f = h1^2 + 2a and g = h2^2 + 2b, from
   the input and the witnesses block (when the witnesses are printed).
+* ``witness_f4``, ``witness_g4``: f = h1^2 + 4a' and g = h2^2 + 4b'
+  (when a' or b' is printed).
 * ``P_free``: on the certificate's P and I, the basis
   B = {P's three generators, I's second generator} lies in A, its last
   element lies in P (its image n0 + n1*h1 + n2*h2 + n3*h1*h2 in
@@ -22,6 +24,11 @@ that basis and a power-of-2 denominator.  The checks:
   generator is I's second, and H's second generator minus I's second
   and third has even coordinates, so it lies in 2A.  Each ideal then
   contains the other's generators.
+* ``eta_conducts``: eta = (w + h1)(u + h2)/2, rebuilt from the printed
+  h1 and h2 as the coordinates (h1h2, h2, h1, 1) over 2, times each of
+  P's generators lies in A: each numerator has even coordinates.
+* ``M_contains_eta``: eta * i * p lies in A for each generator i of I
+  and p of P, so eta * I * P lies in A.
 * ``resolution_of_I``: the two printed differentials compose to zero.
 
 check_report returns {check name: verdict} for the checks that apply
@@ -114,11 +121,47 @@ class Report:
 def check_witnesses(rep):
     inp, wit = rep.data["input"], rep.data["witnesses"]
     out = {}
-    for name, p, h, half in (("witness_f", "f", "h1", "a"), ("witness_g", "g", "h2", "b")):
-        if wit[h] is not None:
+    for name, p, h, rest, scale in (
+        ("witness_f", "f", "h1", "a", 2),
+        ("witness_g", "g", "h2", "b", 2),
+        ("witness_f4", "f", "h1", "a_prime", 4),
+        ("witness_g4", "g", "h2", "b_prime", 4),
+    ):
+        if wit[h] is not None and wit[rest] is not None:
             hh = rep.poly(wit[h])
-            out[name] = rep.poly(inp[p]) == hh * hh + 2 * rep.poly(wit[half])
+            out[name] = rep.poly(inp[p]) == hh * hh + scale * rep.poly(wit[rest])
     return out
+
+
+def multiply(x, y, f, g):
+    """The coordinates of x * y over (1, w, u, wu), from w^2 = f and u^2 = g."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return [
+        x0 * y0 + f * x1 * y1 + g * x2 * y2 + f * g * x3 * y3,
+        x0 * y1 + x1 * y0 + g * (x2 * y3 + x3 * y2),
+        x0 * y2 + x2 * y0 + f * (x1 * y3 + x3 * y1),
+        x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
+    ]
+
+
+def check_eta(rep, f, g, h1, h2):
+    """(eta_conducts, M_contains_eta) on the certificate's P and I."""
+    ideals = rep.data["certificate"]["ideals"]
+    try:
+        p = [rep.integral(x) for x in ideals["P"]]
+        i = [rep.integral(x) for x in ideals["I"]]
+    except ValueError:
+        return False, False
+    eta = [h1 * h2, h2, h1, rep.ring.one]  # the numerator of eta over 2
+
+    def in_a(x):
+        return all(is_even(c) for c in x)
+
+    conducts = all(in_a(multiply(eta, q, f, g)) for q in p)
+    eta_i = [multiply(eta, j, f, g) for j in i]
+    contains = all(in_a(multiply(x, q, f, g)) for x in eta_i for q in p)
+    return conducts, contains
 
 
 def check_p_free(rep, f, g, h1, h2):
@@ -179,6 +222,7 @@ def check_report(text):
     f, g = rep.poly(inp["f"]), rep.poly(inp["g"])
     h1, h2 = rep.poly(wit["h1"]), rep.poly(wit["h2"])
     out["P_free"] = check_p_free(rep, f, g, h1, h2)
+    out["eta_conducts"], out["M_contains_eta"] = check_eta(rep, f, g, h1, h2)
     out["H_equals_I"] = check_h_equals_i(rep)
     out["resolution_of_I"] = check_resolution_of_i(rep)
     return out

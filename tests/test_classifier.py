@@ -392,9 +392,9 @@ def perturbed_H(alg):
 )
 def test_certificate_checks_can_fail(monkeypatch, ring, ftext, gtext, case):
     # Each check key reads False under a perturbed input; a new key with
-    # no such guard fails the pinned key set.  P_free and H_equals_I are
-    # decided once per process on the generic algebra, so the generic
-    # cache is emptied around each perturbation.
+    # no such guard fails the pinned key set.  Every key is decided once
+    # per process on the generic algebra, so the generic cache is
+    # emptied around each perturbation.
     pres = build_R(alg_of(ring, ftext, gtext), case)
     checks = build_small_cm_certificate(pres).checks
     guarded = {"P_free", "eta_conducts", "M_contains_eta", "H_equals_I"}
@@ -418,8 +418,7 @@ def test_certificate_checks_can_fail(monkeypatch, ring, ftext, gtext, case):
 
 def test_generic_claims_hold():
     generic_claims.cache_clear()
-    claims = generic_claims()
-    assert (claims.resolution_of_I, claims.P_free, claims.H_equals_I) == (True, True, True)
+    assert all(generic_claims())
 
 
 # (identity, summand) of every summand of the three generating identities
@@ -504,20 +503,38 @@ def agreement_jobs():
         yield from itertools.islice(jobs, AGREEMENT_PAIRS_PER_TAG)
 
 
+def generic_key(monkeypatch, eta_of):
+    """generic_claims().M_contains_eta with prime_dual_gen as eta_of."""
+    generic_claims.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(classifier, "prime_dual_gen", eta_of)
+            return generic_claims().M_contains_eta
+    finally:
+        generic_claims.cache_clear()
+
+
 def test_M_contains_eta_agrees_with_the_product_ideal(monkeypatch):
-    # The certificate decides eta*I*P in A as eta*i in P^* for each
-    # generator i of I; in_colon against the nine products of I and P
-    # must give the same answer, true for eta and false for eta/2.
+    # The certificate reads M_contains_eta from the generic algebra,
+    # where it is decided as eta*i in P^* for each generator i of I.
+    # On each job, in_colon against the nine products of I and P, the
+    # same per-generator decision and the generic key must agree: true
+    # for eta and false for eta/2.
+    generic = {eta_of: generic_key(monkeypatch, eta_of)
+               for eta_of in (prime_dual_gen, perturbed_eta)}
     for job in agreement_jobs():
         ring, f, g, _ = parse_job(job)
         alg = make_algebra(ring, f, g)
         pres = build_R(alg, classify(alg))
-        ip = product_ideal(pres.ideal_I, ideal_P(alg))
+        p = ideal_P(alg)
+        ip = product_ideal(pres.ideal_I, p)
+        assert build_small_cm_certificate(pres).checks["M_contains_eta"] is True
         for eta_of, expect in ((prime_dual_gen, True), (perturbed_eta, False)):
-            with monkeypatch.context() as patch:
-                patch.setattr(classifier, "prime_dual_gen", eta_of)
-                check = build_small_cm_certificate(pres).checks["M_contains_eta"]
-            assert check == in_colon(eta_of(alg), ip) == expect, (job, eta_of)
+            eta = eta_of(alg)
+            per_generator = all(in_colon(k_mul(eta, i), p) for i in pres.ideal_I.gens)
+            assert (
+                in_colon(eta, ip) == per_generator == generic[eta_of] == expect
+            ), (job, eta_of)
 
 
 def test_conducts_relation_between_I_and_P():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cmwitness import algebra, gcd, homology, linalg, poly, predicates
+from cmwitness import algebra, classifier, gcd, homology, linalg, poly, predicates
 from cmwitness.classifier import (
     CASE_C_NONCM_GRADE2,
     CASE_C_NONCM_GRADE3,
@@ -146,7 +146,7 @@ def test_each_fact_once_per_report(monkeypatch, name):
     pres = report["ring_presentation"]
     assert len(quadratic_checks) == (0 if pres is None else len(pres["quadratics"]))
 
-    # (w + h1)(u + h2) is formed once, shared by H and eta.
+    # (w + h1)(u + h2) is formed once, for the generator of H.
     if None not in witnesses:
         z, o = ring.zero(), ring.one()
         plus = (
@@ -195,6 +195,32 @@ def test_resolution_of_I_forms_no_product(monkeypatch, name):
     cx = homology.resolution_of_I(alg)
     assert len(cx.matrices) == 2
     assert len(products) == len(k_products) == 0
+
+
+@pytest.mark.parametrize(
+    "warm_up,name",
+    [
+        ("example_4_7_family1", "example_4_7_family2"),
+        ("example_4_7_family2", "example_4_7_family1"),
+    ],
+)
+def test_certificate_runs_no_colon_test_and_no_product(monkeypatch, warm_up, name):
+    # Every check key is read from the generic claims, which the warm-up
+    # report decides: the job's certificate runs no colon test and
+    # forms no K-product.  H prints the algebra's dual product, formed
+    # once per report (test_each_fact_once_per_report), so it is formed
+    # before the count.
+    generic_claims.cache_clear()
+    assemble_report(*golden_job(warm_up))
+    ring, f, g, _ = golden_job(name)
+    alg = algebra.make_algebra(ring, f, g)
+    pres = classifier.build_R(alg, classifier.classify(alg))
+    alg.dual_product
+    colon_tests = Calls(monkeypatch, algebra, "in_colon")
+    products = Calls(monkeypatch, algebra, "k_mul")
+    cert = classifier.build_small_cm_certificate(pres)
+    assert pres.case in NON_CM and cert.all_pass()
+    assert len(colon_tests) == len(products) == 0
 
 
 def test_generic_check_runs_once_per_process(monkeypatch):

@@ -2,7 +2,9 @@
 
 The ``python`` block of "Library layout" imports its names from the
 package root, so it also guards the root's re-exports.  The job of
-"classify" and the family of "sweep" run through cli.main.
+"classify" and the family of "sweep" run through cli.main.  The
+certificate table lists exactly the certificate's check keys, and says
+where each is decided.
 """
 
 import csv
@@ -10,8 +12,8 @@ import json
 import re
 from pathlib import Path
 
-from cmwitness.classifier import CASE_B, OUTSIDE_SCOPE
-from cmwitness.cli import main
+from cmwitness.classifier import CASE_B, OUTSIDE_SCOPE, GenericClaims
+from cmwitness.cli import GOLDEN_DIR, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,3 +50,16 @@ def test_sweep_example(tmp_path):
         header, *rows = csv.reader(fh)
     assert header == ["s", "t", "case", "cm", "q_shape"]
     assert len(rows) == 15
+
+
+def test_certificate_table():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("| check | where | identity |\n")
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", text[start:].split("\n\n")[0], re.M)
+    report = json.loads(
+        (GOLDEN_DIR / "example_4_7_family1.report.json").read_text(encoding="utf-8")
+    )
+    keys = [key for key, _ in rows]
+    assert sorted(keys) == list(report["certificate"]["checks"])
+    generic = {key for key, where in rows if where == "A_gen, once"}
+    assert generic and generic <= set(GenericClaims._fields)

@@ -19,7 +19,15 @@ from cmwitness.report import assemble_report, parse_job, render_json
 
 SEED = 37
 REPORTS_PER_TAG = 50
-NON_CM_CHECKS = {"witness_f", "witness_g", "P_free", "H_equals_I", "resolution_of_I"}
+NON_CM_CHECKS = {
+    "witness_f",
+    "witness_g",
+    "P_free",
+    "eta_conducts",
+    "H_equals_I",
+    "M_contains_eta",
+    "resolution_of_I",
+}
 
 
 def golden_text(name):
@@ -31,10 +39,14 @@ def test_golden_reports_recheck(name):
     text = golden_text(name)
     data = json.loads(text)
     verdicts = check_report(text)
+    witnesses = data["witnesses"]
     if data["certificate"] is not None:
         assert set(verdicts) == NON_CM_CHECKS
-    elif data["witnesses"]["h1"] is not None and data["witnesses"]["h2"] is not None:
-        assert set(verdicts) == {"witness_f", "witness_g"}
+    elif witnesses["h1"] is not None and witnesses["h2"] is not None:
+        refined = {"witness_f4": "a_prime", "witness_g4": "b_prime"}
+        assert set(verdicts) == {"witness_f", "witness_g"} | {
+            check for check, key in refined.items() if witnesses[key] is not None
+        }
     assert all(verdicts.values()), verdicts
 
 
@@ -66,6 +78,9 @@ def perturbed(data, path):
     return json.dumps(data)
 
 
+# M_contains_eta holds for any integral P and I once eta*P lies in A,
+# and a changed h1 or h2 moves eta by (u + h2)/2 or (w + h1)/2, which
+# lie in M on these jobs; its guards change f or g, and with them every product.
 @pytest.mark.parametrize(
     "name", ["example_4_7_family1", "example_4_7_family2"]
 )
@@ -77,6 +92,10 @@ def perturbed(data, path):
         ("P_free", ("certificate", "ideals", "P", 0, "coords", 0)),
         ("P_free", ("certificate", "ideals", "P", 1, "coords", 0)),
         ("P_free", ("certificate", "ideals", "I", 1, "coords", 0)),
+        ("eta_conducts", ("witnesses", "h1")),
+        ("eta_conducts", ("certificate", "ideals", "P", 1, "coords", 0)),
+        ("M_contains_eta", ("input", "f")),
+        ("M_contains_eta", ("input", "g")),
         ("H_equals_I", ("certificate", "ideals", "H", 1, "coords", 0)),
         ("H_equals_I", ("certificate", "ideals", "I", 2, "coords", 1)),
         ("resolution_of_I", ("resolutions", 0, "matrices", 1, 2, 0)),
@@ -87,4 +106,17 @@ def test_one_changed_coefficient_fails_its_check(name, check, path):
     data = json.loads(golden_text(name))
     assert data["resolutions"][0]["name"] == "resolution_of_I"
     verdicts = check_report(perturbed(data, path))
+    assert verdicts[check] is False
+
+
+@pytest.mark.parametrize(
+    "check,path",
+    [
+        ("witness_f4", ("witnesses", "a_prime")),
+        ("witness_g4", ("witnesses", "b_prime")),
+    ],
+)
+def test_one_changed_refined_witness_fails_its_check(check, path):
+    # example_3_2 prints both a' and b'.
+    verdicts = check_report(perturbed(json.loads(golden_text("example_3_2")), path))
     assert verdicts[check] is False
