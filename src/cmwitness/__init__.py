@@ -80,10 +80,10 @@ from .algebra import (
     admit_input,
     admit_pair,
     express_in_span,
+    generator_products,
     in_colon,
     k_mul,
     make_algebra,
-    min_poly_check,
     span_closure_check,
 )
 from .homology import (

@@ -18,7 +18,7 @@ c*x^e*T_i, a key addition per product term.  A monomial degree of
 2^FIELD_BITS reaches the key limit and raises BoundTooLargeError; it
 never carries into the tag or the next field.  The tables are kept on
 their operand, since a report multiplies by the same element more than
-once (a golden report forms at most 44 exact products, and 10 to 31 of
+once (a golden report forms at most 14 exact products, and 5 to 9 of
 them find tables already kept), and K is commutative, so k_mul reads
 them from whichever operand has them, else builds them for the one
 with fewer terms.
@@ -44,9 +44,10 @@ failing predicate is still squarefree_f, squarefree_g, A1, degree_four
 in that order (decompose_S2 in admit_input raises nothing: f - h^2 is
 even by construction).
 
-The module provides exact multiplication, membership in A (denominator
-clearance in reduced form), verification of quadratic relations,
-span-closure certification for claimed module generating sets of
+The module provides exact multiplication, the table of products of a
+generating set (generator_products, each product formed once),
+membership in A (denominator clearance in reduced form), span-closure
+certification of such a table for claimed module generating sets of
 overrings and the colon test in_colon (x in (A : J), i.e. x * J
 inside A).
 """
@@ -95,8 +96,9 @@ class AlgebraDesc:
     product f*g that the tables read), w4f, w4g (the S^{2,4} witnesses
     of f, g, or None), q_shape (the shape of Q = (2, h1, h2)),
     dual_product ((w + h1)(u + h2), which ideal_H and prime_dual_gen
-    share), local_factors ((k1, k2) with (w - h1)^2 = 2*k1,
-    (u - h2)^2 = 2*k2) and witnesses_exact (f = h1^2 + 2a and
+    share, built by root_product from its coordinates), local_factors
+    ((k1, k2) with (w - h1)^2 = 2*k1, (u - h2)^2 = 2*k2) and
+    witnesses_exact (f = h1^2 + 2a and
     g = h2^2 + 2b, which the certificate's generic claims need).
     constants(k) keeps the structure constants, exact and mod 2^k per
     k, in the form the tables read.  zero(), one(),
@@ -151,6 +153,11 @@ class AlgebraDesc:
 
     def root_fg(self) -> "KElement":
         return self._basis[4]
+
+    def root_product(self, s1: Poly, s2: Poly) -> "KElement":
+        """(w + s1)(u + s2) = s1*s2 + s2*w + s1*u + wu, built from these
+        coordinates: no product in K."""
+        return self.element((s1 * s2, s2, s1, self.ring.one()))
 
     # -- witness accessors -------------------------------------------
 
@@ -227,8 +234,7 @@ class AlgebraDesc:
 
     @cached_property
     def dual_product(self) -> "KElement":
-        w_plus = self.root_f() + self.scalar(self.h1())
-        return k_mul(w_plus, self.root_g() + self.scalar(self.h2()))
+        return self.root_product(self.h1(), self.h2())
 
     @cached_property
     def local_factors(self) -> Tuple["KElement", "KElement"]:
@@ -236,7 +242,8 @@ class AlgebraDesc:
 
         (w - h1)^2 = 2*k1 by construction (decompose_S2 builds a =
         (f - h1^2)/2), and likewise for k2; the one claim they feed,
-        tau^2 = k1*k2, is verified by min_poly_check in build_R.
+        tau^2 = k1*k2, is verified in build_R, where tau's square is
+        read from the product table and k1*k2 is formed on its own.
         """
         h1, h2 = self.h1(), self.h2()
         k1 = self.scalar(h1 * h1 + self.a()) - self.root_f().scale_poly(h1)
@@ -492,11 +499,6 @@ def a_membership(x: KElement) -> bool:
     return x.denom_exp == 0
 
 
-def min_poly_check(x: KElement, c1: KElement, c0: KElement) -> bool:
-    """Verify the quadratic x^2 - c1*x - c0 = 0 over K."""
-    return (k_mul(x, x) - k_mul(c1, x) - c0).is_zero()
-
-
 def _common_coords(*groups: Sequence[KElement]) -> List[List[List[Poly]]]:
     """Each group's coordinate vectors, all scaled to one denominator 2^k.
 
@@ -511,11 +513,31 @@ def _common_coords(*groups: Sequence[KElement]) -> List[List[List[Poly]]]:
     ]
 
 
+def generator_products(gens: Sequence[KElement]) -> Dict[Tuple[int, int], KElement]:
+    """{(i, j): gens[i]*gens[j] for i <= j}, each product formed once.
+
+    gens[0] must be the unit 1 (ValueError otherwise), so the (0, j)
+    entries are the generators themselves and only the pairs with
+    i >= 1 call k_mul.  Keys run in the order (0, 0), (0, 1), ...,
+    (1, 1), ..., the order of the multiplication table.
+    """
+    gens = list(gens)
+    if not gens or not (gens[0] == gens[0].algebra.one()):
+        raise ValueError("gens[0] must be the unit element 1")
+    return {
+        (i, j): k_mul(gens[i], gens[j]) if i else gens[j]
+        for i in range(len(gens))
+        for j in range(i, len(gens))
+    }
+
+
 def span_closure_check(
     gens: Sequence[KElement],
+    products: Dict[Tuple[int, int], KElement],
 ) -> Dict[Tuple[int, int], List[Union[Poly, PolyFraction]]]:
     """Certify that the S-span of gens is closed under multiplication.
 
+    products is generator_products(gens); this forms no product itself.
     Returns the multiplication table: for i <= j, key (i, j) holds the
     coefficients in S of gens[i]*gens[j] over the gens, each a Poly, or
     a PolyFraction with unit denominator when it is not a polynomial.
@@ -526,13 +548,8 @@ def span_closure_check(
     S-combination of the gens, SpanNotFreeError if the generators do not
     peel into triangular form, which every dependent set fails to do.
     """
-    gens = list(gens)
-    if not gens or not (gens[0] == gens[0].algebra.one()):
-        raise ValueError("gens[0] must be the unit element 1")
-    pairs = [(i, j) for i in range(len(gens)) for j in range(i, len(gens))]
-    columns, targets = _common_coords(
-        gens, [k_mul(gens[i], gens[j]) for i, j in pairs]
-    )
+    pairs = list(products)
+    columns, targets = _common_coords(gens, list(products.values()))
     sols = solve_in_S(columns, targets)
     for (i, j), sol in zip(pairs, sols):
         if sol is None:

@@ -38,10 +38,10 @@ from .algebra import (
     IdealGens,
     KElement,
     express_in_span,
+    generator_products,
     in_colon,
     k_mul,
     make_algebra,
-    min_poly_check,
     span_closure_check,
 )
 from .errors import (
@@ -162,11 +162,9 @@ def hyper_closure_gen(alg: AlgebraDesc, side: str) -> KElement:
 
 
 def product_closure_gen(alg: AlgebraDesc) -> KElement:
-    """tau = (w - h1)(u - h2)/2, integral with tau^2 = k1*k2 (checked by build_R)."""
-    prod = k_mul(
-        alg.root_f() - alg.scalar(alg.h1()), alg.root_g() - alg.scalar(alg.h2())
-    )
-    return prod.half()
+    """tau = (w - h1)(u - h2)/2 = (h1h2, -h2, -h1, 1)/2, integral with
+    tau^2 = k1*k2 (checked by build_R)."""
+    return alg.root_product(-alg.h1(), -alg.h2()).half()
 
 
 def prime_dual_gen(alg: AlgebraDesc) -> KElement:
@@ -270,9 +268,12 @@ class RingPresentation:
     ``relation`` (its rank-2 free part and the Syz^2 block of the
     verified ``resolution_S_mod_Q`` give R = S^2 (+) Syz^2(S/Q)), and
     ``ideal_I`` is the ideal I, verified to multiply every generator and
-    every product of two generators into A.  ``sfree`` is also the CM
-    verdict: by Auslander-Buchsbaum over the regular S, R is CM exactly
-    when it is S-free.
+    every product of two generators into A.  Each (i, c1, c0) of
+    ``quadratics`` is a verified x^2 = c1*x + c0 for generator i.  Both
+    tables and quadratics read one product of each pair of generators
+    (generator_products).  ``sfree`` is also the CM verdict: by
+    Auslander-Buchsbaum over the regular S, R is CM exactly when it is
+    S-free.
     """
 
     case: CaseTag
@@ -285,27 +286,16 @@ class RingPresentation:
     ideal_I: Optional[IdealGens] = None
 
 
-def _free_presentation(
-    case: CaseTag, gens: List[KElement], quadratics: list
-) -> RingPresentation:
-    """R free on gens, with its verified multiplication table."""
-    return RingPresentation(
-        case=case,
-        sfree=True,
-        generators=gens,
-        mult_table=span_closure_check(gens),
-        quadratics=quadratics,
-    )
-
-
-def _root_quadratics(alg: AlgebraDesc) -> List[Tuple[int, KElement, KElement]]:
-    """w^2 = f, u^2 = g and tau^2 = k1*k2 for generators (1, w, u, tau, ...)."""
+def _root_quadratics(
+    alg: AlgebraDesc, squares: List[Poly]
+) -> List[Tuple[int, KElement, KElement]]:
+    """x^2 = square for the roots (generators 1, ...), one per square,
+    then tau^2 = k1*k2 for tau, the generator after them.  k1*k2 is
+    formed here, on its own, and build_R compares it with tau's square."""
     k1, k2 = alg.local_factors
-    return [
-        (1, alg.zero(), alg.scalar(alg.f)),
-        (2, alg.zero(), alg.scalar(alg.g)),
-        (3, alg.zero(), k_mul(k1, k2)),
-    ]
+    zero = alg.zero()
+    roots = [(i, zero, alg.scalar(square)) for i, square in enumerate(squares, 1)]
+    return roots + [(len(squares) + 1, zero, k_mul(k1, k2))]
 
 
 def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
@@ -317,7 +307,9 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
     cofactor makes redundant.  CaseC otherwise: five module generators
     {1, w, u, tau, rho} with the single relation
     (e*h1 + c*h2) - e*w - c*u + 2*rho = 0, so R = S^2 (+) Syz^2(S/Q).
-    Every recorded quadratic is verified here, once.
+    Each product of two generators is formed once (generator_products);
+    the span closure or the colon tests read it, and so does each
+    recorded quadratic x^2 = c1*x + c0, verified here against x's square.
     """
     if case == OUTSIDE_SCOPE:
         raise WrongCaseError("no closure presentation outside the covered scope")
@@ -327,14 +319,12 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
     if case == CASE_A_BOTH:
         t1 = hyper_closure_gen(alg, "f")
         t2 = hyper_closure_gen(alg, "g")
-        pres = _free_presentation(
-            case,
-            [one, t1, t2, k_mul(t1, t2)],
-            [
-                (i, alg.scalar(w4.h), alg.scalar(w4.a_prime))
-                for i, w4 in ((1, alg.w4f), (2, alg.w4g))
-            ],
-        )
+        # t1*t2 = (w + h1)(u + h2)/4, the h's of the S^{2,4} witnesses
+        gens = [one, t1, t2, alg.root_product(alg.w4f.h, alg.w4g.h).half().half()]
+        quadratics = [
+            (i, alg.scalar(w4.h), alg.scalar(w4.a_prime))
+            for i, w4 in ((1, alg.w4f), (2, alg.w4g))
+        ]
     elif case == CASE_A_ONE:
         if (alg.w4f is None) == (alg.w4g is None):
             raise WrongCaseError("CaseA_one needs exactly one square mod 4")
@@ -343,77 +333,72 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
         else:
             side, w4, other, other_sq = "g", alg.w4g, alg.root_f(), alg.f
         t = hyper_closure_gen(alg, side)
-        pres = _free_presentation(
-            case,
-            [one, other, t, k_mul(other, t)],
-            [
-                (1, alg.zero(), alg.scalar(other_sq)),
-                (2, alg.scalar(w4.h), alg.scalar(w4.a_prime)),
-            ],
-        )
+        # other * (root + h)/2 = (wu + h*other)/2
+        gens = [one, other, t, (alg.root_fg() + other.scale_poly(w4.h)).half()]
+        quadratics = [
+            (1, alg.zero(), alg.scalar(other_sq)),
+            (2, alg.scalar(w4.h), alg.scalar(w4.a_prime)),
+        ]
     elif case == CASE_B:
         gens = [one, alg.root_f(), alg.root_g(), product_closure_gen(alg)]
-        pres = _free_presentation(case, gens, _root_quadratics(alg))
+        quadratics = _root_quadratics(alg, [alg.f, alg.g])
     else:
-        pres = _build_R_case_c(alg, case)
-    for idx, c1, c0 in pres.quadratics:
-        if not min_poly_check(pres.generators[idx], c1, c0):
+        shape = alg.q_shape
+        if case != _case_c_tag(shape):
+            raise WrongCaseError(
+                "case tag %s does not match the shape %s of Q" % (case, shape.tag)
+            )
+        tau, rho = product_closure_gen(alg), mixed_syzygy_gen(alg, shape.c, shape.e)
+        if case != CASE_C_CM:
+            gens = [one, alg.root_f(), alg.root_g(), tau, rho]
+            quadratics = _root_quadratics(alg, [alg.f, alg.g])
+        elif shape.c.is_unit():
+            gens, quadratics = [one, alg.root_f(), tau, rho], _root_quadratics(alg, [alg.f])
+        elif shape.e.is_unit():
+            gens, quadratics = [one, alg.root_g(), tau, rho], _root_quadratics(alg, [alg.g])
+        else:
+            raise WrongCaseError("two-generated shape without a unit cofactor")
+    products = generator_products(gens)
+    if case in _NON_CM_CASES:
+        pres = _module_presentation(alg, case, gens, products, quadratics)
+    else:
+        table = span_closure_check(gens, products)
+        pres = RingPresentation(case=case, sfree=True, generators=gens, mult_table=table,
+                                quadratics=quadratics)
+    for idx, c1, c0 in quadratics:
+        if products[idx, idx] != c1 * gens[idx] + c0:
             raise InternalVerificationError(
                 "recorded quadratic for generator %d fails" % idx
             )
     return pres
 
 
-def _build_R_case_c(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
+def _module_presentation(
+    alg: AlgebraDesc, case: CaseTag, gens: List[KElement],
+    products: Dict[Tuple[int, int], KElement], quadratics: list,
+) -> RingPresentation:
+    """The non-free R: its relation, checked, and every product of two
+    generators (gens[0] = 1, so each generator too) in (A : I)."""
     shape = alg.q_shape
-    if case != _case_c_tag(shape):
-        raise WrongCaseError(
-            "case tag %s does not match the shape %s of Q" % (case, shape.tag)
-        )
     c, e = shape.c, shape.e
-    tau = product_closure_gen(alg)
-    rho = mixed_syzygy_gen(alg, c, e)
-    one = alg.one()
-    if case == CASE_C_CM:
-        k1, k2 = alg.local_factors
-        if c.is_unit():
-            root, square = alg.root_f(), alg.f
-        elif e.is_unit():
-            root, square = alg.root_g(), alg.g
-        else:
-            raise WrongCaseError("two-generated shape without a unit cofactor")
-        return _free_presentation(
-            case,
-            [one, root, tau, rho],
-            [(1, alg.zero(), alg.scalar(square)), (2, alg.zero(), k_mul(k1, k2))],
-        )
-    gens = [one, alg.root_f(), alg.root_g(), tau, rho]
-    relation = [
-        e * alg.h1() + c * alg.h2(),
-        -e,
-        -c,
-        alg.ring.zero(),
-        alg.ring.const(2),
-    ]
+    relation = [e * alg.h1() + c * alg.h2(), -e, -c, alg.ring.zero(), alg.ring.const(2)]
     acc = alg.zero()
     for coeff, gen in zip(relation, gens):
         acc = acc + gen.scale_poly(coeff)
     if not acc.is_zero():
         raise InternalVerificationError("module relation for R fails")
-    # gens[0] = 1, so the products 1 * gen test the generators themselves
     i_ideal = ideal_I(alg)
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            if not in_colon(k_mul(gens[i], gens[j]), i_ideal):
-                raise InternalVerificationError(
-                    "product of generators %d and %d leaves R" % (i, j)
-                )
+    for (i, j), x in products.items():
+        if not in_colon(x, i_ideal):
+            raise InternalVerificationError(
+                "product of generators %d and %d leaves R" % (i, j)
+            )
     res_q = verify_complex(resolution_of_S_mod_Q(shape.z, c, e))
     return RingPresentation(
         case=case,
         sfree=False,
         generators=gens,
-        quadratics=_root_quadratics(alg),
+        quadratics=quadratics,
         relation=relation,
         resolution_S_mod_Q=res_q,
         ideal_I=i_ideal,

@@ -54,15 +54,8 @@ from .errors import (
 )
 from .gcd import gcd_z
 from .linalg import poly_det
-from .poly import (
-    Poly,
-    frobenius_mod2,
-    is_divisible,
-    is_even,
-    poly_dot,
-    reduce_mod_2k,
-)
-from .predicates import regular_sequence_certificate
+from .poly import Poly, is_divisible, is_even, poly_dot
+from .predicates import product_in_S2wedge4, regular_sequence_certificate
 
 
 @dataclass
@@ -204,24 +197,16 @@ def resolution_of_I(alg: AlgebraDesc) -> FreeComplex:
     raises WitnessMismatch when the algebra's witnesses are degenerate
     (both h's even) or the excess term a*h2^2 + b*h1^2 is odd, in which
     case no polynomial e with (wu)(wu - h1*h2) = -h1*h2(wu - h1*h2) + 4e
-    exists.  The parity is read on residues: h^2 = frobenius_mod2(h)
-    mod 2.
+    exists.  The parity is the one classify reads,
+    predicates.product_in_S2wedge4.
     """
     ring = alg.ring
-    h1, a = alg.h1(), alg.a()
-    h2, b = alg.h2(), alg.b()
+    h1, h2 = alg.h1(), alg.h2()
     if is_even(h1) and is_even(h2):
         raise WitnessMismatchError(
             "both residues vanish mod 2; the ideal I degenerates to (2)"
         )
-    excess = poly_dot(
-        ring,
-        (
-            (reduce_mod_2k(a, 1), frobenius_mod2(h2)),
-            (reduce_mod_2k(b, 1), frobenius_mod2(h1)),
-        ),
-    )
-    if not is_even(excess):
+    if not product_in_S2wedge4(alg.wf, alg.wg):
         raise WitnessMismatchError(
             "a*h2^2 + b*h1^2 is odd, so the product has no square-mod-4 structure"
         )

@@ -11,6 +11,11 @@ that basis and a power-of-2 denominator.  The checks:
   the input and the witnesses block (when the witnesses are printed).
 * ``witness_f4``, ``witness_g4``: f = h1^2 + 4a' and g = h2^2 + 4b'
   (when a' or b' is printed).
+* ``quadratics``: each printed quadratic x^2 = c1*x + c0 of a generator
+  x of R, every term brought to the largest power-of-2 denominator.
+* ``mult_table``: each entry (i, j) of a free R's table, the sum over k
+  of t_k*g_k equals g_i*g_j, with the powers of 2 and the denominators
+  of the fraction entries (printed "(n)/(d)") cleared.
 * ``P_free``: on the certificate's P and I, the basis
   B = {P's three generators, I's second generator} lies in A, its last
   element lies in P (its image n0 + n1*h1 + n2*h2 + n3*h1*h2 in
@@ -33,7 +38,9 @@ that basis and a power-of-2 denominator.  The checks:
 
 check_report returns {check name: verdict} for the checks that apply
 to the report: none outside the covered scope, the witness checks for
-every report that prints witnesses, the rest for the non-CM reports.
+every report that prints witnesses, ``quadratics`` for every report
+with a ring presentation, ``mult_table`` when R is free, the rest for
+the non-CM reports.
 """
 
 import json
@@ -145,6 +152,53 @@ def multiply(x, y, f, g):
     ]
 
 
+def scaled(coords, denom_exp, top):
+    """2^top times the element coords / 2^denom_exp, top >= denom_exp."""
+    return [c * 2 ** (top - denom_exp) for c in coords]
+
+
+def check_quadratics(rep, pres, f, g):
+    gens = [rep.element(x) for x in pres["generators"]]
+    for quadratic in pres["quadratics"]:
+        x, k = gens[quadratic["index"]]
+        c1, k1 = rep.element(quadratic["c1"])
+        c0, k0 = rep.element(quadratic["c0"])
+        top = max(2 * k, k1 + k, k0)
+        square = scaled(multiply(x, x, f, g), 2 * k, top)
+        linear = scaled(multiply(c1, x, f, g), k1 + k, top)
+        if square != [a + b for a, b in zip(linear, scaled(c0, k0, top))]:
+            return False
+    return True
+
+
+def table_entry(rep, text):
+    """(numerator, denominator) of a printed table coefficient."""
+    if "/" not in text:
+        return rep.poly(text), rep.ring.one
+    num, den = text.split("/")
+    return rep.poly(num), rep.poly(den)
+
+
+def check_mult_table(rep, pres, f, g):
+    gens = [rep.element(x) for x in pres["generators"]]
+    top = 2 * max(k for _, k in gens)
+    for key, printed in pres["mult_table"].items():
+        i, j = (int(n) for n in key.split(","))
+        coeffs = [table_entry(rep, text) for text in printed]
+        den = rep.ring.one
+        for _, d in coeffs:
+            den *= d
+        combination = [rep.ring.zero] * 4
+        for (n, d), (coords, k) in zip(coeffs, gens):
+            t = n * den.exquo(d)
+            combination = [a + t * c for a, c in zip(combination, scaled(coords, k, top))]
+        (xi, ki), (xj, kj) = gens[i], gens[j]
+        product = scaled(multiply(xi, xj, f, g), ki + kj, top)
+        if combination != [den * c for c in product]:
+            return False
+    return True
+
+
 def check_eta(rep, f, g, h1, h2):
     """(eta_conducts, M_contains_eta) on the certificate's P and I."""
     ideals = rep.data["certificate"]["ideals"]
@@ -216,10 +270,15 @@ def check_report(text):
     """{check name: verdict} for every check that applies to the report."""
     rep = Report(text)
     out = check_witnesses(rep)
-    if rep.data.get("certificate") is None:
-        return out
     inp, wit = rep.data["input"], rep.data["witnesses"]
     f, g = rep.poly(inp["f"]), rep.poly(inp["g"])
+    pres = rep.data["ring_presentation"]
+    if pres is not None:
+        out["quadratics"] = check_quadratics(rep, pres, f, g)
+        if "mult_table" in pres:
+            out["mult_table"] = check_mult_table(rep, pres, f, g)
+    if rep.data.get("certificate") is None:
+        return out
     h1, h2 = rep.poly(wit["h1"]), rep.poly(wit["h2"])
     out["P_free"] = check_p_free(rep, f, g, h1, h2)
     out["eta_conducts"], out["M_contains_eta"] = check_eta(rep, f, g, h1, h2)

@@ -11,13 +11,13 @@ from colon_oracle import (
     in_A_plus_S_eta,
     in_A_plus_S_tau_rho,
 )
+from test_algebra import min_poly_check
 
 from cmwitness.algebra import (
     a_membership,
     in_colon,
     k_mul,
     make_algebra,
-    min_poly_check,
 )
 from cmwitness.classifier import (
     CASE_A_BOTH,

@@ -15,10 +15,10 @@ from cmwitness.algebra import (
     IdealGens,
     a_membership,
     express_in_span,
+    generator_products,
     in_colon,
     k_mul,
     make_algebra,
-    min_poly_check,
     span_closure_check,
 )
 from cmwitness.classifier import ideal_I
@@ -38,6 +38,15 @@ P = lambda s: parse_poly(s, RING)
 
 def case_b_algebra():
     return make_algebra(RING, P("X^2+2"), P("Y^2+2"))
+
+
+def min_poly_check(x, c1, c0):
+    """Reference check of the quadratic x^2 = c1*x + c0 over K."""
+    return (k_mul(x, x) - k_mul(c1, x) - c0).is_zero()
+
+
+def closure_table(gens):
+    return span_closure_check(gens, generator_products(gens))
 
 
 def tau_of(alg):
@@ -287,10 +296,37 @@ def test_min_poly_check():
     assert min_poly_check(tau, alg.zero(), k_mul(k1, k2))
 
 
+def test_generator_products_forms_each_product_once(monkeypatch):
+    alg = case_b_algebra()
+    gens = [alg.one(), alg.root_f(), alg.root_g(), tau_of(alg)]
+    products = []
+    monkeypatch.setattr(
+        algebra, "k_mul", lambda x, y: products.append((x, y)) or k_mul(x, y)
+    )
+    table = generator_products(gens)
+    # gens[0] = 1: the (0, j) entries are the generators, not products.
+    assert list(table) == [(i, j) for i in range(4) for j in range(i, 4)]
+    assert all(table[0, j] is gens[j] for j in range(4))
+    assert products == [(gens[i], gens[j]) for i in range(1, 4) for j in range(i, 4)]
+    assert all(table[i, j] == k_mul(gens[i], gens[j]) for i, j in table)
+
+
+def test_root_product_matches_k_mul():
+    # (w + s1)(u + s2) from its coordinates, for the signs of eta and tau.
+    alg = case_b_algebra()
+    w, u = alg.root_f(), alg.root_g()
+    for s1, s2 in ((X, Y), (-X, -Y), (X * Y, RING.zero())):
+        expected = k_mul(w + alg.scalar(s1), u + alg.scalar(s2))
+        assert alg.root_product(s1, s2) == expected
+    assert alg.root_product(-X, -Y).half() == tau_of(alg)
+    assert alg.dual_product is alg.dual_product
+    assert alg.dual_product == alg.root_product(X, Y)
+
+
 def test_span_closure_case_b():
     alg = case_b_algebra()
     gens = [alg.one(), alg.root_f(), alg.root_g(), tau_of(alg)]
-    table = span_closure_check(gens)
+    table = closure_table(gens)
     assert all(isinstance(c, Poly) for row in table.values() for c in row)
     # Spot-check one entry: w * u = wu = -h1*h2 - h1*u - h2*w + 2*tau
     # ... expressed over (1, w, u, tau); verify by recombination.
@@ -306,18 +342,18 @@ def test_span_closure_rejects_non_closed():
     w = alg.root_f()
     # (w/2)^2 = f/4 which is not an S-combination of (1, w/2).
     with pytest.raises(NotClosedError):
-        span_closure_check([alg.one(), w.half()])
+        closure_table([alg.one(), w.half()])
     with pytest.raises(ValueError):
-        span_closure_check([w, alg.one()])
+        generator_products([w, alg.one()])
     with pytest.raises(SpanNotFreeError):
-        span_closure_check([alg.one(), w, w + alg.one(), alg.root_g(), tau_of(alg)][:4] + [w])
+        closure_table([alg.one(), w, w + alg.one(), alg.root_g(), tau_of(alg)][:4] + [w])
 
 
 def test_span_closure_dependent_gens():
     alg = case_b_algebra()
     w = alg.root_f()
     with pytest.raises(SpanNotFreeError):
-        span_closure_check([alg.one(), w, w.scale_poly(X), alg.root_g()])
+        closure_table([alg.one(), w, w.scale_poly(X), alg.root_g()])
 
 
 def test_express_in_span():
@@ -346,7 +382,7 @@ def test_span_over_a_basis_with_a_unit_pivot():
         [RING.zero(), PolyFraction(RING.one(), unit)],
         None,
     ]
-    table = span_closure_check(gens)
+    table = closure_table(gens)
     assert table[(1, 1)] == [unit * unit * alg.f, RING.zero()]
 
 
@@ -397,7 +433,7 @@ def test_span_and_express_mixed_denominators_vs_sympy():
     t2 = (u + alg.scalar(Y)).half()
     gens = [alg.one(), t1, t2, k_mul(t1, t2)]
     assert [g.denom_exp for g in gens] == [0, 1, 1, 2]
-    table = span_closure_check(gens)
+    table = closure_table(gens)
     exponents = set()
     for (i, j), sol in table.items():
         product = k_mul(gens[i], gens[j])

@@ -10,6 +10,7 @@ without one image remainder sequence.
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,16 @@ from cmwitness.report import assemble_report, parse_job
 
 NON_CM = (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2)
 SWEEP_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+# K-products per golden report: the generator products (each once), one
+# c1*x per recorded quadratic and the independent k1*k2 of tau^2.
+K_PRODUCTS = {
+    "example_2_10": 0,
+    "example_3_2": 8,
+    "example_4_7_family1": 14,
+    "example_4_7_family2": 14,
+    "case_b_synthetic": 10,
+    "case_c_cm_synthetic": 9,
+}
 
 
 class Calls:
@@ -94,7 +105,6 @@ def test_each_fact_once_per_report(monkeypatch, name):
     resolutions_of_I = Calls(monkeypatch, homology, "resolution_of_I")
     resolutions_of_S_mod_Q = Calls(monkeypatch, homology, "resolution_of_S_mod_Q")
     compositions = Calls(monkeypatch, homology, "check_composition_zero")
-    quadratic_checks = Calls(monkeypatch, algebra, "min_poly_check")
     ranks = Calls(monkeypatch, linalg, "bareiss_rank")
     minor_sets = Calls(monkeypatch, homology, "minor_ideal_generators")
     colon_tests = Calls(monkeypatch, algebra, "in_colon")
@@ -142,22 +152,26 @@ def test_each_fact_once_per_report(monkeypatch, name):
     assert len(ranks) == 0
     assert len(minor_sets) == differentials
 
-    # Each recorded quadratic is checked once.
-    pres = report["ring_presentation"]
-    assert len(quadratic_checks) == (0 if pres is None else len(pres["quadratics"]))
+    # No K-product is formed twice: a generator's square serves the span
+    # closure (or the colon tests) and its quadratic alike.
+    pairs = Counter(frozenset(args) for args in products.args)
+    assert [pair for pair, n in pairs.items() if n > 1] == []
+    assert len(products) <= K_PRODUCTS[name]
 
-    # (w + h1)(u + h2) is formed once, for the generator of H.
+    # (w + h1)(u + h2), the generator of H, and tau are built from their
+    # coordinates: no K-product forms either.
     if None not in witnesses:
         z, o = ring.zero(), ring.one()
-        plus = (
-            ((witnesses[0].h, o, z, z), 0),
-            ((witnesses[1].h, z, o, z), 0),
-        )
+        h1, h2 = witnesses[0].h, witnesses[1].h
+        factors = {
+            frozenset((((h1, o, z, z), 0), ((h2, z, o, z), 0))),
+            frozenset((((-h1, o, z, z), 0), ((-h2, z, o, z), 0))),
+        }
         formed = [
             args for args in products.args
-            if tuple((x.coords, x.denom_exp) for x in args) == plus
+            if frozenset((x.coords, x.denom_exp) for x in args) in factors
         ]
-        assert len(formed) == (1 if case in NON_CM else 0)
+        assert formed == []
 
     # No colon test x * ideal inside A runs twice on the same pair.
     colon_pairs = [(x, tuple(ideal.gens)) for x, ideal in colon_tests.args]
@@ -207,15 +221,13 @@ def test_resolution_of_I_forms_no_product(monkeypatch, name):
 def test_certificate_runs_no_colon_test_and_no_product(monkeypatch, warm_up, name):
     # Every check key is read from the generic claims, which the warm-up
     # report decides: the job's certificate runs no colon test and
-    # forms no K-product.  H prints the algebra's dual product, formed
-    # once per report (test_each_fact_once_per_report), so it is formed
-    # before the count.
+    # forms no K-product, not even for H's generator (w + h1)(u + h2),
+    # which is built from its coordinates.
     generic_claims.cache_clear()
     assemble_report(*golden_job(warm_up))
     ring, f, g, _ = golden_job(name)
     alg = algebra.make_algebra(ring, f, g)
     pres = classifier.build_R(alg, classifier.classify(alg))
-    alg.dual_product
     colon_tests = Calls(monkeypatch, algebra, "in_colon")
     products = Calls(monkeypatch, algebra, "k_mul")
     cert = classifier.build_small_cm_certificate(pres)

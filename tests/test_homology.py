@@ -95,6 +95,15 @@ def test_resolution_of_I_rejects_double_2S():
         resolution_of_I(alg)
 
 
+def test_resolution_of_I_rejects_an_odd_product_criterion():
+    # CaseB: a*h2^2 + b*h1^2 = Y^2 + X^2 is odd, so f*g is not in
+    # S^{2,4} and I has no such resolution.
+    alg = make_algebra(RING2, parse_poly("X^2+2", RING2), parse_poly("Y^2+2", RING2))
+    assert classifier.classify(alg) == classifier.CASE_B
+    with pytest.raises(WitnessMismatchError, match="odd"):
+        resolution_of_I(alg)
+
+
 def test_resolution_of_S_mod_Q_family1():
     V, X, Y = RING3.gens()
     cx = resolution_of_S_mod_Q(V, X, Y)

@@ -1,9 +1,11 @@
 """The independent checker (report_check.py, sympy only) on real reports.
 
-It runs on the six golden reports as committed and on the reports of
-the first generated jobs of each non-CM tag that the benchmark's case
-generator (perfbench/casegen.py, loaded by path) yields for one seed.
-Each check must also fail on a report with one coefficient changed.
+It runs on the six golden reports as committed, on the report of a
+job whose table entries have the denominator Y+1, and on the reports
+of the first generated jobs of each tag with a ring presentation that
+the benchmark's case generator (perfbench/casegen.py, loaded by path)
+yields for one seed.  Each check must also fail on a report with one
+coefficient changed.
 """
 
 import itertools
@@ -19,9 +21,11 @@ from cmwitness.report import assemble_report, parse_job, render_json
 
 SEED = 37
 REPORTS_PER_TAG = 50
+FREE_REPORTS_PER_TAG = 20
 NON_CM_CHECKS = {
     "witness_f",
     "witness_g",
+    "quadratics",
     "P_free",
     "eta_conducts",
     "H_equals_I",
@@ -44,10 +48,39 @@ def test_golden_reports_recheck(name):
         assert set(verdicts) == NON_CM_CHECKS
     elif witnesses["h1"] is not None and witnesses["h2"] is not None:
         refined = {"witness_f4": "a_prime", "witness_g4": "b_prime"}
-        assert set(verdicts) == {"witness_f", "witness_g"} | {
+        assert set(verdicts) == {"witness_f", "witness_g", "quadratics", "mult_table"} | {
             check for check, key in refined.items() if witnesses[key] is not None
         }
     assert all(verdicts.values()), verdicts
+
+
+def test_fraction_table_entries_recheck():
+    # The unit cofactor c = 1 + Y of test_classifier.py: rho's pivot is
+    # (1 + Y)/2, and some table entries print the denominator Y+1.
+    job = {
+        "variables": ["X", "Y"],
+        "f": "X^2*(1+Y)^2+2*(1+Y)^2+4",
+        "g": "X^2*Y^2+2*Y^2+4",
+    }
+    text = render_json(assemble_report(*parse_job(job)))
+    table = json.loads(text)["ring_presentation"]["mult_table"]
+    assert any(entry.endswith("/(Y+1)") for row in table.values() for entry in row)
+    verdicts = check_report(text)
+    assert {"quadratics", "mult_table"} <= set(verdicts) and all(verdicts.values())
+
+
+def test_generated_free_reports_recheck():
+    casegen = load_casegen()
+    for tag in (casegen.A_BOTH, casegen.A_ONE, casegen.CASE_B, casegen.C_CM):
+        jobs = (job for job, allowed in casegen.generate(SEED) if allowed[0] == tag)
+        checked = 0
+        for job in itertools.islice(jobs, FREE_REPORTS_PER_TAG):
+            text = render_json(assemble_report(*parse_job(job)))
+            verdicts = check_report(text)
+            assert {"quadratics", "mult_table"} <= set(verdicts), job
+            assert all(verdicts.values()), job
+            checked += 1
+        assert checked == FREE_REPORTS_PER_TAG
 
 
 def test_generated_non_cm_reports_recheck():
@@ -119,4 +152,20 @@ def test_one_changed_coefficient_fails_its_check(name, check, path):
 def test_one_changed_refined_witness_fails_its_check(check, path):
     # example_3_2 prints both a' and b'.
     verdicts = check_report(perturbed(json.loads(golden_text("example_3_2")), path))
+    assert verdicts[check] is False
+
+
+@pytest.mark.parametrize(
+    "check,path",
+    [
+        ("quadratics", ("ring_presentation", "quadratics", 2, "c0", "coords", 0)),
+        ("quadratics", ("ring_presentation", "quadratics", 0, "c0", "coords", 0)),
+        ("mult_table", ("ring_presentation", "mult_table", "1,2", 0)),
+        ("mult_table", ("ring_presentation", "mult_table", "3,3", 3)),
+    ],
+)
+def test_one_changed_presentation_coefficient_fails_its_check(check, path):
+    # case_b_synthetic: tau^2 = k1*k2 is its third quadratic.
+    data = json.loads(golden_text("case_b_synthetic"))
+    verdicts = check_report(perturbed(data, path))
     assert verdicts[check] is False
