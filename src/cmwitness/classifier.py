@@ -58,8 +58,10 @@ from .homology import (
     generating_identities,
     kernel_saturation_check,
     resolution_of_I,
+    resolution_of_I_complex,
     resolution_of_S_mod_Q,
     verify_complex,
+    verify_specialised,
 )
 from .linalg import PolyFraction, poly_det
 from .poly import BaseRing, Poly, is_even, parse_poly, poly_dot, reduce_mod_2k
@@ -366,7 +368,9 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
         pres = RingPresentation(case=case, sfree=True, generators=gens, mult_table=table,
                                 quadratics=quadratics)
     for idx, c1, c0 in quadratics:
-        if products[idx, idx] != c1 * gens[idx] + c0:
+        # every recorded c1 is a scalar of S: zero, or h in CaseA
+        rhs = c0 if c1.is_zero() else gens[idx].scale_poly(c1.coords[0]) + c0
+        if products[idx, idx] != rhs:
             raise InternalVerificationError(
                 "recorded quadratic for generator %d fails" % idx
             )
@@ -393,7 +397,8 @@ def _module_presentation(
             raise InternalVerificationError(
                 "product of generators %d and %d leaves R" % (i, j)
             )
-    res_q = verify_complex(resolution_of_S_mod_Q(shape.z, c, e))
+    zce = (shape.z, c, e)
+    res_q = verify_specialised(resolution_of_S_mod_Q(*zce), generic_complexes()[0], zce)
     return RingPresentation(
         case=case,
         sfree=False,
@@ -568,6 +573,34 @@ def generic_claims() -> GenericClaims:
     )
 
 
+@cache
+def generic_complexes() -> Tuple[List[List[Poly]], List[List[Poly]]]:
+    """The rank minors of the resolutions of S/Q and of I, in closed form.
+
+    resolution_of_S_mod_Q(Z, C, E) and resolution_of_I_complex(H1, H2)
+    pass verify_complex, each rank minor is one term c*Z^i*C^j*E^k (or
+    zero), and the second saturates its kernel; UnverifiedComplex else.
+    A job's complexes come from the same builders, so the ring map
+    Z -> z, C -> c, E -> e (H1 -> h1, H2 -> h2) sends these matrices to
+    the job's.  Determinants and products commute with it: the job's
+    compositions vanish, its minors are the closed forms at its values,
+    and minors dividing 4, 2, C or E divide them there too.  No identity,
+    so per job: z odd, the checks of resolution_of_I, the witness picks
+    and the regularity of (2, c, e) (verify_specialised).  Saturation:
+    d_1.c = 0 and the minor 4 are identities, and gcd(-h2, h1, 2) | 2 is
+    a unit exactly when h1 or h2 is odd, as resolution_of_I checks.
+    """
+    res_q = resolution_of_S_mod_Q(*BaseRing(("Z", "C", "E")).gens())
+    res_i = resolution_of_I_complex(*BaseRing(("H1", "H2")).gens())
+    for cx in (res_q, res_i):
+        verify_complex(cx)
+        if any(m.num_terms() > 1 for minors in cx.rank_minors for m in minors):
+            raise UnverifiedComplexError("a generic minor is not a single term")
+    if not kernel_saturation_check(res_i):
+        raise UnverifiedComplexError("the resolution of I does not saturate ker(d_1)")
+    return res_q.rank_minors, res_i.rank_minors
+
+
 @dataclass
 class CmModuleCertificate:
     """Machine-checked evidence that M = (IP)^* is a small CM module.
@@ -605,8 +638,8 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
     witness identities hold (InternalVerification otherwise, and when a
     generating identity of the resolution of I fails).  What depends on
     the job runs here, once: the parity and both-h-even checks of
-    resolution_of_I, the exactness and kernel saturation of the
-    resolution of I, and the P, I and H the report prints.
+    resolution_of_I, its witnesses from the closed forms of
+    generic_complexes, and the P, I and H the report prints.
     """
     case = pres.case
     if case not in _NON_CM_CASES:
@@ -623,13 +656,9 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
         raise InternalVerificationError(
             "generating identity for the resolution of I failed"
         )
-    # the length-1 resolution of I is exact (pd I <= 1) and d_2
-    # saturates ker(d_1); verify_complex raises on an inexact complex
-    res_i = verify_complex(resolution_of_I(alg))
-    if not kernel_saturation_check(res_i.complex):
-        raise UnverifiedComplexError(
-            "the resolution of I does not saturate the kernel of d_1"
-        )
+    # I's resolution is exact (pd I <= 1), its d_2 saturates ker(d_1): generic_complexes
+    h1h2 = (alg.h1(), alg.h2())
+    res_i = verify_specialised(resolution_of_I(alg), generic_complexes()[1], h1h2)
     checks = claims._asdict()
     del checks["resolution_of_I"]
     return CmModuleCertificate(

@@ -9,10 +9,11 @@ coordinates of the image of the j-th basis vector of F_i in the basis
 of F_{i-1}.  Exactness in positive degrees is certified by the
 Buchsbaum-Eisenbud acyclicity criterion at the ranks the free ranks
 force, r_n = dim F_n and r_i = dim F_i - r_{i+1}: the ideal of
-r_i-minors of d_i must have grade >= i.  No elimination runs: a nonzero
-grade witness inside the r_i-minors gives rank(d_i) >= r_i, and
-composition zero gives rank(d_i) <= dim F_i - rank(d_{i+1}) = r_i by
-induction from the top, so rank additivity holds by construction.
+r_i-minors of d_i must have grade >= i.  No elimination runs, and no
+determinant per job (verify_specialised): a nonzero grade witness
+inside the r_i-minors gives rank(d_i) >= r_i, and composition zero
+gives rank(d_i) <= dim F_i - rank(d_{i+1}) = r_i by induction from the
+top, so rank additivity holds by construction.
 Grades are certified by explicit regular sequences inside the minor
 ideals, validated by shape:
 
@@ -39,9 +40,10 @@ constant coefficient is odd.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, combinations
-from typing import List, Sequence, Tuple
+from functools import cached_property, reduce
+from itertools import accumulate, combinations, product
+from math import prod
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraDesc, KElement
 from .errors import (
@@ -54,7 +56,7 @@ from .errors import (
 )
 from .gcd import gcd_z
 from .linalg import poly_det
-from .poly import Poly, is_divisible, is_even, poly_dot
+from .poly import Poly, exponent_terms, is_divisible, is_even, poly_dot
 from .predicates import product_in_S2wedge4, regular_sequence_certificate
 
 
@@ -90,17 +92,11 @@ class FreeComplex:
             if any(len(row) != width for row in mat):
                 raise DimensionMismatchError("ragged matrix at position %d" % idx)
 
-    def ranks(self) -> List[int]:
-        """Free ranks of F_0 .. F_n."""
-        out = [len(self.matrices[0])] if self.matrices else []
-        for mat in self.matrices:
-            out.append(len(mat[0]))
-        return out
-
     @cached_property
     def differential_ranks(self) -> List[int]:
         """Ranks of d_1 .. d_n in an exact complex: r_i = dim F_i - r_{i+1}."""
-        return list(accumulate(self.ranks()[:0:-1], lambda r, dim: dim - r))[::-1]
+        widths = [len(mat[0]) for mat in reversed(self.matrices)]
+        return list(accumulate(widths, lambda r, dim: dim - r))[::-1]
 
     @cached_property
     def rank_minors(self) -> List[List[Poly]]:
@@ -113,12 +109,7 @@ class FreeComplex:
 
 def _in_ideal_by_divisibility(elem: Poly, gens: Sequence[Poly]) -> bool:
     """True if ``elem`` is an exact multiple of one of ``gens``."""
-    if elem.is_zero():
-        return True
-    for g in gens:
-        if not g.is_zero() and is_divisible(elem, g):
-            return True
-    return False
+    return elem.is_zero() or any(g and is_divisible(elem, g) for g in gens)
 
 
 def _is_regular_sequence(witness: Sequence[Poly]) -> bool:
@@ -138,7 +129,7 @@ def _is_regular_sequence(witness: Sequence[Poly]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the two concrete complexes (verify_complex checks that they compose to zero)
+# the two concrete complexes (classifier.generic_complexes verifies them)
 
 
 def generating_identities(
@@ -189,18 +180,15 @@ def resolution_of_I(alg: AlgebraDesc) -> FreeComplex:
     h2*w - h1*u) A intersected with the displayed generators' span; the
     three generating identities (generating_identities) show the image
     is closed under multiplication by w, u and wu, i.e. really is I.
-    Those identities hold in (h1, a, h2, b) alone:
-    classifier.generic_claims proves them once per process on the
-    generic algebra, and build_small_cm_certificate checks
-    f = h1^2 + 2a and g = h2^2 + 2b on the job before it relies on
-    them, so this builder forms no K-element product.  What is not an identity stays here:
+    classifier.generic_claims proves those identities once per process,
+    so this builder forms no K-element product, and the matrices come
+    from resolution_of_I_complex.  What is not an identity stays here:
     raises WitnessMismatch when the algebra's witnesses are degenerate
     (both h's even) or the excess term a*h2^2 + b*h1^2 is odd, in which
     case no polynomial e with (wu)(wu - h1*h2) = -h1*h2(wu - h1*h2) + 4e
     exists.  The parity is the one classify reads,
     predicates.product_in_S2wedge4.
     """
-    ring = alg.ring
     h1, h2 = alg.h1(), alg.h2()
     if is_even(h1) and is_even(h2):
         raise WitnessMismatchError(
@@ -210,15 +198,14 @@ def resolution_of_I(alg: AlgebraDesc) -> FreeComplex:
         raise WitnessMismatchError(
             "a*h2^2 + b*h1^2 is odd, so the product has no square-mod-4 structure"
         )
+    return resolution_of_I_complex(h1, h2)
 
-    zero = ring.zero()
-    phi = [
-        [zero, zero, zero],
-        [ring.const(2), zero, h2],
-        [zero, ring.const(2), -h1],
-        [zero, zero, zero],
-    ]
-    psi_t = [[-h2], [h1], [ring.const(2)]]
+
+def resolution_of_I_complex(h1: Poly, h2: Poly) -> FreeComplex:
+    """The matrices of resolution_of_I, from h1 and h2 alone."""
+    zero, two = h1.ring.zero(), h1.ring.const(2)
+    phi = [[zero] * 3, [two, zero, h2], [zero, two, -h1], [zero] * 3]
+    psi_t = [[-h2], [h1], [two]]
     return FreeComplex(
         matrices=[phi, psi_t],
         labels=["A = S^4 (image = I)", "S^3", "S"],
@@ -231,20 +218,15 @@ def resolution_of_S_mod_Q(z: Poly, c: Poly, e: Poly) -> FreeComplex:
 
     Q = (2, z*c, z*e) with z the lifted gcd of the two residues and c, e
     the lifted cofactors.  The lift z must be odd somewhere mod 2
-    (LiftInvalid otherwise): the resolution's exactness certificate
-    needs z*c^2 nonzero mod 2.
+    (LiftInvalid otherwise): the exactness certificate needs an odd
+    2-minor of d_2, and each one (z*c*e, z*e^2, -z*c^2) has the factor z.
     """
     ring = z.ring
     if is_even(z):
         raise LiftInvalidError("lift of the residue gcd vanishes mod 2")
-    two = ring.const(2)
-    zero = ring.zero()
-    psi = [[two, z * c, z * e]]
-    phi = [
-        [z * c, z * e, zero],
-        [-two, zero, e],
-        [zero, -two, -c],
-    ]
+    two, zero, zc, ze = ring.const(2), ring.zero(), z * c, z * e
+    psi = [[two, zc, ze]]
+    phi = [[zc, ze, zero], [-two, zero, e], [zero, -two, -c]]
     tail = [[-e], [c], [-two]]
     return FreeComplex(
         matrices=[psi, phi, tail],
@@ -285,11 +267,8 @@ def minor_ideal_generators(mat: List[List[Poly]], size: int) -> List[Poly]:
     nrows, ncols = len(mat), len(mat[0])
     if not 1 <= size <= min(nrows, ncols):
         return []
-    out = []
-    for rows in combinations(range(nrows), size):
-        for cols in combinations(range(ncols), size):
-            out.append(poly_det([[mat[r][c] for c in cols] for r in rows]))
-    return out
+    pairs = product(combinations(range(nrows), size), combinations(range(ncols), size))
+    return [poly_det([[mat[r][c] for c in cols] for r in rows]) for rows, cols in pairs]
 
 
 def be_exactness_check(cx: FreeComplex, witnesses: Sequence[Sequence[Poly]]) -> bool:
@@ -327,38 +306,38 @@ def standard_grade_certificates(cx: FreeComplex) -> List[List[Poly]]:
 
     Witness recipes, one per homological position i:
 
-      i=1: (m) for any nonzero minor m;
-      i=2: (4, w) where 4 and w are exact multiples of minors with w
-           nonzero mod 2 -- for both complexes 4 = 2*2 and w = z*c*c (or
-           h1^2 / h2^2 for the augmented complex) divide listed minors;
+      i=1: (m) for the first nonzero minor m;
+      i=2: (4, w) with w the first minor nonzero mod 2; 4 and w are exact
+           multiples of minors -- for both complexes 4 = 2*2 and w = z*c*c
+           (or h1^2 / h2^2 for the augmented complex) divide listed minors;
       i=3: (2, c, e) via the explicit length-3 check.
 
     UnverifiedComplex when some d_i has no nonzero r_i-minor.
     """
+    def first(i: int, odd: bool) -> Optional[Poly]:
+        return next((m for m in cx.rank_minors[i - 1] if m and not (odd and is_even(m))), None)
+    return _grade_witnesses(cx, first)
+
+
+def _grade_witnesses(cx: FreeComplex, first: Callable) -> List[List[Poly]]:
+    """The recipe of standard_grade_certificates; first(i, odd) is the
+    first r_i-minor of d_i that is nonzero (odd: nonzero mod 2), or None."""
     ring = cx.matrices[0][0][0].ring
     out: List[List[Poly]] = []
-    for i, minors in enumerate(cx.rank_minors, start=1):
-        nonzero = [m for m in minors if not m.is_zero()]
-        if not nonzero:
+    for i, d in enumerate(cx.matrices, start=1):
+        minor = first(i, i == 2)  # an odd minor is nonzero
+        if minor is None and (i != 2 or first(i, False) is None):
             raise UnverifiedComplexError("d_%d has no nonzero r_%d-minor" % (i, i))
         if i == 1:
-            witness = [nonzero[0]]
-        elif i == 2:
-            odd_part = [m for m in nonzero if not is_even(m)]
-            if not odd_part:
-                raise MissingCertificateError(
-                    "no minor survives mod 2; cannot certify grade >= 2"
-                )
-            witness = [ring.const(4), odd_part[0]]
-        elif i == 3 and len(cx.matrices[2]) == 3 and len(cx.matrices[2][0]) == 1:
+            out.append([minor])
+        elif i == 2 and minor is not None:
+            out.append([ring.const(4), minor])
+        elif i == 3 and len(d) == 3 and len(d[0]) == 1:
             # the tail column [-e, c, -2] of the resolution of S/Q
-            (neg_e,), (c,), _ = cx.matrices[2]
-            witness = [ring.const(2), c, -neg_e]
+            (neg_e,), (c,), _ = d
+            out.append([ring.const(2), c, -neg_e])
         else:
-            raise MissingCertificateError(
-                "no length-%d witness available for this complex" % i
-            )
-        out.append(witness)
+            raise MissingCertificateError("no length-%d grade witness for d_%d" % (i, i))
     return out
 
 
@@ -371,8 +350,7 @@ def pd_depth_report(cx: FreeComplex) -> Tuple[int, int]:
     Depth is d - pd with d = dim S = number of variables + 1.  The
     bound holds only for a verified complex, see verify_complex.
     """
-    ring = cx.matrices[0][0][0].ring
-    d = len(ring.variables) + 1
+    d = len(cx.matrices[0][0][0].ring.variables) + 1
     pd_bound = len(cx.matrices) - (1 if cx.augmented else 0)
     return pd_bound, d - pd_bound
 
@@ -391,12 +369,46 @@ def verify_complex(cx: FreeComplex) -> VerifiedComplex:
     """Build the grade witnesses of ``cx`` and verify it exactly once.
 
     Raises UnverifiedComplexError when the differentials do not compose
-    to zero or the exactness criterion fails.
+    to zero or the exactness criterion fails.  Reports run it on the
+    generic complexes only (classifier.generic_complexes).
     """
     witnesses = standard_grade_certificates(cx)
     if not (check_composition_zero(cx) and be_exactness_check(cx, witnesses)):
         raise UnverifiedComplexError("the complex is not verified exact")
     return VerifiedComplex(cx, witnesses, *pd_depth_report(cx))
+
+
+def verify_specialised(
+    cx: FreeComplex, minors: List[List[Poly]], values: Sequence[Poly]
+) -> VerifiedComplex:
+    """verify_complex, with no determinant, for ``cx`` built from
+    ``values`` by the builder of a generic complex with one-term rank
+    minors ``minors`` (classifier.generic_complexes).  S and F_2[x] are
+    domains, so c * values^exponents is zero (even) exactly when c or a
+    factor is; only the picks are multiplied out, and regularity checked."""
+    ring = cx.matrices[0][0][0].ring
+
+    def first(i: int, odd: bool) -> Optional[Poly]:
+        live = (lambda p: not is_even(p)) if odd else bool
+        for exps, coeff in (t for m in minors[i - 1] for t in exponent_terms(m)):
+            factors = [v for v, n in zip(values, exps) for _ in range(n)]
+            if (coeff % 2 or not odd) and all(map(live, factors)):
+                return prod(factors, start=ring.const(coeff))
+        return None
+
+    witnesses = _grade_witnesses(cx, first)
+    if not all(_is_regular_sequence(w) for w in witnesses):
+        raise UnverifiedComplexError("the complex is not verified exact")
+    return VerifiedComplex(cx, witnesses, *pd_depth_report(cx))
+
+
+def verify_column(cx: FreeComplex) -> VerifiedComplex:
+    """verify_complex for 0 -> S -> S^n: its 1-minors are its entries."""
+    (d1,) = cx.matrices
+    witness = next((row[0] for row in d1 if row[0]), None) if len(d1[0]) == 1 else None
+    if witness is None:
+        raise UnverifiedComplexError("d_1 is no nonzero column")
+    return VerifiedComplex(cx, [[witness]], *pd_depth_report(cx))
 
 
 def kernel_saturation_check(cx: FreeComplex) -> bool:
@@ -411,6 +423,8 @@ def kernel_saturation_check(cx: FreeComplex) -> bool:
     ker(d_1) = 0, where d_2 is no rank-1 tail of d_1.
     DimensionMismatch unless there are exactly two differentials, for a
     d_2 with more than one column, and for shapes that do not compose.
+    Reports run it on the generic resolution of I only; on a job it is
+    a parity read (classifier.generic_complexes).
     """
     if len(cx.matrices) != 2:
         raise DimensionMismatchError("need exactly two differentials")
@@ -422,7 +436,4 @@ def kernel_saturation_check(cx: FreeComplex) -> bool:
     entries = sorted((r[0] for r in d2 if not r[0].is_zero()), key=Poly.total_degree)
     if not entries or (len(d1[0]) > 1 and not any(cx.rank_minors[0])):
         return False
-    content = entries[0]
-    for entry in entries[1:]:
-        content = gcd_z(content, entry)
-    return content.is_unit()
+    return reduce(gcd_z, entries).is_unit()

@@ -33,7 +33,7 @@ from .classifier import (
     presentation_complex,
 )
 from .errors import BoundTooLargeError, MalformedInputError
-from .homology import VerifiedComplex, verify_complex
+from .homology import VerifiedComplex, verify_column
 from .poly import BaseRing, Poly, parse_poly
 
 DEFAULT_OPTIONS = {"colon_search_degree": 6, "spot_check_seed": 1}
@@ -211,7 +211,7 @@ def _verified_complex_block(res: VerifiedComplex, name: str) -> Dict[str, object
         "matrices": [
             [[str(entry) for entry in row] for row in mat] for mat in cx.matrices
         ],
-        # verify_complex raises rather than return an inexact complex
+        # the verify_* functions raise rather than return an unverified complex
         "verified": True,
         "pd_bound": res.pd_bound,
         "depth": res.depth,
@@ -270,7 +270,7 @@ def assemble_report(
                     pres.resolution_S_mod_Q, "resolution_of_S_mod_Q"
                 ),
                 _verified_complex_block(
-                    verify_complex(presentation_complex(pres)), "R_presentation"
+                    verify_column(presentation_complex(pres)), "R_presentation"
                 ),
             ]
         else:

@@ -34,7 +34,15 @@ that basis and a power-of-2 denominator.  The checks:
   P's generators lies in A: each numerator has even coordinates.
 * ``M_contains_eta``: eta * i * p lies in A for each generator i of I
   and p of P, so eta * I * P lies in A.
-* ``resolution_of_I``: the two printed differentials compose to zero.
+* ``resolution_of_I``, ``resolution_of_S_mod_Q``, ``R_presentation``:
+  for each printed complex, the differentials compose to zero; at the
+  ranks the free ranks force (r_n = dim F_n, r_i = dim F_i - r_{i+1}),
+  each grade-witness element is nonzero and an exact multiple of one
+  printed r_i-minor of d_i; each witness has the shape of a regular
+  sequence of length at least i: (m) with m nonzero, (2^j, w) with
+  j >= 1 and w odd, (2, c, e) with c odd and gcd(c, e) = 1 over GF(2);
+  and ``pd_bound`` and ``depth`` are the length (one less for an
+  augmented complex) and the number of variables + 1 minus it.
 
 check_report returns {check name: verdict} for the checks that apply
 to the report: none outside the covered scope, the witness checks for
@@ -45,10 +53,10 @@ the non-CM reports.
 
 import json
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import sympy
-from sympy import ZZ
+from sympy import GF, ZZ
 from sympy.polys.rings import ring
 
 
@@ -256,14 +264,63 @@ def check_h_equals_i(rep):
     )
 
 
-def check_resolution_of_i(rep):
-    [res] = [r for r in rep.data["resolutions"] if r["name"] == "resolution_of_I"]
-    d1, d2 = ([[rep.poly(x) for x in row] for row in m] for m in res["matrices"])
+def composes_to_zero(left, right):
     return all(
-        not sum((row[k] * d2[k][j] for k in range(len(d2))), rep.ring.zero)
-        for row in d1
-        for j in range(len(d2[0]))
+        not sum((row[k] * right[k][j] for k in range(len(right))), row[0].ring.zero)
+        for row in left
+        for j in range(len(right[0]))
     )
+
+
+def minors(mat, size):
+    """Every size x size minor of a matrix."""
+    return [
+        det([[mat[r][c] for c in cols] for r in rows])
+        for rows in combinations(range(len(mat)), size)
+        for cols in combinations(range(len(mat[0])), size)
+    ]
+
+
+@lru_cache(maxsize=None)
+def gf2_ring(variables):
+    return ring(",".join(variables), GF(2))[0]
+
+
+def is_regular_shape(rep, witness):
+    """(m) with m nonzero, (2^j, w) with j >= 1 and w odd, or (2, c, e)
+    with c odd and gcd(c, e) = 1 over GF(2)."""
+    if len(witness) == 1:
+        return bool(witness[0])
+    if len(witness) == 2:
+        power, w = witness
+        j = power.coeff(1)
+        return power == j * rep.ring.one and j > 1 and j & (j - 1) == 0 and not is_even(w)
+    if len(witness) != 3 or witness[0] != 2 * rep.ring.one:
+        return False
+    c, e = (gf2_ring(rep.variables).from_dict(dict(p.items())) for p in witness[1:])
+    return bool(c) and c.gcd(e) == 1
+
+
+def check_complex(rep, name):
+    """The checks of one printed complex (see the module docstring)."""
+    [res] = [r for r in rep.data["resolutions"] if r["name"] == name]
+    mats = [[[rep.poly(x) for x in row] for row in m] for m in res["matrices"]]
+    if not all(composes_to_zero(a, b) for a, b in zip(mats, mats[1:])):
+        return False
+    ranks = [len(mats[-1][0])]
+    for mat in reversed(mats[:-1]):
+        ranks.insert(0, len(mat[0]) - ranks[0])
+    witnesses = [[rep.poly(w) for w in ws] for ws in res["grade_witnesses"]]
+    if len(witnesses) != len(mats):
+        return False
+    for i, (mat, rank, witness) in enumerate(zip(mats, ranks, witnesses), start=1):
+        listed = [m for m in minors(mat, rank) if m]
+        if len(witness) < i or not is_regular_shape(rep, witness):
+            return False
+        if not all(w and any(not w.rem(m) for m in listed) for w in witness):
+            return False
+    pd_bound = len(mats) - (1 if res["augmented"] else 0)
+    return (res["pd_bound"], res["depth"]) == (pd_bound, len(rep.variables) + 1 - pd_bound)
 
 
 def check_report(text):
@@ -283,5 +340,6 @@ def check_report(text):
     out["P_free"] = check_p_free(rep, f, g, h1, h2)
     out["eta_conducts"], out["M_contains_eta"] = check_eta(rep, f, g, h1, h2)
     out["H_equals_I"] = check_h_equals_i(rep)
-    out["resolution_of_I"] = check_resolution_of_i(rep)
+    for name in ("resolution_of_I", "resolution_of_S_mod_Q", "R_presentation"):
+        out[name] = check_complex(rep, name)
     return out

@@ -33,6 +33,7 @@ from cmwitness.classifier import (
     example_2_10_identity,
     example_2_10_regression,
     generic_claims,
+    generic_complexes,
     ideal_H,
     ideal_I,
     ideal_P,
@@ -465,11 +466,16 @@ def test_certificate_checks_the_job_witnesses():
 
 def test_certificate_raises_on_unsaturated_resolution(monkeypatch):
     # The resolution of I is no check key: building the certificate
-    # raises when d_2 does not saturate ker(d_1).
+    # raises when d_2 does not saturate ker(d_1).  That is decided on the
+    # generic resolution, once per process.
     pres = build_R(alg_of(RING2, "-X^2+4", "-Y^2+4"), CASE_C_NONCM_GRADE3)
+    generic_complexes.cache_clear()
     monkeypatch.setattr(classifier, "kernel_saturation_check", lambda cx: False)
-    with pytest.raises(UnverifiedComplexError, match="saturate"):
-        build_small_cm_certificate(pres)
+    try:
+        with pytest.raises(UnverifiedComplexError, match="saturate"):
+            build_small_cm_certificate(pres)
+    finally:
+        generic_complexes.cache_clear()
 
 
 def test_certificate_wrong_case():

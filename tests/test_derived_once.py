@@ -21,21 +21,23 @@ from cmwitness.classifier import (
     CASE_C_NONCM_GRADE3,
     OUTSIDE_SCOPE,
     generic_claims,
+    generic_complexes,
 )
 from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES, cmd_sweep
 from cmwitness.report import assemble_report, parse_job
 
 NON_CM = (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2)
 SWEEP_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
-# K-products per golden report: the generator products (each once), one
-# c1*x per recorded quadratic and the independent k1*k2 of tau^2.
+# K-products per golden report: the generator products (each once) and
+# the independent k1*k2 of tau^2; each recorded c1 is a scalar of S, so
+# c1*x is a scale_poly or, for c1 = 0, nothing.
 K_PRODUCTS = {
     "example_2_10": 0,
-    "example_3_2": 8,
-    "example_4_7_family1": 14,
-    "example_4_7_family2": 14,
-    "case_b_synthetic": 10,
-    "case_c_cm_synthetic": 9,
+    "example_3_2": 6,
+    "example_4_7_family1": 11,
+    "example_4_7_family2": 11,
+    "case_b_synthetic": 7,
+    "case_c_cm_synthetic": 7,
 }
 
 
@@ -73,9 +75,11 @@ def golden_job(name):
 def test_each_fact_once_per_report(monkeypatch, name):
     ring, f, g, options = golden_job(name)
     witnesses = [predicates.decompose_S2(p) for p in (f, g)]
-    # The identity claims of the certificate are decided once per
-    # process on the generic algebra; count the report's own work only.
+    # The identity claims of the certificate and of the two resolutions
+    # are decided once per process on generic rings; count the report's
+    # own work only.
     generic_claims()
+    generic_complexes()
 
     lift_checks = Calls(monkeypatch, predicates, "in_S2wedge4")
     decompositions = Calls(monkeypatch, predicates, "decompose_S2")
@@ -100,13 +104,22 @@ def test_each_fact_once_per_report(monkeypatch, name):
     closures = Calls(monkeypatch, algebra, "span_closure_check", rrefs_inside)
     spans = Calls(monkeypatch, algebra, "express_in_span", rrefs_inside)
     solves = Calls(monkeypatch, linalg, "solve_in_S")
-    be_checks = Calls(monkeypatch, homology, "be_exactness_check")
-    grade_certs = Calls(monkeypatch, homology, "standard_grade_certificates")
+    specialised = Calls(monkeypatch, homology, "verify_specialised")
+    column_checks = Calls(monkeypatch, homology, "verify_column")
     resolutions_of_I = Calls(monkeypatch, homology, "resolution_of_I")
     resolutions_of_S_mod_Q = Calls(monkeypatch, homology, "resolution_of_S_mod_Q")
-    compositions = Calls(monkeypatch, homology, "check_composition_zero")
-    ranks = Calls(monkeypatch, linalg, "bareiss_rank")
-    minor_sets = Calls(monkeypatch, homology, "minor_ideal_generators")
+    expanding = [
+        Calls(monkeypatch, module, function)
+        for module, function in (
+            (homology, "be_exactness_check"),
+            (homology, "standard_grade_certificates"),
+            (homology, "check_composition_zero"),
+            (homology, "minor_ideal_generators"),
+            (homology, "kernel_saturation_check"),
+            (linalg, "poly_det"),
+            (linalg, "bareiss_rank"),
+        )
+    ]
     colon_tests = Calls(monkeypatch, algebra, "in_colon")
     products = Calls(monkeypatch, algebra, "k_mul")
 
@@ -134,23 +147,14 @@ def test_each_fact_once_per_report(monkeypatch, name):
         columns, targets = solves.args[0]
         assert (len(columns), len(targets)) == (4, 10)
 
-    complexes = [id(args[0]) for args in be_checks.args]
-    assert len(complexes) == len(set(complexes)) == (3 if case in NON_CM else 0)
-    verified = [id(args[0]) for args in grade_certs.args]
-    assert sorted(verified) == sorted(complexes)
-    assert len(resolutions_of_I) == (1 if case in NON_CM else 0)
-    # One S/Q resolution per non-CM report, and one composition check
-    # for each of its three complexes (inside verify_complex).
-    assert len(resolutions_of_S_mod_Q) == (1 if case in NON_CM else 0)
-    assert len(compositions) == (3 if case in NON_CM else 0)
-    assert [id(args[0]) for args in compositions.args] == complexes
-    # No elimination computes a rank: each differential's minors, at the
-    # rank the free ranks force, are computed once, shared by its grade
-    # certificates, the exactness check and the kernel saturation check.
-    differentials = sum(len(args[0].matrices) for args in be_checks.args)
-    assert differentials == (6 if case in NON_CM else 0)
-    assert len(ranks) == 0
-    assert len(minor_sets) == differentials
+    # Each of the three complexes of a non-CM report is verified once,
+    # from closed forms: no report expands a minor, computes a rank or
+    # multiplies out a composition (generic_complexes did, once).
+    verified = [id(args[0]) for args in specialised.args + column_checks.args]
+    assert len(verified) == len(set(verified)) == (3 if case in NON_CM else 0)
+    assert len(column_checks) == (1 if case in NON_CM else 0)
+    assert len(resolutions_of_I) == len(resolutions_of_S_mod_Q) == len(column_checks)
+    assert [len(calls) for calls in expanding] == [0] * len(expanding)
 
     # No K-product is formed twice: a generator's square serves the span
     # closure (or the colon tests) and its quadratic alike.
@@ -195,6 +199,37 @@ def test_non_cm_report_solves_no_span_after_a_warm_up(monkeypatch, warm_up, name
     assert report["case"] in NON_CM
     assert report["certificate"]["checks"]["P_free"] is True
     assert len(spans) == 0
+
+
+@pytest.mark.parametrize(
+    "warm_up,name",
+    [
+        ("example_4_7_family1", "example_4_7_family2"),
+        ("example_4_7_family2", "example_4_7_family1"),
+    ],
+)
+def test_non_cm_report_runs_no_determinant_after_a_warm_up(monkeypatch, warm_up, name):
+    # The warm-up report decides the generic complexes; the next non-CM
+    # report picks its grade witnesses from their closed forms.
+    generic_complexes.cache_clear()
+    assemble_report(*golden_job(warm_up))
+    dets = Calls(monkeypatch, linalg, "poly_det")
+    minor_sets = Calls(monkeypatch, homology, "minor_ideal_generators")
+    compositions = Calls(monkeypatch, homology, "check_composition_zero")
+    report = assemble_report(*golden_job(name))
+    assert report["case"] in NON_CM and len(report["resolutions"]) == 3
+    assert len(dets) == len(minor_sets) == len(compositions) == 0
+
+
+def test_generic_complexes_are_built_once_per_process(monkeypatch):
+    generic_complexes.cache_clear()
+    verifications = Calls(monkeypatch, homology, "verify_complex")
+    compositions = Calls(monkeypatch, homology, "check_composition_zero")
+    for name in ("example_4_7_family1", "example_4_7_family2", "example_4_7_family1"):
+        assemble_report(*golden_job(name))
+    # One composition check for each of the two generic complexes.
+    assert len(verifications) == len(compositions) == 2
+    assert generic_complexes.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("name", ["example_4_7_family1", "example_4_7_family2"])

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 from test_residue_guard import load_casegen
 
-from cmwitness import classifier, linalg, report
+from cmwitness import classifier, homology, linalg, report
 from cmwitness.algebra import AlgebraDesc, make_algebra
-from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES, cmd_regress, cmd_sweep
+from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES, cmd_regress, cmd_sweep, main
 from cmwitness.errors import (
     LiftInvalidError,
     MalformedSequenceError,
@@ -29,9 +29,12 @@ from cmwitness.homology import (
     minor_ideal_generators,
     pd_depth_report,
     resolution_of_I,
+    resolution_of_I_complex,
     resolution_of_S_mod_Q,
     standard_grade_certificates,
+    verify_column,
     verify_complex,
+    verify_specialised,
 )
 from cmwitness.gcd import gcd_many_q
 from cmwitness.linalg import (
@@ -464,9 +467,11 @@ def test_forced_ranks_match_elimination_and_no_report_eliminates(monkeypatch, tm
     # elimination gives on every one of those complexes.
     complexes = []
 
-    def recording(cx):
-        complexes.append(cx)
-        return verify_complex(cx)
+    def recording(verify):
+        def record(cx, *args):
+            complexes.append(cx)
+            return verify(cx, *args)
+        return record
 
     def eliminating(*args):
         raise AssertionError("an elimination ran on a report path")
@@ -474,8 +479,8 @@ def test_forced_ranks_match_elimination_and_no_report_eliminates(monkeypatch, tm
     rendered = 0
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "_fraction_free_rref", eliminating)
-        for module in (classifier, report):
-            patch.setattr(module, "verify_complex", recording)
+        patch.setattr(classifier, "verify_specialised", recording(verify_specialised))
+        patch.setattr(report, "verify_column", recording(verify_column))
         for name in GOLDEN_NAMES:
             job = json.loads((GOLDEN_DIR / (name + ".job.json")).read_text(encoding="utf-8"))
             text = render_json(assemble_report(*parse_job(job)))
@@ -495,3 +500,107 @@ def test_forced_ranks_match_elimination_and_no_report_eliminates(monkeypatch, tm
     assert set(shapes) == {(1, 2, 1), (2, 1), (1,)} and sum(shapes.values()) >= 200, shapes
     for cx in complexes:
         assert cx.differential_ranks == [bareiss_rank(m) for m in cx.matrices]
+
+
+def non_cm_jobs(per_tag):
+    """Both non-CM golden jobs, then the first generated pairs of each
+    non-CM tag."""
+    for name in ("example_4_7_family1", "example_4_7_family2"):
+        yield json.loads((GOLDEN_DIR / (name + ".job.json")).read_text(encoding="utf-8"))
+    casegen = load_casegen()
+    for tag in (casegen.C_GRADE2, casegen.C_GRADE3):
+        jobs = (job for job, allowed in casegen.generate(3) if allowed[0] == tag)
+        yield from itertools.islice(jobs, per_tag)
+
+
+def test_closed_form_witnesses_match_the_enumeration():
+    # Each job's three complexes, verified from closed forms, carry the
+    # witnesses that expanding every minor of the job's own complex gives.
+    minors_q, minors_i = classifier.generic_complexes()
+    tags = Counter()
+    for job in non_cm_jobs(50):
+        ring, f, g, _ = parse_job(job)
+        alg = make_algebra(ring, f, g)
+        pres = classifier.build_R(alg, classifier.classify(alg))
+        shape = alg.q_shape
+        zce = (shape.z, shape.c, shape.e)
+        for verified in (
+            verify_specialised(resolution_of_S_mod_Q(*zce), minors_q, zce),
+            verify_specialised(resolution_of_I(alg), minors_i, (alg.h1(), alg.h2())),
+            verify_column(classifier.presentation_complex(pres)),
+        ):
+            cx = verified.complex
+            reference = standard_grade_certificates(cx)
+            assert verified.witnesses == reference, job
+            assert check_composition_zero(cx) and be_exactness_check(cx, reference)
+            assert (verified.pd_bound, verified.depth) == pd_depth_report(cx)
+        tags[pres.case] += 1
+    assert tags[classifier.CASE_C_NONCM_GRADE2] >= 50, tags
+    assert tags[classifier.CASE_C_NONCM_GRADE3] >= 50, tags
+
+
+@pytest.mark.parametrize(
+    "values,witness",
+    [
+        # the first 1-minor -h2 of d_2 vanishes, or is even: h1 is picked
+        (("X", "0"), "X"),
+        (("X+Y", "2*X"), "X+Y"),
+        (("1+2*Y", "2*X+4"), "1+2*Y"),
+    ],
+)
+def test_picker_skips_a_vanishing_or_even_first_minor(values, witness):
+    _, minors_i = classifier.generic_complexes()
+    h1, h2 = (parse_poly(v, RING2) for v in values)
+    cx = resolution_of_I_complex(h1, h2)
+    verified = verify_specialised(cx, minors_i, (h1, h2))
+    assert verified.witnesses == standard_grade_certificates(cx)
+    assert verified.witnesses[1] == [RING2.const(4), parse_poly(witness, RING2)]
+
+
+@pytest.mark.parametrize(
+    "zce,odd_minor",
+    [
+        # e even: 2ZE, ZCE and ZE^2 are even, -ZC^2 is the first odd minor
+        (("X", "1", "2*Y"), "-X"),
+        # e = 0: those minors vanish, and so does the tail's first entry -E
+        (("X", "1", "0"), "-X"),
+        (("1", "X", "Y"), "X*Y"),
+    ],
+)
+def test_picker_on_hand_made_s_mod_q(zce, odd_minor):
+    minors_q, _ = classifier.generic_complexes()
+    values = tuple(parse_poly(v, RING2) for v in zce)
+    cx = resolution_of_S_mod_Q(*values)
+    verified = verify_specialised(cx, minors_q, values)
+    assert verified.witnesses == standard_grade_certificates(cx)
+    assert verified.witnesses[1] == [RING2.const(4), parse_poly(odd_minor, RING2)]
+
+
+@pytest.mark.parametrize("builder", ["resolution_of_S_mod_Q", "resolution_of_I_complex"])
+def test_a_sign_flipped_generic_builder_exits_3(monkeypatch, capsys, builder):
+    # The generic build reads the builders through classifier: flipping
+    # the sign of the tail's first entry breaks the generic composition
+    # check, and the report is refused as a bug.
+    original = getattr(classifier, builder)
+    compositions = []
+
+    def flipped(*args):
+        cx = original(*args)
+        cx.matrices[-1][0][0] = -cx.matrices[-1][0][0]
+        return cx
+
+    def recording(cx):
+        compositions.append(check_composition_zero(cx))
+        return compositions[-1]
+
+    classifier.generic_complexes.cache_clear()
+    monkeypatch.setattr(classifier, builder, flipped)
+    monkeypatch.setattr(homology, "check_composition_zero", recording)
+    try:
+        job = str(GOLDEN_DIR / "example_4_7_family1.job.json")
+        assert main(["classify", "--job", job]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "UnverifiedComplexError"
+        assert False in compositions
+    finally:
+        classifier.generic_complexes.cache_clear()

@@ -31,6 +31,8 @@ NON_CM_CHECKS = {
     "H_equals_I",
     "M_contains_eta",
     "resolution_of_I",
+    "resolution_of_S_mod_Q",
+    "R_presentation",
 }
 
 
@@ -133,11 +135,19 @@ def perturbed(data, path):
         ("H_equals_I", ("certificate", "ideals", "I", 2, "coords", 1)),
         ("resolution_of_I", ("resolutions", 0, "matrices", 1, 2, 0)),
         ("resolution_of_I", ("resolutions", 0, "matrices", 0, 1, 2)),
+        ("resolution_of_I", ("resolutions", 0, "grade_witnesses", 1, 0)),
+        ("resolution_of_S_mod_Q", ("resolutions", 1, "matrices", 1, 0, 0)),
+        ("resolution_of_S_mod_Q", ("resolutions", 1, "matrices", 2, 1, 0)),
+        ("resolution_of_S_mod_Q", ("resolutions", 1, "grade_witnesses", 1, 1)),
+        ("resolution_of_S_mod_Q", ("resolutions", 1, "grade_witnesses", 2, 1)),
+        ("R_presentation", ("resolutions", 2, "grade_witnesses", 0, 0)),
     ],
 )
 def test_one_changed_coefficient_fails_its_check(name, check, path):
     data = json.loads(golden_text(name))
-    assert data["resolutions"][0]["name"] == "resolution_of_I"
+    assert [r["name"] for r in data["resolutions"]] == [
+        "resolution_of_I", "resolution_of_S_mod_Q", "R_presentation"
+    ]
     verdicts = check_report(perturbed(data, path))
     assert verdicts[check] is False
 
