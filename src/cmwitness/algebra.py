@@ -218,9 +218,9 @@ class AlgebraDesc:
         """Whether f = h1^2 + 2a and g = h2^2 + 2b hold exactly.
 
         decompose_S2 makes them true by construction; the certificate
-        checks them once per job because its identity claims are
-        decided on the generic algebra and carry over to this one
-        through them (classifier.generic_claims).
+        and the CaseB presentation check them once per job, because
+        their claims are decided on generic algebras and carry over
+        through them (classifier.generic_claims, generic_presentation).
         """
         two = self.ring.const(2)
         return all(
@@ -242,8 +242,8 @@ class AlgebraDesc:
 
         (w - h1)^2 = 2*k1 by construction (decompose_S2 builds a =
         (f - h1^2)/2), and likewise for k2; the one claim they feed,
-        tau^2 = k1*k2, is verified in build_R, where tau's square is
-        read from the product table and k1*k2 is formed on its own.
+        tau^2 = k1*k2, is verified with R's presentation (CaseC per job,
+        CaseB on the generic algebra) against tau's square in the table.
         """
         h1, h2 = self.h1(), self.h2()
         k1 = self.scalar(h1 * h1 + self.a()) - self.root_f().scale_poly(h1)

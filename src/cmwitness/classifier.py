@@ -20,11 +20,11 @@ mod 4:
 
 All claimed identities are verified with exact arithmetic; any failure
 raises InternalVerificationError rather than producing an unverified
-report.  The certificate's checks, all identities or power-of-2
-divisibilities in the witnesses (h1, a, h2, b), are decided once per
-process on the generic algebra (generic_claims), and each job checks
-the witness identities f = h1^2 + 2a, g = h2^2 + 2b that carry them
-over; every other claim is verified on the job at build time.
+report.  The certificate's checks and the CaseA and CaseB presentations,
+identities or power-of-2 divisibilities in the witnesses, are decided
+once per process on generic algebras (generic_claims,
+generic_presentation); each job checks the witness identities that
+carry them over, and every other claim is verified on the job.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ from .homology import (
     verify_specialised,
 )
 from .linalg import PolyFraction, poly_det
-from .poly import BaseRing, Poly, is_even, parse_poly, poly_dot, reduce_mod_2k
-from .predicates import QShape, product_in_S2wedge4
+from .poly import BaseRing, Poly, compose, is_even, parse_poly, poly_dot, reduce_mod_2k
+from .predicates import QShape, S2Witness, product_in_S2wedge4
 
 OUTSIDE_SCOPE = "OutsideScope_not_S2"
 CASE_A_BOTH = "CaseA_bothHypersurfacesNonNormal"
@@ -152,20 +152,18 @@ def hyper_closure_gen(alg: AlgebraDesc, side: str) -> KElement:
     """(root + h)/2 for a side whose polynomial is a square mod 4.
 
     Integral with minimal quadratic T^2 - h*T - a' where the side's
-    polynomial is h^2 + 4a'; build_R records and verifies it.
+    polynomial is h^2 + 4a'; generic_presentation verifies it.
     """
     if side not in ("f", "g"):
         raise ValueError("side must be 'f' or 'g'")
-    w4 = alg.w4f if side == "f" else alg.w4g
-    if w4 is None:
-        raise WrongCaseError("side %s is not a square mod 4" % side)
+    w4 = alg.w4f if side == "f" else alg.w4g  # build_R checks the side is in S^{2,4}
     root = alg.root_f() if side == "f" else alg.root_g()
     return (root + alg.scalar(w4.h)).half()
 
 
 def product_closure_gen(alg: AlgebraDesc) -> KElement:
     """tau = (w - h1)(u - h2)/2 = (h1h2, -h2, -h1, 1)/2, integral with
-    tau^2 = k1*k2 (checked by build_R)."""
+    tau^2 = k1*k2 (checked with the presentation)."""
     return alg.root_product(-alg.h1(), -alg.h2()).half()
 
 
@@ -309,14 +307,42 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
     cofactor makes redundant.  CaseC otherwise: five module generators
     {1, w, u, tau, rho} with the single relation
     (e*h1 + c*h2) - e*w - c*u + 2*rho = 0, so R = S^2 (+) Syz^2(S/Q).
-    Each product of two generators is formed once (generator_products);
-    the span closure or the colon tests read it, and so does each
-    recorded quadratic x^2 = c1*x + c0, verified here against x's square.
+    CaseA and CaseB specialise generic_presentation by compose once the
+    job's witnesses pass f = h1^2 + 2a, g = h2^2 + 2b (CaseB) or h^2 + 4a'
+    on each side in S^{2,4} (CaseA).  CaseC: _verified_presentation.
     """
     if case == OUTSIDE_SCOPE:
         raise WrongCaseError("no closure presentation outside the covered scope")
     if case not in CASE_TAGS:
         raise WrongCaseError("unknown case tag %r" % (case,))
+    if case not in (CASE_A_BOTH, CASE_A_ONE, CASE_B):
+        return _verified_presentation(alg, case)[0]
+    if case == CASE_B:
+        if not alg.witnesses_exact:
+            raise InternalVerificationError("witnesses f = h1^2 + 2a, g = h2^2 + 2b fail")
+        side, images = "f", (alg.h1(), alg.a(), alg.h2(), alg.b())
+    else:
+        sides = [(w4, p) for w4, p in ((alg.w4f, alg.f), (alg.w4g, alg.g)) if w4 is not None]
+        if len(sides) != (2 if case == CASE_A_BOTH else 1):
+            raise WrongCaseError("%s does not match the squares mod 4 of f, g" % case)
+        if any(poly_dot(alg.ring, ((w4.h, w4.h),)) + w4.a_prime.scale(4) != p for w4, p in sides):
+            raise InternalVerificationError("witness identity h^2 + 4a' fails")
+        side, other = ("f", alg.g) if alg.w4f is not None else ("g", alg.f)
+        images = tuple(x for w4, _ in sides for x in (w4.h, w4.a_prime))
+        images += (other,) if case == CASE_A_ONE else ()
+    gen, memo = generic_presentation(case, side), {}
+
+    def image(x: KElement) -> KElement:
+        return alg.element([compose(p, images, memo) for p in x.coords], x.denom_exp)
+
+    table = {key: [compose(t, images, memo) for t in sol] for key, sol in gen.mult_table.items()}
+    quadratics = [(i, image(c1), image(c0)) for i, c1, c0 in gen.quadratics]
+    return RingPresentation(case, True, [image(x) for x in gen.generators], table, quadratics)
+
+
+def _verified_presentation(alg: AlgebraDesc, case: CaseTag) -> Tuple[RingPresentation, dict]:
+    """R built and verified on alg, and its generator products (each formed
+    once), which the span closure or colon tests and the quadratics read."""
     one = alg.one()
     if case == CASE_A_BOTH:
         t1 = hyper_closure_gen(alg, "f")
@@ -328,8 +354,6 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
             for i, w4 in ((1, alg.w4f), (2, alg.w4g))
         ]
     elif case == CASE_A_ONE:
-        if (alg.w4f is None) == (alg.w4g is None):
-            raise WrongCaseError("CaseA_one needs exactly one square mod 4")
         if alg.w4f is not None:
             side, w4, other, other_sq = "f", alg.w4f, alg.root_g(), alg.g
         else:
@@ -364,16 +388,44 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
     if case in _NON_CM_CASES:
         pres = _module_presentation(alg, case, gens, products, quadratics)
     else:
-        table = span_closure_check(gens, products)
-        pres = RingPresentation(case=case, sfree=True, generators=gens, mult_table=table,
-                                quadratics=quadratics)
+        pres = RingPresentation(case, True, gens, span_closure_check(gens, products), quadratics)
     for idx, c1, c0 in quadratics:
         # every recorded c1 is a scalar of S: zero, or h in CaseA
         rhs = c0 if c1.is_zero() else gens[idx].scale_poly(c1.coords[0]) + c0
         if products[idx, idx] != rhs:
-            raise InternalVerificationError(
-                "recorded quadratic for generator %d fails" % idx
-            )
+            raise InternalVerificationError("recorded quadratic for generator %d fails" % idx)
+    return pres, products
+
+
+@cache
+def generic_presentation(case: CaseTag, side: str) -> RingPresentation:
+    """R in CaseA and CaseB, built by _verified_presentation once per process
+    on an algebra given by its witnesses, not by decompose_S2:
+    f = H1^2 + 4A4, g = H2^2 + 4B4 (CaseA_both); f = H^2 + 4A4, g = G,
+    swapped for side "g" (CaseA_one); f = H1^2 + 2A, g = H2^2 + 2B (CaseB,
+    as generic_claims).  Each table entry must be a polynomial that
+    recombines to its product, and in CaseB P must conduct R (in_colon).
+    Specialisation: the job's witnesses, checked exactly (build_R), give
+    the ring map H1 -> h1, A4 -> a', ..., G -> the other side, sending
+    the generic f, g to the job's; with w -> w, u -> u it maps A_gen to A
+    on the coordinates over (1, w, u, wu), and each generic generator to
+    the job's with its denominator exponent (one coordinate is +-1), so
+    the table identities, the quadratics and the 2^k-divisibilities
+    behind "P conducts R" carry over."""
+    names = {CASE_A_BOTH: "H1 A4 H2 B4", CASE_A_ONE: "H A4 G", CASE_B: "H1 A H2 B"}[case]
+    x, k = BaseRing(tuple(names.split())).gens(), 1 if case == CASE_B else 2
+    wits = [S2Witness(x[0], x[1].scale(k)), S2Witness(x[2], x[3].scale(k)) if x[3:] else None]
+    wits = wits[::-1] if side == "g" else wits
+    f, g = (w.h * w.h + w.a.scale(2) if w else x[2] for w in wits)
+    alg = AlgebraDesc(x[0].ring, f, g, *wits)
+    pres, products = _verified_presentation(alg, case)
+    for key, sol in pres.mult_table.items():
+        if not all(isinstance(t, Poly) for t in sol) or products[key] != sum(
+            (y.scale_poly(t) for t, y in zip(sol, pres.generators)), alg.zero()
+        ):
+            raise InternalVerificationError("generic table entry %s fails" % (key,))
+    if case == CASE_B and not all(in_colon(y, ideal_P(alg)) for y in pres.generators):
+        raise InternalVerificationError("P fails to conduct R into A")
     return pres
 
 
@@ -449,27 +501,21 @@ def conductor(pres: RingPresentation) -> ConductorReport:
     """Report the conductor of the built R into A where identified.
 
     The case and the algebra are read from the presentation.  CaseB:
-    the conductor is P, verified here.  CaseC with Q a grade-3 complete
-    intersection: the conductor is I, which build_R already verified to
-    multiply R into A.  Every CaseC report also records the ideal
-    J = (2, wu - h1h2) with its dual datum J^* = R, checked on the R
-    generators.  An ideal conducts R when every generator x of R passes
-    in_colon(x, ideal), i.e. multiplies the ideal into A.
+    the conductor is P, verified on the generic R (generic_presentation).
+    CaseC with Q a grade-3 complete intersection: the conductor is I,
+    which build_R already verified to multiply R into A.  Every CaseC
+    report also records the ideal J = (2, wu - h1h2) with its dual datum
+    J^* = R, checked on the R generators.  An ideal conducts R when
+    every generator x of R passes in_colon(x, ideal).
     """
-    case = pres.case
-    alg = pres.generators[0].algebra
-
-    def conducts(ideal: IdealGens) -> bool:
-        return all(in_colon(x, ideal) for x in pres.generators)
-
+    case, alg = pres.case, pres.generators[0].algebra
     out = ConductorReport(ideal=None)
     if case in (CASE_C_CM, CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2):
         out.ideal_J = ideal_J(alg)
-        out.R_in_J_star = conducts(out.ideal_J)
+        out.R_in_J_star = all(in_colon(x, out.ideal_J) for x in pres.generators)
     if case == CASE_B:
+        generic_presentation(CASE_B, "f")  # raises unless P conducts the generic R
         out.ideal = ideal_P(alg)
-        if not conducts(out.ideal):
-            raise InternalVerificationError("P fails to conduct R into A")
     elif case == CASE_C_NONCM_GRADE3:
         out.ideal = pres.ideal_I
     return out

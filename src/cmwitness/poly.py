@@ -42,8 +42,8 @@ already in canonical form (addition, subtraction, negation, scale,
 poly_dot after dropping cancelled terms, divide_exact, half,
 reduce_mod_2k, frobenius_mod2, primitive (the one integer-content division,
 used by gcd.py and predicates.py), sqrt_f2, f2_divide_exact,
-partial_derivative, coefficients_in, substitute_ints, monomial_split
-and monomial_gcd, and the coordinates that algebra.KElement
+partial_derivative, coefficients_in, substitute_ints, compose,
+monomial_split and monomial_gcd, and the coordinates that algebra.KElement
 splits from its tagged term dict) hand it to the private
 Poly._from_canonical, which takes it unchecked and uncopied.  No other
 code may call it.
@@ -533,6 +533,39 @@ def substitute_ints(p: Poly, assignment: Dict[str, int], target: BaseRing) -> Po
         else:
             terms.pop(key, None)
     return Poly._from_canonical(target, terms)
+
+
+def compose(p: Poly, images: Sequence[Poly], memo: Optional[Dict[int, Poly]] = None) -> Poly:
+    """p with its i-th variable replaced by images[i], in the images' ring.
+
+    A constant keeps its term dict.  Each other monomial's image is formed
+    once, a smaller one's times one image (of the fewest terms first), and
+    the c*image(x^e) are summed into one term dict; memo, kept by the
+    caller for one images tuple, shares the monomial images between
+    compositions.  ValueError unless there is one image per variable."""
+    ring = p.ring
+    if not images or len(images) != ring.nvars:
+        raise ValueError("compose needs one image per variable")
+    target = images[0].ring
+    _check_same_ring(target, *images)
+    if not any(p._terms):  # zero or a constant: the key 0 in both rings
+        return Poly._from_canonical(target, p._terms)
+    memo = {} if memo is None else memo
+    memo.setdefault(0, target.one())
+    order = sorted(range(ring.nvars), key=lambda i: len(images[i]._terms))
+    out: Dict[int, int] = {}
+    for e, c in p._terms.items():
+        chain = []
+        while e not in memo:
+            i = next(i for i in order if e >> ring._shifts[i] & _FIELD_MASK)
+            chain.append((e, i))
+            e -= ring._var_keys[i]
+        image = memo[e]
+        for e, i in reversed(chain):
+            image = memo[e] = poly_dot(target, ((image, images[i]),))
+        for k, v in image._terms.items():
+            out[k] = out.get(k, 0) + c * v
+    return Poly._from_canonical(target, {k: v for k, v in out.items() if v})
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,15 @@ that basis and a power-of-2 denominator.  The checks:
   the input and the witnesses block (when the witnesses are printed).
 * ``witness_f4``, ``witness_g4``: f = h1^2 + 4a' and g = h2^2 + 4b'
   (when a' or b' is printed).
+* ``case``: the case tag re-derived from the printed witnesses and
+  q_shape.  No witness of f or g: OutsideScope, with no q_shape.  Else
+  the q_shape must fit h1 and h2: h1 = z*c and h2 = z*e mod 2, c and e
+  coprime over GF(2) unless h1 = h2 = 0 mod 2, and the shape tag from
+  the units (UnitIdeal: h1 or h2 odd; TwoGenerated: c or e odd, or
+  h1 = h2 = 0 mod 2; Grade3CI_NotTwoGen: z odd; Grade2Pd3 otherwise).
+  Then a and b both even gives CaseA_both, one even CaseA_one,
+  a*h2^2 + b*h1^2 odd CaseB, and otherwise the shape tag picks the
+  CaseC subcase.
 * ``quadratics``: each printed quadratic x^2 = c1*x + c0 of a generator
   x of R, every term brought to the largest power-of-2 denominator.
 * ``mult_table``: each entry (i, j) of a free R's table, the sum over k
@@ -45,7 +54,7 @@ that basis and a power-of-2 denominator.  The checks:
   augmented complex) and the number of variables + 1 minus it.
 
 check_report returns {check name: verdict} for the checks that apply
-to the report: none outside the covered scope, the witness checks for
+to the report: ``case`` for every report, the witness checks for
 every report that prints witnesses, ``quadratics`` for every report
 with a ring presentation, ``mult_table`` when R is free, the rest for
 the non-CM reports.
@@ -146,6 +155,52 @@ def check_witnesses(rep):
             hh = rep.poly(wit[h])
             out[name] = rep.poly(inp[p]) == hh * hh + scale * rep.poly(wit[rest])
     return out
+
+
+CASE_C_TAGS = {
+    "UnitIdeal": "CaseC_CM_twoGenerated",
+    "TwoGenerated": "CaseC_CM_twoGenerated",
+    "Grade3CI_NotTwoGen": "CaseC_NonCM_grade3",
+    "Grade2Pd3": "CaseC_NonCM_grade2",
+}
+
+
+def check_case(rep):
+    wit, shape, case = rep.data["witnesses"], rep.data["q_shape"], rep.data["case"]
+    if wit["h1"] is None or wit["h2"] is None:
+        return case == "OutsideScope_not_S2" and shape is None
+    h1, a, h2, b = (rep.poly(wit[k]) for k in ("h1", "a", "h2", "b"))
+    z, c, e = (rep.poly(shape[k]) for k in ("z", "c", "e"))
+    gf2 = gf2_ring(rep.variables)
+    r1, r2, rc, re = (gf2.from_dict(dict(p.items())) for p in (h1, h2, c, e))
+    rz = gf2.from_dict(dict(z.items()))
+    if (r1, r2) != (rz * rc, rz * re):
+        return False
+
+    def unit(p):
+        return p.coeff(1) % 2 == 1
+
+    if not (r1 or r2):
+        tag = "TwoGenerated"
+    elif rc.gcd(re) != 1:
+        return False
+    elif unit(h1) or unit(h2):
+        tag = "UnitIdeal"
+    elif unit(c) or unit(e):
+        tag = "TwoGenerated"
+    else:
+        tag = "Grade3CI_NotTwoGen" if unit(z) else "Grade2Pd3"
+    if tag != shape["tag"]:
+        return False
+    if is_even(a) and is_even(b):
+        derived = "CaseA_bothHypersurfacesNonNormal"
+    elif is_even(a) or is_even(b):
+        derived = "CaseA_oneHypersurfaceNonNormal"
+    elif not is_even(a * h2 * h2 + b * h1 * h1):
+        derived = "CaseB_productNotS2w4"
+    else:
+        derived = CASE_C_TAGS[tag]
+    return derived == case
 
 
 def multiply(x, y, f, g):
@@ -327,6 +382,7 @@ def check_report(text):
     """{check name: verdict} for every check that applies to the report."""
     rep = Report(text)
     out = check_witnesses(rep)
+    out["case"] = check_case(rep)
     inp, wit = rep.data["input"], rep.data["witnesses"]
     f, g = rep.poly(inp["f"]), rep.poly(inp["g"])
     pres = rep.data["ring_presentation"]

@@ -1,6 +1,7 @@
 """Case trichotomy, R construction, conductors, and the small-CM-module
 certificate."""
 
+import dataclasses
 import itertools
 import json
 
@@ -34,6 +35,7 @@ from cmwitness.classifier import (
     example_2_10_regression,
     generic_claims,
     generic_complexes,
+    generic_presentation,
     ideal_H,
     ideal_I,
     ideal_P,
@@ -42,7 +44,7 @@ from cmwitness.classifier import (
     q_shape,
     residue_mod_P,
 )
-from cmwitness.cli import GOLDEN_DIR
+from cmwitness.cli import GOLDEN_DIR, main
 from cmwitness.errors import (
     CaseConflictError,
     InternalVerificationError,
@@ -53,7 +55,7 @@ from cmwitness.errors import (
 from cmwitness.homology import check_composition_zero, pd_depth_report
 from cmwitness.linalg import PolyFraction
 from cmwitness.poly import BaseRing, divide_exact, parse_poly
-from cmwitness.predicates import S2Witness, decompose_S2
+from cmwitness.predicates import S2Witness, S2w4Witness, decompose_S2
 from cmwitness.report import CONDUCTOR_UNIDENTIFIED, parse_job
 
 RING2 = BaseRing(("X", "Y"))
@@ -249,7 +251,6 @@ def test_build_R_non_cm_five_generators():
 @pytest.mark.parametrize(
     "ring,ftext,gtext,case,generator",
     [
-        (RING2, "X^2+2", "Y^2+2", CASE_B, 3),  # case_b_synthetic
         # example_4_7_family1
         (RING3, "V^2*X^2-2*X^2+4", "V^2*Y^2-2*Y^2+4", CASE_C_NONCM_GRADE2, 3),
         (RING2, "X^2+2", "X^2*Y^2+2*Y^2+4", CASE_C_CM, 2),  # case_c_cm_synthetic
@@ -263,6 +264,58 @@ def test_build_R_rejects_a_wrong_local_factor(ring, ftext, gtext, case, generato
     alg.__dict__["local_factors"] = (k1 + alg.one(), k2)
     with pytest.raises(InternalVerificationError, match="generator %d " % generator):
         build_R(alg, case)
+
+
+def test_build_R_rejects_a_wrong_witness_in_case_b():
+    # case_b_synthetic: tau^2 = k1*k2 and the table are decided on the
+    # generic algebra and read no per-job local_factors; what carries
+    # them over is f = h1^2 + 2a, which a bumped a breaks.
+    alg = alg_of(RING2, "X^2+2", "Y^2+2")
+    bumped = dataclasses.replace(alg, wf=S2Witness(alg.wf.h, alg.wf.a + 1))
+    with pytest.raises(InternalVerificationError, match="h1\\^2 \\+ 2a"):
+        build_R(bumped, CASE_B)
+
+
+@pytest.mark.parametrize(
+    "ring,ftext,gtext,case,side",
+    [
+        (RINGU, "U^2*V^2+4", "U^2*Y^2+4", CASE_A_BOTH, "w4f"),  # example_3_2
+        (RINGU, "U^2*V^2+4", "U^2*Y^2+4", CASE_A_BOTH, "w4g"),
+        (RING2, "X^2+4", "Y^2+2", CASE_A_ONE, "w4f"),
+        (RING2, "Y^2+2", "X^2+4", CASE_A_ONE, "w4g"),
+    ],
+)
+def test_build_R_rejects_a_wrong_a_prime(ring, ftext, gtext, case, side):
+    # The side's h^2 + 4a' carries the generic CaseA presentation over.
+    alg = alg_of(ring, ftext, gtext)
+    w4 = getattr(alg, side)
+    alg.__dict__[side] = S2w4Witness(w4.h, w4.a_prime + 1)
+    with pytest.raises(InternalVerificationError, match="h\\^2 \\+ 4a'"):
+        build_R(alg, case)
+
+
+def test_a_wrong_sign_in_a_generic_table_entry_exits_3(monkeypatch, capsys):
+    # Flip the sign of the generic CaseB table entry tau*tau[1] = -H1*B:
+    # its recombination fails, so case_b_synthetic is refused as a bug.
+    solve = classifier.span_closure_check
+
+    def flipped(gens, products):
+        table = solve(gens, products)
+        if (3, 3) in table and gens[0].algebra.ring.variables == ("H1", "A", "H2", "B"):
+            entry = table[3, 3]
+            table[3, 3] = entry[:1] + [-entry[1]] + entry[2:]
+        return table
+
+    generic_presentation.cache_clear()
+    monkeypatch.setattr(classifier, "span_closure_check", flipped)
+    job = str(GOLDEN_DIR / "case_b_synthetic.job.json")
+    try:
+        assert main(["classify", "--job", job]) == 3
+    finally:
+        generic_presentation.cache_clear()
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "InternalVerificationError"
+    assert "generic table entry (3, 3)" in error["detail"]
 
 
 def test_build_R_wrong_case_raises():

@@ -5,7 +5,10 @@ here it runs on the first pairs of each non-CM tag that the benchmark's
 case generator (perfbench/casegen.py, loaded by path) yields for one
 seed.  Every element the search finds in the dual of P must lie in
 A + S*eta, and every element it finds in the dual of I in
-A + S*tau + S*rho, with eta, tau and rho built by the classifier.
+A + S*tau + S*rho, with eta, tau and rho built by the classifier.  In
+CaseB, where P conducts R, every element the search finds in the dual
+of P, with denominators up to 4, must lie in the S-span of the
+generators of R that the report prints.
 """
 
 import itertools
@@ -17,15 +20,17 @@ from colon_oracle import (
 )
 from test_residue_guard import load_casegen
 
-from cmwitness.algebra import make_algebra
+from cmwitness.algebra import express_in_span, make_algebra
 from cmwitness.classifier import (
+    CASE_B,
     ideal_I,
     ideal_P,
     mixed_syzygy_gen,
     prime_dual_gen,
     product_closure_gen,
 )
-from cmwitness.report import parse_job
+from cmwitness.poly import Poly, parse_poly
+from cmwitness.report import assemble_report, parse_job
 
 PAIRS_PER_TAG = 10
 # The grade-2 family's P-dual has no fractional element below degree 4.
@@ -55,3 +60,27 @@ def test_search_stays_in_the_constructed_closures():
             assert all(
                 in_A_plus_S_tau_rho(x, alg, shape, tau, rho) for x in found_i
             ), job
+
+
+def polynomial(sol):
+    return sol is not None and all(isinstance(c, Poly) for c in sol)
+
+
+def test_case_b_dual_of_P_stays_in_the_span_of_R():
+    # Over A's basis (1, w, u, wu), the negative control, a fractional
+    # element has no polynomial coefficients.
+    casegen = load_casegen()
+    jobs = (job for job, allowed in casegen.generate(7) if allowed[0] == CASE_B)
+    for job in itertools.islice(jobs, PAIRS_PER_TAG):
+        ring, f, g, options = parse_job(job)
+        alg = make_algebra(ring, f, g)
+        printed = assemble_report(ring, f, g, options)["ring_presentation"]["generators"]
+        gens = [
+            alg.element([parse_poly(c, ring) for c in x["coords"]], x["denom_exp"])
+            for x in printed
+        ]
+        found = fractional(bounded_colon_search(ideal_P(alg), 2, P_DEGREE))
+        assert found, job
+        assert all(polynomial(sol) for sol in express_in_span(found, gens)), job
+        basis = [alg.one(), alg.root_f(), alg.root_g(), alg.root_fg()]
+        assert not any(polynomial(sol) for sol in express_in_span(found, basis)), job

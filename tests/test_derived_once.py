@@ -17,28 +17,39 @@ import pytest
 
 from cmwitness import algebra, classifier, gcd, homology, linalg, poly, predicates
 from cmwitness.classifier import (
+    CASE_A_BOTH,
+    CASE_A_ONE,
+    CASE_B,
+    CASE_C_CM,
     CASE_C_NONCM_GRADE2,
     CASE_C_NONCM_GRADE3,
     OUTSIDE_SCOPE,
     generic_claims,
     generic_complexes,
+    generic_presentation,
 )
 from cmwitness.cli import GOLDEN_DIR, GOLDEN_NAMES, cmd_sweep
+from cmwitness.poly import parse_poly
 from cmwitness.report import assemble_report, parse_job
 
 NON_CM = (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2)
 SWEEP_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
-# K-products per golden report: the generator products (each once) and
-# the independent k1*k2 of tau^2; each recorded c1 is a scalar of S, so
-# c1*x is a scale_poly or, for c1 = 0, nothing.
+# K-products per golden report: in CaseC the generator products (each
+# once) and the independent k1*k2 of tau^2; each recorded c1 is a scalar
+# of S, so c1*x is a scale_poly or, for c1 = 0, nothing.  The CaseA and
+# CaseB presentations are specialised from generic ones: no product.
 K_PRODUCTS = {
     "example_2_10": 0,
-    "example_3_2": 6,
+    "example_3_2": 0,
     "example_4_7_family1": 11,
     "example_4_7_family2": 11,
-    "case_b_synthetic": 7,
+    "case_b_synthetic": 0,
     "case_c_cm_synthetic": 7,
 }
+# The keys of the generic presentations (classifier.generic_presentation).
+GENERIC_PRESENTATIONS = (
+    (CASE_A_BOTH, "f"), (CASE_A_ONE, "f"), (CASE_A_ONE, "g"), (CASE_B, "f"),
+)
 
 
 class Calls:
@@ -75,11 +86,13 @@ def golden_job(name):
 def test_each_fact_once_per_report(monkeypatch, name):
     ring, f, g, options = golden_job(name)
     witnesses = [predicates.decompose_S2(p) for p in (f, g)]
-    # The identity claims of the certificate and of the two resolutions
-    # are decided once per process on generic rings; count the report's
-    # own work only.
+    # The identity claims of the certificate, of the two resolutions and
+    # of the free presentations are decided once per process on generic
+    # rings; count the report's own work only.
     generic_claims()
     generic_complexes()
+    for key in GENERIC_PRESENTATIONS:
+        generic_presentation(*key)
 
     lift_checks = Calls(monkeypatch, predicates, "in_S2wedge4")
     decompositions = Calls(monkeypatch, predicates, "decompose_S2")
@@ -135,15 +148,16 @@ def test_each_fact_once_per_report(monkeypatch, name):
     crosschecks = len(shapes) - len(from_h)
     assert crosschecks == 0
 
-    free = case not in NON_CM and case != OUTSIDE_SCOPE
-    assert len(closures) == (1 if free else 0)
+    # Only a CaseC_CM report solves its span closure; a CaseA or CaseB
+    # table is specialised from the generic one.
+    assert len(closures) == (1 if case == CASE_C_CM else 0)
     assert len(spans) == 0
     # Spans are solved over S by one back-substitution each: no
     # elimination runs inside a solve, and the report builds no fraction.
     assert len(solves) == len(rrefs_per_solve) == len(closures) + len(spans)
     assert rrefs_per_solve == [0] * len(rrefs_per_solve)
     assert fractions == []
-    if free:
+    if closures:
         columns, targets = solves.args[0]
         assert (len(columns), len(targets)) == (4, 10)
 
@@ -268,6 +282,40 @@ def test_certificate_runs_no_colon_test_and_no_product(monkeypatch, warm_up, nam
     cert = classifier.build_small_cm_certificate(pres)
     assert pres.case in NON_CM and cert.all_pass()
     assert len(colon_tests) == len(products) == 0
+
+
+@pytest.mark.parametrize("name", ["example_3_2", "case_b_synthetic"])
+def test_free_presentation_is_specialised_after_a_warm_up(monkeypatch, name):
+    # The warm-up report builds the generic presentation; the next report
+    # of the tag specialises it: no K-product, span solve or colon test
+    # (not even for CaseB's conductor P), and no f*g.
+    assemble_report(*golden_job(name))
+    products = Calls(monkeypatch, algebra, "k_mul")
+    solves = Calls(monkeypatch, linalg, "solve_in_S")
+    colon_tests = Calls(monkeypatch, algebra, "in_colon")
+    formed = []
+    monkeypatch.setattr(
+        algebra.AlgebraDesc, "fg", property(lambda alg: formed.append(alg) or alg.f * alg.g)
+    )
+    report = assemble_report(*golden_job(name))
+    assert report["case"] in (CASE_A_BOTH, CASE_B)
+    assert report["conductor"]["available"] == (report["case"] == CASE_B)
+    assert len(products) == len(solves) == len(colon_tests) == len(formed) == 0
+
+
+def test_generic_presentations_are_built_once_per_process(monkeypatch):
+    generic_presentation.cache_clear()
+    closures = Calls(monkeypatch, algebra, "span_closure_check")
+    jobs = [golden_job(name) for name in ("example_3_2", "case_b_synthetic")]
+    ring = jobs[0][0]
+    for f, g in (("U^2*V^2+4", "Y^2+2"), ("Y^2+2", "U^2*V^2+4")):  # CaseA_one, each side
+        jobs.append((ring, parse_poly(f, ring), parse_poly(g, ring), None))
+    cases = [assemble_report(*job)["case"] for job in jobs + jobs]
+    assert cases[:4] == [CASE_A_BOTH, CASE_B, CASE_A_ONE, CASE_A_ONE] == cases[4:]
+    # One span closure for each generic presentation, none per report.
+    assert len(closures) == generic_presentation.cache_info().misses == 4
+    # The second round reads all four; CaseB's conductor reads its own.
+    assert generic_presentation.cache_info().hits == 4 + 2
 
 
 def test_generic_check_runs_once_per_process(monkeypatch):

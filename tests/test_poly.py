@@ -15,6 +15,7 @@ from cmwitness.poly import (
     Poly,
     PolyParseError,
     UnknownVariableError,
+    compose,
     divide_exact,
     f2_divide_exact,
     format_poly,
@@ -268,6 +269,45 @@ def test_substitute_ints():
     assert r == parse_poly("X*Y", target)
 
 
+def test_compose_with_constant_images_is_substitute_ints():
+    rng = random.Random(1701)
+    target = BaseRing(("Y", "V"))
+    for _ in range(200):
+        p = rand_poly(rng, RING)
+        x, y, v = (rng.randrange(-3, 4) for _ in range(3))
+        partial = (target.const(x), target.var("Y"), target.var("V"))
+        assert compose(p, partial) == substitute_ints(p, {"X": x}, target)
+        constants = tuple(target.const(n) for n in (x, y, v))
+        assert compose(p, constants) == substitute_ints(p, {"X": x, "Y": y, "V": v}, target)
+
+
+def test_compose_is_a_ring_map():
+    # Seeded images, some zero; one shared memo per images tuple.
+    rng = random.Random(1702)
+    target = BaseRing(("S", "T"))
+    s, t = target.gens()
+    for _ in range(200):
+        images = [rand_poly(rng, target, max_terms=3, max_deg=2) for _ in range(3)]
+        images[rng.randrange(3)] = target.zero()
+        p, q = rand_poly(rng, RING), rand_poly(rng, RING)
+        memo = {}
+        cp, cq = compose(p, images, memo), compose(q, images, memo)
+        assert compose(p * q, images, memo) == cp * cq
+        assert compose(p + q, images) == cp + cq
+        assert all(is_canonical(x) for x in (cp, cq))
+    # X -> S, Y -> -S: the images of X*V and Y*V cancel.
+    assert compose(X * V + Y * V, (s, -s, t)).is_zero()
+    assert compose(X * X - Y * Y + V, (s + t, s - t, t)) == (s * t).scale(4) + t
+
+
+def test_compose_needs_one_image_per_variable_of_one_ring():
+    other = BaseRing(("S",))
+    with pytest.raises(ValueError):
+        compose(X, (Y, V))
+    with pytest.raises(ValueError):
+        compose(X, (Y, V, other.var("S")))
+
+
 def test_parse_basic():
     assert parse_poly("X^2*Y - 3*Y + 7", RING) == X * X * Y - Y.scale(3) + RING.const(7)
     assert parse_poly("-X^2+4", RING) == -(X * X) + RING.const(4)
@@ -404,6 +444,7 @@ def test_kernels_build_canonical_polynomials(monkeypatch):
             substitute_ints(a, {"X": rng.randrange(-2, 3)}, target),
             # X := 1 turns X*Y - Y into zero.
             substitute_ints(a + X * Y - Y, {"X": 1}, target),
+            compose(a + X * Y - Y, (target.one(), target.var("Y"), target.var("V"))),
         ]
         if not (a.is_zero() or b.is_zero()):
             outputs += [gcd_z(a * c, b * c), gcd_q((a * c).scale(n), b * c)]

@@ -23,6 +23,7 @@ SEED = 37
 REPORTS_PER_TAG = 50
 FREE_REPORTS_PER_TAG = 20
 NON_CM_CHECKS = {
+    "case",
     "witness_f",
     "witness_g",
     "quadratics",
@@ -50,9 +51,10 @@ def test_golden_reports_recheck(name):
         assert set(verdicts) == NON_CM_CHECKS
     elif witnesses["h1"] is not None and witnesses["h2"] is not None:
         refined = {"witness_f4": "a_prime", "witness_g4": "b_prime"}
-        assert set(verdicts) == {"witness_f", "witness_g", "quadratics", "mult_table"} | {
+        assert set(verdicts) == {"case", "witness_f", "witness_g", "quadratics", "mult_table"} | {
             check for check, key in refined.items() if witnesses[key] is not None
         }
+    assert verdicts["case"] is True
     assert all(verdicts.values()), verdicts
 
 
@@ -79,7 +81,7 @@ def test_generated_free_reports_recheck():
         for job in itertools.islice(jobs, FREE_REPORTS_PER_TAG):
             text = render_json(assemble_report(*parse_job(job)))
             verdicts = check_report(text)
-            assert {"quadratics", "mult_table"} <= set(verdicts), job
+            assert {"case", "quadratics", "mult_table"} <= set(verdicts), job
             assert all(verdicts.values()), job
             checked += 1
         assert checked == FREE_REPORTS_PER_TAG
@@ -179,3 +181,17 @@ def test_one_changed_presentation_coefficient_fails_its_check(check, path):
     data = json.loads(golden_text("case_b_synthetic"))
     verdicts = check_report(perturbed(data, path))
     assert verdicts[check] is False
+
+
+@pytest.mark.parametrize(
+    "name,path",
+    [
+        ("case_b_synthetic", ("witnesses", "a")),  # a odd -> even: CaseA_one
+        ("example_3_2", ("witnesses", "b")),  # b even -> odd: CaseA_one
+        ("case_c_cm_synthetic", ("q_shape", "c")),  # c = 1 -> 2: h1 != z*c mod 2
+        ("example_4_7_family1", ("q_shape", "z")),  # z = V -> V + 1
+    ],
+)
+def test_one_changed_coefficient_fails_the_case_check(name, path):
+    verdicts = check_report(perturbed(json.loads(golden_text(name)), path))
+    assert verdicts["case"] is False
