@@ -64,7 +64,7 @@ from .errors import (
     WitnessMismatchError,
 )
 from .linalg import PolyFraction, solve_in_S
-from .poly import BaseRing, Poly, _check_same_ring, _overflow, poly_dot, reduce_mod_2k
+from .poly import BaseRing, Poly, _check_same_ring, _overflow, reduce_mod_2k
 from .predicates import (
     QShape,
     S2w4Witness,
@@ -96,14 +96,12 @@ class AlgebraDesc:
     product f*g that the tables read), w4f, w4g (the S^{2,4} witnesses
     of f, g, or None), q_shape (the shape of Q = (2, h1, h2)),
     dual_product ((w + h1)(u + h2), which ideal_H and prime_dual_gen
-    share, built by root_product from its coordinates), local_factors
-    ((k1, k2) with (w - h1)^2 = 2*k1, (u - h2)^2 = 2*k2) and
-    witnesses_exact (f = h1^2 + 2a and
-    g = h2^2 + 2b, which the certificate's generic claims need).
-    constants(k) keeps the structure constants, exact and mod 2^k per
-    k, in the form the tables read.  zero(), one(),
-    root_f(), root_g() and root_fg() return the same element on every
-    call, so each builds its tables (k_mul) at most once per algebra.
+    share, built by root_product from its coordinates) and local_factors
+    ((k1, k2) with (w - h1)^2 = 2*k1, (u - h2)^2 = 2*k2).  constants(k)
+    keeps the structure constants, exact and mod 2^k per k, in the form
+    the tables read.  zero(), one(), root_f(), root_g() and root_fg()
+    return the same element on every call, so each builds its tables
+    (k_mul) at most once per algebra.
     """
 
     ring: BaseRing
@@ -212,21 +210,6 @@ class AlgebraDesc:
                 tuple((e << 2, c) for e, c in p._terms.items()) for p in polys
             )
         return self._constants[k]
-
-    @cached_property
-    def witnesses_exact(self) -> bool:
-        """Whether f = h1^2 + 2a and g = h2^2 + 2b hold exactly.
-
-        decompose_S2 makes them true by construction; the certificate
-        and the CaseB presentation check them once per job, because
-        their claims are decided on generic algebras and carry over
-        through them (classifier.generic_claims, generic_presentation).
-        """
-        two = self.ring.const(2)
-        return all(
-            poly_dot(self.ring, ((h, h), (half_p, two))) == p
-            for p, h, half_p in ((self.f, self.h1(), self.a()), (self.g, self.h2(), self.b()))
-        )
 
     @cached_property
     def q_shape(self) -> QShape:

@@ -22,9 +22,10 @@ All claimed identities are verified with exact arithmetic; any failure
 raises InternalVerificationError rather than producing an unverified
 report.  The certificate's checks and the CaseA and CaseB presentations,
 identities or power-of-2 divisibilities in the witnesses, are decided
-once per process on generic algebras (generic_claims,
-generic_presentation); each job checks the witness identities that
-carry them over, and every other claim is verified on the job.
+once per process on one generic algebra per tag (_generic_algebra, read
+by generic_presentation and generic_claims); each job checks the
+witness identities that carry them over (_witness_images), and every
+other claim is verified on the job.
 """
 
 from __future__ import annotations
@@ -307,37 +308,51 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
     cofactor makes redundant.  CaseC otherwise: five module generators
     {1, w, u, tau, rho} with the single relation
     (e*h1 + c*h2) - e*w - c*u + 2*rho = 0, so R = S^2 (+) Syz^2(S/Q).
-    CaseA and CaseB specialise generic_presentation by compose once the
-    job's witnesses pass f = h1^2 + 2a, g = h2^2 + 2b (CaseB) or h^2 + 4a'
-    on each side in S^{2,4} (CaseA).  CaseC: _verified_presentation.
+    WrongCase unless case is classify(alg), in scope.  CaseA and CaseB
+    specialise generic_presentation by compose at the job's witnesses,
+    checked by _witness_images.  A CaseA_one job whose square mod 4 is g
+    reads the presentation built with it on f: A(G, H^2 + 4A4) is
+    isomorphic to A(H^2 + 4A4, G) by w <-> u, which maps the generic
+    generators, in order, onto the job's, so the coordinates of w and u
+    swap.  CaseC: _verified_presentation.
     """
-    if case == OUTSIDE_SCOPE:
-        raise WrongCaseError("no closure presentation outside the covered scope")
-    if case not in CASE_TAGS:
-        raise WrongCaseError("unknown case tag %r" % (case,))
+    if case == OUTSIDE_SCOPE or case != classify(alg):
+        raise WrongCaseError("no closure presentation for %s on this algebra" % (case,))
     if case not in (CASE_A_BOTH, CASE_A_ONE, CASE_B):
         return _verified_presentation(alg, case)[0]
-    if case == CASE_B:
-        if not alg.witnesses_exact:
-            raise InternalVerificationError("witnesses f = h1^2 + 2a, g = h2^2 + 2b fail")
-        side, images = "f", (alg.h1(), alg.a(), alg.h2(), alg.b())
-    else:
-        sides = [(w4, p) for w4, p in ((alg.w4f, alg.f), (alg.w4g, alg.g)) if w4 is not None]
-        if len(sides) != (2 if case == CASE_A_BOTH else 1):
-            raise WrongCaseError("%s does not match the squares mod 4 of f, g" % case)
-        if any(poly_dot(alg.ring, ((w4.h, w4.h),)) + w4.a_prime.scale(4) != p for w4, p in sides):
-            raise InternalVerificationError("witness identity h^2 + 4a' fails")
-        side, other = ("f", alg.g) if alg.w4f is not None else ("g", alg.f)
-        images = tuple(x for w4, _ in sides for x in (w4.h, w4.a_prime))
-        images += (other,) if case == CASE_A_ONE else ()
-    gen, memo = generic_presentation(case, side), {}
+    images, memo = _witness_images(alg, case), {}
+    order = (0, 2, 1, 3) if case == CASE_A_ONE and alg.w4f is None else (0, 1, 2, 3)
+    gen = generic_presentation(case)
 
     def image(x: KElement) -> KElement:
-        return alg.element([compose(p, images, memo) for p in x.coords], x.denom_exp)
+        coords = [compose(p, images, memo) for p in x.coords]
+        return alg.element([coords[i] for i in order], x.denom_exp)
 
     table = {key: [compose(t, images, memo) for t in sol] for key, sol in gen.mult_table.items()}
     quadratics = [(i, image(c1), image(c0)) for i, c1, c0 in gen.quadratics]
     return RingPresentation(case, True, [image(x) for x in gen.generators], table, quadratics)
+
+
+def _witness_images(alg: AlgebraDesc, case: CaseTag) -> Tuple[Poly, ...]:
+    """The job's values of the variables of _generic_algebra(case), once
+    the identities that make them a ring map A_gen -> A hold exactly:
+    p = h^2 + 4a' for each side p in S^{2,4} (CaseA), f = h1^2 + 2a and
+    g = h2^2 + 2b otherwise.  InternalVerification when one fails.  The
+    values are (h, a') for each side in S^{2,4}, then in CaseA_one the
+    polynomial of the other side, and (h1, a, h2, b) in CaseB and the
+    non-CM tags."""
+    if case in (CASE_A_BOTH, CASE_A_ONE):
+        pairs = ((alg.f, alg.w4f), (alg.g, alg.w4g))
+        sides = [(p, w4.h, w4.a_prime) for p, w4 in pairs if w4 is not None]
+        scale, identity = 4, "h^2 + 4a'"
+        other = (alg.g if alg.w4f is not None else alg.f,) if case == CASE_A_ONE else ()
+    else:
+        sides = [(alg.f, alg.h1(), alg.a()), (alg.g, alg.h2(), alg.b())]
+        scale, identity, other = 2, "f = h1^2 + 2a or g = h2^2 + 2b", ()
+    c = alg.ring.const(scale)
+    if any(poly_dot(alg.ring, ((h, h), (rest, c))) != p for p, h, rest in sides):
+        raise InternalVerificationError("witness identity %s fails" % identity)
+    return tuple(x for _, h, rest in sides for x in (h, rest)) + other
 
 
 def _verified_presentation(alg: AlgebraDesc, case: CaseTag) -> Tuple[RingPresentation, dict]:
@@ -370,10 +385,6 @@ def _verified_presentation(alg: AlgebraDesc, case: CaseTag) -> Tuple[RingPresent
         quadratics = _root_quadratics(alg, [alg.f, alg.g])
     else:
         shape = alg.q_shape
-        if case != _case_c_tag(shape):
-            raise WrongCaseError(
-                "case tag %s does not match the shape %s of Q" % (case, shape.tag)
-            )
         tau, rho = product_closure_gen(alg), mixed_syzygy_gen(alg, shape.c, shape.e)
         if case != CASE_C_CM:
             gens = [one, alg.root_f(), alg.root_g(), tau, rho]
@@ -398,26 +409,34 @@ def _verified_presentation(alg: AlgebraDesc, case: CaseTag) -> Tuple[RingPresent
 
 
 @cache
-def generic_presentation(case: CaseTag, side: str) -> RingPresentation:
-    """R in CaseA and CaseB, built by _verified_presentation once per process
-    on an algebra given by its witnesses, not by decompose_S2:
-    f = H1^2 + 4A4, g = H2^2 + 4B4 (CaseA_both); f = H^2 + 4A4, g = G,
-    swapped for side "g" (CaseA_one); f = H1^2 + 2A, g = H2^2 + 2B (CaseB,
-    as generic_claims).  Each table entry must be a polynomial that
-    recombines to its product, and in CaseB P must conduct R (in_colon).
-    Specialisation: the job's witnesses, checked exactly (build_R), give
-    the ring map H1 -> h1, A4 -> a', ..., G -> the other side, sending
-    the generic f, g to the job's; with w -> w, u -> u it maps A_gen to A
-    on the coordinates over (1, w, u, wu), and each generic generator to
-    the job's with its denominator exponent (one coordinate is +-1), so
-    the table identities, the quadratics and the 2^k-divisibilities
-    behind "P conducts R" carry over."""
+def _generic_algebra(case: CaseTag) -> AlgebraDesc:
+    """A_gen of a tag whose closure and certificate need only the
+    witnesses, built from given witnesses, not by make_algebra (no
+    hypothesis gcd, no decompose_S2): f = H1^2 + 4A4, g = H2^2 + 4B4
+    over Z[H1, A4, H2, B4] (CaseA_both); f = H^2 + 4A4, g = G over
+    Z[H, A4, G] (CaseA_one); f = H1^2 + 2A, g = H2^2 + 2B over
+    Z[H1, A, H2, B] (CaseB, and the certificate's generic_claims)."""
     names = {CASE_A_BOTH: "H1 A4 H2 B4", CASE_A_ONE: "H A4 G", CASE_B: "H1 A H2 B"}[case]
     x, k = BaseRing(tuple(names.split())).gens(), 1 if case == CASE_B else 2
     wits = [S2Witness(x[0], x[1].scale(k)), S2Witness(x[2], x[3].scale(k)) if x[3:] else None]
-    wits = wits[::-1] if side == "g" else wits
     f, g = (w.h * w.h + w.a.scale(2) if w else x[2] for w in wits)
-    alg = AlgebraDesc(x[0].ring, f, g, *wits)
+    return AlgebraDesc(x[0].ring, f, g, *wits)
+
+
+@cache
+def generic_presentation(case: CaseTag) -> RingPresentation:
+    """R in CaseA and CaseB, built by _verified_presentation once per process
+    on _generic_algebra(case).  Each table entry must be a polynomial that
+    recombines to its product, and in CaseB P must conduct R (in_colon).
+    Specialisation: the job's witnesses, checked exactly (_witness_images),
+    give the ring map H1 -> h1, A4 -> a', ..., G -> the other side,
+    sending the generic f, g to the job's; with w -> w, u -> u (swapped
+    for a CaseA_one job whose square mod 4 is g, see build_R) it maps
+    A_gen to A on the coordinates over (1, w, u, wu), and each generic
+    generator to the job's with its denominator exponent (one coordinate
+    is +-1), so the table identities, the quadratics and the
+    2^k-divisibilities behind "P conducts R" carry over."""
+    alg = _generic_algebra(case)
     pres, products = _verified_presentation(alg, case)
     for key, sol in pres.mult_table.items():
         if not all(isinstance(t, Poly) for t in sol) or products[key] != sum(
@@ -514,7 +533,7 @@ def conductor(pres: RingPresentation) -> ConductorReport:
         out.ideal_J = ideal_J(alg)
         out.R_in_J_star = all(in_colon(x, out.ideal_J) for x in pres.generators)
     if case == CASE_B:
-        generic_presentation(CASE_B, "f")  # raises unless P conducts the generic R
+        generic_presentation(CASE_B)  # raises unless P conducts the generic R
         out.ideal = ideal_P(alg)
     elif case == CASE_C_NONCM_GRADE3:
         out.ideal = pres.ideal_I
@@ -526,12 +545,10 @@ def conductor(pres: RingPresentation) -> ConductorReport:
 
 
 class GenericClaims(NamedTuple):
-    """The certificate's claims, all identities or power-of-2
-    divisibilities in (h1, a, h2, b), decided once on the generic
-    algebra (generic_claims).  Every field but resolution_of_I is a
-    key of the certificate's checks."""
+    """The four keys of the certificate's checks, all identities or
+    power-of-2 divisibilities in (h1, a, h2, b), decided once on the
+    generic algebra (generic_claims)."""
 
-    resolution_of_I: bool
     P_free: bool
     eta_conducts: bool
     H_equals_I: bool
@@ -543,12 +560,12 @@ def generic_claims() -> GenericClaims:
     """Decide the claims of the certificate once per process.
 
     They are decided on the generic algebra A_gen = Z[H1, A, H2, B][w, u]
-    / (w^2 - H1^2 - 2A, u^2 - H2^2 - 2B), built by make_algebra on
-    f = H1^2 + 2A and g = H2^2 + 2B, whose witnesses are (H1, A) and
-    (H2, B); the first call builds it, and no job's data enters.
+    / (w^2 - H1^2 - 2A, u^2 - H2^2 - 2B), _generic_algebra(CASE_B), the
+    algebra generic_presentation(CASE_B) reads too; no job's data enters.
+    First the three generating identities of homology.resolution_of_I
+    (generating_identities), summed exactly: InternalVerification when
+    one fails, as the other generic builds raise.  Then the keys:
 
-    * resolution_of_I: the three generating identities of
-      homology.resolution_of_I (generating_identities), summed exactly.
     * P_free: the basis {2, w - H1, u - H2, wu - H1H2} lies in P (its
       residues mod P vanish), its coordinate determinant is +-2, and
       w*b and u*b lie in its S-span with polynomial coefficients (one
@@ -566,7 +583,7 @@ def generic_claims() -> GenericClaims:
 
     Why a job may read them (the specialisation argument): a job with
     witnesses f = h1^2 + 2a and g = h2^2 + 2b, checked exactly on the
-    job (AlgebraDesc.witnesses_exact), gets the ring map
+    job (_witness_images), gets the ring map
     Z[H1, A, H2, B] -> Z[x], H1 -> h1, A -> a, H2 -> h2, B -> b.
     Extended by w -> w, u -> u it sends w^2 - H1^2 - 2A to w^2 - f and
     u^2 - H2^2 - 2B to u^2 - g, so it induces a ring map A_gen -> A
@@ -583,9 +600,11 @@ def generic_claims() -> GenericClaims:
     those divides it too.  The parity of a*h2^2 + b*h1^2 and the
     degenerate witnesses are no such identities; they stay per job.
     """
-    ring = BaseRing(("H1", "A", "H2", "B"))
-    h1, a, h2, b = ring.gens()
-    alg = make_algebra(ring, h1 * h1 + a.scale(2), h2 * h2 + b.scale(2))
+    alg = _generic_algebra(CASE_B)
+    ring = alg.ring
+    h1, h2 = alg.h1(), alg.h2()
+    if not all(lhs == sum(rhs[1:], rhs[0]) for lhs, rhs in generating_identities(alg)):
+        raise InternalVerificationError("generating identity for the resolution of I failed")
     p, i_ideal, h_ideal = ideal_P(alg), ideal_I(alg), ideal_H(alg)
     eta = prime_dual_gen(alg)
 
@@ -609,9 +628,6 @@ def generic_claims() -> GenericClaims:
         + alg.scalar((h1 * h2).scale(2))
     )
     return GenericClaims(
-        resolution_of_I=all(
-            lhs == sum(rhs[1:], rhs[0]) for lhs, rhs in generating_identities(alg)
-        ),
         P_free=in_p and det_ok and spans,
         eta_conducts=in_colon(eta, p),
         H_equals_I=h_ideal.gens[1] == expansion,
@@ -660,8 +676,8 @@ class CmModuleCertificate:
     that are identities or power-of-2 divisibilities in (h1, a, h2, b):
     they are read from generic_claims, decided once on the generic
     algebra, and carry over to the job because its witnesses satisfy
-    f = h1^2 + 2a and g = h2^2 + 2b exactly (checked per job; see
-    generic_claims).  ``resolution_I`` is the verified resolution of I;
+    f = h1^2 + 2a and g = h2^2 + 2b exactly (checked per job by
+    _witness_images; see generic_claims).  ``resolution_I`` is the verified resolution of I;
     building the certificate raises when it is not exact or d_2 does not
     saturate ker(d_1).
     """
@@ -681,8 +697,9 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
 
     Only meaningful for the R of the two non-CM cases; WrongCase
     otherwise.  The checks come from generic_claims once the job's
-    witness identities hold (InternalVerification otherwise, and when a
-    generating identity of the resolution of I fails).  What depends on
+    witness identities hold (_witness_images; InternalVerification
+    otherwise, and from generic_claims when a generating identity of the
+    resolution of I fails).  What depends on
     the job runs here, once: the parity and both-h-even checks of
     resolution_of_I, its witnesses from the closed forms of
     generic_complexes, and the P, I and H the report prints.
@@ -693,20 +710,11 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
             "the small CM module certificate applies to the non-CM cases only"
         )
     alg = pres.generators[0].algebra
-    if not alg.witnesses_exact:
-        raise InternalVerificationError(
-            "witness identity f = h1^2 + 2a or g = h2^2 + 2b fails"
-        )
-    claims = generic_claims()
-    if not claims.resolution_of_I:
-        raise InternalVerificationError(
-            "generating identity for the resolution of I failed"
-        )
+    _witness_images(alg, case)
+    checks = generic_claims()._asdict()
     # I's resolution is exact (pd I <= 1), its d_2 saturates ker(d_1): generic_complexes
     h1h2 = (alg.h1(), alg.h2())
     res_i = verify_specialised(resolution_of_I(alg), generic_complexes()[1], h1h2)
-    checks = claims._asdict()
-    del checks["resolution_of_I"]
     return CmModuleCertificate(
         ideal_P=ideal_P(alg),
         ideal_I=pres.ideal_I,

@@ -146,8 +146,9 @@ def generating_identities(
 
     They are identities in (h1, a, h2, b) once f = h1^2 + 2a and
     g = h2^2 + 2b; the last reads fg = h1^2*h2^2 + 2(a*h2^2 + b*h1^2)
-    + 4ab.  classifier.generic_claims checks them once, on the generic
-    algebra, where a*h2^2 + b*h1^2 is odd, so the constant is kept as
+    + 4ab.  classifier.generic_claims sums them once, on the generic
+    algebra, and raises InternalVerification when one fails; there
+    a*h2^2 + b*h1^2 is odd, so the constant is kept as
     2(a*h2^2 + b*h1^2) + 4ab rather than as 4e.
     """
     ring = alg.ring
@@ -180,14 +181,14 @@ def resolution_of_I(alg: AlgebraDesc) -> FreeComplex:
     h2*w - h1*u) A intersected with the displayed generators' span; the
     three generating identities (generating_identities) show the image
     is closed under multiplication by w, u and wu, i.e. really is I.
-    classifier.generic_claims proves those identities once per process,
-    so this builder forms no K-element product, and the matrices come
-    from resolution_of_I_complex.  What is not an identity stays here:
-    raises WitnessMismatch when the algebra's witnesses are degenerate
-    (both h's even) or the excess term a*h2^2 + b*h1^2 is odd, in which
-    case no polynomial e with (wu)(wu - h1*h2) = -h1*h2(wu - h1*h2) + 4e
-    exists.  The parity is the one classify reads,
-    predicates.product_in_S2wedge4.
+    classifier.generic_claims sums those identities once per process and
+    raises when one fails, so this builder forms no K-element product,
+    and the matrices come from resolution_of_I_complex.  What is not an
+    identity stays here: raises WitnessMismatch when the algebra's
+    witnesses are degenerate (both h's even) or the excess term
+    a*h2^2 + b*h1^2 is odd, in which case no polynomial e with
+    (wu)(wu - h1*h2) = -h1*h2(wu - h1*h2) + 4e exists.  The parity is
+    the one classify reads, predicates.product_in_S2wedge4.
     """
     h1, h2 = alg.h1(), alg.h2()
     if is_even(h1) and is_even(h2):

@@ -25,6 +25,11 @@ that basis and a power-of-2 denominator.  The checks:
 * ``mult_table``: each entry (i, j) of a free R's table, the sum over k
   of t_k*g_k equals g_i*g_j, with the powers of 2 and the denominators
   of the fraction entries (printed "(n)/(d)") cleared.
+* ``relation``: the single relation (r_1, ..., r_5) of a non-free R is
+  (e*h1 + c*h2, -e, -c, 0, 2) for the printed q_shape and witnesses, and
+  the sum of r_i*x_i over the printed module generators x_i is zero over
+  (1, w, u, wu), every term brought to the largest power-of-2
+  denominator.
 * ``P_free``: on the certificate's P and I, the basis
   B = {P's three generators, I's second generator} lies in A, its last
   element lies in P (its image n0 + n1*h1 + n2*h2 + n3*h1*h2 in
@@ -56,8 +61,8 @@ that basis and a power-of-2 denominator.  The checks:
 check_report returns {check name: verdict} for the checks that apply
 to the report: ``case`` for every report, the witness checks for
 every report that prints witnesses, ``quadratics`` for every report
-with a ring presentation, ``mult_table`` when R is free, the rest for
-the non-CM reports.
+with a ring presentation, ``mult_table`` when R is free, ``relation``
+when it is not, and the rest for the non-CM reports.
 """
 
 import json
@@ -262,6 +267,20 @@ def check_mult_table(rep, pres, f, g):
     return True
 
 
+def check_relation(rep, presentation):
+    wit, shape = rep.data["witnesses"], rep.data["q_shape"]
+    h1, h2, c, e = (rep.poly(text) for text in (wit["h1"], wit["h2"], shape["c"], shape["e"]))
+    relation = [rep.poly(text) for text in presentation["relation"]]
+    if relation != [e * h1 + c * h2, -e, -c, rep.ring.zero, 2 * rep.ring.one]:
+        return False
+    gens = [rep.element(x) for x in presentation["module_generators"]]
+    top = max(k for _, k in gens)
+    total = [rep.ring.zero] * 4
+    for r, (coords, k) in zip(relation, gens):
+        total = [t + r * x for t, x in zip(total, scaled(coords, k, top))]
+    return len(gens) == len(relation) and not any(total)
+
+
 def check_eta(rep, f, g, h1, h2):
     """(eta_conducts, M_contains_eta) on the certificate's P and I."""
     ideals = rep.data["certificate"]["ideals"]
@@ -390,6 +409,8 @@ def check_report(text):
         out["quadratics"] = check_quadratics(rep, pres, f, g)
         if "mult_table" in pres:
             out["mult_table"] = check_mult_table(rep, pres, f, g)
+        else:
+            out["relation"] = check_relation(rep, pres["presentation"])
     if rep.data.get("certificate") is None:
         return out
     h1, h2 = rep.poly(wit["h1"]), rep.poly(wit["h2"])

@@ -269,9 +269,10 @@ def test_build_R_rejects_a_wrong_local_factor(ring, ftext, gtext, case, generato
 def test_build_R_rejects_a_wrong_witness_in_case_b():
     # case_b_synthetic: tau^2 = k1*k2 and the table are decided on the
     # generic algebra and read no per-job local_factors; what carries
-    # them over is f = h1^2 + 2a, which a bumped a breaks.
+    # them over is f = h1^2 + 2a, which a moved by 2 breaks (a + 1 would
+    # make a even, and the tag CaseA_one).
     alg = alg_of(RING2, "X^2+2", "Y^2+2")
-    bumped = dataclasses.replace(alg, wf=S2Witness(alg.wf.h, alg.wf.a + 1))
+    bumped = dataclasses.replace(alg, wf=S2Witness(alg.wf.h, alg.wf.a + 2))
     with pytest.raises(InternalVerificationError, match="h1\\^2 \\+ 2a"):
         build_R(bumped, CASE_B)
 
@@ -319,18 +320,39 @@ def test_a_wrong_sign_in_a_generic_table_entry_exits_3(monkeypatch, capsys):
 
 
 def test_build_R_wrong_case_raises():
-    # Q here has shape Grade3CI, so asking for the grade-2 branch is a
-    # detectable mismatch; the out-of-scope tag is refused outright.
+    # build_R refuses any tag but classify's.  X^2+2, Y^2+2 is CaseB
+    # (its Q has shape Grade3CI); the out-of-scope tag is refused even
+    # on an out-of-scope pair.
     alg = alg_of(RING2, "X^2+2", "Y^2+2")
     with pytest.raises(WrongCaseError):
         build_R(alg, CASE_C_NONCM_GRADE2)
     alg_out = alg_of(RING_XYV, "X*V^2+4", "X*Y^2+4")
     with pytest.raises(WrongCaseError):
         build_R(alg_out, OUTSIDE_SCOPE)
-    # A mismatched tag whose Q-shape happens to agree is only caught
-    # by the closure verification, surfacing as an internal failure.
-    with pytest.raises(InternalVerificationError):
+    # The pair is CaseB; a CaseC tag whose Q-shape happens to agree is
+    # refused by the same tag check.
+    with pytest.raises(WrongCaseError):
         build_R(alg, CASE_C_NONCM_GRADE3)
+
+
+@pytest.mark.parametrize(
+    "ring,ftext,gtext",
+    [
+        (RINGU, "U^2*V^2+4", "U^2*Y^2+4"),  # CaseA_both
+        (RING2, "X^2+4", "Y^2+2"),  # CaseA_one
+        (RING2, "X^2+2", "X^2*Y^2+2*Y^2+4"),  # CaseC_CM
+        (RING2, "-X^2+4", "-Y^2+4"),  # CaseC_NonCM_grade3
+        (RING3, "V^2*X^2-2*X^2+4", "V^2*Y^2-2*Y^2+4"),  # CaseC_NonCM_grade2
+    ],
+)
+def test_build_R_case_b_rejects_every_other_tag(ring, ftext, gtext):
+    # Every in-scope pair passes f = h1^2 + 2a and g = h2^2 + 2b, so the
+    # witness check alone would specialise the CaseB presentation onto
+    # it; the tag check refuses.
+    alg = alg_of(ring, ftext, gtext)
+    assert classify(alg) != CASE_B
+    with pytest.raises(WrongCaseError):
+        build_R(alg, CASE_B)
 
 
 def test_presentation_complex():
@@ -482,7 +504,7 @@ SUMMANDS = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
 @pytest.mark.parametrize("identity,summand", SUMMANDS)
 def test_a_wrong_sign_fails_the_generic_check(monkeypatch, identity, summand):
     # The generic algebra satisfies no identity by accident: the sign of
-    # any one summand flipped makes the generic check fail, and the
+    # any one summand flipped makes the generic check raise, and the
     # certificate then refuses to rely on the resolution of I.
     original = classifier.generating_identities
 
@@ -497,7 +519,8 @@ def test_a_wrong_sign_fails_the_generic_check(monkeypatch, identity, summand):
     generic_claims.cache_clear()
     monkeypatch.setattr(classifier, "generating_identities", wrong_sign)
     try:
-        assert generic_claims().resolution_of_I is False
+        with pytest.raises(InternalVerificationError, match="generating identity"):
+            generic_claims()
         with pytest.raises(InternalVerificationError, match="generating identity"):
             build_small_cm_certificate(pres)
     finally:
@@ -510,8 +533,6 @@ def test_certificate_checks_the_job_witnesses():
     # refused before any claim is read.
     alg = alg_of(RING3, "V^2*X^2-2*X^2+4", "V^2*Y^2-2*Y^2+4")
     pres = build_R(alg, CASE_C_NONCM_GRADE2)
-    assert alg.witnesses_exact
-    del alg.__dict__["witnesses_exact"]
     object.__setattr__(alg, "wf", S2Witness(alg.wf.h, alg.wf.a + alg.ring.const(2)))
     with pytest.raises(InternalVerificationError, match="witness identity"):
         build_small_cm_certificate(pres)

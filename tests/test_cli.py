@@ -141,9 +141,13 @@ def test_regress_detects_corruption(tmp_path, monkeypatch, capsys):
     "target, name, replacement, failed",
     [
         (
+            # Only the out-of-scope pair is misread: build_R checks each
+            # golden tag against classify.
             classifier,
             "classify",
-            lambda alg: CASE_B,
+            lambda alg, classify=classifier.classify: (
+                CASE_B if alg.wf is None or alg.wg is None else classify(alg)
+            ),
             "example_2_10_identity_model: classify gives %s, not %s"
             % (CASE_B, OUTSIDE_SCOPE),
         ),

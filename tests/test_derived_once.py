@@ -46,10 +46,8 @@ K_PRODUCTS = {
     "case_b_synthetic": 0,
     "case_c_cm_synthetic": 7,
 }
-# The keys of the generic presentations (classifier.generic_presentation).
-GENERIC_PRESENTATIONS = (
-    (CASE_A_BOTH, "f"), (CASE_A_ONE, "f"), (CASE_A_ONE, "g"), (CASE_B, "f"),
-)
+# The tags of the generic presentations (classifier.generic_presentation).
+GENERIC_PRESENTATIONS = (CASE_A_BOTH, CASE_A_ONE, CASE_B)
 
 
 class Calls:
@@ -91,8 +89,8 @@ def test_each_fact_once_per_report(monkeypatch, name):
     # rings; count the report's own work only.
     generic_claims()
     generic_complexes()
-    for key in GENERIC_PRESENTATIONS:
-        generic_presentation(*key)
+    for case in GENERIC_PRESENTATIONS:
+        generic_presentation(case)
 
     lift_checks = Calls(monkeypatch, predicates, "in_S2wedge4")
     decompositions = Calls(monkeypatch, predicates, "decompose_S2")
@@ -303,19 +301,38 @@ def test_free_presentation_is_specialised_after_a_warm_up(monkeypatch, name):
     assert len(products) == len(solves) == len(colon_tests) == len(formed) == 0
 
 
-def test_generic_presentations_are_built_once_per_process(monkeypatch):
-    generic_presentation.cache_clear()
+def test_one_generic_algebra_per_tag(monkeypatch):
+    # One report per golden job and one CaseA_one job with its square
+    # mod 4 on each side (no golden job is CaseA_one), all twice.  The
+    # three generic algebras are built once each, and the certificate's
+    # generic claims read CaseB's: a job whose square mod 4 is g reads
+    # the CaseA_one presentation built with it on f.
+    for cached in (classifier._generic_algebra, generic_presentation, generic_claims):
+        cached.cache_clear()
     closures = Calls(monkeypatch, algebra, "span_closure_check")
-    jobs = [golden_job(name) for name in ("example_3_2", "case_b_synthetic")]
-    ring = jobs[0][0]
-    for f, g in (("U^2*V^2+4", "Y^2+2"), ("Y^2+2", "U^2*V^2+4")):  # CaseA_one, each side
+    algebras = Calls(monkeypatch, algebra, "make_algebra")
+    jobs = [golden_job(name) for name in GOLDEN_NAMES]
+    ring = golden_job("example_3_2")[0]
+    for f, g in (("U^2*V^2+4", "Y^2+2"), ("Y^2+2", "U^2*V^2+4")):
         jobs.append((ring, parse_poly(f, ring), parse_poly(g, ring), None))
     cases = [assemble_report(*job)["case"] for job in jobs + jobs]
-    assert cases[:4] == [CASE_A_BOTH, CASE_B, CASE_A_ONE, CASE_A_ONE] == cases[4:]
-    # One span closure for each generic presentation, none per report.
-    assert len(closures) == generic_presentation.cache_info().misses == 4
-    # The second round reads all four; CaseB's conductor reads its own.
-    assert generic_presentation.cache_info().hits == 4 + 2
+    assert cases[: len(jobs)] == cases[len(jobs):]
+    assert cases[-2:] == [CASE_A_ONE, CASE_A_ONE]
+    assert set(cases) >= {CASE_A_BOTH, CASE_B, *NON_CM}
+    # One span closure for each generic presentation; only CaseC_CM
+    # reports solve their own.
+    assert len(closures) == 3 + cases.count(CASE_C_CM)
+    assert classifier._generic_algebra.cache_info().misses == 3
+    assert generic_presentation.cache_info().misses == 3
+    # make_algebra runs once per report, never for a generic algebra.
+    assert len(algebras) == len(cases)
+
+    generic_claims.cache_clear()
+    identities = Calls(monkeypatch, classifier, "generating_identities")
+    generic_claims()
+    [(alg,)] = identities.args
+    assert alg is generic_presentation(CASE_B).generators[0].algebra
+    assert classifier._generic_algebra.cache_info().misses == 3
 
 
 def test_generic_check_runs_once_per_process(monkeypatch):
@@ -325,10 +342,11 @@ def test_generic_check_runs_once_per_process(monkeypatch):
     spans = Calls(monkeypatch, algebra, "express_in_span")
     for _ in range(2):
         assemble_report(*golden_job("example_4_7_family1"))
-    # One generic algebra, one span solve and one identity check in all;
-    # each report builds its own algebra.
+    # One span solve and one identity check in all, on the generic
+    # algebra, which make_algebra does not build; each report builds
+    # its own algebra.
     assert len(identities) == len(spans) == 1
-    assert len(algebras) == 3
+    assert len(algebras) == 2
     assert generic_claims.cache_info().misses == 1
 
 

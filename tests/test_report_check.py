@@ -10,6 +10,7 @@ coefficient changed.
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ NON_CM_CHECKS = {
     "witness_f",
     "witness_g",
     "quadratics",
+    "relation",
     "P_free",
     "eta_conducts",
     "H_equals_I",
@@ -74,7 +76,10 @@ def test_fraction_table_entries_recheck():
 
 
 def test_generated_free_reports_recheck():
+    # CaseA_one reports come from one generic presentation, built with
+    # the square mod 4 on f; both sides must be among them.
     casegen = load_casegen()
+    refined = Counter()
     for tag in (casegen.A_BOTH, casegen.A_ONE, casegen.CASE_B, casegen.C_CM):
         jobs = (job for job, allowed in casegen.generate(SEED) if allowed[0] == tag)
         checked = 0
@@ -84,7 +89,11 @@ def test_generated_free_reports_recheck():
             assert {"case", "quadratics", "mult_table"} <= set(verdicts), job
             assert all(verdicts.values()), job
             checked += 1
+            if tag == casegen.A_ONE:
+                witnesses = json.loads(text)["witnesses"]
+                refined.update(key for key in ("a_prime", "b_prime") if witnesses[key])
         assert checked == FREE_REPORTS_PER_TAG
+    assert min(refined["a_prime"], refined["b_prime"]) >= 5, refined
 
 
 def test_generated_non_cm_reports_recheck():
@@ -143,6 +152,8 @@ def perturbed(data, path):
         ("resolution_of_S_mod_Q", ("resolutions", 1, "grade_witnesses", 1, 1)),
         ("resolution_of_S_mod_Q", ("resolutions", 1, "grade_witnesses", 2, 1)),
         ("R_presentation", ("resolutions", 2, "grade_witnesses", 0, 0)),
+        ("relation", ("ring_presentation", "presentation", "relation", 0)),
+        ("relation", ("ring_presentation", "presentation", "module_generators", 4, "coords", 1)),
     ],
 )
 def test_one_changed_coefficient_fails_its_check(name, check, path):
