@@ -17,23 +17,11 @@ tables of the other, T_i = sum over j of m_j*c(i & j) tagged i ^ j
 c*x^e*T_i, a key addition per product term.  A monomial degree of
 2^FIELD_BITS reaches the key limit and raises BoundTooLargeError; it
 never carries into the tag or the next field.  The tables are kept on
-their operand, since a report multiplies by the same element more than
-once (a golden report forms at most 14 exact products, and 5 to 9 of
-them find tables already kept), and K is commutative, so k_mul reads
-them from whichever operand has them, else builds them for the one
-with fewer terms.
-
-The colon test in_colon(x, J) forms no exact product.  Generators g of
-J lie in A, so x*g lies in A exactly when 2^k, k = k_x, divides its
-numerators, which depends only on the operands mod 2^k: the test runs
-k_mul's loop on the residues of x's coefficients against g's tables
-mod 2^k (built from f, g and f*g mod 2^k, cached per k on g and on the
-descriptor), then masks the result with 2^k - 1.  k = 0 needs no
-product (A is a ring), nor does a scalar generator (p, 0, 0, 0): x is
-kept reduced, so for k > 0 some coordinate n_i of x has an odd
-coefficient, and by Gauss's lemma for the prime 2 in Z[x] (v2 of the
-content is additive) 2^k divides every n_i*p exactly when it divides
-every coefficient of p, which p = 0 passes.
+their operand, since a generic build multiplies by the same element
+more than once (a report forms no exact product: its presentation and
+certificate are specialised from generic ones), and K is commutative,
+so k_mul reads them from whichever operand has them, else builds them
+for the one with fewer terms.
 
 The standing hypotheses split by what they read.  Squarefreeness and
 the S^2 decomposition of f depend on f alone (admit_input), so a sweep
@@ -47,9 +35,10 @@ even by construction).
 The module provides exact multiplication, the table of products of a
 generating set (generator_products, each product formed once),
 membership in A (denominator clearance in reduced form), span-closure
-certification of such a table for claimed module generating sets of
-overrings and the colon test in_colon (x in (A : J), i.e. x * J
-inside A).
+certification of such a table, and the colon test in_colon (x * J
+inside A, read off the exact products).  Reports run neither: every
+product and colon claim of a report is decided on a generic algebra
+once per process (classifier.generic_presentation, generic_claims).
 """
 
 from __future__ import annotations
@@ -64,7 +53,7 @@ from .errors import (
     WitnessMismatchError,
 )
 from .linalg import PolyFraction, solve_in_S
-from .poly import BaseRing, Poly, _check_same_ring, _overflow, reduce_mod_2k
+from .poly import BaseRing, Poly, _check_same_ring, _overflow
 from .predicates import (
     QShape,
     S2w4Witness,
@@ -74,6 +63,7 @@ from .predicates import (
     ideal_Q_classify,
     in_S2wedge4,
     is_squarefree,
+    product_in_S2wedge4,
     satisfies_A1,
 )
 
@@ -96,12 +86,13 @@ class AlgebraDesc:
     product f*g that the tables read), w4f, w4g (the S^{2,4} witnesses
     of f, g, or None), q_shape (the shape of Q = (2, h1, h2)),
     dual_product ((w + h1)(u + h2), which ideal_H and prime_dual_gen
-    share, built by root_product from its coordinates) and local_factors
-    ((k1, k2) with (w - h1)^2 = 2*k1, (u - h2)^2 = 2*k2).  constants(k)
-    keeps the structure constants, exact and mod 2^k per k, in the form
-    the tables read.  zero(), one(), root_f(), root_g() and root_fg()
-    return the same element on every call, so each builds its tables
-    (k_mul) at most once per algebra.
+    share, built by root_product from its coordinates), fg_in_S2wedge4
+    (whether f*g lies in S^{2,4}, the parity of a*h2^2 + b*h1^2) and
+    local_factors ((k1, k2) with (w - h1)^2 = 2*k1, (u - h2)^2 = 2*k2)
+    and constants (the structure constants as the tables read them).
+    zero(), one(), root_f(), root_g() and root_fg() return the same
+    element on every call, so each builds its tables (k_mul) at most
+    once per algebra.
     """
 
     ring: BaseRing
@@ -193,27 +184,20 @@ class AlgebraDesc:
         return self.f * self.g
 
     @cached_property
-    def _constants(self) -> Dict[Optional[int], Constants]:
-        return {}
-
-    def constants(self, k: Optional[int] = None) -> Constants:
+    def constants(self) -> Constants:
         """The structure constants c = (1, f, g, fg) as the tables read
-        them: None for 1, else (key << 2, coefficient) pairs.  With k, the
-        residues mod 2^k of f, g and fg (fg from the residues of f, g)."""
-        if k not in self._constants:
-            if k is None:
-                polys = (self.f, self.g, self.fg)
-            else:
-                fk, gk = reduce_mod_2k(self.f, k), reduce_mod_2k(self.g, k)
-                polys = (fk, gk, reduce_mod_2k(fk * gk, k))
-            self._constants[k] = (None,) + tuple(
-                tuple((e << 2, c) for e, c in p._terms.items()) for p in polys
-            )
-        return self._constants[k]
+        them: None for 1, else (key << 2, coefficient) pairs."""
+        return (None,) + tuple(
+            tuple((e << 2, c) for e, c in p._terms.items()) for p in (self.f, self.g, self.fg)
+        )
 
     @cached_property
     def q_shape(self) -> QShape:
         return ideal_Q_classify(self.h1(), self.h2())
+
+    @cached_property
+    def fg_in_S2wedge4(self) -> bool:
+        return product_in_S2wedge4(self.wf, self.wg)
 
     @cached_property
     def dual_product(self) -> "KElement":
@@ -221,13 +205,11 @@ class AlgebraDesc:
 
     @cached_property
     def local_factors(self) -> Tuple["KElement", "KElement"]:
-        """(k1, k2) = (h1^2 + a - h1*w, h2^2 + b - h2*u).
-
-        (w - h1)^2 = 2*k1 by construction (decompose_S2 builds a =
-        (f - h1^2)/2), and likewise for k2; the one claim they feed,
-        tau^2 = k1*k2, is verified with R's presentation (CaseC per job,
-        CaseB on the generic algebra) against tau's square in the table.
-        """
+        """(k1, k2) = (h1^2 + a - h1*w, h2^2 + b - h2*u): (w - h1)^2 = 2*k1
+        and (u - h2)^2 = 2*k2 as f = h1^2 + 2a and g = h2^2 + 2b.  The one
+        claim they feed, tau^2 = k1*k2, is verified on the generic
+        algebras (classifier.generic_presentation); a job's tau^2 is
+        specialised from there, and its own local factors are not read."""
         h1, h2 = self.h1(), self.h2()
         k1 = self.scalar(h1 * h1 + self.a()) - self.root_f().scale_poly(h1)
         k2 = self.scalar(h2 * h2 + self.b()) - self.root_g().scale_poly(h2)
@@ -296,14 +278,13 @@ class KElement:
     complement keeping each one's lowest set bit; the zero element gets
     k = 0.  coords splits the dict into the four coordinate Polys on
     first use.  _tables holds the element's product tables once it has
-    been the table operand of k_mul, _residues maps k to those tables
-    mod 2^k; equality and hashing read the term dict and k only.  +, -
+    been the table operand of k_mul; equality and hashing read the term
+    dict and k only.  +, -
     and * take K-elements of one algebra; AlgebraDesc.element and
     AlgebraDesc.scalar build one from polynomials.
     """
 
-    __slots__ = ("algebra", "_terms", "denom_exp", "_coords", "_hash", "_tables",
-                 "_residues")
+    __slots__ = ("algebra", "_terms", "denom_exp", "_coords", "_hash", "_tables")
 
     def __init__(self, algebra: AlgebraDesc, terms: Dict[int, int], denom_exp: int):
         # terms is a canonical tagged dict (no zero coefficient) that no
@@ -322,7 +303,6 @@ class KElement:
         self._coords: Optional[Tuple[Poly, ...]] = None
         self._hash = None
         self._tables: Optional[Tables] = None
-        self._residues: Optional[Dict[int, Tables]] = None
 
     @property
     def coords(self) -> Tuple[Poly, ...]:
@@ -458,23 +438,9 @@ def k_mul(x: KElement, y: KElement) -> KElement:
     if y._tables is None and (x._tables is not None or len(x._terms) < len(y._terms)):
         x, y = y, x
     if y._tables is None:
-        y._tables = _tables(y._terms, alg.constants(), alg.ring)
+        y._tables = _tables(y._terms, alg.constants, alg.ring)
     return KElement(alg, _product(x._terms.items(), y._tables, alg.ring),
                     x.denom_exp + y.denom_exp)
-
-
-def _residues(y: KElement, k: int) -> Tables:
-    """y's tables mod 2^k, from y and f, g, fg mod 2^k, cached on y per k."""
-    if y._residues is None:
-        y._residues = {}
-    tables = y._residues.get(k)
-    if tables is None:
-        mask = (1 << k) - 1
-        m = {e: c & mask for e, c in y._terms.items() if c & mask}
-        tables = _tables(m, y.algebra.constants(k), y.algebra.ring)
-        tables = tuple(tuple((e, c & mask) for e, c in t if c & mask) for t in tables)
-        y._residues[k] = tables
-    return tables
 
 
 def a_membership(x: KElement) -> bool:
@@ -571,25 +537,7 @@ class IdealGens:
 
 
 def in_colon(x: KElement, ideal: IdealGens) -> bool:
-    """x in (A : ideal): x times every generator (in A) lies in A.
-
-    Decided on residues mod 2^k, k = k_x: k_mul's loop on x's residues
-    and the generator's residue tables, then a mask test; k = 0 and
-    scalar generators form no product (see the module docstring).
-    """
-    k = x.denom_exp
-    mask = (1 << k) - 1
-    n = {e: c & mask for e, c in x._terms.items() if c & mask} if k else None
-    for g in ideal.gens:
-        _check_same_algebra(x, g)
-        if g.denom_exp:  # IdealGens checks this only when it is built
-            raise WitnessMismatchError("ideal generators must lie in A")
-        if k == 0:
-            continue
-        if any(e & 3 for e in g._terms):
-            numerators = _product(n.items(), _residues(g, k), x.algebra.ring).values()
-        else:  # a scalar p: test p itself
-            numerators = g._terms.values()
-        if any(c & mask for c in numerators):
-            return False
-    return True
+    """x in (A : ideal): x times every generator (in A) lies in A."""
+    if any(g.denom_exp for g in ideal.gens):  # IdealGens checks this only when it is built
+        raise WitnessMismatchError("ideal generators must lie in A")
+    return all(a_membership(k_mul(x, g)) for g in ideal.gens)

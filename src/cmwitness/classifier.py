@@ -20,18 +20,19 @@ mod 4:
 
 All claimed identities are verified with exact arithmetic; any failure
 raises InternalVerificationError rather than producing an unverified
-report.  The certificate's checks and the CaseA and CaseB presentations,
+report.  The certificate's checks and every presentation of R,
 identities or power-of-2 divisibilities in the witnesses, are decided
 once per process on one generic algebra per tag (_generic_algebra, read
-by generic_presentation and generic_claims); each job checks the
-witness identities that carry them over (_witness_images), and every
-other claim is verified on the job.
+by generic_presentation and generic_claims; the two non-CM tags share
+one); each job checks the identities that carry them over to its
+values (_witness_images), and every other claim is verified on the job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from math import prod
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .algebra import (
@@ -65,8 +66,20 @@ from .homology import (
     verify_specialised,
 )
 from .linalg import PolyFraction, poly_det
-from .poly import BaseRing, Poly, compose, is_even, parse_poly, poly_dot, reduce_mod_2k
-from .predicates import QShape, S2Witness, product_in_S2wedge4
+from .poly import (
+    BaseRing,
+    Poly,
+    compose,
+    divide_exact,
+    f2_divide_exact,
+    frobenius_mod2,
+    half,
+    is_even,
+    parse_poly,
+    poly_dot,
+    reduce_mod_2k,
+)
+from .predicates import QShape, S2Witness
 
 OUTSIDE_SCOPE = "OutsideScope_not_S2"
 CASE_A_BOTH = "CaseA_bothHypersurfacesNonNormal"
@@ -131,7 +144,7 @@ def classify(alg: AlgebraDesc) -> CaseTag:
         raise CaseConflictError(
             "f and g both lie in 2S; the pair should have been rejected"
         )
-    if not product_in_S2wedge4(alg.wf, alg.wg):
+    if not alg.fg_in_S2wedge4:
         return CASE_B
     return _case_c_tag(alg.q_shape)
 
@@ -270,9 +283,9 @@ class RingPresentation:
     verified ``resolution_S_mod_Q`` give R = S^2 (+) Syz^2(S/Q)), and
     ``ideal_I`` is the ideal I, verified to multiply every generator and
     every product of two generators into A.  Each (i, c1, c0) of
-    ``quadratics`` is a verified x^2 = c1*x + c0 for generator i.  Both
-    tables and quadratics read one product of each pair of generators
-    (generator_products).  ``sfree`` is also the CM verdict: by
+    ``quadratics`` is a verified x^2 = c1*x + c0 for generator i.  In
+    CaseC, ``R_in_J_star`` says whether every generator multiplies
+    J = (2, wu - h1h2) into A.  ``sfree`` is also the CM verdict: by
     Auslander-Buchsbaum over the regular S, R is CM exactly when it is
     S-free.
     """
@@ -285,6 +298,7 @@ class RingPresentation:
     relation: Optional[List[Poly]] = None
     resolution_S_mod_Q: Optional[VerifiedComplex] = None
     ideal_I: Optional[IdealGens] = None
+    R_in_J_star: Optional[bool] = None
 
 
 def _root_quadratics(
@@ -292,7 +306,8 @@ def _root_quadratics(
 ) -> List[Tuple[int, KElement, KElement]]:
     """x^2 = square for the roots (generators 1, ...), one per square,
     then tau^2 = k1*k2 for tau, the generator after them.  k1*k2 is
-    formed here, on its own, and build_R compares it with tau's square."""
+    formed here, on its own, and _verified_presentation compares it with
+    tau's square."""
     k1, k2 = alg.local_factors
     zero = alg.zero()
     roots = [(i, zero, alg.scalar(square)) for i, square in enumerate(squares, 1)]
@@ -308,39 +323,73 @@ def build_R(alg: AlgebraDesc, case: CaseTag) -> RingPresentation:
     cofactor makes redundant.  CaseC otherwise: five module generators
     {1, w, u, tau, rho} with the single relation
     (e*h1 + c*h2) - e*w - c*u + 2*rho = 0, so R = S^2 (+) Syz^2(S/Q).
-    WrongCase unless case is classify(alg), in scope.  CaseA and CaseB
-    specialise generic_presentation by compose at the job's witnesses,
-    checked by _witness_images.  A CaseA_one job whose square mod 4 is g
-    reads the presentation built with it on f: A(G, H^2 + 4A4) is
-    isomorphic to A(H^2 + 4A4, G) by w <-> u, which maps the generic
-    generators, in order, onto the job's, so the coordinates of w and u
-    swap.  CaseC: _verified_presentation.
+    WrongCase unless case is classify(alg), in scope.  Every tag
+    specialises generic_presentation by compose at the job's values
+    (_witness_images): the generators, the table (a fraction's numerator
+    and denominator composed, then reduced; the denominator must be a
+    unit of S), the quadratics, the relation, I and the J datum.  A job
+    with the square mod 4 (CaseA_one) or the unit cofactor (CaseC_CM)
+    on g reads the presentation built with it on f: A(G, F) is
+    isomorphic to A(F, G) by w <-> u, which maps the generic generators,
+    in order, onto the job's, so the coordinates of w and u swap.  The
+    resolution of S/Q of a non-free R is verified on the job.
     """
     if case == OUTSIDE_SCOPE or case != classify(alg):
         raise WrongCaseError("no closure presentation for %s on this algebra" % (case,))
-    if case not in (CASE_A_BOTH, CASE_A_ONE, CASE_B):
-        return _verified_presentation(alg, case)[0]
-    images, memo = _witness_images(alg, case), {}
-    order = (0, 2, 1, 3) if case == CASE_A_ONE and alg.w4f is None else (0, 1, 2, 3)
-    gen = generic_presentation(case)
+    images, memo, one = _witness_images(alg, case), {}, alg.ring.one()
+    order = (0, 2, 1, 3) if _swapped(alg, case) else (0, 1, 2, 3)
+    gen = generic_presentation(_GENERIC_TAG.get(case, case))
+
+    def poly(p: Poly) -> Poly:
+        return compose(p, images, memo)
 
     def image(x: KElement) -> KElement:
-        coords = [compose(p, images, memo) for p in x.coords]
+        coords = [poly(p) for p in x.coords]
         return alg.element([coords[i] for i in order], x.denom_exp)
 
-    table = {key: [compose(t, images, memo) for t in sol] for key, sol in gen.mult_table.items()}
+    def entry(t: Union[Poly, PolyFraction]) -> Union[Poly, PolyFraction]:
+        if isinstance(t, Poly):
+            return poly(t)
+        num, den = poly(t.num), poly(t.den)
+        if den == one:  # c = 1 in CaseC_CM
+            return num
+        fr = PolyFraction(num, den)
+        if not fr.is_in_S():
+            raise InternalVerificationError("a table denominator is no unit of S")
+        return fr.num if fr.is_polynomial() else fr
+
     quadratics = [(i, image(c1), image(c0)) for i, c1, c0 in gen.quadratics]
-    return RingPresentation(case, True, [image(x) for x in gen.generators], table, quadratics)
+    pres = RingPresentation(case, gen.sfree, [image(x) for x in gen.generators],
+                            quadratics=quadratics, R_in_J_star=gen.R_in_J_star)
+    if gen.sfree:
+        pres.mult_table = {key: [entry(t) for t in sol] for key, sol in gen.mult_table.items()}
+    else:
+        pres.relation = [poly(p) for p in gen.relation]
+        pres.ideal_I = IdealGens(alg, [image(x) for x in gen.ideal_I.gens], name="I")
+        zce = (alg.q_shape.z, alg.q_shape.c, alg.q_shape.e)
+        res_q = resolution_of_S_mod_Q(*zce)
+        pres.resolution_S_mod_Q = verify_specialised(res_q, generic_complexes()[0], zce)
+    return pres
+
+
+def _swapped(alg: AlgebraDesc, case: CaseTag) -> bool:
+    """Whether a job reads its generic presentation through w <-> u: g
+    the square mod 4 (CaseA_one), e the unit cofactor (CaseC_CM)."""
+    if case == CASE_A_ONE:
+        return alg.w4f is None
+    return case == CASE_C_CM and not alg.q_shape.c.is_unit()
 
 
 def _witness_images(alg: AlgebraDesc, case: CaseTag) -> Tuple[Poly, ...]:
     """The job's values of the variables of _generic_algebra(case), once
-    the identities that make them a ring map A_gen -> A hold exactly:
-    p = h^2 + 4a' for each side p in S^{2,4} (CaseA), f = h1^2 + 2a and
-    g = h2^2 + 2b otherwise.  InternalVerification when one fails.  The
-    values are (h, a') for each side in S^{2,4}, then in CaseA_one the
-    polynomial of the other side, and (h1, a, h2, b) in CaseB and the
-    non-CM tags."""
+    the identities that make them a ring map A_gen -> A hold exactly
+    (InternalVerification otherwise): p = h^2 + 4a' for each side p in
+    S^{2,4} (CaseA), then (h, a') per side and the other side's
+    polynomial; f = h1^2 + 2a and g = h2^2 + 2b, then (h1, a, h2, b)
+    (CaseB); and in CaseC also h1 = zc + 2d1, h2 = ze + 2d2,
+    a = c^2U + 2a1, b = e^2U + 2b1 (f and g exchanged when _swapped),
+    then _case_c_values, with K = c - 1 for c in CaseC_CM."""
+    ring = alg.ring
     if case in (CASE_A_BOTH, CASE_A_ONE):
         pairs = ((alg.f, alg.w4f), (alg.g, alg.w4g))
         sides = [(p, w4.h, w4.a_prime) for p, w4 in pairs if w4 is not None]
@@ -349,15 +398,39 @@ def _witness_images(alg: AlgebraDesc, case: CaseTag) -> Tuple[Poly, ...]:
     else:
         sides = [(alg.f, alg.h1(), alg.a()), (alg.g, alg.h2(), alg.b())]
         scale, identity, other = 2, "f = h1^2 + 2a or g = h2^2 + 2b", ()
-    c = alg.ring.const(scale)
-    if any(poly_dot(alg.ring, ((h, h), (rest, c))) != p for p, h, rest in sides):
-        raise InternalVerificationError("witness identity %s fails" % identity)
-    return tuple(x for _, h, rest in sides for x in (h, rest)) + other
+    checks = [(identity, p, h, h, rest, scale) for p, h, rest in sides]
+    values = tuple(x for _, h, rest in sides for x in (h, rest)) + other
+    if case in (CASE_C_CM, *_NON_CM_CASES):
+        swap = _swapped(alg, case)
+        (_, h1, a), (_, h2, b) = sides[::-1] if swap else sides
+        values = z, c, e, d1, d2, u, a1, b1 = _case_c_values(alg, swap)
+        checks += [("h1 = zc + 2d1", h1, z, c, d1, 2), ("h2 = ze + 2d2", h2, z, e, d2, 2),
+                   ("a = c^2U + 2a1", a, c * c, u, a1, 2), ("b = e^2U + 2b1", b, e * e, u, b1, 2)]
+        if case == CASE_C_CM:
+            values = (z, c - ring.one()) + values[2:]
+    for name, p, x, y, rest, k in checks:
+        if poly_dot(ring, ((x, y), (rest, ring.const(k)))) != p:
+            raise InternalVerificationError("witness identity %s fails" % name)
+    return values
+
+
+def _case_c_values(alg: AlgebraDesc, swap: bool) -> Tuple[Poly, ...]:
+    """(z, c, e, d1, d2, U, a1, b1) of a CaseC job, f and g exchanged
+    when swap: (z, c, e) the shape of Q, d1 = (h1 - zc)/2, d2 =
+    (h2 - ze)/2, U = a/c^2 mod 2, a1 = (a - c^2U)/2, b1 = (b - e^2U)/2;
+    NotDivisible outside CaseC (see _generic_algebra)."""
+    shape = alg.q_shape
+    sides = [(alg.h1(), alg.a(), shape.c), (alg.h2(), alg.b(), shape.e)]
+    (h1, a, c), (h2, b, e) = sides[::-1] if swap else sides
+    z, u = shape.z, f2_divide_exact(a, frobenius_mod2(c))
+    return z, c, e, half(h1 - z * c), half(h2 - z * e), u, half(a - c * c * u), half(b - e * e * u)
 
 
 def _verified_presentation(alg: AlgebraDesc, case: CaseTag) -> Tuple[RingPresentation, dict]:
     """R built and verified on alg, and its generator products (each formed
-    once), which the span closure or colon tests and the quadratics read."""
+    once), which the span closure or colon tests and the quadratics read.
+    CaseA_one takes f as the square mod 4, CaseC_CM c as the unit
+    cofactor, as the generic algebras have them."""
     one = alg.one()
     if case == CASE_A_BOTH:
         t1 = hyper_closure_gen(alg, "f")
@@ -369,15 +442,11 @@ def _verified_presentation(alg: AlgebraDesc, case: CaseTag) -> Tuple[RingPresent
             for i, w4 in ((1, alg.w4f), (2, alg.w4g))
         ]
     elif case == CASE_A_ONE:
-        if alg.w4f is not None:
-            side, w4, other, other_sq = "f", alg.w4f, alg.root_g(), alg.g
-        else:
-            side, w4, other, other_sq = "g", alg.w4g, alg.root_f(), alg.f
-        t = hyper_closure_gen(alg, side)
-        # other * (root + h)/2 = (wu + h*other)/2
-        gens = [one, other, t, (alg.root_fg() + other.scale_poly(w4.h)).half()]
+        t, u, w4 = hyper_closure_gen(alg, "f"), alg.root_g(), alg.w4f
+        # u * (w + h)/2 = (wu + h*u)/2
+        gens = [one, u, t, (alg.root_fg() + u.scale_poly(w4.h)).half()]
         quadratics = [
-            (1, alg.zero(), alg.scalar(other_sq)),
+            (1, alg.zero(), alg.scalar(alg.g)),
             (2, alg.scalar(w4.h), alg.scalar(w4.a_prime)),
         ]
     elif case == CASE_B:
@@ -386,99 +455,107 @@ def _verified_presentation(alg: AlgebraDesc, case: CaseTag) -> Tuple[RingPresent
     else:
         shape = alg.q_shape
         tau, rho = product_closure_gen(alg), mixed_syzygy_gen(alg, shape.c, shape.e)
-        if case != CASE_C_CM:
+        if case == CASE_C_CM:
+            gens, quadratics = [one, alg.root_f(), tau, rho], _root_quadratics(alg, [alg.f])
+        else:
             gens = [one, alg.root_f(), alg.root_g(), tau, rho]
             quadratics = _root_quadratics(alg, [alg.f, alg.g])
-        elif shape.c.is_unit():
-            gens, quadratics = [one, alg.root_f(), tau, rho], _root_quadratics(alg, [alg.f])
-        elif shape.e.is_unit():
-            gens, quadratics = [one, alg.root_g(), tau, rho], _root_quadratics(alg, [alg.g])
-        else:
-            raise WrongCaseError("two-generated shape without a unit cofactor")
     products = generator_products(gens)
-    if case in _NON_CM_CASES:
-        pres = _module_presentation(alg, case, gens, products, quadratics)
-    else:
+    if case not in _NON_CM_CASES:
         pres = RingPresentation(case, True, gens, span_closure_check(gens, products), quadratics)
+    else:
+        # the relation, and every product of two generators (gens[0] = 1,
+        # so each generator too) in (A : I)
+        c, e = alg.q_shape.c, alg.q_shape.e
+        relation = [e * alg.h1() + c * alg.h2(), -e, -c, alg.ring.zero(), alg.ring.const(2)]
+        if not sum((x.scale_poly(r) for r, x in zip(relation, gens)), alg.zero()).is_zero():
+            raise InternalVerificationError("module relation for R fails")
+        i_ideal = ideal_I(alg)
+        for (i, j), x in products.items():
+            if not in_colon(x, i_ideal):
+                raise InternalVerificationError("product of generators %d and %d leaves R" % (i, j))
+        pres = RingPresentation(case, False, gens, None, quadratics, relation, ideal_I=i_ideal)
     for idx, c1, c0 in quadratics:
         # every recorded c1 is a scalar of S: zero, or h in CaseA
         rhs = c0 if c1.is_zero() else gens[idx].scale_poly(c1.coords[0]) + c0
         if products[idx, idx] != rhs:
             raise InternalVerificationError("recorded quadratic for generator %d fails" % idx)
+    if case in (CASE_C_CM, *_NON_CM_CASES):
+        pres.R_in_J_star = all(in_colon(x, ideal_J(alg)) for x in gens)
     return pres, products
+
+
+# The generic presentation a tag reads: the two non-CM tags share one.
+_GENERIC_TAG = {CASE_C_NONCM_GRADE2: CASE_C_NONCM_GRADE3}
 
 
 @cache
 def _generic_algebra(case: CaseTag) -> AlgebraDesc:
-    """A_gen of a tag whose closure and certificate need only the
-    witnesses, built from given witnesses, not by make_algebra (no
-    hypothesis gcd, no decompose_S2): f = H1^2 + 4A4, g = H2^2 + 4B4
-    over Z[H1, A4, H2, B4] (CaseA_both); f = H^2 + 4A4, g = G over
-    Z[H, A4, G] (CaseA_one); f = H1^2 + 2A, g = H2^2 + 2B over
-    Z[H1, A, H2, B] (CaseB, and the certificate's generic_claims)."""
-    names = {CASE_A_BOTH: "H1 A4 H2 B4", CASE_A_ONE: "H A4 G", CASE_B: "H1 A H2 B"}[case]
-    x, k = BaseRing(tuple(names.split())).gens(), 1 if case == CASE_B else 2
-    wits = [S2Witness(x[0], x[1].scale(k)), S2Witness(x[2], x[3].scale(k)) if x[3:] else None]
+    """A_gen of a tag, built from given witnesses, not by make_algebra:
+    f = H1^2 + 4A4, g = H2^2 + 4B4 over Z[H1, A4, H2, B4] (CaseA_both);
+    f = H^2 + 4A4, g = G over Z[H, A4, G] (CaseA_one); f = H1^2 + 2A,
+    g = H2^2 + 2B over Z[H1, A, H2, B] (CaseB, and generic_claims);
+    f = h1^2 + 2a, g = h2^2 + 2b with h1 = ZC + 2D1, h2 = ZE + 2D2,
+    a = C^2U + 2A1, b = E^2U + 2B1 over Z[Z, C, E, D1, D2, U, A1, B1]
+    (the non-CM tags, under CASE_C_NONCM_GRADE3), and the same with
+    C = 1 + K over Z[Z, K, E, ...] for CaseC_CM, so that rho's pivot C/2
+    and the table's denominators are units of S.  Every CaseC job has
+    such values (_case_c_values): CaseC makes a*e^2 + b*c^2 even, and c,
+    e are nonzero and coprime mod 2, so a = c^2U and b = e^2U mod 2."""
+    names = {CASE_A_BOTH: "H1 A4 H2 B4", CASE_A_ONE: "H A4 G", CASE_B: "H1 A H2 B"}.get(
+        case, "Z %s E D1 D2 U A1 B1" % ("K" if case == CASE_C_CM else "C"))
+    x = BaseRing(tuple(names.split())).gens()
+    if case in (CASE_C_CM, CASE_C_NONCM_GRADE3):
+        z, c, e, d1, d2, u, a1, b1 = x
+        if case == CASE_C_CM:
+            c = c + z.ring.one()
+        two = z.ring.const(2)
+        h1, h2 = z * c + two * d1, z * e + two * d2
+        wits = [S2Witness(h1, c * c * u + two * a1), S2Witness(h2, e * e * u + two * b1)]
+    else:
+        k = 1 if case == CASE_B else 2
+        wits = [S2Witness(x[0], x[1].scale(k)), S2Witness(x[2], x[3].scale(k)) if x[3:] else None]
     f, g = (w.h * w.h + w.a.scale(2) if w else x[2] for w in wits)
     return AlgebraDesc(x[0].ring, f, g, *wits)
 
 
 @cache
 def generic_presentation(case: CaseTag) -> RingPresentation:
-    """R in CaseA and CaseB, built by _verified_presentation once per process
-    on _generic_algebra(case).  Each table entry must be a polynomial that
-    recombines to its product, and in CaseB P must conduct R (in_colon).
-    Specialisation: the job's witnesses, checked exactly (_witness_images),
-    give the ring map H1 -> h1, A4 -> a', ..., G -> the other side,
-    sending the generic f, g to the job's; with w -> w, u -> u (swapped
-    for a CaseA_one job whose square mod 4 is g, see build_R) it maps
-    A_gen to A on the coordinates over (1, w, u, wu), and each generic
-    generator to the job's with its denominator exponent (one coordinate
-    is +-1), so the table identities, the quadratics and the
-    2^k-divisibilities behind "P conducts R" carry over."""
+    """R of a tag, built by _verified_presentation once per process on
+    _generic_algebra(case).  Each table entry, a polynomial or a fraction
+    with unit denominator, must recombine to its product once the
+    denominators are cleared; in CaseB P must conduct R (in_colon).
+
+    Why a job may read it (the specialisation argument): the job's
+    values, checked exactly by _witness_images (H1 -> h1, A -> a, ...;
+    Z -> z, C -> c or K -> c - 1, D1 -> d1, ...), give a ring map from
+    the generic base ring to Z[x] that sends the generic f, g to the
+    job's.  With w -> w, u -> u (swapped for a job that has the square
+    mod 4 or the unit cofactor on g, see build_R) it induces a ring map
+    A_gen -> A acting on the coordinates over (1, w, u, wu), which sends
+    the generic generators (with their denominator exponents: one
+    coordinate is +-1), ideals and shape (Z, C, E) of Q to the job's.
+    Every identity over A_gen therefore holds over A: the table (a
+    fraction's cleared by its denominator, a power of K + 1 whose image,
+    a power of c, build_R checks to be a unit), the quadratics and the
+    relation.  So does every 2^k-divisibility of numerators ("P conducts
+    R", "each product of generators lies in (A : I)", "J^* contains
+    R"): each coefficient of the job's numerator is a Z-combination of
+    the generic ones.  The shape of Q and the resolution of S/Q are no
+    identities; they stay per job."""
     alg = _generic_algebra(case)
     pres, products = _verified_presentation(alg, case)
-    for key, sol in pres.mult_table.items():
-        if not all(isinstance(t, Poly) for t in sol) or products[key] != sum(
-            (y.scale_poly(t) for t, y in zip(sol, pres.generators)), alg.zero()
+    for key, sol in (pres.mult_table or {}).items():
+        common = prod({t.den for t in sol if isinstance(t, PolyFraction)}, start=alg.ring.one())
+        cleared = [t * common if isinstance(t, Poly) else t.num * divide_exact(common, t.den)
+                   for t in sol]
+        if products[key].scale_poly(common) != sum(
+            (y.scale_poly(t) for t, y in zip(cleared, pres.generators)), alg.zero()
         ):
             raise InternalVerificationError("generic table entry %s fails" % (key,))
     if case == CASE_B and not all(in_colon(y, ideal_P(alg)) for y in pres.generators):
         raise InternalVerificationError("P fails to conduct R into A")
     return pres
-
-
-def _module_presentation(
-    alg: AlgebraDesc, case: CaseTag, gens: List[KElement],
-    products: Dict[Tuple[int, int], KElement], quadratics: list,
-) -> RingPresentation:
-    """The non-free R: its relation, checked, and every product of two
-    generators (gens[0] = 1, so each generator too) in (A : I)."""
-    shape = alg.q_shape
-    c, e = shape.c, shape.e
-    relation = [e * alg.h1() + c * alg.h2(), -e, -c, alg.ring.zero(), alg.ring.const(2)]
-    acc = alg.zero()
-    for coeff, gen in zip(relation, gens):
-        acc = acc + gen.scale_poly(coeff)
-    if not acc.is_zero():
-        raise InternalVerificationError("module relation for R fails")
-    i_ideal = ideal_I(alg)
-    for (i, j), x in products.items():
-        if not in_colon(x, i_ideal):
-            raise InternalVerificationError(
-                "product of generators %d and %d leaves R" % (i, j)
-            )
-    zce = (shape.z, c, e)
-    res_q = verify_specialised(resolution_of_S_mod_Q(*zce), generic_complexes()[0], zce)
-    return RingPresentation(
-        case=case,
-        sfree=False,
-        generators=gens,
-        quadratics=quadratics,
-        relation=relation,
-        resolution_S_mod_Q=res_q,
-        ideal_I=i_ideal,
-    )
 
 
 def presentation_complex(pres: RingPresentation) -> "FreeComplex":
@@ -519,21 +596,20 @@ class ConductorReport:
 def conductor(pres: RingPresentation) -> ConductorReport:
     """Report the conductor of the built R into A where identified.
 
-    The case and the algebra are read from the presentation.  CaseB:
-    the conductor is P, verified on the generic R (generic_presentation).
-    CaseC with Q a grade-3 complete intersection: the conductor is I,
-    which build_R already verified to multiply R into A.  Every CaseC
-    report also records the ideal J = (2, wu - h1h2) with its dual datum
-    J^* = R, checked on the R generators.  An ideal conducts R when
-    every generator x of R passes in_colon(x, ideal).
+    The case and the algebra are read from the presentation.  The
+    conductor is P in CaseB and I in CaseC with Q a grade-3 complete
+    intersection.  Every CaseC report also records the ideal
+    J = (2, wu - h1h2) with its dual datum J^* = R, the presentation's
+    R_in_J_star.  Each claim is decided on the generic R
+    (generic_presentation): an ideal conducts R when every generator x
+    of R passes in_colon(x, ideal) there.
     """
     case, alg = pres.case, pres.generators[0].algebra
     out = ConductorReport(ideal=None)
     if case in (CASE_C_CM, CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2):
         out.ideal_J = ideal_J(alg)
-        out.R_in_J_star = all(in_colon(x, out.ideal_J) for x in pres.generators)
+        out.R_in_J_star = pres.R_in_J_star
     if case == CASE_B:
-        generic_presentation(CASE_B)  # raises unless P conducts the generic R
         out.ideal = ideal_P(alg)
     elif case == CASE_C_NONCM_GRADE3:
         out.ideal = pres.ideal_I
@@ -581,23 +657,13 @@ def generic_claims() -> GenericClaims:
       each generator i of I, since IP is generated by the products of
       the generators.
 
-    Why a job may read them (the specialisation argument): a job with
-    witnesses f = h1^2 + 2a and g = h2^2 + 2b, checked exactly on the
-    job (_witness_images), gets the ring map
-    Z[H1, A, H2, B] -> Z[x], H1 -> h1, A -> a, H2 -> h2, B -> b.
-    Extended by w -> w, u -> u it sends w^2 - H1^2 - 2A to w^2 - f and
-    u^2 - H2^2 - 2B to u^2 - g, so it induces a ring map A_gen -> A
-    that acts on the coordinates over (1, w, u, wu) and sends the
-    generic P, I, H, eta and basis to the job's.  Every identity, every
-    span coefficient (a polynomial) and every power-of-2 divisibility
-    (residues mod P, the constant determinant) over A_gen therefore
-    holds over A.  The two colon tests are such divisibilities: eta has
-    denominator exponent 1 on the job as on A_gen, because its wu
-    coordinate is 1, and the map sends the numerator of each product
-    eta * p and eta * i * p (p in P, i in I) to the job's numerator.
-    Each coefficient of the job's numerator is a Z-combination of the
-    coefficients over Z[H1, A, H2, B], so a 2^k that divides all of
-    those divides it too.  The parity of a*h2^2 + b*h1^2 and the
+    A job reads them once f = h1^2 + 2a and g = h2^2 + 2b hold exactly
+    (_witness_images(alg, CASE_B)), by the specialisation argument of
+    generic_presentation: the ring map H1 -> h1, A -> a, H2 -> h2,
+    B -> b sends the generic P, I, H, eta and basis to the job's, so
+    every identity, span coefficient (a polynomial) and power-of-2
+    divisibility (residues mod P, the constant determinant, the two
+    colon tests) carries over.  The parity of a*h2^2 + b*h1^2 and the
     degenerate witnesses are no such identities; they stay per job.
     """
     alg = _generic_algebra(CASE_B)
@@ -673,13 +739,10 @@ class CmModuleCertificate:
     lies in M; I has an S-free resolution of length 1 (so depth I =
     d - 1 and A/I behaves like S/Q); and the length-3 resolution of S/Q
     is exact, as build_R verified.  ``checks`` records the four steps
-    that are identities or power-of-2 divisibilities in (h1, a, h2, b):
-    they are read from generic_claims, decided once on the generic
-    algebra, and carry over to the job because its witnesses satisfy
-    f = h1^2 + 2a and g = h2^2 + 2b exactly (checked per job by
-    _witness_images; see generic_claims).  ``resolution_I`` is the verified resolution of I;
-    building the certificate raises when it is not exact or d_2 does not
-    saturate ker(d_1).
+    that are identities or power-of-2 divisibilities in (h1, a, h2, b),
+    read from generic_claims.  ``resolution_I`` is the verified
+    resolution of I; building the certificate raises when it is not
+    exact or d_2 does not saturate ker(d_1).
     """
 
     ideal_P: IdealGens
@@ -699,10 +762,10 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
     otherwise.  The checks come from generic_claims once the job's
     witness identities hold (_witness_images; InternalVerification
     otherwise, and from generic_claims when a generating identity of the
-    resolution of I fails).  What depends on
-    the job runs here, once: the parity and both-h-even checks of
-    resolution_of_I, its witnesses from the closed forms of
-    generic_complexes, and the P, I and H the report prints.
+    resolution of I fails).  What depends on the job runs here, once:
+    the parity and both-h-even checks of resolution_of_I, its witnesses
+    from the closed forms of generic_complexes, and the P, I and H the
+    report prints.
     """
     case = pres.case
     if case not in _NON_CM_CASES:
@@ -710,7 +773,7 @@ def build_small_cm_certificate(pres: RingPresentation) -> CmModuleCertificate:
             "the small CM module certificate applies to the non-CM cases only"
         )
     alg = pres.generators[0].algebra
-    _witness_images(alg, case)
+    _witness_images(alg, CASE_B)  # generic_claims reads CaseB's A_gen
     checks = generic_claims()._asdict()
     # I's resolution is exact (pd I <= 1), its d_2 saturates ker(d_1): generic_complexes
     h1h2 = (alg.h1(), alg.h2())

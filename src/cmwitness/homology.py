@@ -57,7 +57,7 @@ from .errors import (
 from .gcd import gcd_z
 from .linalg import poly_det
 from .poly import Poly, exponent_terms, is_divisible, is_even, poly_dot
-from .predicates import product_in_S2wedge4, regular_sequence_certificate
+from .predicates import regular_sequence_certificate
 
 
 @dataclass
@@ -188,14 +188,14 @@ def resolution_of_I(alg: AlgebraDesc) -> FreeComplex:
     witnesses are degenerate (both h's even) or the excess term
     a*h2^2 + b*h1^2 is odd, in which case no polynomial e with
     (wu)(wu - h1*h2) = -h1*h2(wu - h1*h2) + 4e exists.  The parity is
-    the one classify reads, predicates.product_in_S2wedge4.
+    the one classify reads, AlgebraDesc.fg_in_S2wedge4.
     """
     h1, h2 = alg.h1(), alg.h2()
     if is_even(h1) and is_even(h2):
         raise WitnessMismatchError(
             "both residues vanish mod 2; the ideal I degenerates to (2)"
         )
-    if not product_in_S2wedge4(alg.wf, alg.wg):
+    if not alg.fg_in_S2wedge4:
         raise WitnessMismatchError(
             "a*h2^2 + b*h1^2 is odd, so the product has no square-mod-4 structure"
         )

@@ -18,12 +18,10 @@
   nonzero residual at a coordinate that carries no pivot.  When D = 1
   the y_j are the coefficients and no fraction is formed; otherwise
   x_j = PolyFraction(y_j, D), and the target is solved when every x_j
-  lies in S.  Over (1, w, u, wu) every basis the package builds peels:
-  CaseA and CaseB with pivots 1, 1/2 and 1/4; P = {2, w - h1, u - h2,
-  wu - h1h2} with 1, 1, 1 and 2; CaseC_CM with c a unit, where rho
-  peels at u with pivot c/2; and CaseC_CM with e a unit, where rho
-  peels at w with pivot e/2 once tau is solved.  D = 1 on every golden
-  and generated input.
+  lies in S.  Over (1, w, u, wu) every basis the package builds, all on
+  generic algebras, peels: CaseA and CaseB with pivots 1, 1/2 and 1/4;
+  P = {2, w - h1, u - h2, wu - h1h2} with 1, 1, 1 and 2; CaseC_CM,
+  where rho peels at u with pivot c/2, c = 1 + K, so D = 1 + K.
 
 * One fraction-free Gauss-Jordan elimination (Bareiss) over Z[x] behind
   bareiss_rank, solve_fraction_system and fraction_kernel: polynomial

@@ -535,14 +535,18 @@ def substitute_ints(p: Poly, assignment: Dict[str, int], target: BaseRing) -> Po
     return Poly._from_canonical(target, terms)
 
 
-def compose(p: Poly, images: Sequence[Poly], memo: Optional[Dict[int, Poly]] = None) -> Poly:
+def compose(p: Poly, images: Sequence[Poly], memo: Optional[dict] = None) -> Poly:
     """p with its i-th variable replaced by images[i], in the images' ring.
 
-    A constant keeps its term dict.  Each other monomial's image is formed
-    once, a smaller one's times one image (of the fewest terms first), and
-    the c*image(x^e) are summed into one term dict; memo, kept by the
-    caller for one images tuple, shares the monomial images between
-    compositions.  ValueError unless there is one image per variable."""
+    A constant keeps its term dict, and a monomial in a variable whose
+    image is zero is skipped.  Each other monomial's image is formed
+    once, a smaller one's times one image (of the fewest terms first; an
+    image 1 multiplies nothing), and the c*image(x^e) are summed into one
+    term dict.  memo, kept by the caller for one images tuple, shares the
+    monomial images between compositions, and under the key -1 what the
+    images decide: the fields of the variables with image zero, which
+    images are 1, and the order.  ValueError unless there is one image
+    per variable."""
     ring = p.ring
     if not images or len(images) != ring.nvars:
         raise ValueError("compose needs one image per variable")
@@ -551,10 +555,16 @@ def compose(p: Poly, images: Sequence[Poly], memo: Optional[Dict[int, Poly]] = N
     if not any(p._terms):  # zero or a constant: the key 0 in both rings
         return Poly._from_canonical(target, p._terms)
     memo = {} if memo is None else memo
-    memo.setdefault(0, target.one())
-    order = sorted(range(ring.nvars), key=lambda i: len(images[i]._terms))
+    if -1 not in memo:
+        dead = sum(_FIELD_MASK << ring._shifts[i] for i, im in enumerate(images) if not im._terms)
+        units = [im._terms == {0: 1} for im in images]
+        order = sorted(range(ring.nvars), key=lambda i: len(images[i]._terms))
+        memo[-1], memo[0] = (dead, units, order), target.one()
+    dead, units, order = memo[-1]
     out: Dict[int, int] = {}
     for e, c in p._terms.items():
+        if e & dead:
+            continue
         chain = []
         while e not in memo:
             i = next(i for i in order if e >> ring._shifts[i] & _FIELD_MASK)
@@ -562,7 +572,7 @@ def compose(p: Poly, images: Sequence[Poly], memo: Optional[Dict[int, Poly]] = N
             e -= ring._var_keys[i]
         image = memo[e]
         for e, i in reversed(chain):
-            image = memo[e] = poly_dot(target, ((image, images[i]),))
+            image = memo[e] = image if units[i] else poly_dot(target, ((image, images[i]),))
         for k, v in image._terms.items():
             out[k] = out.get(k, 0) + c * v
     return Poly._from_canonical(target, {k: v for k, v in out.items() if v})

@@ -2,10 +2,11 @@
 
 bounded_colon_search finds all elements x = p / 2^k with deg p <= D and
 x * J inside A by GF(2) linear algebra (one system for k = 1, a
-two-stage lift for k = 2) on exact k_mul products reduced mod 2, so it
-runs none of in_colon's residue code.  The membership tests below
-check a search result against the closures the package constructs:
-A + S*eta for the dual of P, A + S*tau + S*rho for the dual of I.
+two-stage lift for k = 2) on exact k_mul products reduced mod 2: it
+solves for the whole dual, where in_colon tests one element.  The
+membership tests below check a search result against the closures the
+package constructs: A + S*eta for the dual of P, A + S*tau + S*rho for
+the dual of I.
 """
 
 from typing import Dict, List, Tuple
@@ -46,7 +47,7 @@ def _monomials_up_to(ring: BaseRing, degree: int):
 
 def _mul_matrix_mod2(g: KElement) -> List[List[Poly]]:
     """4x4 matrix of the mod-2 coordinates of basis_c * g (g in A), read
-    off the exact products, not the residues the colon test runs on."""
+    off the exact products."""
     alg = g.algebra
     basis = [alg.one(), alg.root_f(), alg.root_g(), alg.root_fg()]
     return [[reduce_mod_2k(c, 1) for c in k_mul(b, g).coords] for b in basis]

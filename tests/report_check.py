@@ -48,6 +48,13 @@ that basis and a power-of-2 denominator.  The checks:
   P's generators lies in A: each numerator has even coordinates.
 * ``M_contains_eta``: eta * i * p lies in A for each generator i of I
   and p of P, so eta * I * P lies in A.
+* ``conductor``: the printed conductor (P in CaseB, I in CaseC grade
+  3) is the ideal its name defines, P = (2, w - h1, u - h2) or
+  I = (2, wu - h1h2, h2w - h1u), from the printed witnesses, and it
+  conducts R: every printed generator n/2^k of R times every
+  generator of the ideal has numerator coordinates divisible by 2^k.
+* ``j_datum``: in CaseC the printed J is (2, wu - h1h2), the report
+  claims J^* = R as verified, and J conducts R as above.
 * ``resolution_of_I``, ``resolution_of_S_mod_Q``, ``R_presentation``:
   for each printed complex, the differentials compose to zero; at the
   ranks the free ranks force (r_n = dim F_n, r_i = dim F_i - r_{i+1}),
@@ -62,7 +69,8 @@ check_report returns {check name: verdict} for the checks that apply
 to the report: ``case`` for every report, the witness checks for
 every report that prints witnesses, ``quadratics`` for every report
 with a ring presentation, ``mult_table`` when R is free, ``relation``
-when it is not, and the rest for the non-CM reports.
+when it is not, ``conductor`` when the report gives one, ``j_datum``
+when it prints J, and the rest for the non-CM reports.
 """
 
 import json
@@ -300,6 +308,37 @@ def check_eta(rep, f, g, h1, h2):
     return conducts, contains
 
 
+def conducts(rep, ideal, f, g):
+    """Every printed generator n/2^k of R times every printed generator
+    of the ideal (in A) has numerator coordinates divisible by 2^k."""
+    gens = [rep.integral(x) for x in ideal["gens"]]
+    for x in rep.data["ring_presentation"]["generators"]:
+        coords, k = rep.element(x)
+        for q in gens:
+            if not all(c % 2**k == 0 for p in multiply(coords, q, f, g) for c in p.values()):
+                return False
+    return True
+
+
+def defined_ideal(rep, name, h1, h2):
+    """The coordinates of the generators of P, I or J from h1 and h2."""
+    zero, one = rep.ring.zero, rep.ring.one
+    gens = {
+        "P": [[-h1, one, zero, zero], [-h2, zero, one, zero]],
+        "I": [[-h1 * h2, zero, zero, one], [zero, h2, -h1, zero]],
+        "J": [[-h1 * h2, zero, zero, one]],
+    }[name]
+    return [[2 * one, zero, zero, zero]] + gens
+
+
+def check_conducting_ideal(rep, ideal, f, g, h1, h2):
+    try:
+        printed = [rep.integral(x) for x in ideal["gens"]]
+    except ValueError:
+        return False
+    return printed == defined_ideal(rep, ideal["name"], h1, h2) and conducts(rep, ideal, f, g)
+
+
 def check_p_free(rep, f, g, h1, h2):
     ideals = rep.data["certificate"]["ideals"]
     try:
@@ -411,6 +450,16 @@ def check_report(text):
             out["mult_table"] = check_mult_table(rep, pres, f, g)
         else:
             out["relation"] = check_relation(rep, pres["presentation"])
+    cond = rep.data["conductor"]
+    if cond is not None:
+        h1, h2 = rep.poly(wit["h1"]), rep.poly(wit["h2"])
+        if cond["available"]:
+            out["conductor"] = check_conducting_ideal(rep, cond["ideal"], f, g, h1, h2)
+        if "j_datum" in cond:
+            j = cond["j_datum"]
+            out["j_datum"] = j["verified_R_subset_J_star"] is True and check_conducting_ideal(
+                rep, j["ideal"], f, g, h1, h2
+            )
     if rep.data.get("certificate") is None:
         return out
     h1, h2 = rep.poly(wit["h1"]), rep.poly(wit["h2"])

@@ -258,12 +258,43 @@ def test_build_R_non_cm_five_generators():
 )
 def test_build_R_rejects_a_wrong_local_factor(ring, ftext, gtext, case, generator):
     # local_factors checks nothing itself: the one claim k1 and k2 feed,
-    # tau^2 = k1*k2, is the quadratic build_R verifies for tau.
+    # tau^2 = k1*k2, is the quadratic the generic build verifies for tau.
+    # A job's tau^2 is specialised from there, so its own local factors
+    # are never read; the generic algebra's are corrupted.
     alg = alg_of(ring, ftext, gtext)
-    k1, k2 = alg.local_factors
-    alg.__dict__["local_factors"] = (k1 + alg.one(), k2)
-    with pytest.raises(InternalVerificationError, match="generator %d " % generator):
-        build_R(alg, case)
+    generic = classifier._generic_algebra(classifier._GENERIC_TAG.get(case, case))
+    k1, k2 = generic.local_factors
+    generic_presentation.cache_clear()
+    generic.__dict__["local_factors"] = (k1 + generic.one(), k2)
+    try:
+        with pytest.raises(InternalVerificationError, match="generator %d " % generator):
+            build_R(alg, case)
+    finally:
+        generic.__dict__["local_factors"] = (k1, k2)
+        generic_presentation.cache_clear()
+
+
+CASE_C_GOLDENS = ["example_4_7_family1", "case_c_cm_synthetic"]
+
+
+@pytest.mark.parametrize("name", CASE_C_GOLDENS)
+@pytest.mark.parametrize("index,identity", [(3, "h1 = zc + 2d1"), (5, "a = c^2U + 2a1")])
+def test_a_bumped_case_c_value_exits_3(monkeypatch, capsys, name, index, identity):
+    # d1 (index 3) or U (index 5) of _case_c_values moved by one: the
+    # identity h1 = zc + 2d1 or a = c^2U + 2a1 fails on the job, so the
+    # generic CaseC presentation is not specialised onto it.
+    values = classifier._case_c_values
+
+    def bumped(alg, swap):
+        out = list(values(alg, swap))
+        out[index] = out[index] + alg.ring.one()
+        return tuple(out)
+
+    monkeypatch.setattr(classifier, "_case_c_values", bumped)
+    assert main(["classify", "--job", str(GOLDEN_DIR / (name + ".job.json"))]) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "InternalVerificationError"
+    assert error["detail"] == "witness identity %s fails" % identity
 
 
 def test_build_R_rejects_a_wrong_witness_in_case_b():
@@ -310,6 +341,31 @@ def test_a_wrong_sign_in_a_generic_table_entry_exits_3(monkeypatch, capsys):
     generic_presentation.cache_clear()
     monkeypatch.setattr(classifier, "span_closure_check", flipped)
     job = str(GOLDEN_DIR / "case_b_synthetic.job.json")
+    try:
+        assert main(["classify", "--job", job]) == 3
+    finally:
+        generic_presentation.cache_clear()
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "InternalVerificationError"
+    assert "generic table entry (3, 3)" in error["detail"]
+
+
+def test_a_wrong_sign_in_a_generic_case_c_cm_table_entry_exits_3(monkeypatch, capsys):
+    # Flip the sign of the generic CaseC_CM table entry rho*rho[2] =
+    # (K + 1)*E: its recombination fails, so case_c_cm_synthetic is
+    # refused as a bug.
+    solve = classifier.span_closure_check
+
+    def flipped(gens, products):
+        table = solve(gens, products)
+        if gens[0].algebra.ring.variables == ("Z", "K", "E", "D1", "D2", "U", "A1", "B1"):
+            entry = table[3, 3]
+            table[3, 3] = entry[:2] + [-entry[2]] + entry[3:]
+        return table
+
+    generic_presentation.cache_clear()
+    monkeypatch.setattr(classifier, "span_closure_check", flipped)
+    job = str(GOLDEN_DIR / "case_c_cm_synthetic.job.json")
     try:
         assert main(["classify", "--job", job]) == 3
     finally:

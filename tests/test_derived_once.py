@@ -10,7 +10,6 @@ without one image remainder sequence.
 
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,34 +33,30 @@ from cmwitness.report import assemble_report, parse_job
 
 NON_CM = (CASE_C_NONCM_GRADE3, CASE_C_NONCM_GRADE2)
 SWEEP_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
-# K-products per golden report: in CaseC the generator products (each
-# once) and the independent k1*k2 of tau^2; each recorded c1 is a scalar
-# of S, so c1*x is a scale_poly or, for c1 = 0, nothing.  The CaseA and
-# CaseB presentations are specialised from generic ones: no product.
-K_PRODUCTS = {
-    "example_2_10": 0,
-    "example_3_2": 0,
-    "example_4_7_family1": 11,
-    "example_4_7_family2": 11,
-    "case_b_synthetic": 0,
-    "case_c_cm_synthetic": 7,
-}
-# The tags of the generic presentations (classifier.generic_presentation).
-GENERIC_PRESENTATIONS = (CASE_A_BOTH, CASE_A_ONE, CASE_B)
+# The tags of the generic presentations (classifier.generic_presentation);
+# the two non-CM tags share the grade-3 one.
+GENERIC_PRESENTATIONS = (CASE_A_BOTH, CASE_A_ONE, CASE_B, CASE_C_CM, CASE_C_NONCM_GRADE3)
+IN_SCOPE_GOLDENS = [name for name in GOLDEN_NAMES if name != "example_2_10"]
+# CaseC_CM pairs over (X, Y): c = Y + 1; e the unit; Q the unit ideal
+# with c = 1; and with e = 1.
+CM_PAIRS = [
+    ("X^2*(1+Y)^2+2*(1+Y)^2+4", "X^2*Y^2+2*Y^2+4"),
+    ("X^2*Y^2+2*Y^2+4", "X^2+2"),
+    ("1+2*X", "Y^2+2*X*Y^2+4*X"),
+    ("Y^2+2*X*Y^2+4*X", "1+2*X"),
+]
 
 
 class Calls:
     """Argument tuples of every call to one wrapped function."""
 
-    def __init__(self, monkeypatch, module, name, on_call=None):
+    def __init__(self, monkeypatch, module, name):
         self.args = []
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             self.args.append(args)
-            if on_call is None:
-                return original(*args, **kwargs)
-            return on_call(original, *args, **kwargs)
+            return original(*args, **kwargs)
 
         for modname, mod in list(sys.modules.items()):
             if modname.split(".")[0] != "cmwitness":
@@ -83,9 +78,8 @@ def golden_job(name):
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_each_fact_once_per_report(monkeypatch, name):
     ring, f, g, options = golden_job(name)
-    witnesses = [predicates.decompose_S2(p) for p in (f, g)]
     # The identity claims of the certificate, of the two resolutions and
-    # of the free presentations are decided once per process on generic
+    # of the presentations are decided once per process on generic
     # rings; count the report's own work only.
     generic_claims()
     generic_complexes()
@@ -93,6 +87,7 @@ def test_each_fact_once_per_report(monkeypatch, name):
         generic_presentation(case)
 
     lift_checks = Calls(monkeypatch, predicates, "in_S2wedge4")
+    parities = Calls(monkeypatch, predicates, "product_in_S2wedge4")
     decompositions = Calls(monkeypatch, predicates, "decompose_S2")
     shapes = Calls(monkeypatch, predicates, "ideal_Q_classify")
     rrefs = Calls(monkeypatch, linalg, "_fraction_free_rref")
@@ -104,16 +99,8 @@ def test_each_fact_once_per_report(monkeypatch, name):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(linalg.PolyFraction, "__init__", counting_init)
-    rrefs_per_solve = []
-
-    def rrefs_inside(original, *args, **kwargs):
-        before = len(rrefs)
-        result = original(*args, **kwargs)
-        rrefs_per_solve.append(len(rrefs) - before)
-        return result
-
-    closures = Calls(monkeypatch, algebra, "span_closure_check", rrefs_inside)
-    spans = Calls(monkeypatch, algebra, "express_in_span", rrefs_inside)
+    closures = Calls(monkeypatch, algebra, "span_closure_check")
+    spans = Calls(monkeypatch, algebra, "express_in_span")
     solves = Calls(monkeypatch, linalg, "solve_in_S")
     specialised = Calls(monkeypatch, homology, "verify_specialised")
     column_checks = Calls(monkeypatch, homology, "verify_column")
@@ -146,18 +133,13 @@ def test_each_fact_once_per_report(monkeypatch, name):
     crosschecks = len(shapes) - len(from_h)
     assert crosschecks == 0
 
-    # Only a CaseC_CM report solves its span closure; a CaseA or CaseB
-    # table is specialised from the generic one.
-    assert len(closures) == (1 if case == CASE_C_CM else 0)
-    assert len(spans) == 0
-    # Spans are solved over S by one back-substitution each: no
-    # elimination runs inside a solve, and the report builds no fraction.
-    assert len(solves) == len(rrefs_per_solve) == len(closures) + len(spans)
-    assert rrefs_per_solve == [0] * len(rrefs_per_solve)
+    # The parity of a*h2^2 + b*h1^2, past the CaseA tests, once.
+    assert len(parities) == (1 if case in (CASE_B, CASE_C_CM, *NON_CM) else 0)
+
+    # Every table is specialised from a generic one: no span solve, no
+    # elimination, and no fraction (the golden CaseC_CM job has c = 1).
+    assert len(closures) == len(spans) == len(solves) == len(rrefs) == 0
     assert fractions == []
-    if closures:
-        columns, targets = solves.args[0]
-        assert (len(columns), len(targets)) == (4, 10)
 
     # Each of the three complexes of a non-CM report is verified once,
     # from closed forms: no report expands a minor, computes a rank or
@@ -168,30 +150,11 @@ def test_each_fact_once_per_report(monkeypatch, name):
     assert len(resolutions_of_I) == len(resolutions_of_S_mod_Q) == len(column_checks)
     assert [len(calls) for calls in expanding] == [0] * len(expanding)
 
-    # No K-product is formed twice: a generator's square serves the span
-    # closure (or the colon tests) and its quadratic alike.
-    pairs = Counter(frozenset(args) for args in products.args)
-    assert [pair for pair, n in pairs.items() if n > 1] == []
-    assert len(products) <= K_PRODUCTS[name]
-
-    # (w + h1)(u + h2), the generator of H, and tau are built from their
-    # coordinates: no K-product forms either.
-    if None not in witnesses:
-        z, o = ring.zero(), ring.one()
-        h1, h2 = witnesses[0].h, witnesses[1].h
-        factors = {
-            frozenset((((h1, o, z, z), 0), ((h2, z, o, z), 0))),
-            frozenset((((-h1, o, z, z), 0), ((-h2, z, o, z), 0))),
-        }
-        formed = [
-            args for args in products.args
-            if frozenset((x.coords, x.denom_exp) for x in args) in factors
-        ]
-        assert formed == []
-
-    # No colon test x * ideal inside A runs twice on the same pair.
-    colon_pairs = [(x, tuple(ideal.gens)) for x, ideal in colon_tests.args]
-    assert len(colon_pairs) == len(set(colon_pairs))
+    # No K-product and no colon test runs on the job: the generator
+    # products, the colon tests and the quadratics are the generic
+    # presentation's, and (w + h1)(u + h2), the generator of H, and tau
+    # are built from their coordinates.
+    assert len(products) == len(colon_tests) == 0
 
 
 @pytest.mark.parametrize(
@@ -282,12 +245,25 @@ def test_certificate_runs_no_colon_test_and_no_product(monkeypatch, warm_up, nam
     assert len(colon_tests) == len(products) == 0
 
 
-@pytest.mark.parametrize("name", ["example_3_2", "case_b_synthetic"])
-def test_free_presentation_is_specialised_after_a_warm_up(monkeypatch, name):
+def cm_job(pair):
+    ring = golden_job("case_c_cm_synthetic")[0]
+    return (ring, *(parse_poly(p, ring) for p in pair), None)
+
+
+@pytest.mark.parametrize(
+    "job",
+    [pytest.param(name, id=name) for name in IN_SCOPE_GOLDENS]
+    + [pytest.param(pair, id="%s,%s" % pair) for pair in CM_PAIRS],
+)
+def test_every_presentation_is_specialised_after_a_warm_up(monkeypatch, job):
     # The warm-up report builds the generic presentation; the next report
-    # of the tag specialises it: no K-product, span solve or colon test
-    # (not even for CaseB's conductor P), and no f*g.
-    assemble_report(*golden_job(name))
+    # of the tag specialises it: no per-job build, K-product, span solve
+    # or colon test (not even for the conductor or J), and no f*g.
+    job = golden_job(job) if isinstance(job, str) else cm_job(job)
+    assemble_report(*job)
+    builds = Calls(monkeypatch, classifier, "_verified_presentation")
+    tables = Calls(monkeypatch, algebra, "generator_products")
+    closures = Calls(monkeypatch, algebra, "span_closure_check")
     products = Calls(monkeypatch, algebra, "k_mul")
     solves = Calls(monkeypatch, linalg, "solve_in_S")
     colon_tests = Calls(monkeypatch, algebra, "in_colon")
@@ -295,18 +271,20 @@ def test_free_presentation_is_specialised_after_a_warm_up(monkeypatch, name):
     monkeypatch.setattr(
         algebra.AlgebraDesc, "fg", property(lambda alg: formed.append(alg) or alg.f * alg.g)
     )
-    report = assemble_report(*golden_job(name))
-    assert report["case"] in (CASE_A_BOTH, CASE_B)
-    assert report["conductor"]["available"] == (report["case"] == CASE_B)
-    assert len(products) == len(solves) == len(colon_tests) == len(formed) == 0
+    report = assemble_report(*job)
+    assert report["case"] != OUTSIDE_SCOPE
+    assert report["conductor"]["available"] == (report["case"] in (CASE_B, CASE_C_NONCM_GRADE3))
+    calls = [builds, tables, closures, products, solves, colon_tests, formed]
+    assert [len(c) for c in calls] == [0] * len(calls)
 
 
 def test_one_generic_algebra_per_tag(monkeypatch):
     # One report per golden job and one CaseA_one job with its square
     # mod 4 on each side (no golden job is CaseA_one), all twice.  The
-    # three generic algebras are built once each, and the certificate's
-    # generic claims read CaseB's: a job whose square mod 4 is g reads
-    # the CaseA_one presentation built with it on f.
+    # five generic algebras are built once each (the two non-CM tags
+    # share one), and the certificate's generic claims read CaseB's: a
+    # job whose square mod 4 is g reads the CaseA_one presentation built
+    # with it on f.
     for cached in (classifier._generic_algebra, generic_presentation, generic_claims):
         cached.cache_clear()
     closures = Calls(monkeypatch, algebra, "span_closure_check")
@@ -319,11 +297,11 @@ def test_one_generic_algebra_per_tag(monkeypatch):
     assert cases[: len(jobs)] == cases[len(jobs):]
     assert cases[-2:] == [CASE_A_ONE, CASE_A_ONE]
     assert set(cases) >= {CASE_A_BOTH, CASE_B, *NON_CM}
-    # One span closure for each generic presentation; only CaseC_CM
-    # reports solve their own.
-    assert len(closures) == 3 + cases.count(CASE_C_CM)
-    assert classifier._generic_algebra.cache_info().misses == 3
-    assert generic_presentation.cache_info().misses == 3
+    # One span closure for each generic presentation of a free R; no
+    # report solves its own.
+    assert len(closures) == 4
+    assert classifier._generic_algebra.cache_info().misses == 5
+    assert generic_presentation.cache_info().misses == 5
     # make_algebra runs once per report, never for a generic algebra.
     assert len(algebras) == len(cases)
 
@@ -332,7 +310,7 @@ def test_one_generic_algebra_per_tag(monkeypatch):
     generic_claims()
     [(alg,)] = identities.args
     assert alg is generic_presentation(CASE_B).generators[0].algebra
-    assert classifier._generic_algebra.cache_info().misses == 3
+    assert classifier._generic_algebra.cache_info().misses == 5
 
 
 def test_generic_check_runs_once_per_process(monkeypatch):

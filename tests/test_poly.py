@@ -282,13 +282,16 @@ def test_compose_with_constant_images_is_substitute_ints():
 
 
 def test_compose_is_a_ring_map():
-    # Seeded images, some zero; one shared memo per images tuple.
+    # Seeded images, one of them zero and often one of them 1; one
+    # shared memo per images tuple.
     rng = random.Random(1702)
     target = BaseRing(("S", "T"))
     s, t = target.gens()
-    for _ in range(200):
+    for n in range(200):
         images = [rand_poly(rng, target, max_terms=3, max_deg=2) for _ in range(3)]
         images[rng.randrange(3)] = target.zero()
+        if n % 2:
+            images[rng.randrange(3)] = target.one()
         p, q = rand_poly(rng, RING), rand_poly(rng, RING)
         memo = {}
         cp, cq = compose(p, images, memo), compose(q, images, memo)

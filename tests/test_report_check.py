@@ -36,6 +36,13 @@ NON_CM_CHECKS = {
     "resolution_of_I",
     "resolution_of_S_mod_Q",
     "R_presentation",
+    "j_datum",
+}
+# The ideals a report prints with R, by case: its conductor, J or both.
+IDEAL_CHECKS = {
+    "CaseB_productNotS2w4": {"conductor"},
+    "CaseC_CM_twoGenerated": {"j_datum"},
+    "CaseC_NonCM_grade3": {"conductor"},
 }
 
 
@@ -49,13 +56,14 @@ def test_golden_reports_recheck(name):
     data = json.loads(text)
     verdicts = check_report(text)
     witnesses = data["witnesses"]
+    ideals = IDEAL_CHECKS.get(data["case"], set())
     if data["certificate"] is not None:
-        assert set(verdicts) == NON_CM_CHECKS
+        assert set(verdicts) == NON_CM_CHECKS | ideals
     elif witnesses["h1"] is not None and witnesses["h2"] is not None:
         refined = {"witness_f4": "a_prime", "witness_g4": "b_prime"}
         assert set(verdicts) == {"case", "witness_f", "witness_g", "quadratics", "mult_table"} | {
             check for check, key in refined.items() if witnesses[key] is not None
-        }
+        } | ideals
     assert verdicts["case"] is True
     assert all(verdicts.values()), verdicts
 
@@ -72,7 +80,7 @@ def test_fraction_table_entries_recheck():
     table = json.loads(text)["ring_presentation"]["mult_table"]
     assert any(entry.endswith("/(Y+1)") for row in table.values() for entry in row)
     verdicts = check_report(text)
-    assert {"quadratics", "mult_table"} <= set(verdicts) and all(verdicts.values())
+    assert {"quadratics", "mult_table", "j_datum"} <= set(verdicts) and all(verdicts.values())
 
 
 def test_generated_free_reports_recheck():
@@ -86,7 +94,9 @@ def test_generated_free_reports_recheck():
         for job in itertools.islice(jobs, FREE_REPORTS_PER_TAG):
             text = render_json(assemble_report(*parse_job(job)))
             verdicts = check_report(text)
-            assert {"case", "quadratics", "mult_table"} <= set(verdicts), job
+            assert {"case", "quadratics", "mult_table"} | IDEAL_CHECKS.get(tag, set()) <= set(
+                verdicts
+            ), job
             assert all(verdicts.values()), job
             checked += 1
             if tag == casegen.A_ONE:
@@ -104,7 +114,8 @@ def test_generated_non_cm_reports_recheck():
         for job in itertools.islice(jobs, REPORTS_PER_TAG):
             text = render_json(assemble_report(*parse_job(job)))
             verdicts = check_report(text)
-            assert set(verdicts) == NON_CM_CHECKS and all(verdicts.values()), job
+            assert set(verdicts) == NON_CM_CHECKS | IDEAL_CHECKS.get(tag, set()), job
+            assert all(verdicts.values()), job
             checked += 1
     assert checked == 2 * REPORTS_PER_TAG
 
@@ -191,6 +202,25 @@ def test_one_changed_presentation_coefficient_fails_its_check(check, path):
     # case_b_synthetic: tau^2 = k1*k2 is its third quadratic.
     data = json.loads(golden_text("case_b_synthetic"))
     verdicts = check_report(perturbed(data, path))
+    assert verdicts[check] is False
+
+
+# conductor: P on case_b_synthetic, I on example_4_7_family2 (grade 3);
+# j_datum: J on case_c_cm_synthetic and example_4_7_family1.  A changed
+# generator of R (tau, rho) is no longer conducted.
+@pytest.mark.parametrize(
+    "name,check,path",
+    [
+        ("case_b_synthetic", "conductor", ("conductor", "ideal", "gens", 1, "coords", 0)),
+        ("case_b_synthetic", "conductor", ("ring_presentation", "generators", 3, "coords", 0)),
+        ("example_4_7_family2", "conductor", ("conductor", "ideal", "gens", 2, "coords", 1)),
+        ("case_c_cm_synthetic", "j_datum", ("conductor", "j_datum", "ideal", "gens", 1, "coords", 0)),
+        ("case_c_cm_synthetic", "j_datum", ("ring_presentation", "generators", 3, "coords", 0)),
+        ("example_4_7_family1", "j_datum", ("ring_presentation", "generators", 4, "coords", 0)),
+    ],
+)
+def test_one_changed_coefficient_fails_the_ideal_checks(name, check, path):
+    verdicts = check_report(perturbed(json.loads(golden_text(name)), path))
     assert verdicts[check] is False
 
 
